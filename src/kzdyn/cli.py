@@ -9,10 +9,15 @@ Reports are plain JSON with a fixed schema.  Everything except the
 ``timings`` section is byte-reproducible for identical configuration:
 expressions are serialized in canonical form and every enumeration order is
 fixed.  Exit status is 0 when the verdict is ``pass`` or ``flagged`` (the
-latter prints a warning), 1 on ``fail``, and 2 on configuration errors.
+latter prints a warning), 1 on ``fail``, 2 on configuration errors, and 3 on
+internal errors: an arithmetic failure inside the exact layers (a pole, a
+resonant weight, a division by zero or an inexact polynomial division) or
+unparsable expression text.
 
 Setting the environment variable ``KZDYN_CACHE`` to a directory memoizes
-dump artifacts on disk, keyed by a digest of the kind and parameters.
+dump artifacts on disk, keyed by a digest of the kind, the parameters, the
+package version and the report schema version.  Each artifact is written to a
+temporary file and renamed into place, so a reader never sees a partial one.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -78,7 +84,7 @@ from .roots import (
     special_order,
     weight_from_pairings,
 )
-from .symexpr import RF_ONE, RF_ZERO, rational
+from .symexpr import RF_ONE, RF_ZERO, ParseError, rational
 from .uea import Straightener, standard_basis
 
 __all__ = [
@@ -957,7 +963,8 @@ def dump_object(kind: str, params: Optional[Mapping] = None) -> str:
     """Deterministic serialization of one artifact kind.
 
     When ``KZDYN_CACHE`` names a directory, results are memoized there keyed
-    by a digest of the kind and parameters.
+    by a digest of the kind, the parameters and the package and schema
+    versions.
     """
     if kind not in _DUMP_RUNNERS:
         raise UnknownKind(
@@ -967,7 +974,16 @@ def dump_object(kind: str, params: Optional[Mapping] = None) -> str:
     cache_dir = os.environ.get("KZDYN_CACHE")
     cache_path = None
     if cache_dir:
-        key = json.dumps({"kind": kind, "params": params}, sort_keys=True, default=list)
+        key = json.dumps(
+            {
+                "kind": kind,
+                "params": params,
+                "version": __version__,
+                "schema_version": SCHEMA_VERSION,
+            },
+            sort_keys=True,
+            default=list,
+        )
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
         cache_path = os.path.join(cache_dir, f"{kind}-{digest}.txt")
         if os.path.exists(cache_path):
@@ -976,8 +992,14 @@ def dump_object(kind: str, params: Optional[Mapping] = None) -> str:
     text = _DUMP_RUNNERS[kind](params)
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd, tmp_path = tempfile.mkstemp(prefix=f".{kind}-", suffix=".tmp", dir=cache_dir)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp_path, cache_path)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
     return text
 
 
@@ -1098,6 +1120,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         parser.error("unknown command")
         return 2
+    except (ArithmeticError, ParseError) as exc:
+        # PoleHit, ResonantWeight, DivisionByZero, InexactDivision: the exact
+        # layers failed on a configuration they accepted
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         # covers UnknownSuite, UnknownKind, CapabilityExceeded, and range
         # errors raised by the underlying modules for bad parameters

@@ -21,10 +21,10 @@ from kzdyn.cli import (
     report_text,
     run_suite,
 )
-from kzdyn.dyn import K_operator, fusion_solve
+from kzdyn.dyn import K_operator, PoleHit, ResonantWeight, fusion_solve
 from kzdyn.rep import enumerate_basis, verma_symbolic
 from kzdyn.roots import serialize_order, special_order
-from kzdyn.symexpr import parse
+from kzdyn.symexpr import DivisionByZero, InexactDivision, ParseError, parse
 
 
 class TestConfigValidation:
@@ -320,6 +320,21 @@ class TestDumps:
             path.write_text(marker, encoding="utf-8")
         assert dump_object("order", {"n": 3, "h": 1}) == marker
 
+    def test_cache_misses_after_schema_change(self, tmp_path, monkeypatch):
+        from kzdyn import cli as cli_module
+
+        monkeypatch.setenv("KZDYN_CACHE", str(tmp_path))
+        first = dump_object("order", {"n": 3, "h": 1})
+        for path in tmp_path.glob("order-*.txt"):
+            path.write_text("stale", encoding="utf-8")
+        monkeypatch.setattr(cli_module, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+        assert dump_object("order", {"n": 3, "h": 1}) == first
+        assert len(list(tmp_path.glob("order-*.txt"))) == 2
+        # every file is a finished artifact: no temporary file is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in tmp_path.glob("order-*.txt")
+        )
+
 
 class TestMainEntry:
     def test_verify_pass_exit_zero(self, capsys):
@@ -373,6 +388,31 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert code == 1
         assert json.loads(captured.out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            InexactDivision("inexact polynomial division"),
+            PoleHit("denominator vanishes"),
+            ResonantWeight("vanishing dividing scalar"),
+            DivisionByZero("evaluation hit a pole"),
+            ParseError("unexpected token"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_internal_error_exits_three(self, capsys, monkeypatch, error):
+        from kzdyn import cli as cli_module
+
+        def raise_error(cfg):
+            raise error
+
+        monkeypatch.setitem(cli_module._SUITE_RUNNERS, "sigma-orders", raise_error)
+        code = main(["verify", "sigma-orders"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert str(error) in captured.err
 
     def test_dump_order_contract_example(self, capsys):
         code = main(["dump", "order", "--n", "3", "--h", "1"])

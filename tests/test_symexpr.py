@@ -10,17 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympy
+
 from kzdyn.symexpr import (
+    GCD_MEMO_SIZE,
     RF_ONE,
     RF_ZERO,
     DivisionByZero,
+    InexactDivision,
+    Poly,
     RationalFunctionExpr,
+    _ring_gcd_cofactors,
     parse,
+    poly_divexact,
+    poly_gcd_cofactors,
     rational,
     rf_partial,
     rf_substitute,
     rf_symmetrize,
     symbol,
+    symbol_id,
 )
 
 T = symbol("t")
@@ -313,3 +322,145 @@ def test_symmetrize_idempotent(f):
 def test_round_trip_property(f):
     assert parse(str(f)) == f
     assert str(parse(str(f))) == str(f)
+
+
+# ---------------------------------------------------------------------------
+# GCD / exact division seam
+# ---------------------------------------------------------------------------
+
+_GCD_NAMES = ("x", "y", "z:1", "l1")
+
+
+def _random_poly(rng: random.Random, names=_GCD_NAMES, max_terms: int = 3) -> Poly:
+    vars = sorted(symbol_id(name) for name in names)
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, 2) for _ in vars)
+        terms[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Poly.build(vars, terms)
+
+
+def _random_gcd_pair(rng: random.Random) -> tuple[Poly, Poly]:
+    kind = rng.choice(["shared", "shared", "disjoint", "monomial", "equal", "constant"])
+    if kind == "shared":
+        f = _random_poly(rng)
+        p, q = f * _random_poly(rng), f * _random_poly(rng)
+    elif kind == "disjoint":
+        p, q = _random_poly(rng, ("x", "y")), _random_poly(rng, ("z:1", "l1"))
+    elif kind == "monomial":
+        p, q = _random_poly(rng, max_terms=1), _random_poly(rng)
+    elif kind == "equal":
+        p = _random_poly(rng)
+        q = p if rng.random() < 0.5 else p.scale(Fraction(rng.randint(1, 5), 3))
+    else:
+        p, q = Poly.const(rng.randint(-3, 3)), _random_poly(rng)
+    if rng.random() < 0.5:
+        p, q = q, p
+    return p, q
+
+
+def _copy(p: Poly) -> Poly:
+    return Poly(p.vars, dict(p.terms))
+
+
+def _sympy_gcd(p: Poly, q: Poly) -> Poly:
+    """Uncached reference: sympy's cofactors over QQ, then normalized."""
+    vars = sorted(set(p.vars) | set(q.vars)) or [symbol_id("x")]
+    gens = sympy.symbols([f"v{i}" for i in range(len(vars))])
+
+    def to_sympy(a: Poly):
+        pos = [vars.index(v) for v in a.vars]
+        coeffs = {}
+        for exps, c in a.terms.items():
+            full = [0] * len(vars)
+            for i, e in zip(pos, exps):
+                full[i] = e
+            coeffs[tuple(full)] = sympy.Rational(c.numerator, c.denominator)
+        return sympy.Poly.from_dict(coeffs, *gens, domain=sympy.QQ)
+
+    h, _, _ = to_sympy(p).cofactors(to_sympy(q))
+    g = Poly.build(vars, {m: Fraction(int(c.p), int(c.q)) for m, c in h.terms()})
+    return g if g.is_zero() else g.scale(1 / g.content_signed())
+
+
+def _check_gcd_cofactors(p: Poly, q: Poly) -> None:
+    g, pg, qg = poly_gcd_cofactors(p, q)
+    assert g * pg == p
+    assert g * qg == q
+    assert g == _sympy_gcd(p, q)
+    assert poly_gcd_cofactors(_copy(p), _copy(q)) == (g, pg, qg)
+
+
+def test_gcd_cofactors_seeded_random_pairs():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        _check_gcd_cofactors(*_random_gcd_pair(rng))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_gcd_cofactors_property(rng):
+    _check_gcd_cofactors(*_random_gcd_pair(rng))
+
+
+def test_gcd_cofactors_zero_operands():
+    p = _random_poly(random.Random(7))
+    for a, b in [(Poly.zero(), Poly.zero()), (Poly.zero(), p), (p, Poly.zero())]:
+        _check_gcd_cofactors(a, b)
+
+
+def _p(text: str) -> Poly:
+    expr = parse(text)
+    assert expr.den.is_one()
+    return expr.num
+
+
+def test_gcd_shortcuts_do_not_reach_the_ring():
+    before = _ring_gcd_cofactors.cache_info()
+    assert poly_gcd_cofactors(_p("x*y + 1"), _p("z:1*l1 - 3"))[0].is_one()
+    g, pg, qg = poly_gcd_cofactors(_p("6*x^2*y"), _p("x^3*z:1 + x*y^2"))
+    assert (g, pg, qg) == (_p("x"), _p("6*x*y"), _p("x^2*z:1 + y^2"))
+    assert poly_gcd_cofactors(_p("x*y^2"), _p("-x^2*y")) == (_p("x*y"), _p("y"), _p("-x"))
+    assert poly_gcd_cofactors(_p("2*x"), _p("y^2 - x")) == (Poly.one(), _p("2*x"), _p("y^2 - x"))
+    after = _ring_gcd_cofactors.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_gcd_memo_hit_on_equal_operands():
+    p, q = _p("(x + y) * (x - 2)"), _p("(x + y) * (y + 5)")
+    first = poly_gcd_cofactors(p, q)
+    hits = _ring_gcd_cofactors.cache_info().hits
+    second = poly_gcd_cofactors(_copy(p), _copy(q))
+    assert _ring_gcd_cofactors.cache_info().hits == hits + 1
+    assert second == first
+    assert first == (_p("x + y"), _p("x - 2"), _p("y + 5"))
+
+
+def test_gcd_memo_stays_bounded():
+    misses = _ring_gcd_cofactors.cache_info().misses
+    for k in range(1, GCD_MEMO_SIZE + 21):
+        g, _, _ = poly_gcd_cofactors(_p(f"x + {k}"), _p(f"x*y + {k}"))
+        assert g.is_one()
+        assert _ring_gcd_cofactors.cache_info().currsize <= GCD_MEMO_SIZE
+    assert _ring_gcd_cofactors.cache_info().misses >= misses + GCD_MEMO_SIZE + 20
+
+
+def test_divexact_inverts_multiplication():
+    rng = random.Random(20261019)
+    for _ in range(100):
+        p, q = _random_poly(rng), _random_poly(rng)
+        if p.is_zero() or q.is_zero():
+            continue
+        assert poly_divexact(p * q, q) == p
+        assert poly_divexact(_copy(p * q), _copy(p)) == q
+
+
+def test_divexact_constant_zero_and_inexact():
+    assert poly_divexact(_p("3*x + 6"), Poly.const(3)) == _p("x + 2")
+    assert poly_divexact(Poly.zero(), _p("x + y")).is_zero()
+    with pytest.raises(DivisionByZero):
+        poly_divexact(_p("x"), Poly.zero())
+    with pytest.raises(InexactDivision) as info:
+        poly_divexact(_p("x*y + 1"), _p("x + y"))
+    assert isinstance(info.value, ArithmeticError)
+    assert not isinstance(info.value, ValueError)
