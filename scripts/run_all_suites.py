@@ -18,15 +18,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="reports",
                     help="directory for the per-suite JSON reports")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for the numeric grid suites")
     args = ap.parse_args(argv)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     failed = False
     for suite in SUITES:
-        report = run_suite(SuiteConfig(suite=suite, jobs=args.jobs))
+        report = run_suite(SuiteConfig(suite=suite))
         path = out_dir / f"{suite}.json"
         path.write_text(report_text(report))
         seconds = report["timings"]["total_seconds"]

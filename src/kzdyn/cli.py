@@ -11,8 +11,9 @@ expressions are serialized in canonical form and every enumeration order is
 fixed.  Exit status is 0 when the verdict is ``pass`` or ``flagged`` (the
 latter prints a warning), 1 on ``fail``, 2 on configuration errors, and 3 on
 internal errors: an arithmetic failure inside the exact layers (a pole, a
-resonant weight, a division by zero or an inexact polynomial division) or
-unparsable expression text.
+resonant weight, a division by zero or an inexact polynomial division), a
+quadrature that misses the fixed tolerance a suite requests
+(`QuadratureNotConverged`), or unparsable expression text.
 
 Setting the environment variable ``KZDYN_CACHE`` to a directory memoizes
 dump artifacts on disk, keyed by a digest of the kind, the parameters, the
@@ -30,7 +31,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -51,18 +51,6 @@ from .dyn import (
     shifted_pairings,
 )
 from .hyper import forest_of_index, phi_vector, verify_order_invariance
-from .numeric import (
-    MAIN_THEOREM_GRID,
-    QUADRATURE_GRID,
-    SELBERG_GRID,
-    ChamberIntegral,
-    SelbergParams,
-    det_formula_sl2_check,
-    main_theorem_sl2_check,
-    quad_chamber,
-    selberg_closed,
-    selberg_difference_check,
-)
 from .rep import (
     PBWVector,
     enumerate_basis,
@@ -148,15 +136,12 @@ class SuiteConfig:
     max_ab: int = 2
     grid: str = "default"
     out: Optional[str] = None
-    jobs: int = 1
 
     def validate(self) -> None:
         if self.suite not in SUITES:
             raise UnknownSuite(
                 f"unknown suite {self.suite!r}; choose one of {', '.join(SUITES)}"
             )
-        if not (1 <= self.jobs <= 16):
-            raise CapabilityExceeded("jobs must be between 1 and 16")
         if self.grid != "default":
             raise CapabilityExceeded(f"unknown parameter grid {self.grid!r}")
         if self.tol is not None and self.tol < 1e-14:
@@ -653,18 +638,18 @@ def _suite_appendix_c(cfg: SuiteConfig):
     return params, "pass" if ok else "fail", witnesses, [], {}
 
 
-def _selberg_difference_row(args):
-    m, a, b, c, tol = args
-    data = selberg_difference_check(SelbergParams(a, b, c, m), tol).to_json()
-    data["check"] = "difference-relation"
-    return data
+# The three numeric suites import `numeric` when they run, so that scipy is
+# loaded only by them.  Its functions are looked up on the module at each
+# call, where a tracer or a test may have replaced them.
 
+def _selberg_quadrature_row(m: int, a: float, b: float, c: float, tol: float) -> dict:
+    from . import numeric
 
-def _selberg_quadrature_row(args):
-    m, a, b, c, tol = args
-    params = SelbergParams(a, b, c, m)
-    got = quad_chamber(ChamberIntegral.from_selberg(params), min(tol, 1e-8))
-    want = math.exp(selberg_closed(params))
+    params = numeric.SelbergParams(a, b, c, m)
+    got = numeric.quad_chamber(
+        numeric.ChamberIntegral.from_selberg(params), min(tol, 1e-8)
+    )
+    want = math.exp(numeric.selberg_closed(params))
     rel = abs(got - want) / want
     return {
         "check": "quadrature-vs-closed",
@@ -680,37 +665,25 @@ def _selberg_quadrature_row(args):
     }
 
 
-def _main_theorem_row(args):
-    p, m, kappa, lam, z, tol = args
-    data = main_theorem_sl2_check(p, m, kappa, lam, z, tol).to_json()
-    return data
-
-
-def _det_formula_row(args):
-    p, m, kappa, lam, z, tol = args
-    data = det_formula_sl2_check(p, m, kappa, lam, z, tol).to_json()
-    return data
-
-
-def _run_grid(fn, rows, jobs: int) -> list[dict]:
-    if jobs > 1 and len(rows) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
-            return list(pool.map(fn, rows))
-    return [fn(row) for row in rows]
-
-
 def _suite_selberg(cfg: SuiteConfig):
+    from . import numeric
+
     tol = cfg.tol if cfg.tol is not None else 1e-10
     quad_tol = 1e-6
-    diff_rows = [(m, a, b, c, tol) for (m, a, b, c) in SELBERG_GRID]
-    quad_rows = [(m, a, b, c, quad_tol) for (m, a, b, c) in QUADRATURE_GRID]
-    witnesses = _run_grid(_selberg_difference_row, diff_rows, cfg.jobs)
-    witnesses += _run_grid(_selberg_quadrature_row, quad_rows, cfg.jobs)
+    witnesses = []
+    for m, a, b, c in numeric.SELBERG_GRID:
+        data = numeric.selberg_difference_check(
+            numeric.SelbergParams(a, b, c, m), tol
+        ).to_json()
+        data["check"] = "difference-relation"
+        witnesses.append(data)
+    for m, a, b, c in numeric.QUADRATURE_GRID:
+        witnesses.append(_selberg_quadrature_row(m, a, b, c, quad_tol))
     ok = all(w["passed"] for w in witnesses)
     params = {
         "grid": cfg.grid,
-        "difference_points": len(diff_rows),
-        "quadrature_points": len(quad_rows),
+        "difference_points": len(numeric.SELBERG_GRID),
+        "quadrature_points": len(numeric.QUADRATURE_GRID),
         "tol": tol,
         "quadrature_tol": quad_tol,
     }
@@ -718,20 +691,28 @@ def _suite_selberg(cfg: SuiteConfig):
 
 
 def _suite_main_theorem(cfg: SuiteConfig):
+    from . import numeric
+
     tol = cfg.tol if cfg.tol is not None else 1e-9
-    rows = [(p, m, kappa, lam, z, tol) for (p, m, kappa, lam, z) in MAIN_THEOREM_GRID]
-    witnesses = _run_grid(_main_theorem_row, rows, cfg.jobs)
+    witnesses = [
+        numeric.main_theorem_sl2_check(p, m, kappa, lam, z, tol).to_json()
+        for (p, m, kappa, lam, z) in numeric.MAIN_THEOREM_GRID
+    ]
     ok = all(w["passed"] for w in witnesses)
-    params = {"grid": cfg.grid, "points": len(rows), "tol": tol}
+    params = {"grid": cfg.grid, "points": len(witnesses), "tol": tol}
     return params, "pass" if ok else "fail", witnesses, [], {}
 
 
 def _suite_determinant(cfg: SuiteConfig):
+    from . import numeric
+
     tol = cfg.tol if cfg.tol is not None else 1e-9
-    rows = [(p, m, kappa, lam, z, tol) for (p, m, kappa, lam, z) in MAIN_THEOREM_GRID]
-    witnesses = _run_grid(_det_formula_row, rows, cfg.jobs)
+    witnesses = [
+        numeric.det_formula_sl2_check(p, m, kappa, lam, z, tol).to_json()
+        for (p, m, kappa, lam, z) in numeric.MAIN_THEOREM_GRID
+    ]
     ok = all(w["passed"] for w in witnesses)
-    params = {"grid": cfg.grid, "points": len(rows), "tol": tol}
+    params = {"grid": cfg.grid, "points": len(witnesses), "tol": tol}
     return params, "pass" if ok else "fail", witnesses, [], {}
 
 
@@ -1047,9 +1028,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--grid", type=str, default="default", help="named parameter grid"
     )
     verify.add_argument("--out", type=str, default=None, help="report file path")
-    verify.add_argument(
-        "--jobs", type=int, default=1, help="parallel grid evaluations"
-    )
 
     dump = sub.add_parser("dump", help="serialize one artifact deterministically")
     dump.add_argument("kind", help=f"one of: {', '.join(DUMP_KINDS)}")
@@ -1085,7 +1063,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 max_ab=args.max_ab,
                 grid=args.grid,
                 out=args.out,
-                jobs=args.jobs,
             )
             report = run_suite(cfg)
             sys.stdout.write(report_text(report))
@@ -1121,8 +1098,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("unknown command")
         return 2
     except (ArithmeticError, ParseError) as exc:
-        # PoleHit, ResonantWeight, DivisionByZero, InexactDivision: the exact
-        # layers failed on a configuration they accepted
+        # PoleHit, ResonantWeight, DivisionByZero, InexactDivision,
+        # QuadratureNotConverged: the exact or numeric layers failed on a
+        # configuration they accepted
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -33,6 +33,7 @@ from .symexpr import (
 
 __all__ = [
     "NonIntegrable",
+    "QuadratureNotConverged",
     "SelbergParams",
     "ChamberIntegral",
     "log_gamma",
@@ -54,6 +55,22 @@ __all__ = [
 
 class NonIntegrable(ValueError):
     """A chamber integral has a divergent boundary exponent."""
+
+
+class QuadratureNotConverged(ArithmeticError):
+    """Successive quadrature estimates never agreed within the tolerance.
+
+    The suites request tolerances that the quadrature ladder meets, so the
+    command line treats this as an internal error (exit status 3).
+    """
+
+    def __init__(self, tol: float, difference: float):
+        super().__init__(
+            f"quadrature did not reach the requested tolerance {tol!r}; "
+            f"the last two estimates differ by {difference!r}"
+        )
+        self.tol = tol
+        self.difference = difference
 
 
 _KAPPA = "kap"
@@ -299,13 +316,15 @@ def quad_chamber(ci: ChamberIntegral, tol: float) -> float:
         return 1.0
     ladder = (16, 24, 32, 48, 64, 96) if ci.m < 3 else (12, 18, 26, 38)
     previous = None
-    value = 0.0
+    difference = math.inf
     for n_nodes in ladder:
         value = _nested_gauss_jacobi(ci, n_nodes)
-        if previous is not None and abs(value - previous) <= tol * max(1.0, abs(value)):
-            return value
+        if previous is not None:
+            difference = abs(value - previous)
+            if difference <= tol * max(1.0, abs(value)):
+                return value
         previous = value
-    raise ArithmeticError("quadrature did not reach the requested tolerance")
+    raise QuadratureNotConverged(tol, difference)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,21 @@ exact divisions go through the two seams `poly_gcd_cofactors` /
 for a zero or constant operand, for equal operands, for operands with no
 common variable (the gcd is 1), and when one operand is a monomial (the gcd
 is the monomial of the smallest exponent of each variable over all terms of
-both).  Every other gcd is computed in a sparse polynomial ring over Q
-(sympy) and kept in a bounded in-process memo keyed by the operand pair
-(`GCD_MEMO_SIZE` entries, least recently used evicted first); ``Poly`` is
-immutable, so a memoized result can be shared.  Exact division always uses
-the ring and raises `InexactDivision` when the divisor does not divide.
+both).  Every other gcd is kept in a bounded in-process memo keyed by the
+operand pair (`GCD_MEMO_SIZE` entries, least recently used evicted first);
+``Poly`` is immutable, so a memoized result can be shared.  On a memo miss a
+modular check first tries to prove the operands coprime, the most common
+answer when denominators are combined: for each common variable x,
+the other variables are set to fixed nonzero residues modulo the prime
+`CERT_PRIME`, derived from their names, and the two univariate images are
+compared.  When one image keeps its operand's degree in x and the images
+have a constant gcd over GF(P), x cannot occur in the gcd; when every
+common variable passes, the gcd is 1 (Brown's degree argument, see
+`_coprime_by_images`).  The check says "coprime" only with that proof;
+otherwise, and always for a coefficient whose denominator P divides, the
+gcd is computed in a sparse polynomial ring over Q (sympy), so results do
+not depend on the check.  Exact division always uses the ring and raises
+`InexactDivision` when the divisor does not divide.
 
 Symbols are process-global: a name maps to a stable integer id on first use.
 Names follow ``[A-Za-z][A-Za-z0-9:]*``; by convention the package uses
@@ -47,6 +57,7 @@ Text form round-trips exactly: ``parse(str(e)) == e`` and
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import re
@@ -503,9 +514,119 @@ def _divide_monomial(p: Poly, m: Poly) -> Poly:
     return Poly(*_shrink(p.vars, terms))
 
 
+# The prime of the coprimality certificate: 2^31 - 1.
+CERT_PRIME = 2**31 - 1
+
+
+@lru_cache(maxsize=None)
+def _image_point(sid: int) -> int:
+    """The fixed nonzero residue mod `CERT_PRIME` that symbol ``sid`` takes.
+
+    Derived from the symbol's name by a fixed digest, so it does not depend
+    on the order in which symbols were registered.
+    """
+    digest = hashlib.blake2b(symbol_name(sid).encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % (CERT_PRIME - 1) + 1
+
+
+def _weighted_terms(p: Poly) -> list[tuple[tuple[int, ...], int]] | None:
+    """``(e, c * prod r_v^e_v mod P)`` per term, r_v the image point of v.
+
+    None when a coefficient denominator is divisible by P, so that the
+    coefficient has no residue.
+    """
+    prime = CERT_PRIME
+    points = [_image_point(v) for v in p.vars]
+    out = []
+    for e, c in p.terms.items():
+        den = c.denominator
+        if den == 1:
+            w = c.numerator % prime
+        elif den % prime:
+            w = c.numerator * pow(den, -1, prime) % prime
+        else:
+            return None
+        for r, ei in zip(points, e):
+            if ei:
+                w = w * pow(r, ei, prime) % prime
+        out.append((e, w))
+    return out
+
+
+def _univariate_image(p: Poly, weighted, x: int) -> tuple[int, list[int]]:
+    """``(deg_x p, image)``: p mod P with every variable but x at its point.
+
+    The image is a little-endian coefficient list without trailing zeros.
+    """
+    prime = CERT_PRIME
+    i = p.vars.index(x)
+    degree = max(e[i] for e in p.terms)
+    inverse = pow(_image_point(x), -1, prime)
+    unweight = [1]
+    for _ in range(degree):
+        unweight.append(unweight[-1] * inverse % prime)
+    image = [0] * (degree + 1)
+    for e, w in weighted:
+        k = e[i]
+        image[k] = (image[k] + w * unweight[k]) % prime
+    while image and not image[-1]:
+        image.pop()
+    return degree, image
+
+
+def _gf_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) in GF(P)[x] (-1 when both are zero)."""
+    prime = CERT_PRIME
+    while b:
+        a = a[:]
+        db = len(b) - 1
+        inverse = pow(b[-1], -1, prime)
+        while len(a) > db:
+            c = a.pop() * inverse % prime
+            shift = len(a) - db
+            for k in range(db):
+                a[shift + k] = (a[shift + k] - c * b[k]) % prime
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime_by_images(p: Poly, q: Poly) -> bool:
+    """True only if nonzero p and q are coprime; False means undecided.
+
+    For each variable x common to p and q, every other variable is set to
+    its `_image_point` in GF(P), P = `CERT_PRIME`, giving univariate images
+    of p and q.  If one image keeps its operand's degree in x and the two
+    images have a constant gcd, then deg_x gcd(p, q) = 0: a gcd g with
+    g * h = p (both with P-integral coefficients, by Gauss's lemma) has an
+    image that keeps deg_x g, since degrees add and the image of p keeps
+    deg_x p, and that image divides both images.  A common factor can only
+    involve common variables, so when every one of them passes the gcd is 1
+    (Brown, JACM 18 (1971), on modular images of polynomial gcds).
+    """
+    wp = _weighted_terms(p)
+    wq = _weighted_terms(q)
+    if wp is None or wq is None:
+        return False
+    for x in sorted(set(p.vars).intersection(q.vars)):
+        dp, ip = _univariate_image(p, wp, x)
+        dq, iq = _univariate_image(q, wq, x)
+        if len(ip) <= dp and len(iq) <= dq:
+            return False
+        if _gf_gcd_degree(ip, iq) != 0:
+            return False
+    return True
+
+
 @lru_cache(maxsize=GCD_MEMO_SIZE)
 def _ring_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """`poly_gcd_cofactors` through a sympy ring, memoized by operand pair."""
+    """`poly_gcd_cofactors` through a sympy ring, memoized by operand pair.
+
+    Pairs that `_coprime_by_images` proves coprime never reach the ring.
+    """
+    if _coprime_by_images(p, q):
+        return _POLY_ONE, p, q
     vars = tuple(sorted(set(p.vars) | set(q.vars)))
     R = _ring(len(vars))
     fp = _to_ring(R, _remap(p, vars))

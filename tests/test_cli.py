@@ -22,6 +22,7 @@ from kzdyn.cli import (
     run_suite,
 )
 from kzdyn.dyn import K_operator, PoleHit, ResonantWeight, fusion_solve
+from kzdyn.numeric import QuadratureNotConverged
 from kzdyn.rep import enumerate_basis, verma_symbolic
 from kzdyn.roots import serialize_order, special_order
 from kzdyn.symexpr import DivisionByZero, InexactDivision, ParseError, parse
@@ -59,8 +60,6 @@ class TestConfigValidation:
             run_suite(SuiteConfig(suite="compatibility", factors=("lp:x",)))
 
     def test_jobs_grid_tol_caps(self):
-        with pytest.raises(CapabilityExceeded):
-            run_suite(SuiteConfig(suite="selberg", jobs=0))
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="selberg", grid="huge"))
         with pytest.raises(CapabilityExceeded):
@@ -185,11 +184,6 @@ class TestNumericSuites:
         assert kinds.count("difference-relation") == 10
         assert kinds.count("quadrature-vs-closed") == 10
         assert all(w["passed"] for w in report["witnesses"])
-
-    def test_selberg_suite_parallel_matches_serial(self):
-        serial = run_suite(SuiteConfig(suite="selberg"))
-        parallel = run_suite(SuiteConfig(suite="selberg", jobs=3))
-        assert serial["witnesses"] == parallel["witnesses"]
 
     def test_main_theorem_suite(self):
         report = run_suite(SuiteConfig(suite="main-theorem-sl2"))
@@ -362,6 +356,12 @@ class TestMainEntry:
         assert code == 2
         assert "malformed" in captured.err
 
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "selberg", "--jobs", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_verify_flagged_exits_zero_with_warning(self, capsys, monkeypatch):
         from kzdyn import cli as cli_module
 
@@ -396,6 +396,7 @@ class TestMainEntry:
             PoleHit("denominator vanishes"),
             ResonantWeight("vanishing dividing scalar"),
             DivisionByZero("evaluation hit a pole"),
+            QuadratureNotConverged(1e-8, 3e-7),
             ParseError("unexpected token"),
         ],
         ids=lambda error: type(error).__name__,
@@ -439,6 +440,20 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert code == 0
         assert out.read_text(encoding="utf-8") == captured.out
+
+    def test_scipy_loads_only_for_numeric_suites(self):
+        code = (
+            "import sys, kzdyn.cli\n"
+            "assert 'scipy' not in sys.modules\n"
+            "assert kzdyn.cli.main(['verify', 'fusion']) == 0\n"
+            "assert 'scipy' not in sys.modules\n"
+            "assert kzdyn.cli.main(['verify', 'selberg']) == 0\n"
+            "assert 'scipy' in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_is_executable(self):
         proc = subprocess.run(

@@ -16,6 +16,7 @@ from kzdyn.numeric import (
     SELBERG_GRID,
     ChamberIntegral,
     NonIntegrable,
+    QuadratureNotConverged,
     SelbergParams,
     det_formula_sl2_check,
     evaluate_expr,
@@ -238,6 +239,17 @@ class TestQuadrature:
             quad_chamber(
                 ChamberIntegral(2, (0.0, 0.0), (0.0, 0.0), {(1, 2): -1.0}), 1e-8
             )
+
+    def test_unreachable_tolerance_names_its_failure(self):
+        # (1 - t_1)^0.5 is not absorbed into the weights, so successive
+        # estimates never agree exactly and tol=0 cannot be met
+        ci = ChamberIntegral(2, (0.0, 0.0), (0.5, 0.5))
+        with pytest.raises(QuadratureNotConverged) as info:
+            quad_chamber(ci, 0.0)
+        assert isinstance(info.value, ArithmeticError)
+        assert info.value.tol == 0.0
+        assert 0.0 < info.value.difference < 1e-6
+        assert "tolerance 0.0" in str(info.value)
 
     def test_divergent_corner(self):
         # each factor is individually integrable but the corner t1,t2 -> 0

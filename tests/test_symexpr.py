@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import sympy
 
 from kzdyn.symexpr import (
+    CERT_PRIME,
     GCD_MEMO_SIZE,
     RF_ONE,
     RF_ZERO,
@@ -20,6 +21,9 @@ from kzdyn.symexpr import (
     InexactDivision,
     Poly,
     RationalFunctionExpr,
+    _coprime_by_images,
+    _image_point,
+    _ring,
     _ring_gcd_cofactors,
     parse,
     poly_divexact,
@@ -340,11 +344,36 @@ def _random_poly(rng: random.Random, names=_GCD_NAMES, max_terms: int = 3) -> Po
     return Poly.build(vars, terms)
 
 
+def _vanishing(rng: random.Random, count: int) -> Poly:
+    """prod (v - r_v) over ``count`` variables, r_v the certificate's point."""
+    out = Poly.one()
+    for name in rng.sample(_GCD_NAMES, count):
+        sid = symbol_id(name)
+        out = out * (Poly.from_symbol(sid) - Poly.const(_image_point(sid)))
+    return out
+
+
 def _random_gcd_pair(rng: random.Random) -> tuple[Poly, Poly]:
-    kind = rng.choice(["shared", "shared", "disjoint", "monomial", "equal", "constant"])
+    kind = rng.choice(
+        ["shared", "shared", "disjoint", "monomial", "equal", "constant",
+         "unlucky", "zero-image", "P-denominator"]
+    )
     if kind == "shared":
         f = _random_poly(rng)
         p, q = f * _random_poly(rng), f * _random_poly(rng)
+    elif kind == "unlucky":
+        # a common factor whose leading coefficient in each of its variables
+        # vanishes at the image point, so its images are constant
+        f = _vanishing(rng, rng.randint(2, 4)) + Poly.const(rng.choice([-2, 1, 3]))
+        p, q = f * _random_poly(rng), f * _random_poly(rng)
+    elif kind == "zero-image":
+        # every univariate image of q is zero
+        f = _random_poly(rng) if rng.random() < 0.7 else Poly.one()
+        p, q = f * _random_poly(rng), f * _vanishing(rng, 2) * _random_poly(rng)
+    elif kind == "P-denominator":
+        f = _random_poly(rng) if rng.random() < 0.7 else Poly.one()
+        tail = _random_poly(rng, max_terms=1).scale(Fraction(rng.randint(1, 3), CERT_PRIME))
+        p, q = f * (_random_poly(rng) + tail), f * _random_poly(rng)
     elif kind == "disjoint":
         p, q = _random_poly(rng, ("x", "y")), _random_poly(rng, ("z:1", "l1"))
     elif kind == "monomial":
@@ -387,8 +416,15 @@ def _check_gcd_cofactors(p: Poly, q: Poly) -> None:
     g, pg, qg = poly_gcd_cofactors(p, q)
     assert g * pg == p
     assert g * qg == q
-    assert g == _sympy_gcd(p, q)
+    reference = _sympy_gcd(p, q)
+    assert g == reference
     assert poly_gcd_cofactors(_copy(p), _copy(q)) == (g, pg, qg)
+    if not (p.is_zero() or q.is_zero()) and _coprime_by_images(p, q):
+        # the modular certificate is a proof: never "coprime" wrongly, and
+        # undecided whenever a coefficient has no residue mod P
+        assert reference.is_one()
+        dens = [c.denominator for c in itertools.chain(p.terms.values(), q.terms.values())]
+        assert all(d % CERT_PRIME for d in dens)
 
 
 def test_gcd_cofactors_seeded_random_pairs():
@@ -424,6 +460,42 @@ def test_gcd_shortcuts_do_not_reach_the_ring():
     assert poly_gcd_cofactors(_p("2*x"), _p("y^2 - x")) == (Poly.one(), _p("2*x"), _p("y^2 - x"))
     after = _ring_gcd_cofactors.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_coprime_pairs_skip_the_sympy_ring():
+    before = _ring.cache_info()
+    for p, q in [
+        (_p("x + y + 1"), _p("x - y")),
+        (_p("(x + 2*y) * (z:1 - 1)"), _p("x^2*z:1 + y^2 + 3")),
+        (_p("l1^3 - x*l1 + 1/2"), _p("l1^2*x - 5/3*x + 1")),
+    ]:
+        assert _coprime_by_images(p, q)
+        assert poly_gcd_cofactors(p, q) == (Poly.one(), p, q)
+    after = _ring.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_certificate_undecided_cases():
+    x, y = symbol_id("x"), symbol_id("y")
+    rx, ry = _image_point(x), _image_point(y)
+    # (x - r_x)(y - r_y) + 1 has constant images in x and in y
+    f = _p(f"(x - {rx}) * (y - {ry}) + 1")
+    assert not _coprime_by_images(f * _p("x + 2"), f * _p("y + 3"))
+    # every image of q vanishes
+    q = _p(f"(x - {rx}) * (y - {ry}) * (x + y + 1)")
+    assert not _coprime_by_images(_p("(x + y + 1) * (x + 2)"), q)
+    assert not _coprime_by_images(_p("x + 2*y"), q)
+    # 1/P has no residue mod P, even for a coprime pair
+    assert not _coprime_by_images(_p(f"x + y/{CERT_PRIME}"), _p("x - y"))
+    for p, q in [(f * _p("x + 2"), f * _p("y + 3")), (_p(f"x + y/{CERT_PRIME}"), _p("x - y"))]:
+        _check_gcd_cofactors(p, q)
+
+
+def test_image_points_are_fixed():
+    # derived from the name alone: the same in every process and registration order
+    assert 1 <= _image_point(symbol_id("x")) < CERT_PRIME
+    assert _image_point(symbol_id("x")) == 619406836
+    assert len({_image_point(symbol_id(n)) for n in _GCD_NAMES}) == len(_GCD_NAMES)
 
 
 def test_gcd_memo_hit_on_equal_operands():
