@@ -11,9 +11,10 @@ expressions are serialized in canonical form and every enumeration order is
 fixed.  Exit status is 0 when the verdict is ``pass`` or ``flagged`` (the
 latter prints a warning), 1 on ``fail``, 2 on configuration errors, and 3 on
 internal errors: an arithmetic failure inside the exact layers (a pole, a
-resonant weight, a division by zero or an inexact polynomial division), a
-quadrature that misses the fixed tolerance a suite requests
-(`QuadratureNotConverged`), or unparsable expression text.
+resonant weight, a division by zero, an inexact polynomial division or a
+heuristic gcd that finds no proven gcd), a quadrature that misses the fixed
+tolerance a suite requests (`QuadratureNotConverged`), unparsable expression
+text, or any other exception, which also prints its traceback.
 
 Setting the environment variable ``KZDYN_CACHE`` to a directory memoizes
 dump artifacts on disk, keyed by a digest of the kind, the parameters, the
@@ -1099,8 +1100,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (ArithmeticError, ParseError) as exc:
         # PoleHit, ResonantWeight, DivisionByZero, InexactDivision,
-        # QuadratureNotConverged: the exact or numeric layers failed on a
-        # configuration they accepted
+        # HeuristicGcdFailed, QuadratureNotConverged: the exact or numeric
+        # layers failed on a configuration they accepted
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
@@ -1108,6 +1109,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # errors raised by the underlying modules for bad parameters
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a defect, not a failed identity: exit 1 would misreport it
+        import traceback  # only here, to keep it out of every start-up
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

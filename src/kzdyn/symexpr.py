@@ -38,10 +38,24 @@ the other variables are set to fixed nonzero residues modulo the prime
 compared.  When one image keeps its operand's degree in x and the images
 have a constant gcd over GF(P), x cannot occur in the gcd; when every
 common variable passes, the gcd is 1 (Brown's degree argument, see
-`_coprime_by_images`).  The check says "coprime" only with that proof;
-otherwise, and always for a coefficient whose denominator P divides, the
-gcd is computed in a sparse polynomial ring over Q (sympy), so results do
-not depend on the check.  Exact division always uses the ring and raises
+`_coprime_by_images`).
+
+Otherwise, and always for a coefficient whose denominator P divides, the
+operands are cleared of denominators to primitive integer polynomials and
+their gcd is computed by the heuristic gcd of Char, Geddes and Gonnet
+(GCDHEU, J. Symbolic Comput. 7 (1989), the algorithm sympy runs on the same
+inputs), in `_heu_gcd`: one variable is set to an integer point xi, the gcd
+of the images is computed recursively down to an integer gcd, each level is
+rebuilt from balanced base-xi digits, and a candidate is kept only when it
+divides both operands exactly.  A divisor found this way need not be the
+gcd, so it is returned only with a proof of maximality: either its cofactors
+are proven coprime (a forced case above or the modular check), or every
+point at every level was at least 2 min(|f|, |g|) + 2 for the max norms of
+that level's operands, where a dividing candidate is the gcd (the CGG
+bound; the argument is in `_heu_gcd`).  The cheap points that sympy uses
+are tried first and points above the bound second; `HeuristicGcdFailed`
+is raised when neither finds a proven gcd.  Exact division is sparse long
+division over Z by the primitive divisor (Gauss's lemma) and raises
 `InexactDivision` when the divisor does not divide.
 
 Symbols are process-global: a name maps to a stable integer id on first use.
@@ -58,8 +72,10 @@ Text form round-trips exactly: ``parse(str(e)) == e`` and
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -67,6 +83,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "DivisionByZero",
+    "HeuristicGcdFailed",
     "InexactDivision",
     "ParseError",
     "Poly",
@@ -417,35 +434,22 @@ _POLY_ONE = Poly((), {(): _ONE})
 
 
 # ---------------------------------------------------------------------------
-# GCD / exact division seam (sparse rings over Q)
+# GCD / exact division seam (heuristic gcd and long division over Z)
 # ---------------------------------------------------------------------------
 
 # Entries of the gcd memo.  The rank-3 suites (fusion 3/1,1, compatibility
 # 3/2,0, pbw-invariance 4/1,2,2, appendix-b 3/2,1) make about 1050 distinct
-# ring gcds in one process, and at 512 entries the memo keeps every one of
-# their 1533 repeats while adding about 4 MB of peak RSS.
+# non-forced gcds in one process, and at 512 entries the memo keeps every
+# one of their 1533 repeats while adding about 4 MB of peak RSS.
 GCD_MEMO_SIZE = 512
 
-@lru_cache(maxsize=None)
-def _ring(nvars: int):
-    from sympy.polys.domains import QQ
-    from sympy.polys.rings import ring
-
-    names = [f"x{i}" for i in range(nvars)]
-    return ring(names, QQ)[0]
+# Evaluation points the heuristic gcd tries per level in each of its two
+# stages (the value of sympy's HEU_GCD_MAX).
+GCDHEU_POINTS = 6
 
 
-def _to_ring(R, terms: dict[tuple[int, ...], Fraction]):
-    dom = R.domain
-    return R.from_dict({e: dom(c.numerator, c.denominator) for e, c in terms.items()})
-
-
-def _from_ring(elem, vars: tuple[int, ...]) -> Poly:
-    terms = {
-        tuple(monom): Fraction(int(coeff.numerator), int(coeff.denominator))
-        for monom, coeff in elem.terms()
-    }
-    return Poly(*_shrink(vars, terms))
+class HeuristicGcdFailed(ArithmeticError):
+    """The heuristic gcd found no proven gcd at any of its evaluation points."""
 
 
 def _normalize_poly(p: Poly) -> Poly:
@@ -619,28 +623,247 @@ def _coprime_by_images(p: Poly, q: Poly) -> bool:
     return True
 
 
+def _coprime(a: Poly, b: Poly) -> bool:
+    """True only if nonzero a and b are proven coprime; False means undecided.
+
+    The proofs are the forced cases of `poly_gcd_cofactors` (a constant
+    operand, no common variable, a monomial operand) and `_coprime_by_images`.
+    """
+    if a.is_const() or b.is_const() or set(a.vars).isdisjoint(b.vars):
+        return True
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return _monomial_gcd_cofactors(a, b)[0].is_one()
+    return _coprime_by_images(a, b)
+
+
 @lru_cache(maxsize=GCD_MEMO_SIZE)
 def _ring_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """`poly_gcd_cofactors` through a sympy ring, memoized by operand pair.
+    """`poly_gcd_cofactors` for non-forced operands, memoized by operand pair.
 
-    Pairs that `_coprime_by_images` proves coprime never reach the ring.
+    Pairs that `_coprime_by_images` proves coprime return at once.  Any other
+    pair is cleared of denominators and handed to `_heu_gcd`, whose answer is
+    accepted only with a proof that it is the gcd: either every evaluation
+    point was above the CGG bound, or the cofactors are proven coprime by
+    `_coprime`.  The cheap points are tried first, the bounded points second;
+    `HeuristicGcdFailed` is raised when neither stage finds a proven gcd.
     """
     if _coprime_by_images(p, q):
         return _POLY_ONE, p, q
     vars = tuple(sorted(set(p.vars) | set(q.vars)))
-    R = _ring(len(vars))
-    fp = _to_ring(R, _remap(p, vars))
-    fq = _to_ring(R, _remap(q, vars))
-    h, cp, cq = fp.cofactors(fq)
-    if not h.is_ground:
-        g = _from_ring(h, vars)
-        scale = g.content_signed()
-        if scale != 1:
-            g = g.scale(1 / scale)
-        pg = _from_ring(cp, vars).scale(scale)
-        qg = _from_ring(cq, vars).scale(scale)
-        return g, pg, qg
-    return _POLY_ONE, p, q
+    cp, f = _integer_primitive(_remap(p, vars))
+    cq, g = _integer_primitive(_remap(q, vars))
+
+    def proven_coprime(cf, cg) -> bool:
+        return _coprime(Poly(*_shrink(vars, cf)), Poly(*_shrink(vars, cg)))
+
+    for bounded in (False, True):
+        found = _heu_gcd(f, g, bounded, proven_coprime)
+        if found is not None:
+            break
+    else:
+        raise HeuristicGcdFailed(
+            f"no proven gcd after {GCDHEU_POINTS} cheap and {GCDHEU_POINTS} bounded points"
+        )
+    h, cf, cg, _ = found
+    if len(h) == 1 and not any(next(iter(h))):
+        return _POLY_ONE, p, q
+    if h[max(h, key=_grlex_key)] < 0:
+        h = {e: -c for e, c in h.items()}
+        cp, cq = -cp, -cq
+    g_poly = Poly(*_shrink(vars, {e: Fraction(c) for e, c in h.items()}))
+    pg = Poly(*_shrink(vars, {e: cp * c for e, c in cf.items()}))
+    qg = Poly(*_shrink(vars, {e: cq * c for e, c in cg.items()}))
+    return g_poly, pg, qg
+
+
+# Integer polynomials below are dicts from exponent tuples (all of one
+# length) to nonzero ints.
+
+def _integer_primitive(terms: Mapping[tuple[int, ...], Fraction]):
+    """``(c, f)``: c > 0 rational and f primitive over Z with terms = c * f."""
+    num, den = 0, 1
+    for c in terms.values():
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    f = {e: (c.numerator // num) * (den // c.denominator) for e, c in terms.items()}
+    return Fraction(num, den), f
+
+
+def _evaluate_first(f: dict, xi: int) -> dict:
+    """f with its first variable set to the integer ``xi``."""
+    powers = [1]
+    for _ in range(max(e[0] for e in f)):
+        powers.append(powers[-1] * xi)
+    out: dict = {}
+    for e, c in f.items():
+        rest = e[1:]
+        out[rest] = out.get(rest, 0) + c * powers[e[0]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(h: dict, xi: int) -> dict:
+    """Lift h to one more (first) variable x by balanced base-``xi`` digits.
+
+    Each coefficient c becomes sum_i d_i x^i with c = sum_i d_i xi^i and every
+    digit in (-xi/2, xi/2], so the result H satisfies H(xi) = h.
+    """
+    half = xi // 2
+    out = {}
+    for e, c in h.items():
+        i = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(i,) + e] = d
+            c = (c - d) // xi
+            i += 1
+    return out
+
+
+def _int_quotient(f: dict, h: dict) -> dict | None:
+    """f / h when h divides f over Z, else None.
+
+    Sparse long division from the lexicographically smallest term: if f = h s
+    then min(f) = min(h) min(s) in any monomial order, and every step removes
+    the smallest term of the remainder h (s - partial quotient).  The
+    quotient's degree in each variable is deg f - deg h, which bounds the
+    terms tried and makes a failing division stop.
+    """
+    if len(h) == 1:
+        ((low, lc),) = h.items()
+        out = {}
+        for e, c in f.items():
+            t = tuple(map(operator.sub, e, low))
+            qc, rem = divmod(c, lc)
+            if rem or min(t, default=0) < 0:
+                return None
+            out[t] = qc
+        return out
+    low = min(h)
+    top = list(map(operator.sub, map(max, zip(*f)), map(max, zip(*h))))
+    if min(top, default=0) < 0:
+        return None
+    lc = h[low]
+    rest = [(e, c) for e, c in h.items() if e != low]
+    remainder = dict(f)
+    heap = list(remainder)
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        m = heapq.heappop(heap)
+        c = remainder.pop(m, 0)
+        if not c:
+            continue
+        t = tuple(map(operator.sub, m, low))
+        qc, rem = divmod(c, lc)
+        if rem or any(ti < 0 or ti > bi for ti, bi in zip(t, top)):
+            return None
+        quotient[t] = qc
+        for e, hc in rest:
+            mm = tuple(map(operator.add, t, e))
+            v = remainder.get(mm)
+            if v is None:
+                remainder[mm] = -qc * hc
+                heapq.heappush(heap, mm)
+            else:
+                v -= qc * hc
+                if v:
+                    remainder[mm] = v
+                else:
+                    del remainder[mm]
+    return quotient
+
+
+def _heu_gcd(f: dict, g: dict, bounded: bool, accept=None):
+    """Heuristic gcd (GCDHEU) of nonzero integer polynomials f and g.
+
+    Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
+    based on integer GCD computation", J. Symbolic Comput. 7 (1989).  The
+    first variable is set to an integer xi, the gcd gamma of the images is
+    computed recursively (an integer gcd once no variable is left), and the
+    candidate G with balanced base-xi digits of gamma, made primitive, is
+    kept when it divides f and g exactly.  With a cheap point two more
+    candidates come from the digits of the cofactor images, as in sympy.
+
+    Returns ``(h, f/h, g/h, proven)`` or None after `GCDHEU_POINTS` points.
+    ``proven`` says h is the gcd over Z: xi >= 2 min(|f|, |g|) + 2 (max norm,
+    after the common content is removed) and gamma was proven at the level
+    below.  Proof: pp(G) divides f and g, so the primitive gcd is
+    g0 = pp(G) c with c over Z (Gauss).  Since g0(xi) divides gamma =
+    cont(G) pp(G)(xi), the image c(xi) is an integer dividing cont(G), and
+    |cont(G)| <= xi/2 because the coefficients of G are balanced digits.  If
+    c involved any other variable, take the lex-largest monomial mu of those
+    variables in c: the slice of c at mu (its coefficient, a polynomial in
+    the first variable) vanishes at xi and divides the slice of f (say |f|
+    is the smaller norm) at f's lex-largest monomial in those variables, but
+    every root of that slice is below 1 + |f| < xi in absolute value
+    (Cauchy).  So c is univariate and divides a slice of f; if it were not
+    constant, each root would again be below 1 + |f| and |c(xi)| >
+    (xi - 1 - |f|)^deg c >= xi/2.  So c is a constant dividing g0: c = +-1.
+    With ``bounded`` every level starts at the bound and keeps only G, so
+    every result is proven.  ``accept(f/h, g/h)`` decides unproven results
+    (only the top level passes it; lower levels return any divisor).
+    """
+    if () in f:
+        a, b = f[()], g[()]
+        h = math.gcd(a, b)
+        return {(): h}, {(): a // h}, {(): b // h}, True
+    content = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
+    if content != 1:
+        f = {e: c // content for e, c in f.items()}
+        g = {e: c // content for e, c in g.items()}
+    f_norm = max(map(abs, f.values()))
+    g_norm = max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 2
+    big = bound + 27
+    xi = max(
+        min(big, 99 * math.isqrt(big)),
+        2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4,
+    )
+    if bounded:
+        xi = max(xi, bound)
+    for _ in range(GCDHEU_POINTS):
+        ff = _evaluate_first(f, xi)
+        gg = _evaluate_first(g, xi)
+        sub = _heu_gcd(ff, gg, bounded) if ff and gg else None
+        if sub is not None:
+            gamma, cff, cfg, sub_proven = sub
+            found = _lift_candidates(f, g, xi, gamma, cff, cfg, bounded)
+            for h, cf, cg, from_gamma in found:
+                proven = from_gamma and sub_proven and xi >= bound
+                if proven or accept is None or accept(cf, cg):
+                    if content != 1:
+                        h = {e: c * content for e, c in h.items()}
+                    return h, cf, cg, proven
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _lift_candidates(f, g, xi, gamma, cff, cfg, bounded):
+    """Yield ``(h, f/h, g/h, from_gamma)`` for the GCDHEU candidates at xi."""
+    h = _interpolate(gamma, xi)
+    content = math.gcd(*h.values())
+    if h[max(h)] < 0:
+        content = -content
+    h = {e: c // content for e, c in h.items()}
+    cf = _int_quotient(f, h)
+    cg = _int_quotient(g, h) if cf is not None else None
+    if cg is not None:
+        yield h, cf, cg, True
+    if bounded:
+        return
+    cf = _interpolate(cff, xi)
+    h = _int_quotient(f, cf) if cf else None
+    cg = _int_quotient(g, h) if h else None
+    if cg is not None:
+        yield h, cf, cg, False
+    cg = _interpolate(cfg, xi)
+    h = _int_quotient(g, cg) if cg else None
+    cf = _int_quotient(f, h) if h else None
+    if cf is not None:
+        yield h, cf, cg, False
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -649,7 +872,12 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 
 def poly_divexact(p: Poly, q: Poly) -> Poly:
-    """Exact quotient p/q; raises InexactDivision if q does not divide p."""
+    """Exact quotient p/q; raises InexactDivision if q does not divide p.
+
+    With p = c_p P and q = c_q Q for primitive integer P and Q, q divides p
+    over Q exactly when Q divides P over Z (Gauss's lemma), so the division
+    is integer long division (`_int_quotient`).
+    """
     if q.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if p.is_zero():
@@ -657,13 +885,13 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
     if q.is_const():
         return p.scale(1 / q.const_value())
     vars = tuple(sorted(set(p.vars) | set(q.vars)))
-    R = _ring(len(vars))
-    fp = _to_ring(R, _remap(p, vars))
-    fq = _to_ring(R, _remap(q, vars))
-    quotient, remainder = fp.div(fq)
-    if remainder:
+    cp, f = _integer_primitive(_remap(p, vars))
+    cq, g = _integer_primitive(_remap(q, vars))
+    quotient = _int_quotient(f, g)
+    if quotient is None:
         raise InexactDivision("inexact polynomial division")
-    return _from_ring(quotient, vars)
+    scale = cp / cq
+    return Poly(*_shrink(vars, {e: scale * c for e, c in quotient.items()}))
 
 
 # ---------------------------------------------------------------------------

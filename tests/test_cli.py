@@ -398,6 +398,8 @@ class TestMainEntry:
             DivisionByZero("evaluation hit a pole"),
             QuadratureNotConverged(1e-8, 3e-7),
             ParseError("unexpected token"),
+            KeyError("missing key"),
+            AssertionError("broken invariant"),
         ],
         ids=lambda error: type(error).__name__,
     )
@@ -412,8 +414,21 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err.startswith("internal error: ")
+        assert captured.err.startswith(f"internal error: {type(error).__name__}: ")
         assert str(error) in captured.err
+        unexpected = not isinstance(error, (ArithmeticError, ParseError))
+        assert ("Traceback (most recent call last)" in captured.err) == unexpected
+
+    def test_gcd_give_up_exits_three(self, capsys, monkeypatch):
+        from kzdyn import symexpr
+
+        symexpr._ring_gcd_cofactors.cache_clear()
+        monkeypatch.setattr(symexpr, "GCDHEU_POINTS", 0)
+        code = main(["verify", "fusion"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: HeuristicGcdFailed: no proven gcd")
 
     def test_dump_order_contract_example(self, capsys):
         code = main(["dump", "order", "--n", "3", "--h", "1"])
@@ -449,6 +464,12 @@ class TestMainEntry:
             "assert 'scipy' not in sys.modules\n"
             "assert kzdyn.cli.main(['verify', 'selberg']) == 0\n"
             "assert 'scipy' in sys.modules\n"
+            # sympy is a test-only dependency: no verify run loads it
+            "for suite in kzdyn.cli.SUITES:\n"
+            "    assert kzdyn.cli.main(['verify', suite]) == 0\n"
+            "    assert 'sympy' not in sys.modules, suite\n"
+            "assert kzdyn.cli.main(['verify', 'fusion', '--n', '3', '--nu', '1,1']) == 0\n"
+            "assert 'sympy' not in sys.modules\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=False

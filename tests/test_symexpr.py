@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 
 import sympy
 
+from kzdyn import symexpr
 from kzdyn.symexpr import (
     CERT_PRIME,
     GCD_MEMO_SIZE,
     RF_ONE,
     RF_ZERO,
     DivisionByZero,
+    HeuristicGcdFailed,
     InexactDivision,
     Poly,
     RationalFunctionExpr,
     _coprime_by_images,
     _image_point,
-    _ring,
     _ring_gcd_cofactors,
     parse,
     poly_divexact,
@@ -335,13 +336,19 @@ def test_round_trip_property(f):
 _GCD_NAMES = ("x", "y", "z:1", "l1")
 
 
-def _random_poly(rng: random.Random, names=_GCD_NAMES, max_terms: int = 3) -> Poly:
+def _random_poly(
+    rng: random.Random, names=_GCD_NAMES, max_terms: int = 3, size: int = 4
+) -> Poly:
     vars = sorted(symbol_id(name) for name in names)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = tuple(rng.randint(0, 2) for _ in vars)
-        terms[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        terms[exps] = Fraction(rng.randint(-size, size), rng.randint(1, 3))
     return Poly.build(vars, terms)
+
+
+def _negative_lead(p: Poly) -> Poly:
+    return p if p.is_zero() or p.leading()[1] < 0 else -p
 
 
 def _vanishing(rng: random.Random, count: int) -> Poly:
@@ -356,10 +363,33 @@ def _vanishing(rng: random.Random, count: int) -> Poly:
 def _random_gcd_pair(rng: random.Random) -> tuple[Poly, Poly]:
     kind = rng.choice(
         ["shared", "shared", "disjoint", "monomial", "equal", "constant",
-         "unlucky", "zero-image", "P-denominator"]
+         "unlucky", "zero-image", "P-denominator", "big", "content",
+         "negative-lead", "cubic"]
     )
     if kind == "shared":
         f = _random_poly(rng)
+        p, q = f * _random_poly(rng), f * _random_poly(rng)
+    elif kind == "big":
+        # max norms past 4,900, so B = 2 min + 29 > 9,801 and the heuristic
+        # gcd's first point is capped below the CGG bound
+        f = _random_poly(rng, size=10**6)
+        p = f * _random_poly(rng, size=10**6)
+        q = f * _random_poly(rng, size=10**6)
+    elif kind == "content":
+        f = _random_poly(rng).scale(Fraction(rng.randint(1, 60), rng.randint(1, 60)))
+        p = (f * _random_poly(rng)).scale(Fraction(rng.randint(1, 60), rng.randint(1, 60)))
+        q = (f * _random_poly(rng)).scale(Fraction(-rng.randint(1, 60), rng.randint(1, 60)))
+    elif kind == "negative-lead":
+        f = _negative_lead(_random_poly(rng))
+        p = _negative_lead(f * _random_poly(rng))
+        q = _negative_lead(f * _random_poly(rng))
+    elif kind == "cubic":
+        # a common factor of total degree >= 3 in at least 3 variables
+        f = Poly.one()
+        while len(f.vars) < 3 or f.total_degree() < 3:
+            factor = _random_poly(rng, rng.sample(_GCD_NAMES, 3), max_terms=2)
+            if not factor.is_zero():
+                f = f * factor
         p, q = f * _random_poly(rng), f * _random_poly(rng)
     elif kind == "unlucky":
         # a common factor whose leading coefficient in each of its variables
@@ -392,8 +422,8 @@ def _copy(p: Poly) -> Poly:
     return Poly(p.vars, dict(p.terms))
 
 
-def _sympy_gcd(p: Poly, q: Poly) -> Poly:
-    """Uncached reference: sympy's cofactors over QQ, then normalized."""
+def _to_sympy(p: Poly, q: Poly):
+    """p and q as sympy polynomials over QQ, and back from one."""
     vars = sorted(set(p.vars) | set(q.vars)) or [symbol_id("x")]
     gens = sympy.symbols([f"v{i}" for i in range(len(vars))])
 
@@ -407,9 +437,25 @@ def _sympy_gcd(p: Poly, q: Poly) -> Poly:
             coeffs[tuple(full)] = sympy.Rational(c.numerator, c.denominator)
         return sympy.Poly.from_dict(coeffs, *gens, domain=sympy.QQ)
 
-    h, _, _ = to_sympy(p).cofactors(to_sympy(q))
-    g = Poly.build(vars, {m: Fraction(int(c.p), int(c.q)) for m, c in h.terms()})
+    def from_sympy(h) -> Poly:
+        return Poly.build(vars, {m: Fraction(int(c.p), int(c.q)) for m, c in h.terms()})
+
+    return to_sympy(p), to_sympy(q), from_sympy
+
+
+def _sympy_gcd(p: Poly, q: Poly) -> Poly:
+    """Uncached reference: sympy's cofactors over QQ, then normalized."""
+    sp, sq, from_sympy = _to_sympy(p, q)
+    h, _, _ = sp.cofactors(sq)
+    g = from_sympy(h)
     return g if g.is_zero() else g.scale(1 / g.content_signed())
+
+
+def _sympy_div(p: Poly, q: Poly) -> Poly | None:
+    """Reference quotient p/q by sympy's div over QQ; None if q does not divide."""
+    sp, sq, from_sympy = _to_sympy(p, q)
+    quotient, remainder = sp.div(sq)
+    return None if remainder else from_sympy(quotient)
 
 
 def _check_gcd_cofactors(p: Poly, q: Poly) -> None:
@@ -418,6 +464,9 @@ def _check_gcd_cofactors(p: Poly, q: Poly) -> None:
     assert g * qg == q
     reference = _sympy_gcd(p, q)
     assert g == reference
+    if not g.is_zero():
+        assert poly_divexact(p, g) == pg
+        assert poly_divexact(q, g) == qg
     assert poly_gcd_cofactors(_copy(p), _copy(q)) == (g, pg, qg)
     if not (p.is_zero() or q.is_zero()) and _coprime_by_images(p, q):
         # the modular certificate is a proof: never "coprime" wrongly, and
@@ -462,8 +511,23 @@ def test_gcd_shortcuts_do_not_reach_the_ring():
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
-def test_coprime_pairs_skip_the_sympy_ring():
-    before = _ring.cache_info()
+def _count_integer_gcds(monkeypatch) -> list:
+    """Clear the memo and record the stage of every top-level `_heu_gcd` call."""
+    stages = []
+    heu_gcd = symexpr._heu_gcd
+
+    def counted(f, g, bounded, accept=None):
+        if accept is not None:
+            stages.append("bounded" if bounded else "cheap")
+        return heu_gcd(f, g, bounded, accept)
+
+    _ring_gcd_cofactors.cache_clear()
+    monkeypatch.setattr(symexpr, "_heu_gcd", counted)
+    return stages
+
+
+def test_coprime_pairs_skip_the_integer_gcd(monkeypatch):
+    stages = _count_integer_gcds(monkeypatch)
     for p, q in [
         (_p("x + y + 1"), _p("x - y")),
         (_p("(x + 2*y) * (z:1 - 1)"), _p("x^2*z:1 + y^2 + 3")),
@@ -471,11 +535,12 @@ def test_coprime_pairs_skip_the_sympy_ring():
     ]:
         assert _coprime_by_images(p, q)
         assert poly_gcd_cofactors(p, q) == (Poly.one(), p, q)
-    after = _ring.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert _ring_gcd_cofactors.cache_info().misses == 3
+    assert stages == []
 
 
-def test_certificate_undecided_cases():
+def test_certificate_undecided_cases(monkeypatch):
+    stages = _count_integer_gcds(monkeypatch)
     x, y = symbol_id("x"), symbol_id("y")
     rx, ry = _image_point(x), _image_point(y)
     # (x - r_x)(y - r_y) + 1 has constant images in x and in y
@@ -489,6 +554,18 @@ def test_certificate_undecided_cases():
     assert not _coprime_by_images(_p(f"x + y/{CERT_PRIME}"), _p("x - y"))
     for p, q in [(f * _p("x + 2"), f * _p("y + 3")), (_p(f"x + y/{CERT_PRIME}"), _p("x - y"))]:
         _check_gcd_cofactors(p, q)
+    # both undecided pairs are answered by the integer gcd, at a cheap point
+    assert stages == ["cheap", "cheap"]
+
+
+def test_cofactor_coprimality_proofs():
+    # the proofs that let the integer gcd return a divisor as the gcd
+    assert symexpr._coprime(_p("3"), _p("x + y"))
+    assert symexpr._coprime(_p("x + 1"), _p("y + 1"))
+    assert symexpr._coprime(_p("x^2"), _p("x*y + 1"))
+    assert not symexpr._coprime(_p("x^2"), _p("x*y + x"))
+    assert symexpr._coprime(_p("x + y + 1"), _p("x - y"))
+    assert not symexpr._coprime(_p("(x + y) * (x - 1)"), _p("(x + y) * (y + 2)"))
 
 
 def test_image_points_are_fixed():
@@ -532,7 +609,71 @@ def test_divexact_constant_zero_and_inexact():
     assert poly_divexact(Poly.zero(), _p("x + y")).is_zero()
     with pytest.raises(DivisionByZero):
         poly_divexact(_p("x"), Poly.zero())
+    with pytest.raises(InexactDivision):
+        # every monomial divides in turn; only a coefficient does not
+        poly_divexact(_p("3 + x + 2*y + x*y"), _p("2 + x"))
     with pytest.raises(InexactDivision) as info:
         poly_divexact(_p("x*y + 1"), _p("x + y"))
     assert isinstance(info.value, ArithmeticError)
     assert not isinstance(info.value, ValueError)
+
+
+def test_divexact_matches_sympy_div():
+    rng = random.Random(20261020)
+    outcomes = {"exact": 0, "inexact": 0}
+    for _ in range(150):
+        p, q = _random_gcd_pair(rng)
+        if q.is_zero():
+            continue
+        dividend = p * q if rng.random() < 0.5 else p * q + _random_poly(rng)
+        expected = _sympy_div(dividend, q)
+        if expected is None:
+            outcomes["inexact"] += 1
+            with pytest.raises(InexactDivision):
+                poly_divexact(dividend, q)
+        else:
+            outcomes["exact"] += 1
+            assert poly_divexact(dividend, q) == expected
+    assert min(outcomes.values()) >= 20
+
+
+def test_bounded_stage_alone_gives_the_gcd(monkeypatch):
+    # The first variable has degree 3, so the first point is above the CGG
+    # bound but the images have norms past 4,900 and the level below is
+    # capped: without a cofactor proof the cheap stage proves nothing.
+    u, v = sorted(symbol_id(name) for name in ("x", "y"))
+    h = Poly.build((u, v), {(1, 0): 1, (0, 1): 1, (0, 0): 1})
+    a = Poly.build((u, v), {(3, 0): 1, (0, 1): 2, (0, 0): 3})
+    b = Poly.build((u, v), {(3, 0): 1, (0, 1): -1, (0, 0): 5})
+    f, g, gcd = (symexpr._integer_primitive(c.terms)[1] for c in (h * a, h * b, h))
+    reject = lambda cf, cg: False
+    assert symexpr._heu_gcd(f, g, False, reject) is None
+    assert symexpr._heu_gcd(f, g, True, reject) == (
+        gcd, symexpr._integer_primitive(a.terms)[1], symexpr._integer_primitive(b.terms)[1], True
+    )
+    # the same through the seam: with no cofactor proof, the answer must
+    # come from points above the CGG bound at every level
+    stages = _count_integer_gcds(monkeypatch)
+    monkeypatch.setattr(symexpr, "_coprime", lambda a, b: False)
+    rng = random.Random(20261021)
+    f = _random_poly(rng, size=10**6)
+    pairs = [(f * _random_poly(rng, size=10**6), f * _random_poly(rng, size=10**6))]
+    while len(pairs) < 12:
+        p, q = _random_gcd_pair(rng)
+        if not (p.is_zero() or q.is_zero()):
+            pairs.append((p, q))
+    for p, q in pairs:
+        _check_gcd_cofactors(p, q)
+    assert "bounded" in stages
+
+
+def test_gcd_gives_up_with_named_error(monkeypatch):
+    _ring_gcd_cofactors.cache_clear()
+    monkeypatch.setattr(symexpr, "GCDHEU_POINTS", 0)
+    p, q = _p("(x + y) * (x - 2)"), _p("(x + y) * (y + 5)")
+    with pytest.raises(HeuristicGcdFailed) as info:
+        poly_gcd_cofactors(p, q)
+    assert isinstance(info.value, ArithmeticError)
+    assert _ring_gcd_cofactors.cache_info().currsize == 0
+    # pairs that need no integer gcd are still answered
+    assert poly_gcd_cofactors(_p("x + y"), _p("x - y"))[0].is_one()
