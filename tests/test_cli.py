@@ -222,6 +222,68 @@ class TestReportPlumbing:
         assert json.loads(text) == report
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
+    def test_reports_match_pinned_fingerprints(self):
+        # sha256 of each report's canonical text without `timings`, recorded
+        # from the hand-written suite runners; one fresh interpreter, so that
+        # symbols registered by other tests cannot change the canonical text
+        code = (
+            "import contextlib, hashlib, io, json, sys\n"
+            "from kzdyn.cli import main, report_text\n"
+            "for line in sys.argv[1:]:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(['verify', *line.split()])\n"
+            "    report = json.loads(out.getvalue())\n"
+            "    del report['timings']\n"
+            "    text = report_text(report).encode('utf-8')\n"
+            "    print(code, hashlib.sha256(text).hexdigest())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *_PINNED_REPORTS],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = dict(zip(_PINNED_REPORTS, proc.stdout.splitlines()))
+        assert got == {line: f"0 {digest}" for line, digest in _PINNED_REPORTS.items()}
+
+
+_PINNED_REPORTS = {
+    "pbw-invariance": "63fb56e19e8dccef3f1b58ce14d47459fdde00105ec3ad092145e18205bdbb1c",
+    "additive-form": "1aa52cb4aa6e2a7b7b9250a31504b4e8b5053438edb11b1bd82a28ff08d35071",
+    "fusion": "c2890afbc8e84da2a1d169ad2af11573b2ec31914f47988f21da889eb4fbd14d",
+    "compatibility": "109c45dbaf70b7ee7911a7df83e00b9958f9c999b7869cd79c7e8dd9efe8a222",
+    "appendix-b": "24457da3a4c9a37ffc656e70cdf23662c9c062ef405f43a5ef52125611c7c946",
+    "appendix-c": "61bacfc729863c9b1373832cf336b5988fe6881cb9ca56d67ed16d595e6c0082",
+    "selberg": "df2ef44596db0474e67b77251ae697b0ad52c8729e222a3c68b1b9c6831489b7",
+    "main-theorem-sl2": "0c1a2c0f4724137a62a2492afa08f1502768dca307c2b174ac242d059ddb68e0",
+    "determinant-sl2": "04b90c050a50a73b404acd5cbc3fe6ef12f6200a1a886de4ded7db264eed74b8",
+    "sigma-orders": "0ec2f2f8990bbc96149e8242e0cf310d7b2632b3ffcbc8ca944a6323310f7453",
+    # verdict `flagged`
+    "pbw-invariance --n 3 --nu 2,2 --factors verma,verma": (
+        "db10f2ee2aac24cf65d545a74b6956f0e8c29c2e9c12e00d5575541e08b97376"
+    ),
+    "appendix-b --n 3 --nu 1,1 --factors verma,verma,verma": (
+        "e746516300bf4dfd66e5f7f3078f39e2111efcf2ece1fc096137c0aab1d10e99"
+    ),
+    "fusion --n 3 --nu 1,1 --depth 2": (
+        "5ff867803419d33a118a19320f23d61d873fe7499e4403b3fc7e7ce575b6c5f7"
+    ),
+    "additive-form --n 3 --nu 1,1": (
+        "da7a680fa1b996a5088a9dddceb42b2afd6e8fdea718b21a62f1a9eb54a77443"
+    ),
+    "appendix-c --max-ab 1": (
+        "011f056434c4d82c55428d9d38db0f10a8425acc561c1aa09db3ad5d8f643e2a"
+    ),
+    "sigma-orders --n 4": (
+        "1272aaf995d40c13bb2c69c37309d8ef0c1ac42323697f5fdab57848eb3ebf31"
+    ),
+    "main-theorem-sl2 --tol 1e-8": (
+        "aa1fff71c732a7dada185ff2687a11102950cef782a1d34c787a448253d04783"
+    ),
+}
+
 
 class TestDumps:
     def test_order_contract_example(self):
