@@ -5,6 +5,13 @@ layers and the numeric closed-form instances, and dumps deterministic
 serializations of the core artifacts (orders, reversal schedules, operators,
 the fusion element, weighted-function vectors, grounded-string forests).
 
+Every suite is one row of an ordered table, `_SUITE_TABLE`.  A row lists
+the parameters the suite reads, each with its default and caps, and a check
+callable that returns the suite's witnesses, each with its pass bit, any
+parameters it derives, and warnings.  `run_suite` alone fills in defaults,
+rejects a given parameter the suite does not read, derives the verdict and
+assembles the report.
+
 Reports are plain JSON with a fixed schema.  Everything except the
 ``timings`` section is byte-reproducible for identical configuration:
 expressions are serialized in canonical form and every enumeration order is
@@ -92,19 +99,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-SUITES = (
-    "pbw-invariance",
-    "additive-form",
-    "fusion",
-    "compatibility",
-    "appendix-b",
-    "appendix-c",
-    "selberg",
-    "main-theorem-sl2",
-    "determinant-sl2",
-    "sigma-orders",
-)
-
 DUMP_KINDS = ("order", "sigma", "operator", "fusion", "phi-vector", "forest")
 
 
@@ -126,7 +120,11 @@ class CapabilityExceeded(ValueError):
 
 @dataclass
 class SuiteConfig:
-    """Validated parameters of one suite run."""
+    """Parameters of one suite run; ``None`` takes the suite's default.
+
+    A suite reads only the parameters its row of the suite table lists, and
+    `run_suite` rejects any other that is given.
+    """
 
     suite: str
     n: Optional[int] = None
@@ -134,104 +132,8 @@ class SuiteConfig:
     factors: Optional[tuple[str, ...]] = None
     depth: Optional[int] = None
     tol: Optional[float] = None
-    max_ab: int = 2
-    grid: str = "default"
+    max_ab: Optional[int] = None
     out: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.suite not in SUITES:
-            raise UnknownSuite(
-                f"unknown suite {self.suite!r}; choose one of {', '.join(SUITES)}"
-            )
-        if self.grid != "default":
-            raise CapabilityExceeded(f"unknown parameter grid {self.grid!r}")
-        if self.tol is not None and self.tol < 1e-14:
-            raise CapabilityExceeded("tolerances below 1e-14 are not resolvable")
-        caps = _CAPS[self.suite]
-        if self.n is not None and not (caps.n_min <= self.n <= caps.n_max):
-            raise CapabilityExceeded(
-                f"suite {self.suite} supports {caps.n_min} <= n <= {caps.n_max}"
-            )
-        n = self.n if self.n is not None else caps.n_default
-        if self.nu is not None:
-            if len(self.nu) != n - 1:
-                raise CapabilityExceeded(
-                    f"nu must list {n - 1} simple-root multiplicities for n={n}"
-                )
-            if any(m < 0 for m in self.nu):
-                raise CapabilityExceeded("nu entries must be non-negative")
-            if sum(self.nu) > caps.nu_sum_max or sum(self.nu) == 0:
-                raise CapabilityExceeded(
-                    f"suite {self.suite} supports 1 <= sum(nu) <= {caps.nu_sum_max}"
-                )
-        if self.factors is not None:
-            if not (1 <= len(self.factors) <= caps.factors_max):
-                raise CapabilityExceeded(
-                    f"suite {self.suite} supports at most {caps.factors_max} factors"
-                )
-            for item in self.factors:
-                if item == "verma":
-                    continue
-                if item.startswith("lp:"):
-                    try:
-                        p = int(item[3:])
-                    except ValueError as exc:
-                        raise CapabilityExceeded(
-                            f"malformed factor spec {item!r}"
-                        ) from exc
-                    if p < 0:
-                        raise CapabilityExceeded("lp:P needs a non-negative P")
-                    if n != 2:
-                        raise CapabilityExceeded(
-                            "finite-dimensional lp factors require n=2"
-                        )
-                    continue
-                raise CapabilityExceeded(
-                    f"factor spec {item!r} must be 'verma' or 'lp:P'"
-                )
-        if self.depth is not None and not (1 <= self.depth <= caps.depth_max):
-            raise CapabilityExceeded(
-                f"suite {self.suite} supports 1 <= depth <= {caps.depth_max}"
-            )
-        if not (0 <= self.max_ab <= 3):
-            raise CapabilityExceeded("max-ab is limited to 3")
-
-
-@dataclass(frozen=True)
-class _Caps:
-    n_min: int = 2
-    n_max: int = 3
-    n_default: int = 2
-    nu_sum_max: int = 4
-    factors_max: int = 3
-    depth_max: int = 5
-
-
-_CAPS: dict[str, _Caps] = {
-    "pbw-invariance": _Caps(n_max=4, n_default=3, nu_sum_max=6),
-    "additive-form": _Caps(nu_sum_max=4),
-    "fusion": _Caps(nu_sum_max=4, depth_max=5),
-    "compatibility": _Caps(nu_sum_max=3),
-    "appendix-b": _Caps(nu_sum_max=3, factors_max=4),
-    "appendix-c": _Caps(n_min=3, n_max=3, n_default=3),
-    "selberg": _Caps(),
-    "main-theorem-sl2": _Caps(),
-    "determinant-sl2": _Caps(),
-    "sigma-orders": _Caps(n_max=8, n_default=6),
-}
-
-
-def _resolve_space_params(
-    cfg: SuiteConfig,
-    *,
-    n_default: int,
-    nu_default: Callable[[int], tuple[int, ...]],
-    factors_default: Callable[[int], tuple[str, ...]],
-):
-    n = cfg.n if cfg.n is not None else n_default
-    nu = cfg.nu if cfg.nu is not None else nu_default(n)
-    factors = cfg.factors if cfg.factors is not None else factors_default(n)
-    return n, nu, factors
 
 
 def _build_factors(n: int, specs: Sequence[str]):
@@ -291,15 +193,6 @@ def _raw_lower_to_signed(engine, basis, letters):
         for e, c in state.items()
         if not c.is_zero()
     }
-
-
-def _exps_coords(basis, exps) -> tuple[int, ...]:
-    coords = [0] * (basis.n_rank - 1)
-    for (k, l), e in zip(basis.order, exps):
-        if e:
-            for i in range(k, l):
-                coords[i - 1] += e
-    return tuple(coords)
 
 
 def _signed_letter_mult(engine, basis, letter, exps):
@@ -369,89 +262,61 @@ def _weight_list(n: int, depth: int, entry_cap: int = 2) -> list[tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# Suite implementations
+# Suite checks
 # ---------------------------------------------------------------------------
+#
+# Each check takes the suite's resolved parameters and returns three things:
+# its rows, one ``(witness, passed)`` pair per identity checked; the
+# parameters it derived, which join the report's ``params``; and warnings,
+# which flag a run whose checks all pass.
 
-def _suite_pbw_invariance(cfg: SuiteConfig):
-    n, nu, specs = _resolve_space_params(
-        cfg,
-        n_default=3,
-        nu_default=lambda n: (1,) * (n - 1),
-        factors_default=lambda n: ("verma",),
-    )
-    space = _build_space(n, nu, specs)
-    witnesses, seconds = [], []
-    all_sym, all_raw = True, True
-    for h in range(1, n):
+_RAW_COPIES_WARNING = (
+    "symmetrized equality holds but the canonical variable copies "
+    "disagree before averaging on some level; this bears on the open "
+    "question of whether copy-averaging is required"
+)
+
+
+def _pbw_invariance(params: dict):
+    space = _build_space(params["n"], params["nu"], params["factors"])
+    rows = []
+    for h in range(1, params["n"]):
         report = verify_order_invariance(space, h)
-        data = report.to_json()
-        seconds.append(data.pop("seconds", None))
-        witnesses.append(data)
-        all_sym = all_sym and report.symmetrized_equal
-        all_raw = all_raw and report.raw_equal
-    if not all_sym:
-        verdict = "fail"
-        warnings = []
-    elif not all_raw:
-        verdict = "flagged"
-        warnings = [
-            "symmetrized equality holds but the canonical variable copies "
-            "disagree before averaging on some level; this bears on the open "
-            "question of whether copy-averaging is required"
-        ]
-    else:
-        verdict = "pass"
-        warnings = []
-    params = {"n": n, "nu": list(nu), "factors": list(specs)}
-    return params, verdict, witnesses, warnings, {"per_level_seconds": seconds}
+        rows.append((report.to_json(), report.symmetrized_equal))
+    raw_equal = all(witness["raw_equal"] for witness, _ in rows)
+    return rows, {}, [] if raw_equal else [_RAW_COPIES_WARNING]
 
 
-def _suite_additive_form(cfg: SuiteConfig):
-    n, nu, specs = _resolve_space_params(
-        cfg,
-        n_default=2,
-        nu_default=lambda n: (2,) if n == 2 else (1,) * (n - 1),
-        factors_default=lambda n: ("verma", "verma"),
-    )
-    space = _build_space(n, nu, specs)
+def _additive_form(params: dict):
+    n = params["n"]
+    space = _build_space(n, params["nu"], params["factors"])
     lam = lambda_pairing_symbols(n)
     arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=1)
-    witnesses = []
-    ok = True
+    rows = []
     for r in range(1, n):
         add = B_additive(space, r, lam)
         prod = B_w(space, omega_bracket(n, r)[1], arg)
         equal = add.op == prod.op
-        ok = ok and equal
-        witnesses.append({"r": r, "equal": equal, "dim": space.dim})
-    params = {"n": n, "nu": list(nu), "factors": list(specs)}
-    return params, "pass" if ok else "fail", witnesses, [], {}
+        rows.append(({"r": r, "equal": equal, "dim": space.dim}, equal))
+    return rows, {}, []
 
 
-def _suite_fusion(cfg: SuiteConfig):
-    n = cfg.n if cfg.n is not None else 2
-    depth = cfg.depth if cfg.depth is not None else 4
-    nu = cfg.nu if cfg.nu is not None else ((2,) if n == 2 else (1,) * (n - 1))
-    specs = cfg.factors if cfg.factors is not None else ("verma", "verma")
+def _fusion(params: dict):
+    n, depth, nu, specs = params["n"], params["depth"], params["nu"], params["factors"]
     fus = fusion_solve(n, depth)
-    witnesses = []
-    ok = True
-
     try:
         fus.validate()
         structure_ok = True
     except AssertionError:
         structure_ok = False
     residual_ok = _fusion_residual_ok(fus)
-    witnesses.append(
-        {
-            "check": "defining-recurrence",
-            "depth": depth,
-            "structure_ok": structure_ok,
-            "residual_zero": residual_ok,
-        }
-    )
-    ok = ok and structure_ok and residual_ok
+    witness = {
+        "check": "defining-recurrence",
+        "depth": depth,
+        "structure_ok": structure_ok,
+        "residual_zero": residual_ok,
+    }
+    rows = [(witness, structure_ok and residual_ok)]
 
     lam = lambda_pairing_symbols(n)
     basis = standard_basis(n)
@@ -465,10 +330,8 @@ def _suite_fusion(cfg: SuiteConfig):
                 if not c.is_zero():
                     expected[(index[0], upper)] = c
         equal = dict(fus.component(mu)) == expected
-        ok = ok and equal
-        witnesses.append(
-            {"check": "dual-element-match", "mu": list(mu), "equal": equal}
-        )
+        witness = {"check": "dual-element-match", "mu": list(mu), "equal": equal}
+        rows.append((witness, equal))
 
     space = _build_space(n, nu, specs)
     arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=-1)
@@ -478,79 +341,54 @@ def _suite_fusion(cfg: SuiteConfig):
     equal = _columns_agree(
         space, bw0.op.apply, lambda v: q_dagger_apply(space, lam, v, fus_q)
     )
-    ok = ok and equal
-    witnesses.append(
-        {
-            "check": "contraction-vs-longest-word",
-            "nu": list(nu),
-            "factors": list(specs),
-            "equal": equal,
-        }
-    )
-
-    params = {"n": n, "depth": depth, "nu": list(nu), "factors": list(specs)}
-    return params, "pass" if ok else "fail", witnesses, [], {}
+    witness = {
+        "check": "contraction-vs-longest-word",
+        "nu": list(nu),
+        "factors": list(specs),
+        "equal": equal,
+    }
+    rows.append((witness, equal))
+    return rows, {}, []
 
 
-def _suite_compatibility(cfg: SuiteConfig):
-    n, nu, specs = _resolve_space_params(
-        cfg,
-        n_default=2,
-        nu_default=lambda n: (1,) if n == 2 else (1,) * (n - 1),
-        factors_default=lambda n: ("verma", "verma"),
-    )
-    space = _build_space(n, nu, specs)
-    witnesses = []
-    ok = True
+def _compatibility(params: dict):
+    n = params["n"]
+    space = _build_space(n, params["nu"], params["factors"])
+    rows = []
     for k in range(1, n):
         for l in range(k, n):
             report = check_K_exchange(space, k, l)
-            ok = ok and report.passed
             data = report.to_json()
             data.update({"check": "exchange", "k": k, "l": l})
-            witnesses.append(data)
-    for j in range(1, len(specs) + 1):
+            rows.append((data, report.passed))
+    for j in range(1, len(params["factors"]) + 1):
         for k in range(1, n):
             report = check_nabla_K(space, j, k)
-            ok = ok and report.passed
             data = report.to_json()
             data.update({"check": "derivative-intertwining", "j": j, "k": k})
-            witnesses.append(data)
-    params = {"n": n, "nu": list(nu), "factors": list(specs)}
-    return params, "pass" if ok else "fail", witnesses, [], {}
+            rows.append((data, report.passed))
+    return rows, {}, []
 
 
-def _suite_appendix_b(cfg: SuiteConfig):
-    n, nu, specs = _resolve_space_params(
-        cfg,
-        n_default=2,
-        nu_default=lambda n: (1,) if n == 2 else (1,) * (n - 1),
-        factors_default=lambda n: ("verma", "verma", "verma"),
-    )
-    if len(specs) < 2:
-        raise CapabilityExceeded("the reduction identity needs at least 2 factors")
-    space = _build_space(n, nu, specs)
-    witnesses = []
-    ok = True
-    for i in range(1, len(specs)):
+def _appendix_b(params: dict):
+    space = _build_space(params["n"], params["nu"], params["factors"])
+    rows = []
+    for i in range(1, len(params["factors"])):
         report = check_rational_to_trig(space, i)
-        ok = ok and report.passed
         data = report.to_json()
         data.update({"position": i})
-        witnesses.append(data)
-    params = {"n": n, "nu": list(nu), "factors": list(specs)}
-    return params, "pass" if ok else "fail", witnesses, [], {}
+        rows.append((data, report.passed))
+    return rows, {}, []
 
 
-def _suite_appendix_c(cfg: SuiteConfig):
-    max_ab = cfg.max_ab
+def _appendix_c(params: dict):
+    max_ab = params["max_ab"]
     depth = max(2 * max_ab, 1)
     l1, l2 = lambda_pairing_symbols(3)
     basis = standard_basis(3)
     engine = Straightener(basis)
     fus = fusion_solve(3, depth)
-    witnesses = []
-    ok = True
+    rows = []
 
     for a in range(max_ab + 1):
         for b in range(max_ab + 1):
@@ -586,10 +424,8 @@ def _suite_appendix_c(cfg: SuiteConfig):
                         )
             expected = {kk: v for kk, v in expected.items() if not v.is_zero()}
             equal = dict(fus.component((a, b))) == expected
-            ok = ok and equal
-            witnesses.append(
-                {"check": "fusion-double-sum", "a": a, "b": b, "equal": equal}
-            )
+            witness = {"check": "fusion-double-sum", "a": a, "b": b, "equal": equal}
+            rows.append((witness, equal))
 
     lamw = weight_from_pairings(3, (l1, l2))
     for a in range(1, max_ab + 1):
@@ -630,18 +466,18 @@ def _suite_appendix_c(cfg: SuiteConfig):
                     if not c.is_zero():
                         got[(index[0], J)] = c
             equal = got == expected
-            ok = ok and equal
-            witnesses.append(
-                {"check": "inverse-form-double-sum", "a": a, "b": b, "equal": equal}
-            )
+            witness = {
+                "check": "inverse-form-double-sum", "a": a, "b": b, "equal": equal
+            }
+            rows.append((witness, equal))
 
-    params = {"n": 3, "max_ab": max_ab, "depth": depth}
-    return params, "pass" if ok else "fail", witnesses, [], {}
+    return rows, {"depth": depth}, []
 
 
-# The three numeric suites import `numeric` when they run, so that scipy is
+# The three numeric checks import `numeric` when they run, so that scipy is
 # loaded only by them.  Its functions are looked up on the module at each
-# call, where a tracer or a test may have replaced them.
+# call, where a tracer or a test may have replaced them.  Their reports keep
+# ``"grid": "default"``, the name of the only parameter grid there is.
 
 def _selberg_quadrature_row(m: int, a: float, b: float, c: float, tol: float) -> dict:
     from . import numeric
@@ -666,55 +502,38 @@ def _selberg_quadrature_row(m: int, a: float, b: float, c: float, tol: float) ->
     }
 
 
-def _suite_selberg(cfg: SuiteConfig):
+def _selberg(params: dict):
     from . import numeric
 
-    tol = cfg.tol if cfg.tol is not None else 1e-10
     quad_tol = 1e-6
     witnesses = []
     for m, a, b, c in numeric.SELBERG_GRID:
         data = numeric.selberg_difference_check(
-            numeric.SelbergParams(a, b, c, m), tol
+            numeric.SelbergParams(a, b, c, m), params["tol"]
         ).to_json()
         data["check"] = "difference-relation"
         witnesses.append(data)
     for m, a, b, c in numeric.QUADRATURE_GRID:
         witnesses.append(_selberg_quadrature_row(m, a, b, c, quad_tol))
-    ok = all(w["passed"] for w in witnesses)
-    params = {
-        "grid": cfg.grid,
+    derived = {
+        "grid": "default",
         "difference_points": len(numeric.SELBERG_GRID),
         "quadrature_points": len(numeric.QUADRATURE_GRID),
-        "tol": tol,
         "quadrature_tol": quad_tol,
     }
-    return params, "pass" if ok else "fail", witnesses, [], {}
+    return [(w, w["passed"]) for w in witnesses], derived, []
 
 
-def _suite_main_theorem(cfg: SuiteConfig):
+def _sl2_grid(params: dict, check: str):
+    """`main-theorem-sl2` and `determinant-sl2`: one `numeric` check per point."""
     from . import numeric
 
-    tol = cfg.tol if cfg.tol is not None else 1e-9
     witnesses = [
-        numeric.main_theorem_sl2_check(p, m, kappa, lam, z, tol).to_json()
+        getattr(numeric, check)(p, m, kappa, lam, z, params["tol"]).to_json()
         for (p, m, kappa, lam, z) in numeric.MAIN_THEOREM_GRID
     ]
-    ok = all(w["passed"] for w in witnesses)
-    params = {"grid": cfg.grid, "points": len(witnesses), "tol": tol}
-    return params, "pass" if ok else "fail", witnesses, [], {}
-
-
-def _suite_determinant(cfg: SuiteConfig):
-    from . import numeric
-
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-    witnesses = [
-        numeric.det_formula_sl2_check(p, m, kappa, lam, z, tol).to_json()
-        for (p, m, kappa, lam, z) in numeric.MAIN_THEOREM_GRID
-    ]
-    ok = all(w["passed"] for w in witnesses)
-    params = {"grid": cfg.grid, "points": len(witnesses), "tol": tol}
-    return params, "pass" if ok else "fail", witnesses, [], {}
+    derived = {"grid": "default", "points": len(witnesses)}
+    return [(w, w["passed"]) for w in witnesses], derived, []
 
 
 def _sign_table_closed_form(n: int, h: int) -> dict[tuple[int, int], int]:
@@ -729,11 +548,9 @@ def _sign_table_closed_form(n: int, h: int) -> dict[tuple[int, int], int]:
     return out
 
 
-def _suite_sigma_orders(cfg: SuiteConfig):
-    n_top = cfg.n if cfg.n is not None else 6
-    witnesses = []
-    ok = True
-    for n in range(2, n_top + 1):
+def _sigma_orders(params: dict):
+    rows = []
+    for n in range(2, params["n"] + 1):
         orders_normal = all(is_normal(special_order(n, h)) for h in range(1, n))
         schedules_ok = True
         for h in range(2, n):
@@ -756,31 +573,147 @@ def _suite_sigma_orders(cfg: SuiteConfig):
             sign_table_a(n, h) == _sign_table_closed_form(n, h)
             for h in range(1, n)
         )
-        ok = ok and orders_normal and schedules_ok and signs_ok
-        witnesses.append(
-            {
-                "n": n,
-                "orders_normal": orders_normal,
-                "reversal_schedules_ok": schedules_ok,
-                "sign_table_ok": signs_ok,
-            }
-        )
-    params = {"n": n_top}
-    return params, "pass" if ok else "fail", witnesses, [], {}
+        witness = {
+            "n": n,
+            "orders_normal": orders_normal,
+            "reversal_schedules_ok": schedules_ok,
+            "sign_table_ok": signs_ok,
+        }
+        rows.append((witness, orders_normal and schedules_ok and signs_ok))
+    return rows, {}, []
 
 
-_SUITE_RUNNERS = {
-    "pbw-invariance": _suite_pbw_invariance,
-    "additive-form": _suite_additive_form,
-    "fusion": _suite_fusion,
-    "compatibility": _suite_compatibility,
-    "appendix-b": _suite_appendix_b,
-    "appendix-c": _suite_appendix_c,
-    "selberg": _suite_selberg,
-    "main-theorem-sl2": _suite_main_theorem,
-    "determinant-sl2": _suite_determinant,
-    "sigma-orders": _suite_sigma_orders,
+# ---------------------------------------------------------------------------
+# The suite table
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Suite:
+    """One `verify` suite.
+
+    ``params`` lists every parameter the suite reads, in the order they are
+    resolved, as ``(default, low, high)``.  A callable default is applied to
+    the resolved ``n``.  The bounds hold for the value itself, for the sum of
+    ``nu`` and for the number of ``factors``.
+    """
+
+    check: Callable[[dict], tuple[list[tuple[dict, bool]], dict, list[str]]]
+    params: dict[str, tuple]
+
+
+def _ones(n: int) -> tuple[int, ...]:
+    return (1,) * (n - 1)
+
+
+def _two_on_sl2(n: int) -> tuple[int, ...]:
+    return (2,) if n == 2 else _ones(n)
+
+
+_VERMA2 = ("verma", "verma")
+_TOL_MIN = 1e-14  # below it the numeric checks cannot resolve a difference
+
+_SUITE_TABLE = {
+    "pbw-invariance": _Suite(
+        _pbw_invariance,
+        {"n": (3, 2, 4), "nu": (_ones, 1, 6), "factors": (("verma",), 1, 3)},
+    ),
+    "additive-form": _Suite(
+        _additive_form,
+        {"n": (2, 2, 3), "nu": (_two_on_sl2, 1, 4), "factors": (_VERMA2, 1, 3)},
+    ),
+    "fusion": _Suite(
+        _fusion,
+        {
+            "n": (2, 2, 3),
+            "depth": (4, 1, 5),
+            "nu": (_two_on_sl2, 1, 4),
+            "factors": (_VERMA2, 1, 3),
+        },
+    ),
+    "compatibility": _Suite(
+        _compatibility,
+        {"n": (2, 2, 3), "nu": (_ones, 1, 3), "factors": (_VERMA2, 1, 3)},
+    ),
+    # the reduction identity relates neighbouring factors: at least 2
+    "appendix-b": _Suite(
+        _appendix_b,
+        {"n": (2, 2, 3), "nu": (_ones, 1, 3), "factors": (("verma",) * 3, 2, 4)},
+    ),
+    "appendix-c": _Suite(_appendix_c, {"n": (3, 3, 3), "max_ab": (2, 0, 3)}),
+    "selberg": _Suite(_selberg, {"tol": (1e-10, _TOL_MIN, math.inf)}),
+    "main-theorem-sl2": _Suite(
+        lambda params: _sl2_grid(params, "main_theorem_sl2_check"),
+        {"tol": (1e-9, _TOL_MIN, math.inf)},
+    ),
+    "determinant-sl2": _Suite(
+        lambda params: _sl2_grid(params, "det_formula_sl2_check"),
+        {"tol": (1e-9, _TOL_MIN, math.inf)},
+    ),
+    "sigma-orders": _Suite(_sigma_orders, {"n": (6, 2, 8)}),
 }
+
+SUITES = tuple(_SUITE_TABLE)
+
+# the SuiteConfig fields a suite may read; each is the flag --<name>
+_PARAMS = ("n", "nu", "factors", "depth", "tol", "max_ab")
+
+
+def _resolve(cfg: SuiteConfig) -> tuple[_Suite, dict]:
+    """The suite's table row and its parameters, defaults filled in, checked."""
+    suite = _SUITE_TABLE.get(cfg.suite)
+    if suite is None:
+        raise UnknownSuite(
+            f"unknown suite {cfg.suite!r}; choose one of {', '.join(SUITES)}"
+        )
+    for name in _PARAMS:
+        if getattr(cfg, name) is not None and name not in suite.params:
+            flag = "--" + name.replace("_", "-")
+            raise CapabilityExceeded(f"suite {cfg.suite} does not read {flag}")
+    params: dict = {}
+    for name, (default, low, high) in suite.params.items():
+        value = getattr(cfg, name)
+        if value is None:
+            value = default(params["n"]) if callable(default) else default
+        if name == "nu":
+            _check_nu(value, params["n"])
+            size, what, value = sum(value), "sum(nu)", list(value)
+        elif name == "factors":
+            _check_factor_specs(value, params["n"])
+            size, what, value = len(value), "the number of factors", list(value)
+        else:
+            size, what = value, name.replace("_", "-")
+        if not low <= size <= high:
+            raise CapabilityExceeded(
+                f"suite {cfg.suite} supports {low} <= {what} <= {high}"
+            )
+        params[name] = value
+    return suite, params
+
+
+def _check_nu(nu: Sequence[int], n: int) -> None:
+    if len(nu) != n - 1:
+        raise CapabilityExceeded(
+            f"nu must list {n - 1} simple-root multiplicities for n={n}"
+        )
+    if any(m < 0 for m in nu):
+        raise CapabilityExceeded("nu entries must be non-negative")
+
+
+def _check_factor_specs(specs: Sequence[str], n: int) -> None:
+    for item in specs:
+        if item == "verma":
+            continue
+        if item.startswith("lp:"):
+            try:
+                p = int(item[3:])
+            except ValueError as exc:
+                raise CapabilityExceeded(f"malformed factor spec {item!r}") from exc
+            if p < 0:
+                raise CapabilityExceeded("lp:P needs a non-negative P")
+            if n != 2:
+                raise CapabilityExceeded("finite-dimensional lp factors require n=2")
+            continue
+        raise CapabilityExceeded(f"factor spec {item!r} must be 'verma' or 'lp:P'")
 
 
 # ---------------------------------------------------------------------------
@@ -788,19 +721,30 @@ _SUITE_RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def run_suite(cfg: SuiteConfig) -> dict:
-    """Execute one named suite and assemble its JSON-serializable report."""
-    cfg.validate()
+    """Execute one named suite and assemble its JSON-serializable report.
+
+    The verdict is ``fail`` if any check fails, ``flagged`` if every check
+    passes but the suite warns (pbw-invariance, when the raw copies of a
+    level disagree), and ``pass`` otherwise.
+    """
+    suite, params = _resolve(cfg)
     start = time.monotonic()
-    params, verdict, witnesses, warnings, extra_timings = _SUITE_RUNNERS[cfg.suite](
-        cfg
-    )
+    rows, derived, warnings = suite.check(params)
     timings = {"total_seconds": round(time.monotonic() - start, 3)}
-    timings.update(extra_timings)
+    witnesses = [witness for witness, _ in rows]
+    # a level's seconds go to timings, so that witnesses stay reproducible
+    seconds = [w.pop("seconds") for w in witnesses if "seconds" in w]
+    if seconds:
+        timings["per_level_seconds"] = seconds
+    if not all(passed for _, passed in rows):
+        verdict, warnings = "fail", []
+    else:
+        verdict = "flagged" if warnings else "pass"
     report = {
         "schema_version": SCHEMA_VERSION,
         "artifact": {"name": "kzdyn", "version": __version__},
         "suite": cfg.suite,
-        "params": params,
+        "params": {**params, **derived},
         "verdict": verdict,
         "witnesses": witnesses,
         "warnings": warnings,
@@ -1023,10 +967,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--depth", type=int, default=None, help="expansion depth")
     verify.add_argument("--tol", type=float, default=None, help="numeric tolerance")
     verify.add_argument(
-        "--max-ab", type=int, default=2, help="golden-table range bound"
-    )
-    verify.add_argument(
-        "--grid", type=str, default="default", help="named parameter grid"
+        "--max-ab", type=int, default=None, help="golden-table range bound"
     )
     verify.add_argument("--out", type=str, default=None, help="report file path")
 
@@ -1062,7 +1003,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 depth=args.depth,
                 tol=args.tol,
                 max_ab=args.max_ab,
-                grid=args.grid,
                 out=args.out,
             )
             report = run_suite(cfg)

@@ -2,8 +2,10 @@
 reports and their schema, deterministic dumps, caching, and exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,17 @@ from kzdyn.numeric import QuadratureNotConverged
 from kzdyn.rep import enumerate_basis, verma_symbolic
 from kzdyn.roots import serialize_order, special_order
 from kzdyn.symexpr import DivisionByZero, InexactDivision, ParseError, parse
+
+
+# a flag the suite does not read, given explicitly: (suite, flag, value, field)
+_UNREAD = [
+    ("compatibility", "--depth", "4", {"depth": 4}),
+    ("selberg", "--n", "3", {"n": 3}),
+    ("sigma-orders", "--nu", "1", {"nu": (1,)}),
+    ("appendix-c", "--factors", "verma", {"factors": ("verma",)}),
+    ("additive-form", "--tol", "1e-9", {"tol": 1e-9}),
+    ("fusion", "--max-ab", "1", {"max_ab": 1}),
+]
 
 
 class TestConfigValidation:
@@ -59,9 +72,11 @@ class TestConfigValidation:
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="compatibility", factors=("lp:x",)))
 
-    def test_jobs_grid_tol_caps(self):
-        with pytest.raises(CapabilityExceeded):
-            run_suite(SuiteConfig(suite="selberg", grid="huge"))
+    def test_appendix_b_needs_two_factors(self):
+        with pytest.raises(CapabilityExceeded, match="2 <= the number of factors"):
+            run_suite(SuiteConfig(suite="appendix-b", factors=("verma",)))
+
+    def test_tol_caps(self):
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="selberg", tol=1e-20))
 
@@ -71,9 +86,34 @@ class TestConfigValidation:
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="appendix-c", max_ab=5))
 
+    @pytest.mark.parametrize(
+        "suite, flag, value, field",
+        _UNREAD,
+        ids=[f"{suite} {flag}" for suite, flag, _, _ in _UNREAD],
+    )
+    def test_unread_parameter_exits_two(self, capsys, suite, flag, value, field):
+        assert main(["verify", suite, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: suite {suite} does not read {flag}\n"
+        with pytest.raises(CapabilityExceeded, match=f"does not read {flag}$"):
+            run_suite(SuiteConfig(suite=suite, **field))
+
     def test_registry_is_complete(self):
         assert len(SUITES) == 10
         assert len(DUMP_KINDS) == 6
+
+    def test_readme_lists_the_flags_each_suite_reads(self):
+        from kzdyn import cli as cli_module
+
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        listed = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            row = re.match(r"\| `([a-z0-9-]+)` \| ((?:`--[a-z-]+` ?)+)\|", line)
+            if row:
+                listed[row.group(1)] = re.findall(r"`(--[a-z-]+)`", row.group(2))
+        assert listed == {
+            name: ["--" + param.replace("_", "-") for param in suite.params]
+            for name, suite in cli_module._SUITE_TABLE.items()
+        }
 
 
 def _schema_check(report, suite):
@@ -221,6 +261,25 @@ class TestReportPlumbing:
         assert text.endswith("\n")
         assert json.loads(text) == report
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_failed_check_drops_warnings(self, monkeypatch):
+        from kzdyn import cli as cli_module
+
+        monkeypatch.setattr(
+            cli_module._SUITE_TABLE["sigma-orders"],
+            "check",
+            lambda p: ([({"h": 1}, True), ({"h": 2}, False)], {}, ["open question"]),
+        )
+        report = run_suite(SuiteConfig(suite="sigma-orders"))
+        assert report["verdict"] == "fail"
+        assert report["warnings"] == []
+
+    def test_level_seconds_go_to_timings(self):
+        report = run_suite(SuiteConfig(suite="pbw-invariance", n=3, nu=(1, 1)))
+        assert [w["h"] for w in report["witnesses"]] == [1, 2]
+        assert all("seconds" not in w for w in report["witnesses"])
+        seconds = report["timings"]["per_level_seconds"]
+        assert len(seconds) == 2 and all(s >= 0 for s in seconds)
 
     def test_reports_match_pinned_fingerprints(self):
         # sha256 of each report's canonical text without `timings`, recorded
@@ -424,13 +483,19 @@ class TestMainEntry:
         assert info.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
+    def test_grid_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "selberg", "--grid", "default"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --grid default" in capsys.readouterr().err
+
     def test_verify_flagged_exits_zero_with_warning(self, capsys, monkeypatch):
         from kzdyn import cli as cli_module
 
-        monkeypatch.setitem(
-            cli_module._SUITE_RUNNERS,
-            "sigma-orders",
-            lambda cfg: ({}, "flagged", [], ["open question"], {}),
+        monkeypatch.setattr(
+            cli_module._SUITE_TABLE["sigma-orders"],
+            "check",
+            lambda p: ([({"h": 1}, True)], {}, ["open question"]),
         )
         code = main(["verify", "sigma-orders"])
         captured = capsys.readouterr()
@@ -441,10 +506,10 @@ class TestMainEntry:
     def test_verify_fail_exits_one(self, capsys, monkeypatch):
         from kzdyn import cli as cli_module
 
-        monkeypatch.setitem(
-            cli_module._SUITE_RUNNERS,
-            "sigma-orders",
-            lambda cfg: ({}, "fail", [{"bad": True}], [], {}),
+        monkeypatch.setattr(
+            cli_module._SUITE_TABLE["sigma-orders"],
+            "check",
+            lambda p: ([({"bad": True}, False)], {}, []),
         )
         code = main(["verify", "sigma-orders"])
         captured = capsys.readouterr()
@@ -468,10 +533,12 @@ class TestMainEntry:
     def test_internal_error_exits_three(self, capsys, monkeypatch, error):
         from kzdyn import cli as cli_module
 
-        def raise_error(cfg):
+        def raise_error(p):
             raise error
 
-        monkeypatch.setitem(cli_module._SUITE_RUNNERS, "sigma-orders", raise_error)
+        monkeypatch.setattr(
+            cli_module._SUITE_TABLE["sigma-orders"], "check", raise_error
+        )
         code = main(["verify", "sigma-orders"])
         captured = capsys.readouterr()
         assert code == 3
