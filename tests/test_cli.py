@@ -2,6 +2,7 @@
 reports and their schema, deterministic dumps, caching, and exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -419,6 +420,31 @@ class TestDumps:
         second = dump_object("fusion", {"n": 2, "depth": 3})
         assert first == second
 
+    def test_dumps_match_pinned_fingerprints(self):
+        # sha256 of `kzdyn dump` stdout, recorded from the hand-written dump
+        # runners; one fresh interpreter in a fixed order, so that symbols
+        # registered by other tests cannot change the canonical text
+        code = (
+            "import contextlib, hashlib, io, sys\n"
+            "from kzdyn.cli import main\n"
+            "for line in sys.argv[1:]:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(['dump', *line.split()])\n"
+            "    print(code, hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest())\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "KZDYN_CACHE"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *_PINNED_DUMPS],
+            capture_output=True,
+            text=True,
+            check=False,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = dict(zip(_PINNED_DUMPS, proc.stdout.splitlines()))
+        assert got == {line: f"0 {digest}" for line, digest in _PINNED_DUMPS.items()}
+
     def test_cache_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KZDYN_CACHE", str(tmp_path))
         first = dump_object("order", {"n": 4, "h": 2})
@@ -449,6 +475,34 @@ class TestDumps:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             p.name for p in tmp_path.glob("order-*.txt")
         )
+
+
+_PINNED_DUMPS = {
+    "order": "998570874e7a5936db66877776ddfcb22e299acbec8969b92099d96ad05ae23a",
+    "sigma": "f6d81cf3a2288a1d426628afb18daac3301e453426fc1d299cc8b317b090a468",
+    "operator": "82cce72467fef85857d6ab7d28c92231c8605ea204726e27490266bc496d8c9c",
+    "fusion": "49225d9bb8f2a9bfab6e71fe9b57e46298436146e5c6f7651dfa5924e399a5e3",
+    "phi-vector": "16bac9f8e2cdb4b412696d896bb2715f58d515fbc360e4cb801d5053c10bf164",
+    "forest": "cc7d0ff573e7b253057086b63007cae3e7bf65e28ae5aa9ef3fc20b9269e0b7a",
+    "order --n 4 --h 2": (
+        "1d863920835acbf9175db883fc74644083e9ba7a0315131cc24c4704e2d4070b"
+    ),
+    "sigma --n 3 --h 2": (
+        "f6d81cf3a2288a1d426628afb18daac3301e453426fc1d299cc8b317b090a468"
+    ),
+    "operator --n 2 --nu 1 --factors verma,verma --k 1": (
+        "5bcbe407eb2d0035d9c2739af8bdc8a8a41742e5f54fd154d1b086ed05283bb8"
+    ),
+    "fusion --n 2 --depth 3": (
+        "4cb65328847eb3e9962c182dddcc5b2cb379bc7f2048269ff9a0701ae2ae3593"
+    ),
+    "phi-vector --n 2 --nu 1": (
+        "16bac9f8e2cdb4b412696d896bb2715f58d515fbc360e4cb801d5053c10bf164"
+    ),
+    "forest --n 3 --nu 1,1 --h 1 --index 0": (
+        "225fa539763ace29c5fb7d158e5c6a26fa518512221bfdc1cfe500de35a62397"
+    ),
+}
 
 
 class TestMainEntry:
