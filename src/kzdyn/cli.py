@@ -8,9 +8,13 @@ the fusion element, weighted-function vectors, grounded-string forests).
 Every suite is one row of an ordered table, `_SUITE_TABLE`.  A row lists
 the parameters the suite reads, each with its default and caps, and a check
 callable that returns the suite's witnesses, each with its pass bit, any
-parameters it derives, and warnings.  `run_suite` alone fills in defaults,
-rejects a given parameter the suite does not read, derives the verdict and
-assembles the report.
+parameters it derives, and warnings.  `run_suite` derives the verdict and
+assembles the report.  Every dump kind is one row of `_DUMP_TABLE`, with
+parameters in the same form (caps taken from the suite that builds the same
+object) and a render callable.  `_resolve` serves both tables: it fills in
+defaults, checks ``nu`` and the factor specs, applies the caps and rejects a
+given parameter the row does not read, before any work or cache lookup.  Both
+subcommands take their flags from one declaration, `_FLAGS`.
 
 Reports are plain JSON with a fixed schema.  Everything except the
 ``timings`` section is byte-reproducible for identical configuration:
@@ -24,9 +28,10 @@ tolerance a suite requests (`QuadratureNotConverged`), unparsable expression
 text, or any other exception, which also prints its traceback.
 
 Setting the environment variable ``KZDYN_CACHE`` to a directory memoizes
-dump artifacts on disk, keyed by a digest of the kind, the parameters, the
-package version and the report schema version.  Each artifact is written to a
-temporary file and renamed into place, so a reader never sees a partial one.
+dump artifacts on disk, keyed by a digest of the kind, the resolved
+parameters, the package version and the report schema version.  Each
+artifact is written to a temporary file and renamed into place, so a reader
+never sees a partial one.
 """
 
 from __future__ import annotations
@@ -99,8 +104,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-DUMP_KINDS = ("order", "sigma", "operator", "fusion", "phi-vector", "forest")
-
 
 class UnknownSuite(ValueError):
     """Requested verification suite is not registered."""
@@ -136,18 +139,14 @@ class SuiteConfig:
     out: Optional[str] = None
 
 
-def _build_factors(n: int, specs: Sequence[str]):
-    out = []
-    for i, item in enumerate(specs):
-        if item == "verma":
-            out.append(verma_symbolic(n, i + 1))
-        else:
-            out.append(lp_module(int(item[3:])))
-    return out
-
-
-def _build_space(n: int, nu: Sequence[int], specs: Sequence[str]):
-    return enumerate_basis(_build_factors(n, specs), tuple(nu))
+def _build_space(params: dict):
+    """The weight space of the resolved ``n``, ``nu`` and ``factors``."""
+    n = params["n"]
+    factors = [
+        verma_symbolic(n, i + 1) if spec == "verma" else lp_module(int(spec[3:]))
+        for i, spec in enumerate(params["factors"])
+    ]
+    return enumerate_basis(factors, tuple(params["nu"]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,7 @@ _RAW_COPIES_WARNING = (
 
 
 def _pbw_invariance(params: dict):
-    space = _build_space(params["n"], params["nu"], params["factors"])
+    space = _build_space(params)
     rows = []
     for h in range(1, params["n"]):
         report = verify_order_invariance(space, h)
@@ -289,7 +288,7 @@ def _pbw_invariance(params: dict):
 
 def _additive_form(params: dict):
     n = params["n"]
-    space = _build_space(n, params["nu"], params["factors"])
+    space = _build_space(params)
     lam = lambda_pairing_symbols(n)
     arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=1)
     rows = []
@@ -333,7 +332,7 @@ def _fusion(params: dict):
         witness = {"check": "dual-element-match", "mu": list(mu), "equal": equal}
         rows.append((witness, equal))
 
-    space = _build_space(n, nu, specs)
+    space = _build_space(params)
     arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=-1)
     bw0 = B_w(space, longest_element(n), arg)
     need = sum(nu)
@@ -353,7 +352,7 @@ def _fusion(params: dict):
 
 def _compatibility(params: dict):
     n = params["n"]
-    space = _build_space(n, params["nu"], params["factors"])
+    space = _build_space(params)
     rows = []
     for k in range(1, n):
         for l in range(k, n):
@@ -371,7 +370,7 @@ def _compatibility(params: dict):
 
 
 def _appendix_b(params: dict):
-    space = _build_space(params["n"], params["nu"], params["factors"])
+    space = _build_space(params)
     rows = []
     for i in range(1, len(params["factors"])):
         report = check_rational_to_trig(space, i)
@@ -594,7 +593,8 @@ class _Suite:
     ``params`` lists every parameter the suite reads, in the order they are
     resolved, as ``(default, low, high)``.  A callable default is applied to
     the resolved ``n``.  The bounds hold for the value itself, for the sum of
-    ``nu`` and for the number of ``factors``.
+    ``nu`` and for the number of ``factors``; ``None`` bounds leave the check
+    to the code that uses the value.
     """
 
     check: Callable[[dict], tuple[list[tuple[dict, bool]], dict, list[str]]]
@@ -654,40 +654,34 @@ _SUITE_TABLE = {
 
 SUITES = tuple(_SUITE_TABLE)
 
-# the SuiteConfig fields a suite may read; each is the flag --<name>
-_PARAMS = ("n", "nu", "factors", "depth", "tol", "max_ab")
 
+def _resolve(row: str, params: Mapping[str, tuple], given: Mapping) -> dict:
+    """The parameters of a table row, defaults filled in, checked and capped.
 
-def _resolve(cfg: SuiteConfig) -> tuple[_Suite, dict]:
-    """The suite's table row and its parameters, defaults filled in, checked."""
-    suite = _SUITE_TABLE.get(cfg.suite)
-    if suite is None:
-        raise UnknownSuite(
-            f"unknown suite {cfg.suite!r}; choose one of {', '.join(SUITES)}"
-        )
-    for name in _PARAMS:
-        if getattr(cfg, name) is not None and name not in suite.params:
-            flag = "--" + name.replace("_", "-")
-            raise CapabilityExceeded(f"suite {cfg.suite} does not read {flag}")
-    params: dict = {}
-    for name, (default, low, high) in suite.params.items():
-        value = getattr(cfg, name)
+    ``row`` names the row in messages ("suite S" or "dump K"), ``params`` is
+    its parameter table and ``given`` maps names to values, ``None`` meaning
+    not given.  A given parameter the row does not read is rejected.
+    """
+    for name, value in given.items():
+        if value is not None and name not in params:
+            raise CapabilityExceeded(f"{row} does not read {_flag(name)}")
+    resolved: dict = {}
+    for name, (default, low, high) in params.items():
+        value = given.get(name)
         if value is None:
-            value = default(params["n"]) if callable(default) else default
+            value = default(resolved["n"]) if callable(default) else default
         if name == "nu":
-            _check_nu(value, params["n"])
+            _check_nu(value, resolved["n"])
             size, what, value = sum(value), "sum(nu)", list(value)
         elif name == "factors":
-            _check_factor_specs(value, params["n"])
+            _check_factor_specs(value, resolved["n"])
             size, what, value = len(value), "the number of factors", list(value)
         else:
             size, what = value, name.replace("_", "-")
-        if not low <= size <= high:
-            raise CapabilityExceeded(
-                f"suite {cfg.suite} supports {low} <= {what} <= {high}"
-            )
-        params[name] = value
-    return suite, params
+        if low is not None and not low <= size <= high:
+            raise CapabilityExceeded(f"{row} supports {low} <= {what} <= {high}")
+        resolved[name] = value
+    return resolved
 
 
 def _check_nu(nu: Sequence[int], n: int) -> None:
@@ -727,7 +721,13 @@ def run_suite(cfg: SuiteConfig) -> dict:
     passes but the suite warns (pbw-invariance, when the raw copies of a
     level disagree), and ``pass`` otherwise.
     """
-    suite, params = _resolve(cfg)
+    suite = _SUITE_TABLE.get(cfg.suite)
+    if suite is None:
+        raise UnknownSuite(
+            f"unknown suite {cfg.suite!r}; choose one of {', '.join(SUITES)}"
+        )
+    given = {name: getattr(cfg, name) for name in _FLAGS if hasattr(cfg, name)}
+    params = _resolve(f"suite {cfg.suite}", suite.params, given)
     start = time.monotonic()
     rows, derived, warnings = suite.check(params)
     timings = {"total_seconds": round(time.monotonic() - start, 3)}
@@ -765,15 +765,16 @@ def report_text(report: dict) -> str:
 # Artifact dumps
 # ---------------------------------------------------------------------------
 
-def _dump_order(params: Mapping) -> str:
-    n = int(params.get("n", 3))
-    h = int(params.get("h", n - 1))
-    return serialize_order(special_order(n, h))
+def _dump_json(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _dump_sigma(params: Mapping) -> str:
-    n = int(params.get("n", 3))
-    h = int(params.get("h", n - 1))
+def _dump_order(params: dict) -> str:
+    return serialize_order(special_order(params["n"], params["h"]))
+
+
+def _dump_sigma(params: dict) -> str:
+    n, h = params["n"], params["h"]
     transforms = [
         {
             "kind": t.kind,
@@ -783,120 +784,118 @@ def _dump_sigma(params: Mapping) -> str:
         for t in sigma_sequence(n, h)
     ]
     orders = [serialize_order(o) for o in intermediate_orders(n, h)]
-    return json.dumps(
-        {"n": n, "h": h, "transforms": transforms, "orders": orders},
-        indent=2,
-        sort_keys=True,
-    )
+    return _dump_json({**params, "transforms": transforms, "orders": orders})
 
 
-def _space_from_params(params: Mapping):
-    n = int(params.get("n", 2))
-    nu = tuple(params.get("nu") or ((1,) * (n - 1)))
-    specs = tuple(params.get("factors") or ("verma",))
-    return n, nu, specs, _build_space(n, nu, specs)
-
-
-def _dump_operator(params: Mapping) -> str:
-    n, nu, specs, space = _space_from_params(params)
-    k = int(params.get("k", 1))
-    Kd = K_operator(space, k)
+def _dump_operator(params: dict) -> str:
+    space = _build_space(params)
+    Kd = K_operator(space, params["k"])
     entries = {
         f"{r},{c}": str(v) for (r, c), v in sorted(Kd.op.entries.items())
     }
-    return json.dumps(
+    return _dump_json(
         {
-            "n": n,
-            "nu": list(nu),
-            "factors": list(specs),
-            "k": k,
+            **params,
             "dim": space.dim,
             "formal_z_exponents": [str(e) for e in Kd.formal_z_exponents],
             "entries": entries,
-        },
-        indent=2,
-        sort_keys=True,
+        }
     )
 
 
-def _dump_fusion(params: Mapping) -> str:
-    n = int(params.get("n", 2))
-    depth = int(params.get("depth", 2))
-    if depth > 5:
-        raise CapabilityExceeded("fusion dumps are limited to depth 5")
-    fus = fusion_solve(n, depth)
+def _dump_fusion(params: dict) -> str:
+    fus = fusion_solve(params["n"], params["depth"])
     components = {}
     for mu in sorted(fus.components):
         rows = [
             [list(lo), list(hi), str(c)] for lo, hi, c in fus.triples(mu)
         ]
         components[",".join(map(str, mu))] = rows
-    return json.dumps(
-        {"n": n, "depth": depth, "components": components},
-        indent=2,
-        sort_keys=True,
-    )
+    return _dump_json({**params, "components": components})
 
 
-def _dump_phi_vector(params: Mapping) -> str:
-    n, nu, specs, space = _space_from_params(params)
-    flavor = params.get("h") or "standard"
-    pv = phi_vector(space, flavor)
+def _dump_phi_vector(params: dict) -> str:
+    pv = phi_vector(_build_space(params), params["h"])
     terms = [
         {"exps": [list(e) for e in exps], "value": str(value)}
         for exps, value in pv.terms
     ]
-    return json.dumps(
-        {
-            "n": n,
-            "nu": list(nu),
-            "factors": list(specs),
-            "flavor": pv.flavor.to_json(),
-            "terms": terms,
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    data = {k: params[k] for k in ("n", "nu", "factors")}
+    return _dump_json({**data, "flavor": pv.flavor.to_json(), "terms": terms})
 
 
-def _dump_forest(params: Mapping) -> str:
-    n, nu, specs, space = _space_from_params(params)
-    position = int(params.get("index", 0))
+def _dump_forest(params: dict) -> str:
+    space = _build_space(params)
+    position = params["index"]
     if not (0 <= position < space.dim):
         raise CapabilityExceeded(
             f"index must name one of the {space.dim} basis positions"
         )
-    flavor = params.get("h") or "standard"
     forest = forest_of_index(
-        space.basis[position], flavor, basis=space.pbw_basis
+        space.basis[position], params["h"], basis=space.pbw_basis
     )
     data = forest.to_json()
-    data.update({"n": n, "nu": list(nu), "factors": list(specs), "index": position})
-    return json.dumps(data, indent=2, sort_keys=True)
+    data.update({k: params[k] for k in ("n", "nu", "factors", "index")})
+    return _dump_json(data)
 
 
-_DUMP_RUNNERS = {
-    "order": _dump_order,
-    "sigma": _dump_sigma,
-    "operator": _dump_operator,
-    "fusion": _dump_fusion,
-    "phi-vector": _dump_phi_vector,
-    "forest": _dump_forest,
+@dataclass
+class _Dump:
+    """One `dump` kind: ``params`` as in `_Suite`, and a render callable that
+    takes the resolved parameters and returns the artifact's text."""
+
+    render: Callable[[dict], str]
+    params: dict[str, tuple]
+
+
+def _caps_of(suite: str, **defaults) -> dict[str, tuple]:
+    """Parameters with these defaults and the caps of the suite that builds
+    the same object; one the suite does not read is checked where it is used.
+    """
+    caps = _SUITE_TABLE[suite].params
+    return {
+        name: (default, *caps.get(name, (None, None, None))[1:])
+        for name, default in defaults.items()
+    }
+
+
+_SPACE_DEFAULTS = {"n": 2, "nu": _ones, "factors": ("verma",)}
+
+_DUMP_TABLE = {
+    "order": _Dump(_dump_order, _caps_of("sigma-orders", n=3, h=lambda n: n - 1)),
+    "sigma": _Dump(_dump_sigma, _caps_of("sigma-orders", n=3, h=lambda n: n - 1)),
+    "operator": _Dump(
+        _dump_operator, _caps_of("compatibility", **_SPACE_DEFAULTS, k=1)
+    ),
+    "fusion": _Dump(_dump_fusion, _caps_of("fusion", n=2, depth=2)),
+    # --h names a flavor here: `standard`, or a level
+    "phi-vector": _Dump(
+        _dump_phi_vector,
+        _caps_of("pbw-invariance", **_SPACE_DEFAULTS, h="standard"),
+    ),
+    "forest": _Dump(
+        _dump_forest,
+        _caps_of("pbw-invariance", **_SPACE_DEFAULTS, h="standard", index=0),
+    ),
 }
+
+DUMP_KINDS = tuple(_DUMP_TABLE)
 
 
 def dump_object(kind: str, params: Optional[Mapping] = None) -> str:
     """Deterministic serialization of one artifact kind.
 
-    When ``KZDYN_CACHE`` names a directory, results are memoized there keyed
-    by a digest of the kind, the parameters and the package and schema
-    versions.
+    ``params`` maps parameter names to values; ``None`` takes the kind's
+    default, as in `SuiteConfig`.  When ``KZDYN_CACHE`` names a directory,
+    results are memoized there keyed by a digest of the kind, the resolved
+    parameters and the package and schema versions.
     """
-    if kind not in _DUMP_RUNNERS:
+    dump = _DUMP_TABLE.get(kind)
+    if dump is None:
         raise UnknownKind(
             f"unknown dump kind {kind!r}; choose one of {', '.join(DUMP_KINDS)}"
         )
-    params = dict(params or {})
+    params = _resolve(f"dump {kind}", dump.params, params or {})
     cache_dir = os.environ.get("KZDYN_CACHE")
     cache_path = None
     if cache_dir:
@@ -908,14 +907,13 @@ def dump_object(kind: str, params: Optional[Mapping] = None) -> str:
                 "schema_version": SCHEMA_VERSION,
             },
             sort_keys=True,
-            default=list,
         )
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
         cache_path = os.path.join(cache_dir, f"{kind}-{digest}.txt")
         if os.path.exists(cache_path):
             with open(cache_path, "r", encoding="utf-8") as fh:
                 return fh.read()
-    text = _DUMP_RUNNERS[kind](params)
+    text = dump.render(params)
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(prefix=f".{kind}-", suffix=".tmp", dir=cache_dir)
@@ -944,6 +942,33 @@ def _parse_factors(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _parse_level(text: str):
+    """A level, or a flavor name such as ``standard``."""
+    return int(text) if text.isdigit() else text
+
+
+# every parameter a table row may read, as the flag --<name>: (type, help)
+_FLAGS = {
+    "n": (int, "Lie algebra size N"),
+    "h": (str, "arrangement level; for phi-vector and forest, standard or a level"),
+    "nu": (str, "simple-root multiplicities m1,m2,..."),
+    "factors": (str, "comma list of factor specs: verma or lp:P"),
+    "depth": (int, "expansion depth"),
+    "k": (int, "operator direction"),
+    "index": (int, "basis position for forests"),
+    "tol": (float, "numeric tolerance"),
+    "max_ab": (int, "golden-table range bound"),
+}
+
+# main parses these, so that malformed text exits 2 with its own message;
+# empty text is not given
+_TEXT_FLAGS = {"h": _parse_level, "nu": _parse_nu, "factors": _parse_factors}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kzdyn",
@@ -951,42 +976,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "difference operators and their hypergeometric solutions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    verify.add_argument("--n", type=int, default=None, help="Lie algebra size N")
-    verify.add_argument(
-        "--nu", type=str, default=None, help="simple-root multiplicities m1,m2,..."
-    )
-    verify.add_argument(
-        "--factors",
-        type=str,
-        default=None,
-        help="comma list of factor specs: verma or lp:P",
-    )
-    verify.add_argument("--depth", type=int, default=None, help="expansion depth")
-    verify.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-    verify.add_argument(
-        "--max-ab", type=int, default=None, help="golden-table range bound"
-    )
-    verify.add_argument("--out", type=str, default=None, help="report file path")
-
-    dump = sub.add_parser("dump", help="serialize one artifact deterministically")
-    dump.add_argument("kind", help=f"one of: {', '.join(DUMP_KINDS)}")
-    dump.add_argument("--n", type=int, default=None, help="Lie algebra size N")
-    dump.add_argument("--h", type=str, default=None, help="arrangement level")
-    dump.add_argument(
-        "--nu", type=str, default=None, help="simple-root multiplicities m1,m2,..."
-    )
-    dump.add_argument(
-        "--factors", type=str, default=None, help="comma list of factor specs"
-    )
-    dump.add_argument("--depth", type=int, default=None, help="expansion depth")
-    dump.add_argument("--k", type=int, default=None, help="operator direction")
-    dump.add_argument(
-        "--index", type=int, default=None, help="basis position for forests"
-    )
-    dump.add_argument("--out", type=str, default=None, help="artifact file path")
+    for command, what, table, help_text, out_help in (
+        ("verify", "suite", _SUITE_TABLE, "run a named verification suite",
+         "report file path"),
+        ("dump", "kind", _DUMP_TABLE, "serialize one artifact deterministically",
+         "artifact file path"),
+    ):
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument(what, help=f"one of: {', '.join(table)}")
+        read = {name for row in table.values() for name in row.params}
+        for name, (kind, flag_help) in _FLAGS.items():
+            if name in read:
+                cmd.add_argument(_flag(name), type=kind, default=None, help=flag_help)
+        cmd.add_argument("--out", type=str, default=None, help=out_help)
     return parser
 
 
@@ -994,50 +996,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        given = {name: getattr(args, name) for name in _FLAGS if hasattr(args, name)}
+        for name, parse in _TEXT_FLAGS.items():
+            if name in given:
+                given[name] = parse(given[name]) if given[name] else None
         if args.command == "verify":
-            cfg = SuiteConfig(
-                suite=args.suite,
-                n=args.n,
-                nu=_parse_nu(args.nu) if args.nu else None,
-                factors=_parse_factors(args.factors) if args.factors else None,
-                depth=args.depth,
-                tol=args.tol,
-                max_ab=args.max_ab,
-                out=args.out,
-            )
-            report = run_suite(cfg)
+            report = run_suite(SuiteConfig(suite=args.suite, out=args.out, **given))
             sys.stdout.write(report_text(report))
             if report["verdict"] == "flagged":
                 for line in report["warnings"]:
                     print(f"warning: {line}", file=sys.stderr)
                 return 0
             return 0 if report["verdict"] == "pass" else 1
-        if args.command == "dump":
-            params = {}
-            if args.n is not None:
-                params["n"] = args.n
-            if args.h is not None:
-                params["h"] = int(args.h) if args.h.isdigit() else args.h
-            if args.nu is not None:
-                params["nu"] = list(_parse_nu(args.nu))
-            if args.factors is not None:
-                params["factors"] = list(_parse_factors(args.factors))
-            if args.depth is not None:
-                params["depth"] = args.depth
-            if args.k is not None:
-                params["k"] = args.k
-            if args.index is not None:
-                params["index"] = args.index
-            text = dump_object(args.kind, params)
-            if not text.endswith("\n"):
-                text += "\n"
-            sys.stdout.write(text)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            return 0
-        parser.error("unknown command")
-        return 2
+        text = dump_object(args.kind, given)
+        if not text.endswith("\n"):
+            text += "\n"
+        sys.stdout.write(text)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return 0
     except (ArithmeticError, ParseError) as exc:
         # PoleHit, ResonantWeight, DivisionByZero, InexactDivision,
         # HeuristicGcdFailed, QuadratureNotConverged: the exact or numeric

@@ -47,6 +47,7 @@ from .symexpr import (
     symbol,
 )
 from .roots import (
+    OutOfRange,
     WeightVec,
     alpha_vec,
     nu_vec,
@@ -406,6 +407,8 @@ def forest_of_index(
     flav = _flavor(flavor)
     counts = index_counts(index, basis)
     rank = n_rank or (basis.n_rank if basis is not None else _infer_rank(counts))
+    if flav.h is not None and not 1 <= flav.h <= rank - 1:
+        raise OutOfRange(f"h must be in 1..{rank - 1}, got {flav.h}")
     if grounds is None:
         grounds = _default_grounds(len(counts))
     if len(grounds) != len(counts):

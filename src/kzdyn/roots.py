@@ -119,7 +119,7 @@ def standard_order(n_rank: int) -> tuple[tuple[int, int], ...]:
 
 def special_order(n_rank: int, h: int) -> tuple[tuple[int, int], ...]:
     """The level-h order, largest first (A block, then B, then C)."""
-    if not (1 <= h <= n_rank - 1):
+    if not isinstance(h, int) or not (1 <= h <= n_rank - 1):
         raise OutOfRange(f"h must be in 1..{n_rank - 1}, got {h}")
     block_a = sorted(
         ((k, l) for k, l in positive_roots(n_rank) if k <= h < l),
@@ -183,7 +183,7 @@ def sigma_sequence(n_rank: int, h: int) -> list[ElemTransform]:
     for every pair ``(k, l)`` with ``k < h < l``, labeled by its middle root;
     every intermediate order stays normal.
     """
-    if not (2 <= h <= n_rank - 1):
+    if not isinstance(h, int) or not (2 <= h <= n_rank - 1):
         raise OutOfRange(f"h must be in 2..{n_rank - 1}, got {h}")
     order = list(special_order(n_rank, h))
     transforms: list[ElemTransform] = []

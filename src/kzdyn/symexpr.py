@@ -96,7 +96,6 @@ __all__ = [
     "symbol_name",
     "rational",
     "parse",
-    "poly_gcd",
     "poly_divexact",
     "rf_substitute",
     "rf_symmetrize",
@@ -864,11 +863,6 @@ def _lift_candidates(f, g, xi, gamma, cff, cfg, bounded):
     cf = _int_quotient(f, h) if h else None
     if cf is not None:
         yield h, cf, cg, False
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Normalized multivariate gcd over Q (see `poly_gcd_cofactors`)."""
-    return poly_gcd_cofactors(p, q)[0]
 
 
 def poly_divexact(p: Poly, q: Poly) -> Poly:

@@ -41,6 +41,26 @@ _UNREAD = [
     ("fusion", "--max-ab", "1", {"max_ab": 1}),
 ]
 
+# the same for a dump kind: (kind, flag, value, param)
+_DUMP_UNREAD = [
+    ("order", "--depth", "9", {"depth": 9}),
+    ("sigma", "--index", "1", {"index": 1}),
+    ("operator", "--h", "1", {"h": 1}),
+    ("fusion", "--factors", "verma", {"factors": ("verma",)}),
+    ("phi-vector", "--k", "1", {"k": 1}),
+    ("forest", "--depth", "2", {"depth": 2}),
+]
+
+# one configuration over each dump row's caps
+_DUMP_CAPS = [
+    "order --n 9",
+    "sigma --n 1",
+    "operator --nu 9 --factors verma,verma,verma,verma",
+    "fusion --n 7",
+    "phi-vector --n 5",
+    "forest --factors verma,verma,verma,verma",
+]
+
 
 class TestConfigValidation:
     def test_unknown_suite(self):
@@ -72,6 +92,8 @@ class TestConfigValidation:
             )
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="compatibility", factors=("lp:x",)))
+        with pytest.raises(CapabilityExceeded, match="malformed factor spec 'lp:x'"):
+            dump_object("operator", {"factors": ("lp:x",)})
 
     def test_appendix_b_needs_two_factors(self):
         with pytest.raises(CapabilityExceeded, match="2 <= the number of factors"):
@@ -81,11 +103,15 @@ class TestConfigValidation:
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="selberg", tol=1e-20))
 
-    def test_depth_and_table_caps(self):
+    def test_depth_and_table_caps(self, capsys):
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="fusion", depth=9))
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="appendix-c", max_ab=5))
+        for line in _DUMP_CAPS:
+            kind = line.split()[0]
+            assert main(["dump", *line.split()]) == 2, line
+            assert capsys.readouterr().err.startswith(f"error: dump {kind} supports ")
 
     @pytest.mark.parametrize(
         "suite, flag, value, field",
@@ -98,6 +124,17 @@ class TestConfigValidation:
         with pytest.raises(CapabilityExceeded, match=f"does not read {flag}$"):
             run_suite(SuiteConfig(suite=suite, **field))
 
+    @pytest.mark.parametrize(
+        "kind, flag, value, param",
+        _DUMP_UNREAD,
+        ids=[f"{kind} {flag}" for kind, flag, _, _ in _DUMP_UNREAD],
+    )
+    def test_dump_unread_parameter_exits_two(self, capsys, kind, flag, value, param):
+        assert main(["dump", kind, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: dump {kind} does not read {flag}\n"
+        with pytest.raises(CapabilityExceeded, match=f"does not read {flag}$"):
+            dump_object(kind, param)
+
     def test_registry_is_complete(self):
         assert len(SUITES) == 10
         assert len(DUMP_KINDS) == 6
@@ -106,15 +143,22 @@ class TestConfigValidation:
         from kzdyn import cli as cli_module
 
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        listed = {}
-        for line in readme.read_text(encoding="utf-8").splitlines():
-            row = re.match(r"\| `([a-z0-9-]+)` \| ((?:`--[a-z-]+` ?)+)\|", line)
-            if row:
-                listed[row.group(1)] = re.findall(r"`(--[a-z-]+)`", row.group(2))
-        assert listed == {
-            name: ["--" + param.replace("_", "-") for param in suite.params]
-            for name, suite in cli_module._SUITE_TABLE.items()
-        }
+        text = readme.read_text(encoding="utf-8")
+        for heading, table in (
+            ("### Suites", cli_module._SUITE_TABLE),
+            ("### Dumps", cli_module._DUMP_TABLE),
+        ):
+            section = text.split(heading + "\n", 1)[1].split("\n#", 1)[0]
+            listed = {}
+            for line in section.splitlines():
+                match = re.match(r"\| `([a-z0-9-]+)` \| ((?:`--[a-z-]+` ?)+)\|", line)
+                if match:
+                    flags = re.findall(r"`(--[a-z-]+)`", match.group(2))
+                    listed[match.group(1)] = flags
+            assert listed == {
+                name: ["--" + param.replace("_", "-") for param in row.params]
+                for name, row in table.items()
+            }, heading
 
 
 def _schema_check(report, suite):
@@ -411,6 +455,13 @@ class TestDumps:
         with pytest.raises(CapabilityExceeded):
             dump_object("forest", {"n": 2, "nu": [1], "index": 5})
 
+    @pytest.mark.parametrize(
+        "kind, h", [("phi-vector", "7"), ("forest", "7"), ("order", "standard")]
+    )
+    def test_level_out_of_range_exits_two(self, capsys, kind, h):
+        assert main(["dump", kind, "--n", "3", "--h", h]) == 2
+        assert capsys.readouterr().err == f"error: h must be in 1..2, got {h}\n"
+
     def test_unknown_kind(self):
         with pytest.raises(UnknownKind):
             dump_object("bogus", {})
@@ -460,6 +511,18 @@ class TestDumps:
         for path in tmp_path.glob("order-*.txt"):
             path.write_text(marker, encoding="utf-8")
         assert dump_object("order", {"n": 3, "h": 1}) == marker
+        # a rejected dump reads no cached file and writes none
+        for params in ({"n": 3, "h": 1, "depth": 9}, {"n": 9, "h": 1}):
+            with pytest.raises(CapabilityExceeded):
+                dump_object("order", params)
+        assert [p.read_text(encoding="utf-8") for p in tmp_path.iterdir()] == [marker]
+
+    def test_cache_key_is_the_resolved_parameters(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KZDYN_CACHE", str(tmp_path))
+        first = dump_object("order", {"n": 3})
+        assert dump_object("order", {"n": 3, "h": 2}) == first
+        assert dump_object("order", {"n": 3, "h": 2, "k": None}) == first
+        assert len(list(tmp_path.iterdir())) == 1
 
     def test_cache_misses_after_schema_change(self, tmp_path, monkeypatch):
         from kzdyn import cli as cli_module
