@@ -29,9 +29,10 @@ text, or any other exception, which also prints its traceback.
 
 Setting the environment variable ``KZDYN_CACHE`` to a directory memoizes
 dump artifacts on disk, keyed by a digest of the kind, the resolved
-parameters, the package version and the report schema version.  Each
-artifact is written to a temporary file and renamed into place, so a reader
-never sees a partial one.
+parameters, the symbol names registered before rendering (their ids order
+the variables of the canonical text), the package version and the report
+schema version.  Each artifact is written to a temporary file and renamed
+into place, so a reader never sees a partial one.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .roots import (
     special_order,
     weight_from_pairings,
 )
-from .symexpr import RF_ONE, RF_ZERO, ParseError, rational
+from .symexpr import RF_ONE, RF_ZERO, ParseError, rational, registered_names
 from .uea import Straightener, standard_basis
 
 __all__ = [
@@ -861,9 +862,12 @@ def _caps_of(suite: str, **defaults) -> dict[str, tuple]:
 
 _SPACE_DEFAULTS = {"n": 2, "nu": _ones, "factors": ("verma",)}
 
+_ORDER_PARAMS = _caps_of("sigma-orders", n=3, h=lambda n: n - 1)
+
 _DUMP_TABLE = {
-    "order": _Dump(_dump_order, _caps_of("sigma-orders", n=3, h=lambda n: n - 1)),
-    "sigma": _Dump(_dump_sigma, _caps_of("sigma-orders", n=3, h=lambda n: n - 1)),
+    "order": _Dump(_dump_order, _ORDER_PARAMS),
+    # a reversal schedule needs 2 <= h <= n-1, so n >= 3
+    "sigma": _Dump(_dump_sigma, {**_ORDER_PARAMS, "n": (3, 3, _ORDER_PARAMS["n"][2])}),
     "operator": _Dump(
         _dump_operator, _caps_of("compatibility", **_SPACE_DEFAULTS, k=1)
     ),
@@ -888,7 +892,8 @@ def dump_object(kind: str, params: Optional[Mapping] = None) -> str:
     ``params`` maps parameter names to values; ``None`` takes the kind's
     default, as in `SuiteConfig`.  When ``KZDYN_CACHE`` names a directory,
     results are memoized there keyed by a digest of the kind, the resolved
-    parameters and the package and schema versions.
+    parameters, the symbols registered so far and the package and schema
+    versions.
     """
     dump = _DUMP_TABLE.get(kind)
     if dump is None:
@@ -903,6 +908,7 @@ def dump_object(kind: str, params: Optional[Mapping] = None) -> str:
             {
                 "kind": kind,
                 "params": params,
+                "symbols": registered_names(),
                 "version": __version__,
                 "schema_version": SCHEMA_VERSION,
             },

@@ -2,11 +2,20 @@
 
 Representation
 --------------
-A polynomial (`Poly`) is a sparse map from exponent vectors to nonzero
-`fractions.Fraction` coefficients.  Exponent vectors are dense tuples over a
-*local* variable set: ``vars`` is the sorted tuple of symbol ids that actually
-occur, and every exponent tuple has ``len(vars)`` entries.  The zero
-polynomial has no terms and an empty variable set.
+A polynomial (`Poly`) is ``content * sum(c_k x^k)``: a rational ``content``
+that carries the sign, and ``terms``, a sparse map from packed exponent
+keys ``k`` to nonzero ``int`` coefficients ``c_k`` whose gcd is 1 and whose
+leading one (at the largest key) is positive.  ``vars`` is the sorted tuple
+of symbol ids that actually occur.  A key over n = ``len(vars)`` variables
+is an integer of n + 1 fields of `FIELD_BITS` bits: the top field holds the
+total degree, and below it each variable's exponent in ``vars`` order.
+Integer order on keys is therefore graded-lexicographic order, the leading
+term is ``max(terms)``, and a monomial product is one integer addition.
+Every exponent is at most the total degree, so no field overflows as long
+as the total degree stays at most `MAX_DEGREE`; products and constructors
+raise `OverflowError` past it.  Scaling by a constant touches only the
+content, and a product needs no content gcd (Gauss's lemma).  The zero
+polynomial has no terms, content 0 and an empty variable set.
 
 A rational function (`RationalFunctionExpr`) is a pair ``num/den`` of
 polynomials kept in canonical form:
@@ -41,8 +50,8 @@ common variable passes, the gcd is 1 (Brown's degree argument, see
 `_coprime_by_images`).
 
 Otherwise, and always for a coefficient whose denominator P divides, the
-operands are cleared of denominators to primitive integer polynomials and
-their gcd is computed by the heuristic gcd of Char, Geddes and Gonnet
+primitive parts are unpacked to integer polynomials keyed by exponent
+tuples and their gcd is computed by the heuristic gcd of Char, Geddes and Gonnet
 (GCDHEU, J. Symbolic Comput. 7 (1989), the algorithm sympy runs on the same
 inputs), in `_heu_gcd`: one variable is set to an integer point xi, the gcd
 of the images is computed recursively down to an integer gcd, each level is
@@ -78,7 +87,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -94,6 +103,7 @@ __all__ = [
     "symbol",
     "symbol_id",
     "symbol_name",
+    "registered_names",
     "rational",
     "parse",
     "poly_divexact",
@@ -141,6 +151,11 @@ def symbol_name(sid: int) -> str:
     return _ID_TO_NAME[sid]
 
 
+def registered_names() -> tuple[str, ...]:
+    """Every registered symbol name, in id order."""
+    return tuple(_ID_TO_NAME)
+
+
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
@@ -148,27 +163,53 @@ def symbol_name(sid: int) -> str:
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Bits per field of a packed exponent key: one byte, so that keys convert
+# to and from exponent vectors through bytes.  The total degree, and so
+# every exponent, is at most MAX_DEGREE.
+FIELD_BITS = 8
+MAX_DEGREE = (1 << FIELD_BITS) - 1
 
-def _grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (sum(exponents), exponents)
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise OverflowError(f"total degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
+
+
+def _pack(exps: Sequence[int]) -> int:
+    """The packed key of an exponent vector."""
+    degree = sum(exps)
+    _check_degree(degree)
+    return int.from_bytes(bytes((degree, *exps)), "big")
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent vector of a key over n variables."""
+    return tuple(key.to_bytes(n + 1, "big")[1:])
+
+
+def _shift(p: "Poly", sid: int) -> int:
+    """The bit offset of the exponent field of variable ``sid`` in p's keys."""
+    return FIELD_BITS * (len(p.vars) - 1 - p.vars.index(sid))
 
 
 class Poly:
     """Immutable sparse multivariate polynomial over Q.
 
     Instances must be built through the class methods or arithmetic; the
-    constructor trusts its arguments (vars sorted and minimal, no zero
-    coefficients).  ``terms`` is never mutated after construction: the gcd
-    memo hands the same instances to every caller.
+    constructor trusts its arguments (the invariants of the module
+    docstring).  ``terms`` is never mutated after construction: scaling
+    shares it, and the gcd memo hands the same instances to every caller.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "content", "terms", "_hash")
 
     vars: tuple[int, ...]
-    terms: dict[tuple[int, ...], Fraction]
+    content: Fraction
+    terms: dict[int, int]
 
-    def __init__(self, vars: tuple[int, ...], terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, vars: tuple[int, ...], content: Fraction, terms: dict[int, int]):
         self.vars = vars
+        self.content = content
         self.terms = terms
         self._hash: int | None = None
 
@@ -184,20 +225,29 @@ class Poly:
 
     @staticmethod
     def const(value: Union[int, Fraction]) -> "Poly":
-        c = Fraction(value)
+        c = value if isinstance(value, Fraction) else Fraction(value)
         if not c:
             return _POLY_ZERO
-        return Poly((), {(): c})
+        return Poly((), c, _POLY_ONE.terms)
 
     @staticmethod
     def from_symbol(name_or_id: Union[str, int]) -> "Poly":
         sid = name_or_id if isinstance(name_or_id, int) else symbol_id(name_or_id)
-        return Poly((sid,), {(1,): _ONE})
+        return Poly((sid,), _ONE, {1 << FIELD_BITS | 1: 1})
 
     @staticmethod
     def build(vars: Sequence[int], terms: Mapping[tuple[int, ...], Fraction]) -> "Poly":
-        """Build from an untrusted (vars, terms) pair, normalizing."""
-        return Poly(*_shrink(tuple(vars), dict(terms)))
+        """Build from untrusted ``{exponent tuple: coefficient}`` over ``vars``."""
+        terms = {e: Fraction(c) for e, c in terms.items() if c}
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        ints = ((e, c.numerator * (den // c.denominator)) for e, c in terms.items())
+        return _from_tuples(tuple(vars), Fraction(1, den), ints)
+
+    def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        """``(exponents, coefficient)`` per term, in descending graded-lex order."""
+        n, content, terms = len(self.vars), self.content, self.terms
+        for k in sorted(terms, reverse=True):
+            yield _unpack(k, n), content * terms[k]
 
     # -- predicates ----------------------------------------------------------
 
@@ -208,24 +258,22 @@ class Poly:
         return not self.vars
 
     def is_one(self) -> bool:
-        return not self.vars and self.terms.get((), _ZERO) == 1
+        return not self.vars and self.content == 1
 
     def const_value(self) -> Fraction:
         if self.vars:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), _ZERO)
+        return self.content
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> FIELD_BITS * len(self.vars) if self.terms else 0
 
     def degree_in(self, name_or_id: Union[str, int]) -> int:
         sid = name_or_id if isinstance(name_or_id, int) else symbol_id(name_or_id)
         if sid not in self.vars:
             return 0
-        i = self.vars.index(sid)
-        return max(e[i] for e in self.terms)
+        s = _shift(self, sid)
+        return max(k >> s & MAX_DEGREE for k in self.terms)
 
     # -- hashing / equality --------------------------------------------------
 
@@ -234,12 +282,12 @@ class Poly:
             return True
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars, self.content, self.terms) == (other.vars, other.content, other.terms)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
+            h = hash((self.vars, self.content, frozenset(self.terms.items())))
             self._hash = h
         return h
 
@@ -248,7 +296,7 @@ class Poly:
     def __neg__(self) -> "Poly":
         if not self.terms:
             return self
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly(self.vars, -self.content, self.terms)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not self.terms:
@@ -256,18 +304,19 @@ class Poly:
         if not other.terms:
             return self
         vars, a, b = _align(self, other)
-        out = dict(a)
-        for e, c in b.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
+        cp, cq = self.content, other.content
+        # cp = content * ma and cq = content * mb with coprime integers ma, mb
+        num = math.gcd(cp.numerator, cq.numerator)
+        den = math.lcm(cp.denominator, cq.denominator)
+        ma = cp.numerator // num * (den // cp.denominator)
+        mb = cq.numerator // num * (den // cq.denominator)
+        out = dict(a) if ma == 1 else {k: ma * c for k, c in a.items()}
+        for k, c in b.items():
+            if k in out:
+                out[k] += mb * c
             else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly(*_shrink(vars, out))
+                out[k] = mb * c
+        return _make(vars, Fraction(num, den), out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -275,32 +324,33 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return _POLY_ZERO
-        if self.is_const():
-            return other.scale(self.terms[()])
-        if other.is_const():
-            return self.scale(other.terms[()])
+        if not self.vars:
+            return other.scale(self.content)
+        if not other.vars:
+            return self.scale(other.content)
         vars, a, b = _align(self, other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
+        top = FIELD_BITS * len(vars)
+        _check_degree((max(a) >> top) + (max(b) >> top))
+        out: dict[int, int] = {}
+        b_items = list(b.items())
+        for k1, c1 in a.items():
+            for k2, c2 in b_items:
+                k = k1 + k2
+                if k in out:
+                    out[k] += c1 * c2
                 else:
-                    s = s + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return Poly(*_shrink(vars, out))
+                    out[k] = c1 * c2
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        # primitive with a positive leading coefficient, by Gauss's lemma
+        return Poly(vars, self.content * other.content, out)
 
     def scale(self, c: Fraction) -> "Poly":
-        if not c:
+        if not c or not self.terms:
             return _POLY_ZERO
         if c == 1:
             return self
-        return Poly(self.vars, {e: coef * c for e, coef in self.terms.items()})
+        return Poly(self.vars, self.content * c, self.terms)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -322,19 +372,19 @@ class Poly:
         sid = name_or_id if isinstance(name_or_id, int) else symbol_id(name_or_id)
         if sid not in self.vars:
             return _POLY_ZERO
-        i = self.vars.index(sid)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[ne] = out.get(ne, _ZERO) + c * e[i]
-        return Poly(*_shrink(self.vars, out))
+        s = _shift(self, sid)
+        step = (1 << s) + (1 << FIELD_BITS * len(self.vars))  # x and the degree
+        out = {}
+        for k, c in self.terms.items():
+            e = k >> s & MAX_DEGREE
+            if e:
+                out[k - step] = c * e
+        return _make(self.vars, self.content, out, shrink=True)
 
     def eval(self, assignment: Mapping[int, Fraction]) -> Fraction:
         total = _ZERO
         values = [assignment[v] for v in self.vars]
-        for e, c in self.terms.items():
-            term = c
+        for e, term in self.items():
             for val, ei in zip(values, e):
                 if ei:
                     term *= val ** ei
@@ -345,91 +395,117 @@ class Poly:
         """Replace variables by variables (``{old_id: new_id}``); merges collisions."""
         if not self.terms or not any(v in mapping for v in self.vars):
             return self
-        new_ids = sorted({mapping.get(v, v) for v in self.vars})
-        pos = {v: i for i, v in enumerate(new_ids)}
-        n = len(new_ids)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * n
-            for v, ei in zip(self.vars, e):
-                if ei:
-                    ne[pos[mapping.get(v, v)]] += ei
-            key = tuple(ne)
-            s = out.get(key)
-            if s is None:
-                out[key] = c
-            else:
-                s = s + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return Poly(*_shrink(tuple(new_ids), out))
+        new_ids = tuple(sorted({mapping.get(v, v) for v in self.vars}))
+        pos = [new_ids.index(mapping.get(v, v)) for v in self.vars]
+        n = len(self.vars)
 
-    # -- normal form helpers ----------------------------------------------------
+        def moved(k: int) -> list[int]:
+            ne = [0] * len(new_ids)
+            for i, ei in zip(pos, _unpack(k, n)):
+                ne[i] += ei
+            return ne
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """Leading (exponents, coefficient) in graded-lex order."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
-
-    def content_signed(self) -> Fraction:
-        """Rational c with self/c primitive-integer and positive leading coeff."""
-        nums = [c.numerator for c in self.terms.values()]
-        dens = [c.denominator for c in self.terms.values()]
-        g = 0
-        for v in nums:
-            g = math.gcd(g, v)
-        l = 1
-        for v in dens:
-            l = l * v // math.gcd(l, v)
-        c = Fraction(g, l)
-        if self.leading()[1] < 0:
-            c = -c
-        return c
+        return _from_tuples(new_ids, self.content, ((moved(k), c) for k, c in self.terms.items()))
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
 
 
-def _shrink(vars: tuple[int, ...], terms: dict[tuple[int, ...], Fraction]):
-    """Drop zero coefficients and unused variable columns."""
-    terms = {e: c for e, c in terms.items() if c}
+def _make(vars: tuple[int, ...], content: Fraction, terms: dict[int, int], shrink=False) -> Poly:
+    """The canonical Poly ``content * sum(c x^k)`` for any int ``terms`` over ``vars``.
+
+    Drops zero coefficients and, when some were dropped or ``shrink`` is set,
+    unused variables; then moves the integer content and the sign of the
+    leading coefficient into ``content``.
+    """
+    if not all(terms.values()):
+        terms = {k: c for k, c in terms.items() if c}
+        shrink = True
     if not terms:
-        return (), {}
-    nvars = len(vars)
-    used = [i for i in range(nvars) if any(e[i] for e in terms)]
-    if len(used) == nvars:
-        return vars, terms
-    new_vars = tuple(vars[i] for i in used)
-    new_terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-    return new_vars, new_terms
+        return _POLY_ZERO
+    if shrink:
+        vars, terms = _shrink(vars, terms)
+    g = math.gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    if g != 1:
+        terms = {k: c // g for k, c in terms.items()}
+        content = content * g
+    return Poly(vars, content, terms)
 
 
-def _remap(p: Poly, vars: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    if p.vars == vars:
-        return p.terms
-    pos = {v: i for i, v in enumerate(vars)}
-    idx = [pos[v] for v in p.vars]
+def _from_tuples(vars: tuple[int, ...], content: Fraction, pairs) -> Poly:
+    """`_make` from ``(exponent vector, int coefficient)`` pairs; merges repeats."""
+    out: dict[int, int] = {}
+    for e, c in pairs:
+        k = _pack(e)
+        out[k] = out.get(k, 0) + c
+    return _make(vars, content, out, shrink=True)
+
+
+def _shrink(vars: tuple[int, ...], terms: dict[int, int]):
+    """Drop the variables whose exponent is zero in every key."""
+    used = reduce(operator.or_, terms)
     n = len(vars)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e, c in p.terms.items():
-        ne = [0] * n
-        for i, ei in zip(idx, e):
-            ne[i] = ei
-        out[tuple(ne)] = c
-    return out
+    keep = [i for i in range(n) if used >> FIELD_BITS * (n - 1 - i) & MAX_DEGREE]
+    if len(keep) == n:
+        return vars, terms
+    kept = tuple(vars[i] for i in keep)
+    moves = _moves(kept, vars)  # the widening that this undoes
+    return kept, {sum(k >> s & m for m, s in moves): c for k, c in terms.items()}
+
+
+# fusion --n 3 --nu 2,2 --depth 2 and compatibility --n 3 --nu 2,1, run in
+# one process, align 939 distinct pairs of variable sets
+@lru_cache(maxsize=4096)
+def _moves(old: tuple[int, ...], new: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """``(mask, shift)`` blocks taking a key over ``old`` to one over ``new``.
+
+    ``new`` contains ``old``; the new key is the sum of ``(key & mask) <<
+    shift``.  Fields that stay adjacent move together, the degree field
+    first, so most alignments need one or two blocks.
+    """
+    n, N = len(old), len(new)
+    blocks: list[list] = []  # [mask, shift] from the top field down
+    for j, v in enumerate((None,) + old):
+        shift = FIELD_BITS * (N - n + j - (new.index(v) + 1 if j else 0))
+        low = FIELD_BITS * (n - j)
+        if blocks and blocks[-1][1] == shift:
+            blocks[-1][0] |= MAX_DEGREE << low
+        else:
+            blocks.append([(MAX_DEGREE << low) if j else -(1 << low), shift])
+    return tuple(map(tuple, blocks))
+
+
+def _widen(terms: dict[int, int], old: tuple[int, ...], new: tuple[int, ...]) -> dict[int, int]:
+    """``terms`` re-keyed from variables ``old`` to the superset ``new``."""
+    if old == new:
+        return terms
+    moves = _moves(old, new)
+    if len(moves) == 1:
+        ((_, s),) = moves
+        return {k << s: c for k, c in terms.items()}
+    if len(moves) == 2:
+        (m1, s1), (m2, s2) = moves
+        return {(k & m1) << s1 | (k & m2) << s2: c for k, c in terms.items()}
+    return {sum((k & m) << s for m, s in moves): c for k, c in terms.items()}
 
 
 def _align(p: Poly, q: Poly):
     if p.vars == q.vars:
         return p.vars, p.terms, q.terms
-    vars = tuple(sorted(set(p.vars) | set(q.vars)))
-    return vars, _remap(p, vars), _remap(q, vars)
+    vars = tuple(sorted(set(p.vars).union(q.vars)))
+    return vars, _widen(p.terms, p.vars, vars), _widen(q.terms, q.vars, vars)
 
 
-_POLY_ZERO = Poly((), {})
-_POLY_ONE = Poly((), {(): _ONE})
+def _tuples(p: Poly, vars: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The primitive part of p keyed by exponent tuples over ``vars`` ⊇ p.vars."""
+    n = len(vars)
+    return {_unpack(k, n): c for k, c in _widen(p.terms, p.vars, vars).items()}
+
+
+_POLY_ZERO = Poly((), _ZERO, {})
+_POLY_ONE = Poly((), _ONE, {0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +515,8 @@ _POLY_ONE = Poly((), {(): _ONE})
 # Entries of the gcd memo.  The rank-3 suites (fusion 3/1,1, compatibility
 # 3/2,0, pbw-invariance 4/1,2,2, appendix-b 3/2,1) make about 1050 distinct
 # non-forced gcds in one process, and at 512 entries the memo keeps every
-# one of their 1533 repeats while adding about 4 MB of peak RSS.
+# one of their 1533 repeats while adding about 1.3 MB of peak RSS (25.4
+# against 24.2 MB for the four in one process with the memo turned off).
 GCD_MEMO_SIZE = 512
 
 # Evaluation points the heuristic gcd tries per level in each of its two
@@ -453,10 +530,9 @@ class HeuristicGcdFailed(ArithmeticError):
 
 def _normalize_poly(p: Poly) -> Poly:
     """Primitive integer coefficients, positive leading coefficient."""
-    if p.is_zero():
+    if p.is_zero() or p.content == 1:
         return p
-    c = p.content_signed()
-    return p.scale(1 / c)
+    return Poly(p.vars, _ONE, p.terms) if p.vars else _POLY_ONE
 
 
 def poly_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -469,17 +545,14 @@ def poly_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     if p.is_zero() and q.is_zero():
         return _POLY_ZERO, _POLY_ONE, _POLY_ONE
     if p.is_zero():
-        c = q.content_signed()
-        return q.scale(1 / c), _POLY_ZERO, Poly.const(c)
+        return _normalize_poly(q), _POLY_ZERO, Poly.const(q.content)
     if q.is_zero():
-        c = p.content_signed()
-        return p.scale(1 / c), Poly.const(c), _POLY_ZERO
+        return _normalize_poly(p), Poly.const(p.content), _POLY_ZERO
     if p.is_const() or q.is_const():
         return _POLY_ONE, p, q
     if p == q:
-        g = _normalize_poly(p)
-        c = Poly.const(p.content_signed())
-        return g, c, c
+        c = Poly.const(p.content)
+        return _normalize_poly(p), c, c
     if set(p.vars).isdisjoint(q.vars):
         # a common factor could only involve variables occurring in both
         return _POLY_ONE, p, q
@@ -497,24 +570,25 @@ def _monomial_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     gvars: list[int] = []
     gexps: list[int] = []
     for v in sorted(set(p.vars).intersection(q.vars)):
-        i, j = p.vars.index(v), q.vars.index(v)
-        low = min(min(e[i] for e in p.terms), min(e[j] for e in q.terms))
+        sp, sq = _shift(p, v), _shift(q, v)
+        low = min(
+            min(k >> sp & MAX_DEGREE for k in p.terms),
+            min(k >> sq & MAX_DEGREE for k in q.terms),
+        )
         if low:
             gvars.append(v)
             gexps.append(low)
     if not gvars:
         return _POLY_ONE, p, q
-    g = Poly(tuple(gvars), {tuple(gexps): _ONE})
+    g = Poly(tuple(gvars), _ONE, {_pack(gexps): 1})
     return g, _divide_monomial(p, g), _divide_monomial(q, g)
 
 
 def _divide_monomial(p: Poly, m: Poly) -> Poly:
     """Exact quotient of p by a monic monomial m that divides every term."""
-    ((mexps, _),) = m.terms.items()
-    drop = dict(zip(m.vars, mexps))
-    sub = tuple(drop.get(v, 0) for v in p.vars)
-    terms = {tuple(a - b for a, b in zip(e, sub)): c for e, c in p.terms.items()}
-    return Poly(*_shrink(p.vars, terms))
+    (km,) = _widen(m.terms, m.vars, p.vars)
+    vars, terms = _shrink(p.vars, {k - km: c for k, c in p.terms.items()})
+    return Poly(vars, p.content, terms)
 
 
 # The prime of the coprimality certificate: 2^31 - 1.
@@ -532,56 +606,49 @@ def _image_point(sid: int) -> int:
     return int.from_bytes(digest, "big") % (CERT_PRIME - 1) + 1
 
 
-def _weighted_terms(p: Poly) -> list[tuple[tuple[int, ...], int]] | None:
-    """``(e, c * prod r_v^e_v mod P)`` per term, r_v the image point of v.
+# Entries of the image memo.  On the rank-3 suites of `GCD_MEMO_SIZE`, 128
+# entries answer 1319 of 2198 calls (512 would answer 1322) for about 0.1 MB
+# of peak RSS.
+@lru_cache(maxsize=128)
+def _images(p: Poly) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
+    """``(deg_x p, image)`` for each variable x of p, in ``p.vars`` order.
 
-    None when a coefficient denominator is divisible by P, so that the
-    coefficient has no residue.
+    The image is p's primitive part mod P with every variable v but x at
+    its `_image_point` r_v and x at r_x t, as a little-endian coefficient
+    list in t without trailing zeros.  Scaling t by the unit r_x changes no
+    degree and no gcd degree, and lets every term carry one weight.  None
+    when the content's denominator is divisible by P, so that some
+    coefficient of p has no residue; otherwise the images of p are a unit
+    times these.  Memoized by p, because one operand meets many others.
     """
     prime = CERT_PRIME
+    if not p.content.denominator % prime:
+        return None
+    exps = [_unpack(k, len(p.vars)) for k in p.terms]
+    degrees = list(map(max, zip(*exps)))
     points = [_image_point(v) for v in p.vars]
+    powers = [[pow(r, d, prime) for d in range(top + 1)] for r, top in zip(points, degrees)]
+    images = [[0] * (top + 1) for top in degrees]
+    for e, c in zip(exps, p.terms.values()):
+        w = c
+        for power, ei in zip(powers, e):
+            w = w * power[ei] % prime
+        for image, ei in zip(images, e):
+            image[ei] += w
     out = []
-    for e, c in p.terms.items():
-        den = c.denominator
-        if den == 1:
-            w = c.numerator % prime
-        elif den % prime:
-            w = c.numerator * pow(den, -1, prime) % prime
-        else:
-            return None
-        for r, ei in zip(points, e):
-            if ei:
-                w = w * pow(r, ei, prime) % prime
-        out.append((e, w))
-    return out
+    for top, image in zip(degrees, images):
+        image = [c % prime for c in image]
+        while image and not image[-1]:
+            image.pop()
+        out.append((top, tuple(image)))
+    return tuple(out)
 
 
-def _univariate_image(p: Poly, weighted, x: int) -> tuple[int, list[int]]:
-    """``(deg_x p, image)``: p mod P with every variable but x at its point.
-
-    The image is a little-endian coefficient list without trailing zeros.
-    """
-    prime = CERT_PRIME
-    i = p.vars.index(x)
-    degree = max(e[i] for e in p.terms)
-    inverse = pow(_image_point(x), -1, prime)
-    unweight = [1]
-    for _ in range(degree):
-        unweight.append(unweight[-1] * inverse % prime)
-    image = [0] * (degree + 1)
-    for e, w in weighted:
-        k = e[i]
-        image[k] = (image[k] + w * unweight[k]) % prime
-    while image and not image[-1]:
-        image.pop()
-    return degree, image
-
-
-def _gf_gcd_degree(a: list[int], b: list[int]) -> int:
+def _gf_gcd_degree(a: Sequence[int], b: Sequence[int]) -> int:
     """Degree of gcd(a, b) in GF(P)[x] (-1 when both are zero)."""
     prime = CERT_PRIME
     while b:
-        a = a[:]
+        a = list(a)
         db = len(b) - 1
         inverse = pow(b[-1], -1, prime)
         while len(a) > db:
@@ -608,13 +675,11 @@ def _coprime_by_images(p: Poly, q: Poly) -> bool:
     involve common variables, so when every one of them passes the gcd is 1
     (Brown, JACM 18 (1971), on modular images of polynomial gcds).
     """
-    wp = _weighted_terms(p)
-    wq = _weighted_terms(q)
-    if wp is None or wq is None:
+    images_p, images_q = _images(p), _images(q)
+    if images_p is None or images_q is None:
         return False
     for x in sorted(set(p.vars).intersection(q.vars)):
-        dp, ip = _univariate_image(p, wp, x)
-        dq, iq = _univariate_image(q, wq, x)
+        (dp, ip), (dq, iq) = images_p[p.vars.index(x)], images_q[q.vars.index(x)]
         if len(ip) <= dp and len(iq) <= dq:
             return False
         if _gf_gcd_degree(ip, iq) != 0:
@@ -649,11 +714,10 @@ def _ring_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     if _coprime_by_images(p, q):
         return _POLY_ONE, p, q
     vars = tuple(sorted(set(p.vars) | set(q.vars)))
-    cp, f = _integer_primitive(_remap(p, vars))
-    cq, g = _integer_primitive(_remap(q, vars))
+    f, g = _tuples(p, vars), _tuples(q, vars)
 
     def proven_coprime(cf, cg) -> bool:
-        return _coprime(Poly(*_shrink(vars, cf)), Poly(*_shrink(vars, cg)))
+        return _coprime(_from_tuples(vars, _ONE, cf.items()), _from_tuples(vars, _ONE, cg.items()))
 
     for bounded in (False, True):
         found = _heu_gcd(f, g, bounded, proven_coprime)
@@ -666,26 +730,16 @@ def _ring_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     h, cf, cg, _ = found
     if len(h) == 1 and not any(next(iter(h))):
         return _POLY_ONE, p, q
-    if h[max(h, key=_grlex_key)] < 0:
-        h = {e: -c for e, c in h.items()}
-        cp, cq = -cp, -cq
-    g_poly = Poly(*_shrink(vars, {e: Fraction(c) for e, c in h.items()}))
-    pg = Poly(*_shrink(vars, {e: cp * c for e, c in cf.items()}))
-    qg = Poly(*_shrink(vars, {e: cq * c for e, c in cg.items()}))
-    return g_poly, pg, qg
+    # h = u * g for the normalized gcd g and a unit u = g_poly.content
+    g_poly = _from_tuples(vars, _ONE, h.items())
+    u = g_poly.content
+    pg = _from_tuples(vars, p.content * u, cf.items())
+    qg = _from_tuples(vars, q.content * u, cg.items())
+    return _normalize_poly(g_poly), pg, qg
 
 
 # Integer polynomials below are dicts from exponent tuples (all of one
 # length) to nonzero ints.
-
-def _integer_primitive(terms: Mapping[tuple[int, ...], Fraction]):
-    """``(c, f)``: c > 0 rational and f primitive over Z with terms = c * f."""
-    num, den = 0, 1
-    for c in terms.values():
-        num = math.gcd(num, c.numerator)
-        den = math.lcm(den, c.denominator)
-    f = {e: (c.numerator // num) * (den // c.denominator) for e, c in terms.items()}
-    return Fraction(num, den), f
 
 
 def _evaluate_first(f: dict, xi: int) -> dict:
@@ -879,13 +933,10 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
     if q.is_const():
         return p.scale(1 / q.const_value())
     vars = tuple(sorted(set(p.vars) | set(q.vars)))
-    cp, f = _integer_primitive(_remap(p, vars))
-    cq, g = _integer_primitive(_remap(q, vars))
-    quotient = _int_quotient(f, g)
+    quotient = _int_quotient(_tuples(p, vars), _tuples(q, vars))
     if quotient is None:
         raise InexactDivision("inexact polynomial division")
-    scale = cp / cq
-    return Poly(*_shrink(vars, {e: scale * c for e, c in quotient.items()}))
+    return _from_tuples(vars, p.content / q.content, quotient.items())
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +975,7 @@ class RationalFunctionExpr:
 
     @staticmethod
     def from_const(value: Scalar) -> "RationalFunctionExpr":
-        c = Fraction(value)
+        c = value if isinstance(value, Fraction) else Fraction(value)
         if not c:
             return RF_ZERO
         if c == 1:
@@ -1126,16 +1177,10 @@ def _make_reduced(num: Poly, den: Poly) -> RationalFunctionExpr:
         raise DivisionByZero("denominator is identically zero")
     if num.is_zero():
         return RF_ZERO
-    if den.is_const():
-        c = den.const_value()
-        if c == 1:
-            return RationalFunctionExpr(num, _POLY_ONE)
-        return RationalFunctionExpr(num.scale(1 / c), _POLY_ONE)
-    c = den.content_signed()
+    c = den.content
     if c != 1:
-        den = den.scale(1 / c)
         num = num.scale(1 / c)
-    return RationalFunctionExpr(num, den)
+    return RationalFunctionExpr(num, _normalize_poly(den))
 
 
 def symbol(name: str) -> RationalFunctionExpr:
@@ -1158,10 +1203,10 @@ def _poly_substitute(p: Poly, smap: Mapping[int, RationalFunctionExpr]) -> Ratio
         return RF_ZERO
     bases: list[RationalFunctionExpr] = []
     max_pow: list[int] = []
-    for i, v in enumerate(p.vars):
+    for v in p.vars:
         repl = smap.get(v)
         bases.append(repl if repl is not None else RationalFunctionExpr.from_symbol(v))
-        max_pow.append(max(e[i] for e in p.terms))
+        max_pow.append(p.degree_in(v))
     powers: list[list[RationalFunctionExpr]] = []
     for base, top in zip(bases, max_pow):
         row = [RF_ONE]
@@ -1169,7 +1214,7 @@ def _poly_substitute(p: Poly, smap: Mapping[int, RationalFunctionExpr]) -> Ratio
             row.append(row[-1] * base)
         powers.append(row)
     total = RF_ZERO
-    for e, c in p.terms.items():
+    for e, c in p.items():
         term = RationalFunctionExpr.from_const(c)
         for i, ei in enumerate(e):
             if ei:
@@ -1220,10 +1265,9 @@ def _as_simple_poly(v: RationalFunctionExpr) -> Poly | None:
     """Return the Poly form of a constant or bare-symbol expression, else None."""
     if v.is_const():
         return Poly.const(v.const_value())
-    if v.den.is_one() and len(v.num.terms) == 1:
-        ((e, c),) = v.num.terms.items()
-        if c == 1 and sum(e) == 1:
-            return v.num
+    num = v.num
+    if v.den.is_one() and len(num.terms) == 1 and num.content == 1 and num.total_degree() == 1:
+        return num
     return None
 
 
@@ -1232,7 +1276,7 @@ def _poly_subs_poly(p: Poly, pmap: Mapping[int, Poly]) -> Poly:
         return p
     total = _POLY_ZERO
     bases = [pmap.get(v, Poly.from_symbol(v)) for v in p.vars]
-    for e, c in p.terms.items():
+    for e, c in p.items():
         term = Poly.const(c)
         for base, ei in zip(bases, e):
             if ei:
@@ -1292,9 +1336,8 @@ def rf_partial(expr: RationalFunctionExpr, name: Union[str, int]) -> RationalFun
 def _poly_str(p: Poly) -> str:
     if not p.terms:
         return "0"
-    ordered = sorted(p.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
     parts: list[tuple[bool, str]] = []
-    for e, c in ordered:
+    for e, c in p.items():
         factors = []
         for v, ei in zip(p.vars, e):
             if ei == 1:

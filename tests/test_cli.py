@@ -55,6 +55,7 @@ _DUMP_UNREAD = [
 _DUMP_CAPS = [
     "order --n 9",
     "sigma --n 1",
+    "sigma --n 2",  # a reversal schedule needs 2 <= h <= n-1
     "operator --nu 9 --factors verma,verma,verma,verma",
     "fusion --n 7",
     "phi-vector --n 5",
@@ -495,6 +496,37 @@ class TestDumps:
         assert proc.returncode == 0, proc.stderr
         got = dict(zip(_PINNED_DUMPS, proc.stdout.splitlines()))
         assert got == {line: f"0 {digest}" for line, digest in _PINNED_DUMPS.items()}
+
+    def test_cache_key_holds_the_symbol_registry(self, tmp_path):
+        # the canonical text depends on the symbols registered before a
+        # dump, so a dump rendered after another one in a library process
+        # must not be served to a fresh `kzdyn dump`
+        plain = {k: v for k, v in os.environ.items() if k != "KZDYN_CACHE"}
+        cached = {**plain, "KZDYN_CACHE": str(tmp_path)}
+
+        def run(env, *argv):
+            proc = subprocess.run(
+                [sys.executable, *argv], capture_output=True, text=True, check=False, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        library = run(
+            cached,
+            "-c",
+            "from kzdyn.cli import dump_object\n"
+            "dump_object('fusion')\n"
+            "print(dump_object('operator'))\n",
+        )
+        command = ("-m", "kzdyn.cli", "dump", "operator")
+        fresh = run(plain, *command)
+        assert library != fresh
+        before = set(tmp_path.iterdir())
+        assert run(cached, *command) == fresh
+        (written,) = set(tmp_path.iterdir()) - before
+        # the command's own runs share one key, so they hit the cache
+        written.write_text("cached-sentinel", encoding="utf-8")
+        assert run(cached, *command) == "cached-sentinel\n"
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KZDYN_CACHE", str(tmp_path))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from kzdyn import symexpr
 from kzdyn.symexpr import (
     CERT_PRIME,
     GCD_MEMO_SIZE,
+    MAX_DEGREE,
     RF_ONE,
     RF_ZERO,
     DivisionByZero,
@@ -348,7 +350,7 @@ def _random_poly(
 
 
 def _negative_lead(p: Poly) -> Poly:
-    return p if p.is_zero() or p.leading()[1] < 0 else -p
+    return p if p.is_zero() or p.content < 0 else -p
 
 
 def _vanishing(rng: random.Random, count: int) -> Poly:
@@ -419,7 +421,7 @@ def _random_gcd_pair(rng: random.Random) -> tuple[Poly, Poly]:
 
 
 def _copy(p: Poly) -> Poly:
-    return Poly(p.vars, dict(p.terms))
+    return Poly.build(p.vars, dict(p.items()))
 
 
 def _to_sympy(p: Poly, q: Poly):
@@ -430,7 +432,7 @@ def _to_sympy(p: Poly, q: Poly):
     def to_sympy(a: Poly):
         pos = [vars.index(v) for v in a.vars]
         coeffs = {}
-        for exps, c in a.terms.items():
+        for exps, c in a.items():
             full = [0] * len(vars)
             for i, e in zip(pos, exps):
                 full[i] = e
@@ -448,7 +450,7 @@ def _sympy_gcd(p: Poly, q: Poly) -> Poly:
     sp, sq, from_sympy = _to_sympy(p, q)
     h, _, _ = sp.cofactors(sq)
     g = from_sympy(h)
-    return g if g.is_zero() else g.scale(1 / g.content_signed())
+    return g if g.is_zero() else g.scale(1 / g.content)
 
 
 def _sympy_div(p: Poly, q: Poly) -> Poly | None:
@@ -472,7 +474,7 @@ def _check_gcd_cofactors(p: Poly, q: Poly) -> None:
         # the modular certificate is a proof: never "coprime" wrongly, and
         # undecided whenever a coefficient has no residue mod P
         assert reference.is_one()
-        dens = [c.denominator for c in itertools.chain(p.terms.values(), q.terms.values())]
+        dens = [c.denominator for _, c in itertools.chain(p.items(), q.items())]
         assert all(d % CERT_PRIME for d in dens)
 
 
@@ -637,6 +639,11 @@ def test_divexact_matches_sympy_div():
     assert min(outcomes.values()) >= 20
 
 
+def _primitive(p: Poly) -> dict:
+    """p / content(p) as a dict from exponent tuples to ints."""
+    return {e: (c / p.content).numerator for e, c in p.items()}
+
+
 def test_bounded_stage_alone_gives_the_gcd(monkeypatch):
     # The first variable has degree 3, so the first point is above the CGG
     # bound but the images have norms past 4,900 and the level below is
@@ -645,12 +652,10 @@ def test_bounded_stage_alone_gives_the_gcd(monkeypatch):
     h = Poly.build((u, v), {(1, 0): 1, (0, 1): 1, (0, 0): 1})
     a = Poly.build((u, v), {(3, 0): 1, (0, 1): 2, (0, 0): 3})
     b = Poly.build((u, v), {(3, 0): 1, (0, 1): -1, (0, 0): 5})
-    f, g, gcd = (symexpr._integer_primitive(c.terms)[1] for c in (h * a, h * b, h))
+    f, g, gcd = (_primitive(c) for c in (h * a, h * b, h))
     reject = lambda cf, cg: False
     assert symexpr._heu_gcd(f, g, False, reject) is None
-    assert symexpr._heu_gcd(f, g, True, reject) == (
-        gcd, symexpr._integer_primitive(a.terms)[1], symexpr._integer_primitive(b.terms)[1], True
-    )
+    assert symexpr._heu_gcd(f, g, True, reject) == (gcd, _primitive(a), _primitive(b), True)
     # the same through the seam: with no cofactor proof, the answer must
     # come from points above the CGG bound at every level
     stages = _count_integer_gcds(monkeypatch)
@@ -677,3 +682,162 @@ def test_gcd_gives_up_with_named_error(monkeypatch):
     assert _ring_gcd_cofactors.cache_info().currsize == 0
     # pairs that need no integer gcd are still answered
     assert poly_gcd_cofactors(_p("x + y"), _p("x - y"))[0].is_one()
+
+
+# ---------------------------------------------------------------------------
+# Packed kernel against a tuple-and-Fraction reference
+# ---------------------------------------------------------------------------
+
+_REF_VARS = sorted(symbol_id(name) for name in _GCD_NAMES)
+
+
+def _ref(p: Poly) -> dict:
+    """p as ``{exponent tuple over _REF_VARS: Fraction}``, no zero values."""
+    pos = [_REF_VARS.index(v) for v in p.vars]
+    out = {}
+    for exps, c in p.items():
+        full = [0] * len(_REF_VARS)
+        for i, e in zip(pos, exps):
+            full[i] = e
+        out[tuple(full)] = c
+    return out
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_degree(a: dict) -> int:
+    return max((sum(e) for e in a), default=0)
+
+
+def _check_canonical(p: Poly) -> None:
+    """The invariants of the module docstring, and a round trip through items."""
+    if p.is_zero():
+        assert (p.vars, p.content, p.terms) == ((), 0, {})
+        return
+    assert list(p.vars) == sorted(set(p.vars))
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert math.gcd(*p.terms.values()) == 1
+    assert p.terms[max(p.terms)] > 0
+    assert isinstance(p.content, Fraction) and p.content
+    exps = [e for e, _ in p.items()]
+    assert all(any(e[i] for e in exps) for i in range(len(p.vars)))
+    assert Poly.build(p.vars, dict(p.items())) == p
+    assert p.total_degree() == _ref_degree(_ref(p))
+
+
+def _check_against_reference(p: Poly, q: Poly) -> None:
+    a, b = _ref(p), _ref(q)
+    for got, expected in [
+        (p + q, _ref_add(a, b)),
+        (p - q, _ref_add(a, {e: -c for e, c in b.items()})),
+    ]:
+        _check_canonical(got)
+        assert _ref(got) == expected
+    if a and b and _ref_degree(a) + _ref_degree(b) > MAX_DEGREE:
+        with pytest.raises(OverflowError):
+            p * q
+        return
+    product = p * q
+    _check_canonical(product)
+    assert _ref(product) == _ref_mul(a, b)
+
+
+def _kernel_operand(rng: random.Random) -> Poly:
+    kind = rng.choice(["subset", "subset", "content", "negative-lead", "constant", "high"])
+    names = rng.sample(_GCD_NAMES, rng.randint(1, len(_GCD_NAMES)))
+    if kind == "constant":
+        return Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    if kind == "high":
+        # total degree near MAX_DEGREE: products overflow about half the time
+        vars = sorted(symbol_id(name) for name in names)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * len(vars)
+            for _ in range(rng.randint(MAX_DEGREE // 3, MAX_DEGREE * 2 // 3)):
+                exps[rng.randrange(len(vars))] += 1
+            terms[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return Poly.build(vars, terms)
+    p = _random_poly(rng, names, max_terms=5)
+    if kind == "content":
+        p = p.scale(Fraction(rng.randint(-60, 60), rng.randint(1, 60)))
+    elif kind == "negative-lead":
+        p = _negative_lead(p)
+    return p
+
+
+def _kernel_pair(rng: random.Random) -> tuple[Poly, Poly]:
+    p, q = _kernel_operand(rng), _kernel_operand(rng)
+    roll = rng.random()
+    if roll < 0.1:
+        q = -p  # cancellation to zero
+    elif roll < 0.2:
+        q = p.scale(Fraction(-rng.randint(1, 5), rng.randint(1, 5)))
+    elif roll < 0.3:
+        q = q - p  # p + q cancels p, and drops the variables only p has
+    return p, q
+
+
+def test_kernel_matches_reference_on_seeded_random_pairs():
+    rng = random.Random(20261022)
+    overflowed = 0
+    for _ in range(400):
+        p, q = _kernel_pair(rng)
+        _check_canonical(p)
+        _check_canonical(q)
+        _check_against_reference(p, q)
+        overflowed += _ref_degree(_ref(p)) + _ref_degree(_ref(q)) > MAX_DEGREE
+    assert overflowed >= 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(_GCD_NAMES)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        max_size=6,
+    ),
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(_GCD_NAMES)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        max_size=6,
+    ),
+)
+def test_kernel_matches_reference_property(a, b):
+    p, q = Poly.build(_REF_VARS, a), Poly.build(_REF_VARS, b)
+    assert _ref(p) == {e: c for e, c in a.items() if c}
+    _check_against_reference(p, q)
+    _check_against_reference(p, -p + q)
+
+
+def test_degree_guard_raises_at_the_field_limit():
+    x, y = (Poly.from_symbol(name) for name in ("x", "y"))
+    top = x ** (MAX_DEGREE - 1) * y
+    assert top.total_degree() == MAX_DEGREE
+    assert (top.degree_in("x"), top.degree_in("y")) == (MAX_DEGREE - 1, 1)
+    assert _ref(top) == _ref_mul(_ref(x ** (MAX_DEGREE - 1)), _ref(y))
+    for overflow in [lambda: top * x, lambda: top * (y + Poly.one()), lambda: x ** (MAX_DEGREE + 1)]:
+        with pytest.raises(OverflowError):
+            overflow()
+    with pytest.raises(OverflowError):
+        Poly.build(_REF_VARS[:2], {(MAX_DEGREE, 1): Fraction(1)})
+    # a zero coefficient is dropped before its exponents are packed
+    low = Poly.build(_REF_VARS[:2], {(MAX_DEGREE, 1): 0, (1, 0): 1})
+    assert low == Poly.from_symbol(_REF_VARS[0])
+    with pytest.raises(OverflowError):
+        symbol("x") ** (MAX_DEGREE + 1)
+    assert (top.scale(3) + x).total_degree() == MAX_DEGREE
+
