@@ -11,6 +11,12 @@ Floating-point enters only at the boundary: symbolic operator entries are
 evaluated by substituting exact binary fractions and converting the resulting
 rational constant, so every reported residual is a genuine numerical
 discrepancy of the compared formulas.
+
+The quadrature kernel runs on Python floats in the order of floating-point
+operations of the numpy-scalar reference kernel that the tests keep, so its
+estimates are bit for bit the same.  It is not
+vectorized: numpy's array power may use SIMD code that differs from libm
+``pow`` in the last place, which would make the result depend on the CPU.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ __all__ = [
 
 
 class NonIntegrable(ValueError):
-    """A chamber integral has a divergent boundary exponent."""
+    """A chamber integral diverges where some of its variables collide."""
 
 
 class QuadratureNotConverged(ArithmeticError):
@@ -250,74 +256,117 @@ class ChamberIntegral:
         return out
 
 
+# node counts tried in turn by quad_chamber, by chamber dimension
+_NODE_LADDERS: dict[int, tuple[int, ...]] = {
+    1: (16, 24, 32, 48, 64, 96),
+    2: (16, 24, 32, 48, 64, 96),
+    3: (12, 18, 26, 38),
+}
+
+
 def _nested_gauss_jacobi(ci: ChamberIntegral, n_nodes: int) -> float:
     m = ci.m
-    pair = dict(ci.pair)
-    carry = [0.0] * (m + 1)
-    for i in range(1, m):
-        carry[i + 1] = carry[i] + ci.pow0[i - 1] + pair.get((i, i + 1), 0.0) + 1.0
+    if m == 0:
+        return 1.0
+    bound = ci.bound
     rules = {}
-
-    def rule(alpha: float, beta: float):
-        key = (alpha, beta)
-        if key not in rules:
+    # tables[i]: nodes and weights of level i as Python floats, its evaluated
+    # factors (non-adjacent pairs (k, e) for k ascending, then the power of
+    # bound - t_i) and its scale 0.5 ** (alpha + beta + 1)
+    tables = [None] * (m + 1)
+    carry = 0.0
+    for i in range(1, m + 1):
+        alpha = ci.pair.get((i, i + 1), 0.0) if i < m else ci.pow1[m - 1]
+        beta = ci.pow0[i - 1] + carry
+        if (alpha, beta) not in rules:
             x, w = roots_jacobi(n_nodes, alpha, beta)
-            rules[key] = ((x + 1.0) / 2.0, w)
-        return rules[key]
+            rules[alpha, beta] = (((x + 1.0) / 2.0).tolist(), w.tolist())
+        pairs = [(k, ci.pair[i, k]) for k in range(i + 2, m + 1) if ci.pair.get((i, k), 0.0)]
+        pow1 = ci.pow1[i - 1] if i < m else 0.0
+        tables[i] = (*rules[alpha, beta], pairs, pow1, 0.5 ** (alpha + beta + 1.0))
+        if i < m:
+            # summed left to right: ``carry += ...`` would round differently
+            carry = carry + ci.pow0[i - 1] + ci.pair.get((i, i + 1), 0.0) + 1.0
+    top = ci.pow1[m - 1] + ci.pow0[m - 1] + carry + 1.0
+    # t[k] is the current node of every enclosing level k; t[m + 1] = bound
+    t = [0.0] * (m + 2)
+    t[m + 1] = bound
 
-    def level(i: int, outer: dict[int, float]) -> float:
+    def level(i: int) -> float:
         # returns the smooth part only: the accumulated power of the upper
         # limit is absorbed into the next level's quadrature weight
-        upper = outer[i + 1] if i < m else ci.bound
-        alpha = pair.get((i, i + 1), 0.0) if i < m else ci.pow1[m - 1]
-        beta = ci.pow0[i - 1] + carry[i]
-        nodes, weights = rule(alpha, beta)
+        nodes, weights, pairs, pow1, scale = tables[i]
+        upper = t[i + 1]
         total = 0.0
         for s, w in zip(nodes, weights):
             t_i = upper * s
             g = 1.0
-            for k in range(i + 2, m + 1):
-                e = pair.get((i, k), 0.0)
-                if e:
-                    g *= (outer[k] - t_i) ** e
-            if i < m and ci.pow1[i - 1]:
-                g *= (ci.bound - t_i) ** ci.pow1[i - 1]
+            for k, e in pairs:
+                g *= (t[k] - t_i) ** e
+            if pow1:
+                g *= (bound - t_i) ** pow1
             if i > 1:
-                inner = dict(outer)
-                inner[i] = t_i
-                g *= level(i - 1, inner)
+                t[i] = t_i
+                g *= level(i - 1)
             total += w * g
-        return 0.5 ** (alpha + beta + 1.0) * total
+        return scale * total
 
-    if m == 0:
-        return 1.0
-    top = ci.pow1[m - 1] + ci.pow0[m - 1] + carry[m] + 1.0
-    return float(ci.bound ** top * level(m, {}))
+    return float(bound ** top * level(m))
+
+
+def _divergent_collision(ci: ChamberIntegral) -> Optional[str]:
+    """Describe a collision of the chamber whose integral diverges, if any.
+
+    A cluster t_i = ... = t_j of k = j - i + 1 variables shrinking at rate r
+    scales the integrand by r**D, where D sums the exponents of the factors
+    that vanish there, and the volume by r**k at the origin or at the bound
+    and by r**(k - 1) for a cluster colliding away from both.
+    """
+    m = ci.m
+    for i in range(1, m + 1):
+        inside = 0.0
+        at_origin = 0.0
+        for j in range(i, m + 1):
+            for a in range(i, j):
+                inside += ci.pair.get((a, j), 0.0)
+            k = j - i + 1
+            if k > 1 and inside + k - 1 <= 0:
+                return f"t_{i}..t_{j} collide with total power {inside}"
+            if i == 1:
+                at_origin += ci.pow0[j - 1]
+                if at_origin + inside + k <= 0:
+                    return f"t_1..t_{j} -> 0 with total power {at_origin + inside}"
+        at_bound = sum(ci.pow1[i - 1 :])
+        if at_bound + inside + (m - i + 1) <= 0:
+            return f"t_{i}..t_{m} -> bound with total power {at_bound + inside}"
+    return None
 
 
 def quad_chamber(ci: ChamberIntegral, tol: float) -> float:
     """Adaptive nested Gauss–Jacobi estimate of a chamber integral.
 
-    Endpoint and adjacent-coincidence exponents are absorbed into the
-    quadrature weights level by level; the node count is raised until two
-    successive estimates agree within the tolerance.
+    The endpoint exponents, of every ``t_i`` and of ``bound - t_m``, and the
+    adjacent-coincidence exponents of ``t_{i+1} - t_i`` are absorbed into the
+    Gauss–Jacobi weights level by level.  The non-adjacent pair factors and
+    ``(bound - t_i)`` for ``i < m`` are only evaluated at the nodes, so the
+    estimates are never exact for them and ``tol = 0`` cannot be met.  The
+    node count is raised until two successive estimates agree within the
+    tolerance.
+
+    Raises ``NonIntegrable`` when some cluster of variables colliding at the
+    origin, at the bound or with itself makes the integral diverge.  The
+    result is bit for bit that of the reference kernel kept in the tests.
     """
     if ci.m > 3:
         raise ValueError("chamber quadrature is limited to three variables")
-    for e in ci.boundary_exponents():
-        if e <= -1.0:
-            raise NonIntegrable(f"boundary exponent {e} <= -1")
-    carry = 0.0
-    for i in range(1, ci.m):
-        carry += ci.pow0[i - 1] + ci.pair.get((i, i + 1), 0.0) + 1.0
-        if ci.pow0[i] + carry <= -1.0:
-            raise NonIntegrable("divergent corner at the origin")
+    reason = _divergent_collision(ci)
+    if reason is not None:
+        raise NonIntegrable(f"divergent chamber: {reason}")
     if ci.m == 0:
         return 1.0
-    ladder = (16, 24, 32, 48, 64, 96) if ci.m < 3 else (12, 18, 26, 38)
     previous = None
     difference = math.inf
-    for n_nodes in ladder:
+    for n_nodes in _NODE_LADDERS[ci.m]:
         value = _nested_gauss_jacobi(ci, n_nodes)
         if previous is not None:
             difference = abs(value - previous)

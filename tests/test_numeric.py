@@ -3,14 +3,17 @@ ordered-simplex beta integral (closed form, contiguous relation, quadrature),
 and the end-to-end rank-one difference-equation and determinant checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from _reference_quadrature import nested_gauss_jacobi_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kzdyn.dyn import PoleHit
 from kzdyn.numeric import (
+    _NODE_LADDERS,
     MAIN_THEOREM_GRID,
     QUADRATURE_GRID,
     SELBERG_GRID,
@@ -18,6 +21,8 @@ from kzdyn.numeric import (
     NonIntegrable,
     QuadratureNotConverged,
     SelbergParams,
+    _divergent_collision,
+    _nested_gauss_jacobi,
     det_formula_sl2_check,
     evaluate_expr,
     log_gamma,
@@ -259,9 +264,36 @@ class TestQuadrature:
                 ChamberIntegral(2, (-0.8, -0.9), (0.0, 0.0), {(1, 2): -0.5}), 1e-8
             )
 
+    def test_divergent_corner_at_the_bound(self):
+        # the mirror image of the corner above: t1, t2 -> 1 with total power
+        # -0.9 - 0.8 - 0.5 = -2.2, below minus the dimension 2
+        with pytest.raises(NonIntegrable):
+            quad_chamber(
+                ChamberIntegral(2, (0.0, 0.0), (-0.9, -0.8), {(1, 2): -0.5}), 1e-8
+            )
+
+    def test_divergent_non_adjacent_collision(self):
+        # integrating out t2 leaves (t3 - t1)^-1.5, which diverges as t1 -> t3
+        with pytest.raises(NonIntegrable):
+            quad_chamber(ChamberIntegral(3, (0.0,) * 3, (0.0,) * 3, {(1, 3): -2.5}), 1e-8)
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_collision_check_reproduces_the_selberg_region(self, m):
+        # the ordered beta integral converges exactly when a > 0, b > 0 and
+        # c > -min(1/m, a/(m-1), b/(m-1)); no grid value lies on that boundary
+        for a in (-0.3, 0.2, 1.5):
+            for b in (-0.3, 0.2, 1.5):
+                for c in (-0.7, -0.4, -0.15, 0.3):
+                    convergent = a > 0 and b > 0 and c > -1 / m
+                    if m > 1:
+                        convergent = convergent and c > -min(a, b) / (m - 1)
+                    pair = {(i, j): 2 * c for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+                    ci = ChamberIntegral(m, (a - 1,) * m, (b - 1,) * m, pair)
+                    assert (_divergent_collision(ci) is None) == convergent, (a, b, c)
+
     @settings(max_examples=15, deadline=None)
     @given(
-        m=st.integers(min_value=1, max_value=2),
+        m=st.integers(min_value=1, max_value=3),
         a=st.floats(min_value=1.2, max_value=3.0),
         b=st.floats(min_value=1.2, max_value=3.0),
         c=st.floats(min_value=0.25, max_value=1.0),
@@ -271,6 +303,68 @@ class TestQuadrature:
         got = quad_chamber(ChamberIntegral.from_selberg(params), 1e-8)
         want = math.exp(selberg_closed(params))
         assert abs(got - want) <= 1e-6 * want
+
+
+def _seeded_selberg_chambers(seed: int, per_dimension: int) -> list[ChamberIntegral]:
+    rng = random.Random(seed)
+    return [
+        ChamberIntegral.from_selberg(
+            SelbergParams(rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0), rng.uniform(0.25, 1.0), m)
+        )
+        for m in (1, 2, 3)
+        for _ in range(per_dimension)
+    ]
+
+
+def _seeded_general_chambers(seed: int, per_dimension: int) -> list[ChamberIntegral]:
+    # non-uniform exponents, about a third of the pow1 and pair entries zero
+    rng = random.Random(seed)
+
+    def exponent() -> float:
+        return 0.0 if rng.random() < 1 / 3 else rng.uniform(-0.3, 1.5)
+
+    chambers = []
+    for m in (1, 2, 3):
+        for _ in range(per_dimension):
+            pow0 = tuple(rng.uniform(-0.3, 1.5) for _ in range(m))
+            pow1 = tuple(exponent() for _ in range(m))
+            pair = {(i, j): exponent() for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+            chambers.append(ChamberIntegral(m, pow0, pow1, pair, rng.uniform(0.3, 3.0)))
+    return chambers
+
+
+KERNEL_CHAMBERS = (
+    # non-uniform adjacent and non-adjacent pair exponents, bound != 1
+    ChamberIntegral(
+        3, (0.3, -0.2, 0.7), (0.4, -0.3, 0.25), {(1, 2): 0.5, (2, 3): -0.25, (1, 3): 1.3}, 1.7
+    ),
+    # zero pow1 entries, a zero pair entry and a lone non-adjacent pair
+    ChamberIntegral(3, (-0.4, 0.0, 0.2), (0.0, 0.0, 0.9), {(1, 2): 0.0, (1, 3): -0.6}, 0.6),
+    ChamberIntegral(2, (0.5, -0.3), (0.0, 1.2), {(1, 2): 0.8}, 2.5),
+    ChamberIntegral(1, (-0.5,), (0.25,), bound=3.0),
+    # integer exponents and bound
+    ChamberIntegral(2, (1, 0), (0, 2), {(1, 2): 1}, 2),
+    *_seeded_selberg_chambers(2718, 2),
+    *_seeded_general_chambers(3141, 2),
+)
+
+
+class TestKernelMatchesReference:
+    """The float-native kernel against the numpy-scalar reference, exactly."""
+
+    @pytest.mark.parametrize(
+        "ci", KERNEL_CHAMBERS, ids=[f"{k}-m{ci.m}" for k, ci in enumerate(KERNEL_CHAMBERS)]
+    )
+    def test_every_ladder_rung_is_bit_identical(self, ci):
+        for n_nodes in _NODE_LADDERS[ci.m]:
+            got = _nested_gauss_jacobi(ci, n_nodes)
+            want = nested_gauss_jacobi_reference(ci, n_nodes)
+            assert type(got) is float
+            assert got == want, (n_nodes, got, want)
+
+    def test_dimension_zero(self):
+        ci = ChamberIntegral(0, (), ())
+        assert _nested_gauss_jacobi(ci, 16) == nested_gauss_jacobi_reference(ci, 16) == 1.0
 
 
 class TestMainTheoremRankOne:
