@@ -13,8 +13,8 @@ assembles the report.  Every dump kind is one row of `_DUMP_TABLE`, with
 parameters in the same form (caps taken from the suite that builds the same
 object) and a render callable.  `_resolve` serves both tables: it fills in
 defaults, checks ``nu`` and the factor specs, applies the caps and rejects a
-given parameter the row does not read, before any work or cache lookup.  Both
-subcommands take their flags from one declaration, `_FLAGS`.
+given parameter the row does not read, before any work.  Both subcommands
+take their flags from one declaration, `_FLAGS`.
 
 Reports are plain JSON with a fixed schema.  Everything except the
 ``timings`` section is byte-reproducible for identical configuration:
@@ -26,24 +26,14 @@ resonant weight, a division by zero, an inexact polynomial division or a
 heuristic gcd that finds no proven gcd), a quadrature that misses the fixed
 tolerance a suite requests (`QuadratureNotConverged`), unparsable expression
 text, or any other exception, which also prints its traceback.
-
-Setting the environment variable ``KZDYN_CACHE`` to a directory memoizes
-dump artifacts on disk, keyed by a digest of the kind, the resolved
-parameters, the symbol names registered before rendering (their ids order
-the variables of the canonical text), the package version and the report
-schema version.  Each artifact is written to a temporary file and renamed
-into place, so a reader never sees a partial one.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
-import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +76,7 @@ from .roots import (
     special_order,
     weight_from_pairings,
 )
-from .symexpr import RF_ONE, RF_ZERO, ParseError, rational, registered_names
+from .symexpr import RF_ONE, RF_ZERO, ParseError, rational
 from .uea import Straightener, standard_basis
 
 __all__ = [
@@ -890,47 +880,14 @@ def dump_object(kind: str, params: Optional[Mapping] = None) -> str:
     """Deterministic serialization of one artifact kind.
 
     ``params`` maps parameter names to values; ``None`` takes the kind's
-    default, as in `SuiteConfig`.  When ``KZDYN_CACHE`` names a directory,
-    results are memoized there keyed by a digest of the kind, the resolved
-    parameters, the symbols registered so far and the package and schema
-    versions.
+    default, as in `SuiteConfig`.
     """
     dump = _DUMP_TABLE.get(kind)
     if dump is None:
         raise UnknownKind(
             f"unknown dump kind {kind!r}; choose one of {', '.join(DUMP_KINDS)}"
         )
-    params = _resolve(f"dump {kind}", dump.params, params or {})
-    cache_dir = os.environ.get("KZDYN_CACHE")
-    cache_path = None
-    if cache_dir:
-        key = json.dumps(
-            {
-                "kind": kind,
-                "params": params,
-                "symbols": registered_names(),
-                "version": __version__,
-                "schema_version": SCHEMA_VERSION,
-            },
-            sort_keys=True,
-        )
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
-        cache_path = os.path.join(cache_dir, f"{kind}-{digest}.txt")
-        if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                return fh.read()
-    text = dump.render(params)
-    if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(prefix=f".{kind}-", suffix=".tmp", dir=cache_dir)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp_path, cache_path)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
-    return text
+    return dump.render(_resolve(f"dump {kind}", dump.params, params or {}))
 
 
 # ---------------------------------------------------------------------------

@@ -1103,6 +1103,10 @@ def check_rational_to_trig(
     hw_i = space.factors[i - 1].hw
     casimir_i = (hw_i.dot(hw_i) + hw_i.dot(rho) + hw_i.dot(rho)) * _HALF
 
+    minus_parts = [
+        omega_operator(space, i, jj, "minus") for jj in range(1, n + 1) if jj != i
+    ]
+    coupling = omega_operator(space_prime, i, n_plus_1, "full")
     checked = 0
     for u0 in singular_vectors(space_prime):
         v_prime = _contract_last_factor(space_prime, u0, space)
@@ -1111,13 +1115,10 @@ def check_rational_to_trig(
             val = shift_vec.dot(_factor_weight(space, pos, i)) - casimir_i
             lhs[pos] = c * val
         rhs: dict[int, RationalFunctionExpr] = {}
-        for jj in range(1, n + 1):
-            if jj == i:
-                continue
-            part = omega_operator(space, i, jj, "minus").apply(v_prime)
-            for pos, c in part.coeffs.items():
+        for op in minus_parts:
+            for pos, c in op.apply(v_prime).coeffs.items():
                 rhs[pos] = rhs.get(pos, RF_ZERO) + c
-        coupled = omega_operator(space_prime, i, n_plus_1, "full").apply(u0)
+        coupled = coupling.apply(u0)
         contracted = _contract_last_factor(space_prime, coupled, space)
         for pos, c in contracted.coeffs.items():
             rhs[pos] = rhs.get(pos, RF_ZERO) + c

@@ -12,7 +12,7 @@ evaluation point.  On top of that it provides
 * the level-flavored variants of the functions in which straddling strings
   ground at the level color with alternating signs, plus the interpolating
   flavors used to walk between two adjacent levels,
-* the dual-side linear maps that send basis functionals to functions, and
+* the level-h raising action on basis functionals, and
 * exact verifiers for the identities that power the difference-operator
   compatibility: order invariance of the function-weighted sums, the binomial
   string-exchange identity, the coordinate-shift factorization through
@@ -48,7 +48,6 @@ from .symexpr import (
 )
 from .roots import (
     OutOfRange,
-    WeightVec,
     alpha_vec,
     nu_vec,
     omega_vec,
@@ -64,7 +63,7 @@ from .uea import (
     special_basis,
     standard_basis,
 )
-from .rep import ModuleSpec, TensorWeightSpace, enumerate_basis
+from .rep import TensorWeightSpace
 from .dyn import kappa_symbol, lambda_pairing_symbols, space_weight_pairings, z_symbols
 
 __all__ = [
@@ -88,8 +87,6 @@ __all__ = [
     "ZShiftTerm",
     "ZShiftFactorization",
     "z_shift_factorization",
-    "DualFunctionMap",
-    "dual_function_map",
     "dual_restriction_check",
     "raising_dual_coefficients",
     "LemmaExpansionReport",
@@ -463,9 +460,6 @@ class PhiVector:
     flavor: OrderFlavor
     basis: PBWBasis
     terms: tuple[tuple[tuple, RationalFunctionExpr], ...]
-
-    def as_pairs(self) -> list[tuple[RationalFunctionExpr, tuple]]:
-        return [(coeff, idx) for idx, coeff in self.terms]
 
     def coeff(self, index) -> RationalFunctionExpr:
         want = index_counts(index, self.basis)
@@ -924,53 +918,8 @@ def z_shift_factorization(
 
 
 # ---------------------------------------------------------------------------
-# Dual-side function maps
+# Dual-side restriction
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class DualFunctionMap:
-    """Linear map sending basis functionals to their index functions.
-
-    When ``aux_zero`` is set the last slot grounds at the literal zero, which
-    realizes the extended-space map; restricted to indices with an empty last
-    slot it agrees with the plain map of the shorter space.
-    """
-
-    space: TensorWeightSpace
-    flavor: OrderFlavor
-    grounds: tuple[RationalFunctionExpr, ...]
-    aux_zero: bool
-
-    def phi(self, index, basis: Optional[PBWBasis] = None) -> RationalFunctionExpr:
-        counts = index_counts(index, basis or self.space.pbw_basis)
-        return phi_of_index(
-            counts,
-            self.flavor,
-            n_rank=self.space.pbw_basis.n_rank,
-            grounds=self.grounds,
-        )
-
-    def apply(self, functional: Mapping) -> RationalFunctionExpr:
-        """Image of a functional given by coefficients on dual basis vectors."""
-        total = RF_ZERO
-        for index, coeff in functional.items():
-            total = total + coeff * self.phi(index)
-        return total
-
-
-def dual_function_map(
-    space: TensorWeightSpace,
-    flavor: Union[str, int, OrderFlavor] = "standard",
-    *,
-    aux_zero: bool = False,
-) -> DualFunctionMap:
-    n = len(space.factors)
-    if aux_zero:
-        grounds = z_symbols(n - 1) + (RF_ZERO,)
-    else:
-        grounds = z_symbols(n)
-    return DualFunctionMap(space, _flavor(flavor), grounds, aux_zero)
-
 
 def dual_restriction_check(
     space: TensorWeightSpace,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from scipy.special import roots_jacobi
 
@@ -248,12 +248,6 @@ class ChamberIntegral:
             raise NonIntegrable("parameters outside the integrability region")
         pair = {(i, j): 2 * c for i in range(1, m + 1) for j in range(i + 1, m + 1)}
         return ChamberIntegral(m, (a - 1,) * m, (b - 1,) * m, pair)
-
-    def boundary_exponents(self) -> list[float]:
-        out = [self.pow0[0], self.pow1[-1]] if self.m else []
-        for i in range(1, self.m):
-            out.append(self.pair.get((i, i + 1), 0.0))
-        return out
 
 
 # node counts tried in turn by quad_chamber, by chamber dimension

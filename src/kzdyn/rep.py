@@ -16,13 +16,12 @@ actions together with their signed-transpose consistency data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
-from .roots import WeightVec, positive_roots, weight_from_pairings
+from .roots import WeightVec, weight_from_pairings
 from .symexpr import RF_ONE, RF_ZERO, RationalFunctionExpr, rational, symbol
 from .uea import (
     GenWord,
@@ -46,19 +45,15 @@ __all__ = [
     "enumerate_basis",
     "PBWVector",
     "WeightSpaceOperator",
-    "act_letter_at",
     "act_generator",
     "operator_for_letter",
     "apply_genword",
-    "apply_genword_at",
     "nullspace",
     "shapovalov_gram",
     "p_elements",
     "dual_action_E",
     "dual_action_F",
     "singular_vectors",
-    "space_to_json",
-    "operator_to_json",
 ]
 
 
@@ -477,26 +472,6 @@ def _target_space(space: TensorWeightSpace, letter: Letter) -> TensorWeightSpace
     return space.shifted(shift)
 
 
-def act_letter_at(
-    space: TensorWeightSpace, letter: Letter, j: int, vec: PBWVector
-) -> PBWVector:
-    """Action of a letter on tensor factor j only (no Leibniz sum)."""
-    assert vec.space == space
-    target = _target_space(space, letter)
-    out: dict[int, RationalFunctionExpr] = {}
-    for pos, c in vec.coeffs.items():
-        for new_index, m in _act_letter_on_index(
-            space, letter, space.basis[pos], only_factor=j
-        ).items():
-            tpos = target.index_position.get(new_index)
-            if tpos is None:
-                if target.basis:
-                    raise AssertionError(f"index {new_index} escaped target space")
-                continue
-            out[tpos] = out.get(tpos, RF_ZERO) + c * m
-    return PBWVector(target, out)
-
-
 def act_generator(space: TensorWeightSpace, letter: Letter, vec: PBWVector) -> PBWVector:
     """Tensor Leibniz action of one letter on a vector."""
     assert vec.space == space
@@ -536,16 +511,6 @@ def apply_genword(space: TensorWeightSpace, w: GenWord, vec: PBWVector) -> PBWVe
     out = vec.scale(w.coeff)
     for letter in reversed(w.letters):
         out = act_generator(out.space, letter, out)
-    return out
-
-
-def apply_genword_at(
-    space: TensorWeightSpace, w: GenWord, j: int, vec: PBWVector
-) -> PBWVector:
-    """Apply a word of letters to tensor factor j only."""
-    out = vec.scale(w.coeff)
-    for letter in reversed(w.letters):
-        out = act_letter_at(out.space, letter, j, out)
     return out
 
 
@@ -722,32 +687,3 @@ def singular_vectors(space: TensorWeightSpace) -> list[PBWVector]:
         rows.extend(by_row.values())
     return [PBWVector(space, coeffs) for coeffs in nullspace(rows, space.dim)]
 
-
-# ---------------------------------------------------------------------------
-# JSON dumps
-# ---------------------------------------------------------------------------
-
-def space_to_json(space: TensorWeightSpace) -> dict:
-    return {
-        "n_rank": space.pbw_basis.n_rank,
-        "order": [list(r) for r in space.pbw_basis.order],
-        "order_tag": space.pbw_basis.tag,
-        "nu0": list(space.nu0),
-        "factors": [
-            {"kind": f.kind, "p": f.p, "hw_eps": [str(e) for e in f.hw.eps]}
-            for f in space.factors
-        ],
-        "basis": [
-            [list(exps) for exps in index] for index in space.basis
-        ],
-    }
-
-
-def operator_to_json(op: WeightSpaceOperator) -> dict:
-    return {
-        "domain_dim": op.domain.dim,
-        "codomain_dim": op.codomain.dim,
-        "entries": {
-            f"{i},{j}": str(v) for (i, j), v in sorted(op.entries.items())
-        },
-    }

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .symexpr import RF_ZERO, RationalFunctionExpr, rational
 
@@ -64,7 +64,6 @@ __all__ = [
     "longest_element",
     "omega_bracket",
     "roots_of_reduced_word",
-    "reduced_word_from_order",
 ]
 
 
@@ -372,16 +371,6 @@ class WeylElement:
         p = self.perm
         return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.perm, start=1))
-
-    def act_weight(self, weight: WeightVec) -> WeightVec:
-        """Permute epsilon-coordinates: the i-th slot moves to slot perm(i)."""
-        eps = [RF_ZERO] * len(self.perm)
-        for i, image in enumerate(self.perm, start=1):
-            eps[image - 1] = weight.eps[i - 1]
-        return WeightVec(tuple(eps))
-
     def act_root(self, root: tuple[int, int]) -> tuple[int, tuple[int, int]]:
         """Image of e_k - e_l: returns (sign, positive root)."""
         a, b = self.perm[root[0] - 1], self.perm[root[1] - 1]
@@ -458,18 +447,3 @@ def roots_of_reduced_word(n_rank: int, word: Sequence[int]) -> list[tuple[int, i
         w = w * simple_reflection(n_rank, i)
     return out
 
-
-def reduced_word_from_order(order: Sequence[tuple[int, int]]) -> list[int]:
-    """A reduced word for the longest element whose root sequence is the
-    given normal order reversed (smallest root first)."""
-    n_rank = max(l for _, l in order)
-    w = identity_weyl(n_rank)
-    word: list[int] = []
-    for root in reversed(order):
-        sign, image = w.inverse().act_root(root)
-        if sign < 0 or image[1] != image[0] + 1:
-            raise NotReduced("order is not normal (no simple-root peeling)")
-        i = image[0]
-        word.append(i)
-        w = w * simple_reflection(n_rank, i)
-    return word

@@ -88,7 +88,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "DivisionByZero",
@@ -103,7 +103,6 @@ __all__ = [
     "symbol",
     "symbol_id",
     "symbol_name",
-    "registered_names",
     "rational",
     "parse",
     "poly_divexact",
@@ -149,11 +148,6 @@ def symbol_id(name: str) -> int:
 def symbol_name(sid: int) -> str:
     """Inverse of `symbol_id`."""
     return _ID_TO_NAME[sid]
-
-
-def registered_names() -> tuple[str, ...]:
-    """Every registered symbol name, in id order."""
-    return tuple(_ID_TO_NAME)
 
 
 # ---------------------------------------------------------------------------

@@ -43,30 +43,20 @@ in the reversed window, with the middle root's sign flipped.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .roots import (
     ElemTransform,
     WeightVec,
     apply_transform,
-    root_sum,
     sigma_sequence,
     sign_table_a,
     special_order,
-    standard_order,
-    weight_from_pairings,
 )
-from .symexpr import (
-    RF_ONE,
-    RF_ZERO,
-    RationalFunctionExpr,
-    rational,
-    symbol,
-)
+from .symexpr import RF_ONE, RationalFunctionExpr, rational
 
 __all__ = [
     "Letter",
@@ -75,14 +65,10 @@ __all__ = [
     "PBWBasis",
     "standard_basis",
     "special_basis",
-    "bases_along_sigma",
     "UEAElement",
     "Straightener",
     "bracket_letters",
     "f_letter",
-    "e_letter",
-    "cartan_letter",
-    "straighten",
     "change_pbw_basis",
     "chevalley_tau",
     "antipode_A",
@@ -97,17 +83,6 @@ def f_letter(root: tuple[int, int]) -> Letter:
     """Plain lowering letter for a positive root (k,l): the unit e_{l,k}."""
     k, l = root
     return ("e", l, k)
-
-
-def e_letter(root: tuple[int, int]) -> Letter:
-    """Plain raising letter for a positive root (k,l): the unit e_{k,l}."""
-    k, l = root
-    return ("e", k, l)
-
-
-def cartan_letter(k: int) -> Letter:
-    """The simple coroot letter e_{k,k} - e_{k+1,k+1}."""
-    return ("c", k, k + 1)
 
 
 def bracket_letters(x: Letter, y: Letter) -> dict[Letter, Fraction]:
@@ -235,16 +210,6 @@ class PBWBasis:
                 sign = -sign
         return sign
 
-    def monomial_weight(self, exps: Sequence[int]) -> dict[int, int]:
-        """Epsilon-coordinate weight of F_I (as integer coordinates)."""
-        eps = [0] * self.n_rank
-        for (k, l), e in zip(self.order, exps):
-            if e:
-                eps[k - 1] -= e
-                eps[l - 1] += e
-        return {i + 1: v for i, v in enumerate(eps) if v}
-
-
 def standard_basis(n_rank: int) -> PBWBasis:
     return special_basis(n_rank, n_rank - 1)
 
@@ -267,20 +232,6 @@ def _apply_transform_to_basis(basis: PBWBasis, transform: ElemTransform) -> PBWB
         signs[i], signs[i + 2] = signs[i + 2], signs[i]
         signs[i + 1] = -signs[i + 1]
     return PBWBasis(basis.n_rank, order, tuple(signs), tag=basis.tag + "'")
-
-
-def bases_along_sigma(n_rank: int, h: int) -> tuple[list[PBWBasis], list[ElemTransform]]:
-    """All bases visited converting level h to level h-1 (first is level h,
-    last equals the level h-1 basis), together with the transform list."""
-    transforms = sigma_sequence(n_rank, h)
-    basis = special_basis(n_rank, h)
-    chain = [basis]
-    for transform in transforms:
-        basis = _apply_transform_to_basis(basis, transform)
-        chain.append(basis)
-    assert chain[-1] == special_basis(n_rank, h - 1)
-    chain[-1] = special_basis(n_rank, h - 1)  # canonical tag
-    return chain, transforms
 
 
 # ---------------------------------------------------------------------------
@@ -485,41 +436,6 @@ class Straightener:
         return state
 
 
-def _coerce_weight(n_rank: int, hw) -> Optional[WeightVec]:
-    if hw is None or isinstance(hw, WeightVec):
-        return hw
-    pairings = [hw[k] if k in hw else hw[str(k)] for k in range(1, n_rank)]
-    coerced = [
-        p if isinstance(p, RationalFunctionExpr) else rational(p) for p in pairings
-    ]
-    return weight_from_pairings(n_rank, coerced)
-
-
-def straighten(
-    words: Union[GenWord, Sequence[GenWord]],
-    hw,
-    basis: PBWBasis,
-) -> UEAElement:
-    """Rewrite (sum of words) * v as an exact combination of F_I * v.
-
-    ``hw`` gives the highest weight: a `WeightVec` in epsilon-coordinates, a
-    map simple-index -> pairing value, or None for pure lowering input.
-    """
-    if isinstance(words, GenWord):
-        words = [words]
-    engine = Straightener(basis, _coerce_weight(basis.n_rank, hw))
-    total: dict[tuple[int, ...], RationalFunctionExpr] = {}
-    for w in words:
-        state = engine.apply_word(w.letters, {basis.zero_exps(): w.coeff})
-        for exps, c in state.items():
-            _state_add(total, exps, c)
-    # Convert plain divided monomials to signed basis monomials.
-    out: dict[tuple[int, ...], RationalFunctionExpr] = {}
-    for exps, c in total.items():
-        out[exps] = c * basis.signed_factor(exps)
-    return UEAElement(basis, out)
-
-
 # ---------------------------------------------------------------------------
 # Basis changes
 # ---------------------------------------------------------------------------
@@ -620,26 +536,6 @@ def change_pbw_basis(
     return element
 
 
-def invert_transforms(transforms: Sequence[ElemTransform]) -> list[ElemTransform]:
-    """The reversal chain undoing the given one (each step is an involution)."""
-    return list(reversed(transforms))
-
-
-def element_in_reference(element: UEAElement, engine: Straightener):
-    """Coefficients of the element on the engine's plain divided monomials.
-
-    The element acts on a formal highest-weight vector; pure lowering, so no
-    weight is needed.  Used as the order-independent fingerprint.
-    """
-    total: dict[tuple[int, ...], RationalFunctionExpr] = {}
-    for exps, c in element.terms.items():
-        w = monomial_word(element.basis, exps)
-        state = engine.apply_word(w.letters, {engine.basis.zero_exps(): w.coeff * c})
-        for k, v in state.items():
-            _state_add(total, k, v)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # (Anti)automorphisms
 # ---------------------------------------------------------------------------
@@ -666,16 +562,6 @@ def antipode_A(x: GenWord) -> GenWord:
     """The anti-automorphism acting by -1 on every Lie-algebra letter."""
     coeff = x.coeff if len(x.letters) % 2 == 0 else -x.coeff
     return GenWord(coeff, tuple(reversed(x.letters)))
-
-
-def tau_monomial_word(basis: PBWBasis, exps: Sequence[int]) -> GenWord:
-    """tau(F_I) as a word of raising letters (largest root leftmost)."""
-    return chevalley_tau(monomial_word(basis, exps))
-
-
-def antipode_monomial_word(basis: PBWBasis, exps: Sequence[int]) -> GenWord:
-    """A(F_I) as a word of lowering letters (smallest root leftmost)."""
-    return antipode_A(monomial_word(basis, exps))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,12 @@ from kzdyn import hyper
 from kzdyn.dyn import lambda_pairing_symbols, space_weight_pairings
 from kzdyn.hyper import (
     STANDARD,
-    DualFunctionMap,
     Forest,
     MasterExponents,
     OrderFlavor,
     binomial_claim_check,
     color_counts,
     color_groups,
-    dual_function_map,
     dual_restriction_check,
     forest_of_index,
     index_counts,
@@ -61,7 +59,7 @@ from kzdyn.symexpr import (
     rf_symmetrize,
     symbol,
 )
-from kzdyn.uea import e_letter, standard_basis
+from kzdyn.uea import standard_basis
 
 Z1 = (symbol("z:1"),)
 
@@ -509,7 +507,7 @@ class TestRaisingDualCoefficients:
             coeffs = dict(raising_dual_coefficients(I_counts, h, slot_pairs, n_rank))
             for J_pos, J_multi in enumerate(big.basis):
                 image = act_generator(
-                    big, e_letter((h, h + 1)), PBWVector.basis_vector(big, J_pos)
+                    big, ("e", h, h + 1), PBWVector.basis_vector(big, J_pos)
                 )
                 target = image.space
                 got = RF_ZERO
@@ -592,24 +590,6 @@ class TestDualFunctionMap:
             enumerate_basis((verma_symbolic(2, 1), verma_symbolic(2, 2)), (2,))
         )
         assert dual_restriction_check(one_factor_space(3, (1, 1)), flavor=1)
-
-    def test_apply_is_linear(self):
-        space = one_factor_space(3, (1, 1))
-        dmap = dual_function_map(space)
-        i1, i2 = ([{(1, 3): 1}], [{(1, 2): 1, (2, 3): 1}])
-        c1, c2 = symbol("l1"), rational(7)
-        combined = dmap.apply({index_counts(i1): c1, index_counts(i2): c2})
-        expected = c1 * dmap.phi(i1) + c2 * dmap.phi(i2)
-        assert (combined - expected).is_zero()
-
-    def test_aux_zero_grounds_last_slot(self):
-        space = enumerate_basis(
-            (verma_symbolic(2, 1), verma_symbolic(2, 2)), (1,)
-        )
-        dmap = dual_function_map(space, aux_zero=True)
-        assert dmap.grounds[-1].is_zero()
-        value = dmap.phi([{}, {(1, 2): 1}])
-        assert (value - parse("1/t:1:1")).is_zero()
 
 
 # ---------------------------------------------------------------------------

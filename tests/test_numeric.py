@@ -169,10 +169,6 @@ class TestChamberIntegralValidation:
         with pytest.raises(NonIntegrable):
             ChamberIntegral.from_selberg(SelbergParams(1.0, 1.0, -0.6, 2))
 
-    def test_boundary_exponent_list(self):
-        ci = ChamberIntegral(2, (0.25, -0.5), (0.5, -0.75), {(1, 2): -0.4})
-        assert ci.boundary_exponents() == [0.25, -0.75, -0.4]
-
 
 class TestQuadrature:
     def test_one_dimensional_beta(self):

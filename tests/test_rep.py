@@ -8,15 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from _algebra_helpers import apply_genword_at
 from _closed_forms import b_coeff, falling
 from kzdyn.rep import (
     PBWVector,
     SingularGram,
     WeightSpaceOperator,
     act_generator,
-    act_letter_at,
     apply_genword,
-    apply_genword_at,
     dual_action_E,
     dual_action_F,
     enumerate_basis,
@@ -25,8 +24,6 @@ from kzdyn.rep import (
     p_elements,
     shapovalov_gram,
     singular_vectors,
-    space_to_json,
-    operator_to_json,
     verma_symbolic,
     verma_weight,
 )
@@ -35,7 +32,6 @@ from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
 from kzdyn.uea import (
     GenWord,
     bracket_letters,
-    cartan_letter,
     f_letter,
     special_basis,
     standard_basis,
@@ -109,7 +105,7 @@ def test_cartan_acts_by_weight_pairing():
     lam = space.total_highest_weight()
     for pos in range(space.dim):
         v = PBWVector.basis_vector(space, pos)
-        out = act_generator(space, cartan_letter(1), v)
+        out = act_generator(space, ("c", 1, 2), v)
         expected = (lam.eps[0] - lam.eps[1]) - rational(2 * 2 - 1)
         assert out.space == space
         assert out.coeffs == {pos: expected}
@@ -452,17 +448,3 @@ def test_singular_vector_matches_rank2_double_sum():
         combo = sings[0].scale(c1) + sings[1].scale(c2)
         assert combo == total
 
-
-# ---------------------------------------------------------------------------
-# Dumps
-# ---------------------------------------------------------------------------
-
-
-def test_space_and_operator_json_round_shape():
-    space = enumerate_basis([_sym(1, 3)], (1, 1))
-    blob = space_to_json(space)
-    assert blob["nu0"] == [1, 1] and len(blob["basis"]) == space.dim
-    op = operator_for_letter(space, ("e", 1, 2))
-    jblob = operator_to_json(op)
-    assert jblob["domain_dim"] == space.dim
-    assert all("," in key for key in jblob["entries"])

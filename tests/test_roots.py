@@ -19,7 +19,6 @@ from kzdyn.roots import (
     omega_bracket,
     omega_vec,
     positive_roots,
-    reduced_word_from_order,
     rho_vec,
     root_sum,
     root_vec,
@@ -193,16 +192,6 @@ def test_roots_of_reduced_word_rejects_non_reduced():
         roots_of_reduced_word(3, [1, 2, 1, 2])
 
 
-def test_reduced_word_round_trip_with_orders():
-    for n in range(2, 6):
-        for h in range(1, n):
-            order = special_order(n, h)
-            word = reduced_word_from_order(order)
-            assert roots_of_reduced_word(n, word) == list(reversed(order))
-            # word length equals the number of positive roots
-            assert len(word) == n * (n - 1) // 2
-
-
 def test_reduced_words_of_omega_bracket_are_valid():
     for n in range(2, 6):
         for k in range(1, n):
@@ -245,17 +234,6 @@ def test_nu_vec_balance():
     v = nu_vec(3, (2, 1))
     v.validate()
     assert v.dot(omega_vec(3, 1)).const_value() + v.dot(omega_vec(3, 2)).const_value() == 3
-
-
-def test_weyl_action_preserves_dot():
-    import random
-
-    rng = random.Random(7)
-    for n in range(2, 6):
-        w = WeylElement(tuple(rng.sample(range(1, n + 1), n)))
-        a = rho_vec(n)
-        b = nu_vec(n, tuple(rng.randint(0, 2) for _ in range(n - 1)))
-        assert w.act_weight(a).dot(w.act_weight(b)) == a.dot(b)
 
 
 def test_simple_reflection_on_roots():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _algebra_helpers import bases_along_sigma, element_in_reference, straighten
 from kzdyn.roots import weight_from_pairings
 from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
 from kzdyn.uea import (
@@ -17,23 +18,15 @@ from kzdyn.uea import (
     Straightener,
     UEAElement,
     antipode_A,
-    antipode_monomial_word,
-    bases_along_sigma,
     bracket_letters,
-    cartan_letter,
     change_pbw_basis,
     chevalley_tau,
-    e_letter,
-    element_in_reference,
     f_letter,
     format_element,
     format_monomial,
-    invert_transforms,
     monomial_word,
     special_basis,
     standard_basis,
-    straighten,
-    tau_monomial_word,
     word,
 )
 
@@ -190,7 +183,7 @@ def test_lowering_order_differs_by_a_bracket_term():
 def test_cartan_letter_acts_by_pairing_sum():
     basis = standard_basis(3)
     hw = _symbolic_hw(3)
-    out = straighten(word(cartan_letter(1)), hw, basis)
+    out = straighten(word(("c", 1, 2)), hw, basis)
     assert out == UEAElement.monomial(basis, basis.zero_exps(), symbol("l1"))
     out13 = straighten(word(("c", 1, 3)), hw, basis)
     assert out13 == UEAElement.monomial(
@@ -207,7 +200,7 @@ def test_cartan_scalar_requires_weight():
     basis = standard_basis(2)
     engine = Straightener(basis, None)
     with pytest.raises(ValueError):
-        engine.apply_letter(cartan_letter(1), basis.zero_exps())
+        engine.apply_letter(("c", 1, 2), basis.zero_exps())
 
 
 def test_straighten_matches_naive_randomized_rewriter():
@@ -218,7 +211,7 @@ def test_straighten_matches_naive_randomized_rewriter():
         hw_vec = _hw_vec(n)
         letters_pool = [
             ("e", a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
-        ] + [cartan_letter(k) for k in range(1, n)]
+        ] + [("c", k, k + 1) for k in range(1, n)]
         length = rng.randrange(0, 7)
         letters = tuple(rng.choice(letters_pool) for _ in range(length))
         w = GenWord(rational(rng.randrange(1, 4)), letters)
@@ -232,8 +225,8 @@ def test_jacobi_consistency_through_straightening():
     basis = standard_basis(3)
     hw = _hw_vec(3)
     pool = [("e", a, b) for a in range(1, 4) for b in range(1, 4) if a != b] + [
-        cartan_letter(1),
-        cartan_letter(2),
+        ("c", 1, 2),
+        ("c", 2, 3),
     ]
 
     def comm(ws1, ws2):
@@ -290,7 +283,7 @@ def test_three_term_reversal_identity_all_small_exponents_both_ways():
         assert y.basis == tgt
         assert element_in_reference(x, ref) == element_in_reference(y, ref)
         back = UEAElement.monomial(tgt, (b, c, a))
-        z = change_pbw_basis(back, invert_transforms(transforms))
+        z = change_pbw_basis(back, list(reversed(transforms)))
         assert z.basis == src
         assert element_in_reference(back, ref) == element_in_reference(z, ref)
 
@@ -336,8 +329,8 @@ def test_tau_letterwise_rule_and_involution():
     assert image.letters == (("e", 1, 2),) * 3
     assert image.coeff == rational(-1)
     assert chevalley_tau(image) == w
-    h = word(cartan_letter(1))
-    assert chevalley_tau(h) == GenWord(rational(-1), (cartan_letter(1),))
+    h = word(("c", 1, 2))
+    assert chevalley_tau(h) == GenWord(rational(-1), (("c", 1, 2),))
 
 
 def test_tau_respects_brackets():
@@ -365,11 +358,11 @@ def test_tau_respects_brackets():
 def test_tau_of_basis_monomial_is_raising_with_matching_multi_index():
     basis = special_basis(3, 1)
     exps = basis.exps_from_roots({(1, 3): 2, (2, 3): 1})
-    image = tau_monomial_word(basis, exps)
+    image = chevalley_tau(monomial_word(basis, exps))
     assert all(a < b for _, a, b in image.letters)
     expected_letters = []
-    for root, e in zip(basis.order, exps):
-        expected_letters.extend([e_letter(root)] * e)
+    for (k, l), e in zip(basis.order, exps):
+        expected_letters.extend([("e", k, l)] * e)
     assert image.letters == tuple(expected_letters)
     signs = 1
     fact = 1
@@ -388,7 +381,7 @@ def test_antipode_generator_and_two_letter_examples():
 def test_antipode_is_involutive_on_random_words():
     rng = random.Random(5)
     pool = [("e", a, b) for a in range(1, 5) for b in range(1, 5) if a != b] + [
-        cartan_letter(k) for k in range(1, 4)
+        ("c", k, k + 1) for k in range(1, 4)
     ]
     for _ in range(25):
         letters = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 6)))
@@ -399,7 +392,7 @@ def test_antipode_is_involutive_on_random_words():
 def test_antipode_on_basis_monomial_reverses_and_drops_global_sign():
     basis = standard_basis(3)
     exps = basis.exps_from_roots({(1, 3): 2, (2, 3): 1})
-    image = antipode_monomial_word(basis, exps)
+    image = antipode_A(monomial_word(basis, exps))
     assert image.letters == (("e", 3, 1), ("e", 3, 1), ("e", 3, 2))
     assert image.coeff == rational(Fraction(1, 2))
 
@@ -437,12 +430,6 @@ def test_format_element_zero_and_terms():
     assert format_element(UEAElement.zero(basis)) == "0 @ order(h=1)"
     el = UEAElement.monomial(basis, (2,), symbol("l1"))
     assert format_element(el) == "(l1) * (-1)^2 * e[2,1]^2/2! @ order(h=1)"
-
-
-def test_monomial_weight_epsilon_coordinates():
-    basis = standard_basis(3)
-    exps = basis.exps_from_roots({(1, 3): 1, (1, 2): 2})
-    assert basis.monomial_weight(exps) == {1: -3, 2: 2, 3: 1}
 
 
 def test_monomial_word_reproduces_signed_divided_convention():
