@@ -51,12 +51,13 @@ from .dyn import (
     check_rational_to_trig,
     fusion_solve,
     lambda_pairing_symbols,
-    q_dagger_apply,
+    q_dagger,
     shifted_pairings,
+    _first_mismatch,
+    _lower_mult_signed,
 )
 from .hyper import forest_of_index, phi_vector, verify_order_invariance
 from .rep import (
-    PBWVector,
     enumerate_basis,
     lp_module,
     p_elements,
@@ -144,14 +145,6 @@ def _build_space(params: dict):
 # Shared symbolic helpers
 # ---------------------------------------------------------------------------
 
-def _columns_agree(space, f, g) -> bool:
-    for col in range(space.dim):
-        v = PBWVector.basis_vector(space, col)
-        if not (f(v) - g(v)).is_zero():
-            return False
-    return True
-
-
 def _falling(t, k: int):
     out = RF_ONE
     for i in range(k):
@@ -185,17 +178,6 @@ def _raw_lower_to_signed(engine, basis, letters):
     }
 
 
-def _signed_letter_mult(engine, basis, letter, exps):
-    # the straightener expands over plain divided monomials; convert to the
-    # signed convention the fusion components are stored in
-    raw = engine.apply_letter(letter, exps)
-    s = basis.signed_factor(exps)
-    return {
-        e2: c * rational(Fraction(s, basis.signed_factor(e2)))
-        for e2, c in raw.items()
-    }
-
-
 def _fusion_residual_ok(fus: FusionElement) -> bool:
     """Plug the solved components back into the defining recurrence."""
     basis = standard_basis(fus.n_rank)
@@ -221,8 +203,8 @@ def _fusion_residual_ok(fus: FusionElement) -> bool:
                 continue
             letter = ("e", root[1], root[0])
             for (lo, hi), psi in fus.components.get(prev_mu, {}).items():
-                left = _signed_letter_mult(engine, basis, letter, lo)
-                right = _signed_letter_mult(engine, basis, letter, hi)
+                left = _lower_mult_signed(engine, basis, letter, lo)
+                right = _lower_mult_signed(engine, basis, letter, hi)
                 for lo2, c_lo in left.items():
                     for hi2, c_hi in right.items():
                         key = (lo2, hi2)
@@ -328,15 +310,16 @@ def _fusion(params: dict):
     bw0 = B_w(space, longest_element(n), arg)
     need = sum(nu)
     fus_q = fus if depth >= need else fusion_solve(n, need)
-    equal = _columns_agree(
-        space, bw0.op.apply, lambda v: q_dagger_apply(space, lam, v, fus_q)
-    )
+    contraction = q_dagger(space, lam, fus_q)
+    equal = bw0.op == contraction
     witness = {
         "check": "contraction-vs-longest-word",
         "nu": list(nu),
         "factors": list(specs),
         "equal": equal,
     }
+    if not equal:
+        witness["first_mismatch"] = _first_mismatch(bw0.op, contraction)
     rows.append((witness, equal))
     return rows, {}, []
 

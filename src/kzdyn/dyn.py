@@ -1,17 +1,19 @@
 """Dynamical difference operators on tensor-product weight spaces.
 
 This module builds the weight-space operators that enter the difference
-equations attached to the trigonometric KZ system:
+equations attached to the trigonometric KZ system.  Every operator is a
+`WeightSpaceOperator` assembled from the letter matrices of `rep`
+(``operator_for_letter`` and the word matrices ``word_operator``):
 
-* the terminating series ``p_series_apply`` and the one-root operators
+* the terminating series ``p_series`` and the one-root operators
   ``B_alpha``,
 * ordered products ``B_w`` over the root sequence of a reduced word,
-* the additive (single-sum) form ``B_additive`` built from dual elements of
-  a symbolic highest-weight module,
+* the additive (single-sum) form ``B_additive``, a sum of word matrices
+  weighted by dual elements of a symbolic highest-weight module,
 * the multiplicative ``K_operator`` with its diagonal coordinate prefactor,
 * the shifted fusion element (``fusion_solve``) solved weight by weight from
-  its defining recurrence, and the lowering/raising contraction
-  ``q_dagger_apply`` built from it,
+  its defining recurrence, and the lowering/raising contraction ``q_dagger``
+  built from it, each coefficient substituted once,
 * KZ-operator assembly (``kz_operator``, ``omega_operator``,
   ``r_matrix_operator``) and the exact compatibility checks
   ``check_K_exchange`` / ``check_nabla_K``,
@@ -43,12 +45,12 @@ from .rep import (
     PBWVector,
     TensorWeightSpace,
     WeightSpaceOperator,
-    apply_genword,
     enumerate_basis,
     operator_for_letter,
     p_elements,
     singular_vectors,
     verma_weight,
+    word_operator,
 )
 from .roots import (
     WeightVec,
@@ -97,13 +99,13 @@ __all__ = [
     "z_symbols",
     "space_weight_pairings",
     "shifted_pairings",
-    "p_series_apply",
+    "p_series",
     "B_alpha",
     "B_w",
     "B_additive",
     "K_operator",
     "fusion_solve",
-    "q_dagger_apply",
+    "q_dagger",
     "omega_operator",
     "r_matrix_operator",
     "lambda_diagonal",
@@ -251,32 +253,30 @@ class DynOperator:
 # ---------------------------------------------------------------------------
 
 
-def p_series_apply(
-    alpha: tuple[int, int], t_val: RationalFunctionExpr, vec: PBWVector
-) -> PBWVector:
-    """Apply the terminating series ``sum_k F^k E^k / (k! prod_j (t - H - j))``.
+def p_series(
+    space: TensorWeightSpace, alpha: tuple[int, int], t_val: RationalFunctionExpr
+) -> WeightSpaceOperator:
+    """Matrix of the terminating series ``sum_k F^k E^k / (k! prod_j (t - H - j))``.
 
     The Cartan factors act first (rightmost), so ``H`` is evaluated on the
-    weight of the input vector.  The series terminates because iterated
-    raising eventually annihilates every vector of the weight space.
+    weight of the space.  The series terminates because iterated raising
+    eventually annihilates the whole weight space.
     """
-    space = vec.space
-    if not space.basis or vec.is_zero():
-        return vec
     k0, l0 = alpha
     raise_letter = ("e", k0, l0)
     lower_letter = ("e", l0, k0)
     n_rank = space.pbw_basis.n_rank
     h_val = _total_weight(space).dot(root_vec(n_rank, k0, l0))
 
-    out = dict(vec.coeffs)
-    cur = vec
+    total = WeightSpaceOperator.identity(space)
+    up = total  # E^k, from the space to the k-times raised space
+    down = total  # F^k, back from the k-times raised space
     denom = RF_ONE
     k = 0
     while True:
         k += 1
-        cur = _act(cur, raise_letter)
-        if cur.is_zero():
+        up = operator_for_letter(up.codomain, raise_letter).compose(up)
+        if up.is_zero():
             break
         pole = t_val - h_val - rational(k - 1)
         if pole.is_zero():
@@ -284,19 +284,10 @@ def p_series_apply(
                 f"series denominator factor vanishes at step {k} for root {alpha}"
             )
         denom = denom * pole
-        down = cur
-        for _ in range(k):
-            down = _act(down, lower_letter)
+        down = down.compose(operator_for_letter(up.codomain, lower_letter))
         scale = rational(Fraction(1, math.factorial(k))) / denom
-        for pos, c in down.coeffs.items():
-            out[pos] = out.get(pos, RF_ZERO) + c * scale
-    return PBWVector(space, {p: c for p, c in out.items() if not c.is_zero()})
-
-
-def _act(vec: PBWVector, letter) -> PBWVector:
-    from .rep import act_generator
-
-    return act_generator(vec.space, letter, vec)
+        total = total + down.compose(up).scale(scale)
+    return total
 
 
 def B_alpha(
@@ -313,12 +304,7 @@ def B_alpha(
     n_rank = space.pbw_basis.n_rank
     nu_pair = _total_weight(space).dot(root_vec(n_rank, *alpha))
     t_val = _root_pairing(pairings, alpha) + nu_pair * _HALF - RF_ONE
-    entries: dict[tuple[int, int], RationalFunctionExpr] = {}
-    for col in range(space.dim):
-        image = p_series_apply(alpha, t_val, PBWVector.basis_vector(space, col))
-        for row, c in image.coeffs.items():
-            entries[(row, col)] = c
-    return DynOperator(WeightSpaceOperator(space, space, entries))
+    return DynOperator(p_series(space, alpha, t_val))
 
 
 def B_w(
@@ -396,7 +382,7 @@ def B_additive(
     n_rank = space.pbw_basis.n_rank
     basis_r = special_basis(n_rank, r)
     aux_factor = verma_weight(n_rank, weight_from_pairings(n_rank, pairings))
-    entries: dict[tuple[int, int], RationalFunctionExpr] = {}
+    total = WeightSpaceOperator.zero(space, space)
     dual_cache: dict[tuple[int, ...], Mapping] = {}
 
     for block_exps in _block_indices(basis_r, r, space.nu0):
@@ -410,18 +396,8 @@ def B_additive(
         lower_word = antipode_A(monomial_word(basis_r, block_exps))
         for exps_j, c in dual.terms.items():
             w = lower_word * chevalley_tau(monomial_word(basis_r, exps_j))
-            word = GenWord(w.coeff * c, w.letters)
-            for col in range(space.dim):
-                image = apply_genword(
-                    space, word, PBWVector.basis_vector(space, col)
-                )
-                assert image.space == space
-                for row, val in image.coeffs.items():
-                    key = (row, col)
-                    entries[key] = entries.get(key, RF_ZERO) + val
-    return DynOperator(
-        WeightSpaceOperator(space, space, entries), convention="rho-plus-half-nu"
-    )
+            total = total + word_operator(space, GenWord(w.coeff * c, w.letters))
+    return DynOperator(total, convention="rho-plus-half-nu")
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +593,12 @@ def _unit_exps(basis: PBWBasis, root: tuple[int, int]) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def q_dagger_apply(
+def q_dagger(
     space: TensorWeightSpace,
     pairings: Optional[Sequence[RationalFunctionExpr]],
-    vec: PBWVector,
     fusion: Optional[FusionElement] = None,
-) -> PBWVector:
-    """Contract the fusion element through a weight-space vector.
+) -> WeightSpaceOperator:
+    """Matrix of the fusion element contracted on a weight space.
 
     Each fusion pair contributes the antipode of its lowering part applied
     after its raising part, weighted by the coefficient with the parameter
@@ -642,7 +617,7 @@ def q_dagger_apply(
     subs = {
         f"l{i + 1}": pairings[i] - nu_pairs[i] for i in range(n_rank - 1)
     }
-    total: dict[int, RationalFunctionExpr] = {}
+    total = WeightSpaceOperator.zero(space, space)
     for mu, comp in fusion.components.items():
         if any(m > n for m, n in zip(mu, space.nu0)):
             continue
@@ -656,11 +631,8 @@ def q_dagger_apply(
             w = antipode_A(monomial_word(basis, lo)) * chevalley_tau(
                 monomial_word(basis, hi)
             )
-            image = apply_genword(space, GenWord(w.coeff * coeff, w.letters), vec)
-            assert image.space == space
-            for pos, c in image.coeffs.items():
-                total[pos] = total.get(pos, RF_ZERO) + c
-    return PBWVector(space, {p: c for p, c in total.items() if not c.is_zero()})
+            total = total + word_operator(space, GenWord(w.coeff * coeff, w.letters))
+    return total
 
 
 # ---------------------------------------------------------------------------

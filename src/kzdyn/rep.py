@@ -7,11 +7,13 @@ A `TensorWeightSpace` enumerates the monomial vectors ``F_I v = F_{I_1} v_1
 ``nu0`` (one non-negative integer per simple root), with every monomial taken
 in one PBW arrangement (`PBWBasis` from `uea`).
 
-Generator actions are computed per factor with the straightening engine and
-combined by the tensor Leibniz rule.  On top of the actions the module builds
-the contravariant bilinear form (adjoint ``A ∘ tau``), its inverse elements,
-joint kernels of the simple raising operators, and the closed-form dual-basis
-actions together with their signed-transpose consistency data.
+Generator actions are letter matrices (`operator_for_letter`), computed per
+factor with the straightening engine and combined by the tensor Leibniz rule;
+the matrix of a word of letters composes them (`word_operator`).  On top of
+the actions the module builds the contravariant bilinear form (adjoint
+``A ∘ tau``), its inverse elements, joint kernels of the simple raising
+operators, and the closed-form dual-basis actions together with their
+signed-transpose consistency data.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ __all__ = [
     "enumerate_basis",
     "PBWVector",
     "WeightSpaceOperator",
-    "act_generator",
     "operator_for_letter",
-    "apply_genword",
+    "word_operator",
     "nullspace",
     "shapovalov_gram",
     "p_elements",
@@ -472,22 +473,6 @@ def _target_space(space: TensorWeightSpace, letter: Letter) -> TensorWeightSpace
     return space.shifted(shift)
 
 
-def act_generator(space: TensorWeightSpace, letter: Letter, vec: PBWVector) -> PBWVector:
-    """Tensor Leibniz action of one letter on a vector."""
-    assert vec.space == space
-    target = _target_space(space, letter)
-    out: dict[int, RationalFunctionExpr] = {}
-    for pos, c in vec.coeffs.items():
-        for new_index, m in _act_letter_on_index(space, letter, space.basis[pos]).items():
-            tpos = target.index_position.get(new_index)
-            if tpos is None:
-                if target.basis:
-                    raise AssertionError(f"index {new_index} escaped target space")
-                continue
-            out[tpos] = out.get(tpos, RF_ZERO) + c * m
-    return PBWVector(target, out)
-
-
 def operator_for_letter(
     space: TensorWeightSpace, letter: Letter, only_factor=None
 ) -> WeightSpaceOperator:
@@ -506,12 +491,16 @@ def operator_for_letter(
     return WeightSpaceOperator(space, target, entries)
 
 
-def apply_genword(space: TensorWeightSpace, w: GenWord, vec: PBWVector) -> PBWVector:
-    """Apply a word of letters (rightmost first, Leibniz per letter)."""
-    out = vec.scale(w.coeff)
+def word_operator(space: TensorWeightSpace, w: GenWord) -> WeightSpaceOperator:
+    """Matrix of a word of letters on a weight space (rightmost letter first).
+
+    The codomain is the space the word lands in; the coefficient of the word
+    scales the composed letter matrices once, at the end.
+    """
+    total = WeightSpaceOperator.identity(space)
     for letter in reversed(w.letters):
-        out = act_generator(out.space, letter, out)
-    return out
+        total = operator_for_letter(total.codomain, letter).compose(total)
+    return total.scale(w.coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -360,12 +360,6 @@ class WeylElement:
         # (self*other)(i) = self(other(i)): other acts first.
         return WeylElement(tuple(self.perm[j - 1] for j in other.perm))
 
-    def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm, start=1):
-            inv[j - 1] = i
-        return WeylElement(tuple(inv))
-
     def length(self) -> int:
         """Inversion count."""
         p = self.perm

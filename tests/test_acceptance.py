@@ -8,7 +8,6 @@ rational-function field; the numeric criteria carry explicit tolerances.
 
 import math
 import time
-from fractions import Fraction
 from itertools import product
 
 from _closed_forms import falling

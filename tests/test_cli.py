@@ -28,9 +28,9 @@ from kzdyn.cli import (
 )
 from kzdyn.dyn import K_operator, PoleHit, ResonantWeight, fusion_solve
 from kzdyn.numeric import QuadratureNotConverged
-from kzdyn.rep import enumerate_basis, verma_symbolic
+from kzdyn.rep import WeightSpaceOperator, enumerate_basis, verma_symbolic
 from kzdyn.roots import serialize_order, special_order
-from kzdyn.symexpr import DivisionByZero, InexactDivision, ParseError, parse
+from kzdyn.symexpr import RF_ONE, DivisionByZero, InexactDivision, ParseError, parse
 
 
 # a flag the suite does not read, given explicitly: (suite, flag, value, field)
@@ -238,6 +238,38 @@ class TestSymbolicSuites:
             SuiteConfig(suite="fusion", n=3, nu=(1, 1), depth=2)
         )
         assert report["verdict"] == "pass"
+
+    def test_fusion_contraction_mismatch_names_first_entry(self, capsys, monkeypatch):
+        from kzdyn import cli as cli_module
+
+        true_q_dagger = cli_module.q_dagger
+        changed = {}
+
+        def broken_q_dagger(space, pairings, fusion):
+            op = true_q_dagger(space, pairings, fusion)
+            key = max(op.entries)
+            entries = dict(op.entries)
+            entries[key] = op.entry(*key) + RF_ONE
+            changed.update(key=key, true=op.entry(*key), broken=entries[key])
+            return WeightSpaceOperator(op.domain, op.codomain, entries)
+
+        monkeypatch.setattr(cli_module, "q_dagger", broken_q_dagger)
+        report = run_suite(SuiteConfig(suite="fusion", n=3, nu=(1, 1), depth=2))
+        assert report["verdict"] == "fail"
+        witness = report["witnesses"][-1]
+        assert witness["check"] == "contraction-vs-longest-word"
+        assert not witness["equal"]
+        row, col = changed["key"]
+        assert witness["first_mismatch"] == {
+            "row": row,
+            "col": col,
+            "lhs": str(changed["true"]),
+            "rhs": str(changed["broken"]),
+        }
+        code = main(["verify", "fusion", "--n", "3", "--nu", "1,1", "--depth", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["witnesses"][-1] == witness
 
     def test_compatibility_default(self):
         report = run_suite(SuiteConfig(suite="compatibility"))

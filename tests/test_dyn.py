@@ -14,8 +14,6 @@ from kzdyn.dyn import (
     B_alpha,
     B_w,
     CheckReport,
-    DynOperator,
-    FusionElement,
     K_operator,
     NonFiniteDim,
     PoleHit,
@@ -27,25 +25,23 @@ from kzdyn.dyn import (
     fusion_solve,
     kappa_symbol,
     kz_operator,
-    lambda_diagonal,
     lambda_pairing_symbols,
     omega_operator,
-    p_series_apply,
-    q_dagger_apply,
+    p_series,
+    q_dagger,
     r_matrix_operator,
     shifted_pairings,
     space_weight_pairings,
     z_symbols,
 )
 from kzdyn.rep import (
-    PBWVector,
     WeightSpaceOperator,
-    apply_genword,
     enumerate_basis,
     lp_module,
     p_elements,
     verma_symbolic,
     verma_weight,
+    word_operator,
 )
 from kzdyn.roots import (
     longest_element,
@@ -61,18 +57,6 @@ from kzdyn.uea import GenWord, Straightener, standard_basis
 E = lambda k, l: ("e", k, l)  # noqa: E731
 
 
-def _basis_vec(space, i):
-    return PBWVector.basis_vector(space, i)
-
-
-def _columns_agree(space, f, g):
-    for col in range(space.dim):
-        v = _basis_vec(space, col)
-        if not (f(v) - g(v)).is_zero():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # p-series and one-root operators
 # ---------------------------------------------------------------------------
@@ -84,15 +68,15 @@ def test_p_series_single_step_scalar():
     sp = enumerate_basis([verma_symbolic(2, 1)], (1,))
     L = symbol("L:1:1")
     t = symbol("l1")
-    out = p_series_apply((1, 2), t, _basis_vec(sp, 0))
+    op = p_series(sp, (1, 2), t)
     expected = RF_ONE + L / (t - L + rational(2))
-    assert list(out.coeffs.values()) == [expected]
+    assert op == WeightSpaceOperator(sp, sp, {(0, 0): expected})
 
 
 def test_p_series_terminates_and_preserves_space():
     sp = enumerate_basis([verma_symbolic(2, 1), verma_symbolic(2, 2)], (2,))
-    out = p_series_apply((1, 2), symbol("l1"), _basis_vec(sp, 0))
-    assert out.space == sp
+    op = p_series(sp, (1, 2), symbol("l1"))
+    assert op.domain == sp and op.codomain == sp
 
 
 def test_b_alpha_rank1_closed_form():
@@ -272,9 +256,9 @@ def test_published_rank2_level_sums():
     add1 = B_additive(sp, 1, (l1, l2))
     add2 = B_additive(sp, 2, (l1, l2))
 
-    def omega2_sum(v):
+    def omega2_sum():
         n1, n2 = sp.nu0
-        total = PBWVector.zero(sp)
+        total = WeightSpaceOperator.zero(sp, sp)
         for k in range(n1 + 1):
             for s in range(n2 - k + 1):
                 for j in range(k + 1):
@@ -291,12 +275,12 @@ def test_published_rank2_level_sums():
                         + [E(1, 3)] * (k - j)
                         + [E(2, 3)] * (s + j)
                     )
-                    total = total + apply_genword(sp, GenWord(coeff, tuple(letters)), v)
+                    total = total + word_operator(sp, GenWord(coeff, tuple(letters)))
         return total
 
-    def omega1_sum(v):
+    def omega1_sum():
         n1, n2 = sp.nu0
-        total = PBWVector.zero(sp)
+        total = WeightSpaceOperator.zero(sp, sp)
         for k in range(min(n1, n2) + 1):
             for s in range(n1 - k + 1):
                 for j in range(k + 1):
@@ -313,11 +297,11 @@ def test_published_rank2_level_sums():
                         + [E(1, 3)] * (k - j)
                         + [E(1, 2)] * (s + j)
                     )
-                    total = total + apply_genword(sp, GenWord(coeff, tuple(letters)), v)
+                    total = total + word_operator(sp, GenWord(coeff, tuple(letters)))
         return total
 
-    assert _columns_agree(sp, omega2_sum, add2.op.apply)
-    assert _columns_agree(sp, omega1_sum, add1.op.apply)
+    assert omega2_sum() == add2.op
+    assert omega1_sum() == add1.op
 
 
 def test_published_longest_word_double_sum():
@@ -328,9 +312,9 @@ def test_published_longest_word_double_sum():
     arg = shifted_pairings(sp, (l1, l2), rho_steps=1, nu_halves=1)
     bw0 = B_w(sp, [1, 2, 1], arg)
 
-    def w0_sum(v):
+    def w0_sum():
         n1, n2 = sp.nu0
-        total = PBWVector.zero(sp)
+        total = WeightSpaceOperator.zero(sp, sp)
         for a in range(n1 + 1):
             for b in range(n2 + 1):
                 for m in range(min(a, b) + 1):
@@ -344,12 +328,12 @@ def test_published_longest_word_double_sum():
                             + [E(1, 3)] * k
                             + [E(2, 3)] * (b - k)
                         )
-                        total = total + apply_genword(
-                            sp, GenWord(c, tuple(letters)), v
+                        total = total + word_operator(
+                            sp, GenWord(c, tuple(letters))
                         )
         return total
 
-    assert _columns_agree(sp, w0_sum, bw0.op.apply)
+    assert w0_sum() == bw0.op
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +490,7 @@ def test_q_dagger_equals_longest_product_down_shift():
         arg = shifted_pairings(sp, lam, rho_steps=1, nu_halves=-1)
         bw0 = B_w(sp, longest_element(n_rank), arg)
         fus = fusion_solve(n_rank, sum(nu0))
-        assert _columns_agree(
-            sp, bw0.op.apply, lambda v: q_dagger_apply(sp, lam, v, fus)
-        )
+        assert q_dagger(sp, lam, fus) == bw0.op
 
 
 def test_q_dagger_up_shift_matches_additive_argument():
@@ -520,23 +502,20 @@ def test_q_dagger_up_shift_matches_additive_argument():
     arg = shifted_pairings(sp, lam, rho_steps=1, nu_halves=1)
     bw0 = B_w(sp, longest_element(2), arg)
     fus = fusion_solve(2, 2)
-    assert _columns_agree(
-        sp, bw0.op.apply, lambda v: q_dagger_apply(sp, up, v, fus)
-    )
+    assert q_dagger(sp, up, fus) == bw0.op
 
 
 def test_q_dagger_resonant_raises():
     sp = enumerate_basis([lp_module(2), lp_module(2)], (1,))
-    v = _basis_vec(sp, 0)
     with pytest.raises(ResonantWeight):
-        q_dagger_apply(sp, (rational(2),), v)
+        q_dagger(sp, (rational(2),))
 
 
 def test_q_dagger_insufficient_depth_raises():
     sp = enumerate_basis([verma_symbolic(2, 1)], (2,))
     fus = fusion_solve(2, 1)
     with pytest.raises(ValueError):
-        q_dagger_apply(sp, None, _basis_vec(sp, 0), fus)
+        q_dagger(sp, None, fus)
 
 
 # ---------------------------------------------------------------------------

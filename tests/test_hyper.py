@@ -1,7 +1,6 @@
 """Tests for grounded-string functions and their exchange identities."""
 
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,8 +10,6 @@ from kzdyn import hyper
 from kzdyn.dyn import lambda_pairing_symbols, space_weight_pairings
 from kzdyn.hyper import (
     STANDARD,
-    Forest,
-    MasterExponents,
     OrderFlavor,
     binomial_claim_check,
     color_counts,
@@ -36,8 +33,8 @@ from kzdyn.hyper import (
 )
 from kzdyn.rep import (
     PBWVector,
-    act_generator,
     enumerate_basis,
+    operator_for_letter,
     verma_symbolic,
     verma_weight,
 )
@@ -56,7 +53,6 @@ from kzdyn.symexpr import (
     parse,
     rational,
     rf_partial,
-    rf_symmetrize,
     symbol,
 )
 from kzdyn.uea import standard_basis
@@ -506,8 +502,8 @@ class TestRaisingDualCoefficients:
             I_counts = index_counts(I_multi, small.pbw_basis)
             coeffs = dict(raising_dual_coefficients(I_counts, h, slot_pairs, n_rank))
             for J_pos, J_multi in enumerate(big.basis):
-                image = act_generator(
-                    big, ("e", h, h + 1), PBWVector.basis_vector(big, J_pos)
+                image = operator_for_letter(big, ("e", h, h + 1)).apply(
+                    PBWVector.basis_vector(big, J_pos)
                 )
                 target = image.space
                 got = RF_ZERO

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from kzdyn.roots import (
-    ElemTransform,
     NotReduced,
     OutOfRange,
     WeylElement,
@@ -20,8 +19,6 @@ from kzdyn.roots import (
     omega_vec,
     positive_roots,
     rho_vec,
-    root_sum,
-    root_vec,
     roots_of_reduced_word,
     serialize_order,
     sigma_sequence,
@@ -162,10 +159,12 @@ def test_sign_table_matches_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_omega_bracket_inverse_permutations_rank3():
+    # the two block rotations are inverse to each other
     w1, _ = omega_bracket(3, 1)
-    assert w1.inverse().perm == (2, 3, 1)
+    assert w1.perm == (3, 1, 2)
     w2, _ = omega_bracket(3, 2)
-    assert w2.inverse().perm == (3, 1, 2)
+    assert w2.perm == (2, 3, 1)
+    assert (w1 * w2).perm == (w2 * w1).perm == (1, 2, 3)
 
 
 def test_omega_bracket_length_and_product_form():

@@ -14,7 +14,6 @@ from kzdyn.roots import weight_from_pairings
 from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
 from kzdyn.uea import (
     GenWord,
-    PBWBasis,
     Straightener,
     UEAElement,
     antipode_A,
