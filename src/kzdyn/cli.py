@@ -61,6 +61,7 @@ from .rep import (
     enumerate_basis,
     lp_module,
     p_elements,
+    singular_vectors,
     verma_symbolic,
     verma_weight,
 )
@@ -345,9 +346,10 @@ def _compatibility(params: dict):
 
 def _appendix_b(params: dict):
     space = _build_space(params)
+    vectors = singular_vectors(space)  # the same for every position
     rows = []
     for i in range(1, len(params["factors"])):
-        report = check_rational_to_trig(space, i)
+        report = check_rational_to_trig(space, i, vectors)
         data = report.to_json()
         data.update({"position": i})
         rows.append((data, report.passed))

@@ -1047,7 +1047,9 @@ def _contract_last_factor(
 
 
 def check_rational_to_trig(
-    space_prime: TensorWeightSpace, i: int
+    space_prime: TensorWeightSpace,
+    i: int,
+    vectors: Optional[Sequence[PBWVector]] = None,
 ) -> CheckReport:
     """Exact check of the weight identity behind the trigonometric reduction.
 
@@ -1056,7 +1058,8 @@ def check_rational_to_trig(
     shifts, minus half the factor Casimir value) must reproduce, after
     contracting the last factor against its dual highest vector, the
     lowering half of the pairwise Casimir terms plus the full Casimir
-    coupling to the last factor.
+    coupling to the last factor.  ``vectors`` are the singular vectors of
+    ``space_prime``, when the caller has computed them already.
     """
     n_rank = space_prime.pbw_basis.n_rank
     n_plus_1 = len(space_prime.factors)
@@ -1080,7 +1083,9 @@ def check_rational_to_trig(
     ]
     coupling = omega_operator(space_prime, i, n_plus_1, "full")
     checked = 0
-    for u0 in singular_vectors(space_prime):
+    if vectors is None:
+        vectors = singular_vectors(space_prime)
+    for u0 in vectors:
         v_prime = _contract_last_factor(space_prime, u0, space)
         lhs: dict[int, RationalFunctionExpr] = {}
         for pos, c in v_prime.coeffs.items():

@@ -1,4 +1,5 @@
-"""Test-only conveniences over the straightening engine and the tensor actions.
+"""Test-only conveniences over the straightening engine and the tensor actions,
+and the cross-gcd reference for rational-function arithmetic.
 
 The package computes with `Straightener` words, `change_pbw_basis` and the
 tensor Leibniz action directly; these helpers package the same machinery in
@@ -8,7 +9,13 @@ package.
 
 from kzdyn.rep import PBWVector, TensorWeightSpace, operator_for_letter
 from kzdyn.roots import ElemTransform, sigma_sequence, weight_from_pairings
-from kzdyn.symexpr import RationalFunctionExpr
+from kzdyn.symexpr import (
+    RF_ZERO,
+    RationalFunctionExpr,
+    _make_reduced,
+    poly_divexact,
+    poly_gcd_cofactors,
+)
 from kzdyn.uea import (
     GenWord,
     PBWBasis,
@@ -70,3 +77,42 @@ def apply_genword_at(
     for letter in reversed(w.letters):
         out = operator_for_letter(out.space, letter, only_factor=j).apply(out)
     return out
+
+
+def reference_add(x: RationalFunctionExpr, y: RationalFunctionExpr) -> RationalFunctionExpr:
+    """x + y through general gcds of whole denominators (Henrici's sum).
+
+    With g1 = gcd(b, d), a/b + c/d = t / (b/g1 * d) for t = a (d/g1) +
+    c (b/g1), and only g2 = gcd(t, g1) can cancel.
+    """
+    if x.num.is_zero():
+        return y
+    if y.num.is_zero():
+        return x
+    a, b = x.num, x.den
+    c, d = y.num, y.den
+    if b.is_one() and d.is_one():
+        return _make_reduced(a + c, b)
+    g1, db, dd = poly_gcd_cofactors(b, d)
+    if g1.is_one():
+        return _make_reduced(a * d + c * b, b * d)
+    t = a * dd + c * db
+    if t.is_zero():
+        return RF_ZERO
+    g2, t, _ = poly_gcd_cofactors(t, g1)
+    if g2.is_one():
+        return _make_reduced(t, db * d)
+    return _make_reduced(t, db * poly_divexact(d, g2))
+
+
+def reference_mul(x: RationalFunctionExpr, y: RationalFunctionExpr) -> RationalFunctionExpr:
+    """x * y through the cross gcds gcd(a, d) and gcd(c, b)."""
+    if x.num.is_zero() or y.num.is_zero():
+        return RF_ZERO
+    a, b = x.num, x.den
+    c, d = y.num, y.den
+    if b.is_one() and d.is_one():
+        return _make_reduced(a * c, b)
+    _, a, d = poly_gcd_cofactors(a, d)
+    _, c, b = poly_gcd_cofactors(c, b)
+    return _make_reduced(a * c, b * d)

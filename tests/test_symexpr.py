@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import sympy
 
+from _algebra_helpers import reference_add, reference_mul
 from kzdyn import symexpr
 from kzdyn.symexpr import (
     CERT_PRIME,
@@ -26,7 +27,10 @@ from kzdyn.symexpr import (
     Poly,
     RationalFunctionExpr,
     _coprime_by_images,
+    _divide_linear,
+    _image,
     _image_point,
+    _is_linear,
     _ring_gcd_cofactors,
     parse,
     poly_divexact,
@@ -841,3 +845,148 @@ def test_degree_guard_raises_at_the_field_limit():
         symbol("x") ** (MAX_DEGREE + 1)
     assert (top.scale(3) + x).total_degree() == MAX_DEGREE
 
+
+# ---------------------------------------------------------------------------
+# Factored denominators against the cross-gcd reference
+# ---------------------------------------------------------------------------
+
+def _poly(text: str) -> Poly:
+    return parse(text).num
+
+
+# shared linear forms, including bare variables (monomial denominators)
+_LINEAR_POOL = ["x - y", "x + y + 1", "2*x - 3*z:1", "l1 - 1", "l1 + x - 2", "y", "x"]
+_NONLINEAR = "x^2 + y^2 + 1"  # irreducible over Q
+
+
+def _check_factor_base(e: RationalFunctionExpr) -> None:
+    """den is the product of the factors, which are normalized and coprime."""
+    product = Poly.one()
+    for f, m in e.factors:
+        assert m >= 1 and not f.is_const()
+        assert f.content == 1 and f.terms[max(f.terms)] > 0
+        product = product * f**m
+    assert product == e.den
+    for (f, _), (g, _) in itertools.combinations(e.factors, 2):
+        assert poly_gcd_cofactors(f, g)[0].is_one()
+
+
+def _factored_operand(rng: random.Random) -> RationalFunctionExpr:
+    num = RationalFunctionExpr.make(_random_poly(rng, max_terms=4), Poly.one())
+    if rng.random() < 0.3:
+        # a numerator that a pool factor divides, so that products cancel
+        num = num * parse(rng.choice(_LINEAR_POOL))
+    kind = rng.choice(["poly", "linear", "linear", "monomial", "nonlinear", "whole"])
+    if kind == "poly":
+        return num
+    if kind == "linear":
+        for text in rng.sample(_LINEAR_POOL, rng.randint(1, 3)):
+            num = num / parse(text) ** rng.randint(1, 3)
+        return num
+    if kind == "monomial":
+        den = _random_poly(rng, max_terms=1)
+        return RationalFunctionExpr.make(num.num, Poly.one() if den.is_zero() else den)
+    if kind == "nonlinear":
+        out = num / parse(_NONLINEAR) ** rng.randint(1, 2)
+        return out / parse(rng.choice(_LINEAR_POOL)) if rng.random() < 0.5 else out
+    # a composite denominator that arrives whole, to be split later
+    den = Poly.one()
+    for text in rng.sample(_LINEAR_POOL, rng.randint(2, 3)):
+        den = den * _poly(text)
+    return RationalFunctionExpr.make(num.num, den)
+
+
+def _check_against_cross_gcd(u: RationalFunctionExpr, v: RationalFunctionExpr) -> None:
+    for got, expected in [
+        (u + v, reference_add(u, v)),
+        (u - v, reference_add(u, -v)),
+        (u * v, reference_mul(u, v)),
+    ]:
+        _check_factor_base(got)
+        assert got == expected
+        assert str(got) == str(expected)
+
+
+def test_factored_arithmetic_matches_cross_gcd_reference():
+    rng = random.Random(20261101)
+    zero_sums = 0
+    for _ in range(250):
+        u, v = _factored_operand(rng), _factored_operand(rng)
+        roll = rng.random()
+        if roll < 0.1:
+            v = -u  # the sum cancels to zero
+        elif roll < 0.2:
+            v = v - u  # the sum cancels u
+        _check_factor_base(u)
+        _check_factor_base(v)
+        _check_against_cross_gcd(u, v)
+        zero_sums += (u + v).is_zero()
+    assert zero_sums >= 10
+
+
+def test_whole_composite_denominator_is_split_by_linear_factors():
+    whole = RationalFunctionExpr.make(Poly.one(), _poly("(x + 1)*(y - 2)*(x - y)"))
+    assert [m for _, m in whole.factors] == [1] and not _is_linear(whole.factors[0][0])
+    total = whole + 1 / parse("x + 1")
+    assert total == reference_add(whole, 1 / parse("x + 1"))
+    assert dict(total.factors) == {_poly("x + 1"): 1, _poly("(y - 2)*(x - y)"): 1}
+    _check_factor_base(total)
+    total = total + 1 / parse("y - 2")
+    assert dict(total.factors) == {_poly(f): 1 for f in ("x + 1", "y - 2", "x - y")}
+    _check_factor_base(total)
+    product = whole * parse("y - 2")
+    assert product == reference_mul(whole, parse("y - 2"))
+    _check_factor_base(product)
+
+
+def test_nonlinear_factor_meets_its_powers():
+    q = parse(_NONLINEAR)
+    u = (parse("x") + 1) / q**2
+    v = parse("y") / q
+    for got, expected in [(u + v, reference_add(u, v)), (u * v, reference_mul(u, v))]:
+        assert got == expected
+        _check_factor_base(got)
+    assert (u * v).factors == ((q.num, 3),)
+    # the sum has q^2; taking u away again leaves y q / q^2 = y / q
+    assert ((u + v) - u).factors == ((q.num, 1),)
+
+
+def test_zero_residue_without_divisibility_is_refuted_by_division():
+    f = _poly("x + y")
+    t = _poly(f"x + y + {CERT_PRIME}")
+    # every image of t vanishes where x + y does, mod P
+    sid = f.vars[0]
+    image = _image(t, sid)[1]
+    root = symexpr._root(f)
+    assert root[0] == sid
+    value = 0
+    for c in reversed(image):
+        value = (value * root[1] + c) % CERT_PRIME
+    assert value == 0
+    assert _divide_linear(t, f) is None
+    assert _divide_linear(_poly("(x + y)*(x - 3)"), f) == _poly("x - 3")
+    u = 1 / parse("x + y")
+    v = parse(f"x + y + {CERT_PRIME - 1}") / parse("x + y")
+    assert u + v == reference_add(u, v)
+    assert (u + v).factors == ((f, 1),)
+    assert str(u + v) == f"(x + y + {CERT_PRIME})/(x + y)"
+
+
+def test_images_of_reordered_terms_share_the_weights():
+    p = _poly("3*x^2*y - 5*x*y + 7*y^2 + x - 11")
+    q = Poly(p.vars, p.content, dict(reversed(list(p.terms.items()))))
+    assert q == p and list(q.terms) != list(p.terms)
+    x, y = (symbol_id(name) for name in ("x", "y"))
+    symexpr._weights.cache_clear()
+    _image.cache_clear()
+    # q's images come from the weights memoized for p
+    for poly, sid in [(p, x), (q, y), (q, x)]:
+        deg, image = _image(poly, sid)
+        # the image at t = 2 is p with sid at twice its image point
+        point = {v: _image_point(v) * (2 if v == sid else 1) for v in (x, y)}
+        value = sum(c * 2**e for e, c in enumerate(image)) % CERT_PRIME
+        direct = sum(
+            c * math.prod(pow(point[v], e, CERT_PRIME) for v, e in zip(poly.vars, exps))
+            for exps, c in poly.items()
+        ) % CERT_PRIME
+        assert deg == 2 and value == direct
