@@ -36,7 +36,6 @@ literature-style identities at three distinct shifts of the same parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -271,7 +270,7 @@ def p_series(
     total = WeightSpaceOperator.identity(space)
     up = total  # E^k, from the space to the k-times raised space
     down = total  # F^k, back from the k-times raised space
-    denom = RF_ONE
+    scale = RF_ONE  # 1 / (k! prod_j (t - H - j)), one linear factor per pole
     k = 0
     while True:
         k += 1
@@ -283,9 +282,8 @@ def p_series(
             raise PoleHit(
                 f"series denominator factor vanishes at step {k} for root {alpha}"
             )
-        denom = denom * pole
+        scale = scale / (pole * rational(k))
         down = down.compose(operator_for_letter(up.codomain, lower_letter))
-        scale = rational(Fraction(1, math.factorial(k))) / denom
         total = total + down.compose(up).scale(scale)
     return total
 
@@ -853,15 +851,15 @@ def check_nabla_K(
 ) -> CheckReport:
     """Exact zeroth-order residual of the derivative/difference intertwining.
 
-    The derivative hits only the coordinate prefactor, whose logarithmic
-    derivative is the formal highest-weight exponent plus the integer
-    exponent of each matrix row; the remaining terms are matrix products.
+    With Z(lambda) the zeroth-order matrix of the j-th trigonometric KZ
+    operator (`kz_operator`), the residual is ``kappa (dK + K formal_j) +
+    Z(lambda + kappa omega_k) K - K Z(lambda)``.  The derivative hits only
+    the coordinate prefactor, whose logarithmic derivative is the formal
+    highest-weight exponent plus the integer exponent of each matrix row.
     The residual must vanish identically.
     """
     pairings = _default_pairings(space, pairings)
-    n = len(space.factors)
-    n_rank = space.pbw_basis.n_rank
-    zs = tuple(z_syms) if z_syms is not None else z_symbols(n)
+    zs = tuple(z_syms) if z_syms is not None else z_symbols(len(space.factors))
     kap = kappa_symbol()
     Kd = K_operator(space, k, pairings, zs)
     K = Kd.op
@@ -878,29 +876,12 @@ def check_nabla_K(
     dK = WeightSpaceOperator(space, space, d_entries)
     formal_j = Kd.formal_z_exponents[j - 1]
     term_derivative = (dK + K.scale(formal_j)).scale(kap)
-
-    lam_vec = weight_from_pairings(n_rank, pairings)
-    omega_k = omega_vec(n_rank, k)
-    shift_entries: dict[tuple[int, int], RationalFunctionExpr] = {}
-    for pos in range(space.dim):
-        mu = _factor_weight(space, pos, j)
-        val = lam_vec.dot(mu) + kap * omega_k.dot(mu)
-        if not val.is_zero():
-            shift_entries[(pos, pos)] = val
-    shifted_diag = WeightSpaceOperator(space, space, shift_entries)
-
-    r_sum = WeightSpaceOperator.zero(space, space)
-    for other in range(1, n + 1):
-        if other == j:
-            continue
-        r_sum = r_sum + r_matrix_operator(space, j, other, zs[j - 1], zs[other - 1])
-
+    shifted = kz_operator(space, "trigonometric", j, _kappa_shift(pairings, k, kap), zs)
+    plain = kz_operator(space, "trigonometric", j, pairings, zs)
     residual = (
         term_derivative
-        - shifted_diag.compose(K)
-        - r_sum.compose(K)
-        + K.compose(lambda_diagonal(space, j, pairings))
-        + K.compose(r_sum)
+        + shifted.zero_order.compose(K)
+        - K.compose(plain.zero_order)
     )
     witness = _first_mismatch(residual, WeightSpaceOperator.zero(space, space))
     return CheckReport(witness is None, space.dim ** 2, witness)
@@ -957,14 +938,9 @@ def det_ingredients(
             return 0
         return enumerate_basis(space.factors, nu0, space.pbw_basis).dim
 
-    s_pair = sum(f.p for f in space.factors) - 2 * space.nu0[0] if n_rank == 2 else None
-    if s_pair is None:
-        # General case: pairing of the total weight with alpha is an integer
-        # for finite-dimensional factors; extract it by dimension bookkeeping.
-        total = _total_weight(space)
-        pair_expr = total.dot(root_vec(n_rank, *alpha))
-        s_pair = _int_from_constant(pair_expr)
-
+    # `ModuleSpec` allows "lp" factors only at rank one (n_rank == 2), where
+    # the pairing of the total weight with the root is sum(p) - 2 nu0
+    s_pair = sum(f.p for f in space.factors) - 2 * space.nu0[0]
     lam_alpha = _root_pairing(pairings, alpha)
     mult: dict[int, int] = {}
     ratio_rows = []
@@ -1019,13 +995,6 @@ def det_ingredients(
         z_exponents=z_exponents,
         pair_exponents=pair_exponents,
     )
-
-
-def _int_from_constant(expr: RationalFunctionExpr) -> int:
-    for candidate in range(-512, 513):
-        if (expr - rational(candidate)).is_zero():
-            return candidate
-    raise ValueError("expected a small integer constant")
 
 
 # ---------------------------------------------------------------------------

@@ -401,32 +401,20 @@ class WeightSpaceOperator:
         )
 
     def invert(self) -> "WeightSpaceOperator":
-        """Exact inverse via Gauss-Jordan over the expression field."""
+        """Exact inverse via Gauss-Jordan on ``[A | I]`` over the expression field."""
         assert self.domain == self.codomain
         n = self.domain.dim
-        a = self.dense()
-        inv = [[RF_ONE if i == j else RF_ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if not a[r][col].is_zero()), None
-            )
-            if pivot is None:
-                raise SingularGram("matrix is singular over the expression field")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            scale = a[col][col].reciprocal()
-            a[col] = [x * scale for x in a[col]]
-            inv[col] = [x * scale for x in inv[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+        mat = [
+            row + [RF_ONE if i == j else RF_ZERO for j in range(n)]
+            for i, row in enumerate(self.dense())
+        ]
+        if len(_row_reduce(mat, n)) < n:
+            raise SingularGram("matrix is singular over the expression field")
         entries = {
-            (i, j): inv[i][j]
-            for i in range(n)
-            for j in range(n)
-            if not inv[i][j].is_zero()
+            (i, j): x
+            for i, row in enumerate(mat)
+            for j, x in enumerate(row[n:])
+            if not x.is_zero()
         }
         return WeightSpaceOperator(self.domain, self.codomain, entries)
 
@@ -631,13 +619,12 @@ def dual_action_F(
 # Singular vectors
 # ---------------------------------------------------------------------------
 
-def nullspace(rows: list[dict[int, RationalFunctionExpr]], dim: int) -> list[dict[int, RationalFunctionExpr]]:
-    """Exact nullspace of a stacked sparse system over the expression field."""
-    # Dense Gaussian elimination: rows are functionals on R^dim.
-    mat = [[row.get(j, RF_ZERO) for j in range(dim)] for row in rows]
+def _row_reduce(mat: list[list[RationalFunctionExpr]], ncols: int) -> list[int]:
+    """Gauss-Jordan on the dense rows of ``mat`` in place, over the first
+    ``ncols`` columns; returns the pivot columns, the k-th in row k."""
     pivots: list[int] = []
     r = 0
-    for col in range(dim):
+    for col in range(ncols):
         pivot = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero()), None)
         if pivot is None:
             continue
@@ -652,6 +639,14 @@ def nullspace(rows: list[dict[int, RationalFunctionExpr]], dim: int) -> list[dic
         r += 1
         if r == len(mat):
             break
+    return pivots
+
+
+def nullspace(rows: list[dict[int, RationalFunctionExpr]], dim: int) -> list[dict[int, RationalFunctionExpr]]:
+    """Exact nullspace of a stacked sparse system over the expression field."""
+    # Dense Gaussian elimination: rows are functionals on R^dim.
+    mat = [[row.get(j, RF_ZERO) for j in range(dim)] for row in rows]
+    pivots = _row_reduce(mat, dim)
     free = [c for c in range(dim) if c not in pivots]
     out = []
     for fc in free:

@@ -62,34 +62,27 @@ Multivariate gcds and exact divisions go through the two seams
 the result is forced: for a zero or constant operand, for equal operands,
 for operands with no common variable (the gcd is 1), and when one operand
 is a monomial (the gcd is the monomial of the smallest exponent of each
-variable over all terms of both).  Every other gcd is kept in a bounded
-in-process memo keyed by the operand pair (`GCD_MEMO_SIZE` entries, least
-recently used evicted first); ``Poly`` is immutable, so a memoized result
-can be shared.  On a memo miss a modular check first tries to prove the
-operands coprime: for each common variable x, the other variables are set
-to their fixed residues modulo `CERT_PRIME`, and the two univariate images
-are compared.  When one image keeps its operand's degree in x and the
-images have a constant gcd over GF(P), x cannot occur in the gcd; when
-every common variable passes, the gcd is 1 (Brown's degree argument, see
-`_coprime_by_images`).
+variable over all terms of both).  Otherwise a modular check first tries
+to prove the operands coprime: for each common variable x, the other
+variables are set to their fixed residues modulo `CERT_PRIME`, and the two
+univariate images are compared.  When one image keeps its operand's degree
+in x and the images have a constant gcd over GF(P), x cannot occur in the
+gcd; when every common variable passes, the gcd is 1 (Brown's degree
+argument, see `_coprime_by_images`).
 
 Otherwise, and always for a coefficient whose denominator P divides, the
 primitive parts are unpacked to integer polynomials keyed by exponent
-tuples and their gcd is computed by the heuristic gcd of Char, Geddes and Gonnet
-(GCDHEU, J. Symbolic Comput. 7 (1989), the algorithm sympy runs on the same
-inputs), in `_heu_gcd`: one variable is set to an integer point xi, the gcd
-of the images is computed recursively down to an integer gcd, each level is
-rebuilt from balanced base-xi digits, and a candidate is kept only when it
-divides both operands exactly.  A divisor found this way need not be the
-gcd, so it is returned only with a proof of maximality: either its cofactors
-are proven coprime (a forced case above or the modular check), or every
-point at every level was at least 2 min(|f|, |g|) + 2 for the max norms of
-that level's operands, where a dividing candidate is the gcd (the CGG
-bound; the argument is in `_heu_gcd`).  The cheap points that sympy uses
-are tried first and points above the bound second; `HeuristicGcdFailed`
-is raised when neither finds a proven gcd.  Exact division is sparse long
-division over Z by the primitive divisor (Gauss's lemma) and raises
-`InexactDivision` when the divisor does not divide.
+tuples and their gcd is computed by the heuristic gcd of Char, Geddes and
+Gonnet (GCDHEU, J. Symbolic Comput. 7 (1989)), in `_heu_gcd`: one variable
+is set to an integer point xi, the gcd of the images is computed
+recursively down to an integer gcd, each level is rebuilt from balanced
+base-xi digits, and a candidate is kept only when it divides both operands
+exactly.  Every point at every level is at least 2 min(|f|, |g|) + 2 for
+the max norms of that level's operands, where a dividing candidate is the
+gcd (the CGG bound; the argument is in `_heu_gcd`), so every answer is
+proven.  `HeuristicGcdFailed` is raised when no point gives one.  Exact
+division is sparse long division over Z by the primitive divisor (Gauss's
+lemma) and raises `InexactDivision` when the divisor does not divide.
 
 Symbols are process-global: a name maps to a stable integer id on first use.
 Names follow ``[A-Za-z][A-Za-z0-9:]*``; by convention the package uses
@@ -215,7 +208,8 @@ class Poly:
     Instances must be built through the class methods or arithmetic; the
     constructor trusts its arguments (the invariants of the module
     docstring).  ``terms`` is never mutated after construction: scaling
-    shares it, and the gcd memo hands the same instances to every caller.
+    shares it, and the memos of this module hand the same instances to
+    every caller.
     """
 
     __slots__ = ("vars", "content", "terms", "_hash")
@@ -529,15 +523,8 @@ _POLY_ONE = Poly((), _ONE, {0: 1})
 # GCD / exact division seam (heuristic gcd and long division over Z)
 # ---------------------------------------------------------------------------
 
-# Entries of the gcd memo.  The rank-3 suites (fusion 3/1,1, compatibility
-# 3/2,0, pbw-invariance 4/1,2,2, appendix-b 3/2,1) make about 1050 distinct
-# non-forced gcds in one process, and at 512 entries the memo keeps every
-# one of their 1533 repeats while adding about 1.3 MB of peak RSS (25.4
-# against 24.2 MB for the four in one process with the memo turned off).
-GCD_MEMO_SIZE = 512
-
-# Evaluation points the heuristic gcd tries per level in each of its two
-# stages (the value of sympy's HEU_GCD_MAX).
+# Evaluation points the heuristic gcd tries per level (the value of sympy's
+# HEU_GCD_MAX).
 GCDHEU_POINTS = 6
 
 
@@ -729,47 +716,21 @@ def _coprime_by_images(p: Poly, q: Poly) -> bool:
     return True
 
 
-def _coprime(a: Poly, b: Poly) -> bool:
-    """True only if nonzero a and b are proven coprime; False means undecided.
-
-    The proofs are the forced cases of `poly_gcd_cofactors` (a constant
-    operand, no common variable, a monomial operand) and `_coprime_by_images`.
-    """
-    if a.is_const() or b.is_const() or set(a.vars).isdisjoint(b.vars):
-        return True
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return _monomial_gcd_cofactors(a, b)[0].is_one()
-    return _coprime_by_images(a, b)
-
-
-@lru_cache(maxsize=GCD_MEMO_SIZE)
 def _ring_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """`poly_gcd_cofactors` for non-forced operands, memoized by operand pair.
+    """`poly_gcd_cofactors` for non-forced operands.
 
     Pairs that `_coprime_by_images` proves coprime return at once.  Any other
-    pair is cleared of denominators and handed to `_heu_gcd`, whose answer is
-    accepted only with a proof that it is the gcd: either every evaluation
-    point was above the CGG bound, or the cofactors are proven coprime by
-    `_coprime`.  The cheap points are tried first, the bounded points second;
-    `HeuristicGcdFailed` is raised when neither stage finds a proven gcd.
+    pair is cleared of denominators and handed to `_heu_gcd`, whose answer
+    the CGG bound proves to be the gcd; `HeuristicGcdFailed` is raised when
+    it finds none.
     """
     if _coprime_by_images(p, q):
         return _POLY_ONE, p, q
     vars = tuple(sorted(set(p.vars) | set(q.vars)))
-    f, g = _tuples(p, vars), _tuples(q, vars)
-
-    def proven_coprime(cf, cg) -> bool:
-        return _coprime(_from_tuples(vars, _ONE, cf.items()), _from_tuples(vars, _ONE, cg.items()))
-
-    for bounded in (False, True):
-        found = _heu_gcd(f, g, bounded, proven_coprime)
-        if found is not None:
-            break
-    else:
-        raise HeuristicGcdFailed(
-            f"no proven gcd after {GCDHEU_POINTS} cheap and {GCDHEU_POINTS} bounded points"
-        )
-    h, cf, cg, _ = found
+    found = _heu_gcd(_tuples(p, vars), _tuples(q, vars))
+    if found is None:
+        raise HeuristicGcdFailed(f"no proven gcd after {GCDHEU_POINTS} points")
+    h, cf, cg = found
     if len(h) == 1 and not any(next(iter(h))):
         return _POLY_ONE, p, q
     # h = u * g for the normalized gcd g and a unit u = g_poly.content
@@ -871,7 +832,7 @@ def _int_quotient(f: dict, h: dict) -> dict | None:
     return quotient
 
 
-def _heu_gcd(f: dict, g: dict, bounded: bool, accept=None):
+def _heu_gcd(f: dict, g: dict):
     """Heuristic gcd (GCDHEU) of nonzero integer polynomials f and g.
 
     Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
@@ -879,32 +840,30 @@ def _heu_gcd(f: dict, g: dict, bounded: bool, accept=None):
     first variable is set to an integer xi, the gcd gamma of the images is
     computed recursively (an integer gcd once no variable is left), and the
     candidate G with balanced base-xi digits of gamma, made primitive, is
-    kept when it divides f and g exactly.  With a cheap point two more
-    candidates come from the digits of the cofactor images, as in sympy.
+    kept when it divides f and g exactly.
 
-    Returns ``(h, f/h, g/h, proven)`` or None after `GCDHEU_POINTS` points.
-    ``proven`` says h is the gcd over Z: xi >= 2 min(|f|, |g|) + 2 (max norm,
-    after the common content is removed) and gamma was proven at the level
-    below.  Proof: pp(G) divides f and g, so the primitive gcd is
-    g0 = pp(G) c with c over Z (Gauss).  Since g0(xi) divides gamma =
-    cont(G) pp(G)(xi), the image c(xi) is an integer dividing cont(G), and
-    |cont(G)| <= xi/2 because the coefficients of G are balanced digits.  If
-    c involved any other variable, take the lex-largest monomial mu of those
-    variables in c: the slice of c at mu (its coefficient, a polynomial in
-    the first variable) vanishes at xi and divides the slice of f (say |f|
-    is the smaller norm) at f's lex-largest monomial in those variables, but
-    every root of that slice is below 1 + |f| < xi in absolute value
-    (Cauchy).  So c is univariate and divides a slice of f; if it were not
-    constant, each root would again be below 1 + |f| and |c(xi)| >
-    (xi - 1 - |f|)^deg c >= xi/2.  So c is a constant dividing g0: c = +-1.
-    With ``bounded`` every level starts at the bound and keeps only G, so
-    every result is proven.  ``accept(f/h, g/h)`` decides unproven results
-    (only the top level passes it; lower levels return any divisor).
+    Returns ``(h, f/h, g/h)`` with h the gcd over Z, or None after
+    `GCDHEU_POINTS` points.  Every point is at least the CGG bound, xi >=
+    2 min(|f|, |g|) + 2 (max norms, after the common content is removed),
+    and by induction on the number of variables gamma is the gcd of the
+    images.  Then pp(G), if it divides f and g, is their primitive gcd.
+    Proof: the primitive gcd is g0 = pp(G) c with c over Z (Gauss).  Since
+    g0(xi) divides gamma = cont(G) pp(G)(xi), the image c(xi) is an
+    integer dividing cont(G), and |cont(G)| <= xi/2 because the coefficients
+    of G are balanced digits.  If c involved any other variable, take the
+    lex-largest monomial mu of those variables in c: the slice of c at mu
+    (its coefficient, a polynomial in the first variable) vanishes at xi and
+    divides the slice of f (say |f| is the smaller norm) at f's lex-largest
+    monomial in those variables, but every root of that slice is below
+    1 + |f| < xi in absolute value (Cauchy).  So c is univariate and divides
+    a slice of f; if it were not constant, each root would again be below
+    1 + |f| and |c(xi)| > (xi - 1 - |f|)^deg c >= xi/2.  So c is a constant
+    dividing g0: c = +-1.
     """
     if () in f:
         a, b = f[()], g[()]
         h = math.gcd(a, b)
-        return {(): h}, {(): a // h}, {(): b // h}, True
+        return {(): h}, {(): a // h}, {(): b // h}
     content = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
     if content != 1:
         f = {e: c // content for e, c in f.items()}
@@ -914,51 +873,28 @@ def _heu_gcd(f: dict, g: dict, bounded: bool, accept=None):
     bound = 2 * min(f_norm, g_norm) + 2
     big = bound + 27
     xi = max(
+        bound,
         min(big, 99 * math.isqrt(big)),
         2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4,
     )
-    if bounded:
-        xi = max(xi, bound)
     for _ in range(GCDHEU_POINTS):
         ff = _evaluate_first(f, xi)
         gg = _evaluate_first(g, xi)
-        sub = _heu_gcd(ff, gg, bounded) if ff and gg else None
+        sub = _heu_gcd(ff, gg) if ff and gg else None
         if sub is not None:
-            gamma, cff, cfg, sub_proven = sub
-            found = _lift_candidates(f, g, xi, gamma, cff, cfg, bounded)
-            for h, cf, cg, from_gamma in found:
-                proven = from_gamma and sub_proven and xi >= bound
-                if proven or accept is None or accept(cf, cg):
-                    if content != 1:
-                        h = {e: c * content for e, c in h.items()}
-                    return h, cf, cg, proven
+            h = _interpolate(sub[0], xi)
+            unit = math.gcd(*h.values())
+            if h[max(h)] < 0:
+                unit = -unit
+            h = {e: c // unit for e, c in h.items()}
+            cf = _int_quotient(f, h)
+            cg = _int_quotient(g, h) if cf is not None else None
+            if cg is not None:
+                if content != 1:
+                    h = {e: c * content for e, c in h.items()}
+                return h, cf, cg
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
-
-
-def _lift_candidates(f, g, xi, gamma, cff, cfg, bounded):
-    """Yield ``(h, f/h, g/h, from_gamma)`` for the GCDHEU candidates at xi."""
-    h = _interpolate(gamma, xi)
-    content = math.gcd(*h.values())
-    if h[max(h)] < 0:
-        content = -content
-    h = {e: c // content for e, c in h.items()}
-    cf = _int_quotient(f, h)
-    cg = _int_quotient(g, h) if cf is not None else None
-    if cg is not None:
-        yield h, cf, cg, True
-    if bounded:
-        return
-    cf = _interpolate(cff, xi)
-    h = _int_quotient(f, cf) if cf else None
-    cg = _int_quotient(g, h) if h else None
-    if cg is not None:
-        yield h, cf, cg, False
-    cg = _interpolate(cfg, xi)
-    h = _int_quotient(g, cg) if cg else None
-    cf = _int_quotient(f, h) if h else None
-    if cf is not None:
-        yield h, cf, cg, False
 
 
 def poly_divexact(p: Poly, q: Poly) -> Poly:
@@ -1260,9 +1196,9 @@ def _power_product(factors) -> Poly:
     return _expand(key) if key else _POLY_ONE
 
 
-# The rank-3 suites of `GCD_MEMO_SIZE` expand 233 distinct products in
-# 5,265 calls, and cap-scale fusion and compatibility 318 in 36,298.  The
-# entries of a summed operator that share a base then share one
+# The four rank-3 runs (fusion 3/1,1, compatibility 3/2,0, pbw-invariance
+# 4/1,2,2, appendix-b 3/2,1) expand 217 distinct products in 5,313 calls,
+# and cap-scale fusion and compatibility 222 in 35,710.  The entries of a summed operator that share a base then share one
 # denominator instead of holding a copy each.
 @lru_cache(maxsize=512)
 def _expand(factors: frozenset) -> Poly:
@@ -1349,8 +1285,8 @@ def _cancel_all(p: Poly, factors) -> tuple[Poly, tuple[tuple[Poly, int], ...]]:
     return p, tuple(out)
 
 
-# The rank-3 suites of `GCD_MEMO_SIZE` combine 618 distinct pairs of bases
-# in 4,817 calls, and cap-scale fusion and compatibility 1,985 in 27,557.
+# The four rank-3 runs of `_expand` combine 715 distinct pairs of bases in
+# 4,865 calls; cap-scale fusion and compatibility miss 2,084 of 27,125.
 @lru_cache(maxsize=2048)
 def _common_base(fa, fb) -> tuple[tuple[Poly, int, int], ...]:
     """``(f, m, k)``: one coprime base of two bases, with the multiplicity

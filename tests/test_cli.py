@@ -279,6 +279,23 @@ class TestSymbolicSuites:
         assert checks.count("exchange") == 1
         assert checks.count("derivative-intertwining") == 2
 
+    def test_rank3_compatibility_takes_no_general_gcd(self, monkeypatch):
+        # the poles of the one-root series stay linear factors, so the
+        # operators of this suite combine without a gcd of whole denominators
+        from kzdyn import symexpr
+
+        calls = []
+        ring = symexpr._ring_gcd_cofactors
+
+        def counted(p, q):
+            calls.append((p, q))
+            return ring(p, q)
+
+        monkeypatch.setattr(symexpr, "_ring_gcd_cofactors", counted)
+        report = run_suite(SuiteConfig(suite="compatibility", n=3, nu=(2, 0)))
+        assert report["verdict"] == "pass"
+        assert calls == []
+
     def test_appendix_b_default(self):
         report = run_suite(SuiteConfig(suite="appendix-b"))
         _schema_check(report, "appendix-b")
@@ -663,7 +680,6 @@ class TestMainEntry:
     def test_gcd_give_up_exits_three(self, capsys, monkeypatch):
         from kzdyn import symexpr
 
-        symexpr._ring_gcd_cofactors.cache_clear()
         monkeypatch.setattr(symexpr, "GCDHEU_POINTS", 0)
         code = main(["verify", "fusion"])
         captured = capsys.readouterr()

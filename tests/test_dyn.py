@@ -48,10 +48,11 @@ from kzdyn.roots import (
     nu_vec,
     omega_bracket,
     omega_vec,
+    positive_roots,
     special_order,
     weight_from_pairings,
 )
-from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
+from kzdyn.symexpr import RF_ONE, RF_ZERO, _is_linear, rational, symbol
 from kzdyn.uea import GenWord, Straightener, standard_basis
 
 E = lambda k, l: ("e", k, l)  # noqa: E731
@@ -77,6 +78,18 @@ def test_p_series_terminates_and_preserves_space():
     sp = enumerate_basis([verma_symbolic(2, 1), verma_symbolic(2, 2)], (2,))
     op = p_series(sp, (1, 2), symbol("l1"))
     assert op.domain == sp and op.codomain == sp
+
+
+def test_p_series_poles_stay_linear_factors():
+    # compatibility --n 3 --nu 2,0: every pole (t - H - j) of every one-root
+    # series is its own linear factor of the entries' denominator base
+    sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (2, 0))
+    with_poles = 0
+    for alpha in positive_roots(3):
+        for value in B_alpha(sp, alpha).op.entries.values():
+            assert all(_is_linear(f) for f, _ in value.factors), str(value)
+            with_poles += bool(value.factors)
+    assert with_poles
 
 
 def test_b_alpha_rank1_closed_form():

@@ -17,7 +17,6 @@ from _algebra_helpers import reference_add, reference_mul
 from kzdyn import symexpr
 from kzdyn.symexpr import (
     CERT_PRIME,
-    GCD_MEMO_SIZE,
     MAX_DEGREE,
     RF_ONE,
     RF_ZERO,
@@ -31,7 +30,6 @@ from kzdyn.symexpr import (
     _image,
     _image_point,
     _is_linear,
-    _ring_gcd_cofactors,
     parse,
     poly_divexact,
     poly_gcd_cofactors,
@@ -506,34 +504,39 @@ def _p(text: str) -> Poly:
     return expr.num
 
 
-def test_gcd_shortcuts_do_not_reach_the_ring():
-    before = _ring_gcd_cofactors.cache_info()
+def test_gcd_shortcuts_do_not_reach_the_ring(monkeypatch):
+    def unreachable(p, q):
+        raise AssertionError(f"a forced gcd reached the ring: {p!r}, {q!r}")
+
+    monkeypatch.setattr(symexpr, "_ring_gcd_cofactors", unreachable)
     assert poly_gcd_cofactors(_p("x*y + 1"), _p("z:1*l1 - 3"))[0].is_one()
     g, pg, qg = poly_gcd_cofactors(_p("6*x^2*y"), _p("x^3*z:1 + x*y^2"))
     assert (g, pg, qg) == (_p("x"), _p("6*x*y"), _p("x^2*z:1 + y^2"))
     assert poly_gcd_cofactors(_p("x*y^2"), _p("-x^2*y")) == (_p("x*y"), _p("y"), _p("-x"))
     assert poly_gcd_cofactors(_p("2*x"), _p("y^2 - x")) == (Poly.one(), _p("2*x"), _p("y^2 - x"))
-    after = _ring_gcd_cofactors.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def _count_integer_gcds(monkeypatch) -> list:
-    """Clear the memo and record the stage of every top-level `_heu_gcd` call."""
-    stages = []
+    """Record the operands of every top-level `_heu_gcd` call (not its recursion)."""
+    calls = []
+    depth = [0]
     heu_gcd = symexpr._heu_gcd
 
-    def counted(f, g, bounded, accept=None):
-        if accept is not None:
-            stages.append("bounded" if bounded else "cheap")
-        return heu_gcd(f, g, bounded, accept)
+    def counted(f, g):
+        if not depth[0]:
+            calls.append((f, g))
+        depth[0] += 1
+        try:
+            return heu_gcd(f, g)
+        finally:
+            depth[0] -= 1
 
-    _ring_gcd_cofactors.cache_clear()
     monkeypatch.setattr(symexpr, "_heu_gcd", counted)
-    return stages
+    return calls
 
 
 def test_coprime_pairs_skip_the_integer_gcd(monkeypatch):
-    stages = _count_integer_gcds(monkeypatch)
+    calls = _count_integer_gcds(monkeypatch)
     for p, q in [
         (_p("x + y + 1"), _p("x - y")),
         (_p("(x + 2*y) * (z:1 - 1)"), _p("x^2*z:1 + y^2 + 3")),
@@ -541,12 +544,11 @@ def test_coprime_pairs_skip_the_integer_gcd(monkeypatch):
     ]:
         assert _coprime_by_images(p, q)
         assert poly_gcd_cofactors(p, q) == (Poly.one(), p, q)
-    assert _ring_gcd_cofactors.cache_info().misses == 3
-    assert stages == []
+    assert calls == []
 
 
 def test_certificate_undecided_cases(monkeypatch):
-    stages = _count_integer_gcds(monkeypatch)
+    calls = _count_integer_gcds(monkeypatch)
     x, y = symbol_id("x"), symbol_id("y")
     rx, ry = _image_point(x), _image_point(y)
     # (x - r_x)(y - r_y) + 1 has constant images in x and in y
@@ -560,18 +562,9 @@ def test_certificate_undecided_cases(monkeypatch):
     assert not _coprime_by_images(_p(f"x + y/{CERT_PRIME}"), _p("x - y"))
     for p, q in [(f * _p("x + 2"), f * _p("y + 3")), (_p(f"x + y/{CERT_PRIME}"), _p("x - y"))]:
         _check_gcd_cofactors(p, q)
-    # both undecided pairs are answered by the integer gcd, at a cheap point
-    assert stages == ["cheap", "cheap"]
-
-
-def test_cofactor_coprimality_proofs():
-    # the proofs that let the integer gcd return a divisor as the gcd
-    assert symexpr._coprime(_p("3"), _p("x + y"))
-    assert symexpr._coprime(_p("x + 1"), _p("y + 1"))
-    assert symexpr._coprime(_p("x^2"), _p("x*y + 1"))
-    assert not symexpr._coprime(_p("x^2"), _p("x*y + x"))
-    assert symexpr._coprime(_p("x + y + 1"), _p("x - y"))
-    assert not symexpr._coprime(_p("(x + y) * (x - 1)"), _p("(x + y) * (y + 2)"))
+    # both undecided pairs are answered by the integer gcd, each twice
+    # (`_check_gcd_cofactors` asks again on copies)
+    assert len(calls) == 4
 
 
 def test_image_points_are_fixed():
@@ -579,25 +572,6 @@ def test_image_points_are_fixed():
     assert 1 <= _image_point(symbol_id("x")) < CERT_PRIME
     assert _image_point(symbol_id("x")) == 619406836
     assert len({_image_point(symbol_id(n)) for n in _GCD_NAMES}) == len(_GCD_NAMES)
-
-
-def test_gcd_memo_hit_on_equal_operands():
-    p, q = _p("(x + y) * (x - 2)"), _p("(x + y) * (y + 5)")
-    first = poly_gcd_cofactors(p, q)
-    hits = _ring_gcd_cofactors.cache_info().hits
-    second = poly_gcd_cofactors(_copy(p), _copy(q))
-    assert _ring_gcd_cofactors.cache_info().hits == hits + 1
-    assert second == first
-    assert first == (_p("x + y"), _p("x - 2"), _p("y + 5"))
-
-
-def test_gcd_memo_stays_bounded():
-    misses = _ring_gcd_cofactors.cache_info().misses
-    for k in range(1, GCD_MEMO_SIZE + 21):
-        g, _, _ = poly_gcd_cofactors(_p(f"x + {k}"), _p(f"x*y + {k}"))
-        assert g.is_one()
-        assert _ring_gcd_cofactors.cache_info().currsize <= GCD_MEMO_SIZE
-    assert _ring_gcd_cofactors.cache_info().misses >= misses + GCD_MEMO_SIZE + 20
 
 
 def test_divexact_inverts_multiplication():
@@ -649,21 +623,17 @@ def _primitive(p: Poly) -> dict:
 
 
 def test_bounded_stage_alone_gives_the_gcd(monkeypatch):
-    # The first variable has degree 3, so the first point is above the CGG
-    # bound but the images have norms past 4,900 and the level below is
-    # capped: without a cofactor proof the cheap stage proves nothing.
+    # The first variable has degree 3, so the images have norms past 4,900:
+    # the level below must start at its own CGG bound, not at the cheap
+    # point the level above would suggest, for the answer to be proven.
     u, v = sorted(symbol_id(name) for name in ("x", "y"))
     h = Poly.build((u, v), {(1, 0): 1, (0, 1): 1, (0, 0): 1})
     a = Poly.build((u, v), {(3, 0): 1, (0, 1): 2, (0, 0): 3})
     b = Poly.build((u, v), {(3, 0): 1, (0, 1): -1, (0, 0): 5})
     f, g, gcd = (_primitive(c) for c in (h * a, h * b, h))
-    reject = lambda cf, cg: False
-    assert symexpr._heu_gcd(f, g, False, reject) is None
-    assert symexpr._heu_gcd(f, g, True, reject) == (gcd, _primitive(a), _primitive(b), True)
-    # the same through the seam: with no cofactor proof, the answer must
-    # come from points above the CGG bound at every level
-    stages = _count_integer_gcds(monkeypatch)
-    monkeypatch.setattr(symexpr, "_coprime", lambda a, b: False)
+    assert symexpr._heu_gcd(f, g) == (gcd, _primitive(a), _primitive(b))
+    # the same through the seam, on operands with large coefficients
+    calls = _count_integer_gcds(monkeypatch)
     rng = random.Random(20261021)
     f = _random_poly(rng, size=10**6)
     pairs = [(f * _random_poly(rng, size=10**6), f * _random_poly(rng, size=10**6))]
@@ -673,19 +643,21 @@ def test_bounded_stage_alone_gives_the_gcd(monkeypatch):
             pairs.append((p, q))
     for p, q in pairs:
         _check_gcd_cofactors(p, q)
-    assert "bounded" in stages
+    assert calls
 
 
 def test_gcd_gives_up_with_named_error(monkeypatch):
-    _ring_gcd_cofactors.cache_clear()
     monkeypatch.setattr(symexpr, "GCDHEU_POINTS", 0)
     p, q = _p("(x + y) * (x - 2)"), _p("(x + y) * (y + 5)")
     with pytest.raises(HeuristicGcdFailed) as info:
         poly_gcd_cofactors(p, q)
     assert isinstance(info.value, ArithmeticError)
-    assert _ring_gcd_cofactors.cache_info().currsize == 0
     # pairs that need no integer gcd are still answered
     assert poly_gcd_cofactors(_p("x + y"), _p("x - y"))[0].is_one()
+    # and the failure leaves nothing behind: with the points back, the same
+    # pair gets its gcd
+    monkeypatch.undo()
+    assert poly_gcd_cofactors(p, q) == (_p("x + y"), _p("x - 2"), _p("y + 5"))
 
 
 # ---------------------------------------------------------------------------
