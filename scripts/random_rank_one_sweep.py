@@ -12,11 +12,8 @@ import argparse
 import random
 import sys
 
-from kzdyn.numeric import (
-    PoleHit,
-    det_formula_sl2_check,
-    main_theorem_sl2_check,
-)
+from kzdyn.closed_forms import det_formula_sl2_check, main_theorem_sl2_check
+from kzdyn.dyn import PoleHit
 
 
 def sample_point(rng: random.Random):

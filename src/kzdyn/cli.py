@@ -449,10 +449,12 @@ def _appendix_c(params: dict):
     return rows, {"depth": depth}, []
 
 
-# The three numeric checks import `numeric` when they run, so that scipy is
-# loaded only by them.  Its functions are looked up on the module at each
-# call, where a tracer or a test may have replaced them.  Their reports keep
-# ``"grid": "default"``, the name of the only parameter grid there is.
+# The three numeric checks import their module when they run: `selberg`
+# imports `numeric`, and with it scipy, for its quadrature; the two rank-one
+# suites import the scipy-free `closed_forms`.  Their functions are looked up
+# on the module at each call, where a tracer or a test may have replaced
+# them.  Their reports keep ``"grid": "default"``, the name of the only
+# parameter grid there is.
 
 def _selberg_quadrature_row(m: int, a: float, b: float, c: float, tol: float) -> dict:
     from . import numeric
@@ -500,12 +502,12 @@ def _selberg(params: dict):
 
 
 def _sl2_grid(params: dict, check: str):
-    """`main-theorem-sl2` and `determinant-sl2`: one `numeric` check per point."""
-    from . import numeric
+    """`main-theorem-sl2` and `determinant-sl2`: one `closed_forms` check per point."""
+    from . import closed_forms
 
     witnesses = [
-        getattr(numeric, check)(p, m, kappa, lam, z, params["tol"]).to_json()
-        for (p, m, kappa, lam, z) in numeric.MAIN_THEOREM_GRID
+        getattr(closed_forms, check)(p, m, kappa, lam, z, params["tol"]).to_json()
+        for (p, m, kappa, lam, z) in closed_forms.MAIN_THEOREM_GRID
     ]
     derived = {"grid": "default", "points": len(witnesses)}
     return [(w, w["passed"]) for w in witnesses], derived, []

@@ -614,8 +614,9 @@ def _image_point(sid: int) -> int:
 
 # Entries of the weight memo: the images of one operand in several
 # variables are asked for together.  Cap-scale compatibility (n = 3, nu =
-# 2,1) computes weights 5,022 times with 16 entries, 4,691 with 128, and
-# 3,039 with no bound.
+# 2,1), in a fresh process with the image memo at 128 entries, looks weights
+# up 7,715 times and computes them 4,214 times with 16 entries, 3,997 with
+# 128, and 2,649 with no bound.
 @lru_cache(maxsize=16)
 def _weights(p: Poly) -> tuple[tuple[int, ...], list[int]] | None:
     """The keys of p and, per key, ``c prod_v r_v^e_v mod P`` for the term
@@ -646,8 +647,10 @@ _ONES = [1] * (MAX_DEGREE + 1)
 
 
 # Entries of the image memo; 128 is the size of the memo of all of an
-# operand's images that it replaces, and 512 would save 10% of the misses
-# at cap-scale compatibility.
+# operand's images that it replaces.  Cap-scale compatibility, in a fresh
+# process with the weight memo at 16 entries, misses 9,932 of its 20,316
+# lookups with 16 entries, 7,715 with 128, 6,552 with 512 and 5,407 with no
+# bound.
 @lru_cache(maxsize=128)
 def _image(p: Poly, sid: int) -> tuple[int, tuple[int, ...]] | None:
     """``(deg_x p, image)`` for the variable x = ``sid`` of p.

@@ -713,25 +713,42 @@ class TestMainEntry:
         assert code == 0
         assert out.read_text(encoding="utf-8") == captured.out
 
-    def test_scipy_loads_only_for_numeric_suites(self):
-        code = (
-            "import sys, kzdyn.cli\n"
-            "assert 'scipy' not in sys.modules\n"
-            "assert kzdyn.cli.main(['verify', 'fusion']) == 0\n"
-            "assert 'scipy' not in sys.modules\n"
-            "assert kzdyn.cli.main(['verify', 'selberg']) == 0\n"
-            "assert 'scipy' in sys.modules\n"
+    def test_scipy_loads_only_for_the_selberg_suite(self):
+        def loaded_after(code: str) -> set[str]:
+            # a fresh interpreter, whose last line of output lists its modules
+            proc = subprocess.run(
+                [sys.executable, "-c", code + "\nprint(*sys.modules)"],
+                capture_output=True,
+                text=True,
+                check=False,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return set(proc.stdout.splitlines()[-1].split())
+
+        loaded = loaded_after("import sys, kzdyn.cli")
+        assert loaded.isdisjoint(
+            {"kzdyn.numeric", "kzdyn.closed_forms", "scipy", "numpy", "sympy"}
+        )
+        # numeric imports scipy with itself, not at its first quadrature, so
+        # that callers looping over quad_chamber pay the import once, outside
+        # their loops
+        assert "scipy" in loaded_after("import sys, kzdyn.numeric")
+        for suite in SUITES:
+            loaded = loaded_after(
+                "import sys\n"
+                "from kzdyn.cli import main\n"
+                f"assert main(['verify', {suite!r}]) == 0\n"
+            )
+            for heavy in ("scipy", "numpy"):
+                assert (heavy in loaded) == (suite == "selberg"), (suite, heavy)
             # sympy is a test-only dependency: no verify run loads it
-            "for suite in kzdyn.cli.SUITES:\n"
-            "    assert kzdyn.cli.main(['verify', suite]) == 0\n"
-            "    assert 'sympy' not in sys.modules, suite\n"
-            "assert kzdyn.cli.main(['verify', 'fusion', '--n', '3', '--nu', '1,1']) == 0\n"
-            "assert 'sympy' not in sys.modules\n"
+            assert "sympy" not in loaded, suite
+        loaded = loaded_after(
+            "import sys\n"
+            "from kzdyn.cli import main\n"
+            "assert main(['verify', 'fusion', '--n', '3', '--nu', '1,1']) == 0\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=False
-        )
-        assert proc.returncode == 0, proc.stderr
+        assert "sympy" not in loaded
 
     def test_module_is_executable(self):
         proc = subprocess.run(

@@ -1,6 +1,9 @@
-"""Tests for the floating-point verification layer: gamma plumbing, the
+"""Tests for the floating-point verification layers: gamma plumbing, the
 ordered-simplex beta integral (closed form, contiguous relation, quadrature),
-and the end-to-end rank-one difference-equation and determinant checks."""
+and the end-to-end rank-one difference-equation and determinant checks.
+
+The closed forms and the rank-one checks come from the scipy-free
+``kzdyn.closed_forms``; the chamber quadrature from ``kzdyn.numeric``."""
 
 import math
 import random
@@ -11,26 +14,28 @@ from _reference_quadrature import nested_gauss_jacobi_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kzdyn.closed_forms import (
+    MAIN_THEOREM_GRID,
+    SelbergParams,
+    det_formula_sl2_check,
+    evaluate_expr,
+    log_gamma,
+    main_theorem_sl2_check,
+    selberg_closed,
+    selberg_difference_check,
+    selberg_signed,
+)
 from kzdyn.dyn import PoleHit
 from kzdyn.numeric import (
     _NODE_LADDERS,
-    MAIN_THEOREM_GRID,
     QUADRATURE_GRID,
     SELBERG_GRID,
     ChamberIntegral,
     NonIntegrable,
     QuadratureNotConverged,
-    SelbergParams,
     _divergent_collision,
     _nested_gauss_jacobi,
-    det_formula_sl2_check,
-    evaluate_expr,
-    log_gamma,
-    main_theorem_sl2_check,
     quad_chamber,
-    selberg_closed,
-    selberg_difference_check,
-    selberg_signed,
 )
 from kzdyn.symexpr import parse, symbol
 
