@@ -269,7 +269,7 @@ def _additive_form(params: dict):
     for r in range(1, n):
         add = B_additive(space, r, lam)
         prod = B_w(space, omega_bracket(n, r)[1], arg)
-        equal = add.op == prod.op
+        equal = add == prod
         rows.append(({"r": r, "equal": equal, "dim": space.dim}, equal))
     return rows, {}, []
 
@@ -312,7 +312,7 @@ def _fusion(params: dict):
     need = sum(nu)
     fus_q = fus if depth >= need else fusion_solve(n, need)
     contraction = q_dagger(space, lam, fus_q)
-    equal = bw0.op == contraction
+    equal = bw0 == contraction
     witness = {
         "check": "contraction-vs-longest-word",
         "nu": list(nu),
@@ -320,7 +320,7 @@ def _fusion(params: dict):
         "equal": equal,
     }
     if not equal:
-        witness["first_mismatch"] = _first_mismatch(bw0.op, contraction)
+        witness["first_mismatch"] = _first_mismatch(bw0, contraction)
     rows.append((witness, equal))
     return rows, {}, []
 
@@ -656,6 +656,10 @@ def _resolve(row: str, params: Mapping[str, tuple], given: Mapping) -> dict:
             size, what, value = len(value), "the number of factors", list(value)
         else:
             size, what = value, name.replace("_", "-")
+            if isinstance(size, float) and not math.isfinite(size):
+                # a tol row caps at inf, which would pass any error and
+                # cannot be written as JSON
+                raise CapabilityExceeded(f"{row} needs a finite {what}")
         if low is not None and not low <= size <= high:
             raise CapabilityExceeded(f"{row} supports {low} <= {what} <= {high}")
         resolved[name] = value

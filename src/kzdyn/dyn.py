@@ -29,9 +29,10 @@ simple coroots (entry ``i`` is the pairing with the ``i``-th simple root);
 ``(l1, ..., l{N-1})``.  Tensor factors are numbered 1-based in this module's
 public API, matching the coordinate symbols ``z:1, z:2, ...``.
 
-Every operator explicitly records which argument its ``lambda`` slot was
-evaluated at (`convention`), because the difference operators appear in the
-literature-style identities at three distinct shifts of the same parameter.
+The difference operators appear in the literature-style identities at
+three distinct shifts of the same parameter; callers pass the shifted
+pairings (`shifted_pairings`).  `B_additive` at ``lambda`` equals the
+product form at ``lambda + rho + nu/2``.
 """
 
 from __future__ import annotations
@@ -226,25 +227,15 @@ def _exps_coords(basis: PBWBasis, exps: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DynOperator:
-    """A weight-space operator together with its argument convention.
+    """A coordinate-dressed operator (`K_operator`).
 
-    ``convention`` records what the lambda slot of the defining formula was
-    evaluated at when the matrix was assembled:
-
-    * ``"plain"`` -- the parameter is used as passed;
-    * ``"rho-plus-half-nu"`` -- the matrix equals the product-form operator
-      evaluated at ``lambda + rho + nu/2`` (the additive form).
-
-    For coordinate-dressed operators the diagonal prefactor splits into a
-    formal part (symbolic highest-weight exponents, recorded per factor in
-    ``formal_z_exponents``) and the integer exponents carried inside the
-    matrix entries themselves.
+    Its diagonal prefactor splits into a formal part (symbolic highest-weight
+    exponents, recorded per factor in ``formal_z_exponents``) and the integer
+    exponents carried inside the matrix entries of ``op`` themselves.
     """
 
     op: WeightSpaceOperator
-    convention: str = "plain"
-    formal_z_exponents: Optional[tuple[RationalFunctionExpr, ...]] = None
-    z_syms: Optional[tuple[RationalFunctionExpr, ...]] = None
+    formal_z_exponents: tuple[RationalFunctionExpr, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +283,7 @@ def B_alpha(
     space: TensorWeightSpace,
     alpha: tuple[int, int],
     pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> DynOperator:
+) -> WeightSpaceOperator:
     """One-root difference operator on a weight space.
 
     The series argument is ``(lambda + nu/2, alpha) - 1`` where ``nu`` is the
@@ -302,14 +293,14 @@ def B_alpha(
     n_rank = space.pbw_basis.n_rank
     nu_pair = _total_weight(space).dot(root_vec(n_rank, *alpha))
     t_val = _root_pairing(pairings, alpha) + nu_pair * _HALF - RF_ONE
-    return DynOperator(p_series(space, alpha, t_val))
+    return p_series(space, alpha, t_val)
 
 
 def B_w(
     space: TensorWeightSpace,
     w: Union[WeylElement, Sequence[int]],
     pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> DynOperator:
+) -> WeightSpaceOperator:
     """Ordered product of one-root operators along a reduced word.
 
     The word ``[i_1, ..., i_m]`` yields the root sequence
@@ -322,8 +313,8 @@ def B_w(
     n_rank = space.pbw_basis.n_rank
     total = WeightSpaceOperator.identity(space)
     for root in roots_of_reduced_word(n_rank, word):
-        total = B_alpha(space, root, pairings).op.compose(total)
-    return DynOperator(total)
+        total = B_alpha(space, root, pairings).compose(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +357,7 @@ def B_additive(
     space: TensorWeightSpace,
     r: int,
     pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> DynOperator:
+) -> WeightSpaceOperator:
     """Single-sum form of the level-``r`` difference operator.
 
     Each term lowers by an index supported on the roots straddling level
@@ -374,7 +365,7 @@ def B_additive(
     image of the corresponding dual element of a symbolic highest-weight
     module whose highest weight is the dynamical parameter.  The assembled
     matrix equals the product-form operator evaluated at
-    ``lambda + rho + nu/2``, which the convention tag records.
+    ``lambda + rho + nu/2``.
     """
     pairings = _default_pairings(space, pairings)
     n_rank = space.pbw_basis.n_rank
@@ -395,7 +386,7 @@ def B_additive(
         for exps_j, c in dual.terms.items():
             w = lower_word * chevalley_tau(monomial_word(basis_r, exps_j))
             total = total + word_operator(space, GenWord(w.coeff * c, w.letters))
-    return DynOperator(total, convention="rho-plus-half-nu")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +419,7 @@ def K_operator(
     pairings = _default_pairings(space, pairings)
     n_rank = space.pbw_basis.n_rank
     zs = tuple(z_syms) if z_syms is not None else z_symbols(len(space.factors))
-    base = B_w(space, omega_bracket(n_rank, k)[1], pairings).op
+    base = B_w(space, omega_bracket(n_rank, k)[1], pairings)
     diag: dict[tuple[int, int], RationalFunctionExpr] = {}
     for i in range(space.dim):
         value = RF_ONE
@@ -443,7 +434,7 @@ def K_operator(
         diag[(i, i)] = value
     dressed = WeightSpaceOperator(space, space, diag).compose(base)
     formal = tuple(f.hw.dot(omega_vec(n_rank, k)) for f in space.factors)
-    return DynOperator(dressed, formal_z_exponents=formal, z_syms=zs)
+    return DynOperator(dressed, formal)
 
 
 # ---------------------------------------------------------------------------

@@ -58,31 +58,22 @@ nonlinear ones go through the gcd seam.  Substitution maps the factors one
 by one, so the image of a linear factor stays one factor.
 
 Multivariate gcds and exact divisions go through the two seams
-`poly_gcd_cofactors` / `poly_divexact`.  The gcd seam answers directly when
-the result is forced: for a zero or constant operand, for equal operands,
-for operands with no common variable (the gcd is 1), and when one operand
-is a monomial (the gcd is the monomial of the smallest exponent of each
-variable over all terms of both).  Otherwise a modular check first tries
-to prove the operands coprime: for each common variable x, the other
-variables are set to their fixed residues modulo `CERT_PRIME`, and the two
-univariate images are compared.  When one image keeps its operand's degree
-in x and the images have a constant gcd over GF(P), x cannot occur in the
-gcd; when every common variable passes, the gcd is 1 (Brown's degree
-argument, see `_coprime_by_images`).
-
-Otherwise, and always for a coefficient whose denominator P divides, the
-primitive parts are unpacked to integer polynomials keyed by exponent
-tuples and their gcd is computed by the heuristic gcd of Char, Geddes and
-Gonnet (GCDHEU, J. Symbolic Comput. 7 (1989)), in `_heu_gcd`: one variable
-is set to an integer point xi, the gcd of the images is computed
-recursively down to an integer gcd, each level is rebuilt from balanced
-base-xi digits, and a candidate is kept only when it divides both operands
-exactly.  Every point at every level is at least 2 min(|f|, |g|) + 2 for
-the max norms of that level's operands, where a dividing candidate is the
-gcd (the CGG bound; the argument is in `_heu_gcd`), so every answer is
-proven.  `HeuristicGcdFailed` is raised when no point gives one.  Exact
-division is sparse long division over Z by the primitive divisor (Gauss's
-lemma) and raises `InexactDivision` when the divisor does not divide.
+`poly_gcd_cofactors` / `poly_divexact`.  The gcd seam answers directly only
+when the result is forced: for a zero or constant operand, for equal
+operands, and for operands with no common variable (the gcd is 1).  Every
+other pair is proven by one argument: the primitive parts are unpacked to
+integer polynomials keyed by exponent tuples and their gcd is computed by
+the heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput. 7
+(1989)), in `_heu_gcd`: one variable is set to an integer point xi, the gcd
+of the images is computed recursively down to an integer gcd, each level is
+rebuilt from balanced base-xi digits, and a candidate is kept only when it
+divides both operands exactly.  Every point at every level is at least
+2 min(|f|, |g|) + 2 for the max norms of that level's operands, where a
+dividing candidate is the gcd (the CGG bound; the argument is in
+`_heu_gcd`), so every answer is proven.  `HeuristicGcdFailed` is raised
+when no point gives one.  Exact division is sparse long division over Z by
+the primitive divisor (Gauss's lemma) and raises `InexactDivision` when the
+divisor does not divide.
 
 Symbols are process-global: a name maps to a stable integer id on first use.
 Names follow ``[A-Za-z][A-Za-z0-9:]*``; by convention the package uses
@@ -560,42 +551,11 @@ def poly_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     if set(p.vars).isdisjoint(q.vars):
         # a common factor could only involve variables occurring in both
         return _POLY_ONE, p, q
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        return _monomial_gcd_cofactors(p, q)
     return _ring_gcd_cofactors(p, q)
 
 
-def _monomial_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """`poly_gcd_cofactors` when p or q is a monomial.
-
-    The gcd is then the monomial whose exponent in each variable is the
-    smallest exponent of that variable over all terms of both operands.
-    """
-    gvars: list[int] = []
-    gexps: list[int] = []
-    for v in sorted(set(p.vars).intersection(q.vars)):
-        sp, sq = _shift(p, v), _shift(q, v)
-        low = min(
-            min(k >> sp & MAX_DEGREE for k in p.terms),
-            min(k >> sq & MAX_DEGREE for k in q.terms),
-        )
-        if low:
-            gvars.append(v)
-            gexps.append(low)
-    if not gvars:
-        return _POLY_ONE, p, q
-    g = Poly(tuple(gvars), _ONE, {_pack(gexps): 1})
-    return g, _divide_monomial(p, g), _divide_monomial(q, g)
-
-
-def _divide_monomial(p: Poly, m: Poly) -> Poly:
-    """Exact quotient of p by a monic monomial m that divides every term."""
-    (km,) = _widen(m.terms, m.vars, p.vars)
-    vars, terms = _shrink(p.vars, {k - km: c for k, c in p.terms.items()})
-    return Poly(vars, p.content, terms)
-
-
-# The prime of the coprimality certificate: 2^31 - 1.
+# The prime of the residue screen for linear factors (`_divide_linear`):
+# 2^31 - 1.
 CERT_PRIME = 2**31 - 1
 
 
@@ -658,9 +618,9 @@ def _image(p: Poly, sid: int) -> tuple[int, tuple[int, ...]] | None:
     The image is p's primitive part mod P with every variable v but x at
     its `_image_point` r_v and x at r_x t, as a little-endian coefficient
     list in t without trailing zeros.  Scaling t by the unit r_x changes no
-    degree and no gcd degree, and lets every term carry one weight
-    (`_weights`).  None as for `_weights`; otherwise the images of p are a
-    unit times these.  Memoized, because one operand meets many others.
+    degree, and lets every term carry one weight (`_weights`); `_root` gives
+    a linear factor's zero in the same t.  None as for `_weights`.
+    Memoized, because one operand meets many linear factors.
     """
     weights = _weights(p)
     if weights is None:
@@ -677,58 +637,13 @@ def _image(p: Poly, sid: int) -> tuple[int, tuple[int, ...]] | None:
     return degree, tuple(image)
 
 
-def _gf_gcd_degree(a: Sequence[int], b: Sequence[int]) -> int:
-    """Degree of gcd(a, b) in GF(P)[x] (-1 when both are zero)."""
-    prime = CERT_PRIME
-    while b:
-        a = list(a)
-        db = len(b) - 1
-        inverse = pow(b[-1], -1, prime)
-        while len(a) > db:
-            c = a.pop() * inverse % prime
-            shift = len(a) - db
-            for k in range(db):
-                a[shift + k] = (a[shift + k] - c * b[k]) % prime
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _coprime_by_images(p: Poly, q: Poly) -> bool:
-    """True only if nonzero p and q are coprime; False means undecided.
-
-    For each variable x common to p and q, every other variable is set to
-    its `_image_point` in GF(P), P = `CERT_PRIME`, giving univariate images
-    of p and q.  If one image keeps its operand's degree in x and the two
-    images have a constant gcd, then deg_x gcd(p, q) = 0: a gcd g with
-    g * h = p (both with P-integral coefficients, by Gauss's lemma) has an
-    image that keeps deg_x g, since degrees add and the image of p keeps
-    deg_x p, and that image divides both images.  A common factor can only
-    involve common variables, so when every one of them passes the gcd is 1
-    (Brown, JACM 18 (1971), on modular images of polynomial gcds).
-    """
-    if _weights(p) is None or _weights(q) is None:
-        return False
-    for x in sorted(set(p.vars).intersection(q.vars)):
-        (dp, ip), (dq, iq) = _image(p, x), _image(q, x)
-        if len(ip) <= dp and len(iq) <= dq:
-            return False
-        if _gf_gcd_degree(ip, iq) != 0:
-            return False
-    return True
-
-
 def _ring_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     """`poly_gcd_cofactors` for non-forced operands.
 
-    Pairs that `_coprime_by_images` proves coprime return at once.  Any other
-    pair is cleared of denominators and handed to `_heu_gcd`, whose answer
-    the CGG bound proves to be the gcd; `HeuristicGcdFailed` is raised when
-    it finds none.
+    The pair is cleared of denominators and handed to `_heu_gcd`, whose
+    answer the CGG bound proves to be the gcd; `HeuristicGcdFailed` is
+    raised when it finds none.
     """
-    if _coprime_by_images(p, q):
-        return _POLY_ONE, p, q
     vars = tuple(sorted(set(p.vars) | set(q.vars)))
     found = _heu_gcd(_tuples(p, vars), _tuples(q, vars))
     if found is None:

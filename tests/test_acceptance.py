@@ -68,7 +68,7 @@ def test_criterion_2_additive_form_equals_product():
         arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=1)
         add = B_additive(space, 1, lam)
         prod = B_w(space, omega_bracket(2, 1)[1], arg)
-        assert add.op == prod.op, ("sl2", m)
+        assert add == prod, ("sl2", m)
         checked += 1
     for m1, m2 in product(range(3), range(3)):
         if m1 + m2 == 0:
@@ -81,7 +81,7 @@ def test_criterion_2_additive_form_equals_product():
         for r in (1, 2):
             add = B_additive(space, r, lam)
             prod = B_w(space, omega_bracket(3, r)[1], arg)
-            assert add.op == prod.op, ("sl3", (m1, m2), r)
+            assert add == prod, ("sl3", (m1, m2), r)
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 300.0

@@ -106,6 +106,13 @@ class TestConfigValidation:
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="selberg", tol=1e-20))
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_tol_exits_two(self, capsys, value):
+        assert main(["verify", "main-theorem-sl2", f"--tol={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: suite main-theorem-sl2 needs a finite tol\n"
+
     def test_depth_and_table_caps(self, capsys):
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="fusion", depth=9))
