@@ -10,9 +10,18 @@ The closed forms it is compared with are re-exported here.
 
 The quadrature kernel runs on Python floats in the order of floating-point
 operations of the numpy-scalar reference kernel that the tests keep, so its
-estimates are bit for bit the same.  It is not
-vectorized: numpy's array power may use SIMD code that differs from libm
-``pow`` in the last place, which would make the result depend on the CPU.
+estimates are bit for bit the same.  Level i of the nesting integrates t_i
+against its Jacobi weight and evaluates the rest of its factors at the
+nodes, as one tuple of ``(k, e)`` pairs, each ``(t_k - t_i) ** e``: the
+non-adjacent pairs for k ascending, then ``bound - t_i`` as k = m + 1, since
+the bound is kept as t_{m+1}.  The innermost level runs for every node of
+every enclosing level, so it is a flat loop chosen once per rule by its
+factor count, 0, 1 or 2, which are all the shapes m <= 3 allows.  It adds
+``w * (A * B)`` where the reference multiplies A and B into ``g = 1.0`` in
+turn and adds ``w * g``: the same IEEE operations in the same order.  The
+kernel is not vectorized: numpy's array power may use SIMD code that
+differs from libm ``pow`` in the last place, which would make the result
+depend on the CPU.
 """
 
 from __future__ import annotations
@@ -106,13 +115,14 @@ _NODE_LADDERS: dict[int, tuple[int, ...]] = {
 
 def _nested_gauss_jacobi(ci: ChamberIntegral, n_nodes: int) -> float:
     m = ci.m
+    if m > 3:
+        raise ValueError("chamber quadrature is limited to three variables")
     if m == 0:
         return 1.0
     bound = ci.bound
     rules = {}
     # tables[i]: nodes and weights of level i as Python floats, its evaluated
-    # factors (non-adjacent pairs (k, e) for k ascending, then the power of
-    # bound - t_i) and its scale 0.5 ** (alpha + beta + 1)
+    # factors (k, e) and its scale 0.5 ** (alpha + beta + 1)
     tables = [None] * (m + 1)
     carry = 0.0
     for i in range(1, m + 1):
@@ -121,9 +131,10 @@ def _nested_gauss_jacobi(ci: ChamberIntegral, n_nodes: int) -> float:
         if (alpha, beta) not in rules:
             x, w = roots_jacobi(n_nodes, alpha, beta)
             rules[alpha, beta] = (((x + 1.0) / 2.0).tolist(), w.tolist())
-        pairs = [(k, ci.pair[i, k]) for k in range(i + 2, m + 1) if ci.pair.get((i, k), 0.0)]
-        pow1 = ci.pow1[i - 1] if i < m else 0.0
-        tables[i] = (*rules[alpha, beta], pairs, pow1, 0.5 ** (alpha + beta + 1.0))
+        factors = [(k, ci.pair[i, k]) for k in range(i + 2, m + 1) if ci.pair.get((i, k), 0.0)]
+        if i < m and ci.pow1[i - 1]:
+            factors.append((m + 1, ci.pow1[i - 1]))
+        tables[i] = (*rules[alpha, beta], tuple(factors), 0.5 ** (alpha + beta + 1.0))
         if i < m:
             # summed left to right: ``carry += ...`` would round differently
             carry = carry + ci.pow0[i - 1] + ci.pair.get((i, i + 1), 0.0) + 1.0
@@ -132,26 +143,57 @@ def _nested_gauss_jacobi(ci: ChamberIntegral, n_nodes: int) -> float:
     t = [0.0] * (m + 2)
     t[m + 1] = bound
 
+    # Every level returns the smooth part only: the accumulated power of its
+    # upper limit is absorbed into the next level's quadrature weight.  The
+    # innermost level has one loop per factor count; w * 1.0 and 1.0 * A are
+    # exact, so each loop rounds as the reference's g = 1.0; g *= ... does.
+    nodes, weights, factors, scale = tables[1]
+    if not factors:
+        # no factor depends on the enclosing nodes: sum the weights once
+        total = 0.0
+        for w in weights:
+            total += w
+        smooth = scale * total
+
+        def innermost() -> float:
+            return smooth
+
+    elif len(factors) == 1:
+        ((k, e),) = factors
+
+        def innermost() -> float:
+            upper, b = t[2], t[k]
+            total = 0.0
+            for s, w in zip(nodes, weights):
+                total += w * (b - upper * s) ** e
+            return scale * total
+
+    else:
+        (k1, e1), (k2, e2) = factors
+
+        def innermost() -> float:
+            upper, b1, b2 = t[2], t[k1], t[k2]
+            total = 0.0
+            for s, w in zip(nodes, weights):
+                t_1 = upper * s
+                total += w * ((b1 - t_1) ** e1 * (b2 - t_1) ** e2)
+            return scale * total
+
     def level(i: int) -> float:
-        # returns the smooth part only: the accumulated power of the upper
-        # limit is absorbed into the next level's quadrature weight
-        nodes, weights, pairs, pow1, scale = tables[i]
+        nodes, weights, factors, scale = tables[i]
         upper = t[i + 1]
         total = 0.0
         for s, w in zip(nodes, weights):
             t_i = upper * s
             g = 1.0
-            for k, e in pairs:
+            for k, e in factors:
                 g *= (t[k] - t_i) ** e
-            if pow1:
-                g *= (bound - t_i) ** pow1
-            if i > 1:
-                t[i] = t_i
-                g *= level(i - 1)
+            t[i] = t_i
+            g *= level(i - 1) if i > 2 else innermost()
             total += w * g
         return scale * total
 
-    return float(bound ** top * level(m))
+    return float(bound ** top * (level(m) if m > 1 else innermost()))
 
 
 def _divergent_collision(ci: ChamberIntegral) -> Optional[str]:

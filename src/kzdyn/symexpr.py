@@ -612,12 +612,12 @@ _ONES = [1] * (MAX_DEGREE + 1)
 # lookups with 16 entries, 7,715 with 128, 6,552 with 512 and 5,407 with no
 # bound.
 @lru_cache(maxsize=128)
-def _image(p: Poly, sid: int) -> tuple[int, tuple[int, ...]] | None:
-    """``(deg_x p, image)`` for the variable x = ``sid`` of p.
+def _image(p: Poly, sid: int) -> tuple[int, ...] | None:
+    """The image of p for its variable x = ``sid``.
 
-    The image is p's primitive part mod P with every variable v but x at
-    its `_image_point` r_v and x at r_x t, as a little-endian coefficient
-    list in t without trailing zeros.  Scaling t by the unit r_x changes no
+    That is p's primitive part mod P with every variable v but x at its
+    `_image_point` r_v and x at r_x t, as a little-endian coefficient
+    tuple in t without trailing zeros.  Scaling t by the unit r_x changes no
     degree, and lets every term carry one weight (`_weights`); `_root` gives
     a linear factor's zero in the same t.  None as for `_weights`.
     Memoized, because one operand meets many linear factors.
@@ -627,14 +627,13 @@ def _image(p: Poly, sid: int) -> tuple[int, tuple[int, ...]] | None:
         return None
     s = _shift(p, sid)
     exps = [k >> s & MAX_DEGREE for k in weights[0]]
-    degree = max(exps)
-    image = [0] * (degree + 1)
+    image = [0] * (max(exps) + 1)
     for e, w in zip(exps, weights[1]):
         image[e] += w
     image = [c % CERT_PRIME for c in image]
     while image and not image[-1]:
         image.pop()
-    return degree, tuple(image)
+    return tuple(image)
 
 
 def _ring_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -1166,7 +1165,7 @@ def _divide_linear(p: Poly, f: Poly) -> Poly | None:
     image = None if root is None else _image(p, root[0])
     if image is not None:
         value = 0
-        for c in reversed(image[1]):
+        for c in reversed(image):
             value = (value * root[1] + c) % CERT_PRIME
         if value:
             return None

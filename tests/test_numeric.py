@@ -334,20 +334,58 @@ def _seeded_general_chambers(seed: int, per_dimension: int) -> list[ChamberInteg
     return chambers
 
 
+# Each explicit row names the shape of its innermost level, the factors it
+# evaluates at its nodes; `test_every_innermost_shape_is_covered` checks that
+# every shape allowed at m = 2 and m = 3 is here.  New rows go at the end, so
+# that the ids of the earlier rows stay as they are.
 KERNEL_CHAMBERS = (
-    # non-uniform adjacent and non-adjacent pair exponents, bound != 1
+    # non-uniform adjacent and non-adjacent pair exponents, bound != 1;
+    # innermost level: pair and bound
     ChamberIntegral(
         3, (0.3, -0.2, 0.7), (0.4, -0.3, 0.25), {(1, 2): 0.5, (2, 3): -0.25, (1, 3): 1.3}, 1.7
     ),
-    # zero pow1 entries, a zero pair entry and a lone non-adjacent pair
+    # zero pow1 entries, a zero pair entry and a lone non-adjacent pair;
+    # innermost level: pair only
     ChamberIntegral(3, (-0.4, 0.0, 0.2), (0.0, 0.0, 0.9), {(1, 2): 0.0, (1, 3): -0.6}, 0.6),
+    # innermost level: no evaluated factor
     ChamberIntegral(2, (0.5, -0.3), (0.0, 1.2), {(1, 2): 0.8}, 2.5),
     ChamberIntegral(1, (-0.5,), (0.25,), bound=3.0),
-    # integer exponents and bound
+    # integer exponents and bound; innermost level: no evaluated factor
     ChamberIntegral(2, (1, 0), (0, 2), {(1, 2): 1}, 2),
     *_seeded_selberg_chambers(2718, 2),
     *_seeded_general_chambers(3141, 2),
+    # innermost level: bound only
+    ChamberIntegral(3, (0.2, 0.6, -0.1), (0.7, 0.0, 0.3), {(1, 2): 0.4, (2, 3): 0.9}, 1.3),
+    # innermost level: no evaluated factor, below a level 2 that evaluates
+    # its bound factor
+    ChamberIntegral(
+        3, (0.1, -0.35, 0.5), (0.0, 0.45, -0.2), {(1, 2): -0.15, (2, 3): 0.3, (1, 3): 0.0}, 0.8
+    ),
+    # innermost level: bound only
+    ChamberIntegral(2, (-0.2, 0.4), (0.6, -0.1), {(1, 2): 0.35}, 0.9),
 )
+
+
+def _innermost_shape(ci: ChamberIntegral) -> tuple[int, str]:
+    """The factors that level t_1 of the kernel evaluates at its nodes:
+    (t_3 - t_1) at m = 3 and (bound - t_1) at m >= 2, when nonzero."""
+    present = (
+        ("pair", ci.m == 3 and ci.pair.get((1, 3), 0.0) != 0),
+        ("bound", ci.m >= 2 and ci.pow1[0] != 0),
+    )
+    return ci.m, " and ".join(name for name, here in present if here) or "none"
+
+
+def _reference_quad_chamber(ci: ChamberIntegral, tol: float) -> tuple[float, int] | None:
+    """quad_chamber's ladder and stopping rule over the reference kernel:
+    the estimate and the node count it stops at, None if it never does."""
+    previous = None
+    for n_nodes in _NODE_LADDERS[ci.m]:
+        value = nested_gauss_jacobi_reference(ci, n_nodes)
+        if previous is not None and abs(value - previous) <= tol * max(1.0, abs(value)):
+            return value, n_nodes
+        previous = value
+    return None
 
 
 class TestKernelMatchesReference:
@@ -363,9 +401,39 @@ class TestKernelMatchesReference:
             assert type(got) is float
             assert got == want, (n_nodes, got, want)
 
+    def test_every_innermost_shape_is_covered(self):
+        # the kernel writes out one innermost loop per shape
+        shapes = {_innermost_shape(ci) for ci in KERNEL_CHAMBERS}
+        want = {(2, "none"), (2, "bound")} | {
+            (3, shape) for shape in ("none", "pair", "bound", "pair and bound")
+        }
+        assert want <= shapes, want - shapes
+
     def test_dimension_zero(self):
         ci = ChamberIntegral(0, (), ())
         assert _nested_gauss_jacobi(ci, 16) == nested_gauss_jacobi_reference(ci, 16) == 1.0
+
+    def test_kernel_rejects_four_variables(self):
+        with pytest.raises(ValueError, match="three variables"):
+            _nested_gauss_jacobi(ChamberIntegral(4, (0.0,) * 4, (0.0,) * 4), 12)
+
+    def test_quad_chamber_stops_at_the_reference_rung(self):
+        chambers = _seeded_selberg_chambers(1618, 3) + _seeded_general_chambers(1414, 3)
+        stops, not_converged = set(), 0
+        for ci in chambers:
+            assert _divergent_collision(ci) is None
+            for tol in (1e-8, 1e-10, 1e-12):
+                want = _reference_quad_chamber(ci, tol)
+                if want is None:
+                    with pytest.raises(QuadratureNotConverged):
+                        quad_chamber(ci, tol)
+                    not_converged += 1
+                    continue
+                assert quad_chamber(ci, tol) == want[0], (ci, tol)
+                stops.add((ci.m, want[1]))
+        # some estimates stop above the second rung, and some never stop
+        assert {m for m, n in stops if n > _NODE_LADDERS[m][1]} == {2, 3}, stops
+        assert not_converged
 
 
 class TestMainTheoremRankOne:
