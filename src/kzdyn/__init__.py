@@ -10,7 +10,7 @@ uea           PBW monomials, straightening, basis changes, (anti)automorphisms
 rep           Verma/tensor weight spaces, Shapovalov form, dual actions
 dyn           dynamical difference operators, fusion matrix, KZ compatibility
 hyper         hypergeometric weight functions and their identities
-closed_forms  log-gamma closed forms: ordered beta integral, rank-one checks
+closed_forms  log-gamma closed forms: ordered beta integral, rank-one determinant
 numeric       chamber quadrature (Gauss–Jacobi), the only layer that needs scipy
 cli           the ``kzdyn`` command-line verification harness
 """

@@ -50,9 +50,11 @@ from .dyn import (
     check_nabla_K,
     check_rational_to_trig,
     fusion_solve,
+    kappa_symbol,
     lambda_pairing_symbols,
     q_dagger,
     shifted_pairings,
+    z_symbols,
     _first_mismatch,
     _lower_mult_signed,
 )
@@ -449,12 +451,52 @@ def _appendix_c(params: dict):
     return rows, {"depth": depth}, []
 
 
-# The three numeric checks import their module when they run: `selberg`
-# imports `numeric`, and with it scipy, for its quadrature; the two rank-one
-# suites import the scipy-free `closed_forms`.  Their functions are looked up
-# on the module at each call, where a tracer or a test may have replaced
-# them.  Their reports keep ``"grid": "default"``, the name of the only
-# parameter grid there is.
+_RANK_ONE_MAX_P = 6
+
+
+def _main_theorem_sl2(params: dict):
+    """The rank-one difference equation, exactly in Q(l1, kap).
+
+    On the weight-m space of L(p), the solution is a power of z_1 times the
+    m-dimensional ordered beta integral with a - 1 = -(l1 - 1 - (p - 2m)/2)/kap,
+    b = -p/kap and c = 1/kap.  The step l1 -> l1 + kap lowers a by one.  The
+    ratio of the stepped to the base solution is a gamma ratio with integer
+    shifts, which Gamma(x + 1) = x Gamma(x) reduces to the product over j < m
+    of (a - 1 + b + (m + j - 1)c) / (a - 1 + jc).  Times z_1^m, the 1x1 entry
+    of K_1 must equal that product, and the formal z_1 exponent of K_1 must
+    exceed (p - 2m)/2 by m.
+    """
+    (l1,), kap, (z1,) = lambda_pairing_symbols(2), kappa_symbol(), z_symbols(1)
+    rows = []
+    for p in range(_RANK_ONE_MAX_P + 1):
+        for m in range(p + 1):
+            op = K_operator(enumerate_basis((lp_module(p),), (m,)), 1)
+            shift = rational(Fraction(p - 2 * m, 2))
+            a_minus_1 = -(l1 - RF_ONE - shift) / kap
+            b, c = rational(-p) / kap, RF_ONE / kap
+            product = RF_ONE
+            for j in range(m):
+                product = product * (a_minus_1 + b + rational(m + j - 1) * c) / (
+                    a_minus_1 + rational(j) * c
+                )
+            lhs = (z1 ** m * op.op.entry(0, 0), op.formal_z_exponents[0] - shift)
+            rhs = (product, rational(m))
+            equal = lhs == rhs
+            witness = {"p": p, "m": m, "equal": equal}
+            if not equal:
+                # each side as "entry; exponent"
+                witness["lhs"] = "; ".join(map(str, lhs))
+                witness["rhs"] = "; ".join(map(str, rhs))
+            rows.append((witness, equal))
+    return rows, {}, []
+
+
+# The two numeric checks import their module when they run: `selberg`
+# imports `numeric`, and with it scipy, for its quadrature; `determinant-sl2`
+# imports the scipy-free `closed_forms`.  Their functions are looked up on
+# the module at each call, where a tracer or a test may have replaced them.
+# Their reports keep ``"grid": "default"``, the name of the only parameter
+# grid there is.
 
 def _selberg_quadrature_row(m: int, a: float, b: float, c: float, tol: float) -> dict:
     from . import numeric
@@ -501,13 +543,13 @@ def _selberg(params: dict):
     return [(w, w["passed"]) for w in witnesses], derived, []
 
 
-def _sl2_grid(params: dict, check: str):
-    """`main-theorem-sl2` and `determinant-sl2`: one `closed_forms` check per point."""
+def _determinant_sl2(params: dict):
     from . import closed_forms
 
+    check = closed_forms.det_formula_sl2_check
     witnesses = [
-        getattr(closed_forms, check)(p, m, kappa, lam, z, params["tol"]).to_json()
-        for (p, m, kappa, lam, z) in closed_forms.MAIN_THEOREM_GRID
+        check(p, m, kappa, lam, z, params["tol"]).to_json()
+        for (p, m, kappa, lam, z) in closed_forms.DETERMINANT_GRID
     ]
     derived = {"grid": "default", "points": len(witnesses)}
     return [(w, w["passed"]) for w in witnesses], derived, []
@@ -619,14 +661,8 @@ _SUITE_TABLE = {
     ),
     "appendix-c": _Suite(_appendix_c, {"n": (3, 3, 3), "max_ab": (2, 0, 3)}),
     "selberg": _Suite(_selberg, {"tol": (1e-10, _TOL_MIN, math.inf)}),
-    "main-theorem-sl2": _Suite(
-        lambda params: _sl2_grid(params, "main_theorem_sl2_check"),
-        {"tol": (1e-9, _TOL_MIN, math.inf)},
-    ),
-    "determinant-sl2": _Suite(
-        lambda params: _sl2_grid(params, "det_formula_sl2_check"),
-        {"tol": (1e-9, _TOL_MIN, math.inf)},
-    ),
+    "main-theorem-sl2": _Suite(_main_theorem_sl2, {}),
+    "determinant-sl2": _Suite(_determinant_sl2, {"tol": (1e-9, _TOL_MIN, math.inf)}),
     "sigma-orders": _Suite(_sigma_orders, {"n": (6, 2, 8)}),
 }
 

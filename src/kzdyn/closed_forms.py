@@ -1,12 +1,14 @@
-"""Closed forms of the rank-one checks, without scipy.
+"""Floating-point closed forms of the Selberg and determinant checks, without
+scipy.
 
 Everything symbolic in this package is exact; this module supplies the
-floating-point closed forms that confirm its rank-one instances: log-gamma
+floating-point closed forms that confirm two of its instances: log-gamma
 plumbing, the gamma-product evaluation of the ordered-simplex beta integral
-and its contiguous-parameter identity, and end-to-end rank-one checks of the
-difference equation and of the determinant formula.  It needs only
-``math.lgamma``; the chamber quadrature, the one caller of scipy, is in
-``kzdyn.numeric``.
+and its contiguous-parameter identity, and the rank-one check of the
+determinant formula, whose periodic factors keep it numeric.  (The rank-one
+difference equation is checked exactly, by the ``main-theorem-sl2`` suite in
+``kzdyn.cli``.)  It needs only ``math.lgamma``; the chamber quadrature, the
+one caller of scipy, is in ``kzdyn.numeric``.
 
 Floating-point enters only at the boundary: symbolic operator entries are
 evaluated by substituting exact binary fractions and converting the resulting
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .dyn import K_operator, PoleHit, det_ingredients
+from .dyn import PoleHit, det_ingredients
 from .rep import enumerate_basis, lp_module
 from .symexpr import (
     DivisionByZero,
@@ -37,12 +39,10 @@ __all__ = [
     "selberg_signed",
     "selberg_difference_check",
     "SelbergDifferenceReport",
-    "main_theorem_sl2_check",
-    "MainTheoremReport",
     "det_formula_sl2_check",
     "DetFormulaReport",
     "evaluate_expr",
-    "MAIN_THEOREM_GRID",
+    "DETERMINANT_GRID",
 ]
 
 
@@ -53,19 +53,14 @@ _KAPPA = "kap"
 # Exact-to-float evaluation
 # ---------------------------------------------------------------------------
 
-def _exact(value: Union[int, float, Fraction]) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(value)  # exact binary expansion of the float
-
-
 def evaluate_expr(
     expr: RationalFunctionExpr, assignment: Mapping[str, Union[int, float, Fraction]]
 ) -> float:
-    """Evaluate a symbolic expression at exact numeric arguments."""
-    subs = {name: rational(_exact(v)) for name, v in assignment.items()}
+    """Evaluate a symbolic expression at exact numeric arguments.
+
+    A float argument is taken as the exact binary fraction it stores.
+    """
+    subs = {name: rational(Fraction(v)) for name, v in assignment.items()}
     try:
         out = rf_substitute(expr, subs)
     except DivisionByZero as exc:
@@ -180,91 +175,6 @@ def selberg_difference_check(
 
 
 # ---------------------------------------------------------------------------
-# Rank-one difference-equation check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MainTheoremReport:
-    p: int
-    m: int
-    kappa: float
-    lam: float
-    z: float
-    lhs: float
-    rhs: float
-    rel_error: float
-    tolerance: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "kappa": self.kappa,
-            "lambda": self.lam,
-            "z": self.z,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rel_error": self.rel_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
-def _solution_ratio_sl2(p: int, m: int, kappa: float, lam: float, z: float) -> float:
-    """Closed-form ratio of the rank-one solution at shifted vs base parameter.
-
-    The solution is a pure coordinate power times the m-dimensional ordered
-    beta integral; shifting the parameter by the scaled coweight lowers the
-    first integral parameter by one and multiplies by a half-integer
-    coordinate power.  The gamma factors that do not involve the first
-    integral parameter cancel in the ratio and are skipped, so poles of the
-    individual closed forms away from the ratio do not spoil the check.
-    """
-    a = -(lam - 1 - (p - 2 * m) / 2.0) / kappa + 1.0
-    b = -p / kappa
-    c = 1.0 / kappa
-    sign, total = 1, 0.0
-    for j in range(m):
-        for arg, direction in (
-            (a - 1 + j * c, +1),
-            (a + j * c, -1),
-            (a + b + (m + j - 1) * c, +1),
-            (a - 1 + b + (m + j - 1) * c, -1),
-        ):
-            s, v = _signed_log_gamma(arg)
-            sign *= s
-            total += direction * v
-    return sign * math.exp(total) * z ** ((p - 2 * m) / 2.0)
-
-
-def main_theorem_sl2_check(
-    p: int, m: int, kappa: float, lam: float, z: float, tol: float = 1e-9
-) -> MainTheoremReport:
-    """Difference equation on a rank-one irreducible factor, numerically.
-
-    The shifted-to-base solution ratio computed from the gamma-product closed
-    form must match the 1x1 difference-operator entry (including its
-    coordinate prefactor) evaluated at the same parameters.
-    """
-    if not (0 <= m <= p):
-        raise ValueError("weight space is empty unless 0 <= m <= p")
-    if z <= 0:
-        raise ValueError("coordinate must be positive for real powers")
-    lhs = _solution_ratio_sl2(p, m, kappa, lam, z)
-
-    space = enumerate_basis((lp_module(p),), (m,))
-    op = K_operator(space, 1)
-    entry = op.op.entry(0, 0)
-    scalar = evaluate_expr(entry, {"l1": lam, _KAPPA: kappa, "z:1": z})
-    formal = float(op.formal_z_exponents[0].const_value())
-    rhs = z ** formal * scalar
-
-    rel_error = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return MainTheoremReport(p, m, kappa, lam, z, lhs, rhs, rel_error, tol, rel_error <= tol)
-
-
-# ---------------------------------------------------------------------------
 # Rank-one determinant-formula check
 # ---------------------------------------------------------------------------
 
@@ -371,10 +281,10 @@ def det_formula_sl2_check(
 
 
 # ---------------------------------------------------------------------------
-# Default verification grid
+# The determinant-sl2 grid: (p, m, kappa, lambda, z)
 # ---------------------------------------------------------------------------
 
-MAIN_THEOREM_GRID: tuple[tuple[int, int, float, float, float], ...] = (
+DETERMINANT_GRID: tuple[tuple[int, int, float, float, float], ...] = (
     (3, 0, 2.0, 1.7, 0.8),
     (3, 1, 2.0, 1.7, 0.8),
     (4, 2, 3.3, 2.35, 1.1),

@@ -157,15 +157,15 @@ def test_criterion_5_rational_to_trigonometric_reduction():
 
 
 def test_criterion_6_rank_one_difference_equation_numeric():
-    # Closed-form solution ratio versus the difference operator: relative
-    # error <= 1e-9 on the six-point grid; contiguous-parameter identity of
-    # the ordered beta integral <= 1e-10 on ten points; quadrature versus
-    # closed form <= 1e-6 for dimensions m <= 2.  Budget: 1 minute.
+    # Reduced solution ratio versus the difference operator: equal exactly in
+    # Q(l1, kap) for all 28 cases 0 <= m <= p <= 6; contiguous-parameter
+    # identity of the ordered beta integral <= 1e-10 on ten points; quadrature
+    # versus closed form <= 1e-6 for dimensions m <= 2.  Budget: 1 minute.
     start = time.monotonic()
     main = run_suite(SuiteConfig(suite="main-theorem-sl2"))
     assert main["verdict"] == "pass"
-    assert len(main["witnesses"]) == 6
-    assert all(w["rel_error"] <= 1e-9 for w in main["witnesses"])
+    assert len(main["witnesses"]) == 28
+    assert all(w["equal"] is True for w in main["witnesses"])
     selberg = run_suite(SuiteConfig(suite="selberg"))
     assert selberg["verdict"] == "pass"
     differences = [
@@ -180,7 +180,7 @@ def test_criterion_6_rank_one_difference_equation_numeric():
     assert all(w["m"] <= 2 and w["rel_error"] <= 1e-6 for w in quads)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    _record(6, f"difference equation <=1e-9 (6 pts), contiguous identity "
+    _record(6, f"difference equation exact (28 cases), contiguous identity "
                f"<=1e-10 (10 pts), quadrature <=1e-6 (10 pts) in {elapsed:.1f}s")
 
 

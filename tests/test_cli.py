@@ -26,7 +26,7 @@ from kzdyn.cli import (
     report_text,
     run_suite,
 )
-from kzdyn.dyn import K_operator, PoleHit, ResonantWeight, fusion_solve
+from kzdyn.dyn import DynOperator, K_operator, PoleHit, ResonantWeight, fusion_solve
 from kzdyn.numeric import QuadratureNotConverged
 from kzdyn.rep import WeightSpaceOperator, enumerate_basis, verma_symbolic
 from kzdyn.roots import serialize_order, special_order
@@ -41,6 +41,7 @@ _UNREAD = [
     ("appendix-c", "--factors", "verma", {"factors": ("verma",)}),
     ("additive-form", "--tol", "1e-9", {"tol": 1e-9}),
     ("fusion", "--max-ab", "1", {"max_ab": 1}),
+    ("main-theorem-sl2", "--tol", "1e-9", {"tol": 1e-9}),
 ]
 
 # the same for a dump kind: (kind, flag, value, param)
@@ -108,10 +109,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_non_finite_tol_exits_two(self, capsys, value):
-        assert main(["verify", "main-theorem-sl2", f"--tol={value}"]) == 2
+        assert main(["verify", "determinant-sl2", f"--tol={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: suite main-theorem-sl2 needs a finite tol\n"
+        assert captured.err == "error: suite determinant-sl2 needs a finite tol\n"
 
     def test_depth_and_table_caps(self, capsys):
         with pytest.raises(CapabilityExceeded):
@@ -161,7 +162,8 @@ class TestConfigValidation:
             section = text.split(heading + "\n", 1)[1].split("\n#", 1)[0]
             listed = {}
             for line in section.splitlines():
-                match = re.match(r"\| `([a-z0-9-]+)` \| ((?:`--[a-z-]+` ?)+)\|", line)
+                # a suite that reads no flag has an empty "Reads" cell
+                match = re.match(r"\| `([a-z0-9-]+)` \| ((?:`--[a-z-]+` ?)*)\|", line)
                 if match:
                     flags = re.findall(r"`(--[a-z-]+)`", match.group(2))
                     listed[match.group(1)] = flags
@@ -330,11 +332,41 @@ class TestNumericSuites:
         assert all(w["passed"] for w in report["witnesses"])
 
     def test_main_theorem_suite(self):
+        # one exact identity per 0 <= m <= p <= 6, with no float and no tol
         report = run_suite(SuiteConfig(suite="main-theorem-sl2"))
         _schema_check(report, "main-theorem-sl2")
         assert report["verdict"] == "pass"
-        assert len(report["witnesses"]) == 6
-        assert all(w["rel_error"] <= 1e-9 for w in report["witnesses"])
+        assert report["params"] == {}
+        assert report["witnesses"] == [
+            {"p": p, "m": m, "equal": True} for p in range(7) for m in range(p + 1)
+        ]
+
+    @pytest.mark.parametrize("mutant", ["exponent", "entry"])
+    def test_main_theorem_mutant_names_its_mismatch(self, monkeypatch, mutant):
+        # K_1 with its formal z_1 exponent off by one, or with its entry
+        # doubled, at p = 3, m = 1 only
+        from kzdyn import cli as cli_module
+
+        def mutated(space, k):
+            op = K_operator(space, k)
+            if (space.factors[0].p, space.nu0) != (3, (1,)):
+                return op
+            if mutant == "exponent":
+                return DynOperator(op.op, (op.formal_z_exponents[0] + RF_ONE,))
+            return DynOperator(op.op.scale(2), op.formal_z_exponents)
+
+        monkeypatch.setattr(cli_module, "K_operator", mutated)
+        report = run_suite(SuiteConfig(suite="main-theorem-sl2"))
+        assert report["verdict"] == "fail"
+        failed = [w for w in report["witnesses"] if not w["equal"]]
+        assert [(w["p"], w["m"]) for w in failed] == [(3, 1)]
+        lhs_entry, lhs_exponent = failed[0]["lhs"].split("; ")
+        rhs_entry, rhs_exponent = failed[0]["rhs"].split("; ")
+        assert rhs_exponent == "1"
+        if mutant == "exponent":
+            assert (lhs_entry, lhs_exponent) == (rhs_entry, "2")
+        else:
+            assert lhs_entry != rhs_entry and lhs_exponent == "1"
 
     def test_determinant_suite(self):
         report = run_suite(SuiteConfig(suite="determinant-sl2"))
@@ -420,7 +452,7 @@ _PINNED_REPORTS = {
     "appendix-b": "24457da3a4c9a37ffc656e70cdf23662c9c062ef405f43a5ef52125611c7c946",
     "appendix-c": "61bacfc729863c9b1373832cf336b5988fe6881cb9ca56d67ed16d595e6c0082",
     "selberg": "df2ef44596db0474e67b77251ae697b0ad52c8729e222a3c68b1b9c6831489b7",
-    "main-theorem-sl2": "0c1a2c0f4724137a62a2492afa08f1502768dca307c2b174ac242d059ddb68e0",
+    "main-theorem-sl2": "70fddf02c5318c511e0e24353652ef34949367cede9177840701e4d10309eb38",
     "determinant-sl2": "04b90c050a50a73b404acd5cbc3fe6ef12f6200a1a886de4ded7db264eed74b8",
     "sigma-orders": "0ec2f2f8990bbc96149e8242e0cf310d7b2632b3ffcbc8ca944a6323310f7453",
     # verdict `flagged`
@@ -442,8 +474,9 @@ _PINNED_REPORTS = {
     "sigma-orders --n 4": (
         "1272aaf995d40c13bb2c69c37309d8ef0c1ac42323697f5fdab57848eb3ebf31"
     ),
-    "main-theorem-sl2 --tol 1e-8": (
-        "aa1fff71c732a7dada185ff2687a11102950cef782a1d34c787a448253d04783"
+    # a tolerance other than the default
+    "determinant-sl2 --tol 1e-8": (
+        "d351495cbe34eca1e751490e20d795173840da88221a8760d3d5c08507aa287a"
     ),
 }
 
@@ -748,6 +781,9 @@ class TestMainEntry:
             )
             for heavy in ("scipy", "numpy"):
                 assert (heavy in loaded) == (suite == "selberg"), (suite, heavy)
+            if suite == "main-theorem-sl2":
+                # exact: no float module at all
+                assert loaded.isdisjoint({"kzdyn.closed_forms", "kzdyn.numeric"})
             # sympy is a test-only dependency: no verify run loads it
             assert "sympy" not in loaded, suite
         loaded = loaded_after(

@@ -1,9 +1,11 @@
 """Tests for the floating-point verification layers: gamma plumbing, the
 ordered-simplex beta integral (closed form, contiguous relation, quadrature),
-and the end-to-end rank-one difference-equation and determinant checks.
+and the end-to-end rank-one determinant check.
 
-The closed forms and the rank-one checks come from the scipy-free
-``kzdyn.closed_forms``; the chamber quadrature from ``kzdyn.numeric``."""
+The closed forms and the determinant check come from the scipy-free
+``kzdyn.closed_forms``; the chamber quadrature from ``kzdyn.numeric``.  The
+rank-one difference equation is exact, and its suite is tested in
+``test_cli.py``."""
 
 import math
 import random
@@ -15,12 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kzdyn.closed_forms import (
-    MAIN_THEOREM_GRID,
+    DETERMINANT_GRID,
     SelbergParams,
     det_formula_sl2_check,
     evaluate_expr,
     log_gamma,
-    main_theorem_sl2_check,
     selberg_closed,
     selberg_difference_check,
     selberg_signed,
@@ -436,37 +437,9 @@ class TestKernelMatchesReference:
         assert not_converged
 
 
-class TestMainTheoremRankOne:
-    def test_grid_within_tolerance(self):
-        for p, m, kappa, lam, z in MAIN_THEOREM_GRID:
-            report = main_theorem_sl2_check(p, m, kappa, lam, z)
-            assert report.passed, (p, m, kappa, lam, z, report.rel_error)
-            assert report.rel_error <= 1e-9
-
-    def test_highest_weight_vector_is_exact(self):
-        # m = 0: both sides reduce to the same pure coordinate power
-        report = main_theorem_sl2_check(5, 0, 2.3, 1.1, 0.7)
-        assert report.rel_error == 0.0
-
-    def test_report_round_trip(self):
-        report = main_theorem_sl2_check(3, 1, 2.0, 1.7, 0.8)
-        data = report.to_json()
-        assert data["passed"] is True
-        assert data["p"] == 3 and data["m"] == 1
-        assert data["rel_error"] == report.rel_error
-
-    def test_empty_weight_space_rejected(self):
-        with pytest.raises(ValueError):
-            main_theorem_sl2_check(2, 3, 2.0, 1.7, 0.8)
-
-    def test_nonpositive_coordinate_rejected(self):
-        with pytest.raises(ValueError):
-            main_theorem_sl2_check(3, 1, 2.0, 1.7, 0.0)
-
-
 class TestDetFormulaRankOne:
     def test_grid_within_tolerance(self):
-        for p, m, kappa, lam, z in MAIN_THEOREM_GRID:
+        for p, m, kappa, lam, z in DETERMINANT_GRID:
             report = det_formula_sl2_check(p, m, kappa, lam, z)
             assert report.passed, (p, m, kappa, lam, z, report.rel_error)
             assert report.rel_error <= 1e-9
