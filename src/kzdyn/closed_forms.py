@@ -11,9 +11,9 @@ difference equation is checked exactly, by the ``main-theorem-sl2`` suite in
 one caller of scipy, is in ``kzdyn.numeric``.
 
 Floating-point enters only at the boundary: symbolic operator entries are
-evaluated by substituting exact binary fractions and converting the resulting
-rational constant, so every reported residual is a genuine numerical
-discrepancy of the compared formulas.
+evaluated exactly at binary fractions and the resulting rational is
+converted, so every reported residual is a genuine numerical discrepancy of
+the compared formulas.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from typing import Mapping, Union
 
 from .dyn import PoleHit, det_ingredients
 from .rep import enumerate_basis, lp_module
-from .symexpr import (
-    DivisionByZero,
-    RationalFunctionExpr,
-    rational,
-    rf_substitute,
-)
+from .symexpr import DivisionByZero, RationalFunctionExpr
 
 __all__ = [
     "SelbergParams",
@@ -60,12 +55,10 @@ def evaluate_expr(
 
     A float argument is taken as the exact binary fraction it stores.
     """
-    subs = {name: rational(Fraction(v)) for name, v in assignment.items()}
     try:
-        out = rf_substitute(expr, subs)
+        return float(expr.eval(assignment))
     except DivisionByZero as exc:
         raise PoleHit(f"denominator vanishes at {dict(assignment)}") from exc
-    return float(out.const_value())
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ Representation
 A polynomial (`Poly`) is ``content * sum(c_k x^k)``: a rational ``content``
 that carries the sign, and ``terms``, a sparse map from packed exponent
 keys ``k`` to nonzero ``int`` coefficients ``c_k`` whose gcd is 1 and whose
-leading one (at the largest key) is positive.  ``vars`` is the sorted tuple
-of symbol ids that actually occur.  A key over n = ``len(vars)`` variables
-is an integer of n + 1 fields of `FIELD_BITS` bits: the top field holds the
-total degree, and below it each variable's exponent in ``vars`` order.
+leading one (at the largest key) is positive.  ``vars`` is the name-sorted
+tuple of the symbol names that actually occur.  A key over n = ``len(vars)``
+variables is an integer of n + 1 fields of `FIELD_BITS` bits: the top field
+holds the total degree, and below it each variable's exponent in ``vars``
+order.
 Integer order on keys is therefore graded-lexicographic order, the leading
 term is ``max(terms)``, and a monomial product is one integer addition.
 Every exponent is at most the total degree, so no field overflows as long
@@ -75,12 +76,14 @@ when no point gives one.  Exact division is sparse long division over Z by
 the primitive divisor (Gauss's lemma) and raises `InexactDivision` when the
 divisor does not divide.
 
-Symbols are process-global: a name maps to a stable integer id on first use.
-Names follow ``[A-Za-z][A-Za-z0-9:]*``; by convention the package uses
-``l1, l2, ...`` for weight coordinates, ``kap`` for the difference step,
-``z:j`` for evaluation points, ``t:k:d`` for integration variables (color
-``k``, copy ``d``) and ``L:j:k`` for pairings of the j-th factor weight with
-the k-th simple root.
+A symbol is its name: variables are keyed and ordered by name alone, so the
+canonical form and the text of an expression do not depend on which symbols
+were used before, or in which order.  Names follow ``[A-Za-z][A-Za-z0-9:]*``,
+checked where they enter (`symbol`, `Poly.from_symbol`, `parse`,
+`rf_symmetrize`).  By convention the package uses ``l1, l2, ...`` for weight
+coordinates, ``kap`` for the difference step, ``z:j`` for evaluation points,
+``t:k:d`` for integration variables (color ``k``, copy ``d``) and ``L:j:k``
+for pairings of the j-th factor weight with the k-th simple root.
 
 Text form round-trips exactly: ``parse(str(e)) == e`` and
 ``str(parse(str(e))) == str(e)``.
@@ -108,8 +111,6 @@ __all__ = [
     "RF_ZERO",
     "RF_ONE",
     "symbol",
-    "symbol_id",
-    "symbol_name",
     "rational",
     "parse",
     "poly_divexact",
@@ -131,30 +132,13 @@ class InexactDivision(ArithmeticError):
     """Exact polynomial division by a polynomial that does not divide."""
 
 
-# ---------------------------------------------------------------------------
-# Symbol registry
-# ---------------------------------------------------------------------------
-
-_NAME_TO_ID: dict[str, int] = {}
-_ID_TO_NAME: list[str] = []
 _SYMBOL_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9:]*\Z")
 
 
-def symbol_id(name: str) -> int:
-    """Return the stable id for ``name``, registering it on first use."""
-    sid = _NAME_TO_ID.get(name)
-    if sid is None:
-        if not _SYMBOL_NAME_RE.match(name):
-            raise ValueError(f"invalid symbol name: {name!r}")
-        sid = len(_ID_TO_NAME)
-        _NAME_TO_ID[name] = sid
-        _ID_TO_NAME.append(name)
-    return sid
-
-
-def symbol_name(sid: int) -> str:
-    """Inverse of `symbol_id`."""
-    return _ID_TO_NAME[sid]
+def _check_name(name: str) -> str:
+    if not _SYMBOL_NAME_RE.match(name):
+        raise ValueError(f"invalid symbol name: {name!r}")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +172,9 @@ def _unpack(key: int, n: int) -> tuple[int, ...]:
     return tuple(key.to_bytes(n + 1, "big")[1:])
 
 
-def _shift(p: "Poly", sid: int) -> int:
-    """The bit offset of the exponent field of variable ``sid`` in p's keys."""
-    return FIELD_BITS * (len(p.vars) - 1 - p.vars.index(sid))
+def _shift(p: "Poly", name: str) -> int:
+    """The bit offset of the exponent field of variable ``name`` in p's keys."""
+    return FIELD_BITS * (len(p.vars) - 1 - p.vars.index(name))
 
 
 class Poly:
@@ -205,11 +189,11 @@ class Poly:
 
     __slots__ = ("vars", "content", "terms", "_hash")
 
-    vars: tuple[int, ...]
+    vars: tuple[str, ...]
     content: Fraction
     terms: dict[int, int]
 
-    def __init__(self, vars: tuple[int, ...], content: Fraction, terms: dict[int, int]):
+    def __init__(self, vars: tuple[str, ...], content: Fraction, terms: dict[int, int]):
         self.vars = vars
         self.content = content
         self.terms = terms
@@ -233,13 +217,13 @@ class Poly:
         return Poly((), c, _POLY_ONE.terms)
 
     @staticmethod
-    def from_symbol(name_or_id: Union[str, int]) -> "Poly":
-        sid = name_or_id if isinstance(name_or_id, int) else symbol_id(name_or_id)
-        return Poly((sid,), _ONE, {1 << FIELD_BITS | 1: 1})
+    def from_symbol(name: str) -> "Poly":
+        return _variable(_check_name(name))
 
     @staticmethod
-    def build(vars: Sequence[int], terms: Mapping[tuple[int, ...], Fraction]) -> "Poly":
-        """Build from untrusted ``{exponent tuple: coefficient}`` over ``vars``."""
+    def build(vars: Sequence[str], terms: Mapping[tuple[int, ...], Fraction]) -> "Poly":
+        """Build from untrusted ``{exponent tuple: coefficient}`` over the
+        name-sorted ``vars``."""
         terms = {e: Fraction(c) for e, c in terms.items() if c}
         den = math.lcm(*(c.denominator for c in terms.values()))
         ints = ((e, c.numerator * (den // c.denominator)) for e, c in terms.items())
@@ -270,11 +254,10 @@ class Poly:
     def total_degree(self) -> int:
         return max(self.terms) >> FIELD_BITS * len(self.vars) if self.terms else 0
 
-    def degree_in(self, name_or_id: Union[str, int]) -> int:
-        sid = name_or_id if isinstance(name_or_id, int) else symbol_id(name_or_id)
-        if sid not in self.vars:
+    def degree_in(self, name: str) -> int:
+        if name not in self.vars:
             return 0
-        s = _shift(self, sid)
+        s = _shift(self, name)
         return max(k >> s & MAX_DEGREE for k in self.terms)
 
     # -- hashing / equality --------------------------------------------------
@@ -370,11 +353,10 @@ class Poly:
 
     # -- calculus / evaluation -------------------------------------------------
 
-    def diff(self, name_or_id: Union[str, int]) -> "Poly":
-        sid = name_or_id if isinstance(name_or_id, int) else symbol_id(name_or_id)
-        if sid not in self.vars:
+    def diff(self, name: str) -> "Poly":
+        if name not in self.vars:
             return _POLY_ZERO
-        s = _shift(self, sid)
+        s = _shift(self, name)
         step = (1 << s) + (1 << FIELD_BITS * len(self.vars))  # x and the degree
         out = {}
         for k, c in self.terms.items():
@@ -383,7 +365,7 @@ class Poly:
                 out[k - step] = c * e
         return _make(self.vars, self.content, out, shrink=True)
 
-    def eval(self, assignment: Mapping[int, Fraction]) -> Fraction:
+    def eval(self, assignment: Mapping[str, Fraction]) -> Fraction:
         total = _ZERO
         values = [assignment[v] for v in self.vars]
         for e, term in self.items():
@@ -393,27 +375,32 @@ class Poly:
             total += term
         return total
 
-    def rename(self, mapping: Mapping[int, int]) -> "Poly":
-        """Replace variables by variables (``{old_id: new_id}``); merges collisions."""
+    def rename(self, mapping: Mapping[str, str]) -> "Poly":
+        """Replace variables by variables (``{old: new}``); merges collisions."""
         if not self.terms or not any(v in mapping for v in self.vars):
             return self
-        new_ids = tuple(sorted({mapping.get(v, v) for v in self.vars}))
-        pos = [new_ids.index(mapping.get(v, v)) for v in self.vars]
+        new_vars = tuple(sorted({mapping.get(v, v) for v in self.vars}))
+        pos = [new_vars.index(mapping.get(v, v)) for v in self.vars]
         n = len(self.vars)
 
         def moved(k: int) -> list[int]:
-            ne = [0] * len(new_ids)
+            ne = [0] * len(new_vars)
             for i, ei in zip(pos, _unpack(k, n)):
                 ne[i] += ei
             return ne
 
-        return _from_tuples(new_ids, self.content, ((moved(k), c) for k, c in self.terms.items()))
+        return _from_tuples(new_vars, self.content, ((moved(k), c) for k, c in self.terms.items()))
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
 
 
-def _make(vars: tuple[int, ...], content: Fraction, terms: dict[int, int], shrink=False) -> Poly:
+def _variable(name: str) -> Poly:
+    """The polynomial ``name``, for a name already checked (one in some ``vars``)."""
+    return Poly((name,), _ONE, {1 << FIELD_BITS | 1: 1})
+
+
+def _make(vars: tuple[str, ...], content: Fraction, terms: dict[int, int], shrink=False) -> Poly:
     """The canonical Poly ``content * sum(c x^k)`` for any int ``terms`` over ``vars``.
 
     Drops zero coefficients and, when some were dropped or ``shrink`` is set,
@@ -436,7 +423,7 @@ def _make(vars: tuple[int, ...], content: Fraction, terms: dict[int, int], shrin
     return Poly(vars, content, terms)
 
 
-def _from_tuples(vars: tuple[int, ...], content: Fraction, pairs) -> Poly:
+def _from_tuples(vars: tuple[str, ...], content: Fraction, pairs) -> Poly:
     """`_make` from ``(exponent vector, int coefficient)`` pairs; merges repeats."""
     out: dict[int, int] = {}
     for e, c in pairs:
@@ -445,7 +432,7 @@ def _from_tuples(vars: tuple[int, ...], content: Fraction, pairs) -> Poly:
     return _make(vars, content, out, shrink=True)
 
 
-def _shrink(vars: tuple[int, ...], terms: dict[int, int]):
+def _shrink(vars: tuple[str, ...], terms: dict[int, int]):
     """Drop the variables whose exponent is zero in every key."""
     used = reduce(operator.or_, terms)
     n = len(vars)
@@ -458,9 +445,10 @@ def _shrink(vars: tuple[int, ...], terms: dict[int, int]):
 
 
 # fusion --n 3 --nu 2,2 --depth 2 and compatibility --n 3 --nu 2,1, run in
-# one process, align 939 distinct pairs of variable sets
+# one process, align 831 to 840 distinct pairs of variable sets (hash seeds
+# 0-2: the seed orders sets of factors, and so the order of some products)
 @lru_cache(maxsize=4096)
-def _moves(old: tuple[int, ...], new: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _moves(old: tuple[str, ...], new: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
     """``(mask, shift)`` blocks taking a key over ``old`` to one over ``new``.
 
     ``new`` contains ``old``; the new key is the sum of ``(key & mask) <<
@@ -479,7 +467,7 @@ def _moves(old: tuple[int, ...], new: tuple[int, ...]) -> tuple[tuple[int, int],
     return tuple(map(tuple, blocks))
 
 
-def _widen(terms: dict[int, int], old: tuple[int, ...], new: tuple[int, ...]) -> dict[int, int]:
+def _widen(terms: dict[int, int], old: tuple[str, ...], new: tuple[str, ...]) -> dict[int, int]:
     """``terms`` re-keyed from variables ``old`` to the superset ``new``."""
     if old == new:
         return terms
@@ -500,7 +488,7 @@ def _align(p: Poly, q: Poly):
     return vars, _widen(p.terms, p.vars, vars), _widen(q.terms, q.vars, vars)
 
 
-def _tuples(p: Poly, vars: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _tuples(p: Poly, vars: tuple[str, ...]) -> dict[tuple[int, ...], int]:
     """The primitive part of p keyed by exponent tuples over ``vars`` ⊇ p.vars."""
     n = len(vars)
     return {_unpack(k, n): c for k, c in _widen(p.terms, p.vars, vars).items()}
@@ -560,15 +548,12 @@ CERT_PRIME = 2**31 - 1
 
 
 @lru_cache(maxsize=None)
-def _image_point(sid: int) -> int:
-    """The fixed nonzero residue mod `CERT_PRIME` that symbol ``sid`` takes.
-
-    Derived from the symbol's name by a fixed digest, so it does not depend
-    on the order in which symbols were registered.
-    """
+def _image_point(name: str) -> int:
+    """The fixed nonzero residue mod `CERT_PRIME` that symbol ``name`` takes,
+    derived from the name by a fixed digest."""
     from hashlib import blake2b  # here, not at import: only the modular images need it
 
-    digest = blake2b(symbol_name(sid).encode(), digest_size=8).digest()
+    digest = blake2b(name.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") % (CERT_PRIME - 1) + 1
 
 
@@ -612,8 +597,8 @@ _ONES = [1] * (MAX_DEGREE + 1)
 # lookups with 16 entries, 7,715 with 128, 6,552 with 512 and 5,407 with no
 # bound.
 @lru_cache(maxsize=128)
-def _image(p: Poly, sid: int) -> tuple[int, ...] | None:
-    """The image of p for its variable x = ``sid``.
+def _image(p: Poly, name: str) -> tuple[int, ...] | None:
+    """The image of p for its variable x = ``name``.
 
     That is p's primitive part mod P with every variable v but x at its
     `_image_point` r_v and x at r_x t, as a little-endian coefficient
@@ -625,7 +610,7 @@ def _image(p: Poly, sid: int) -> tuple[int, ...] | None:
     weights = _weights(p)
     if weights is None:
         return None
-    s = _shift(p, sid)
+    s = _shift(p, name)
     exps = [k >> s & MAX_DEGREE for k in weights[0]]
     image = [0] * (max(exps) + 1)
     for e, w in zip(exps, weights[1]):
@@ -881,7 +866,7 @@ class RationalFunctionExpr:
         return RationalFunctionExpr(Poly.const(c), _POLY_ONE)
 
     @staticmethod
-    def from_symbol(name: Union[str, int]) -> "RationalFunctionExpr":
+    def from_symbol(name: str) -> "RationalFunctionExpr":
         return RationalFunctionExpr(Poly.from_symbol(name), _POLY_ONE)
 
     # -- predicates -------------------------------------------------------------
@@ -900,7 +885,7 @@ class RationalFunctionExpr:
             raise ValueError("not a constant expression")
         return self.num.const_value()
 
-    def free_symbols(self) -> set[int]:
+    def free_symbols(self) -> set[str]:
         return set(self.num.vars) | set(self.den.vars)
 
     # -- equality ----------------------------------------------------------------
@@ -1018,18 +1003,15 @@ class RationalFunctionExpr:
 
     # -- evaluation / substitution ----------------------------------------------
 
-    def eval(self, point: Mapping[Union[str, int], Scalar]) -> Fraction:
+    def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact evaluation at a rational point; DivisionByZero on poles."""
-        assignment = {
-            (k if isinstance(k, int) else symbol_id(k)): Fraction(v)
-            for k, v in point.items()
-        }
+        assignment = {name: Fraction(v) for name, v in point.items()}
         d = self.den.eval(assignment)
         if not d:
             raise DivisionByZero("evaluation hit a pole")
         return self.num.eval(assignment) / d
 
-    def rename(self, mapping: Mapping[int, int]) -> "RationalFunctionExpr":
+    def rename(self, mapping: Mapping[str, str]) -> "RationalFunctionExpr":
         """Bijective variable renaming (stays reduced, re-normalizes sign)."""
         if self.num.is_zero():
             return self
@@ -1037,10 +1019,10 @@ class RationalFunctionExpr:
         factors = tuple((_normalize_poly(f.rename(mapping)), m) for f, m in self.factors)
         return RationalFunctionExpr(num.scale(1 / den.content), _normalize_poly(den), factors)
 
-    def subs(self, subs: Mapping[Union[str, int], ExprLike]) -> "RationalFunctionExpr":
+    def subs(self, subs: Mapping[str, ExprLike]) -> "RationalFunctionExpr":
         return rf_substitute(self, subs)
 
-    def diff(self, name: Union[str, int]) -> "RationalFunctionExpr":
+    def diff(self, name: str) -> "RationalFunctionExpr":
         return rf_partial(self, name)
 
     def __str__(self) -> str:
@@ -1094,7 +1076,7 @@ def _split_whole(den: Poly) -> tuple[tuple[Poly, int], ...]:
     the variables of its monomial part, and the rest as one factor."""
     n = len(den.vars)
     exps = [min(k >> FIELD_BITS * (n - 1 - i) & MAX_DEGREE for k in den.terms) for i in range(n)]
-    factors = tuple((Poly.from_symbol(v), e) for v, e in zip(den.vars, exps) if e)
+    factors = tuple((_variable(v), e) for v, e in zip(den.vars, exps) if e)
     low = _pack(exps)
     vars, terms = _shrink(den.vars, {k - low: c for k, c in den.terms.items()})
     rest = Poly(vars, _ONE, terms)
@@ -1114,9 +1096,10 @@ def _power_product(factors) -> Poly:
 
 
 # The four rank-3 runs (fusion 3/1,1, compatibility 3/2,0, pbw-invariance
-# 4/1,2,2, appendix-b 3/2,1) expand 217 distinct products in 5,313 calls,
-# and cap-scale fusion and compatibility 222 in 35,710.  The entries of a summed operator that share a base then share one
-# denominator instead of holding a copy each.
+# 4/1,2,2, appendix-b 3/2,1), in one process, expand 217 distinct products
+# in 5,313 calls, and cap-scale fusion and compatibility 222 in 35,710.  The
+# entries of a summed operator that share a base then share one denominator
+# instead of holding a copy each.
 @lru_cache(maxsize=512)
 def _expand(factors: frozenset) -> Poly:
     out = _POLY_ONE
@@ -1129,13 +1112,13 @@ def _is_linear(f: Poly) -> bool:
     return max(f.terms) >> FIELD_BITS * len(f.vars) == 1
 
 
-# the rank-3 suites and the two cap-scale runs meet at most 44 distinct
-# linear factors
+# the four rank-3 runs of `_expand` meet 44 distinct linear factors, and
+# the two cap-scale runs 27
 @lru_cache(maxsize=256)
-def _root(f: Poly) -> tuple[int, int] | None:
-    """``(sid, t)``: with every other variable at its `_image_point`, the
-    linear factor f vanishes mod `CERT_PRIME` where ``sid`` is t times its
-    own point, so at t in the ``sid`` `_image`.
+def _root(f: Poly) -> tuple[str, int] | None:
+    """``(name, t)``: with every other variable at its `_image_point`, the
+    linear factor f vanishes mod `CERT_PRIME` where ``name`` is t times its
+    own point, so at t in the ``name`` `_image`.
 
     None when every variable's coefficient is divisible by the prime.
     """
@@ -1262,7 +1245,7 @@ def rational(value: Scalar, den: int = 1) -> RationalFunctionExpr:
 # Substitution / symmetrization / differentiation
 # ---------------------------------------------------------------------------
 
-def _poly_substitute(p: Poly, smap: Mapping[int, RationalFunctionExpr]) -> RationalFunctionExpr:
+def _poly_substitute(p: Poly, smap: Mapping[str, RationalFunctionExpr]) -> RationalFunctionExpr:
     """Evaluate a polynomial at expression values (unmapped vars stay)."""
     if p.is_zero():
         return RF_ZERO
@@ -1270,7 +1253,7 @@ def _poly_substitute(p: Poly, smap: Mapping[int, RationalFunctionExpr]) -> Ratio
     max_pow: list[int] = []
     for v in p.vars:
         repl = smap.get(v)
-        bases.append(repl if repl is not None else RationalFunctionExpr.from_symbol(v))
+        bases.append(repl if repl is not None else RationalFunctionExpr(_variable(v), _POLY_ONE))
         max_pow.append(p.degree_in(v))
     powers: list[list[RationalFunctionExpr]] = []
     for base, top in zip(bases, max_pow):
@@ -1290,67 +1273,28 @@ def _poly_substitute(p: Poly, smap: Mapping[int, RationalFunctionExpr]) -> Ratio
 
 def rf_substitute(
     expr: RationalFunctionExpr,
-    subs: Mapping[Union[str, int], ExprLike],
+    subs: Mapping[str, ExprLike],
 ) -> RationalFunctionExpr:
     """Simultaneous substitution of symbols by expressions.
 
     Raises DivisionByZero if the substituted denominator vanishes identically.
     """
-    smap: dict[int, RationalFunctionExpr] = {}
-    for k, v in subs.items():
-        sid = k if isinstance(k, int) else symbol_id(k)
+    smap: dict[str, RationalFunctionExpr] = {}
+    for name, v in subs.items():
         coerced = _coerce(v)
         if coerced is NotImplemented:
             raise TypeError(f"cannot substitute value of type {type(v).__name__}")
-        smap[sid] = coerced
-    if not smap or not (set(smap) & expr.free_symbols()):
+        smap[name] = coerced
+    if smap.keys().isdisjoint(expr.free_symbols()):
         return expr
-    pmap: dict[int, Poly] = {}
-    for k, v in smap.items():
-        sp = _as_simple_poly(v)
-        if sp is None:
-            pmap.clear()
-            break
-        pmap[k] = sp
-    if pmap:
-        # Every value is a constant or a bare symbol: stay at the Poly level.
-        def sub(p: Poly) -> RationalFunctionExpr:
-            return _coerce(_poly_subs_poly(p, pmap))
-    else:
-        def sub(p: Poly) -> RationalFunctionExpr:
-            return _poly_substitute(p, smap)
     # factor by factor, so that the image of a linear factor stays one
-    out = sub(expr.num)
+    out = _poly_substitute(expr.num, smap)
     for f, m in expr.factors:
-        value = sub(f)
+        value = _poly_substitute(f, smap)
         if value.is_zero():
             raise DivisionByZero("substitution makes the denominator vanish")
         out = out / value**m
     return out
-
-
-def _as_simple_poly(v: RationalFunctionExpr) -> Poly | None:
-    """Return the Poly form of a constant or bare-symbol expression, else None."""
-    if v.is_const():
-        return Poly.const(v.const_value())
-    num = v.num
-    if v.den.is_one() and len(num.terms) == 1 and num.content == 1 and num.total_degree() == 1:
-        return num
-    return None
-
-
-def _poly_subs_poly(p: Poly, pmap: Mapping[int, Poly]) -> Poly:
-    if p.is_zero() or not (set(pmap) & set(p.vars)):
-        return p
-    total = _POLY_ZERO
-    bases = [pmap.get(v, Poly.from_symbol(v)) for v in p.vars]
-    for e, c in p.items():
-        term = Poly.const(c)
-        for base, ei in zip(bases, e):
-            if ei:
-                term = term * base ** ei
-        total = total + term
-    return total
 
 
 def rf_symmetrize(
@@ -1363,20 +1307,19 @@ def rf_symmetrize(
     ``(prod |g|!)^{-1} * sum`` over products of per-group permutations of the
     correspondingly renamed expression.
     """
-    group_ids = [[symbol_id(name) for name in g] for g in groups]
-    seen: set[int] = set()
-    for g in group_ids:
-        for sid in g:
-            if sid in seen:
+    seen: set[str] = set()
+    for g in groups:
+        for name in g:
+            if name in seen:
                 raise ValueError("symmetrization groups must be disjoint")
-            seen.add(sid)
+            seen.add(_check_name(name))
     count = 1
-    for g in group_ids:
+    for g in groups:
         count *= math.factorial(len(g))
     total = RF_ZERO
-    for combo in itertools.product(*[itertools.permutations(g) for g in group_ids]):
-        mapping: dict[int, int] = {}
-        for orig, perm in zip(group_ids, combo):
+    for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
+        mapping: dict[str, str] = {}
+        for orig, perm in zip(groups, combo):
             for a, b in zip(orig, perm):
                 if a != b:
                     mapping[a] = b
@@ -1384,12 +1327,11 @@ def rf_symmetrize(
     return total * Fraction(1, count)
 
 
-def rf_partial(expr: RationalFunctionExpr, name: Union[str, int]) -> RationalFunctionExpr:
+def rf_partial(expr: RationalFunctionExpr, name: str) -> RationalFunctionExpr:
     """Exact partial derivative with respect to one symbol."""
-    sid = name if isinstance(name, int) else symbol_id(name)
     n, d = expr.num, expr.den
-    dn = n.diff(sid)
-    dd = d.diff(sid)
+    dn = n.diff(name)
+    dd = d.diff(name)
     if dd.is_zero():
         if dn.is_zero():
             return RF_ZERO
@@ -1409,9 +1351,9 @@ def _poly_str(p: Poly) -> str:
         factors = []
         for v, ei in zip(p.vars, e):
             if ei == 1:
-                factors.append(symbol_name(v))
+                factors.append(v)
             elif ei:
-                factors.append(f"{symbol_name(v)}^{ei}")
+                factors.append(f"{v}^{ei}")
         mag = -c if c < 0 else c
         if factors and mag == 1:
             body = " * ".join(factors)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,7 +39,6 @@ from kzdyn.symexpr import (
     rf_substitute,
     rf_symmetrize,
     symbol,
-    symbol_id,
 )
 
 T = symbol("t")
@@ -156,6 +157,15 @@ def test_symmetrize_rejects_overlapping_groups():
         rf_symmetrize(T, [["t", "z"], ["z"]])
 
 
+def test_malformed_names_are_rejected():
+    for name in ["", "1x", "x y", "x_1", ":x", "x\n"]:
+        with pytest.raises(ValueError):
+            symbol(name)
+        # a group name would enter through the renaming
+        with pytest.raises(ValueError):
+            rf_symmetrize(T, [["t", name]])
+
+
 # ---------------------------------------------------------------------------
 # Partial derivatives
 # ---------------------------------------------------------------------------
@@ -216,6 +226,24 @@ def test_parse_errors():
     for bad in ["", "t +", "(t", "t ^ z", "t @ z"]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+def test_text_does_not_depend_on_which_symbol_came_first():
+    # each fresh interpreter makes the symbols in the order of its arguments
+    code = (
+        "import sys\n"
+        "from kzdyn.symexpr import symbol\n"
+        "made = {name: symbol(name) for name in sys.argv[1:]}\n"
+        "a, b = made['a'], made['b']\n"
+        "print(1 / (a - b) + (a * b**2 + a**2 * b))\n"
+    )
+    texts = [
+        subprocess.run(
+            [sys.executable, "-c", code, *order], capture_output=True, text=True, check=True
+        ).stdout
+        for order in (("a", "b"), ("b", "a"))
+    ]
+    assert texts == ["(a^3 * b - a * b^3 + 1)/(a - b)\n"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +370,7 @@ _GCD_NAMES = ("x", "y", "z:1", "l1")
 def _random_poly(
     rng: random.Random, names=_GCD_NAMES, max_terms: int = 3, size: int = 4
 ) -> Poly:
-    vars = sorted(symbol_id(name) for name in names)
+    vars = sorted(names)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = tuple(rng.randint(0, 2) for _ in vars)
@@ -358,8 +386,7 @@ def _vanishing(rng: random.Random, count: int) -> Poly:
     """prod (v - r_v) over ``count`` variables, r_v the certificate's point."""
     out = Poly.one()
     for name in rng.sample(_GCD_NAMES, count):
-        sid = symbol_id(name)
-        out = out * (Poly.from_symbol(sid) - Poly.const(_image_point(sid)))
+        out = out * (Poly.from_symbol(name) - Poly.const(_image_point(name)))
     return out
 
 
@@ -427,7 +454,7 @@ def _copy(p: Poly) -> Poly:
 
 def _to_sympy(p: Poly, q: Poly):
     """p and q as sympy polynomials over QQ, and back from one."""
-    vars = sorted(set(p.vars) | set(q.vars)) or [symbol_id("x")]
+    vars = sorted(set(p.vars) | set(q.vars)) or ["x"]
     gens = sympy.symbols([f"v{i}" for i in range(len(vars))])
 
     def to_sympy(a: Poly):
@@ -532,8 +559,7 @@ def _count_integer_gcds(monkeypatch) -> list:
 
 def test_unforced_pairs_reach_the_integer_gcd(monkeypatch):
     calls = _count_integer_gcds(monkeypatch)
-    x, y = symbol_id("x"), symbol_id("y")
-    rx, ry = _image_point(x), _image_point(y)
+    rx, ry = _image_point("x"), _image_point("y")
     # (x - r_x)(y - r_y) + 1 has constant images mod P in x and in y
     f = _p(f"(x - {rx}) * (y - {ry}) + 1")
     # every image of v mod P vanishes
@@ -560,10 +586,10 @@ def test_unforced_pairs_reach_the_integer_gcd(monkeypatch):
 
 
 def test_image_points_are_fixed():
-    # derived from the name alone: the same in every process and registration order
-    assert 1 <= _image_point(symbol_id("x")) < CERT_PRIME
-    assert _image_point(symbol_id("x")) == 619406836
-    assert len({_image_point(symbol_id(n)) for n in _GCD_NAMES}) == len(_GCD_NAMES)
+    # derived from the name alone: the same in every process
+    assert 1 <= _image_point("x") < CERT_PRIME
+    assert _image_point("x") == 619406836
+    assert len({_image_point(n) for n in _GCD_NAMES}) == len(_GCD_NAMES)
 
 
 def test_divexact_inverts_multiplication():
@@ -618,10 +644,9 @@ def test_bounded_stage_alone_gives_the_gcd(monkeypatch):
     # The first variable has degree 3, so the images have norms past 4,900:
     # the level below must start at its own CGG bound, not at the cheap
     # point the level above would suggest, for the answer to be proven.
-    u, v = sorted(symbol_id(name) for name in ("x", "y"))
-    h = Poly.build((u, v), {(1, 0): 1, (0, 1): 1, (0, 0): 1})
-    a = Poly.build((u, v), {(3, 0): 1, (0, 1): 2, (0, 0): 3})
-    b = Poly.build((u, v), {(3, 0): 1, (0, 1): -1, (0, 0): 5})
+    h = Poly.build(("x", "y"), {(1, 0): 1, (0, 1): 1, (0, 0): 1})
+    a = Poly.build(("x", "y"), {(3, 0): 1, (0, 1): 2, (0, 0): 3})
+    b = Poly.build(("x", "y"), {(3, 0): 1, (0, 1): -1, (0, 0): 5})
     f, g, gcd = (_primitive(c) for c in (h * a, h * b, h))
     assert symexpr._heu_gcd(f, g) == (gcd, _primitive(a), _primitive(b))
     # the same through the seam, on operands with large coefficients
@@ -656,7 +681,7 @@ def test_gcd_gives_up_with_named_error(monkeypatch):
 # Packed kernel against a tuple-and-Fraction reference
 # ---------------------------------------------------------------------------
 
-_REF_VARS = sorted(symbol_id(name) for name in _GCD_NAMES)
+_REF_VARS = sorted(_GCD_NAMES)
 
 
 def _ref(p: Poly) -> dict:
@@ -731,7 +756,7 @@ def _kernel_operand(rng: random.Random) -> Poly:
         return Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
     if kind == "high":
         # total degree near MAX_DEGREE: products overflow about half the time
-        vars = sorted(symbol_id(name) for name in names)
+        vars = sorted(names)
         terms = {}
         for _ in range(rng.randint(1, 3)):
             exps = [0] * len(vars)
@@ -919,10 +944,10 @@ def test_zero_residue_without_divisibility_is_refuted_by_division():
     f = _poly("x + y")
     t = _poly(f"x + y + {CERT_PRIME}")
     # every image of t vanishes where x + y does, mod P
-    sid = f.vars[0]
-    image = _image(t, sid)
+    name = f.vars[0]
+    image = _image(t, name)
     root = symexpr._root(f)
-    assert root[0] == sid
+    assert root[0] == name
     value = 0
     for c in reversed(image):
         value = (value * root[1] + c) % CERT_PRIME
@@ -940,14 +965,13 @@ def test_images_of_reordered_terms_share_the_weights():
     p = _poly("3*x^2*y - 5*x*y + 7*y^2 + x - 11")
     q = Poly(p.vars, p.content, dict(reversed(list(p.terms.items()))))
     assert q == p and list(q.terms) != list(p.terms)
-    x, y = (symbol_id(name) for name in ("x", "y"))
     symexpr._weights.cache_clear()
     _image.cache_clear()
     # q's images come from the weights memoized for p
-    for poly, sid in [(p, x), (q, y), (q, x)]:
-        image = _image(poly, sid)
-        # the image at t = 2 is p with sid at twice its image point
-        point = {v: _image_point(v) * (2 if v == sid else 1) for v in (x, y)}
+    for poly, name in [(p, "x"), (q, "y"), (q, "x")]:
+        image = _image(poly, name)
+        # the image at t = 2 is p with the name at twice its image point
+        point = {v: _image_point(v) * (2 if v == name else 1) for v in ("x", "y")}
         value = sum(c * 2**e for e, c in enumerate(image)) % CERT_PRIME
         direct = sum(
             c * math.prod(pow(point[v], e, CERT_PRIME) for v, e in zip(poly.vars, exps))
