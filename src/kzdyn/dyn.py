@@ -9,11 +9,14 @@ equations attached to the trigonometric KZ system.  Every operator is a
   ``B_alpha``,
 * ordered products ``B_w`` over the root sequence of a reduced word,
 * the additive (single-sum) form ``B_additive``, a sum of word matrices
-  weighted by dual elements of a symbolic highest-weight module,
+  weighted by the dual-element table of a symbolic highest-weight module
+  (`rep.p_elements`),
 * the multiplicative ``K_operator`` with its diagonal coordinate prefactor,
 * the shifted fusion element (``fusion_solve``) solved weight by weight from
   its defining recurrence, and the lowering/raising contraction ``q_dagger``
-  built from it, each coefficient substituted once,
+  built from it, each coefficient substituted once; it and ``B_additive``
+  sum ``(lo, hi, c)`` rows, standing for ``c A(F_lo) tau(F_hi)``, in one
+  ``_contract``,
 * KZ-operator assembly (``kz_operator``, ``omega_operator``,
   ``r_matrix_operator``) and the exact compatibility checks
   ``check_K_exchange`` / ``check_nabla_K``,
@@ -37,9 +40,10 @@ product form at ``lambda + rho + nu/2``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .rep import (
     PBWVector,
@@ -75,7 +79,6 @@ from .symexpr import (
     symbol,
 )
 from .uea import (
-    GenWord,
     PBWBasis,
     Straightener,
     antipode_A,
@@ -322,35 +325,19 @@ def B_w(
 # ---------------------------------------------------------------------------
 
 
-def _block_positions(basis: PBWBasis, r: int) -> list[int]:
-    return [p for p, (k, l) in enumerate(basis.order) if k <= r < l]
-
-
-def _block_indices(
-    basis: PBWBasis, r: int, nu0: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """All exponent tuples supported on roots straddling level ``r`` whose
-    weight fits inside ``nu0`` coordinatewise."""
-    positions = _block_positions(basis, r)
-    exps = [0] * len(basis.order)
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, remaining: list[int]) -> None:
-        if idx == len(positions):
-            out.append(tuple(exps))
-            return
-        pos = positions[idx]
-        k, l = basis.order[pos]
-        cap = min(remaining[h - 1] for h in range(k, l))
-        for e in range(cap + 1):
-            exps[pos] = e
-            rec(idx + 1, [
-                m - (e if k - 1 <= i < l - 1 else 0) for i, m in enumerate(remaining)
-            ])
-        exps[pos] = 0
-
-    rec(0, list(nu0))
-    return out
+def _contract(
+    space: TensorWeightSpace,
+    basis: PBWBasis,
+    rows: Iterable[tuple[tuple[int, ...], tuple[int, ...], RationalFunctionExpr]],
+) -> WeightSpaceOperator:
+    """``sum c A(F_lo) tau(F_hi)`` over ``(lo, hi, c)`` rows of ``basis``
+    monomials, every row's word matrix added into one entries dict."""
+    entries: dict[tuple[int, int], RationalFunctionExpr] = {}
+    for lo, hi, c in rows:
+        w = antipode_A(monomial_word(basis, lo)) * chevalley_tau(monomial_word(basis, hi))
+        for key, v in word_operator(space, w.scale(c)).entries.items():
+            entries[key] = entries.get(key, RF_ZERO) + v
+    return WeightSpaceOperator(space, space, entries)
 
 
 def B_additive(
@@ -371,22 +358,20 @@ def B_additive(
     n_rank = space.pbw_basis.n_rank
     basis_r = special_basis(n_rank, r)
     aux_factor = verma_weight(n_rank, weight_from_pairings(n_rank, pairings))
-    total = WeightSpaceOperator.zero(space, space)
-    dual_cache: dict[tuple[int, ...], Mapping] = {}
+    straddling = [k <= r < l for k, l in basis_r.order]
 
-    for block_exps in _block_indices(basis_r, r, space.nu0):
-        coords = _exps_coords(basis_r, block_exps)
-        pmap = dual_cache.get(coords)
-        if pmap is None:
-            aux_space = enumerate_basis([aux_factor], coords, basis_r)
-            pmap = p_elements(aux_space)
-            dual_cache[coords] = pmap
-        dual = pmap[(block_exps,)]
-        lower_word = antipode_A(monomial_word(basis_r, block_exps))
-        for exps_j, c in dual.terms.items():
-            w = lower_word * chevalley_tau(monomial_word(basis_r, exps_j))
-            total = total + word_operator(space, GenWord(w.coeff * c, w.letters))
-    return total
+    def straddles(exps: tuple[int, ...]) -> bool:
+        return all(s or not e for s, e in zip(straddling, exps))
+
+    rows = []
+    for mu in itertools.product(*(range(m + 1) for m in space.nu0)):
+        aux = enumerate_basis([aux_factor], mu, basis_r)
+        # the dual elements are needed only where a straddling index lives
+        if any(straddles(index[0]) for index in aux.basis):
+            rows.extend(
+                (lo, hi, c) for (lo, hi), c in p_elements(aux).items() if straddles(lo)
+            )
+    return _contract(space, basis_r, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +391,6 @@ def K_operator(
     space: TensorWeightSpace,
     k: int,
     pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-    z_syms: Optional[Sequence[RationalFunctionExpr]] = None,
 ) -> DynOperator:
     """Level-``k`` difference-equation operator with coordinate prefactor.
 
@@ -418,7 +402,7 @@ def K_operator(
     """
     pairings = _default_pairings(space, pairings)
     n_rank = space.pbw_basis.n_rank
-    zs = tuple(z_syms) if z_syms is not None else z_symbols(len(space.factors))
+    zs = z_symbols(len(space.factors))
     base = B_w(space, omega_bracket(n_rank, k)[1], pairings)
     diag: dict[tuple[int, int], RationalFunctionExpr] = {}
     for i in range(space.dim):
@@ -601,27 +585,22 @@ def q_dagger(
         fusion = fusion_solve(n_rank, need)
     if fusion.depth < need or fusion.n_rank != n_rank:
         raise ValueError("fusion element not solved to sufficient depth")
-    basis = standard_basis(n_rank)
     nu_pairs = space_weight_pairings(space)
     subs = {
         f"l{i + 1}": pairings[i] - nu_pairs[i] for i in range(n_rank - 1)
     }
-    total = WeightSpaceOperator.zero(space, space)
+    rows = []
     for mu, comp in fusion.components.items():
         if any(m > n for m, n in zip(mu, space.nu0)):
             continue
         for (lo, hi), psi in comp.items():
             try:
-                coeff = rf_substitute(psi, subs)
+                rows.append((lo, hi, rf_substitute(psi, subs)))
             except DivisionByZero as exc:
                 raise ResonantWeight(
                     f"fusion coefficient has a pole at the shifted parameter: {exc}"
                 ) from exc
-            w = antipode_A(monomial_word(basis, lo)) * chevalley_tau(
-                monomial_word(basis, hi)
-            )
-            total = total + word_operator(space, GenWord(w.coeff * coeff, w.letters))
-    return total
+    return _contract(space, standard_basis(n_rank), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +700,6 @@ def kz_operator(
     kind: str,
     i: int,
     pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-    z_syms: Optional[Sequence[RationalFunctionExpr]] = None,
 ) -> KZOperator:
     """Assemble the ``i``-th KZ operator (1-based factor index).
 
@@ -732,7 +710,7 @@ def kz_operator(
     n = len(space.factors)
     if not 1 <= i <= n:
         raise ValueError(f"factor index {i} out of range")
-    zs = tuple(z_syms) if z_syms is not None else z_symbols(n)
+    zs = z_symbols(n)
     kap = kappa_symbol()
     zero = WeightSpaceOperator.zero(space, space)
     if kind == "rational":
@@ -802,7 +780,6 @@ def check_K_exchange(
     k: int,
     l: int,
     pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-    z_syms: Optional[Sequence[RationalFunctionExpr]] = None,
 ) -> CheckReport:
     """Exact matrix check of the exchange relation between two levels.
 
@@ -811,12 +788,11 @@ def check_K_exchange(
     formal coordinate-prefactor records.
     """
     pairings = _default_pairings(space, pairings)
-    zs = tuple(z_syms) if z_syms is not None else z_symbols(len(space.factors))
     kap = kappa_symbol()
-    K_k_shift = K_operator(space, k, _kappa_shift(pairings, l, kap), zs)
-    K_l_plain = K_operator(space, l, pairings, zs)
-    K_l_shift = K_operator(space, l, _kappa_shift(pairings, k, kap), zs)
-    K_k_plain = K_operator(space, k, pairings, zs)
+    K_k_shift = K_operator(space, k, _kappa_shift(pairings, l, kap))
+    K_l_plain = K_operator(space, l, pairings)
+    K_l_shift = K_operator(space, l, _kappa_shift(pairings, k, kap))
+    K_k_plain = K_operator(space, k, pairings)
     lhs = K_k_shift.op.compose(K_l_plain.op)
     rhs = K_l_shift.op.compose(K_k_plain.op)
     formal_lhs = tuple(
@@ -838,7 +814,6 @@ def check_nabla_K(
     j: int,
     k: int,
     pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-    z_syms: Optional[Sequence[RationalFunctionExpr]] = None,
 ) -> CheckReport:
     """Exact zeroth-order residual of the derivative/difference intertwining.
 
@@ -850,9 +825,8 @@ def check_nabla_K(
     The residual must vanish identically.
     """
     pairings = _default_pairings(space, pairings)
-    zs = tuple(z_syms) if z_syms is not None else z_symbols(len(space.factors))
     kap = kappa_symbol()
-    Kd = K_operator(space, k, pairings, zs)
+    Kd = K_operator(space, k, pairings)
     K = Kd.op
 
     row_exp: dict[int, int] = {}
@@ -867,8 +841,8 @@ def check_nabla_K(
     dK = WeightSpaceOperator(space, space, d_entries)
     formal_j = Kd.formal_z_exponents[j - 1]
     term_derivative = (dK + K.scale(formal_j)).scale(kap)
-    shifted = kz_operator(space, "trigonometric", j, _kappa_shift(pairings, k, kap), zs)
-    plain = kz_operator(space, "trigonometric", j, pairings, zs)
+    shifted = kz_operator(space, "trigonometric", j, _kappa_shift(pairings, k, kap))
+    plain = kz_operator(space, "trigonometric", j, pairings)
     residual = (
         term_derivative
         + shifted.zero_order.compose(K)

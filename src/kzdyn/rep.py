@@ -9,11 +9,13 @@ in one PBW arrangement (`PBWBasis` from `uea`).
 
 Generator actions are letter matrices (`operator_for_letter`), computed per
 factor with the straightening engine and combined by the tensor Leibniz rule;
-the matrix of a word of letters composes them (`word_operator`).  On top of
-the actions the module builds the contravariant bilinear form (adjoint
-``A ∘ tau``), its inverse elements, joint kernels of the simple raising
-operators, and the closed-form dual-basis actions together with their
-signed-transpose consistency data.
+the matrix of a word of letters composes them (`word_operator`), and every
+word in this module is applied that way.  On top of the actions the module
+builds the contravariant bilinear form (row I is the word ``(A ∘ tau)(F_I)``
+into the top space), the dual elements of its inverse as one table
+``{(lo, hi): c}`` in the form of a fusion component (`p_elements`), joint
+kernels of the simple raising operators, and the closed-form dual-basis
+actions together with their signed-transpose consistency data.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .uea import (
     Letter,
     PBWBasis,
     Straightener,
-    UEAElement,
     antipode_A,
     chevalley_tau,
     monomial_word,
@@ -499,39 +500,29 @@ def shapovalov_gram(space: TensorWeightSpace) -> WeightSpaceOperator:
     """Gram matrix S(F_I v, F_J v) for a single Verma factor."""
     if len(space.factors) != 1 or space.factors[0].kind != "verma":
         raise ValueError("the contravariant Gram matrix needs one Verma factor")
-    basis = space.pbw_basis
-    engine = space.engine(0)
     entries: dict[tuple[int, int], RationalFunctionExpr] = {}
-    zero = basis.zero_exps()
-    for i, index_i in enumerate(space.basis):
-        # S(F_I v, F_J v) = coefficient of v in (A∘tau)(F_I) F_J v.
-        adj = antipode_A(chevalley_tau(monomial_word(basis, index_i[0])))
-        for j, index_j in enumerate(space.basis):
-            if j < i and (j, i) in entries:
-                entries[(i, j)] = entries[(j, i)]
-                continue
-            exps_j = index_j[0]
-            state = engine.apply_word(
-                adj.letters,
-                {exps_j: adj.coeff * basis.signed_factor(exps_j)},
-            )
-            val = state.get(zero)
-            if val is not None and not val.is_zero():
-                entries[(i, j)] = val
+    for i, index in enumerate(space.basis):
+        # S(F_I v, F_J v) = coefficient of v in (A∘tau)(F_I) F_J v: row I is
+        # the matrix of that word into the top space, spanned by v.
+        adj = antipode_A(chevalley_tau(monomial_word(space.pbw_basis, index[0])))
+        for (_, j), v in word_operator(space, adj).entries.items():
+            entries[(i, j)] = v
     return WeightSpaceOperator(space, space, entries)
 
 
-def p_elements(space: TensorWeightSpace) -> dict[MultiIndex, UEAElement]:
-    """Inverse-form elements: P_I with S(P_I v, F_J v) = delta_{IJ}."""
-    gram = shapovalov_gram(space)
-    inv = gram.invert()
-    out: dict[MultiIndex, UEAElement] = {}
-    for col, index in enumerate(space.basis):
-        terms = {
-            space.basis[row][0]: inv.entry(row, col) for row in range(space.dim)
-        }
-        out[index] = UEAElement(space.pbw_basis, terms)
-    return out
+def p_elements(
+    space: TensorWeightSpace,
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], RationalFunctionExpr]:
+    """Dual elements P_I, with S(P_I v, F_J v) = delta_{IJ}, as one table.
+
+    The table maps ``(lo, hi)`` to the coefficient of F_hi in P_lo, the form
+    of a `dyn.FusionElement` component.
+    """
+    basis = space.basis
+    return {
+        (basis[col][0], basis[row][0]): c
+        for (row, col), c in shapovalov_gram(space).invert().entries.items()
+    }
 
 
 # ---------------------------------------------------------------------------

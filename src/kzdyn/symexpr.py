@@ -79,8 +79,8 @@ divisor does not divide.
 A symbol is its name: variables are keyed and ordered by name alone, so the
 canonical form and the text of an expression do not depend on which symbols
 were used before, or in which order.  Names follow ``[A-Za-z][A-Za-z0-9:]*``,
-checked where they enter (`symbol`, `Poly.from_symbol`, `parse`,
-`rf_symmetrize`).  By convention the package uses ``l1, l2, ...`` for weight
+checked where they enter (`symbol`, `Poly.from_symbol`, `Poly.build`,
+`parse`, `rf_symmetrize`).  By convention the package uses ``l1, l2, ...`` for weight
 coordinates, ``kap`` for the difference step, ``z:j`` for evaluation points,
 ``t:k:d`` for integration variables (color ``k``, copy ``d``) and ``L:j:k``
 for pairings of the j-th factor weight with the k-th simple root.
@@ -222,12 +222,18 @@ class Poly:
 
     @staticmethod
     def build(vars: Sequence[str], terms: Mapping[tuple[int, ...], Fraction]) -> "Poly":
-        """Build from untrusted ``{exponent tuple: coefficient}`` over the
-        name-sorted ``vars``."""
+        """Build from untrusted ``{exponent tuple: coefficient}`` over
+        ``vars``, valid symbol names in strictly increasing order."""
+        vars = tuple(_check_name(name) for name in vars)
+        if any(a >= b for a, b in zip(vars, vars[1:])):
+            raise ValueError(f"variables must be distinct and name-sorted: {vars!r}")
+        for e in terms:
+            if len(e) != len(vars) or any(x < 0 for x in e):
+                raise ValueError(f"exponent {e!r} needs {len(vars)} non-negative entries")
         terms = {e: Fraction(c) for e, c in terms.items() if c}
         den = math.lcm(*(c.denominator for c in terms.values()))
         ints = ((e, c.numerator * (den // c.denominator)) for e, c in terms.items())
-        return _from_tuples(tuple(vars), Fraction(1, den), ints)
+        return _from_tuples(vars, Fraction(1, den), ints)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """``(exponents, coefficient)`` per term, in descending graded-lex order."""

@@ -222,8 +222,7 @@ def test_criterion_9_dual_element_golden_values():
     spec = verma_weight(2, weight_from_pairings(2, [l1]))
     for k in range(1, 5):
         space = enumerate_basis([spec], (k,))
-        element = p_elements(space)[space.basis[0]]
-        coeff = element.terms[(k,)]
+        coeff = p_elements(space)[(space.basis[0][0], (k,))]
         assert coeff == rational(math.factorial(k)) / falling(l1, k), k
     golden = run_suite(SuiteConfig(suite="appendix-c", max_ab=2))
     assert golden["verdict"] == "pass"

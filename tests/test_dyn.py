@@ -243,6 +243,21 @@ def test_additive_equals_product_rank2_deeper():
         _check_additive_equals_product(sp, r)
 
 
+def test_additive_form_inverts_one_gram_per_straddling_weight(monkeypatch):
+    # At level 1 of sl3 the straddling roots (1,2) and (1,3) lower by (1,0)
+    # and (1,1): 6 of the 9 weights mu <= (2,2) carry a straddling index,
+    # and each needs its dual elements once.
+    calls = []
+
+    def counting(aux):
+        calls.append(aux.nu0)
+        return p_elements(aux)
+
+    monkeypatch.setattr("kzdyn.dyn.p_elements", counting)
+    B_additive(enumerate_basis([verma_symbolic(3, 1)], (2, 2)), 1)
+    assert sorted(calls) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     p1=st.integers(min_value=1, max_value=4),
@@ -377,13 +392,7 @@ def test_fusion_equals_dual_element_matrix():
         aux_factor = verma_weight(n_rank, weight_from_pairings(n_rank, lam))
         for mu in weights:
             aux = enumerate_basis([aux_factor], mu, basis)
-            pmap = p_elements(aux)
-            expected = {}
-            for index in aux.basis:
-                for upper, c in pmap[index].terms.items():
-                    if not c.is_zero():
-                        expected[(index[0], upper)] = c
-            assert dict(fus.component(mu)) == expected
+            assert dict(fus.component(mu)) == p_elements(aux)
 
 
 def _raw_lower_to_signed(engine, basis, letters):
@@ -446,7 +455,6 @@ def test_published_inverse_form_closed_form():
     lamw = weight_from_pairings(3, (l1, l2))
     for (a, b) in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         aux = enumerate_basis([verma_weight(3, lamw)], (a, b), basis)
-        pmap = p_elements(aux)
         expected = {}
         for m in range(min(a, b) + 1):
             for k in range(min(a, b) + 1):
@@ -469,12 +477,7 @@ def test_published_inverse_form_closed_form():
                     key = (I0, J)
                     expected[key] = expected.get(key, RF_ZERO) + coeff * cleft * cJ
         expected = {kk: v for kk, v in expected.items() if not v.is_zero()}
-        got = {}
-        for index in aux.basis:
-            for J, c in pmap[index].terms.items():
-                if not c.is_zero():
-                    got[(index[0], J)] = c
-        assert got == expected
+        assert p_elements(aux) == expected
 
 
 @settings(max_examples=6, deadline=None)

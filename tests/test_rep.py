@@ -224,9 +224,7 @@ def test_p_elements_rank1_closed_form_and_delta():
     spec = verma_weight(2, weight_from_pairings(2, [l1]))
     for k in range(1, 5):
         space = enumerate_basis([spec], (k,))
-        pmap = p_elements(space)
-        element = pmap[space.basis[0]]
-        coeff = element.terms[(k,)]
+        coeff = p_elements(space)[(space.basis[0][0], (k,))]
         assert coeff == rational(math.factorial(k)) / falling(l1, k)
         # The coefficient on the raw power e21^k carries the arrangement
         # sign and the divided factorial: (-1)^k / (l1 (l1-1) ... (l1-k+1)).
@@ -243,8 +241,9 @@ def test_p_elements_delta_property_rank2():
             pvec = PBWVector(
                 space,
                 {
-                    space.index_position[(exps,)]: c
-                    for exps, c in pmap[index].terms.items()
+                    space.index_position[(hi,)]: c
+                    for (lo, hi), c in pmap.items()
+                    if lo == index[0]
                 },
             )
             paired = gram.apply(pvec)
@@ -270,7 +269,7 @@ def test_tau_characterization_of_p_elements():
     top_space = enumerate_basis([_sym(1, 3)], (0, 0))
     for i, index_i in enumerate(space.basis):
         total = WeightSpaceOperator.zero(space, top_space)
-        for exps, c in pmap[index_i].terms.items():
+        for exps, c in ((hi, c) for (lo, hi), c in pmap.items() if lo == index_i[0]):
             w = antipode_A(chevalley_tau(monomial_word(space.pbw_basis, exps)))
             total = total + word_operator(space, GenWord(w.coeff * c, w.letters))
         assert total == WeightSpaceOperator(space, top_space, {(0, i): RF_ONE})

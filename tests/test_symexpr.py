@@ -736,6 +736,20 @@ def _check_canonical(p: Poly) -> None:
     assert p.total_degree() == _ref_degree(_ref(p))
 
 
+def test_build_rejects_malformed_input():
+    # repeated or unsorted names, a short or long exponent tuple, an invalid
+    # name: each would build a Poly that breaks the representation
+    for vars, terms in [
+        (("x", "x"), {(1, 1): 1}),
+        (("y", "x"), {(2, 1): 1}),
+        (("x",), {(1, 2): 1}),
+        (("x",), {(-1,): 1}),
+        (("x!",), {(1,): 1}),
+    ]:
+        with pytest.raises(ValueError):
+            Poly.build(vars, terms)
+
+
 def _check_against_reference(p: Poly, q: Poly) -> None:
     a, b = _ref(p), _ref(q)
     for got, expected in [
