@@ -21,7 +21,7 @@ def main(argv=None) -> int:
     ap.add_argument("--max-depth", type=int, default=4,
                     help="largest truncation depth to solve")
     ap.add_argument("--validate", action="store_true",
-                    help="also run each element's internal consistency checks")
+                    help="also check each element's structure; exit 1 if malformed")
     args = ap.parse_args(argv)
 
     print(f"{'n':>2s} {'depth':>5s} {'components':>10s} {'terms':>7s} "
@@ -30,8 +30,9 @@ def main(argv=None) -> int:
         for depth in range(1, args.max_depth + 1):
             t0 = time.monotonic()
             fusion = fusion_solve(n, depth)
-            if args.validate:
-                fusion.validate()
+            if args.validate and not fusion.structure_ok():
+                print(f"malformed fusion element at n={n}, depth={depth}", file=sys.stderr)
+                return 1
             seconds = time.monotonic() - t0
             n_terms = sum(len(comp) for comp in fusion.components.values())
             max_len = max(

@@ -57,6 +57,7 @@ from .dyn import (
     z_symbols,
     _first_mismatch,
     _lower_mult_signed,
+    _weight_compositions,
 )
 from .hyper import forest_of_index, phi_vector, verify_order_invariance
 from .rep import (
@@ -81,7 +82,7 @@ from .roots import (
     weight_from_pairings,
 )
 from .symexpr import RF_ONE, RF_ZERO, ParseError, rational
-from .uea import Straightener, standard_basis
+from .uea import standard_basis, straightener
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -184,7 +185,7 @@ def _raw_lower_to_signed(engine, basis, letters):
 def _fusion_residual_ok(fus: FusionElement) -> bool:
     """Plug the solved components back into the defining recurrence."""
     basis = standard_basis(fus.n_rank)
-    engine = Straightener(basis)
+    engine = straightener(basis)
     pairings = lambda_pairing_symbols(fus.n_rank)
     half = rational(Fraction(1, 2))
     for mu, comp in fus.components.items():
@@ -219,21 +220,14 @@ def _fusion_residual_ok(fus: FusionElement) -> bool:
     return True
 
 
-def _weight_list(n: int, depth: int, entry_cap: int = 2) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == n - 1:
-            if 0 < sum(prefix) <= depth:
-                out.append(prefix)
-            return
-        for v in range(min(entry_cap, depth) + 1):
-            rec(prefix + (v,))
-
-    rec(())
-    if n == 2:
-        out = [(k,) for k in range(1, depth + 1)]
-    return sorted(out, key=lambda mu: (sum(mu), mu))
+def _weight_list(n: int, depth: int) -> list[tuple[int, ...]]:
+    """The weights of heights 1..depth, entries at most 2 unless n == 2."""
+    return [
+        mu
+        for height in range(1, depth + 1)
+        for mu in _weight_compositions(n - 1, height)
+        if n == 2 or max(mu) <= 2
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +273,7 @@ def _additive_form(params: dict):
 def _fusion(params: dict):
     n, depth, nu, specs = params["n"], params["depth"], params["nu"], params["factors"]
     fus = fusion_solve(n, depth)
-    try:
-        fus.validate()
-        structure_ok = True
-    except AssertionError:
-        structure_ok = False
+    structure_ok = fus.structure_ok()
     residual_ok = _fusion_residual_ok(fus)
     witness = {
         "check": "defining-recurrence",
@@ -357,7 +347,7 @@ def _appendix_c(params: dict):
     depth = max(2 * max_ab, 1)
     l1, l2 = lambda_pairing_symbols(3)
     basis = standard_basis(3)
-    engine = Straightener(basis)
+    engine = straightener(basis)
     fus = fusion_solve(3, depth)
     rows = []
 

@@ -86,6 +86,7 @@ from .uea import (
     monomial_word,
     special_basis,
     standard_basis,
+    straightener,
 )
 
 __all__ = [
@@ -379,14 +380,6 @@ def B_additive(
 # ---------------------------------------------------------------------------
 
 
-def _z_power(z: RationalFunctionExpr, e: int) -> RationalFunctionExpr:
-    if e == 0:
-        return RF_ONE
-    if e > 0:
-        return z ** e
-    return RF_ONE / (z ** (-e))
-
-
 def K_operator(
     space: TensorWeightSpace,
     k: int,
@@ -408,13 +401,9 @@ def K_operator(
     for i in range(space.dim):
         value = RF_ONE
         for j, exps in enumerate(space.basis[i]):
-            drop = sum(
-                e
-                for (a, b), e in zip(space.pbw_basis.order, exps)
-                if e and a <= k < b
-            )
+            drop = _exps_coords(space.pbw_basis, exps)[k - 1]
             if drop:
-                value = value * _z_power(zs[j], -drop)
+                value = value * zs[j] ** -drop
         diag[(i, i)] = value
     dressed = WeightSpaceOperator(space, space, diag).compose(base)
     formal = tuple(f.hw.dot(omega_vec(n_rank, k)) for f in space.factors)
@@ -458,27 +447,17 @@ class FusionElement:
         comp = self.component(mu)
         return [(lo, hi, c) for (lo, hi), c in sorted(comp.items())]
 
-    def validate(self) -> None:
+    def structure_ok(self) -> bool:
+        """The zero component is the identity pair, and both sides of every
+        stored pair have the weight of their component."""
         basis = standard_basis(self.n_rank)
         zero = basis.zero_exps()
-        assert self.components[tuple([0] * (self.n_rank - 1))] == {
-            (zero, zero): RF_ONE
-        }
-        for mu, comp in self.components.items():
-            for (lo, hi), _ in comp.items():
-                assert _exps_coords(basis, lo) == mu
-                assert _exps_coords(basis, hi) == mu
-
-
-_FUSION_ENGINES: dict[int, Straightener] = {}
-
-
-def _fusion_engine(n_rank: int) -> Straightener:
-    eng = _FUSION_ENGINES.get(n_rank)
-    if eng is None:
-        eng = Straightener(standard_basis(n_rank))
-        _FUSION_ENGINES[n_rank] = eng
-    return eng
+        top = self.components.get(tuple([0] * (self.n_rank - 1)))
+        return top == {(zero, zero): RF_ONE} and all(
+            _exps_coords(basis, lo) == mu and _exps_coords(basis, hi) == mu
+            for mu, comp in self.components.items()
+            for lo, hi in comp
+        )
 
 
 def _lower_mult_signed(
@@ -516,14 +495,16 @@ def fusion_solve(n_rank: int, depth: int) -> FusionElement:
     there, but the guard protects numeric use.
     """
     basis = standard_basis(n_rank)
-    engine = _fusion_engine(n_rank)
+    engine = straightener(basis)
     pairings = lambda_pairing_symbols(n_rank)
     zero = basis.zero_exps()
     components: dict = {
         tuple([0] * (n_rank - 1)): {(zero, zero): RF_ONE}
     }
     roots = positive_roots(n_rank)
-    coords_of = {root: _exps_coords(basis, _unit_exps(basis, root)) for root in roots}
+    coords_of = {
+        root: _exps_coords(basis, basis.exps_from_roots({root: 1})) for root in roots
+    }
     for height in range(1, depth + 1):
         for mu in _weight_compositions(n_rank - 1, height):
             mu_vec = nu_vec(n_rank, mu)
@@ -558,12 +539,6 @@ def fusion_solve(n_rank: int, depth: int) -> FusionElement:
                     comp[key] = quot
             components[mu] = comp
     return FusionElement(n_rank, depth, components)
-
-
-def _unit_exps(basis: PBWBasis, root: tuple[int, int]) -> tuple[int, ...]:
-    exps = [0] * len(basis.order)
-    exps[basis.position[root]] = 1
-    return tuple(exps)
 
 
 def q_dagger(
@@ -744,14 +719,11 @@ class CheckReport:
     passed: bool
     checked: int
     witness: Optional[dict] = None
-    notes: str = ""
 
     def to_json(self) -> dict:
         out = {"passed": self.passed, "checked": self.checked}
         if self.witness is not None:
             out["witness"] = self.witness
-        if self.notes:
-            out["notes"] = self.notes
         return out
 
 
@@ -829,12 +801,9 @@ def check_nabla_K(
     Kd = K_operator(space, k, pairings)
     K = Kd.op
 
-    row_exp: dict[int, int] = {}
-    for pos in range(space.dim):
-        exps = space.basis[pos][j - 1]
-        row_exp[pos] = -sum(
-            e for (a, b), e in zip(space.pbw_basis.order, exps) if e and a <= k < b
-        )
+    row_exp = [
+        -_exps_coords(space.pbw_basis, index[j - 1])[k - 1] for index in space.basis
+    ]
     d_entries = {
         (r, c): v * rational(row_exp[r]) for (r, c), v in K.entries.items()
     }
@@ -895,7 +864,7 @@ def det_ingredients(
     pairings = _default_pairings(space, pairings)
     n_rank = space.pbw_basis.n_rank
     kap = kappa_symbol()
-    coords = _exps_coords(space.pbw_basis, _unit_exps(space.pbw_basis, alpha))
+    coords = _exps_coords(space.pbw_basis, space.pbw_basis.exps_from_roots({alpha: 1}))
 
     def dim_at(m: int) -> int:
         nu0 = tuple(c - m * rc for c, rc in zip(space.nu0, coords))

@@ -36,6 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .symexpr import (
@@ -504,19 +505,14 @@ def phi_vector(
 # Order invariance
 # ---------------------------------------------------------------------------
 
-_EXPANSION_CACHE: dict[tuple, dict] = {}
-
-
+@lru_cache(maxsize=None)
 def _expand_in_standard(basis: PBWBasis, exps: tuple) -> dict:
-    """Coefficients of one flavored basis monomial on the standard basis."""
-    key = (basis.n_rank, basis.order, basis.signs, exps)
-    hit = _EXPANSION_CACHE.get(key)
-    if hit is None:
-        target = standard_basis(basis.n_rank)
-        element = change_pbw_basis(UEAElement.monomial(basis, exps), target)
-        hit = dict(element.terms)
-        _EXPANSION_CACHE[key] = hit
-    return hit
+    """Coefficients of one flavored basis monomial on the standard basis.
+
+    The dict is shared by every call with the same arguments: never mutate it.
+    """
+    target = standard_basis(basis.n_rank)
+    return change_pbw_basis(UEAElement.monomial(basis, exps), target).terms
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ word in this module is applied that way.  On top of the actions the module
 builds the contravariant bilinear form (row I is the word ``(A ∘ tau)(F_I)``
 into the top space), the dual elements of its inverse as one table
 ``{(lo, hi): c}`` in the form of a fusion component (`p_elements`), joint
-kernels of the simple raising operators, and the closed-form dual-basis
-actions together with their signed-transpose consistency data.
+kernels of the simple raising operators, and the one-term dual lowering
+rule on basis functionals (`dual_action_F`).  The raising action on basis
+functionals is `hyper.raising_dual_coefficients`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .uea import (
     chevalley_tau,
     monomial_word,
     standard_basis,
+    straightener,
 )
 
 __all__ = [
@@ -53,7 +55,6 @@ __all__ = [
     "nullspace",
     "shapovalov_gram",
     "p_elements",
-    "dual_action_E",
     "dual_action_F",
     "singular_vectors",
 ]
@@ -142,7 +143,7 @@ class TensorWeightSpace:
         "pbw_basis",
         "basis",
         "index_position",
-        "_engines",
+        "straighteners",
         "_hash",
     )
 
@@ -158,7 +159,10 @@ class TensorWeightSpace:
         self.pbw_basis = pbw_basis
         self.basis = basis
         self.index_position = {index: i for i, index in enumerate(basis)}
-        self._engines: dict[int, Straightener] = {}
+        # one shared engine per factor, read from the `uea` memo once
+        self.straighteners: tuple[Straightener, ...] = tuple(
+            straightener(pbw_basis, f.hw) for f in factors
+        )
         self._hash = hash((factors, nu0, pbw_basis))
 
     def __eq__(self, other):
@@ -182,13 +186,6 @@ class TensorWeightSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def engine(self, j: int) -> Straightener:
-        eng = self._engines.get(j)
-        if eng is None:
-            eng = Straightener(self.pbw_basis, self.factors[j].hw)
-            self._engines[j] = eng
-        return eng
 
     def total_highest_weight(self) -> WeightVec:
         total = self.factors[0].hw
@@ -443,7 +440,7 @@ def _act_letter_on_index(
     for j in factors:
         factor = space.factors[j]
         exps_j = index[j]
-        plain = space.engine(j).apply_letter(letter, exps_j)
+        plain = space.straighteners[j].apply_letter(letter, exps_j)
         s_in = sf(exps_j)
         for new_exps, c in plain.items():
             if factor.kind == "lp" and new_exps[0] > factor.p:
@@ -526,61 +523,8 @@ def p_elements(
 
 
 # ---------------------------------------------------------------------------
-# Dual-basis actions
+# Dual lowering rule
 # ---------------------------------------------------------------------------
-
-def _simple_pairing(hw: WeightVec, h: int) -> RationalFunctionExpr:
-    return hw.eps[h - 1] - hw.eps[h]
-
-
-def dual_action_E(
-    space: TensorWeightSpace, index: MultiIndex, h: int
-) -> dict[MultiIndex, RationalFunctionExpr]:
-    """Closed form for E_{alpha_h} on the dual vector (F_index v)^*.
-
-    Valid in the standard arrangement.  Output indices live in the space with
-    one extra lowering at level h; the convention pairs with the minus-
-    transpose of the vector action (see tests).
-    """
-    basis = space.pbw_basis
-    n_rank = basis.n_rank
-    pos = basis.position
-    out: dict[MultiIndex, RationalFunctionExpr] = {}
-
-    def bump(idx: MultiIndex, j: int, add, sub=None) -> MultiIndex:
-        exps = list(idx[j])
-        exps[pos[add]] += 1
-        if sub is not None:
-            exps[pos[sub]] -= 1
-        return idx[:j] + (tuple(exps),) + idx[j + 1 :]
-
-    for j, factor in enumerate(space.factors):
-        exps = index[j]
-
-        def count(root) -> int:
-            return exps[pos[root]]
-
-        # moves (h+1, p) -> (h, p) for p > h+1
-        for p in range(h + 2, n_rank + 1):
-            c = count((h + 1, p))
-            if c:
-                key = bump(index, j, (h, p), (h + 1, p))
-                out[key] = out.get(key, RF_ZERO) + rational(c)
-        # moves (p, h) -> (p, h+1) for p < h, with minus sign
-        for p in range(1, h):
-            c = count((p, h))
-            if c:
-                key = bump(index, j, (p, h + 1), (p, h))
-                out[key] = out.get(key, RF_ZERO) + rational(-c)
-        # diagonal-ish term adding a factor at the simple root (h, h+1)
-        scalar = _simple_pairing(factor.hw, h)
-        scalar = scalar + sum(count((p, h)) for p in range(1, h))
-        scalar = scalar - sum(count((p, h + 1)) for p in range(1, h + 1))
-        if not scalar.is_zero():
-            key = bump(index, j, (h, h + 1))
-            out[key] = out.get(key, RF_ZERO) + scalar
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
 
 def dual_action_F(
     space: TensorWeightSpace, index: MultiIndex, h: int, root: tuple[int, int]

@@ -1025,12 +1025,6 @@ class RationalFunctionExpr:
         factors = tuple((_normalize_poly(f.rename(mapping)), m) for f, m in self.factors)
         return RationalFunctionExpr(num.scale(1 / den.content), _normalize_poly(den), factors)
 
-    def subs(self, subs: Mapping[str, ExprLike]) -> "RationalFunctionExpr":
-        return rf_substitute(self, subs)
-
-    def diff(self, name: str) -> "RationalFunctionExpr":
-        return rf_partial(self, name)
-
     def __str__(self) -> str:
         if self.den.is_one():
             return _poly_str(self.num)

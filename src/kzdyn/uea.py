@@ -29,7 +29,10 @@ combination of ``M(J) * v`` for a highest-weight vector ``v`` of a given
 weight: raising letters annihilate ``v``, Cartan letters act by exact scalar,
 and divided powers commute through the identity
 ``X f^m/m! = sum_r f^{m-r}/(m-r)! (ad^r X)/r!``.  Everything is memoized per
-(letter, exponent) pair, so repeated operator assembly is cheap.
+(letter, exponent) pair, so repeated operator assembly is cheap.  There is one
+memo per arrangement and highest weight, shared by every caller: `straightener`
+returns the same engine for equal arguments.  The dicts its methods return are
+the memo's own entries and must never be mutated; no caller mutates them.
 
 Basis changes between normal orders walk a chain of adjacent reversals.  A
 two-neighbour swap whose root sum is not a root leaves root-keyed exponents
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .roots import (
@@ -67,6 +71,7 @@ __all__ = [
     "special_basis",
     "UEAElement",
     "Straightener",
+    "straightener",
     "bracket_letters",
     "f_letter",
     "change_pbw_basis",
@@ -434,6 +439,12 @@ class Straightener:
                     _state_add(nxt, k2, c * c2)
             state = nxt
         return state
+
+
+@lru_cache(maxsize=None)
+def straightener(basis: PBWBasis, hw: Optional[WeightVec] = None) -> Straightener:
+    """The shared engine of one arrangement and highest weight."""
+    return Straightener(basis, hw)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,28 @@ class TestSymbolicSuites:
         assert code == 1
         assert json.loads(captured.out)["witnesses"][-1] == witness
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "no-asserts"])
+    def test_malformed_fusion_element_fails_structure_check(self, flags):
+        # the pair ((2,), (1,)) does not have the weight (1,) of its
+        # component; the verdict must not rest on `assert`, which -O strips
+        code = (
+            "from kzdyn import cli\n"
+            "from kzdyn.dyn import FusionElement\n"
+            "from kzdyn.symexpr import RF_ONE\n"
+            "malformed = FusionElement(\n"
+            "    2, 1, {(0,): {((0,), (0,)): RF_ONE}, (1,): {((2,), (1,)): RF_ONE}}\n"
+            ")\n"
+            "cli.fusion_solve = lambda n, depth: malformed\n"
+            "report = cli.run_suite(cli.SuiteConfig(suite='fusion', depth=1, nu=(1,)))\n"
+            "witness = report['witnesses'][0]\n"
+            "print(malformed.structure_ok(), witness['structure_ok'], report['verdict'])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False", "fail"]
+
     def test_compatibility_default(self):
         report = run_suite(SuiteConfig(suite="compatibility"))
         _schema_check(report, "compatibility")
@@ -623,6 +645,13 @@ _PINNED_DUMPS = {
     ),
     "forest --n 3 --nu 1,1 --h 1 --index 0": (
         "225fa539763ace29c5fb7d158e5c6a26fa518512221bfdc1cfe500de35a62397"
+    ),
+    # rank 3: the fusion coefficients and the level-2 K entries
+    "fusion --n 3 --depth 4": (
+        "5c6b7d12641a2ae4d03bdfdb5fe54f97f0a284a2cbe7411869991e6e49cdc94c"
+    ),
+    "operator --n 3 --nu 2,1 --factors verma,verma --k 2": (
+        "e95bd55e9a954cee55d49da565855a9166abca0d3a51dc6c201c94dcc2ea9b54"
     ),
 }
 

@@ -371,7 +371,7 @@ def test_published_longest_word_double_sum():
 def test_fusion_rank1_closed_form():
     l1 = symbol("l1")
     fus = fusion_solve(2, 4)
-    fus.validate()
+    assert fus.structure_ok()
     for k in range(1, 5):
         comp = fus.component((k,))
         assert set(comp) == {((k,), (k,))}
@@ -484,7 +484,7 @@ def test_published_inverse_form_closed_form():
 @given(depth=st.integers(min_value=1, max_value=3), n_rank=st.integers(2, 3))
 def test_fusion_component_weights_property(depth, n_rank):
     fus = fusion_solve(n_rank, depth)
-    fus.validate()
+    assert fus.structure_ok()
     assert fus.depth == depth
 
 
@@ -726,5 +726,6 @@ def test_rational_to_trig_requires_two_factors():
 
 
 def test_check_report_json():
-    rep = CheckReport(True, 9, None, "note")
-    assert rep.to_json() == {"passed": True, "checked": 9, "notes": "note"}
+    assert CheckReport(True, 9).to_json() == {"passed": True, "checked": 9}
+    rep = CheckReport(False, 4, {"row": 0})
+    assert rep.to_json() == {"passed": False, "checked": 4, "witness": {"row": 0}}
