@@ -492,20 +492,7 @@ def _raising_setup(n_rank, h, nu0):
 
 class TestRaisingDualCoefficients:
     @pytest.mark.parametrize(
-        "n_rank,h,nu0",
-        [
-            (2, 1, (2,)),
-            (3, 1, (1, 1)),
-            (3, 2, (1, 1)),
-            (2, 1, (1,)),
-            (2, 1, (3,)),
-            (3, 1, (2, 1)),
-            (3, 2, (2, 1)),
-            (3, 1, (1, 2)),
-            (3, 2, (1, 2)),
-            (3, 1, (2, 2)),
-            (3, 2, (2, 2)),
-        ],
+        "n_rank,h,nu0", [(2, 1, (2,)), (3, 1, (1, 1)), (3, 2, (1, 1))]
     )
     def test_matches_module_action(self, n_rank, h, nu0):
         # the functional-side coefficients must be the negatives of the
@@ -533,11 +520,6 @@ class TestRaisingDualCoefficients:
         index, coeff = coeffs[0]
         assert index == ((((1, 2), 1),),)
         assert (coeff - pairing).is_zero()
-        # with two slots, one unit string in each, weighted by its own pairing
-        pairings = [(symbol(f"L:{j}:1"), symbol(f"L:{j}:2")) for j in (1, 2)]
-        coeffs = raising_dual_coefficients(((), ()), 1, pairings, 3)
-        unit = (((1, 2), 1),)
-        assert coeffs == [(((), unit), pairings[1][0]), ((unit, ()), pairings[0][0])]
 
     def test_counting_shift_in_creation_coefficient(self):
         pairing = symbol("l1")

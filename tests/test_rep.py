@@ -10,6 +10,7 @@ import pytest
 
 from _algebra_helpers import apply_genword_at
 from _closed_forms import b_coeff, falling
+from kzdyn.hyper import index_counts, raising_dual_coefficients
 from kzdyn.rep import (
     PBWVector,
     SingularGram,
@@ -25,7 +26,7 @@ from kzdyn.rep import (
     verma_weight,
     word_operator,
 )
-from kzdyn.roots import weight_from_pairings
+from kzdyn.roots import alpha_vec, weight_from_pairings
 from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
 from kzdyn.uea import (
     GenWord,
@@ -277,6 +278,69 @@ def test_tau_characterization_of_p_elements():
 # ---------------------------------------------------------------------------
 # Dual-basis actions
 # ---------------------------------------------------------------------------
+
+
+def _dual_E(space, index, h):
+    """`raising_dual_coefficients` on (F_index v)^*, keyed by the multi-indices
+    of the space with one more level-h lowering."""
+    n_rank = space.pbw_basis.n_rank
+    deeper = space.shifted({h: +1})
+    by_counts = {index_counts(m, deeper.pbw_basis): m for m in deeper.basis}
+    pairings = [
+        tuple(f.hw.dot(alpha_vec(n_rank, p)) for p in range(1, n_rank))
+        for f in space.factors
+    ]
+    counts = index_counts(index, space.pbw_basis)
+    return {
+        by_counts[key]: c
+        for key, c in raising_dual_coefficients(counts, h, pairings, n_rank)
+    }
+
+
+def _oracle_dual_E(space, h):
+    deeper = space.shifted({h: +1})
+    op = operator_for_letter(deeper, ("e", h, h + 1))
+    out = {}
+    for (row, col), v in op.entries.items():
+        out.setdefault(space.basis[row], {})[deeper.basis[col]] = RF_ZERO - v
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_rank,nu0",
+    [(2, (1,)), (2, (2,)), (2, (3,)), (3, (1, 1)), (3, (2, 1)), (3, (1, 2)), (3, (2, 2))],
+)
+def test_dual_action_E_equals_minus_transpose(n_rank, nu0):
+    factors = tuple(_sym(j, n_rank) for j in (1, 2))
+    space = enumerate_basis(factors, nu0)
+    for h in range(1, n_rank):
+        want = _oracle_dual_E(space, h)
+        for index in space.basis:
+            got = _dual_E(space, index, h)
+            expected = {
+                k: v for k, v in want.get(index, {}).items() if not v.is_zero()
+            }
+            assert got == expected
+
+
+def test_dual_action_E_zero_index_keeps_only_weight_term():
+    space = enumerate_basis([_sym(1, 3), _sym(2, 3)], (0, 0))
+    index = space.basis[0]
+    got = _dual_E(space, index, 1)
+    basis = space.pbw_basis
+    unit = basis.exps_from_roots({(1, 2): 1})
+    zero = basis.zero_exps()
+    assert got == {
+        ((unit), (zero)): symbol("L:1:1"),
+        ((zero), (unit)): symbol("L:2:1"),
+    }
+
+
+def test_dual_action_E_rank1_single_lowering_coefficient():
+    space = enumerate_basis([_sym(1, 2)], (1,))
+    index = space.basis[0]
+    got = _dual_E(space, index, 1)
+    assert got == {((2,),): symbol("L:1:1") - rational(1)}
 
 
 def test_dual_action_F_one_term_rule_and_oracle():
