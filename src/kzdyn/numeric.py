@@ -3,10 +3,15 @@
 Everything symbolic in this package is exact; this module supplies adaptive
 nested Gauss–Jacobi quadrature over real ordered chambers, which the
 ``selberg`` suite compares with the gamma-product closed forms of
-``kzdyn.closed_forms``.  Its nodes and weights come from
-``scipy.special.roots_jacobi``, imported with the module, so that callers
-that loop over ``quad_chamber`` pay for the import once, outside their loops.
-The closed forms it is compared with are re-exported here.
+``kzdyn.closed_forms``.  Its nodes and weights are bit for bit those of
+``scipy.special.roots_jacobi``.  For alpha != beta, ``_jacobi_rule`` repeats
+that function's general branch without its per-call wrapping: the
+Golub–Welsch eigenvalues of the Jacobi matrix from LAPACK ``dsbevd``, then
+one Newton step through ``scipy.special.eval_jacobi``.  For alpha == beta
+and for alpha + beta > 1000 it calls ``roots_jacobi`` itself.  scipy,
+``scipy.linalg`` included, is imported with the module, so that callers
+that loop over ``quad_chamber`` pay for the import once, outside their
+loops.  The closed forms it is compared with are re-exported here.
 
 The quadrature kernel runs on Python floats in the order of floating-point
 operations of the numpy-scalar reference kernel that the tests keep, so its
@@ -30,7 +35,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from scipy.special import roots_jacobi
+import numpy as np
+from scipy.linalg import lapack
+from scipy.special import beta as beta_function
+from scipy.special import eval_jacobi, roots_jacobi
 
 from .closed_forms import SelbergParams, selberg_closed, selberg_difference_check
 
@@ -113,6 +121,51 @@ _NODE_LADDERS: dict[int, tuple[int, ...]] = {
 }
 
 
+def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``roots_jacobi(n, alpha, beta)``, bit for bit, with less overhead.
+
+    For alpha != beta and alpha + beta <= 1000 this is scipy's general
+    branch (Golub and Welsch, Math. Comp. 23, 1969) in scipy's order of
+    floating-point operations: the recurrence coefficients as Python floats
+    grouped as scipy groups them (``t + 2`` is scipy's
+    ``2.0 * k + a + b + 2``, never ``2.0 * k + (a + b) + 2``; ``math.sqrt``
+    rounds correctly, as numpy's ``sqrt`` does), the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix, one Newton step, and the
+    log-normalized weights with numpy's array ``log``, ``exp`` and ``sum``.
+    Every other case, scipy's symmetric branch, its overflow branch and its
+    argument errors, is ``roots_jacobi`` itself.
+    """
+    a, b = alpha, beta
+    if a == b or a + b > 1000 or not (a > -1 and b > -1):
+        return roots_jacobi(n, a, b)
+    mu0 = 2.0 ** (a + b + 1) * beta_function(a + 1, b + 1)
+    # the upper band of the Jacobi matrix: the off-diagonal, whose first
+    # entry is unused, above the diagonal
+    upper, diag = [0.0], [(b - a) / (2 + a + b)]
+    for i in range(1, n):
+        k = float(i)
+        t = 2.0 * k + a + b
+        ka = k + a
+        diag.append(0.0 if a + b == 0.0 else (b * b - a * a) / (t * (t + 2)))
+        u = 2.0 / t * math.sqrt(ka * (k + b) / (t + 1))
+        # scipy multiplies the first entry by 1.0, which is exact
+        upper.append(u if i == 1 else u * math.sqrt(k * (ka + b) / (t - 1)))
+    x, _, info = lapack.dsbevd(np.array([upper, diag]), compute_v=0, lower=0, overwrite_ab=1)
+    if info:
+        raise ArithmeticError(f"the Jacobi matrix eigenvalues did not converge (info {info})")
+    y = eval_jacobi(n, a, b, x)
+    dy = 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
+    x -= y / dy
+    fm = eval_jacobi(n - 1, a, b, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= mu0 / w.sum()
+    return x, w
+
+
 def _nested_gauss_jacobi(ci: ChamberIntegral, n_nodes: int) -> float:
     m = ci.m
     if m > 3:
@@ -129,7 +182,7 @@ def _nested_gauss_jacobi(ci: ChamberIntegral, n_nodes: int) -> float:
         alpha = ci.pair.get((i, i + 1), 0.0) if i < m else ci.pow1[m - 1]
         beta = ci.pow0[i - 1] + carry
         if (alpha, beta) not in rules:
-            x, w = roots_jacobi(n_nodes, alpha, beta)
+            x, w = _jacobi_rule(n_nodes, alpha, beta)
             rules[alpha, beta] = (((x + 1.0) / 2.0).tolist(), w.tolist())
         factors = [(k, ci.pair[i, k]) for k in range(i + 2, m + 1) if ci.pair.get((i, k), 0.0)]
         if i < m and ci.pow1[i - 1]:

@@ -805,10 +805,10 @@ class TestMainEntry:
         assert loaded.isdisjoint(
             {"kzdyn.numeric", "kzdyn.closed_forms", "scipy", "numpy", "sympy"}
         )
-        # numeric imports scipy with itself, not at its first quadrature, so
-        # that callers looping over quad_chamber pay the import once, outside
-        # their loops
-        assert "scipy" in loaded_after("import sys, kzdyn.numeric")
+        # numeric imports scipy, scipy.linalg included, with itself, not at its
+        # first quadrature, so that callers looping over quad_chamber pay the
+        # import once, outside their loops
+        assert {"scipy", "scipy.linalg"} <= loaded_after("import sys, kzdyn.numeric")
         for suite in SUITES:
             loaded = loaded_after(
                 "import sys\n"

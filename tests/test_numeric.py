@@ -15,7 +15,9 @@ import pytest
 from _reference_quadrature import nested_gauss_jacobi_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
+import kzdyn.numeric as numeric
 from kzdyn.closed_forms import (
     DETERMINANT_GRID,
     SelbergParams,
@@ -35,6 +37,7 @@ from kzdyn.numeric import (
     NonIntegrable,
     QuadratureNotConverged,
     _divergent_collision,
+    _jacobi_rule,
     _nested_gauss_jacobi,
     quad_chamber,
 )
@@ -337,33 +340,54 @@ def _seeded_general_chambers(seed: int, per_dimension: int) -> list[ChamberInteg
 
 # Each explicit row names the shape of its innermost level, the factors it
 # evaluates at its nodes; `test_every_innermost_shape_is_covered` checks that
-# every shape allowed at m = 2 and m = 3 is here.  New rows go at the end, so
-# that the ids of the earlier rows stay as they are.
-KERNEL_CHAMBERS = (
+# every shape allowed at m = 2 and m = 3 is here.  Every row carries its own
+# test id, "<serial>-m<m>", so a row inserted anywhere renames no other test;
+# a new row takes the next unused serial.
+KERNEL_CHAMBERS: tuple[tuple[str, ChamberIntegral], ...] = (
     # non-uniform adjacent and non-adjacent pair exponents, bound != 1;
     # innermost level: pair and bound
-    ChamberIntegral(
-        3, (0.3, -0.2, 0.7), (0.4, -0.3, 0.25), {(1, 2): 0.5, (2, 3): -0.25, (1, 3): 1.3}, 1.7
+    (
+        "0-m3",
+        ChamberIntegral(
+            3, (0.3, -0.2, 0.7), (0.4, -0.3, 0.25), {(1, 2): 0.5, (2, 3): -0.25, (1, 3): 1.3}, 1.7
+        ),
     ),
     # zero pow1 entries, a zero pair entry and a lone non-adjacent pair;
     # innermost level: pair only
-    ChamberIntegral(3, (-0.4, 0.0, 0.2), (0.0, 0.0, 0.9), {(1, 2): 0.0, (1, 3): -0.6}, 0.6),
+    (
+        "1-m3",
+        ChamberIntegral(3, (-0.4, 0.0, 0.2), (0.0, 0.0, 0.9), {(1, 2): 0.0, (1, 3): -0.6}, 0.6),
+    ),
     # innermost level: no evaluated factor
-    ChamberIntegral(2, (0.5, -0.3), (0.0, 1.2), {(1, 2): 0.8}, 2.5),
-    ChamberIntegral(1, (-0.5,), (0.25,), bound=3.0),
+    ("2-m2", ChamberIntegral(2, (0.5, -0.3), (0.0, 1.2), {(1, 2): 0.8}, 2.5)),
+    ("3-m1", ChamberIntegral(1, (-0.5,), (0.25,), bound=3.0)),
     # integer exponents and bound; innermost level: no evaluated factor
-    ChamberIntegral(2, (1, 0), (0, 2), {(1, 2): 1}, 2),
-    *_seeded_selberg_chambers(2718, 2),
-    *_seeded_general_chambers(3141, 2),
-    # innermost level: bound only
-    ChamberIntegral(3, (0.2, 0.6, -0.1), (0.7, 0.0, 0.3), {(1, 2): 0.4, (2, 3): 0.9}, 1.3),
-    # innermost level: no evaluated factor, below a level 2 that evaluates
-    # its bound factor
-    ChamberIntegral(
-        3, (0.1, -0.35, 0.5), (0.0, 0.45, -0.2), {(1, 2): -0.15, (2, 3): 0.3, (1, 3): 0.0}, 0.8
+    ("4-m2", ChamberIntegral(2, (1, 0), (0, 2), {(1, 2): 1}, 2)),
+    *zip(
+        ("5-m1", "6-m1", "7-m2", "8-m2", "9-m3", "10-m3"),
+        _seeded_selberg_chambers(2718, 2),
+        strict=True,
+    ),
+    *zip(
+        ("11-m1", "12-m1", "13-m2", "14-m2", "15-m3", "16-m3"),
+        _seeded_general_chambers(3141, 2),
+        strict=True,
     ),
     # innermost level: bound only
-    ChamberIntegral(2, (-0.2, 0.4), (0.6, -0.1), {(1, 2): 0.35}, 0.9),
+    (
+        "17-m3",
+        ChamberIntegral(3, (0.2, 0.6, -0.1), (0.7, 0.0, 0.3), {(1, 2): 0.4, (2, 3): 0.9}, 1.3),
+    ),
+    # innermost level: no evaluated factor, below a level 2 that evaluates
+    # its bound factor
+    (
+        "18-m3",
+        ChamberIntegral(
+            3, (0.1, -0.35, 0.5), (0.0, 0.45, -0.2), {(1, 2): -0.15, (2, 3): 0.3, (1, 3): 0.0}, 0.8
+        ),
+    ),
+    # innermost level: bound only
+    ("19-m2", ChamberIntegral(2, (-0.2, 0.4), (0.6, -0.1), {(1, 2): 0.35}, 0.9)),
 )
 
 
@@ -389,12 +413,53 @@ def _reference_quad_chamber(ci: ChamberIntegral, tol: float) -> tuple[float, int
     return None
 
 
+class TestJacobiRule:
+    """The quadrature's Gauss–Jacobi rules against scipy's, byte for byte."""
+
+    # the edges of scipy's branches: alpha == beta, which is delegated (0 = 0
+    # is its Legendre case); alpha + beta == 0 with alpha != beta, whose
+    # diagonal scipy sets to zero; a zero exponent; alpha + beta == 1000, the
+    # last sum of the general branch, and above it, which is delegated
+    EDGES = (
+        (0.0, 0.0),
+        (0.5, 0.5),
+        (2, 2),
+        (0.5, -0.5),
+        (-0.75, 0.75),
+        (0.0, 1.5),
+        (2.5, 0.0),
+        (0, 3),
+        (600.0, 400.0),
+        (600.0, 400.5),
+    )
+
+    def test_matches_roots_jacobi_byte_for_byte(self):
+        rng = random.Random(20)
+        for n in sorted({n for ladder in _NODE_LADDERS.values() for n in ladder}):
+            # 6.0 - 7.0 * random() lies in (-1, 6]
+            sample = [(6.0 - 7.0 * rng.random(), 6.0 - 7.0 * rng.random()) for _ in range(20)]
+            for alpha, beta in sample + list(self.EDGES):
+                x, w = _jacobi_rule(n, alpha, beta)
+                want_x, want_w = roots_jacobi(n, alpha, beta)
+                assert x.tobytes() == want_x.tobytes(), (n, alpha, beta)
+                assert w.tobytes() == want_w.tobytes(), (n, alpha, beta)
+
+    def test_failed_eigenvalue_solve_is_an_arithmetic_error(self, monkeypatch):
+        # a nonzero LAPACK info makes the command line exit 3
+        class FailingLapack:
+            @staticmethod
+            def dsbevd(ab, **options):
+                return None, None, 1
+
+        monkeypatch.setattr(numeric, "lapack", FailingLapack)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _jacobi_rule(16, 0.5, 1.5)
+
+
 class TestKernelMatchesReference:
     """The float-native kernel against the numpy-scalar reference, exactly."""
 
-    @pytest.mark.parametrize(
-        "ci", KERNEL_CHAMBERS, ids=[f"{k}-m{ci.m}" for k, ci in enumerate(KERNEL_CHAMBERS)]
-    )
+    @pytest.mark.parametrize("ci", [pytest.param(ci, id=name) for name, ci in KERNEL_CHAMBERS])
     def test_every_ladder_rung_is_bit_identical(self, ci):
         for n_nodes in _NODE_LADDERS[ci.m]:
             got = _nested_gauss_jacobi(ci, n_nodes)
@@ -404,11 +469,18 @@ class TestKernelMatchesReference:
 
     def test_every_innermost_shape_is_covered(self):
         # the kernel writes out one innermost loop per shape
-        shapes = {_innermost_shape(ci) for ci in KERNEL_CHAMBERS}
+        shapes = {_innermost_shape(ci) for _, ci in KERNEL_CHAMBERS}
         want = {(2, "none"), (2, "bound")} | {
             (3, shape) for shape in ("none", "pair", "bound", "pair and bound")
         }
         assert want <= shapes, want - shapes
+
+    def test_row_ids_are_unique_and_name_the_dimension(self):
+        # pytest would silently suffix a repeated id, renaming both tests
+        names = [name for name, _ in KERNEL_CHAMBERS]
+        assert len(set(names)) == len(names)
+        for name, ci in KERNEL_CHAMBERS:
+            assert name.endswith(f"-m{ci.m}"), name
 
     def test_dimension_zero(self):
         ci = ChamberIntegral(0, (), ())
