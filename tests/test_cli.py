@@ -481,6 +481,13 @@ _PINNED_REPORTS = {
     "pbw-invariance --n 3 --nu 2,2 --factors verma,verma": (
         "db10f2ee2aac24cf65d545a74b6956f0e8c29c2e9c12e00d5575541e08b97376"
     ),
+    # verdict `flagged`; at n = 4 a level step makes several reversals
+    "pbw-invariance --n 4 --nu 1,2,2": (
+        "86310583f3fdc9a616f87d95839ed029ba9c848d2b8b5485cb2c3d414ee24844"
+    ),
+    "pbw-invariance --n 4 --nu 2,2,2": (
+        "cbdacc75e6b09dc9eb5cd4ec8606641754eb2f81ebfc892b8b4ffcedc788593e"
+    ),
     "appendix-b --n 3 --nu 1,1 --factors verma,verma,verma": (
         "e746516300bf4dfd66e5f7f3078f39e2111efcf2ece1fc096137c0aab1d10e99"
     ),
