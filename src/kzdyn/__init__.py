@@ -6,7 +6,7 @@ Modules
 -------
 symexpr       exact multivariate rational functions over Q
 roots         type-A positive roots, normal orders, Weyl combinatorics
-uea           PBW monomials, straightening, basis changes, (anti)automorphisms
+uea           PBW monomials, straightening, (anti)automorphisms
 rep           Verma/tensor weight spaces, Shapovalov form, dual actions
 dyn           dynamical difference operators, fusion matrix, KZ compatibility
 hyper         hypergeometric weight functions and their identities

@@ -757,8 +757,11 @@ def check_K_exchange(
 
     Verifies that shifting the parameter by ``kappa`` times one fundamental
     coweight and applying the other level's operator commutes, including the
-    formal coordinate-prefactor records.
+    formal coordinate-prefactor records.  The levels must differ: at
+    ``k == l`` both sides are the same product and the check cannot fail.
     """
+    if k == l:
+        raise ValueError(f"the exchange relation needs two distinct levels, got {k} twice")
     pairings = _default_pairings(space, pairings)
     kap = kappa_symbol()
     K_k_shift = K_operator(space, k, _kappa_shift(pairings, l, kap))

@@ -59,10 +59,11 @@ from .roots import (
 )
 from .uea import (
     PBWBasis,
-    UEAElement,
-    change_pbw_basis,
+    monomial_word,
+    on_signed_basis,
     special_basis,
     standard_basis,
+    straightener,
 )
 from .rep import TensorWeightSpace
 from .dyn import kappa_symbol, lambda_pairing_symbols, space_weight_pairings, z_symbols
@@ -509,10 +510,11 @@ def phi_vector(
 def _expand_in_standard(basis: PBWBasis, exps: tuple) -> dict:
     """Coefficients of one flavored basis monomial on the standard basis.
 
-    The dict is shared by every call with the same arguments: never mutate it.
+    The monomial is straightened in the standard order; the dict is shared
+    by every call with the same arguments: never mutate it.
     """
-    target = standard_basis(basis.n_rank)
-    return change_pbw_basis(UEAElement.monomial(basis, exps), target).terms
+    engine = straightener(standard_basis(basis.n_rank))
+    return on_signed_basis(engine, monomial_word(basis, exps))
 
 
 @dataclass(frozen=True)

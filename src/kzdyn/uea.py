@@ -17,10 +17,10 @@ as an exponent tuple aligned with the order) is::
 
     F_I = (-1)^{sum I} * prod_pos (sign_pos * e_{l,k})^{I_pos} / I_pos!
 
-with factors arranged largest root leftmost.  Internally the straightener
-works with the *plain* divided monomials ``M(I) = prod e_{l,k}^{I_pos} /
-I_pos!``; `UEAElement` stores coefficients with the sign convention folded in
-(``F_I = signed_factor(I) * M(I)``).
+with factors arranged largest root leftmost.  The straightener works
+with the *plain* divided monomials ``M(I) = prod e_{l,k}^{I_pos} / I_pos!``;
+`on_signed_basis` reads its results out on the signed monomials through
+``F_I = signed_factor(I) * M(I)``.
 
 Straightening
 -------------
@@ -33,15 +33,6 @@ and divided powers commute through the identity
 memo per arrangement and highest weight, shared by every caller: `straightener`
 returns the same engine for equal arguments.  The dicts its methods return are
 the memo's own entries and must never be mutated; no caller mutates them.
-
-Basis changes between normal orders walk a chain of adjacent reversals.  A
-two-neighbour swap whose root sum is not a root leaves root-keyed exponents
-untouched; a three-term reversal with window ``x, x+y, y`` rewrites exponents
-``(a, c, b)`` on (top, middle, bottom) as::
-
-    sum_{r=0}^{min(a,b)} binom(c+r, r) (-1)^c  *  (a-r, c+r, b-r)
-
-in the reversed window, with the middle root's sign flipped.
 """
 
 from __future__ import annotations
@@ -50,16 +41,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
-from .roots import (
-    ElemTransform,
-    WeightVec,
-    apply_transform,
-    sigma_sequence,
-    sign_table_a,
-    special_order,
-)
+from .roots import WeightVec, sign_table_a, special_order
 from .symexpr import RF_ONE, RationalFunctionExpr, rational
 
 __all__ = [
@@ -69,16 +53,14 @@ __all__ = [
     "PBWBasis",
     "standard_basis",
     "special_basis",
-    "UEAElement",
     "Straightener",
     "straightener",
+    "on_signed_basis",
     "bracket_letters",
     "f_letter",
-    "change_pbw_basis",
     "chevalley_tau",
     "antipode_A",
     "monomial_word",
-    "format_element",
 ]
 
 Letter = tuple  # ("e", a, b) with a != b, or ("c", a, b) for e_aa - e_bb
@@ -215,6 +197,7 @@ class PBWBasis:
                 sign = -sign
         return sign
 
+
 def standard_basis(n_rank: int) -> PBWBasis:
     return special_basis(n_rank, n_rank - 1)
 
@@ -225,67 +208,6 @@ def special_basis(n_rank: int, h: int) -> PBWBasis:
     table = sign_table_a(n_rank, h)
     signs = tuple(-1 if table[root] % 2 else 1 for root in order)
     return PBWBasis(n_rank, order, signs, tag=f"h={h}")
-
-
-def _apply_transform_to_basis(basis: PBWBasis, transform: ElemTransform) -> PBWBasis:
-    order = apply_transform(basis.order, transform)
-    signs = list(basis.signs)
-    i = transform.position
-    if transform.kind == "A1A1":
-        signs[i], signs[i + 1] = signs[i + 1], signs[i]
-    else:
-        signs[i], signs[i + 2] = signs[i + 2], signs[i]
-        signs[i + 1] = -signs[i + 1]
-    return PBWBasis(basis.n_rank, order, tuple(signs), tag=basis.tag + "'")
-
-
-# ---------------------------------------------------------------------------
-# Elements
-# ---------------------------------------------------------------------------
-
-class UEAElement:
-    """A finite combination of PBW basis monomials over one basis."""
-
-    __slots__ = ("basis", "terms")
-
-    def __init__(self, basis: PBWBasis, terms: Mapping[tuple[int, ...], RationalFunctionExpr]):
-        self.basis = basis
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-
-    @staticmethod
-    def zero(basis: PBWBasis) -> "UEAElement":
-        return UEAElement(basis, {})
-
-    @staticmethod
-    def monomial(basis: PBWBasis, exps: tuple[int, ...], coeff=None) -> "UEAElement":
-        return UEAElement(basis, {tuple(exps): RF_ONE if coeff is None else coeff})
-
-    def __add__(self, other: "UEAElement") -> "UEAElement":
-        assert self.basis == other.basis
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return UEAElement(self.basis, out)
-
-    def __sub__(self, other: "UEAElement") -> "UEAElement":
-        return self + other.scale(rational(-1))
-
-    def scale(self, c) -> "UEAElement":
-        if isinstance(c, (int, Fraction)):
-            c = rational(c)
-        return UEAElement(self.basis, {e: coeff * c for e, coeff in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        return f"UEAElement({format_element(self)})"
 
 
 def monomial_word(basis: PBWBasis, exps: Sequence[int]) -> GenWord:
@@ -306,9 +228,6 @@ def monomial_word(basis: PBWBasis, exps: Sequence[int]) -> GenWord:
 # ---------------------------------------------------------------------------
 # Straightening engine
 # ---------------------------------------------------------------------------
-
-State = "dict[tuple[int, ...], RationalFunctionExpr]"
-
 
 def _state_add(state, exps, coeff) -> None:
     s = state.get(exps)
@@ -447,104 +366,16 @@ def straightener(basis: PBWBasis, hw: Optional[WeightVec] = None) -> Straightene
     return Straightener(basis, hw)
 
 
-# ---------------------------------------------------------------------------
-# Basis changes
-# ---------------------------------------------------------------------------
+def on_signed_basis(engine: Straightener, w: GenWord) -> dict:
+    """``w * v`` for the engine's highest-weight vector ``v``, as the exact
+    coefficients ``{J: c_J}`` of ``F_J * v`` on the engine's signed basis.
 
-def _change_one(element: UEAElement, transform: ElemTransform) -> UEAElement:
-    source = element.basis
-    target = _apply_transform_to_basis(source, transform)
-    i = transform.position
-    if transform.kind == "A1A1":
-        # Root-keyed exponents unchanged; positions i, i+1 swap.
-        out = {}
-        for exps, c in element.terms.items():
-            e = list(exps)
-            e[i], e[i + 1] = e[i + 1], e[i]
-            out[tuple(e)] = c
-        return UEAElement(target, out)
-
-    # Three-term window: top root x, middle x+y, bottom y (largest first).
-    x_root, mid_root, y_root = source.order[i], source.order[i + 1], source.order[i + 2]
-    # Sanity: the middle basis vector is the bracket of the outer ones.
-    sx = source.signs[i]
-    sy = source.signs[i + 2]
-    smid = source.signs[i + 1]
-    br = bracket_letters(f_letter(x_root), f_letter(y_root))
-    assert br.get(f_letter(mid_root)) is not None
-    assert sx * sy * br[f_letter(mid_root)] == smid
-
-    out: dict[tuple[int, ...], RationalFunctionExpr] = {}
-    for exps, coeff in element.terms.items():
-        a, c, b = exps[i], exps[i + 1], exps[i + 2]
-        base = list(exps)
-        sign_c = -1 if c % 2 else 1
-        for r in range(0, min(a, b) + 1):
-            e = list(base)
-            # target window order is (y_root, mid_root, x_root) at i, i+1, i+2
-            e[i], e[i + 1], e[i + 2] = b - r, c + r, a - r
-            factor = Fraction(math.comb(c + r, r) * sign_c)
-            _state_add(out, tuple(e), coeff * factor)
-    return UEAElement(target, out)
-
-
-def _special_level(basis: PBWBasis) -> Optional[int]:
-    for h in range(1, basis.n_rank):
-        if basis == special_basis(basis.n_rank, h):
-            return h
-    return None
-
-
-def _path_between(source: PBWBasis, target: PBWBasis) -> list[ElemTransform]:
-    if source == target:
-        return []
-    hs = _special_level(source)
-    ht = _special_level(target)
-    if hs is None or ht is None:
-        raise ValueError(
-            "only level-flavored orders are connected automatically; "
-            "pass an explicit transform chain otherwise"
-        )
-    path: list[ElemTransform] = []
-    if ht < hs:
-        for h in range(hs, ht, -1):
-            path.extend(sigma_sequence(source.n_rank, h))
-    else:
-        for h in range(hs + 1, ht + 1):
-            path.extend(reversed(sigma_sequence(source.n_rank, h)))
-    return path
-
-
-def change_pbw_basis(
-    element: UEAElement,
-    target: Union[PBWBasis, Sequence],
-) -> UEAElement:
-    """Re-express an element in another normal order.
-
-    ``target`` is a `PBWBasis`, a root order tuple matching some level
-    flavor, or an explicit chain of adjacent reversals to walk.
+    ``F_J = signed_factor(J) * M(J)`` and the factor is a sign, so each plain
+    coefficient the engine returns is multiplied by it.
     """
-    if isinstance(target, PBWBasis):
-        transforms: Sequence[ElemTransform] = _path_between(element.basis, target)
-    elif target and isinstance(target[0], ElemTransform):
-        transforms = list(target)
-    else:
-        order = tuple(tuple(r) for r in target)
-        n_rank = element.basis.n_rank
-        match = next(
-            (
-                special_basis(n_rank, h)
-                for h in range(1, n_rank)
-                if special_order(n_rank, h) == order
-            ),
-            None,
-        )
-        if match is None:
-            raise ValueError("target order is not a level flavor; pass transforms")
-        transforms = _path_between(element.basis, match)
-    for transform in transforms:
-        element = _change_one(element, transform)
-    return element
+    basis = engine.basis
+    state = engine.apply_word(w.letters, {basis.zero_exps(): w.coeff})
+    return {e: c * rational(basis.signed_factor(e)) for e, c in state.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -573,32 +404,3 @@ def antipode_A(x: GenWord) -> GenWord:
     """The anti-automorphism acting by -1 on every Lie-algebra letter."""
     coeff = x.coeff if len(x.letters) % 2 == 0 else -x.coeff
     return GenWord(coeff, tuple(reversed(x.letters)))
-
-
-# ---------------------------------------------------------------------------
-# Text form
-# ---------------------------------------------------------------------------
-
-def format_monomial(basis: PBWBasis, exps: Sequence[int]) -> str:
-    total = sum(exps)
-    factors = []
-    # Display order is flavor-independent: matrix-unit index (l, k) descending.
-    for (k, l), e in sorted(
-        zip(basis.order, exps), key=lambda item: (item[0][1], item[0][0]), reverse=True
-    ):
-        if e == 1:
-            factors.append(f"e[{l},{k}]")
-        elif e:
-            factors.append(f"e[{l},{k}]^{e}/{e}!")
-    body = " ".join(factors) if factors else "1"
-    return f"(-1)^{total} * {body} @ order({basis.tag})"
-
-
-def format_element(element: UEAElement) -> str:
-    if not element.terms:
-        return f"0 @ order({element.basis.tag})"
-    parts = []
-    for exps in sorted(element.terms):
-        coeff = element.terms[exps]
-        parts.append(f"({coeff}) * {format_monomial(element.basis, exps)}")
-    return "  +  ".join(parts)

@@ -1,14 +1,14 @@
 """Test-only conveniences over the straightening engine and the tensor actions,
 and the cross-gcd reference for rational-function arithmetic.
 
-The package computes with `Straightener` words, `change_pbw_basis` and the
+The package computes with `Straightener` words, `on_signed_basis` and the
 tensor Leibniz action directly; these helpers package the same machinery in
 the shapes the tests state their identities in.  They are not used by the
 package.
 """
 
 from kzdyn.rep import PBWVector, TensorWeightSpace, operator_for_letter
-from kzdyn.roots import ElemTransform, sigma_sequence, weight_from_pairings
+from kzdyn.roots import weight_from_pairings
 from kzdyn.symexpr import (
     RF_ZERO,
     RationalFunctionExpr,
@@ -16,57 +16,17 @@ from kzdyn.symexpr import (
     poly_divexact,
     poly_gcd_cofactors,
 )
-from kzdyn.uea import (
-    GenWord,
-    PBWBasis,
-    Straightener,
-    UEAElement,
-    _apply_transform_to_basis,
-    _state_add,
-    monomial_word,
-    special_basis,
-)
+from kzdyn.uea import GenWord, PBWBasis, Straightener, on_signed_basis
 
 
-def bases_along_sigma(n_rank: int, h: int) -> tuple[list[PBWBasis], list[ElemTransform]]:
-    """All bases visited converting level h to level h-1 (first is level h,
-    last equals the level h-1 basis), together with the transform list."""
-    transforms = sigma_sequence(n_rank, h)
-    basis = special_basis(n_rank, h)
-    chain = [basis]
-    for transform in transforms:
-        basis = _apply_transform_to_basis(basis, transform)
-        chain.append(basis)
-    assert chain[-1] == special_basis(n_rank, h - 1)
-    chain[-1] = special_basis(n_rank, h - 1)  # canonical tag
-    return chain, transforms
-
-
-def straighten(w: GenWord, pairings, basis: PBWBasis) -> UEAElement:
-    """Rewrite w * v as an exact combination of F_I * v.
+def straighten(w: GenWord, pairings, basis: PBWBasis) -> dict:
+    """Rewrite w * v as an exact combination ``{I: c_I}`` of F_I * v.
 
     ``pairings`` maps each simple index k to the pairing of the highest
     weight of v with the k-th simple coroot.
     """
     hw = weight_from_pairings(basis.n_rank, [pairings[k] for k in range(1, basis.n_rank)])
-    state = Straightener(basis, hw).apply_word(w.letters, {basis.zero_exps(): w.coeff})
-    # plain divided monomials -> signed basis monomials
-    return UEAElement(basis, {e: c * basis.signed_factor(e) for e, c in state.items()})
-
-
-def element_in_reference(element: UEAElement, engine: Straightener):
-    """Coefficients of the element on the engine's plain divided monomials.
-
-    The element acts on a formal highest-weight vector; pure lowering, so no
-    weight is needed.  Used as the order-independent fingerprint.
-    """
-    total: dict[tuple[int, ...], RationalFunctionExpr] = {}
-    for exps, c in element.terms.items():
-        w = monomial_word(element.basis, exps)
-        state = engine.apply_word(w.letters, {engine.basis.zero_exps(): w.coeff * c})
-        for k, v in state.items():
-            _state_add(total, k, v)
-    return total
+    return on_signed_basis(Straightener(basis, hw), w)
 
 
 def apply_genword_at(

@@ -125,17 +125,21 @@ def test_criterion_3_fusion_stack():
 
 
 def test_criterion_4_difference_operator_compatibility():
-    # Exchange relation between levels and the exact zeroth-order
-    # derivative/difference intertwining residual, over the full symbolic
-    # field: sl2 two-factor tensors up to m=2 and sl3 at weight (1,1).
+    # Exact zeroth-order derivative/difference intertwining residual over the
+    # full symbolic field for sl2 two-factor tensors up to m=2 and sl3 at
+    # weight (1,1); the exchange relation between the two distinct sl3
+    # levels at weight (1,1) (sl2 has one level, so nothing to exchange).
     for nu in ((1,), (2,)):
         report = run_suite(SuiteConfig(suite="compatibility", n=2, nu=nu))
         assert report["verdict"] == "pass", ("sl2", nu)
     report = run_suite(SuiteConfig(suite="compatibility", n=3, nu=(1, 1)))
     assert report["verdict"] == "pass"
     assert all(w["passed"] for w in report["witnesses"])
-    _record(4, "exchange and derivative-intertwining residuals identically "
-               "zero for sl2 (m<=2) and sl3 (1,1) two-factor tensors")
+    exchange = [w for w in report["witnesses"] if w["check"] == "exchange"]
+    assert [(w["k"], w["l"]) for w in exchange] == [(1, 2)]
+    _record(4, "derivative-intertwining residuals identically zero for sl2 "
+               "(m<=2) and sl3 (1,1) two-factor tensors; the sl3 (1,2) "
+               "exchange residual identically zero at (1,1)")
 
 
 def test_criterion_5_rational_to_trigonometric_reduction():

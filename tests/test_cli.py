@@ -307,8 +307,27 @@ class TestSymbolicSuites:
         _schema_check(report, "compatibility")
         assert report["verdict"] == "pass"
         checks = [w["check"] for w in report["witnesses"]]
-        assert checks.count("exchange") == 1
+        # sl2 has one level, so no pair of distinct levels to exchange
+        assert checks.count("exchange") == 0
         assert checks.count("derivative-intertwining") == 2
+        report = run_suite(SuiteConfig(suite="compatibility", n=3, nu=(1, 0)))
+        assert report["verdict"] == "pass"
+        exchange = [w for w in report["witnesses"] if w["check"] == "exchange"]
+        assert [(w["k"], w["l"]) for w in exchange] == [(1, 2)]
+
+    def test_exchange_row_catches_a_shift_along_the_wrong_coweight(self, monkeypatch):
+        # with every kappa shift along omega_1, K_1(lam + kap omega_2) is built
+        # at the wrong parameter and the (1, 2) exchange row must fail
+        from kzdyn import dyn
+
+        shift = dyn._kappa_shift
+        monkeypatch.setattr(
+            dyn, "_kappa_shift", lambda pairings, level, kap: shift(pairings, 1, kap)
+        )
+        report = run_suite(SuiteConfig(suite="compatibility", n=3, nu=(1, 1)))
+        assert report["verdict"] == "fail"
+        exchange = [w for w in report["witnesses"] if w["check"] == "exchange"]
+        assert [(w["k"], w["l"], w["passed"]) for w in exchange] == [(1, 2, False)]
 
     def test_rank3_compatibility_takes_no_general_gcd(self, monkeypatch):
         # the poles of the one-root series stay linear factors, so the
@@ -470,7 +489,7 @@ _PINNED_REPORTS = {
     "pbw-invariance": "63fb56e19e8dccef3f1b58ce14d47459fdde00105ec3ad092145e18205bdbb1c",
     "additive-form": "1aa52cb4aa6e2a7b7b9250a31504b4e8b5053438edb11b1bd82a28ff08d35071",
     "fusion": "c2890afbc8e84da2a1d169ad2af11573b2ec31914f47988f21da889eb4fbd14d",
-    "compatibility": "109c45dbaf70b7ee7911a7df83e00b9958f9c999b7869cd79c7e8dd9efe8a222",
+    "compatibility": "9b219f0736d9c7515189cf39975f8645c3f57810493f85f782dbc3ef860eed8c",
     "appendix-b": "24457da3a4c9a37ffc656e70cdf23662c9c062ef405f43a5ef52125611c7c946",
     "appendix-c": "61bacfc729863c9b1373832cf336b5988fe6881cb9ca56d67ed16d595e6c0082",
     "selberg": "df2ef44596db0474e67b77251ae697b0ad52c8729e222a3c68b1b9c6831489b7",

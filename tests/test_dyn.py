@@ -53,7 +53,7 @@ from kzdyn.roots import (
     weight_from_pairings,
 )
 from kzdyn.symexpr import RF_ONE, RF_ZERO, _is_linear, rational, symbol
-from kzdyn.uea import GenWord, Straightener, standard_basis
+from kzdyn.uea import GenWord, Straightener, on_signed_basis, standard_basis, word
 
 E = lambda k, l: ("e", k, l)  # noqa: E731
 
@@ -395,13 +395,8 @@ def test_fusion_equals_dual_element_matrix():
             assert dict(fus.component(mu)) == p_elements(aux)
 
 
-def _raw_lower_to_signed(engine, basis, letters):
-    state = engine.apply_word(tuple(letters), {basis.zero_exps(): RF_ONE})
-    return {
-        e: c * rational(basis.signed_factor(e))
-        for e, c in state.items()
-        if not c.is_zero()
-    }
+def _rank2_word(a, b, k):
+    return word(*[E(2, 1)] * (a - k), *[E(3, 1)] * k, *[E(3, 2)] * (b - k))
 
 
 def test_fusion_published_rank2_closed_form():
@@ -422,11 +417,7 @@ def test_fusion_published_rank2_closed_form():
                     coeff = b_coeff(a, b, m, k, l1, l2) * rational(
                         (-1) ** (a + b + m + k)
                     )
-                    lower = _raw_lower_to_signed(
-                        engine,
-                        basis,
-                        [E(2, 1)] * (a - k) + [E(3, 1)] * k + [E(3, 2)] * (b - k),
-                    )
+                    lower = on_signed_basis(engine, _rank2_word(a, b, k))
                     K = (b - m, m, a - m)
                     upfac = rational(
                         Fraction(
@@ -468,11 +459,7 @@ def test_published_inverse_form_closed_form():
                         * basis.signed_factor(I0)
                     )
                 )
-                right = _raw_lower_to_signed(
-                    engine,
-                    basis,
-                    [E(2, 1)] * (a - k) + [E(3, 1)] * k + [E(3, 2)] * (b - k),
-                )
+                right = on_signed_basis(engine, _rank2_word(a, b, k))
                 for J, cJ in right.items():
                     key = (I0, J)
                     expected[key] = expected.get(key, RF_ZERO) + coeff * cleft * cJ
@@ -626,6 +613,13 @@ def test_k_exchange_rank2():
     report = check_K_exchange(sp, 1, 2)
     assert report.passed, report.witness
     assert report.to_json()["passed"] is True
+
+
+def test_k_exchange_rejects_one_level_twice():
+    # both sides would be the same product of the same operators
+    sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 0))
+    with pytest.raises(ValueError):
+        check_K_exchange(sp, 2, 2)
 
 
 def test_nabla_k_rank1():
