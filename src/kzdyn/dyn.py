@@ -761,7 +761,7 @@ def check_K_exchange(
     ``k == l`` both sides are the same product and the check cannot fail.
     """
     if k == l:
-        raise ValueError(f"the exchange relation needs two distinct levels, got {k} twice")
+        raise ValueError(f"exchange needs two distinct levels, got k = l = {k}")
     pairings = _default_pairings(space, pairings)
     kap = kappa_symbol()
     K_k_shift = K_operator(space, k, _kappa_shift(pairings, l, kap))

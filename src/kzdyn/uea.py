@@ -33,6 +33,10 @@ and divided powers commute through the identity
 memo per arrangement and highest weight, shared by every caller: `straightener`
 returns the same engine for equal arguments.  The dicts its methods return are
 the memo's own entries and must never be mutated; no caller mutates them.
+
+A basis monomial of another normal order, written out by `monomial_word`,
+straightens like any word: that is how a monomial is re-expressed in the
+engine's order.
 """
 
 from __future__ import annotations
