@@ -56,7 +56,6 @@ from .dyn import (
     shifted_pairings,
     z_symbols,
     _first_mismatch,
-    _lower_mult_signed,
     _weight_compositions,
 )
 from .hyper import forest_of_index, phi_vector, verify_order_invariance
@@ -82,7 +81,7 @@ from .roots import (
     weight_from_pairings,
 )
 from .symexpr import RF_ONE, RF_ZERO, ParseError, rational
-from .uea import GenWord, on_signed_basis, standard_basis, straightener, word
+from .uea import GenWord, standard_basis, straightener, word
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -206,8 +205,8 @@ def _fusion_residual_ok(fus: FusionElement) -> bool:
                 continue
             letter = ("e", root[1], root[0])
             for (lo, hi), psi in fus.components.get(prev_mu, {}).items():
-                left = _lower_mult_signed(engine, basis, letter, lo)
-                right = _lower_mult_signed(engine, basis, letter, hi)
+                left = engine.apply_letter(letter, lo)
+                right = engine.apply_letter(letter, hi)
                 for lo2, c_lo in left.items():
                     for hi2, c_hi in right.items():
                         key = (lo2, hi2)
@@ -360,7 +359,7 @@ def _appendix_c(params: dict):
                     coeff = _rank2_double_sum_coeff(a, b, m, k, l1, l2) * rational(
                         (-1) ** (a + b + m + k)
                     )
-                    lower = on_signed_basis(engine, _rank2_word(a, b, k))
+                    lower = engine.apply_word(_rank2_word(a, b, k))
                     K = (b - m, m, a - m)
                     upfac = rational(
                         Fraction(
@@ -400,7 +399,7 @@ def _appendix_c(params: dict):
                             * basis.signed_factor(I0)
                         )
                     )
-                    right = on_signed_basis(engine, _rank2_word(a, b, k))
+                    right = engine.apply_word(_rank2_word(a, b, k))
                     for J, cJ in right.items():
                         key = (I0, J)
                         expected[key] = (
@@ -979,6 +978,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # covers UnknownSuite, UnknownKind, CapabilityExceeded, and range
         # errors raised by the underlying modules for bad parameters
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # writing --out is the only file I/O
+        reason = exc.strerror or exc
+        print(f"error: cannot write --out {args.out}: {reason}", file=sys.stderr)
         return 2
     except Exception as exc:
         # a defect, not a failed identity: exit 1 would misreport it

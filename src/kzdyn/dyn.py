@@ -80,7 +80,6 @@ from .symexpr import (
 )
 from .uea import (
     PBWBasis,
-    Straightener,
     antipode_A,
     chevalley_tau,
     monomial_word,
@@ -460,22 +459,6 @@ class FusionElement:
         )
 
 
-def _lower_mult_signed(
-    engine: Straightener,
-    basis: PBWBasis,
-    letter,
-    exps: tuple[int, ...],
-) -> dict[tuple[int, ...], RationalFunctionExpr]:
-    """Left-multiply a signed divided lowering monomial by one lowering letter."""
-    raw = engine.apply_letter(letter, exps)
-    s = basis.signed_factor(exps)
-    out: dict[tuple[int, ...], RationalFunctionExpr] = {}
-    for e2, c in raw.items():
-        ratio = Fraction(s, basis.signed_factor(e2))
-        out[e2] = c * rational(ratio)
-    return out
-
-
 def _weight_compositions(n_parts: int, total: int):
     if n_parts == 1:
         yield (total,)
@@ -526,8 +509,8 @@ def fusion_solve(n_rank: int, depth: int) -> FusionElement:
                     continue
                 letter = ("e", root[1], root[0])
                 for (lo, hi), psi in prev.items():
-                    left = _lower_mult_signed(engine, basis, letter, lo)
-                    right = _lower_mult_signed(engine, basis, letter, hi)
+                    left = engine.apply_letter(letter, lo)
+                    right = engine.apply_letter(letter, hi)
                     for lo2, c_lo in left.items():
                         for hi2, c_hi in right.items():
                             key = (lo2, hi2)

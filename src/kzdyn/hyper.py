@@ -60,7 +60,6 @@ from .roots import (
 from .uea import (
     PBWBasis,
     monomial_word,
-    on_signed_basis,
     special_basis,
     standard_basis,
     straightener,
@@ -514,7 +513,7 @@ def _expand_in_standard(basis: PBWBasis, exps: tuple) -> dict:
     by every call with the same arguments: never mutate it.
     """
     engine = straightener(standard_basis(basis.n_rank))
-    return on_signed_basis(engine, monomial_word(basis, exps))
+    return engine.apply_word(monomial_word(basis, exps))
 
 
 @dataclass(frozen=True)

@@ -430,28 +430,6 @@ def _letter_level_shift(n_rank: int, letter: Letter) -> dict[int, int]:
     return {h: -1 for h in range(a, b)}
 
 
-def _act_letter_on_index(
-    space: TensorWeightSpace, letter: Letter, index: MultiIndex, only_factor=None
-):
-    """letter acting on F_index v, as {new multi-index: coefficient}."""
-    out: dict[MultiIndex, RationalFunctionExpr] = {}
-    sf = space.pbw_basis.signed_factor
-    factors = range(len(space.factors)) if only_factor is None else [only_factor]
-    for j in factors:
-        factor = space.factors[j]
-        exps_j = index[j]
-        plain = space.straighteners[j].apply_letter(letter, exps_j)
-        s_in = sf(exps_j)
-        for new_exps, c in plain.items():
-            if factor.kind == "lp" and new_exps[0] > factor.p:
-                continue
-            coeff = c * (s_in * sf(new_exps))
-            new_index = index[:j] + (new_exps,) + index[j + 1 :]
-            acc = out.get(new_index, RF_ZERO) + coeff
-            out[new_index] = acc
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def _target_space(space: TensorWeightSpace, letter: Letter) -> TensorWeightSpace:
     shift = _letter_level_shift(space.pbw_basis.n_rank, letter)
     if not shift:
@@ -462,18 +440,24 @@ def _target_space(space: TensorWeightSpace, letter: Letter) -> TensorWeightSpace
 def operator_for_letter(
     space: TensorWeightSpace, letter: Letter, only_factor=None
 ) -> WeightSpaceOperator:
+    """letter acting on a weight space: the Leibniz sum over the factors
+    (or on ``only_factor`` alone) of each factor's straightened action."""
     target = _target_space(space, letter)
+    factors = range(len(space.factors)) if only_factor is None else [only_factor]
     entries: dict[tuple[int, int], RationalFunctionExpr] = {}
     for col, index in enumerate(space.basis):
-        for new_index, m in _act_letter_on_index(
-            space, letter, index, only_factor=only_factor
-        ).items():
-            row = target.index_position.get(new_index)
-            if row is None:
-                if target.basis:
-                    raise AssertionError(f"index {new_index} escaped target space")
-                continue
-            entries[(row, col)] = entries.get((row, col), RF_ZERO) + m
+        for j in factors:
+            factor, engine = space.factors[j], space.straighteners[j]
+            for new_exps, c in engine.apply_letter(letter, index[j]).items():
+                if factor.kind == "lp" and new_exps[0] > factor.p:
+                    continue
+                new_index = index[:j] + (new_exps,) + index[j + 1 :]
+                row = target.index_position.get(new_index)
+                if row is None:
+                    if target.basis:
+                        raise AssertionError(f"index {new_index} escaped target space")
+                    continue
+                entries[(row, col)] = entries.get((row, col), RF_ZERO) + c
     return WeightSpaceOperator(space, target, entries)
 
 

@@ -16,21 +16,23 @@ sign per root; the lowering vector attached to the root ``(k, l)`` at sign
 as an exponent tuple aligned with the order) is::
 
     F_I = (-1)^{sum I} * prod_pos (sign_pos * e_{l,k})^{I_pos} / I_pos!
+        = prod_pos (sigma_pos * e_{l,k})^{I_pos} / I_pos!,  sigma_pos = -sign_pos,
 
-with factors arranged largest root leftmost.  The straightener works
-with the *plain* divided monomials ``M(I) = prod e_{l,k}^{I_pos} / I_pos!``;
-`on_signed_basis` reads its results out on the signed monomials through
-``F_I = signed_factor(I) * M(I)``.
+with factors arranged largest root leftmost; ``signed_factor(I)`` is the sign
+that F_I carries against ``prod_pos e_{l,k}^{I_pos} / I_pos!``.
 
 Straightening
 -------------
-`Straightener.apply_letter` rewrites ``letter * M(I) * v`` as an exact
-combination of ``M(J) * v`` for a highest-weight vector ``v`` of a given
-weight: raising letters annihilate ``v``, Cartan letters act by exact scalar,
-and divided powers commute through the identity
-``X f^m/m! = sum_r f^{m-r}/(m-r)! (ad^r X)/r!``.  Everything is memoized per
-(letter, exponent) pair, so repeated operator assembly is cheap.  There is one
-memo per arrangement and highest weight, shared by every caller: `straightener`
+`Straightener.apply_letter` rewrites ``letter * F_I * v`` as an exact
+combination of ``F_J * v`` for a highest-weight vector ``v`` of a given
+weight, and `Straightener.apply_word` rewrites ``w * v`` for a word ``w``:
+raising letters annihilate ``v``, Cartan letters act by exact scalar, a
+lowering letter absorbed on the left carries its ``sigma_pos``, and divided
+powers commute through the identity
+``X f^m/m! = sum_r f^{m-r}/(m-r)! (ad^r X)/r!``, times ``sigma^m`` for F's
+leading factor ``(sigma f)^m/m!``.  Everything is memoized per (letter,
+exponent) pair, so repeated operator assembly is cheap.  There is one memo
+per arrangement and highest weight, shared by every caller: `straightener`
 returns the same engine for equal arguments.  The dicts its methods return are
 the memo's own entries and must never be mutated; no caller mutates them.
 
@@ -59,7 +61,6 @@ __all__ = [
     "special_basis",
     "Straightener",
     "straightener",
-    "on_signed_basis",
     "bracket_letters",
     "f_letter",
     "chevalley_tau",
@@ -260,6 +261,7 @@ class Straightener:
         self._lower_pos = {
             f_letter(root): i for i, root in enumerate(basis.order)
         }
+        self._sigma = tuple(-s for s in basis.signs)
 
     # -- scalars ---------------------------------------------------------------
 
@@ -271,8 +273,7 @@ class Straightener:
     # -- core recursion ----------------------------------------------------------
 
     def apply_letter(self, letter: Letter, exps: tuple[int, ...]):
-        """letter * M(exps) * v as {exps': coefficient} over plain divided
-        monomials."""
+        """letter * F_exps * v as {exps': coefficient} on the basis F."""
         key = (letter, exps)
         hit = self._cache.get(key)
         if hit is not None:
@@ -293,16 +294,19 @@ class Straightener:
                 return {}  # raising letter annihilates v
             unit = list(exps)
             unit[pos_letter] = 1
-            return {tuple(unit): RF_ONE}
+            return {tuple(unit): rational(self._sigma[pos_letter])}
 
         if pos_letter is not None and pos_letter <= top:
             # Lowering letter that can be absorbed on the left.
             out = list(exps)
             out[pos_letter] += 1
-            coeff = RF_ONE if pos_letter < top else rational(exps[top] + 1)
-            return {tuple(out): coeff}
+            coeff = self._sigma[pos_letter]
+            if pos_letter == top:
+                coeff *= exps[top] + 1
+            return {tuple(out): rational(coeff)}
 
-        # Commute through the leading divided power f_top^m/m!.
+        # Commute through the leading divided power f_top^m/m! of
+        # F_exps = sigma_top^m * f_top^m/m! * F_rest.
         m = exps[top]
         rest = list(exps)
         rest[top] = 0
@@ -310,7 +314,7 @@ class Straightener:
         f_top = f_letter(self.basis.order[top])
 
         state: dict[tuple[int, ...], RationalFunctionExpr] = {}
-        # r = 0 term: f_top^m/m! * (letter * M(rest) v)
+        # r = 0 term: f_top^m/m! * (letter * F_rest v)
         for k_exps, c in self.apply_letter(letter, rest).items():
             for k2, c2 in self._insert_power(top, m, k_exps).items():
                 _state_add(state, k2, c * c2)
@@ -334,10 +338,12 @@ class Straightener:
                 for k_exps, c in self.apply_letter(y, rest).items():
                     for k2, c2 in self._insert_power(top, m - r, k_exps).items():
                         _state_add(state, k2, scale * c * c2)
+        if self._sigma[top] < 0 and m % 2:
+            return {k: -c for k, c in state.items()}
         return state
 
     def _insert_power(self, pos: int, power: int, exps: tuple[int, ...]):
-        """f_pos^power/power! * M(exps) as a state dict."""
+        """f_pos^power/power! * F_exps as a state dict."""
         if power == 0:
             return {exps: RF_ONE}
         f = f_letter(self.basis.order[pos])
@@ -353,9 +359,11 @@ class Straightener:
 
     # -- word application -----------------------------------------------------------
 
-    def apply_word(self, letters: Sequence[Letter], state):
-        """Apply an operator word (rightmost letter first) to a state dict."""
-        for letter in reversed(letters):
+    def apply_word(self, w: GenWord) -> dict:
+        """``w * v`` for the highest-weight vector ``v``, as the exact
+        coefficients ``{J: c_J}`` of ``F_J * v`` (rightmost letter first)."""
+        state = {self.basis.zero_exps(): w.coeff}
+        for letter in reversed(w.letters):
             nxt: dict[tuple[int, ...], RationalFunctionExpr] = {}
             for exps, c in state.items():
                 for k2, c2 in self.apply_letter(letter, exps).items():
@@ -368,18 +376,6 @@ class Straightener:
 def straightener(basis: PBWBasis, hw: Optional[WeightVec] = None) -> Straightener:
     """The shared engine of one arrangement and highest weight."""
     return Straightener(basis, hw)
-
-
-def on_signed_basis(engine: Straightener, w: GenWord) -> dict:
-    """``w * v`` for the engine's highest-weight vector ``v``, as the exact
-    coefficients ``{J: c_J}`` of ``F_J * v`` on the engine's signed basis.
-
-    ``F_J = signed_factor(J) * M(J)`` and the factor is a sign, so each plain
-    coefficient the engine returns is multiplied by it.
-    """
-    basis = engine.basis
-    state = engine.apply_word(w.letters, {basis.zero_exps(): w.coeff})
-    return {e: c * rational(basis.signed_factor(e)) for e, c in state.items()}
 
 
 # ---------------------------------------------------------------------------

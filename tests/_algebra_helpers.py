@@ -1,8 +1,8 @@
 """Test-only conveniences over the straightening engine and the tensor actions,
 and the cross-gcd reference for rational-function arithmetic.
 
-The package computes with `Straightener` words, `on_signed_basis` and the
-tensor Leibniz action directly; these helpers package the same machinery in
+The package computes with `Straightener.apply_word` and the tensor Leibniz
+action directly; these helpers package the same machinery in
 the shapes the tests state their identities in.  They are not used by the
 package.
 """
@@ -16,7 +16,7 @@ from kzdyn.symexpr import (
     poly_divexact,
     poly_gcd_cofactors,
 )
-from kzdyn.uea import GenWord, PBWBasis, Straightener, on_signed_basis
+from kzdyn.uea import GenWord, PBWBasis, Straightener
 
 
 def straighten(w: GenWord, pairings, basis: PBWBasis) -> dict:
@@ -26,7 +26,7 @@ def straighten(w: GenWord, pairings, basis: PBWBasis) -> dict:
     weight of v with the k-th simple coroot.
     """
     hw = weight_from_pairings(basis.n_rank, [pairings[k] for k in range(1, basis.n_rank)])
-    return on_signed_basis(Straightener(basis, hw), w)
+    return Straightener(basis, hw).apply_word(w)
 
 
 def apply_genword_at(

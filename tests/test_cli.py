@@ -801,6 +801,18 @@ class TestMainEntry:
         assert code == 2
         assert "unknown dump kind" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "sigma-orders"], ["dump", "order"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "artifact"
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: cannot write --out {out}: No such file or directory\n"
+
     def test_dump_out_file(self, tmp_path, capsys):
         out = tmp_path / "artifact.txt"
         code = main(["dump", "order", "--n", "3", "--h", "1", "--out", str(out)])

@@ -53,7 +53,7 @@ from kzdyn.roots import (
     weight_from_pairings,
 )
 from kzdyn.symexpr import RF_ONE, RF_ZERO, _is_linear, rational, symbol
-from kzdyn.uea import GenWord, Straightener, on_signed_basis, standard_basis, word
+from kzdyn.uea import GenWord, Straightener, standard_basis, word
 
 E = lambda k, l: ("e", k, l)  # noqa: E731
 
@@ -417,7 +417,7 @@ def test_fusion_published_rank2_closed_form():
                     coeff = b_coeff(a, b, m, k, l1, l2) * rational(
                         (-1) ** (a + b + m + k)
                     )
-                    lower = on_signed_basis(engine, _rank2_word(a, b, k))
+                    lower = engine.apply_word(_rank2_word(a, b, k))
                     K = (b - m, m, a - m)
                     upfac = rational(
                         Fraction(
@@ -459,7 +459,7 @@ def test_published_inverse_form_closed_form():
                         * basis.signed_factor(I0)
                     )
                 )
-                right = on_signed_basis(engine, _rank2_word(a, b, k))
+                right = engine.apply_word(_rank2_word(a, b, k))
                 for J, cJ in right.items():
                     key = (I0, J)
                     expected[key] = expected.get(key, RF_ZERO) + coeff * cleft * cJ

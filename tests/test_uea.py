@@ -20,9 +20,9 @@ from kzdyn.uea import (
     chevalley_tau,
     f_letter,
     monomial_word,
-    on_signed_basis,
     special_basis,
     standard_basis,
+    straightener,
     word,
 )
 
@@ -124,13 +124,14 @@ def naive_plain_value(words, eps, basis, rng):
 
 
 def engine_plain_value(words, hw_vec, basis):
+    """words * v as plain divided-monomial coefficients, read off the engine's
+    answer on F_J through M(J) = signed_factor(J) * F_J."""
     engine = Straightener(basis, hw_vec)
     total = {}
     for w in words:
-        state = engine.apply_word(w.letters, {basis.zero_exps(): w.coeff})
-        for k, v in state.items():
-            acc = total.get(k, RF_ZERO) + v
-            total[k] = acc
+        for k, v in engine.apply_word(w).items():
+            sign = rational(basis.signed_factor(k))
+            total[k] = total.get(k, RF_ZERO) + v * sign
     return {k: v for k, v in total.items() if not v.is_zero()}
 
 
@@ -199,10 +200,13 @@ def test_cartan_scalar_requires_weight():
 
 
 def test_straighten_matches_naive_randomized_rewriter():
+    # Every level-h arrangement of ranks 2 to 4 in turn: their signs mix +1
+    # and -1, so both values of sigma meet every branch of the engine.
     rng = random.Random(20260815)
-    for trial in range(100):
-        n = rng.choice([2, 3, 3, 4])
-        basis = standard_basis(n)
+    bases = [special_basis(n, h) for n in (2, 3, 4) for h in range(1, n)]
+    for trial in range(150):
+        basis = bases[trial % len(bases)]
+        n = basis.n_rank
         hw_vec = _hw_vec(n)
         letters_pool = [
             ("e", a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
@@ -212,7 +216,21 @@ def test_straighten_matches_naive_randomized_rewriter():
         w = GenWord(rational(rng.randrange(1, 4)), letters)
         got = engine_plain_value([w], hw_vec, basis)
         expected = naive_plain_value([w], hw_vec.eps, basis, rng)
-        assert got == expected, (trial, letters)
+        assert got == expected, (trial, basis, letters)
+
+
+def test_basis_monomial_word_straightens_to_itself():
+    # F_I written out as a word and applied to v is F_I v again, in every
+    # level-h arrangement up to rank 4: this pins the sign each absorbed
+    # lowering letter carries.
+    for n in (2, 3, 4):
+        for h in range(1, n):
+            basis = special_basis(n, h)
+            engine = straightener(basis)
+            for exps in itertools.product(range(4), repeat=len(basis.order)):
+                if sum(exps) <= 3:
+                    got = engine.apply_word(monomial_word(basis, exps))
+                    assert got == {exps: RF_ONE}, (basis, exps)
 
 
 def test_jacobi_consistency_through_straightening():
@@ -259,7 +277,7 @@ def test_three_term_reversal_identity_all_small_exponents_both_ways():
         assert tgt.order == tuple(reversed(src.order))
         engine = Straightener(tgt)
         for a, c, b in itertools.product(range(4), repeat=3):
-            got = on_signed_basis(engine, monomial_word(src, (a, c, b)))
+            got = engine.apply_word(monomial_word(src, (a, c, b)))
             expected = {
                 (b - r, c + r, a - r): rational(math.comb(c + r, r) * (-1) ** c)
                 for r in range(min(a, b) + 1)
