@@ -528,6 +528,9 @@ _PINNED_REPORTS = {
     "determinant-sl2 --tol 1e-8": (
         "d351495cbe34eca1e751490e20d795173840da88221a8760d3d5c08507aa287a"
     ),
+    "selberg --tol 1e-8": (
+        "991a93dd73b6a2ceebc6e2c8fd1d761fa5eaeb0b399b36d5e71408af77c10bc7"
+    ),
 }
 
 
