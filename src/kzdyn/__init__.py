@@ -4,15 +4,16 @@ suites.
 
 Modules
 -------
-symexpr       exact multivariate rational functions over Q
-roots         type-A positive roots, normal orders, Weyl combinatorics
-uea           PBW monomials, straightening, (anti)automorphisms
-rep           Verma/tensor weight spaces, Shapovalov form, dual actions
-dyn           dynamical difference operators, fusion matrix, KZ compatibility
-hyper         hypergeometric weight functions and their identities
-closed_forms  log-gamma closed forms: ordered beta integral, rank-one determinant
-numeric       chamber quadrature (Gauss–Jacobi), the only layer that needs scipy
-cli           the ``kzdyn`` command-line verification harness
+symexpr  exact multivariate rational functions over Q
+roots    type-A positive roots, normal orders, Weyl combinatorics
+uea      PBW monomials, straightening, (anti)automorphisms
+rep      Verma/tensor weight spaces, Shapovalov form, dual actions
+dyn      dynamical difference operators, fusion matrix, KZ compatibility
+hyper    hypergeometric weight functions and their identities
+numeric  chamber quadrature (Gauss–Jacobi) and the float Selberg closed forms,
+         the only layer that needs scipy
+cli      the ``kzdyn`` command-line verification harness, with the exact
+         gamma-product comparison of the rank-one suites
 """
 
 from __future__ import annotations

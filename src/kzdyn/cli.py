@@ -36,6 +36,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,7 @@ from .dyn import (
     check_K_exchange,
     check_nabla_K,
     check_rational_to_trig,
+    det_ingredients,
     fusion_solve,
     kappa_symbol,
     lambda_pairing_symbols,
@@ -421,51 +423,161 @@ def _appendix_c(params: dict):
 _RANK_ONE_MAX_P = 6
 
 
+def _selberg_gamma(a, b, c, m: int) -> Counter:
+    """The m-dimensional ordered beta integral S(a, b, c) as a gamma product.
+
+    Its closed form, 1/m! times the product over j < m of
+    Gamma(1 + (j + 1)c) Gamma(a + jc) Gamma(b + jc) / (Gamma(1 + c)
+    Gamma(a + b + (m + j - 1)c)), as ``{argument: exponent}`` with 1/m! as
+    Gamma(m + 1)^-1.  ``a``, ``b`` and ``c`` are expressions;
+    ``numeric.selberg_signed`` is the same product in floats.
+    """
+    gamma = Counter({rational(m + 1): -1, RF_ONE + c: -m})
+    jc = [rational(j) * c for j in range(2 * m)]
+    a_b = a + b
+    for j in range(m):
+        gamma[RF_ONE + jc[j + 1]] += 1
+        gamma[a + jc[j]] += 1
+        gamma[b + jc[j]] += 1
+        gamma[a_b + jc[m + j - 1]] -= 1
+    return gamma
+
+
+def _gamma_normal_form(num: Mapping, den: Mapping) -> tuple:
+    """``(prefactor, leftover)``: the gamma product ``num / den`` written as a
+    rational function times a gamma product.
+
+    ``num`` and ``den`` map arguments to exponents.  Arguments whose
+    difference is an integer constant are merged onto the lowest of them, x,
+    through Gamma(x + n) = (x)_n Gamma(x), with the rising factorial (x)_n
+    as ``_falling(x + n - 1, n)``.  ``leftover`` keeps the lowest argument of
+    each class whose exponents do not sum to 0.  The normal form
+    ``(RF_ONE, {})`` proves the product is 1; no other relation between
+    gamma values (reflection, multiplication) is applied, so any other
+    normal form is reported as a mismatch.
+    """
+    gamma = Counter(num)
+    gamma.subtract(den)
+    classes: list[list] = []  # per class: (argument, shift from the first, exponent)
+    for arg, e in gamma.items():
+        if not e:
+            continue
+        for members in classes:
+            shift = arg - members[0][0]
+            if shift.is_const() and shift.const_value().denominator == 1:
+                members.append((arg, int(shift.const_value()), e))
+                break
+        else:
+            classes.append([(arg, 0, e)])
+    prefactor, leftover = RF_ONE, {}
+    for members in classes:
+        base, low, _ = min(members, key=lambda member: member[1])
+        for _, shift, e in members:
+            n = shift - low
+            prefactor = prefactor * _falling(base + rational(n - 1), n) ** e
+        total = sum(e for _, _, e in members)
+        if total:
+            leftover[base] = total
+    return prefactor, leftover
+
+
+def _gamma_text(prefactor, leftover: Mapping) -> str:
+    """A normal form of `_gamma_normal_form` as text."""
+    return " * ".join(
+        [str(prefactor), *(f"Gamma({arg})^{e}" for arg, e in leftover.items())]
+    )
+
+
+def _rank_one_solution(p: int, m: int):
+    """``(s, a, b, c)`` of the rank-one solution on the weight-m space of L(p).
+
+    The solution is z_1^(s l1/kap) times S(a, b, c), with s = (p - 2m)/2,
+    a - 1 = -(l1 - 1 - s)/kap, b = -p/kap and c = 1/kap.
+    """
+    (l1,), kap = lambda_pairing_symbols(2), kappa_symbol()
+    s = rational(Fraction(p - 2 * m, 2))
+    return s, RF_ONE - (l1 - RF_ONE - s) / kap, rational(-p) / kap, RF_ONE / kap
+
+
 def _main_theorem_sl2(params: dict):
     """The rank-one difference equation, exactly in Q(l1, kap).
 
-    On the weight-m space of L(p), the solution is a power of z_1 times the
-    m-dimensional ordered beta integral with a - 1 = -(l1 - 1 - (p - 2m)/2)/kap,
-    b = -p/kap and c = 1/kap.  The step l1 -> l1 + kap lowers a by one.  The
-    ratio of the stepped to the base solution is a gamma ratio with integer
-    shifts, which Gamma(x + 1) = x Gamma(x) reduces to the product over j < m
-    of (a - 1 + b + (m + j - 1)c) / (a - 1 + jc).  Times z_1^m, the 1x1 entry
-    of K_1 must equal that product, and the formal z_1 exponent of K_1 must
-    exceed (p - 2m)/2 by m.
+    The step l1 -> l1 + kap lowers a by one, so the ratio of the stepped to
+    the base solution (`_rank_one_solution`) is a power of z_1 times
+    S(a - 1, b, c)/S(a, b, c), whose arguments differ by integers: its
+    normal form is a rational function with no gamma left over.  Times
+    z_1^m, the 1x1 entry of K_1 must equal it, and the formal z_1 exponent
+    of K_1 must exceed s = (p - 2m)/2 by m.
     """
-    (l1,), kap, (z1,) = lambda_pairing_symbols(2), kappa_symbol(), z_symbols(1)
+    (z1,) = z_symbols(1)
     rows = []
     for p in range(_RANK_ONE_MAX_P + 1):
         for m in range(p + 1):
             op = K_operator(enumerate_basis((lp_module(p),), (m,)), 1)
-            shift = rational(Fraction(p - 2 * m, 2))
-            a_minus_1 = -(l1 - RF_ONE - shift) / kap
-            b, c = rational(-p) / kap, RF_ONE / kap
-            product = RF_ONE
-            for j in range(m):
-                product = product * (a_minus_1 + b + rational(m + j - 1) * c) / (
-                    a_minus_1 + rational(j) * c
-                )
+            shift, a, b, c = _rank_one_solution(p, m)
+            ratio, leftover = _gamma_normal_form(
+                _selberg_gamma(a - RF_ONE, b, c, m), _selberg_gamma(a, b, c, m)
+            )
             lhs = (z1 ** m * op.op.entry(0, 0), op.formal_z_exponents[0] - shift)
-            rhs = (product, rational(m))
-            equal = lhs == rhs
+            rhs = (ratio, rational(m))
+            equal = not leftover and lhs == rhs
             witness = {"p": p, "m": m, "equal": equal}
             if not equal:
                 # each side as "entry; exponent"
                 witness["lhs"] = "; ".join(map(str, lhs))
-                witness["rhs"] = "; ".join(map(str, rhs))
+                witness["rhs"] = f"{_gamma_text(ratio, leftover)}; {m}"
+            rows.append((witness, equal))
+    return rows, {}, []
+
+
+def _determinant_sl2(params: dict):
+    """Varchenko's rank-one determinant formula, exactly in Q(l1, kap).
+
+    The solution on the weight-m space of L(p) is 1x1, so its determinant is
+    its entry (`_rank_one_solution`).  The formula factors it as C(kap)
+    D(l1): D is z_1 to the exponent of `det_ingredients` times its gamma
+    ratio rows, each to its multiplicity, and C is 1/m! times the product
+    over j < m of Gamma(1 + (j + 1)/kap) Gamma((j - p)/kap) / Gamma(1 + 1/kap).
+    S(a, b, c)/(C times the rows) must have the normal form (1, {}), and the
+    z_1 exponents must agree.  C has no l1, so the implied constant is the
+    same at every step of l1.
+    """
+    (l1,), kap = lambda_pairing_symbols(2), kappa_symbol()
+    rows = []
+    for p in range(_RANK_ONE_MAX_P + 1):
+        for m in range(p + 1):
+            shift, a, b, c = _rank_one_solution(p, m)
+            space = enumerate_basis((lp_module(p),), (m,))
+            ingredients = det_ingredients(space, (1, 2))
+            den = Counter({rational(m + 1): -1, RF_ONE + RF_ONE / kap: -m})
+            for j in range(m):
+                den[RF_ONE + rational(j + 1) / kap] += 1
+                den[rational(j - p) / kap] += 1
+            for d, nums, dens in ingredients.gamma_ratio_args:
+                for arg in nums:
+                    den[arg] += d
+                for arg in dens:
+                    den[arg] -= d
+            ratio, leftover = _gamma_normal_form(_selberg_gamma(a, b, c, m), den)
+            exponent, want = shift * l1 / kap, ingredients.z_exponents[0]
+            equal = ratio == RF_ONE and not leftover and exponent == want
+            witness = {"p": p, "m": m, "equal": equal}
+            if not equal:
+                # each side as "normal form; z_1 exponent"
+                witness["lhs"] = f"{_gamma_text(ratio, leftover)}; {exponent}"
+                witness["rhs"] = f"1; {want}"
             rows.append((witness, equal))
     return rows, {}, []
 
 
 # A module that few runs read is imported by the functions that read it,
 # when they run: `pbw-invariance` and the `phi-vector` and `forest` dumps
-# import `hyper`; `selberg` imports `numeric`, and with it scipy, for its
-# quadrature; `determinant-sl2` imports the scipy-free `closed_forms`.  The
-# two numeric checks look their functions up on the module at each call,
-# where a tracer or a test may have replaced them.
-# Their reports keep ``"grid": "default"``, the name of the only parameter
-# grid there is.
+# import `hyper`; `selberg`, the one float suite, imports `numeric`, and with
+# it scipy, for its quadrature and its float closed forms.  The two rank-one
+# suites above are exact and load neither.  `selberg` looks its functions up
+# on the module at each call, where a tracer or a test may have replaced
+# them.  Its report keeps ``"grid": "default"``, the name of the only
+# parameter grid there is.
 
 def _selberg_quadrature_row(m: int, a: float, b: float, c: float, tol: float) -> dict:
     from . import numeric
@@ -509,18 +621,6 @@ def _selberg(params: dict):
         "quadrature_points": len(numeric.QUADRATURE_GRID),
         "quadrature_tol": quad_tol,
     }
-    return [(w, w["passed"]) for w in witnesses], derived, []
-
-
-def _determinant_sl2(params: dict):
-    from . import closed_forms
-
-    check = closed_forms.det_formula_sl2_check
-    witnesses = [
-        check(p, m, kappa, lam, z, params["tol"]).to_json()
-        for (p, m, kappa, lam, z) in closed_forms.DETERMINANT_GRID
-    ]
-    derived = {"grid": "default", "points": len(witnesses)}
     return [(w, w["passed"]) for w in witnesses], derived, []
 
 
@@ -597,7 +697,7 @@ def _two_on_sl2(n: int) -> tuple[int, ...]:
 
 
 _VERMA2 = ("verma", "verma")
-_TOL_MIN = 1e-14  # below it the numeric checks cannot resolve a difference
+_TOL_MIN = 1e-14  # below it the float checks of `selberg` cannot resolve a difference
 
 _SUITE_TABLE = {
     "pbw-invariance": _Suite(
@@ -629,7 +729,7 @@ _SUITE_TABLE = {
     "appendix-c": _Suite(_appendix_c, {"n": (3, 3, 3), "max_ab": (2, 0, 3)}),
     "selberg": _Suite(_selberg, {"tol": (1e-10, _TOL_MIN, math.inf)}),
     "main-theorem-sl2": _Suite(_main_theorem_sl2, {}),
-    "determinant-sl2": _Suite(_determinant_sl2, {"tol": (1e-9, _TOL_MIN, math.inf)}),
+    "determinant-sl2": _Suite(_determinant_sl2, {}),
     "sigma-orders": _Suite(_sigma_orders, {"n": (6, 2, 8)}),
 }
 

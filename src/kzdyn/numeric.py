@@ -1,9 +1,13 @@
-"""Chamber quadrature (Gauss–Jacobi), the one scipy-backed layer.
+"""Chamber quadrature (Gauss–Jacobi) and the float Selberg closed forms, the
+one scipy-backed layer.
 
 Everything symbolic in this package is exact; this module supplies adaptive
-nested Gauss–Jacobi quadrature over real ordered chambers, which the
-``selberg`` suite compares with the gamma-product closed forms of
-``kzdyn.closed_forms``.  Its nodes and weights are bit for bit those of
+nested Gauss–Jacobi quadrature over real ordered chambers, and the
+gamma-product closed form of the ordered beta integral in floats
+(``math.lgamma`` with sign tracking), with its contiguous relation in the
+first parameter.  The ``selberg`` suite compares the two; ``kzdyn.cli``
+holds the same closed form exactly, for the rank-one suites.  The
+quadrature's nodes and weights are bit for bit those of
 ``scipy.special.roots_jacobi``.  For alpha != beta, ``_jacobi_rule`` repeats
 that function's general branch without its per-call wrapping: the
 Golub–Welsch eigenvalues of the Jacobi matrix from LAPACK ``dsbevd``, then
@@ -11,7 +15,7 @@ one Newton step through ``scipy.special.eval_jacobi``.  For alpha == beta
 and for alpha + beta > 1000 it calls ``roots_jacobi`` itself.  scipy,
 ``scipy.linalg`` included, is imported with the module, so that callers
 that loop over ``quad_chamber`` pay for the import once, outside their
-loops.  The closed forms it is compared with are re-exported here.
+loops.
 
 The quadrature kernel runs on Python floats in the order of floating-point
 operations of the numpy-scalar reference kernel that the tests keep, so its
@@ -40,14 +44,17 @@ from scipy.linalg import lapack
 from scipy.special import beta as beta_function
 from scipy.special import eval_jacobi, roots_jacobi
 
-from .closed_forms import SelbergParams, selberg_closed, selberg_difference_check
+from .dyn import PoleHit
 
 __all__ = [
     "NonIntegrable",
     "QuadratureNotConverged",
     "SelbergParams",
     "ChamberIntegral",
+    "log_gamma",
+    "selberg_signed",
     "selberg_closed",
+    "SelbergDifferenceReport",
     "selberg_difference_check",
     "quad_chamber",
     "SELBERG_GRID",
@@ -73,6 +80,112 @@ class QuadratureNotConverged(ArithmeticError):
         )
         self.tol = tol
         self.difference = difference
+
+
+# ---------------------------------------------------------------------------
+# Gamma plumbing
+# ---------------------------------------------------------------------------
+
+def log_gamma(x: float) -> float:
+    """Natural log of the gamma function for positive arguments.
+
+    For negative non-integer arguments returns the log of the absolute
+    value (pair with the sign from the reflection parity when needed).
+    """
+    if x <= 0 and x == math.floor(x):
+        raise PoleHit(f"gamma pole at {x}")
+    return math.lgamma(x)
+
+
+def _signed_log_gamma(x: float) -> tuple[int, float]:
+    value = log_gamma(x)
+    if x > 0 or math.floor(x) % 2 == 0:
+        return 1, value
+    return -1, value
+
+
+# ---------------------------------------------------------------------------
+# Ordered-simplex beta integral: closed form and contiguous relation
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SelbergParams:
+    """Parameters of the m-dimensional ordered beta-type integral."""
+
+    a: float
+    b: float
+    c: float
+    m: int
+
+    def __post_init__(self):
+        if self.m < 0:
+            raise ValueError("dimension must be non-negative")
+
+
+def selberg_signed(params: SelbergParams) -> tuple[int, float]:
+    """Sign and log of absolute value of the gamma-product closed form."""
+    a, b, c, m = params.a, params.b, params.c, params.m
+    sign = 1
+    total = -math.lgamma(m + 1)
+    for j in range(m):
+        for arg in (1 + c + j * c, a + j * c, b + j * c):
+            s, v = _signed_log_gamma(arg)
+            sign *= s
+            total += v
+        for arg in (1 + c, a + b + (m + j - 1) * c):
+            s, v = _signed_log_gamma(arg)
+            sign *= s
+            total -= v
+    return sign, total
+
+
+def selberg_closed(params: SelbergParams) -> float:
+    """Log of the gamma-product closed form (positive-value range)."""
+    sign, total = selberg_signed(params)
+    if sign < 0:
+        raise ValueError("closed-form value is negative; use selberg_signed")
+    return total
+
+
+@dataclass(frozen=True)
+class SelbergDifferenceReport:
+    params: SelbergParams
+    lhs_log: float
+    rhs_log: float
+    error: float
+    tolerance: float
+    passed: bool
+
+    def to_json(self) -> dict:
+        return {
+            "a": self.params.a,
+            "b": self.params.b,
+            "c": self.params.c,
+            "m": self.params.m,
+            "lhs_log": self.lhs_log,
+            "rhs_log": self.rhs_log,
+            "error": self.error,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+        }
+
+
+def selberg_difference_check(
+    params: SelbergParams, tol: float = 1e-10
+) -> SelbergDifferenceReport:
+    """First-parameter contiguous relation, compared in log scale."""
+    a, b, c, m = params.a, params.b, params.c, params.m
+    lhs = selberg_closed(SelbergParams(a + 1, b, c, m))
+    ratio = 0.0
+    for k in range(1, m + 1):
+        num = a + c * (m - k)
+        den = a + b + c * (2 * m - k - 1)
+        if num <= 0 or den <= 0:
+            raise PoleHit("contiguous factor outside the positive range")
+        ratio += math.log(num) - math.log(den)
+    rhs = selberg_closed(params) + ratio
+    error = abs(lhs - rhs)
+    return SelbergDifferenceReport(params, lhs, rhs, error, tol, error <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@ import importlib
 import json
 import os
 import pkgutil
+import random
 import re
 import stat
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import sympy
 
 import kzdyn
 from kzdyn import __version__
@@ -28,6 +32,7 @@ from kzdyn.cli import (
     report_text,
     run_suite,
 )
+from kzdyn.cli import _gamma_normal_form
 from kzdyn.dyn import DynOperator, K_operator, PoleHit, ResonantWeight, fusion_solve
 from kzdyn.numeric import QuadratureNotConverged
 from kzdyn.rep import WeightSpaceOperator, enumerate_basis, verma_symbolic
@@ -44,6 +49,7 @@ _UNREAD = [
     ("additive-form", "--tol", "1e-9", {"tol": 1e-9}),
     ("fusion", "--max-ab", "1", {"max_ab": 1}),
     ("main-theorem-sl2", "--tol", "1e-9", {"tol": 1e-9}),
+    ("determinant-sl2", "--tol", "1e-9", {"tol": 1e-9}),
 ]
 
 # the same for a dump kind: (kind, flag, value, param)
@@ -111,10 +117,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_non_finite_tol_exits_two(self, capsys, value):
-        assert main(["verify", "determinant-sl2", f"--tol={value}"]) == 2
+        assert main(["verify", "selberg", f"--tol={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: suite determinant-sl2 needs a finite tol\n"
+        assert captured.err == "error: suite selberg needs a finite tol\n"
 
     def test_depth_and_table_caps(self, capsys):
         with pytest.raises(CapabilityExceeded):
@@ -412,13 +418,122 @@ class TestNumericSuites:
             assert lhs_entry != rhs_entry and lhs_exponent == "1"
 
     def test_determinant_suite(self):
+        # one exact identity per 0 <= m <= p <= 6, with no float and no tol
         report = run_suite(SuiteConfig(suite="determinant-sl2"))
         _schema_check(report, "determinant-sl2")
         assert report["verdict"] == "pass"
-        assert all(
-            w["rel_error"] <= 1e-9 and w["periodicity_error"] <= 1e-9
-            for w in report["witnesses"]
+        assert report["params"] == {}
+        assert report["witnesses"] == [
+            {"p": p, "m": m, "equal": True} for p in range(7) for m in range(p + 1)
+        ]
+
+    @pytest.mark.parametrize("mutant", ["integer", "half"])
+    def test_determinant_mutant_names_its_mismatch(self, monkeypatch, mutant):
+        # the first gamma numerator of det_ingredients shifted by 1 or by 1/2,
+        # at p = 5, m = 2 only
+        from kzdyn import cli as cli_module
+        from kzdyn.dyn import det_ingredients
+
+        shifted = []
+
+        def mutated(space, alpha):
+            ingredients = det_ingredients(space, alpha)
+            if (space.factors[0].p, space.nu0) != (5, (2,)):
+                return ingredients
+            (d, (first, *nums), dens), *rest = ingredients.gamma_ratio_args
+            shifted.append(first)
+            step = RF_ONE if mutant == "integer" else parse("1/2")
+            rows = ((d, (first + step, *nums), dens), *rest)
+            return replace(ingredients, gamma_ratio_args=rows)
+
+        monkeypatch.setattr(cli_module, "det_ingredients", mutated)
+        report = run_suite(SuiteConfig(suite="determinant-sl2"))
+        assert report["verdict"] == "fail"
+        failed = [w for w in report["witnesses"] if not w["equal"]]
+        assert [(w["p"], w["m"]) for w in failed] == [(5, 2)]
+        lhs_form, lhs_exponent = failed[0]["lhs"].split("; ")
+        rhs_form, rhs_exponent = failed[0]["rhs"].split("; ")
+        # the z_1 exponents are untouched, and both name l1
+        assert lhs_exponent == rhs_exponent and "l1" in lhs_exponent
+        assert rhs_form == "1"
+        (x,) = shifted
+        if mutant == "integer":
+            # Gamma(x)/Gamma(x + 1) = 1/x: no gamma is left over
+            assert lhs_form == str(RF_ONE / x)
+        else:
+            # x and x + 1/2 are in different classes: both are left over
+            assert lhs_form == f"1 * Gamma({x})^1 * Gamma({x + parse('1/2')})^-1"
+
+
+class TestGammaNormalForm:
+    """`cli._gamma_normal_form` against sympy, the tests' reference."""
+
+    def test_empty_product(self):
+        assert _gamma_normal_form({}, {}) == (RF_ONE, {})
+
+    def test_rising_factorials(self):
+        x = parse("x")
+        rf = sympy.rf(sympy.Symbol("x") - 2, 5)
+        # Gamma(x + 3)/Gamma(x - 2) = (x - 2)_5, and its reciprocal
+        for num, den, want in (
+            ({x + 3: 1}, {x - 2: 1}, rf),
+            ({x - 2: 1}, {x + 3: 1}, 1 / rf),
+        ):
+            prefactor, leftover = _gamma_normal_form(num, den)
+            assert leftover == {}
+            got = sympy.sympify(str(prefactor).replace("^", "**"))
+            assert sympy.simplify(got - want) == 0
+
+    def test_classes_that_differ_by_a_half_or_by_symbol_stay_apart(self):
+        x, y = parse("x"), parse("y")
+        half = x + parse("1/2")
+        assert _gamma_normal_form({x: 1}, {half: 1}) == (RF_ONE, {x: 1, half: -1})
+        assert _gamma_normal_form({x: 1}, {y: 1}) == (RF_ONE, {x: 1, y: -1})
+        assert _gamma_normal_form({x + 1: 2}, {y + 1: 2}) == (
+            RF_ONE,
+            {x + 1: 2, y + 1: -2},
         )
+
+    def test_seeded_products_against_gammasimp(self):
+        x, y, t = sympy.symbols("x y t")
+        # five classes modulo Z: x and x + 1/2 differ by a half, y and
+        # (x + y)/3 are in other symbols, and 1/3 is a constant, which
+        # sympy's side carries as the symbol t, substituted at the end
+        bases = [parse(text) for text in ("x", "x + 1/2", "y", "(x + y)/3", "1/3")]
+        sympy_bases = [x, x + sympy.Rational(1, 2), y, (x + y) / 3, t]
+        rng = random.Random(20240524)
+        for _ in range(16):
+            num, den = Counter(), Counter()
+            totals = [0] * len(bases)
+            want = sympy.Integer(1)
+            for _ in range(rng.randint(2, 9)):
+                k, shift = rng.randrange(len(bases)), rng.randint(-3, 3)
+                e = rng.choice([-2, -1, 1, 2])
+                if rng.random() < 0.5:
+                    num[bases[k] + shift] += e
+                else:
+                    den[bases[k] + shift] += e
+                    e = -e
+                totals[k] += e
+                want *= sympy.gamma(sympy_bases[k] + shift) ** e
+            prefactor, leftover = _gamma_normal_form(num, den)
+            # one argument per class with a nonzero total, of that total
+            classes = {}
+            for arg, total in leftover.items():
+                ((k, shift),) = [
+                    (k, (arg - base).const_value())
+                    for k, base in enumerate(bases)
+                    if (arg - base).is_const()
+                    and (arg - base).const_value().denominator == 1
+                ]
+                classes[k] = total
+                want /= sympy.gamma(sympy_bases[k] + shift) ** total
+            assert classes == {k: total for k, total in enumerate(totals) if total}
+            got = sympy.sympify(
+                str(prefactor).replace("^", "**"), locals={"x": x, "y": y}
+            )
+            want = sympy.gammasimp(sympy.expand_func(want))
+            assert sympy.simplify(want.subs(t, sympy.Rational(1, 3)) - got) == 0, (num, den)
 
 
 class TestReportPlumbing:
@@ -496,7 +611,7 @@ _PINNED_REPORTS = {
     "appendix-c": "61bacfc729863c9b1373832cf336b5988fe6881cb9ca56d67ed16d595e6c0082",
     "selberg": "df2ef44596db0474e67b77251ae697b0ad52c8729e222a3c68b1b9c6831489b7",
     "main-theorem-sl2": "70fddf02c5318c511e0e24353652ef34949367cede9177840701e4d10309eb38",
-    "determinant-sl2": "04b90c050a50a73b404acd5cbc3fe6ef12f6200a1a886de4ded7db264eed74b8",
+    "determinant-sl2": "e1c83ebf60a9bab6fa1501a729073c6a74db7d0e461e50305874d3bb632ee259",
     "sigma-orders": "0ec2f2f8990bbc96149e8242e0cf310d7b2632b3ffcbc8ca944a6323310f7453",
     # verdict `flagged`
     "pbw-invariance --n 3 --nu 2,2 --factors verma,verma": (
@@ -525,9 +640,6 @@ _PINNED_REPORTS = {
         "1272aaf995d40c13bb2c69c37309d8ef0c1ac42323697f5fdab57848eb3ebf31"
     ),
     # a tolerance other than the default
-    "determinant-sl2 --tol 1e-8": (
-        "d351495cbe34eca1e751490e20d795173840da88221a8760d3d5c08507aa287a"
-    ),
     "selberg --tol 1e-8": (
         "991a93dd73b6a2ceebc6e2c8fd1d761fa5eaeb0b399b36d5e71408af77c10bc7"
     ),
@@ -923,13 +1035,12 @@ class TestMainEntry:
         # import once, outside their loops
         (loaded,) = loaded_after("import json, sys, kzdyn.numeric\nloaded = [list(sys.modules)]")
         assert {"scipy", "scipy.linalg"} <= loaded
-        # every run in one interpreter: main-theorem-sl2 first, to see that it
-        # loads no float module, selberg last, so that no run before it finds
-        # scipy loaded; kzdyn.hyper is dropped after each run, from sys.modules
-        # and from its package, so that each run that reads it loads it anew
+        # every run in one interpreter, selberg last, so that no run before it
+        # finds kzdyn.numeric or scipy loaded; kzdyn.hyper is dropped after
+        # each run, from sys.modules and from its package, so that each run
+        # that reads it loads it anew
         runs = [
-            ["verify", "main-theorem-sl2"],
-            *(["verify", suite] for suite in SUITES if suite not in ("main-theorem-sl2", "selberg")),
+            *(["verify", suite] for suite in SUITES if suite != "selberg"),
             ["verify", "fusion", "--n", "3", "--nu", "1,1"],
             *(["dump", kind] for kind in DUMP_KINDS),
             ["verify", "selberg"],
@@ -946,12 +1057,11 @@ class TestMainEntry:
             "    vars(sys.modules['kzdyn']).pop('hyper', None)\n"
         )
         assert after_import.isdisjoint(
-            {"kzdyn.hyper", "kzdyn.numeric", "kzdyn.closed_forms", "scipy", "numpy", "sympy"}
+            {"kzdyn.hyper", "kzdyn.numeric", "scipy", "numpy", "sympy"}
         )
-        # exact: no float module at all
-        assert after_runs[0].isdisjoint({"kzdyn.closed_forms", "kzdyn.numeric"})
         for argv, loaded in zip(runs, after_runs):
-            for heavy in ("scipy", "numpy"):
+            # the rank-one suites are exact: they load no float module
+            for heavy in ("kzdyn.numeric", "scipy", "numpy"):
                 assert (heavy in loaded) == (argv == ["verify", "selberg"]), (argv, heavy)
             # the weighted-function layer only where it is read
             reads_hyper = argv[1] in ("pbw-invariance", "phi-vector", "forest")

@@ -1,11 +1,10 @@
-"""Tests for the floating-point verification layers: gamma plumbing, the
-ordered-simplex beta integral (closed form, contiguous relation, quadrature),
-and the end-to-end rank-one determinant check.
+"""Tests for the floating-point layer, ``kzdyn.numeric``: gamma plumbing and
+the ordered-simplex beta integral (closed form, contiguous relation,
+quadrature), and the float closed form against the exact one of
+``kzdyn.cli``.
 
-The closed forms and the determinant check come from the scipy-free
-``kzdyn.closed_forms``; the chamber quadrature from ``kzdyn.numeric``.  The
-rank-one difference equation is exact, and its suite is tested in
-``test_cli.py``."""
+The rank-one difference equation and determinant formula are exact, and
+their suites are tested in ``test_cli.py``."""
 
 import math
 import random
@@ -18,16 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 import kzdyn.numeric as numeric
-from kzdyn.closed_forms import (
-    DETERMINANT_GRID,
-    SelbergParams,
-    det_formula_sl2_check,
-    evaluate_expr,
-    log_gamma,
-    selberg_closed,
-    selberg_difference_check,
-    selberg_signed,
-)
+from kzdyn.cli import _rank_one_solution, _selberg_gamma
 from kzdyn.dyn import PoleHit
 from kzdyn.numeric import (
     _NODE_LADDERS,
@@ -36,12 +26,17 @@ from kzdyn.numeric import (
     ChamberIntegral,
     NonIntegrable,
     QuadratureNotConverged,
+    SelbergParams,
     _divergent_collision,
     _jacobi_rule,
     _nested_gauss_jacobi,
+    log_gamma,
     quad_chamber,
+    selberg_closed,
+    selberg_difference_check,
+    selberg_signed,
 )
-from kzdyn.symexpr import parse, symbol
+from kzdyn.symexpr import symbol
 
 
 class TestLogGamma:
@@ -59,25 +54,6 @@ class TestLogGamma:
     def test_negative_noninteger_gives_log_abs(self):
         # Gamma(-0.5) = -2 sqrt(pi); the log variant reports log|.|
         assert abs(log_gamma(-0.5) - math.log(2 * math.sqrt(math.pi))) < 1e-14
-
-
-class TestEvaluateExpr:
-    def test_rational_point(self):
-        expr = parse("(l1 + 2) / (l1 - 1)")
-        assert evaluate_expr(expr, {"l1": 3}) == 2.5
-
-    def test_float_arguments_are_taken_exactly(self):
-        expr = symbol("kap") * symbol("kap")
-        assert evaluate_expr(expr, {"kap": 1.5}) == 2.25
-
-    def test_fraction_arguments(self):
-        expr = parse("1 / (2*l1 - 1)")
-        assert evaluate_expr(expr, {"l1": Fraction(3, 4)}) == 2.0
-
-    def test_pole_hit_on_vanishing_denominator(self):
-        expr = parse("1 / (l1 - 1)")
-        with pytest.raises(PoleHit):
-            evaluate_expr(expr, {"l1": 1})
 
 
 class TestSelbergClosedForm:
@@ -509,33 +485,39 @@ class TestKernelMatchesReference:
         assert not_converged
 
 
-class TestDetFormulaRankOne:
-    def test_grid_within_tolerance(self):
-        for p, m, kappa, lam, z in DETERMINANT_GRID:
-            report = det_formula_sl2_check(p, m, kappa, lam, z)
-            assert report.passed, (p, m, kappa, lam, z, report.rel_error)
-            assert report.rel_error <= 1e-9
-            assert report.periodicity_error <= 1e-9
+def _signed_log_of(gamma: dict, point: dict) -> tuple[int, float]:
+    """Sign and log of the absolute value of an exact gamma product, its
+    arguments evaluated exactly at ``point`` and then with ``math.lgamma``."""
+    sign, total = 1, 0.0
+    for arg, e in gamma.items():
+        x = float(arg.eval(point))
+        if x < 0 and math.floor(x) % 2:
+            sign *= (-1) ** e
+        total += e * math.lgamma(x)
+    return sign, total
 
-    def test_periodicity_at_further_shifts(self):
-        # the factored form holds with the same constant one full step along
-        p, m, kappa, z = 4, 2, 3.3, 1.1
-        base = det_formula_sl2_check(p, m, kappa, 2.35, z)
-        stepped = det_formula_sl2_check(p, m, kappa, 2.35 + kappa, z)
-        assert base.passed and stepped.passed
-        assert abs(base.u11 / base.cd_product - 1.0) <= 1e-9
-        assert abs(stepped.u11 / stepped.cd_product - 1.0) <= 1e-9
 
-    def test_report_round_trip(self):
-        report = det_formula_sl2_check(3, 1, 2.0, 1.7, 0.8)
-        data = report.to_json()
-        assert data["passed"] is True
-        assert data["periodicity_error"] == report.periodicity_error
+class TestExactClosedFormMatchesFloat:
+    """`cli._selberg_gamma`, the exact closed form of the rank-one suites,
+    against `selberg_signed`, the float one the quadrature is compared with."""
 
-    def test_empty_weight_space_rejected(self):
-        with pytest.raises(ValueError):
-            det_formula_sl2_check(1, 2, 2.0, 1.7, 0.8)
+    def test_selberg_grid(self):
+        a, b, c = symbol("a"), symbol("b"), symbol("c")
+        for m, fa, fb, fc in SELBERG_GRID:
+            point = {"a": fa, "b": fb, "c": fc}
+            got = _signed_log_of(_selberg_gamma(a, b, c, m), point)
+            want = selberg_signed(SelbergParams(fa, fb, fc, m))
+            assert got[0] == want[0] and abs(got[1] - want[1]) <= 1e-12, (m, point)
 
-    def test_nonpositive_coordinate_rejected(self):
-        with pytest.raises(ValueError):
-            det_formula_sl2_check(3, 1, 2.0, 1.7, -1.0)
+    @pytest.mark.parametrize(
+        "p, m, kappa, lam",
+        # the float grid the determinant-sl2 suite once read
+        [(3, 0, 2.0, 1.7), (3, 1, 2.0, 1.7), (4, 2, 3.3, 2.35),
+         (2, 1, 1.7, 0.9), (5, 2, 2.6, 3.1), (6, 3, 3.5, 2.9)],
+    )
+    def test_rank_one_points(self, p, m, kappa, lam):
+        _, a, b, c = _rank_one_solution(p, m)
+        got = _signed_log_of(_selberg_gamma(a, b, c, m), {"l1": lam, "kap": kappa})
+        fa = -(lam - 1 - (p - 2 * m) / 2) / kappa + 1
+        want = selberg_signed(SelbergParams(fa, -p / kappa, 1 / kappa, m))
+        assert got[0] == want[0] and abs(got[1] - want[1]) <= 1e-12
