@@ -489,10 +489,6 @@ class TestGammaNormalForm:
         half = x + parse("1/2")
         assert _gamma_normal_form({x: 1}, {half: 1}) == (RF_ONE, {x: 1, half: -1})
         assert _gamma_normal_form({x: 1}, {y: 1}) == (RF_ONE, {x: 1, y: -1})
-        assert _gamma_normal_form({x + 1: 2}, {y + 1: 2}) == (
-            RF_ONE,
-            {x + 1: 2, y + 1: -2},
-        )
 
     def test_seeded_products_against_gammasimp(self):
         x, y, t = sympy.symbols("x y t")
@@ -532,8 +528,8 @@ class TestGammaNormalForm:
             got = sympy.sympify(
                 str(prefactor).replace("^", "**"), locals={"x": x, "y": y}
             )
-            want = sympy.gammasimp(sympy.expand_func(want))
-            assert sympy.simplify(want.subs(t, sympy.Rational(1, 3)) - got) == 0, (num, den)
+            want = sympy.gammasimp(sympy.expand_func(want)).subs(t, sympy.Rational(1, 3))
+            assert sympy.simplify(want - got) == 0, (num, den)
 
 
 class TestReportPlumbing:
