@@ -103,11 +103,16 @@ def test_substitute_evaluation():
     assert rf_substitute(f, {"l1": rational(2)}) == rational(Fraction(1, 2))
 
 
-def test_eval_takes_ints_floats_and_fractions_exactly():
+def test_eval_at_an_integer_point():
     assert parse("(l1 + 2) / (l1 - 1)").eval({"l1": 3}) == Fraction(5, 2)
+
+
+def test_eval_takes_a_float_as_its_exact_binary_fraction():
     assert (KAP * KAP).eval({"kap": 1.5}) == Fraction(9, 4)
-    # a float is taken as the binary fraction it stores
     assert KAP.eval({"kap": 0.1}) == Fraction(0.1) != Fraction(1, 10)
+
+
+def test_eval_at_a_fraction_point():
     assert parse("1 / (2*l1 - 1)").eval({"l1": Fraction(3, 4)}) == 2
 
 
