@@ -14,6 +14,8 @@ numeric  chamber quadrature (Gauss–Jacobi) and the float Selberg closed forms,
          the only layer that needs scipy
 cli      the ``kzdyn`` command-line verification harness, with the exact
          gamma-product comparison of the rank-one suites
+_record  ``record``, the class decorator of the record classes: a
+         ``dataclass`` without generated code
 """
 
 from __future__ import annotations

@@ -1,0 +1,155 @@
+"""Record classes: `record`, the part of the standard library's ``dataclass``
+decorator that kzdyn uses.
+
+A record's fields are its class annotations, in order; a class attribute of
+the same name is the field's default, and ``field(default_factory=f)`` makes
+``f()`` the default anew for each instance.  `record` adds
+
+- ``__init__``, taking the fields by position or keyword and then calling
+  ``__post_init__`` when the class defines it;
+- ``__repr__``, printing ``QualName(a=1, b=2)``;
+- with ``eq=True`` (the default), ``__eq__`` on the tuple of fields against
+  an instance of the same class only; the class is then unhashable unless
+  it is frozen;
+- with ``frozen=True``, ``__setattr__`` and ``__delattr__`` that raise
+  `FrozenInstanceError`, and, with ``eq=True``, ``__hash__`` of the tuple of
+  fields.
+
+Each method is the same closure over the field names for every class, so
+decorating a class generates and compiles no source, and this module
+imports only `operator`.  ``dataclass`` imports ``inspect`` and compiles
+each method from source, about 20 ms of the start-up of a kzdyn process.
+Fields of base classes are not collected, and a class may not define a
+method that `record` writes.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+__all__ = ["FrozenInstanceError", "field", "record"]
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class _Factory:
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+def field(*, default_factory) -> _Factory:
+    """A field whose default is ``default_factory()``, made for each instance."""
+    return _Factory(default_factory)
+
+
+def record(cls=None, /, *, eq: bool = True, frozen: bool = False):
+    """Make ``cls`` a record; use as ``@record`` or ``@record(frozen=True)``."""
+    if cls is None:
+        return lambda cls: _make_record(cls, eq, frozen)
+    return _make_record(cls, eq, frozen)
+
+
+def _make_record(cls, eq: bool, frozen: bool):
+    names = tuple(cls.__annotations__)
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    defaults: dict = {}
+    for name in names:
+        if name in cls.__dict__:
+            default = cls.__dict__[name]
+            if isinstance(default, _Factory):
+                # the factory is called per instance; the class keeps no default
+                delattr(cls, name)
+            defaults[name] = default
+        elif defaults:
+            raise TypeError(f"non-default argument {name!r} follows default argument")
+    qualname = cls.__qualname__
+    init_name = f"{qualname}.__init__"
+    post_init = hasattr(cls, "__post_init__")
+    setter = object.__setattr__
+
+    def bind(args: tuple, kwargs: dict) -> list:
+        # the arguments in field order, or the TypeError Python would raise
+        if len(args) > n:
+            raise TypeError(
+                f"{init_name}() takes {n + 1} positional arguments but {len(args) + 1} were given"
+            )
+        for key in kwargs:
+            if key not in index:
+                raise TypeError(f"{init_name}() got an unexpected keyword argument {key!r}")
+            if index[key] < len(args):
+                raise TypeError(f"{init_name}() got multiple values for argument {key!r}")
+        values = list(args)
+        missing = []
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs[name])
+            elif name in defaults:
+                default = defaults[name]
+                values.append(default.make() if isinstance(default, _Factory) else default)
+            else:
+                missing.append(name)
+        if missing:
+            raise TypeError(
+                f"{init_name}() missing required arguments: {', '.join(map(repr, missing))}"
+            )
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            setter(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in names])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    methods = {"__init__": __init__, "__repr__": __repr__}
+    if eq:
+        # the tuple of fields, which ``dataclass`` compares and hashes too;
+        # attrgetter of one name returns the bare value
+        if n > 1:
+            key = attrgetter(*names)
+        else:
+
+            def key(self):
+                return tuple([getattr(self, name) for name in names])
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        methods["__eq__"] = __eq__
+        if frozen:
+
+            def __hash__(self):
+                return hash(key(self))
+
+            methods["__hash__"] = __hash__
+        else:
+            methods["__hash__"] = None
+    if frozen:
+
+        def __setattr__(self, name, value):
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+        def __delattr__(self, name):
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+        methods["__setattr__"] = __setattr__
+        methods["__delattr__"] = __delattr__
+    for name, method in methods.items():
+        if name in cls.__dict__:
+            raise TypeError(f"{qualname} defines {name}, which record writes")
+        if method is not None:
+            method.__qualname__ = f"{qualname}.{name}"
+        setattr(cls, name, method)
+    return cls

@@ -38,12 +38,12 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import __version__
+from ._record import record
 from .dyn import (
     B_additive,
     B_w,
@@ -119,7 +119,7 @@ class CapabilityExceeded(ValueError):
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class SuiteConfig:
     """Parameters of one suite run; ``None`` takes the suite's default.
 
@@ -673,7 +673,7 @@ def _sigma_orders(params: dict):
 # The suite table
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class _Suite:
     """One `verify` suite.
 
@@ -958,7 +958,7 @@ def _dump_forest(params: dict) -> str:
     return _dump_json(data)
 
 
-@dataclass
+@record
 class _Dump:
     """One `dump` kind: ``params`` as in `_Suite`, and a render callable that
     takes the resolved parameters and returns the artifact's text."""

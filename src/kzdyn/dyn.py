@@ -41,10 +41,10 @@ product form at ``lambda + rho + nu/2``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from ._record import record
 from .rep import (
     PBWVector,
     TensorWeightSpace,
@@ -73,6 +73,7 @@ from .symexpr import (
     RF_ONE,
     RF_ZERO,
     DivisionByZero,
+    PoleHit,
     RationalFunctionExpr,
     rational,
     rf_substitute,
@@ -120,10 +121,6 @@ __all__ = [
 ]
 
 _HALF = rational(Fraction(1, 2))
-
-
-class PoleHit(ArithmeticError):
-    """A series denominator vanished identically for the given parameters."""
 
 
 class ResonantWeight(ArithmeticError):
@@ -228,7 +225,7 @@ def _exps_coords(basis: PBWBasis, exps: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DynOperator:
     """A coordinate-dressed operator (`K_operator`).
 
@@ -414,7 +411,7 @@ def K_operator(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FusionElement:
     """Weight-graded element of (lowering) x (raising) divided-power bases.
 
@@ -643,7 +640,7 @@ def lambda_diagonal(
     return WeightSpaceOperator(space, space, entries)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KZOperator:
     """A first-order operator: derivative coefficient plus zeroth-order matrix."""
 
@@ -695,7 +692,7 @@ def kz_operator(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckReport:
     """Outcome of an exact identity check with an optional witness."""
 
@@ -812,7 +809,7 @@ def check_nabla_K(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DetIngredients:
     """Exact ingredients of the determinant formula on one weight space.
 

@@ -34,11 +34,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
+from ._record import record
 from .symexpr import (
     RF_ONE,
     RF_ZERO,
@@ -106,7 +106,7 @@ __all__ = [
 # Order flavors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrderFlavor:
     """Which grounding rule each string follows.
 
@@ -271,7 +271,7 @@ def t_symbol(k: int, d: int) -> RationalFunctionExpr:
 # Strings and forests
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StringGraph:
     """One grounded string: a chain of consecutive-color variables.
 
@@ -348,7 +348,7 @@ class StringGraph:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Forest:
     """All strings of one index, grouped into per-slot trees by their ground."""
 
@@ -449,7 +449,7 @@ def phi_of_index(
 # Function-weighted basis sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class PhiVector:
     """Formal sum of basis vectors weighted by their index functions.
 
@@ -516,7 +516,7 @@ def _expand_in_standard(basis: PBWBasis, exps: tuple) -> dict:
     return engine.apply_word(monomial_word(basis, exps))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrderInvarianceReport:
     h: int
     dim: int
@@ -599,7 +599,7 @@ def verify_order_invariance(
 # Binomial string-exchange identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinomialClaimReport:
     a: int
     b: int
@@ -665,7 +665,7 @@ def binomial_claim_check(
 # Weight-function exponents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class MasterExponents:
     """Exponent records of the multivalued weight function.
 
@@ -818,7 +818,7 @@ def _straddle_split_product(forest: Forest, h: int) -> RationalFunctionExpr:
     return value
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ZShiftTerm:
     index: tuple
     z_drops: tuple[int, ...]
@@ -826,7 +826,7 @@ class ZShiftTerm:
     verified: bool
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ZShiftFactorization:
     h: int
     verified: bool
@@ -942,7 +942,7 @@ def dual_restriction_check(
 # Straddling-removal expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LemmaExpansionReport:
     h: int
     index: tuple
@@ -1123,7 +1123,7 @@ def _wedge(a: dict, b: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class SwitchCorReport:
     h: int
     index: tuple

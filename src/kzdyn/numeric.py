@@ -36,7 +36,6 @@ depend on the CPU.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
@@ -44,7 +43,8 @@ from scipy.linalg import lapack
 from scipy.special import beta as beta_function
 from scipy.special import eval_jacobi, roots_jacobi
 
-from .dyn import PoleHit
+from ._record import field, record
+from .symexpr import PoleHit
 
 __all__ = [
     "NonIntegrable",
@@ -108,7 +108,7 @@ def _signed_log_gamma(x: float) -> tuple[int, float]:
 # Ordered-simplex beta integral: closed form and contiguous relation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SelbergParams:
     """Parameters of the m-dimensional ordered beta-type integral."""
 
@@ -147,7 +147,7 @@ def selberg_closed(params: SelbergParams) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SelbergDifferenceReport:
     params: SelbergParams
     lhs_log: float
@@ -192,7 +192,7 @@ def selberg_difference_check(
 # Chamber quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChamberIntegral:
     """Integral of a factored power product over an ordered simplex.
 

@@ -21,11 +21,11 @@ functionals is `hyper.raising_dual_coefficients`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
+from ._record import record
 from .roots import WeightVec, weight_from_pairings
 from .symexpr import (
     RF_ONE,
@@ -75,7 +75,7 @@ class SingularGram(Exception):
 # Module factors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModuleSpec:
     """One tensor factor: a Verma module or the rank-one irreducible L_p."""
 

@@ -30,10 +30,10 @@ sum is not a root (``A1A1``) and a reversal of a three-term window
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import record
 from .symexpr import RF_ZERO, RationalFunctionExpr, rational
 
 __all__ = [
@@ -142,7 +142,7 @@ def serialize_order(order: Sequence[tuple[int, int]]) -> str:
 # Elementary transformations and the sigma schedule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ElemTransform:
     """An adjacent reversal acting on a largest-first root order.
 
@@ -250,7 +250,7 @@ def sign_table_a(n_rank: int, h: int) -> dict[tuple[int, int], int]:
 # Weights in epsilon-coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WeightVec:
     """A weight of gl_N/sl_N as exact epsilon-coordinates (sum zero)."""
 
@@ -347,7 +347,7 @@ def nu_vec(n_rank: int, multiplicities: Sequence[int]) -> WeightVec:
 # Weyl group (symmetric group on coordinates)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WeylElement:
     """A permutation of 1..N; ``perm[i-1]`` is the image of i."""
 

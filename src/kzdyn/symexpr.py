@@ -105,6 +105,7 @@ __all__ = [
     "HeuristicGcdFailed",
     "InexactDivision",
     "ParseError",
+    "PoleHit",
     "Poly",
     "RationalFunctionExpr",
     "RFE",
@@ -123,6 +124,10 @@ __all__ = [
 
 class DivisionByZero(ZeroDivisionError):
     """Division by an expression that is identically zero."""
+
+
+class PoleHit(ArithmeticError):
+    """A series denominator vanished identically for the given parameters."""
 
 
 class ParseError(ValueError):

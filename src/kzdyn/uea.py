@@ -44,11 +44,11 @@ engine's order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
+from ._record import record
 from .roots import WeightVec, sign_table_a, special_order
 from .symexpr import RF_ONE, RationalFunctionExpr, rational
 
@@ -123,7 +123,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenWord:
     """A scalar multiple of a product of letters (rightmost acts first)."""
 

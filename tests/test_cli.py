@@ -11,7 +11,6 @@ import stat
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -432,7 +431,7 @@ class TestNumericSuites:
         # the first gamma numerator of det_ingredients shifted by 1 or by 1/2,
         # at p = 5, m = 2 only
         from kzdyn import cli as cli_module
-        from kzdyn.dyn import det_ingredients
+        from kzdyn.dyn import DetIngredients, det_ingredients
 
         shifted = []
 
@@ -444,7 +443,7 @@ class TestNumericSuites:
             shifted.append(first)
             step = RF_ONE if mutant == "integer" else parse("1/2")
             rows = ((d, (first + step, *nums), dens), *rest)
-            return replace(ingredients, gamma_ratio_args=rows)
+            return DetIngredients(**{**vars(ingredients), "gamma_ratio_args": rows})
 
         monkeypatch.setattr(cli_module, "det_ingredients", mutated)
         report = run_suite(SuiteConfig(suite="determinant-sl2"))
@@ -1031,6 +1030,8 @@ class TestMainEntry:
         # import once, outside their loops
         (loaded,) = loaded_after("import json, sys, kzdyn.numeric\nloaded = [list(sys.modules)]")
         assert {"scipy", "scipy.linalg"} <= loaded
+        # of the kzdyn layers, numeric reads only symexpr
+        assert loaded.isdisjoint({"kzdyn.dyn", "kzdyn.rep", "kzdyn.uea", "kzdyn.roots"})
         # every run in one interpreter, selberg last, so that no run before it
         # finds kzdyn.numeric or scipy loaded; kzdyn.hyper is dropped after
         # each run, from sys.modules and from its package, so that each run
@@ -1052,8 +1053,10 @@ class TestMainEntry:
             "    sys.modules.pop('kzdyn.hyper', None)\n"
             "    vars(sys.modules['kzdyn']).pop('hyper', None)\n"
         )
+        # kzdyn's records are not dataclasses: nothing loads dataclasses, or
+        # the inspect it imports, but numpy and scipy with the selberg suite
         assert after_import.isdisjoint(
-            {"kzdyn.hyper", "kzdyn.numeric", "scipy", "numpy", "sympy"}
+            {"kzdyn.hyper", "kzdyn.numeric", "scipy", "numpy", "sympy", "dataclasses", "inspect"}
         )
         for argv, loaded in zip(runs, after_runs):
             # the rank-one suites are exact: they load no float module
@@ -1064,6 +1067,8 @@ class TestMainEntry:
             assert ("kzdyn.hyper" in loaded) == reads_hyper, argv
             # sympy is a test-only dependency: no run loads it
             assert "sympy" not in loaded, argv
+            for stdlib in ("dataclasses", "inspect"):
+                assert (stdlib in loaded) == (argv == ["verify", "selberg"]), (argv, stdlib)
 
     def test_module_is_executable(self):
         proc = subprocess.run(
