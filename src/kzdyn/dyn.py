@@ -19,7 +19,11 @@ equations attached to the trigonometric KZ system.  Every operator is a
   ``_contract``,
 * KZ-operator assembly (``kz_operator``, ``omega_operator``,
   ``r_matrix_operator``) and the exact compatibility checks
-  ``check_K_exchange`` / ``check_nabla_K``,
+  ``check_K_exchange`` / ``check_nabla_K``; ``nabla_K_rows`` proves every
+  row of the latter through identities free of z and kappa, since K_k is a
+  diagonal of z monomials times B_w(lambda), which has neither (Tarasov and
+  Varchenko, IMRN 2000): the residual splits into a Casimir commutator, a
+  remainder and an exponent identity,
 * exact ingredients of the determinant formula (``det_ingredients``) and the
   weight-space identity behind the rational-to-trigonometric reduction
   (``check_rational_to_trig``).
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .rep import (
@@ -116,6 +120,7 @@ __all__ = [
     "kz_operator",
     "check_K_exchange",
     "check_nabla_K",
+    "nabla_K_rows",
     "det_ingredients",
     "check_rational_to_trig",
 ]
@@ -402,8 +407,15 @@ def K_operator(
                 value = value * zs[j] ** -drop
         diag[(i, i)] = value
     dressed = WeightSpaceOperator(space, space, diag).compose(base)
-    formal = tuple(f.hw.dot(omega_vec(n_rank, k)) for f in space.factors)
-    return DynOperator(dressed, formal)
+    return DynOperator(dressed, _formal_z_exponents(space, k))
+
+
+def _formal_z_exponents(
+    space: TensorWeightSpace, k: int
+) -> tuple[RationalFunctionExpr, ...]:
+    """Each factor's highest weight paired with the ``k``-th fundamental coweight."""
+    omega_k = omega_vec(space.pbw_basis.n_rank, k)
+    return tuple(f.hw.dot(omega_k) for f in space.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +587,6 @@ def omega_operator(
     """
     if i == j:
         raise ValueError("factor indices must differ")
-    n_rank = space.pbw_basis.n_rank
     diag: dict[tuple[int, int], RationalFunctionExpr] = {}
     for pos in range(space.dim):
         mu_i = _factor_weight(space, pos, i)
@@ -588,17 +599,8 @@ def omega_operator(
         return zero_part
 
     def nilpotent(raise_at: int, lower_at: int) -> WeightSpaceOperator:
-        total = WeightSpaceOperator.zero(space, space)
-        for (a, b) in positive_roots(n_rank):
-            lower = operator_for_letter(
-                space, ("e", b, a), only_factor=lower_at - 1
-            )
-            raiser = operator_for_letter(
-                lower.codomain, ("e", a, b), only_factor=raise_at - 1
-            )
-            assert raiser.codomain == space
-            total = total + raiser.compose(lower)
-        return total
+        terms = _root_terms(space, raise_at, lower_at).values()
+        return sum(terms, WeightSpaceOperator.zero(space, space))
 
     if part == "plus":
         return zero_part + nilpotent(i, j)
@@ -607,6 +609,20 @@ def omega_operator(
     if part == "full":
         return zero_part + zero_part + nilpotent(i, j) + nilpotent(j, i)
     raise ValueError(f"unknown part {part!r}")
+
+
+def _root_terms(
+    space: TensorWeightSpace, raise_at: int, lower_at: int
+) -> dict[tuple[int, int], WeightSpaceOperator]:
+    """Per positive root (a, b): ``e_ab`` on factor ``raise_at`` after ``e_ba``
+    on factor ``lower_at``, the terms of `omega_operator`'s nilpotent parts."""
+    terms = {}
+    for (a, b) in positive_roots(space.pbw_basis.n_rank):
+        lower = operator_for_letter(space, ("e", b, a), only_factor=lower_at - 1)
+        raiser = operator_for_letter(lower.codomain, ("e", a, b), only_factor=raise_at - 1)
+        assert raiser.codomain == space
+        terms[(a, b)] = raiser.compose(lower)
+    return terms
 
 
 def r_matrix_operator(
@@ -758,8 +774,11 @@ def check_K_exchange(
         a + b
         for a, b in zip(K_l_shift.formal_z_exponents, K_k_plain.formal_z_exponents)
     )
-    if any(a != b for a, b in zip(formal_lhs, formal_rhs)):
-        return CheckReport(False, space.dim ** 2, {"formal": "prefactor mismatch"})
+    for factor, (a, b) in enumerate(zip(formal_lhs, formal_rhs), start=1):
+        if a != b:
+            witness = {"formal": "prefactor mismatch", "factor": factor}
+            witness.update(lhs=str(a), rhs=str(b))
+            return CheckReport(False, space.dim ** 2, witness)
     witness = _first_mismatch(lhs, rhs)
     return CheckReport(witness is None, space.dim ** 2, witness)
 
@@ -802,6 +821,92 @@ def check_nabla_K(
     )
     witness = _first_mismatch(residual, WeightSpaceOperator.zero(space, space))
     return CheckReport(witness is None, space.dim ** 2, witness)
+
+
+def nabla_K_rows(
+    space: TensorWeightSpace,
+    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
+) -> Iterator[tuple[int, int, CheckReport]]:
+    """`check_nabla_K` for every factor j and level k, as ``(j, k, report)``
+    with j outer, proved through identities free of z and kappa.
+
+    K_k = D B with D `K_operator`'s diagonal of z monomials and B = B_w(lambda)
+    free of z and kappa (Tarasov and Varchenko, IMRN 2000).  Put x_i = z_j/z_i
+    and write the trigonometric r-matrix r(x_i) = (x_i P_ji + Q_ji)/(x_i - 1) =
+    P_ji + Omega_ji/(x_i - 1), where P_ji (`omega_operator` "plus") raises at
+    j, Q_ji raises at i and Omega_ji = P_ji + Q_ji.  Conjugating by D scales
+    the terms of roots (a, b) with a <= k < b by x_i^-1 in P_ji and by x_i in
+    Q_ji; with A_k and C_k those terms of P_ji and Q_ji, that adds C_k - A_k
+    to r(x_i).  The shift lambda -> lambda + kappa omega_k adds
+    kappa (omega_k, mu_j) to Lambda_j (`lambda_diagonal`), so the residual R
+    of `check_nabla_K` reduces to
+
+        D^-1 R = kappa diag(f_j - drop_j - (omega_k, mu_j)) B + [B, Lambda_j]
+                 - sum_{i != j} ([P_ji, B] + (C_k - A_k) B)
+                 - sum_{i != j} [Omega_ji, B] / (x_i - 1),
+
+    with f_j the formal z_j exponent, drop_j(p) the level-k drop of factor j
+    in row p and mu_j(p) its weight.  The functions kappa, 1 and the
+    1/(x_i - 1) are linearly independent over Q(lambda), and B is invertible
+    (it tends to 1 as lambda grows), so R = 0 exactly when three parts hold:
+
+    * ``exponents``: f_j - drop_j(p) = (omega_k, mu_j(p)) on every row p;
+    * ``casimir``: [Omega_ji, B] = 0 for every i != j;
+    * ``remainder``: B (Lambda_j + sum P_ji) = (Lambda_j + sum (P_ji + C_k
+      - A_k)) B.
+
+    A failing report's witness names its ``part`` (with ``i`` for a Casimir)
+    and the first unequal entry.  Each B_k, Omega and root term is built once
+    per call.
+    """
+    pairings = _default_pairings(space, pairings)
+    n_rank = space.pbw_basis.n_rank
+    factors = range(1, len(space.factors) + 1)
+    terms = {
+        (a, b): _root_terms(space, a, b) for a in factors for b in factors if a != b
+    }
+    zero = WeightSpaceOperator.zero(space, space)
+    plus = {
+        pair: omega_operator(space, *pair, "zero") + sum(by_root.values(), zero)
+        for pair, by_root in terms.items()
+    }
+    casimir = {(i, j): plus[(i, j)] + plus[(j, i)] for i, j in terms if i < j}
+    bs: dict[int, WeightSpaceOperator] = {}
+    commutes: dict[tuple[int, int, int], Optional[dict]] = {}
+
+    def witness(j: int, k: int) -> Optional[dict]:
+        formal = _formal_z_exponents(space, k)[j - 1]
+        omega_k = omega_vec(n_rank, k)
+        for p, index in enumerate(space.basis):
+            lhs = formal - rational(_exps_coords(space.pbw_basis, index[j - 1])[k - 1])
+            rhs = omega_k.dot(_factor_weight(space, p, j))
+            if lhs != rhs:
+                entry = {"row": p, "col": p, "lhs": str(lhs), "rhs": str(rhs)}
+                return {"part": "exponents", **entry}
+        if k not in bs:
+            bs[k] = B_w(space, omega_bracket(n_rank, k)[1], pairings)
+        B = bs[k]
+        others = [i for i in factors if i != j]
+        for i in others:
+            key = (min(i, j), max(i, j), k)
+            if key not in commutes:
+                omega = casimir[key[:2]]
+                commutes[key] = _first_mismatch(omega.compose(B), B.compose(omega))
+            if commutes[key] is not None:
+                return {"part": "casimir", "i": i, **commutes[key]}
+        left = sum((plus[(j, i)] for i in others), lambda_diagonal(space, j, pairings))
+        right = left
+        for i in others:
+            for root, term in terms[(i, j)].items():
+                if root[0] <= k < root[1]:
+                    right = right + term - terms[(j, i)][root]
+        mismatch = _first_mismatch(B.compose(left), right.compose(B))
+        return None if mismatch is None else {"part": "remainder", **mismatch}
+
+    for j in factors:
+        for k in range(1, n_rank):
+            found = witness(j, k)
+            yield j, k, CheckReport(found is None, space.dim ** 2, found)
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,23 @@ class TestSymbolicSuites:
         exchange = [w for w in report["witnesses"] if w["check"] == "exchange"]
         assert [(w["k"], w["l"], w["passed"]) for w in exchange] == [(1, 2, False)]
 
+    def test_derivative_rows_name_the_failing_part(self, monkeypatch):
+        # formal z exponents of level 1 at every level: the exchange row
+        # cannot see it, and every derivative row at k = 2 fails its exponents
+        from kzdyn import dyn
+
+        formal = dyn._formal_z_exponents
+        monkeypatch.setattr(dyn, "_formal_z_exponents", lambda space, k: formal(space, 1))
+        report = run_suite(SuiteConfig(suite="compatibility", n=3, nu=(1, 1)))
+        assert report["verdict"] == "fail"
+        failed = [w for w in report["witnesses"] if not w["passed"]]
+        assert [(w["check"], w["j"], w["k"]) for w in failed] == [
+            ("derivative-intertwining", 1, 2),
+            ("derivative-intertwining", 2, 2),
+        ]
+        assert all(w["witness"]["part"] == "exponents" for w in failed)
+        assert all(w["checked"] == 36 for w in failed)
+
     def test_rank3_compatibility_takes_no_general_gcd(self, monkeypatch):
         # the poles of the one-root series stay linear factors, so the
         # operators of this suite combine without a gcd of whole denominators
@@ -567,8 +584,17 @@ class TestReportPlumbing:
         report = run_suite(SuiteConfig(suite="pbw-invariance", n=3, nu=(1, 1)))
         assert [w["h"] for w in report["witnesses"]] == [1, 2]
         assert all("seconds" not in w for w in report["witnesses"])
-        seconds = report["timings"]["per_level_seconds"]
+        seconds = report["timings"]["per_check_seconds"]
         assert len(seconds) == 2 and all(s >= 0 for s in seconds)
+
+    def test_compatibility_row_seconds_go_to_timings(self):
+        # one exchange row, then the derivative rows (j, k) with j outer
+        report = run_suite(SuiteConfig(suite="compatibility", n=3, nu=(1, 0)))
+        assert all("seconds" not in w for w in report["witnesses"])
+        labels = [(w.get("l"), w.get("j"), w["k"]) for w in report["witnesses"]]
+        assert labels == [(2, None, 1)] + [(None, j, k) for j in (1, 2) for k in (1, 2)]
+        seconds = report["timings"]["per_check_seconds"]
+        assert len(seconds) == 5 and all(s >= 0 for s in seconds)
 
     def test_reports_match_pinned_fingerprints(self):
         # sha256 of each report's canonical text without `timings`, recorded

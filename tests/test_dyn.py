@@ -14,6 +14,7 @@ from kzdyn.dyn import (
     B_alpha,
     B_w,
     CheckReport,
+    DynOperator,
     K_operator,
     NonFiniteDim,
     PoleHit,
@@ -25,7 +26,9 @@ from kzdyn.dyn import (
     fusion_solve,
     kappa_symbol,
     kz_operator,
+    lambda_diagonal,
     lambda_pairing_symbols,
+    nabla_K_rows,
     omega_operator,
     p_series,
     q_dagger,
@@ -639,6 +642,141 @@ def test_nabla_k_rank2():
         for j in (1, 2):
             report = check_nabla_K(sp, j, k)
             assert report.passed, report.witness
+
+
+def test_k_exchange_formal_witness_names_the_factor(monkeypatch):
+    # formal exponents that read the first pairing differ across the two
+    # sides by kappa at every factor; the witness names the first
+    from kzdyn import dyn
+
+    def mutated(space, k, pairings=None):
+        op = K_operator(space, k, pairings)
+        first = dyn._default_pairings(space, pairings)[0]
+        return DynOperator(op.op, tuple(f + first for f in op.formal_z_exponents))
+
+    monkeypatch.setattr(dyn, "K_operator", mutated)
+    sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 1))
+    report = check_K_exchange(sp, 1, 2)
+    assert not report.passed and report.checked == sp.dim ** 2
+    witness = report.witness
+    assert witness.pop("lhs") != witness.pop("rhs")
+    assert witness == {"formal": "prefactor mismatch", "factor": 1}
+
+
+def _compatibility_space(n, nu, specs=("verma", "verma")):
+    """The space of ``kzdyn verify compatibility --n N --nu NU --factors SPECS``."""
+    factors = [
+        verma_symbolic(n, i + 1) if spec == "verma" else lp_module(int(spec[3:]))
+        for i, spec in enumerate(specs)
+    ]
+    return enumerate_basis(factors, nu)
+
+
+# the pinned `compatibility` default, rank 3, the one rank-3 space with two
+# other factors per row, and a mix of finite-dimensional and Verma factors
+_ROW_SPACES = {
+    "defaults": (2, (1,)),
+    "n3-nu11": (3, (1, 1)),
+    "n3-nu11-verma3": (3, (1, 1), ("verma",) * 3),
+    "n2-nu2-lp2-lp1-verma": (2, (2,), ("lp:2", "lp:1", "verma")),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROW_SPACES))
+def test_nabla_k_rows_agree_with_check_nabla_k(name):
+    sp = _compatibility_space(*_ROW_SPACES[name])
+    n_rank = sp.pbw_basis.n_rank
+    rows = list(nabla_K_rows(sp))
+    assert [(j, k) for j, k, _ in rows] == [
+        (j, k) for j in range(1, len(sp.factors) + 1) for k in range(1, n_rank)
+    ]
+    for j, k, report in rows:
+        assert report == check_nabla_K(sp, j, k) == CheckReport(True, sp.dim ** 2)
+
+
+# each takes the original function and returns the mutant
+_MUTANTS = {
+    "formal exponent at level 1": (
+        "_formal_z_exponents",
+        lambda f: lambda space, k: f(space, 1),
+    ),
+    "B_w roots reversed": (
+        "roots_of_reduced_word",
+        lambda f: lambda n_rank, word: f(n_rank, word)[::-1],
+    ),
+    "B_alpha argument off by one": (
+        "p_series",
+        lambda f: lambda space, alpha, t_val: f(space, alpha, t_val - RF_ONE),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_MUTANTS))
+def test_nabla_k_rows_fail_where_check_nabla_k_fails(mutant, monkeypatch):
+    from kzdyn import dyn
+
+    name, mutate = _MUTANTS[mutant]
+    monkeypatch.setattr(dyn, name, mutate(getattr(dyn, name)))
+    failed = 0
+    for config in ("defaults", "n3-nu11", "n2-nu2-lp2-lp1-verma"):
+        sp = _compatibility_space(*_ROW_SPACES[config])
+        assert sp.dim <= 6
+        got = [(j, k, report.passed) for j, k, report in nabla_K_rows(sp)]
+        assert got == [(j, k, check_nabla_K(sp, j, k).passed) for j, k, _ in got]
+        failed += sum(not passed for _, _, passed in got)
+    assert failed
+
+
+def _failing_witnesses(sp):
+    out = {}
+    for j, k, report in nabla_K_rows(sp):
+        if not report.passed:
+            assert report.checked == sp.dim ** 2
+            out[(j, k)] = dict(report.witness)
+    return out
+
+
+def test_nabla_k_rows_witness_names_a_wrong_exponent(monkeypatch):
+    from kzdyn import dyn
+
+    name, mutate = _MUTANTS["formal exponent at level 1"]
+    monkeypatch.setattr(dyn, name, mutate(getattr(dyn, name)))
+    witnesses = _failing_witnesses(_compatibility_space(3, (1, 1)))
+    assert list(witnesses) == [(1, 2), (2, 2)]
+    for witness in witnesses.values():
+        assert witness.pop("lhs") != witness.pop("rhs")
+        assert witness == {"part": "exponents", "row": 0, "col": 0}
+
+
+def test_nabla_k_rows_witness_names_a_casimir_commutator(monkeypatch):
+    # a diagonal B that reads factor 1's weight moves weight between the
+    # factors of Omega_12 and cannot commute with it
+    from kzdyn import dyn
+
+    monkeypatch.setattr(
+        dyn, "B_w", lambda space, w, pairings=None: lambda_diagonal(space, 1, pairings)
+    )
+    sp = _compatibility_space(2, (1,))
+    witnesses = _failing_witnesses(sp)
+    assert list(witnesses) == [(1, 1), (2, 1)]
+    assert not any(check_nabla_K(sp, j, 1).passed for j in (1, 2))
+    for (j, _), witness in witnesses.items():
+        assert witness.pop("lhs") != witness.pop("rhs")
+        assert witness.pop("part") == "casimir" and witness.pop("i") == 3 - j
+        assert set(witness) == {"row", "col"}
+
+
+def test_nabla_k_rows_witness_names_the_remainder(monkeypatch):
+    from kzdyn import dyn
+
+    name, mutate = _MUTANTS["B_alpha argument off by one"]
+    monkeypatch.setattr(dyn, name, mutate(getattr(dyn, name)))
+    witnesses = _failing_witnesses(_compatibility_space(2, (1,)))
+    assert list(witnesses) == [(1, 1), (2, 1)]
+    for witness in witnesses.values():
+        assert witness.pop("lhs") != witness.pop("rhs")
+        assert witness.pop("part") == "remainder"
+        assert set(witness) == {"row", "col"}
 
 
 # ---------------------------------------------------------------------------
