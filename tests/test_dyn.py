@@ -736,16 +736,27 @@ def _failing_witnesses(sp):
     return out
 
 
-def test_nabla_k_rows_witness_names_a_wrong_exponent(monkeypatch):
+@pytest.mark.parametrize(
+    "mutant, space_args, rows, part",
+    [
+        ("formal exponent at level 1", (3, (1, 1)), [(1, 2), (2, 2)], "exponents"),
+        ("B_alpha argument off by one", (2, (1,)), [(1, 1), (2, 1)], "remainder"),
+    ],
+    ids=["exponents", "remainder"],
+)
+def test_nabla_k_rows_witness_names_the_failing_part(
+    mutant, space_args, rows, part, monkeypatch
+):
     from kzdyn import dyn
 
-    name, mutate = _MUTANTS["formal exponent at level 1"]
+    name, mutate = _MUTANTS[mutant]
     monkeypatch.setattr(dyn, name, mutate(getattr(dyn, name)))
-    witnesses = _failing_witnesses(_compatibility_space(3, (1, 1)))
-    assert list(witnesses) == [(1, 2), (2, 2)]
+    witnesses = _failing_witnesses(_compatibility_space(*space_args))
+    assert list(witnesses) == rows
     for witness in witnesses.values():
         assert witness.pop("lhs") != witness.pop("rhs")
-        assert witness == {"part": "exponents", "row": 0, "col": 0}
+        assert witness.pop("part") == part
+        assert set(witness) == {"row", "col"}
 
 
 def test_nabla_k_rows_witness_names_a_casimir_commutator(monkeypatch):
@@ -763,19 +774,6 @@ def test_nabla_k_rows_witness_names_a_casimir_commutator(monkeypatch):
     for (j, _), witness in witnesses.items():
         assert witness.pop("lhs") != witness.pop("rhs")
         assert witness.pop("part") == "casimir" and witness.pop("i") == 3 - j
-        assert set(witness) == {"row", "col"}
-
-
-def test_nabla_k_rows_witness_names_the_remainder(monkeypatch):
-    from kzdyn import dyn
-
-    name, mutate = _MUTANTS["B_alpha argument off by one"]
-    monkeypatch.setattr(dyn, name, mutate(getattr(dyn, name)))
-    witnesses = _failing_witnesses(_compatibility_space(2, (1,)))
-    assert list(witnesses) == [(1, 1), (2, 1)]
-    for witness in witnesses.values():
-        assert witness.pop("lhs") != witness.pop("rhs")
-        assert witness.pop("part") == "remainder"
         assert set(witness) == {"row", "col"}
 
 
