@@ -823,12 +823,10 @@ def check_nabla_K(
     return CheckReport(witness is None, space.dim ** 2, witness)
 
 
-def nabla_K_rows(
-    space: TensorWeightSpace,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> Iterator[tuple[int, int, CheckReport]]:
-    """`check_nabla_K` for every factor j and level k, as ``(j, k, report)``
-    with j outer, proved through identities free of z and kappa.
+def nabla_K_rows(space: TensorWeightSpace) -> Iterator[tuple[int, int, CheckReport]]:
+    """`check_nabla_K` at the symbolic pairings for every factor j and level
+    k, as ``(j, k, report)`` with j outer, proved through identities free of z
+    and kappa.
 
     K_k = D B with D `K_operator`'s diagonal of z monomials and B = B_w(lambda)
     free of z and kappa (Tarasov and Varchenko, IMRN 2000).  Put x_i = z_j/z_i
@@ -855,12 +853,14 @@ def nabla_K_rows(
     * ``remainder``: B (Lambda_j + sum P_ji) = (Lambda_j + sum (P_ji + C_k
       - A_k)) B.
 
+    The proof needs B free of z and kappa, so B and Lambda_j are built at
+    `lambda_pairing_symbols` only; other pairings go to `check_nabla_K`.
     A failing report's witness names its ``part`` (with ``i`` for a Casimir)
     and the first unequal entry.  Each B_k, Omega and root term is built once
     per call.
     """
-    pairings = _default_pairings(space, pairings)
     n_rank = space.pbw_basis.n_rank
+    pairings = lambda_pairing_symbols(n_rank)
     factors = range(1, len(space.factors) + 1)
     terms = {
         (a, b): _root_terms(space, a, b) for a in factors for b in factors if a != b

@@ -350,8 +350,12 @@ class TestSymbolicSuites:
             ("derivative-intertwining", 1, 2),
             ("derivative-intertwining", 2, 2),
         ]
-        assert all(w["witness"]["part"] == "exponents" for w in failed)
         assert all(w["checked"] == 36 for w in failed)
+        for w in failed:
+            witness = dict(w["witness"])
+            assert witness.pop("lhs") != witness.pop("rhs")
+            assert witness.pop("part") == "exponents"
+            assert set(witness) == {"row", "col"}
 
     def test_rank3_compatibility_takes_no_general_gcd(self, monkeypatch):
         # the poles of the one-root series stay linear factors, so the
