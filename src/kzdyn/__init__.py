@@ -10,10 +10,11 @@ uea      PBW monomials, straightening, (anti)automorphisms
 rep      Verma/tensor weight spaces, Shapovalov form, dual actions
 dyn      dynamical difference operators, fusion matrix, KZ compatibility
 hyper    hypergeometric weight functions and their identities
+gamma    exact gamma products: the Selberg closed form and a normal form that
+         proves identities between products; imports only symexpr
 numeric  chamber quadrature (Gauss–Jacobi) and the float Selberg closed forms,
          the only layer that needs scipy
-cli      the ``kzdyn`` command-line verification harness, with the exact
-         gamma-product comparison of the rank-one suites
+cli      the ``kzdyn`` command-line verification harness
 _record  ``record``, the class decorator of the record classes: a
          ``dataclass`` without generated code
 """

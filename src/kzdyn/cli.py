@@ -63,6 +63,7 @@ from .dyn import (
     _first_mismatch,
     _weight_compositions,
 )
+from .gamma import falling, gamma_text, normal_form, selberg_gamma
 from .rep import (
     enumerate_basis,
     lp_module,
@@ -139,25 +140,28 @@ class SuiteConfig:
 
 
 def _build_space(params: dict):
-    """The weight space of the resolved ``n``, ``nu`` and ``factors``."""
-    n = params["n"]
+    """The weight space of the resolved ``n``, ``nu`` and ``factors``.
+
+    An empty space, where ``nu`` lowers past what the ``lp`` factors hold,
+    raises `CapabilityExceeded`: every check on it would pass vacuously.
+    """
+    n, nu, specs = params["n"], params["nu"], params["factors"]
     factors = [
         verma_symbolic(n, i + 1) if spec == "verma" else lp_module(int(spec[3:]))
-        for i, spec in enumerate(params["factors"])
+        for i, spec in enumerate(specs)
     ]
-    return enumerate_basis(factors, tuple(params["nu"]))
+    space = enumerate_basis(factors, tuple(nu))
+    if not space.dim:
+        raise CapabilityExceeded(
+            f"the weight space at nu {','.join(map(str, nu))} of the factors "
+            f"{','.join(specs)} is empty"
+        )
+    return space
 
 
 # ---------------------------------------------------------------------------
 # Shared symbolic helpers
 # ---------------------------------------------------------------------------
-
-def _falling(t, k: int):
-    out = RF_ONE
-    for i in range(k):
-        out = out * (t - rational(i))
-    return out
-
 
 def _rank2_double_sum_coeff(a: int, b: int, m: int, k: int, lam1, lam2):
     """Golden rank-two double-sum coefficient table, indexed (a,b;m,k)."""
@@ -167,11 +171,11 @@ def _rank2_double_sum_coeff(a: int, b: int, m: int, k: int, lam1, lam2):
             (-1) ** l * factorial(l),
             factorial(a - l) * factorial(b - l) * factorial(l - k) * factorial(l - m),
         )
-        inner = inner + rational(num) / _falling(lam1 + lam2 + RF_ONE, l)
+        inner = inner + rational(num) / falling(lam1 + lam2 + RF_ONE, l)
     pref = (
         rational(Fraction(1, factorial(m) * factorial(k)))
-        / _falling(lam1, a - m)
-        / _falling(lam2, b - k)
+        / falling(lam1, a - m)
+        / falling(lam2, b - k)
     )
     return pref * inner
 
@@ -350,6 +354,29 @@ def _appendix_b(params: dict):
     return rows, {}, []
 
 
+def _rank2_table(a: int, b: int, lam1, lam2, engine) -> dict:
+    """Both golden rank-two tables at (a, b) from one double sum, ``{(K, J): c}``.
+
+    K = (b - m, m, a - m) and J runs over the straightened `_rank2_word` at
+    k; c sums, over 0 <= m, k <= min(a, b), (-1)^k times
+    `_rank2_double_sum_coeff`, K!, the signed factor of K and the
+    coefficient of J.  It is the inverse-form table; the fusion component at
+    (a, b) is its transpose.
+    """
+    basis = engine.basis
+    table = {}
+    for m in range(min(a, b) + 1):
+        K = (b - m, m, a - m)
+        cK = factorial(b - m) * factorial(m) * factorial(a - m) * basis.signed_factor(K)
+        for k in range(min(a, b) + 1):
+            coeff = _rank2_double_sum_coeff(a, b, m, k, lam1, lam2) * rational(
+                (-1) ** k * cK
+            )
+            for J, cJ in engine.apply_word(_rank2_word(a, b, k)).items():
+                table[K, J] = table.get((K, J), RF_ZERO) + coeff * cJ
+    return {key: c for key, c in table.items() if not c.is_zero()}
+
+
 def _appendix_c(params: dict):
     max_ab = params["max_ab"]
     depth = max(2 * max_ab, 1)
@@ -357,36 +384,15 @@ def _appendix_c(params: dict):
     basis = standard_basis(3)
     engine = straightener(basis)
     fus = fusion_solve(3, depth)
-    rows = []
+    tables, rows = {}, []
 
     for a in range(max_ab + 1):
         for b in range(max_ab + 1):
             if a == b == 0:
                 continue
-            expected = {}
-            for m in range(min(a, b) + 1):
-                for k in range(min(a, b) + 1):
-                    coeff = _rank2_double_sum_coeff(a, b, m, k, l1, l2) * rational(
-                        (-1) ** (a + b + m + k)
-                    )
-                    lower = engine.apply_word(_rank2_word(a, b, k))
-                    K = (b - m, m, a - m)
-                    upfac = rational(
-                        Fraction(
-                            (-1) ** (a + b - m)
-                            * factorial(b - m)
-                            * factorial(m)
-                            * factorial(a - m)
-                            * basis.signed_factor(K)
-                        )
-                    )
-                    for I, cI in lower.items():
-                        key = (I, K)
-                        expected[key] = (
-                            expected.get(key, RF_ZERO) + coeff * cI * upfac
-                        )
-            expected = {kk: v for kk, v in expected.items() if not v.is_zero()}
-            equal = dict(fus.component((a, b))) == expected
+            tables[a, b] = _rank2_table(a, b, l1, l2, engine)
+            transpose = {(J, K): c for (K, J), c in tables[a, b].items()}
+            equal = dict(fus.component((a, b))) == transpose
             witness = {"check": "fusion-double-sum", "a": a, "b": b, "equal": equal}
             rows.append((witness, equal))
 
@@ -394,29 +400,7 @@ def _appendix_c(params: dict):
     for a in range(1, max_ab + 1):
         for b in range(1, max_ab + 1):
             aux = enumerate_basis([verma_weight(3, lamw)], (a, b), basis)
-            expected = {}
-            for m in range(min(a, b) + 1):
-                for k in range(min(a, b) + 1):
-                    coeff = _rank2_double_sum_coeff(a, b, m, k, l1, l2) * rational(
-                        (-1) ** k
-                    )
-                    I0 = (b - m, m, a - m)
-                    cleft = rational(
-                        Fraction(
-                            factorial(b - m)
-                            * factorial(m)
-                            * factorial(a - m)
-                            * basis.signed_factor(I0)
-                        )
-                    )
-                    right = engine.apply_word(_rank2_word(a, b, k))
-                    for J, cJ in right.items():
-                        key = (I0, J)
-                        expected[key] = (
-                            expected.get(key, RF_ZERO) + coeff * cleft * cJ
-                        )
-            expected = {kk: v for kk, v in expected.items() if not v.is_zero()}
-            equal = p_elements(aux) == expected
+            equal = p_elements(aux) == tables[a, b]
             witness = {
                 "check": "inverse-form-double-sum", "a": a, "b": b, "equal": equal
             }
@@ -426,71 +410,6 @@ def _appendix_c(params: dict):
 
 
 _RANK_ONE_MAX_P = 6
-
-
-def _selberg_gamma(a, b, c, m: int) -> Counter:
-    """The m-dimensional ordered beta integral S(a, b, c) as a gamma product.
-
-    Its closed form, 1/m! times the product over j < m of
-    Gamma(1 + (j + 1)c) Gamma(a + jc) Gamma(b + jc) / (Gamma(1 + c)
-    Gamma(a + b + (m + j - 1)c)), as ``{argument: exponent}`` with 1/m! as
-    Gamma(m + 1)^-1.  ``a``, ``b`` and ``c`` are expressions;
-    ``numeric.selberg_signed`` is the same product in floats.
-    """
-    gamma = Counter({rational(m + 1): -1, RF_ONE + c: -m})
-    jc = [rational(j) * c for j in range(2 * m)]
-    a_b = a + b
-    for j in range(m):
-        gamma[RF_ONE + jc[j + 1]] += 1
-        gamma[a + jc[j]] += 1
-        gamma[b + jc[j]] += 1
-        gamma[a_b + jc[m + j - 1]] -= 1
-    return gamma
-
-
-def _gamma_normal_form(num: Mapping, den: Mapping) -> tuple:
-    """``(prefactor, leftover)``: the gamma product ``num / den`` written as a
-    rational function times a gamma product.
-
-    ``num`` and ``den`` map arguments to exponents.  Arguments whose
-    difference is an integer constant are merged onto the lowest of them, x,
-    through Gamma(x + n) = (x)_n Gamma(x), with the rising factorial (x)_n
-    as ``_falling(x + n - 1, n)``.  ``leftover`` keeps the lowest argument of
-    each class whose exponents do not sum to 0.  The normal form
-    ``(RF_ONE, {})`` proves the product is 1; no other relation between
-    gamma values (reflection, multiplication) is applied, so any other
-    normal form is reported as a mismatch.
-    """
-    gamma = Counter(num)
-    gamma.subtract(den)
-    classes: list[list] = []  # per class: (argument, shift from the first, exponent)
-    for arg, e in gamma.items():
-        if not e:
-            continue
-        for members in classes:
-            shift = arg - members[0][0]
-            if shift.is_const() and shift.const_value().denominator == 1:
-                members.append((arg, int(shift.const_value()), e))
-                break
-        else:
-            classes.append([(arg, 0, e)])
-    prefactor, leftover = RF_ONE, {}
-    for members in classes:
-        base, low, _ = min(members, key=lambda member: member[1])
-        for _, shift, e in members:
-            n = shift - low
-            prefactor = prefactor * _falling(base + rational(n - 1), n) ** e
-        total = sum(e for _, _, e in members)
-        if total:
-            leftover[base] = total
-    return prefactor, leftover
-
-
-def _gamma_text(prefactor, leftover: Mapping) -> str:
-    """A normal form of `_gamma_normal_form` as text."""
-    return " * ".join(
-        [str(prefactor), *(f"Gamma({arg})^{e}" for arg, e in leftover.items())]
-    )
 
 
 def _rank_one_solution(p: int, m: int):
@@ -504,6 +423,24 @@ def _rank_one_solution(p: int, m: int):
     return s, RF_ONE - (l1 - RF_ONE - s) / kap, rational(-p) / kap, RF_ONE / kap
 
 
+def _rank_one_rows(check: Callable[[int, int], Optional[tuple[str, str]]]):
+    """One row per 0 <= m <= p <= 6 of a rank-one suite.
+
+    ``check(p, m)`` returns ``None`` when the identity holds on the weight-m
+    space of L(p), and otherwise the texts of its two sides, which the
+    witness names; text is rendered only on a mismatch.
+    """
+    rows = []
+    for p in range(_RANK_ONE_MAX_P + 1):
+        for m in range(p + 1):
+            sides = check(p, m)
+            witness = {"p": p, "m": m, "equal": sides is None}
+            if sides is not None:
+                witness["lhs"], witness["rhs"] = sides
+            rows.append((witness, sides is None))
+    return rows, {}, []
+
+
 def _main_theorem_sl2(params: dict):
     """The rank-one difference equation, exactly in Q(l1, kap).
 
@@ -515,24 +452,21 @@ def _main_theorem_sl2(params: dict):
     of K_1 must exceed s = (p - 2m)/2 by m.
     """
     (z1,) = z_symbols(1)
-    rows = []
-    for p in range(_RANK_ONE_MAX_P + 1):
-        for m in range(p + 1):
-            op = K_operator(enumerate_basis((lp_module(p),), (m,)), 1)
-            shift, a, b, c = _rank_one_solution(p, m)
-            ratio, leftover = _gamma_normal_form(
-                _selberg_gamma(a - RF_ONE, b, c, m), _selberg_gamma(a, b, c, m)
-            )
-            lhs = (z1 ** m * op.op.entry(0, 0), op.formal_z_exponents[0] - shift)
-            rhs = (ratio, rational(m))
-            equal = not leftover and lhs == rhs
-            witness = {"p": p, "m": m, "equal": equal}
-            if not equal:
-                # each side as "entry; exponent"
-                witness["lhs"] = "; ".join(map(str, lhs))
-                witness["rhs"] = f"{_gamma_text(ratio, leftover)}; {m}"
-            rows.append((witness, equal))
-    return rows, {}, []
+
+    def check(p: int, m: int):
+        op = K_operator(enumerate_basis((lp_module(p),), (m,)), 1)
+        shift, a, b, c = _rank_one_solution(p, m)
+        ratio, leftover = normal_form(
+            selberg_gamma(a - RF_ONE, b, c, m), selberg_gamma(a, b, c, m)
+        )
+        lhs = (z1 ** m * op.op.entry(0, 0), op.formal_z_exponents[0] - shift)
+        rhs = (ratio, rational(m))
+        if leftover or lhs != rhs:
+            # each side as "entry; exponent"
+            return "; ".join(map(str, lhs)), f"{gamma_text(ratio, leftover)}; {m}"
+        return None
+
+    return _rank_one_rows(check)
 
 
 def _determinant_sl2(params: dict):
@@ -541,38 +475,30 @@ def _determinant_sl2(params: dict):
     The solution on the weight-m space of L(p) is 1x1, so its determinant is
     its entry (`_rank_one_solution`).  The formula factors it as C(kap)
     D(l1): D is z_1 to the exponent of `det_ingredients` times its gamma
-    ratio rows, each to its multiplicity, and C is 1/m! times the product
-    over j < m of Gamma(1 + (j + 1)/kap) Gamma((j - p)/kap) / Gamma(1 + 1/kap).
-    S(a, b, c)/(C times the rows) must have the normal form (1, {}), and the
-    z_1 exponents must agree.  C has no l1, so the implied constant is the
-    same at every step of l1.
+    ratio, and C is 1/m! times the product over j < m of
+    Gamma(1 + (j + 1)/kap) Gamma((j - p)/kap) / Gamma(1 + 1/kap).
+    S(a, b, c)/(C D) must have the normal form (1, {}), and the z_1
+    exponents must agree.  C has no l1, so the implied constant is the same
+    at every step of l1.
     """
     (l1,), kap = lambda_pairing_symbols(2), kappa_symbol()
-    rows = []
-    for p in range(_RANK_ONE_MAX_P + 1):
-        for m in range(p + 1):
-            shift, a, b, c = _rank_one_solution(p, m)
-            space = enumerate_basis((lp_module(p),), (m,))
-            ingredients = det_ingredients(space, (1, 2))
-            den = Counter({rational(m + 1): -1, RF_ONE + RF_ONE / kap: -m})
-            for j in range(m):
-                den[RF_ONE + rational(j + 1) / kap] += 1
-                den[rational(j - p) / kap] += 1
-            for d, nums, dens in ingredients.gamma_ratio_args:
-                for arg in nums:
-                    den[arg] += d
-                for arg in dens:
-                    den[arg] -= d
-            ratio, leftover = _gamma_normal_form(_selberg_gamma(a, b, c, m), den)
-            exponent, want = shift * l1 / kap, ingredients.z_exponents[0]
-            equal = ratio == RF_ONE and not leftover and exponent == want
-            witness = {"p": p, "m": m, "equal": equal}
-            if not equal:
-                # each side as "normal form; z_1 exponent"
-                witness["lhs"] = f"{_gamma_text(ratio, leftover)}; {exponent}"
-                witness["rhs"] = f"1; {want}"
-            rows.append((witness, equal))
-    return rows, {}, []
+
+    def check(p: int, m: int):
+        shift, a, b, c = _rank_one_solution(p, m)
+        ingredients = det_ingredients(enumerate_basis((lp_module(p),), (m,)), (1, 2))
+        den = Counter({rational(m + 1): -1, RF_ONE + RF_ONE / kap: -m})
+        for j in range(m):
+            den[RF_ONE + rational(j + 1) / kap] += 1
+            den[rational(j - p) / kap] += 1
+        den.update(ingredients.gamma_ratio)
+        ratio, leftover = normal_form(selberg_gamma(a, b, c, m), den)
+        exponent, want = shift * l1 / kap, ingredients.z_exponents[0]
+        if ratio != RF_ONE or leftover or exponent != want:
+            # each side as "normal form; z_1 exponent"
+            return f"{gamma_text(ratio, leftover)}; {exponent}", f"1; {want}"
+        return None
+
+    return _rank_one_rows(check)
 
 
 # A module that few runs read is imported by the functions that read it,

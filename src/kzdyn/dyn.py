@@ -45,6 +45,7 @@ product form at ``lambda + rho + nu/2``.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -743,13 +744,9 @@ def _kappa_shift(
     )
 
 
-def check_K_exchange(
-    space: TensorWeightSpace,
-    k: int,
-    l: int,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> CheckReport:
-    """Exact matrix check of the exchange relation between two levels.
+def check_K_exchange(space: TensorWeightSpace, k: int, l: int) -> CheckReport:
+    """Exact matrix check of the exchange relation between two levels, at the
+    symbolic pairings `lambda_pairing_symbols`.
 
     Verifies that shifting the parameter by ``kappa`` times one fundamental
     coweight and applying the other level's operator commutes, including the
@@ -758,7 +755,7 @@ def check_K_exchange(
     """
     if k == l:
         raise ValueError(f"exchange needs two distinct levels, got k = l = {k}")
-    pairings = _default_pairings(space, pairings)
+    pairings = lambda_pairing_symbols(space.pbw_basis.n_rank)
     kap = kappa_symbol()
     K_k_shift = K_operator(space, k, _kappa_shift(pairings, l, kap))
     K_l_plain = K_operator(space, l, pairings)
@@ -918,17 +915,16 @@ def nabla_K_rows(space: TensorWeightSpace) -> Iterator[tuple[int, int, CheckRepo
 class DetIngredients:
     """Exact ingredients of the determinant formula on one weight space.
 
-    ``gamma_ratio_args`` lists, per decomposition multiplicity, the gamma
-    function arguments: rows ``(d, num_args, den_args)`` contribute
-    ``prod_j Gamma(num_j)/Gamma(den_j)`` raised to ``d``.  Exponents of the
-    coordinate prefactors are exact expressions in the parameter symbols.
+    ``gamma_ratio`` is the formula's gamma product as ``{argument:
+    exponent}``, the form of `kzdyn.gamma`: per string multiplicity d at m,
+    the product over j = 1..m of Gamma(1 - (l_alpha - h_j)/kap)^d /
+    Gamma(1 - (l_alpha + h_j)/kap)^d, with h_j = (s + 2j)/2 for the pairing
+    s of the weight with alpha.  Exponents of the coordinate prefactors are
+    exact expressions in the parameter symbols.
     """
 
     multiplicities: Mapping[int, int]
-    gamma_ratio_args: tuple[
-        tuple[int, tuple[RationalFunctionExpr, ...], tuple[RationalFunctionExpr, ...]],
-        ...,
-    ]
+    gamma_ratio: Counter
     lambda_traces: tuple[RationalFunctionExpr, ...]
     epsilon: Mapping[tuple[int, int], RationalFunctionExpr]
     gamma_sums: tuple[RationalFunctionExpr, ...]
@@ -936,21 +932,20 @@ class DetIngredients:
     pair_exponents: Mapping[tuple[int, int], RationalFunctionExpr]
 
 
-def det_ingredients(
-    space: TensorWeightSpace,
-    alpha: tuple[int, int],
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> DetIngredients:
-    """Weight-string multiplicities, traces, and exponents for the determinant.
+def det_ingredients(space: TensorWeightSpace, alpha: tuple[int, int]) -> DetIngredients:
+    """Weight-string multiplicities, traces, and exponents for the determinant,
+    at the symbolic pairings `lambda_pairing_symbols`.
 
     Requires every tensor factor to be finite dimensional.  Multiplicities
     count the strings of the ``alpha``-triple through this weight space by
-    dimension differences along the ``alpha`` direction.
+    dimension differences along the ``alpha`` direction.  The traces of the
+    Casimir operators are sums of weight pairings, since their nilpotent
+    parts move weight between two factors and have no diagonal.
     """
     if any(f.kind != "lp" for f in space.factors):
         raise NonFiniteDim("determinant ingredients need finite-dimensional factors")
-    pairings = _default_pairings(space, pairings)
     n_rank = space.pbw_basis.n_rank
+    pairings = lambda_pairing_symbols(n_rank)
     kap = kappa_symbol()
     coords = _exps_coords(space.pbw_basis, space.pbw_basis.exps_from_roots({alpha: 1}))
 
@@ -965,52 +960,40 @@ def det_ingredients(
     s_pair = sum(f.p for f in space.factors) - 2 * space.nu0[0]
     lam_alpha = _root_pairing(pairings, alpha)
     mult: dict[int, int] = {}
-    ratio_rows = []
+    ratio: Counter = Counter()
     m = max(1, -s_pair)
     while dim_at(m) > 0:
         d = dim_at(m) - dim_at(m + 1)
         if d:
             mult[m] = d
-            nums = []
-            dens = []
-            for jj in range(1, m + 1):
-                half_pair = rational(Fraction(s_pair + 2 * jj, 2))
-                nums.append(RF_ONE - (lam_alpha - half_pair) / kap)
-                dens.append(RF_ONE - (lam_alpha + half_pair) / kap)
-            ratio_rows.append((d, tuple(nums), tuple(dens)))
+            halves = [rational(Fraction(s_pair + 2 * j, 2)) for j in range(1, m + 1)]
+            ratio.update({RF_ONE - (lam_alpha - h) / kap: d for h in halves})
+            ratio.update({RF_ONE - (lam_alpha + h) / kap: -d for h in halves})
         m += 1
 
     n = len(space.factors)
-    lam_traces = []
     lam_vec = weight_from_pairings(n_rank, pairings)
-    for i in range(1, n + 1):
-        tr = RF_ZERO
-        for pos in range(space.dim):
-            tr = tr + lam_vec.dot(_factor_weight(space, pos, i))
-        lam_traces.append(tr)
-    epsilon: dict[tuple[int, int], RationalFunctionExpr] = {}
-    for i in range(1, n + 1):
-        for jj in range(i + 1, n + 1):
-            op = omega_operator(space, i, jj, "full")
-            tr = RF_ZERO
-            for pos in range(space.dim):
-                tr = tr + op.entry(pos, pos)
-            epsilon[(i, jj)] = tr
-    gamma_sums = []
-    for i in range(1, n + 1):
-        g = RF_ZERO
-        for jj in range(1, n + 1):
-            if jj == i:
-                continue
-            g = g + epsilon[(min(i, jj), max(i, jj))]
-        gamma_sums.append(g)
+    weights = [
+        [_factor_weight(space, pos, i) for i in range(1, n + 1)]
+        for pos in range(space.dim)
+    ]
+    lam_traces = [sum((lam_vec.dot(w[i]) for w in weights), RF_ZERO) for i in range(n)]
+    epsilon = {
+        (i + 1, j + 1): sum((w[i].dot(w[j]) for w in weights), RF_ZERO)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    gamma_sums = [
+        sum((e for pair, e in epsilon.items() if i in pair), RF_ZERO)
+        for i in range(1, n + 1)
+    ]
     z_exponents = tuple(
         (lam_traces[i] - gamma_sums[i] * _HALF) / kap for i in range(n)
     )
     pair_exponents = {key: val / kap for key, val in epsilon.items()}
     return DetIngredients(
         multiplicities=mult,
-        gamma_ratio_args=tuple(ratio_rows),
+        gamma_ratio=ratio,
         lambda_traces=tuple(lam_traces),
         epsilon=epsilon,
         gamma_sums=tuple(gamma_sums),

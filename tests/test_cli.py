@@ -31,8 +31,8 @@ from kzdyn.cli import (
     report_text,
     run_suite,
 )
-from kzdyn.cli import _gamma_normal_form
 from kzdyn.dyn import DynOperator, K_operator, PoleHit, ResonantWeight, fusion_solve
+from kzdyn.gamma import normal_form
 from kzdyn.numeric import QuadratureNotConverged
 from kzdyn.rep import WeightSpaceOperator, enumerate_basis, verma_symbolic
 from kzdyn.roots import serialize_order, special_order
@@ -109,6 +109,18 @@ class TestConfigValidation:
     def test_appendix_b_needs_two_factors(self):
         with pytest.raises(CapabilityExceeded, match="2 <= the number of factors"):
             run_suite(SuiteConfig(suite="appendix-b", factors=("verma",)))
+
+    @pytest.mark.parametrize("command", ["verify compatibility", "dump operator"])
+    def test_empty_weight_space_exits_two(self, capsys, command):
+        # L(1) (x) L(1) has weights down to nu = 2 only: every check on the
+        # empty space at nu = 3 would pass vacuously
+        argv = [*command.split(), "--n", "2", "--nu", "3", "--factors", "lp:1,lp:1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the weight space at nu 3 of the factors lp:1,lp:1 is empty\n"
+        )
 
     def test_tol_caps(self):
         with pytest.raises(CapabilityExceeded):
@@ -449,8 +461,8 @@ class TestNumericSuites:
 
     @pytest.mark.parametrize("mutant", ["integer", "half"])
     def test_determinant_mutant_names_its_mismatch(self, monkeypatch, mutant):
-        # the first gamma numerator of det_ingredients shifted by 1 or by 1/2,
-        # at p = 5, m = 2 only
+        # the first gamma argument of det_ingredients, a numerator, shifted
+        # by 1 or by 1/2, at p = 5, m = 2 only
         from kzdyn import cli as cli_module
         from kzdyn.dyn import DetIngredients, det_ingredients
 
@@ -460,11 +472,14 @@ class TestNumericSuites:
             ingredients = det_ingredients(space, alpha)
             if (space.factors[0].p, space.nu0) != (5, (2,)):
                 return ingredients
-            (d, (first, *nums), dens), *rest = ingredients.gamma_ratio_args
+            first = next(iter(ingredients.gamma_ratio))
+            assert ingredients.gamma_ratio[first] == 1
             shifted.append(first)
             step = RF_ONE if mutant == "integer" else parse("1/2")
-            rows = ((d, (first + step, *nums), dens), *rest)
-            return DetIngredients(**{**vars(ingredients), "gamma_ratio_args": rows})
+            ratio = Counter()
+            for arg, e in ingredients.gamma_ratio.items():
+                ratio[arg + step if arg == first else arg] = e
+            return DetIngredients(**{**vars(ingredients), "gamma_ratio": ratio})
 
         monkeypatch.setattr(cli_module, "det_ingredients", mutated)
         report = run_suite(SuiteConfig(suite="determinant-sl2"))
@@ -486,10 +501,10 @@ class TestNumericSuites:
 
 
 class TestGammaNormalForm:
-    """`cli._gamma_normal_form` against sympy, the tests' reference."""
+    """`gamma.normal_form` against sympy, the tests' reference."""
 
     def test_empty_product(self):
-        assert _gamma_normal_form({}, {}) == (RF_ONE, {})
+        assert normal_form({}, {}) == (RF_ONE, {})
 
     def test_rising_factorials(self):
         x = parse("x")
@@ -499,7 +514,7 @@ class TestGammaNormalForm:
             ({x + 3: 1}, {x - 2: 1}, rf),
             ({x - 2: 1}, {x + 3: 1}, 1 / rf),
         ):
-            prefactor, leftover = _gamma_normal_form(num, den)
+            prefactor, leftover = normal_form(num, den)
             assert leftover == {}
             got = sympy.sympify(str(prefactor).replace("^", "**"))
             assert sympy.simplify(got - want) == 0
@@ -507,8 +522,8 @@ class TestGammaNormalForm:
     def test_classes_that_differ_by_a_half_or_by_symbol_stay_apart(self):
         x, y = parse("x"), parse("y")
         half = x + parse("1/2")
-        assert _gamma_normal_form({x: 1}, {half: 1}) == (RF_ONE, {x: 1, half: -1})
-        assert _gamma_normal_form({x: 1}, {y: 1}) == (RF_ONE, {x: 1, y: -1})
+        assert normal_form({x: 1}, {half: 1}) == (RF_ONE, {x: 1, half: -1})
+        assert normal_form({x: 1}, {y: 1}) == (RF_ONE, {x: 1, y: -1})
 
     def test_seeded_products_against_gammasimp(self):
         x, y, t = sympy.symbols("x y t")
@@ -532,7 +547,7 @@ class TestGammaNormalForm:
                     e = -e
                 totals[k] += e
                 want *= sympy.gamma(sympy_bases[k] + shift) ** e
-            prefactor, leftover = _gamma_normal_form(num, den)
+            prefactor, leftover = normal_form(num, den)
             # one argument per class with a nonzero total, of that total
             classes = {}
             for arg, total in leftover.items():

@@ -2,6 +2,7 @@
 KZ-operator assembly, and the exact compatibility / reduction checks."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -780,15 +781,17 @@ def test_det_ingredients_rank1_fixture():
     assert ing.multiplicities == {1: 1, 2: 1}
     l1 = symbol("l1")
     kap = kappa_symbol()
-    half = rational(Fraction(1, 2))
-    # s = (nu, alpha) = 3 + 2 - 4 = 1; argument pairs at j = 1..m.
-    for (d, nums, dens), m in zip(ing.gamma_ratio_args, (1, 2)):
-        assert d == 1
-        assert len(nums) == m
-        for j, (numv, denv) in enumerate(zip(nums, dens), start=1):
-            hp = rational(Fraction(1 + 2 * j, 2))
-            assert numv == RF_ONE - (l1 - hp) / kap
-            assert denv == RF_ONE - (l1 + hp) / kap
+    # s = (nu, alpha) = 3 + 2 - 4 = 1; one string at m = 1 and one at m = 2,
+    # each with the argument pairs at j = 1..m, h_j = (s + 2j)/2
+    h1, h2 = rational(Fraction(3, 2)), rational(Fraction(5, 2))
+    assert ing.gamma_ratio == Counter(
+        {
+            RF_ONE - (l1 - h1) / kap: 2,
+            RF_ONE - (l1 + h1) / kap: -2,
+            RF_ONE - (l1 - h2) / kap: 1,
+            RF_ONE - (l1 + h2) / kap: -1,
+        }
+    )
     assert ing.lambda_traces[0] == l1 * rational(Fraction(3, 2))
     assert ing.lambda_traces[1] == RF_ZERO
     assert ing.epsilon[(1, 2)] == rational(-4)

@@ -1,7 +1,7 @@
 """Tests for the floating-point layer, ``kzdyn.numeric``: gamma plumbing and
 the ordered-simplex beta integral (closed form, contiguous relation,
 quadrature), and the float closed form against the exact one of
-``kzdyn.cli``.
+``kzdyn.gamma``.
 
 The rank-one difference equation and determinant formula are exact, and
 their suites are tested in ``test_cli.py``."""
@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 import kzdyn.numeric as numeric
-from kzdyn.cli import _rank_one_solution, _selberg_gamma
+from kzdyn.cli import _rank_one_solution
 from kzdyn.dyn import PoleHit
+from kzdyn.gamma import selberg_gamma
 from kzdyn.numeric import (
     _NODE_LADDERS,
     QUADRATURE_GRID,
@@ -498,14 +499,14 @@ def _signed_log_of(gamma: dict, point: dict) -> tuple[int, float]:
 
 
 class TestExactClosedFormMatchesFloat:
-    """`cli._selberg_gamma`, the exact closed form of the rank-one suites,
+    """`gamma.selberg_gamma`, the exact closed form of the rank-one suites,
     against `selberg_signed`, the float one the quadrature is compared with."""
 
     def test_selberg_grid(self):
         a, b, c = symbol("a"), symbol("b"), symbol("c")
         for m, fa, fb, fc in SELBERG_GRID:
             point = {"a": fa, "b": fb, "c": fc}
-            got = _signed_log_of(_selberg_gamma(a, b, c, m), point)
+            got = _signed_log_of(selberg_gamma(a, b, c, m), point)
             want = selberg_signed(SelbergParams(fa, fb, fc, m))
             assert got[0] == want[0] and abs(got[1] - want[1]) <= 1e-12, (m, point)
 
@@ -517,7 +518,7 @@ class TestExactClosedFormMatchesFloat:
     )
     def test_rank_one_points(self, p, m, kappa, lam):
         _, a, b, c = _rank_one_solution(p, m)
-        got = _signed_log_of(_selberg_gamma(a, b, c, m), {"l1": lam, "kap": kappa})
+        got = _signed_log_of(selberg_gamma(a, b, c, m), {"l1": lam, "kap": kappa})
         fa = -(lam - 1 - (p - 2 * m) / 2) / kappa + 1
         want = selberg_signed(SelbergParams(fa, -p / kappa, 1 / kappa, m))
         assert got[0] == want[0] and abs(got[1] - want[1]) <= 1e-12
