@@ -53,6 +53,7 @@ from .dyn import (
     check_K_exchange,
     check_rational_to_trig,
     det_ingredients,
+    formal_z_exponents,
     fusion_solve,
     kappa_symbol,
     lambda_pairing_symbols,
@@ -454,12 +455,13 @@ def _main_theorem_sl2(params: dict):
     (z1,) = z_symbols(1)
 
     def check(p: int, m: int):
-        op = K_operator(enumerate_basis((lp_module(p),), (m,)), 1)
+        space = enumerate_basis((lp_module(p),), (m,))
         shift, a, b, c = _rank_one_solution(p, m)
         ratio, leftover = normal_form(
             selberg_gamma(a - RF_ONE, b, c, m), selberg_gamma(a, b, c, m)
         )
-        lhs = (z1 ** m * op.op.entry(0, 0), op.formal_z_exponents[0] - shift)
+        entry = K_operator(space, 1).entry(0, 0)
+        lhs = (z1 ** m * entry, formal_z_exponents(space, 1)[0] - shift)
         rhs = (ratio, rational(m))
         if leftover or lhs != rhs:
             # each side as "entry; exponent"
@@ -834,16 +836,14 @@ def _dump_sigma(params: dict) -> str:
 
 
 def _dump_operator(params: dict) -> str:
-    space = _build_space(params)
-    Kd = K_operator(space, params["k"])
-    entries = {
-        f"{r},{c}": str(v) for (r, c), v in sorted(Kd.op.entries.items())
-    }
+    space, k = _build_space(params), params["k"]
+    K = K_operator(space, k)
+    entries = {f"{r},{c}": str(v) for (r, c), v in sorted(K.entries.items())}
     return _dump_json(
         {
             **params,
             "dim": space.dim,
-            "formal_z_exponents": [str(e) for e in Kd.formal_z_exponents],
+            "formal_z_exponents": [str(e) for e in formal_z_exponents(space, k)],
             "entries": entries,
         }
     )
@@ -873,7 +873,7 @@ def _dump_phi_vector(params: dict) -> str:
 
 
 def _dump_forest(params: dict) -> str:
-    from .hyper import forest_of_index
+    from .hyper import forest_of_index, index_counts
 
     space = _build_space(params)
     position = params["index"]
@@ -881,9 +881,8 @@ def _dump_forest(params: dict) -> str:
         raise CapabilityExceeded(
             f"index must name one of the {space.dim} basis positions"
         )
-    forest = forest_of_index(
-        space.basis[position], params["h"], basis=space.pbw_basis
-    )
+    counts = index_counts(space.basis[position], space.pbw_basis)
+    forest = forest_of_index(counts, params["h"], n_rank=params["n"])
     data = forest.to_json()
     data.update({k: params[k] for k in ("n", "nu", "factors", "index")})
     return _dump_json(data)

@@ -14,9 +14,11 @@ evaluation point.  On top of that it provides
   flavors used to walk between two adjacent levels,
 * the level-h raising action on basis functionals, and
 * exact verifiers for the identities that power the difference-operator
-  compatibility: order invariance of the function-weighted sums, the binomial
-  string-exchange identity, the coordinate-shift factorization through
-  ground-at-zero strings, the straddling-removal expansion, and the
+  compatibility: order invariance of the function-weighted sums
+  (``verify_order_invariance`` straightens the level-``h`` `phi_vector` slot
+  by slot onto the standard basis and compares it with the standard one),
+  the binomial string-exchange identity, the coordinate-shift factorization
+  through ground-at-zero strings, the straddling-removal expansion, and the
   logarithmic-form pullback witness.
 
 Conventions: tensor slots are 1-based, slot ``j`` grounds at the symbol
@@ -51,7 +53,6 @@ from .roots import (
     OutOfRange,
     alpha_vec,
     nu_vec,
-    omega_vec,
     positive_roots,
     rho_vec,
     sigma_sequence,
@@ -65,7 +66,13 @@ from .uea import (
     straightener,
 )
 from .rep import TensorWeightSpace
-from .dyn import kappa_symbol, lambda_pairing_symbols, space_weight_pairings, z_symbols
+from .dyn import (
+    formal_z_exponents,
+    kappa_symbol,
+    lambda_pairing_symbols,
+    space_weight_pairings,
+    z_symbols,
+)
 
 __all__ = [
     "OrderFlavor",
@@ -75,7 +82,6 @@ __all__ = [
     "StringGraph",
     "Forest",
     "forest_of_index",
-    "phi_of_index",
     "PhiVector",
     "phi_vector",
     "OrderInvarianceReport",
@@ -161,14 +167,15 @@ def interp_flavor(n_rank: int, h: int, steps: int) -> OrderFlavor:
     return OrderFlavor("interp", h, switched)
 
 
-def _flavor(value: Union[str, int, OrderFlavor]) -> OrderFlavor:
-    if isinstance(value, OrderFlavor):
-        return value
-    if value == "standard":
-        return STANDARD
-    if isinstance(value, int):
-        return level_flavor(value)
-    raise ValueError(f"cannot interpret flavor {value!r}")
+def _flavor(value: Union[str, int, OrderFlavor], n_rank: int) -> OrderFlavor:
+    """The flavor ``value`` names at rank ``n_rank``: ``standard``, an
+    `OrderFlavor`, or a level; any level outside 1..n_rank-1, and any other
+    value, raises `OutOfRange`."""
+    flav = STANDARD if value == "standard" else value
+    h = flav.h if isinstance(flav, OrderFlavor) else flav
+    if flav != STANDARD and not (isinstance(h, int) and 1 <= h < n_rank):
+        raise OutOfRange(f"h must be in 1..{n_rank - 1}, got {h}")
+    return flav if isinstance(flav, OrderFlavor) else level_flavor(h)
 
 
 def _case_for(root: tuple[int, int], flavor: OrderFlavor) -> tuple[int, int]:
@@ -230,11 +237,10 @@ def index_counts(index, basis: Optional[PBWBasis] = None) -> tuple[SlotCounts, .
     return tuple(_slot_counts(entry, basis) for entry in index)
 
 
-def color_counts(index, n_rank: Optional[int] = None) -> tuple[int, ...]:
+def color_counts(index, n_rank: int) -> tuple[int, ...]:
     """Number of variables of each color used by an index."""
     index = index_counts(index)
-    rank = n_rank or _infer_rank(index)
-    counts = [0] * (rank - 1)
+    counts = [0] * (n_rank - 1)
     for slot in index:
         for (k, l), c in slot:
             for p in range(k, l):
@@ -249,14 +255,6 @@ def color_groups(counts: Sequence[int]) -> list[list[str]]:
         for k, m in enumerate(counts, start=1)
         if m >= 2
     ]
-
-
-def _infer_rank(index) -> int:
-    top = 2
-    for slot in index:
-        for (k, l), _ in slot:
-            top = max(top, l)
-    return top
 
 
 def t_name(k: int, d: int) -> str:
@@ -383,40 +381,30 @@ class Forest:
         }
 
 
-def _default_grounds(n_slots: int) -> tuple[RationalFunctionExpr, ...]:
-    return z_symbols(n_slots)
-
-
-def _ground_label(ground: RationalFunctionExpr, slot: int) -> str:
-    if ground.is_zero():
-        return "0"
-    return str(ground)
-
-
 def forest_of_index(
     index,
     flavor: Union[str, int, OrderFlavor] = "standard",
     *,
-    basis: Optional[PBWBasis] = None,
-    n_rank: Optional[int] = None,
+    n_rank: int,
     grounds: Optional[Sequence[RationalFunctionExpr]] = None,
 ) -> Forest:
-    """Strings of one index with canonically assigned variable copies."""
-    flav = _flavor(flavor)
-    counts = index_counts(index, basis)
-    rank = n_rank or (basis.n_rank if basis is not None else _infer_rank(counts))
-    if flav.h is not None and not 1 <= flav.h <= rank - 1:
-        raise OutOfRange(f"h must be in 1..{rank - 1}, got {flav.h}")
+    """Strings of one index with canonically assigned variable copies.
+
+    Its ``function()`` is the product of grounded-string functions attached
+    to the index.
+    """
+    flav = _flavor(flavor, n_rank)
+    counts = index_counts(index)
     if grounds is None:
-        grounds = _default_grounds(len(counts))
+        grounds = z_symbols(len(counts))
     if len(grounds) != len(counts):
         raise ValueError("need one ground per slot")
-    std_pos = standard_basis(rank).position
-    next_copy = [1] * rank
+    std_pos = standard_basis(n_rank).position
+    next_copy = [1] * n_rank
     strings: list[StringGraph] = []
     for j, slot in enumerate(counts, start=1):
         ground = grounds[j - 1]
-        label = _ground_label(ground, j)
+        label = "0" if ground.is_zero() else str(ground)
         for root, count in sorted(slot, key=lambda rc: std_pos[rc[0]]):
             k, l = root
             g, sign = _case_for(root, flav)
@@ -428,21 +416,7 @@ def forest_of_index(
                 strings.append(
                     StringGraph(root, j, q, g, sign, tuple(variables), ground, label)
                 )
-    return Forest(rank, flav, tuple(strings))
-
-
-def phi_of_index(
-    index,
-    flavor: Union[str, int, OrderFlavor] = "standard",
-    *,
-    basis: Optional[PBWBasis] = None,
-    n_rank: Optional[int] = None,
-    grounds: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> RationalFunctionExpr:
-    """The product of grounded-string functions attached to one index."""
-    return forest_of_index(
-        index, flavor, basis=basis, n_rank=n_rank, grounds=grounds
-    ).function()
+    return Forest(n_rank, flav, tuple(strings))
 
 
 # ---------------------------------------------------------------------------
@@ -485,25 +459,30 @@ def phi_vector(
     grounds: Optional[Sequence[RationalFunctionExpr]] = None,
 ) -> PhiVector:
     """Coefficient functions of every basis index of a weight space."""
-    flav = _flavor(flavor)
     rank = space.pbw_basis.n_rank
+    flav = _flavor(flavor, rank)
     basis = _flavor_basis(rank, flav)
-    if grounds is None:
-        grounds = _default_grounds(len(space.factors))
     terms = []
     for multi in space.basis:
         counts = index_counts(multi, space.pbw_basis)
         exps = tuple(
             basis.exps_from_roots({root: c for root, c in slot}) for slot in counts
         )
-        value = phi_of_index(counts, flav, n_rank=rank, grounds=grounds)
-        terms.append((exps, value))
+        forest = forest_of_index(counts, flav, n_rank=rank, grounds=grounds)
+        terms.append((exps, forest.function()))
     return PhiVector(space, flav, basis, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
 # Order invariance
 # ---------------------------------------------------------------------------
+
+def _averages_to_zero(delta: RationalFunctionExpr, counts: Sequence[int]) -> bool:
+    """Whether ``delta`` vanishes after averaging over permutations of the
+    same-color variables, ``counts[k - 1]`` of color ``k``."""
+    groups = color_groups(counts)
+    return bool(groups) and rf_symmetrize(delta, groups).is_zero()
+
 
 @lru_cache(maxsize=None)
 def _expand_in_standard(basis: PBWBasis, exps: tuple) -> dict:
@@ -542,37 +521,19 @@ def verify_order_invariance(
     *,
     grounds: Optional[Sequence[RationalFunctionExpr]] = None,
 ) -> OrderInvarianceReport:
-    """Compare the level-``h`` weighted sum with the standard one.
+    """Compare the level-``h`` `phi_vector` with the standard one.
 
-    The level-``h`` side is re-expressed on the standard monomial basis slot
-    by slot; coefficient functions must then agree index by index.  Both the
-    raw verdict (canonical variable copies) and the verdict after averaging
-    over same-color copies are reported.
+    Each slot of the level-``h`` vector is straightened onto the standard
+    monomial basis; coefficient functions must then agree index by index.
+    Both the raw verdict (canonical variable copies) and the verdict after
+    averaging over same-color copies are reported.
     """
     start = time.monotonic()
-    rank = space.pbw_basis.n_rank
-    flav = level_flavor(h)
-    basis_h = special_basis(rank, h)
-    if grounds is None:
-        grounds = _default_grounds(len(space.factors))
-    groups = color_groups(space.nu0)
-
-    standard_side: dict[tuple, RationalFunctionExpr] = {}
-    for multi in space.basis:
-        counts = index_counts(multi, space.pbw_basis)
-        std = tuple(
-            standard_basis(rank).exps_from_roots(dict(slot)) for slot in counts
-        )
-        standard_side[std] = phi_of_index(counts, STANDARD, n_rank=rank, grounds=grounds)
-
+    standard_side = dict(phi_vector(space, STANDARD, grounds=grounds).terms)
+    level = phi_vector(space, h, grounds=grounds)
     level_side: dict[tuple, RationalFunctionExpr] = {}
-    for multi in space.basis:
-        counts = index_counts(multi, space.pbw_basis)
-        value = phi_of_index(counts, flav, n_rank=rank, grounds=grounds)
-        slot_expansions = [
-            _expand_in_standard(basis_h, basis_h.exps_from_roots(dict(slot)))
-            for slot in counts
-        ]
+    for exps, value in level.terms:
+        slot_expansions = [_expand_in_standard(level.basis, e) for e in exps]
         for combo in itertools.product(*(e.items() for e in slot_expansions)):
             coeff = value
             for _, c in combo:
@@ -586,9 +547,8 @@ def verify_order_invariance(
         delta = standard_side.get(key, RF_ZERO) - level_side.get(key, RF_ZERO)
         if not delta.is_zero():
             raw = False
-            if groups and rf_symmetrize(delta, groups).is_zero():
-                continue
-            mismatches.append(key)
+            if not _averages_to_zero(delta, space.nu0):
+                mismatches.append(key)
     symmetrized = not mismatches
     return OrderInvarianceReport(
         h, space.dim, raw, symmetrized, tuple(mismatches), time.monotonic() - start
@@ -641,7 +601,7 @@ def binomial_claim_check(
 
     def build(na: int, nb: int, nc: int, flav: OrderFlavor) -> RationalFunctionExpr:
         slot = {(h, l): na, (k, h): nb, (k, l): nc}
-        return phi_of_index([slot], flav, n_rank=rank, grounds=ground)
+        return forest_of_index([slot], flav, n_rank=rank, grounds=ground).function()
 
     lhs = RF_ZERO
     for r in range(c + 1):
@@ -652,12 +612,8 @@ def binomial_claim_check(
 
     delta = lhs - rhs
     raw = delta.is_zero()
-    if raw:
-        symmetrized = True
-    else:
-        counts = color_counts([{(h, l): a + c, (k, h): b + c}], n_rank=rank)
-        groups = color_groups(counts)
-        symmetrized = rf_symmetrize(delta, groups).is_zero() if groups else False
+    counts = color_counts([{(h, l): a + c, (k, h): b + c}], n_rank=rank)
+    symmetrized = raw or _averages_to_zero(delta, counts)
     return BinomialClaimReport(a, b, c, pair, h, raw, symmetrized)
 
 
@@ -871,7 +827,7 @@ def z_shift_factorization(
     if pairings is None:
         pairings = lambda_pairing_symbols(rank)
     n = len(space.factors)
-    grounds = _default_grounds(n)
+    grounds = z_symbols(n)
     m_h = space.nu0[h - 1]
     terms = []
     all_ok = True
@@ -905,8 +861,7 @@ def z_shift_factorization(
         want = kap * rational(-1) if k == h else RF_ZERO
         if not (delta - want).is_zero():
             shift_ok = False
-    omega = omega_vec(rank, h)
-    formal = tuple(f.hw.dot(omega) for f in space.factors)
+    formal = formal_z_exponents(space, h)
     for i in range(1, n + 1):
         delta = me1.z_pow[i - 1] - me0.z_pow[i - 1]
         if not (delta - kap * formal[i - 1]).is_zero():
@@ -923,17 +878,15 @@ def dual_restriction_check(
     flavor: Union[str, int, OrderFlavor] = "standard",
 ) -> bool:
     """Embedded indices (empty extra slot, ground zero) keep their function."""
-    flav = _flavor(flavor)
     rank = space.pbw_basis.n_rank
-    n = len(space.factors)
-    grounds = _default_grounds(n)
+    grounds = z_symbols(len(space.factors))
     for multi in space.basis:
         counts = index_counts(multi, space.pbw_basis)
-        plain = phi_of_index(counts, flav, n_rank=rank, grounds=grounds)
-        padded = phi_of_index(
-            counts + ((),), flav, n_rank=rank, grounds=grounds + (RF_ZERO,)
+        plain = forest_of_index(counts, flavor, n_rank=rank, grounds=grounds)
+        padded = forest_of_index(
+            counts + ((),), flavor, n_rank=rank, grounds=grounds + (RF_ZERO,)
         )
-        if not (plain - padded).is_zero():
+        if not (plain.function() - padded.function()).is_zero():
             return False
     return True
 
@@ -973,7 +926,7 @@ def lemma_rat2Dprime_check(
     """
     rank = space.pbw_basis.n_rank
     n = len(space.factors)
-    grounds = _default_grounds(n)
+    grounds = z_symbols(n)
     counts = index_counts(index, space.pbw_basis)
     forest = forest_of_index(counts, level_flavor(h), n_rank=rank, grounds=grounds)
     lhs = _straddle_split_product(forest, h)
@@ -1008,22 +961,18 @@ def lemma_rat2Dprime_check(
                     slots[j][root] = slots[j][root] - take
         sign = -1 if removed_total % 2 else 1
         coeff = rational(sign * weight)
-        value = phi_of_index(
+        forest = forest_of_index(
             slots + [extra],
             level_flavor(h),
             n_rank=rank,
             grounds=grounds + (RF_ZERO,),
         )
-        rhs = rhs + coeff * value
+        rhs = rhs + coeff * forest.function()
         n_terms += 1
 
     delta = lhs - rhs
     raw = delta.is_zero()
-    if raw:
-        symmetrized = True
-    else:
-        groups = color_groups(color_counts(counts, n_rank=rank))
-        symmetrized = rf_symmetrize(delta, groups).is_zero() if groups else False
+    symmetrized = raw or _averages_to_zero(delta, color_counts(counts, n_rank=rank))
     return LemmaExpansionReport(h, counts, n_terms, raw, symmetrized)
 
 
@@ -1173,7 +1122,7 @@ def switch_cor_witness(
         counts = counts + ((),)
     if len(counts) != n + 1:
         raise ValueError("index must cover the slots plus at most one extra")
-    grounds = _default_grounds(n) + (RF_ZERO,)
+    grounds = z_symbols(n) + (RF_ZERO,)
 
     base_counts = color_counts(counts, n_rank=rank)
     enlarged = tuple(
@@ -1233,25 +1182,19 @@ def switch_cor_witness(
     dual_image = RF_ZERO
     coeffs = raising_dual_coefficients(counts, h, slot_pairs, rank)
     for new_index, coeff in coeffs:
-        dual_image = dual_image + coeff * phi_of_index(
-            new_index, STANDARD, n_rank=rank, grounds=grounds
-        )
+        forest = forest_of_index(new_index, STANDARD, n_rank=rank, grounds=grounds)
+        dual_image = dual_image + coeff * forest.function()
 
     dual_raw, dual_sign = False, 0
     if (dual_image + target).is_zero():
         dual_raw, dual_sign = True, -1
     elif (dual_image - target).is_zero():
         dual_raw, dual_sign = True, 1
-    if dual_raw:
-        dual_sym = True
-    else:
-        groups = color_groups(enlarged)
-        dual_sym = False
-        if groups:
-            if rf_symmetrize(dual_image + target, groups).is_zero():
-                dual_sym, dual_sign = True, -1
-            elif rf_symmetrize(dual_image - target, groups).is_zero():
-                dual_sym, dual_sign = True, 1
+    elif _averages_to_zero(dual_image + target, enlarged):
+        dual_sign = -1
+    elif _averages_to_zero(dual_image - target, enlarged):
+        dual_sign = 1
+    dual_sym = dual_sign != 0
     return SwitchCorReport(
         h,
         counts,

@@ -31,7 +31,13 @@ from kzdyn.cli import (
     report_text,
     run_suite,
 )
-from kzdyn.dyn import DynOperator, K_operator, PoleHit, ResonantWeight, fusion_solve
+from kzdyn.dyn import (
+    K_operator,
+    PoleHit,
+    ResonantWeight,
+    formal_z_exponents,
+    fusion_solve,
+)
 from kzdyn.gamma import normal_form
 from kzdyn.numeric import QuadratureNotConverged
 from kzdyn.rep import WeightSpaceOperator, enumerate_basis, verma_symbolic
@@ -223,6 +229,27 @@ class TestSymbolicSuites:
         assert witness["raw_equal"] and witness["symmetrized_equal"]
         assert "seconds" not in witness  # timing lives in the timings section
 
+    def test_pbw_invariance_compares_phi_vector(self, monkeypatch):
+        # a level vector with its first coefficient doubled must fail; at the
+        # defaults no color has two copies, so no averaging can hide it
+        from kzdyn import hyper
+
+        phi_vector = hyper.phi_vector
+
+        def doubled(space, flavor="standard", **kwargs):
+            pv = phi_vector(space, flavor, **kwargs)
+            if pv.flavor.kind != "level":
+                return pv
+            (exps, value), *rest = pv.terms
+            terms = ((exps, value + value), *rest)
+            return hyper.PhiVector(pv.space, pv.flavor, pv.basis, terms)
+
+        monkeypatch.setattr(hyper, "phi_vector", doubled)
+        report = run_suite(SuiteConfig(suite="pbw-invariance"))
+        assert report["verdict"] == "fail"
+        first = report["witnesses"][0]
+        assert first["h"] == 1 and first["mismatches"]
+
     def test_pbw_invariance_flagged_on_raw_mismatch(self):
         # at this deeper two-factor weight the symmetrized identity holds but
         # the canonical variable copies disagree before averaging, so the
@@ -347,14 +374,17 @@ class TestSymbolicSuites:
         assert report["verdict"] == "fail"
         exchange = [w for w in report["witnesses"] if w["check"] == "exchange"]
         assert [(w["k"], w["l"], w["passed"]) for w in exchange] == [(1, 2, False)]
+        witness = exchange[0]["witness"]
+        assert set(witness) == {"row", "col", "lhs", "rhs"}
+        assert witness["lhs"] != witness["rhs"]
 
     def test_derivative_rows_name_the_failing_part(self, monkeypatch):
         # formal z exponents of level 1 at every level: the exchange row
         # cannot see it, and every derivative row at k = 2 fails its exponents
         from kzdyn import dyn
 
-        formal = dyn._formal_z_exponents
-        monkeypatch.setattr(dyn, "_formal_z_exponents", lambda space, k: formal(space, 1))
+        formal = dyn.formal_z_exponents
+        monkeypatch.setattr(dyn, "formal_z_exponents", lambda space, k: formal(space, 1))
         report = run_suite(SuiteConfig(suite="compatibility", n=3, nu=(1, 1)))
         assert report["verdict"] == "fail"
         failed = [w for w in report["witnesses"] if not w["passed"]]
@@ -428,15 +458,21 @@ class TestNumericSuites:
         # doubled, at p = 3, m = 1 only
         from kzdyn import cli as cli_module
 
-        def mutated(space, k):
-            op = K_operator(space, k)
-            if (space.factors[0].p, space.nu0) != (3, (1,)):
-                return op
-            if mutant == "exponent":
-                return DynOperator(op.op, (op.formal_z_exponents[0] + RF_ONE,))
-            return DynOperator(op.op.scale(2), op.formal_z_exponents)
+        def at_p3_m1(space) -> bool:
+            return (space.factors[0].p, space.nu0) == (3, (1,))
 
-        monkeypatch.setattr(cli_module, "K_operator", mutated)
+        if mutant == "exponent":
+            def mutated(space, k):
+                formal = formal_z_exponents(space, k)
+                return (formal[0] + RF_ONE,) if at_p3_m1(space) else formal
+
+            monkeypatch.setattr(cli_module, "formal_z_exponents", mutated)
+        else:
+            def mutated(space, k):
+                op = K_operator(space, k)
+                return op.scale(2) if at_p3_m1(space) else op
+
+            monkeypatch.setattr(cli_module, "K_operator", mutated)
         report = run_suite(SuiteConfig(suite="main-theorem-sl2"))
         assert report["verdict"] == "fail"
         failed = [w for w in report["witnesses"] if not w["equal"]]
@@ -713,13 +749,13 @@ class TestDumps:
         space = enumerate_basis(
             [verma_symbolic(2, 1), verma_symbolic(2, 2)], (1,)
         )
-        Kd = K_operator(space, 1)
+        K = K_operator(space, 1)
         assert data["dim"] == space.dim == 2
         for key, text in data["entries"].items():
             r, c = map(int, key.split(","))
-            assert (parse(text) - Kd.op.entry(r, c)).is_zero()
+            assert (parse(text) - K.entry(r, c)).is_zero()
         assert data["formal_z_exponents"] == [
-            str(e) for e in Kd.formal_z_exponents
+            str(e) for e in formal_z_exponents(space, 1)
         ]
 
     def test_fusion_dump_cross_check(self):
@@ -758,7 +794,14 @@ class TestDumps:
             dump_object("forest", {"n": 2, "nu": [1], "index": 5})
 
     @pytest.mark.parametrize(
-        "kind, h", [("phi-vector", "7"), ("forest", "7"), ("order", "standard")]
+        "kind, h",
+        [
+            ("phi-vector", "7"),
+            ("forest", "7"),
+            ("order", "standard"),
+            ("phi-vector", "0"),
+            ("forest", "-1"),
+        ],
     )
     def test_level_out_of_range_exits_two(self, capsys, kind, h):
         assert main(["dump", kind, "--n", "3", "--h", h]) == 2
@@ -828,6 +871,10 @@ _PINNED_DUMPS = {
     ),
     "forest --n 3 --nu 1,1 --h 1 --index 0": (
         "225fa539763ace29c5fb7d158e5c6a26fa518512221bfdc1cfe500de35a62397"
+    ),
+    # two factors at a level: a second variable copy and a signed ground
+    "phi-vector --n 3 --nu 1,1 --factors verma,verma --h 1": (
+        "7e8d321556087e1cd40e253e72124237777278db6dbe5e9b4343a5078cd58e73"
     ),
     # rank 3: the fusion coefficients and the level-2 K entries
     "fusion --n 3 --depth 4": (

@@ -15,7 +15,6 @@ from kzdyn.dyn import (
     B_alpha,
     B_w,
     CheckReport,
-    DynOperator,
     K_operator,
     NonFiniteDim,
     PoleHit,
@@ -24,6 +23,7 @@ from kzdyn.dyn import (
     check_nabla_K,
     check_rational_to_trig,
     det_ingredients,
+    formal_z_exponents,
     fusion_solve,
     kappa_symbol,
     kz_operator,
@@ -603,11 +603,11 @@ def test_k_operator_structure_rank1():
     B = B_w(sp, [1], lam)
     # Row scaling: each row is divided by the coordinate of the factor that
     # carries the lowering step.
-    for (r, c_), val in K.op.entries.items():
+    for (r, c_), val in K.entries.items():
         exps = sp.basis[r]
         zrow = z1 if sum(exps[0]) else z2
         assert val == B.entry(r, c_) / zrow
-    assert K.formal_z_exponents == tuple(
+    assert formal_z_exponents(sp, 1) == tuple(
         f.hw.dot(omega_vec(2, 1)) for f in sp.factors
     )
 
@@ -645,25 +645,6 @@ def test_nabla_k_rank2():
             assert report.passed, report.witness
 
 
-def test_k_exchange_formal_witness_names_the_factor(monkeypatch):
-    # formal exponents that read the first pairing differ across the two
-    # sides by kappa at every factor; the witness names the first
-    from kzdyn import dyn
-
-    def mutated(space, k, pairings=None):
-        op = K_operator(space, k, pairings)
-        first = dyn._default_pairings(space, pairings)[0]
-        return DynOperator(op.op, tuple(f + first for f in op.formal_z_exponents))
-
-    monkeypatch.setattr(dyn, "K_operator", mutated)
-    sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 1))
-    report = check_K_exchange(sp, 1, 2)
-    assert not report.passed and report.checked == sp.dim ** 2
-    witness = report.witness
-    assert witness.pop("lhs") != witness.pop("rhs")
-    assert witness == {"formal": "prefactor mismatch", "factor": 1}
-
-
 def _compatibility_space(n, nu, specs=("verma", "verma")):
     """The space of ``kzdyn verify compatibility --n N --nu NU --factors SPECS``."""
     factors = [
@@ -698,7 +679,7 @@ def test_nabla_k_rows_agree_with_check_nabla_k(name):
 # each takes the original function and returns the mutant
 _MUTANTS = {
     "formal exponent at level 1": (
-        "_formal_z_exponents",
+        "formal_z_exponents",
         lambda f: lambda space, k: f(space, 1),
     ),
     "B_w roots reversed": (

@@ -22,7 +22,6 @@ from kzdyn.hyper import (
     level_flavor,
     log_derivative,
     master_exponents,
-    phi_of_index,
     phi_vector,
     raising_dual_coefficients,
     switch_cor_witness,
@@ -71,44 +70,45 @@ def one_factor_space(n_rank, nu0):
 class TestGroundedStrings:
     def test_adjacent_pair_product_standard(self):
         # two unit strings on adjacent simple intervals, both ground at z1
-        value = phi_of_index([{(1, 2): 1, (2, 3): 1}], "standard", n_rank=3, grounds=Z1)
+        forest = forest_of_index([{(1, 2): 1, (2, 3): 1}], "standard", n_rank=3, grounds=Z1)
+        value = forest.function()
         expected = parse("1/((t:1:1 - z:1)*(t:2:1 - z:1))")
         assert (value - expected).is_zero()
 
     def test_long_string_standard(self):
         # one string across the full interval grounds at its last color
-        value = phi_of_index([{(1, 3): 1}], "standard", n_rank=3, grounds=Z1)
+        value = forest_of_index([{(1, 3): 1}], "standard", n_rank=3, grounds=Z1).function()
         expected = parse("1/((t:1:1 - t:2:1)*(t:2:1 - z:1))")
         assert (value - expected).is_zero()
 
     def test_long_string_level_one(self):
         # at level 1 the same string grounds at its first color with a sign
-        value = phi_of_index([{(1, 3): 1}], 1, n_rank=3, grounds=Z1)
+        value = forest_of_index([{(1, 3): 1}], 1, n_rank=3, grounds=Z1).function()
         expected = parse("1/((t:2:1 - t:1:1)*(t:1:1 - z:1))")
         assert (value - expected).is_zero()
 
     def test_adjacent_pair_level_one_unchanged(self):
-        value = phi_of_index([{(1, 2): 1, (2, 3): 1}], 1, n_rank=3, grounds=Z1)
+        value = forest_of_index([{(1, 2): 1, (2, 3): 1}], 1, n_rank=3, grounds=Z1).function()
         expected = parse("1/((t:1:1 - z:1)*(t:2:1 - z:1))")
         assert (value - expected).is_zero()
 
     def test_three_string_level_one_all_grounded(self):
-        value = phi_of_index([{(1, 2): 2, (2, 3): 1}], 1, n_rank=3, grounds=Z1)
+        value = forest_of_index([{(1, 2): 2, (2, 3): 1}], 1, n_rank=3, grounds=Z1).function()
         expected = parse("1/((t:2:1 - z:1)*(t:1:1 - z:1)*(t:1:2 - z:1))")
         assert (value - expected).is_zero()
 
     def test_long_plus_short_level_one(self):
         # the long string takes the first copy of each color it spans
-        value = phi_of_index([{(1, 2): 1, (1, 3): 1}], 1, n_rank=3, grounds=Z1)
+        value = forest_of_index([{(1, 2): 1, (1, 3): 1}], 1, n_rank=3, grounds=Z1).function()
         expected = parse("1/((t:2:1 - t:1:1)*(t:1:1 - z:1)*(t:1:2 - z:1))")
         assert (value - expected).is_zero()
 
     def test_empty_index_gives_one(self):
-        value = phi_of_index([{}], "standard", n_rank=2, grounds=Z1)
+        value = forest_of_index([{}], "standard", n_rank=2, grounds=Z1).function()
         assert (value - RF_ONE).is_zero()
 
     def test_sl2_two_copies(self):
-        value = phi_of_index([{(1, 2): 2}], "standard", n_rank=2, grounds=Z1)
+        value = forest_of_index([{(1, 2): 2}], "standard", n_rank=2, grounds=Z1).function()
         expected = parse("1/((t:1:1 - z:1)*(t:1:2 - z:1))")
         assert (value - expected).is_zero()
 
@@ -120,7 +120,8 @@ class TestGroundedStrings:
             assert (string.function() - string.edge_product()).is_zero()
 
     def test_ground_zero_string(self):
-        value = phi_of_index([{(1, 2): 1}], "standard", n_rank=2, grounds=(RF_ZERO,))
+        forest = forest_of_index([{(1, 2): 1}], "standard", n_rank=2, grounds=(RF_ZERO,))
+        value = forest.function()
         expected = parse("1/t:1:1")
         assert (value - expected).is_zero()
 
