@@ -719,6 +719,10 @@ _PINNED_REPORTS = {
     "selberg --tol 1e-8": (
         "991a93dd73b6a2ceebc6e2c8fd1d761fa5eaeb0b399b36d5e71408af77c10bc7"
     ),
+    # an exchange row (k, l) = (1, 2): the defaults have one level and none
+    "compatibility --n 3 --nu 2,0": (
+        "8b634a3c95929053a209e7b79db48dc477130246bfc2da6511cf1a99cbca0c6d"
+    ),
 }
 
 
