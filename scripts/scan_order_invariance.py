@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Sweep tensor weight spaces and tabulate raw vs symmetrized order invariance.
 
-The weighted basis sums attached to consecutive arrangement levels always
-agree after averaging over permutations within each variable group; whether
-they already agree *before* that averaging depends on the space.  This
-script sweeps small type-A weight spaces and prints one row per
-(space, level) pair, flagging which spaces need the symmetrization.
+The weighted basis sum attached to each arrangement level h <= N-2 always
+agrees with the standard one, level N-1, after averaging over permutations
+within each variable group; whether it already agrees *before* that
+averaging depends on the space.  This script sweeps small type-A weight
+spaces and prints one row per (space, level) pair, flagging which spaces
+need the symmetrization.  sl2 has no level below the top, so ``--n 2``
+exits 2.
 """
 
 import argparse
@@ -51,11 +53,13 @@ def main(argv=None) -> int:
     ap.add_argument("--json", action="store_true",
                     help="emit one JSON object per row instead of a table")
     args = ap.parse_args(argv)
+    if args.n < 3:
+        ap.error("--n must be at least 3: level N-1 is the standard arrangement itself")
     cfg = SweepConfig(args.n, args.max_factors, args.max_weight, args.max_dim)
 
     rows = []
     for n_factors, nu, space in iter_spaces(cfg):
-        for h in range(1, cfg.n):
+        for h in range(1, cfg.n - 1):
             t0 = time.monotonic()
             report = verify_order_invariance(space, h)
             row = {

@@ -258,7 +258,7 @@ def _pbw_invariance(params: dict):
 
     space = _build_space(params)
     rows = []
-    for h in range(1, params["n"]):
+    for h in range(1, params["n"] - 1):
         report = verify_order_invariance(space, h)
         rows.append((report.to_json(), report.symmetrized_equal))
     raw_equal = all(witness["raw_equal"] for witness, _ in rows)
@@ -635,7 +635,7 @@ _TOL_MIN = 1e-14  # below it the float checks of `selberg` cannot resolve a diff
 _SUITE_TABLE = {
     "pbw-invariance": _Suite(
         _pbw_invariance,
-        {"n": (3, 2, 4), "nu": (_ones, 1, 6), "factors": (("verma",), 1, 3)},
+        {"n": (3, 3, 4), "nu": (_ones, 1, 6), "factors": (("verma",), 1, 3)},
     ),
     "additive-form": _Suite(
         _additive_form,
@@ -911,6 +911,10 @@ def _caps_of(suite: str, **defaults) -> dict[str, tuple]:
 _SPACE_DEFAULTS = {"n": 2, "nu": _ones, "factors": ("verma",)}
 
 _ORDER_PARAMS = _caps_of("sigma-orders", n=3, h=lambda n: n - 1)
+# --h names a flavor, `standard` (level n-1) or a level, so these dumps take
+# n = 2; pbw-invariance compares the levels below n-1 and needs n >= 3
+_FLAVOR_PARAMS = _caps_of("pbw-invariance", **_SPACE_DEFAULTS, h="standard")
+_FLAVOR_PARAMS["n"] = (2, 2, _FLAVOR_PARAMS["n"][2])
 
 _DUMP_TABLE = {
     "order": _Dump(_dump_order, _ORDER_PARAMS),
@@ -920,15 +924,8 @@ _DUMP_TABLE = {
         _dump_operator, _caps_of("compatibility", **_SPACE_DEFAULTS, k=1)
     ),
     "fusion": _Dump(_dump_fusion, _caps_of("fusion", n=2, depth=2)),
-    # --h names a flavor here: `standard`, or a level
-    "phi-vector": _Dump(
-        _dump_phi_vector,
-        _caps_of("pbw-invariance", **_SPACE_DEFAULTS, h="standard"),
-    ),
-    "forest": _Dump(
-        _dump_forest,
-        _caps_of("pbw-invariance", **_SPACE_DEFAULTS, h="standard", index=0),
-    ),
+    "phi-vector": _Dump(_dump_phi_vector, _FLAVOR_PARAMS),
+    "forest": _Dump(_dump_forest, {**_FLAVOR_PARAMS, "index": (0, None, None)}),
 }
 
 DUMP_KINDS = tuple(_DUMP_TABLE)

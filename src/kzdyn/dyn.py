@@ -560,16 +560,22 @@ def q_dagger(
 # ---------------------------------------------------------------------------
 
 
-def omega_operator(
-    space: TensorWeightSpace, i: int, j: int, part: str = "full"
-) -> WeightSpaceOperator:
-    """Casimir-type two-factor operator between factors ``i`` and ``j`` (1-based).
+def omega_operator(space: TensorWeightSpace, i: int, j: int) -> WeightSpaceOperator:
+    """The half of the Casimir operator between factors ``i`` and ``j``
+    (1-based) that raises at ``i``: the diagonal half plus, per positive
+    root (a, b), ``e_ab`` on factor ``i`` after ``e_ba`` on factor ``j``.
 
-    ``part`` selects the diagonal half (``"zero"``), the diagonal half plus
-    raising-at-``i`` terms (``"plus"``), the diagonal half plus
-    lowering-at-``i`` terms (``"minus"``), or the sum of the plus and minus
-    parts (``"full"``).
+    The half that lowers at ``i`` is ``omega_operator(space, j, i)``, and
+    the Casimir operator is the sum of the two.
     """
+    return _half_diagonal(space, i, j) + sum(
+        _root_terms(space, i, j).values(), WeightSpaceOperator.zero(space, space)
+    )
+
+
+def _half_diagonal(space: TensorWeightSpace, i: int, j: int) -> WeightSpaceOperator:
+    """``(mu_i, mu_j) / 2`` on the row of factor weights mu_i, mu_j: the
+    diagonal of `omega_operator`, the same at (i, j) and (j, i)."""
     if i == j:
         raise ValueError("factor indices must differ")
     diag: dict[tuple[int, int], RationalFunctionExpr] = {}
@@ -579,28 +585,14 @@ def omega_operator(
         val = mu_i.dot(mu_j) * _HALF
         if not val.is_zero():
             diag[(pos, pos)] = val
-    zero_part = WeightSpaceOperator(space, space, diag)
-    if part == "zero":
-        return zero_part
-
-    def nilpotent(raise_at: int, lower_at: int) -> WeightSpaceOperator:
-        terms = _root_terms(space, raise_at, lower_at).values()
-        return sum(terms, WeightSpaceOperator.zero(space, space))
-
-    if part == "plus":
-        return zero_part + nilpotent(i, j)
-    if part == "minus":
-        return zero_part + nilpotent(j, i)
-    if part == "full":
-        return zero_part + zero_part + nilpotent(i, j) + nilpotent(j, i)
-    raise ValueError(f"unknown part {part!r}")
+    return WeightSpaceOperator(space, space, diag)
 
 
 def _root_terms(
     space: TensorWeightSpace, raise_at: int, lower_at: int
 ) -> dict[tuple[int, int], WeightSpaceOperator]:
     """Per positive root (a, b): ``e_ab`` on factor ``raise_at`` after ``e_ba``
-    on factor ``lower_at``, the terms of `omega_operator`'s nilpotent parts."""
+    on factor ``lower_at``, the off-diagonal terms of `omega_operator`."""
     terms = {}
     for (a, b) in positive_roots(space.pbw_basis.n_rank):
         lower = operator_for_letter(space, ("e", b, a), only_factor=lower_at - 1)
@@ -618,8 +610,8 @@ def r_matrix_operator(
     z_j: RationalFunctionExpr,
 ) -> WeightSpaceOperator:
     """Trigonometric two-factor kernel ``(O+ z_i + O- z_j) / (z_i - z_j)``."""
-    plus = omega_operator(space, i, j, "plus")
-    minus = omega_operator(space, i, j, "minus")
+    plus = omega_operator(space, i, j)
+    minus = omega_operator(space, j, i)
     scale = RF_ONE / (z_i - z_j)
     return plus.scale(z_i * scale) + minus.scale(z_j * scale)
 
@@ -673,9 +665,8 @@ def kz_operator(
         for j in range(1, n + 1):
             if j == i:
                 continue
-            term = omega_operator(space, i, j, "full").scale(
-                RF_ONE / (zs[i - 1] - zs[j - 1])
-            )
+            casimir = omega_operator(space, i, j) + omega_operator(space, j, i)
+            term = casimir.scale(RF_ONE / (zs[i - 1] - zs[j - 1]))
             zero = zero + term
         return KZOperator(kind, i, kap, zero.scale(rational(-1)))
     if kind == "trigonometric":
@@ -800,8 +791,9 @@ def nabla_K_rows(space: TensorWeightSpace) -> Iterator[tuple[int, int, CheckRepo
     K_k = D B with D `K_operator`'s diagonal of z monomials and B = B_w(lambda)
     free of z and kappa (Tarasov and Varchenko, IMRN 2000).  Put x_i = z_j/z_i
     and write the trigonometric r-matrix r(x_i) = (x_i P_ji + Q_ji)/(x_i - 1) =
-    P_ji + Omega_ji/(x_i - 1), where P_ji (`omega_operator` "plus") raises at
-    j, Q_ji raises at i and Omega_ji = P_ji + Q_ji.  Conjugating by D scales
+    P_ji + Omega_ji/(x_i - 1), where P_ji = `omega_operator`(space, j, i)
+    raises at j, Q_ji = `omega_operator`(space, i, j) raises at i and
+    Omega_ji = P_ji + Q_ji.  Conjugating by D scales
     the terms of roots (a, b) with a <= k < b by x_i^-1 in P_ji and by x_i in
     Q_ji; with A_k and C_k those terms of P_ji and Q_ji, that adds C_k - A_k
     to r(x_i).  The shift lambda -> lambda + kappa omega_k adds
@@ -836,7 +828,7 @@ def nabla_K_rows(space: TensorWeightSpace) -> Iterator[tuple[int, int, CheckRepo
     }
     zero = WeightSpaceOperator.zero(space, space)
     plus = {
-        pair: omega_operator(space, *pair, "zero") + sum(by_root.values(), zero)
+        pair: _half_diagonal(space, *pair) + sum(by_root.values(), zero)
         for pair, by_root in terms.items()
     }
     casimir = {(i, j): plus[(i, j)] + plus[(j, i)] for i, j in terms if i < j}
@@ -1024,10 +1016,10 @@ def check_rational_to_trig(
     hw_i = space.factors[i - 1].hw
     casimir_i = (hw_i.dot(hw_i) + hw_i.dot(rho) + hw_i.dot(rho)) * _HALF
 
-    minus_parts = [
-        omega_operator(space, i, jj, "minus") for jj in range(1, n + 1) if jj != i
-    ]
-    coupling = omega_operator(space_prime, i, n_plus_1, "full")
+    minus_parts = [omega_operator(space, jj, i) for jj in range(1, n + 1) if jj != i]
+    coupling = omega_operator(space_prime, i, n_plus_1) + omega_operator(
+        space_prime, n_plus_1, i
+    )
     checked = 0
     if vectors is None:
         vectors = singular_vectors(space_prime)

@@ -9,14 +9,16 @@ evaluation point.  On top of that it provides
 
 * exponent bookkeeping for the multivalued weight function (pair exponents
   and pure powers) together with its exact logarithmic derivative,
-* the level-flavored variants of the functions in which straddling strings
-  ground at the level color with alternating signs, plus the interpolating
-  flavors used to walk between two adjacent levels,
+* the level flavors of the functions, in which straddling strings ground at
+  the level color with alternating signs (the standard arrangement is the
+  top level N-1, named ``standard``), plus the interpolating flavors used
+  to walk between two adjacent levels,
 * the level-h raising action on basis functionals, and
 * exact verifiers for the identities that power the difference-operator
   compatibility: order invariance of the function-weighted sums
-  (``verify_order_invariance`` straightens the level-``h`` `phi_vector` slot
-  by slot onto the standard basis and compares it with the standard one),
+  (``verify_order_invariance`` straightens the level-``h`` `phi_vector`,
+  1 <= h <= N-2, slot by slot onto the standard basis and compares it with
+  the standard one),
   the binomial string-exchange identity, the coordinate-shift factorization
   through ground-at-zero strings, the straddling-removal expansion, and the
   logarithmic-form pullback witness.
@@ -76,8 +78,6 @@ from .dyn import (
 
 __all__ = [
     "OrderFlavor",
-    "STANDARD",
-    "level_flavor",
     "interp_flavor",
     "StringGraph",
     "Forest",
@@ -116,38 +116,24 @@ __all__ = [
 class OrderFlavor:
     """Which grounding rule each string follows.
 
-    ``kind`` is "standard" (every string grounds at its last color, positive
-    sign), "level" (strings straddling level ``h`` ground at color ``h`` with
-    sign alternating in the distance to the top), or "interp" (level-``h``
-    rules except that the straddling pairs listed in ``switched`` already
-    follow the level ``h-1`` rule).
+    At level ``h``, a string on the root (k, l) below the level (l <= h)
+    grounds at its last color with positive sign; one that straddles it
+    (k <= h < l) grounds at color ``h``, and one above it (h < k) at color
+    k, both with sign alternating in the distance to the top color l - 1.
+    The straddling pairs listed in ``switched`` already follow the level
+    ``h-1`` rule (an interpolating flavor).  The standard arrangement is the
+    top level N - 1, where every string grounds at its last color.
     """
 
-    kind: str
-    h: Optional[int] = None
+    h: int
     switched: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.kind not in ("standard", "level", "interp"):
-            raise ValueError(f"unknown flavor kind {self.kind!r}")
-        if self.kind != "standard" and (self.h is None or self.h < 1):
-            raise ValueError("level flavors need a positive level")
-        if self.kind != "interp" and self.switched:
-            raise ValueError("only interpolating flavors carry switched pairs")
+        if not isinstance(self.h, int) or self.h < 1:
+            raise ValueError("flavors need a positive level")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "h": self.h,
-            "switched": sorted(self.switched),
-        }
-
-
-STANDARD = OrderFlavor("standard")
-
-
-def level_flavor(h: int) -> OrderFlavor:
-    return OrderFlavor("level", h)
+        return {"h": self.h, "switched": sorted(self.switched)}
 
 
 def interp_flavor(n_rank: int, h: int, steps: int) -> OrderFlavor:
@@ -164,28 +150,25 @@ def interp_flavor(n_rank: int, h: int, steps: int) -> OrderFlavor:
     switched = frozenset(
         t.label for t in transforms[:steps] if t.kind == "A2" and t.label
     )
-    return OrderFlavor("interp", h, switched)
+    return OrderFlavor(h, switched)
 
 
 def _flavor(value: Union[str, int, OrderFlavor], n_rank: int) -> OrderFlavor:
-    """The flavor ``value`` names at rank ``n_rank``: ``standard``, an
-    `OrderFlavor`, or a level; any level outside 1..n_rank-1, and any other
-    value, raises `OutOfRange`."""
-    flav = STANDARD if value == "standard" else value
-    h = flav.h if isinstance(flav, OrderFlavor) else flav
-    if flav != STANDARD and not (isinstance(h, int) and 1 <= h < n_rank):
+    """The flavor ``value`` names at rank ``n_rank``: an `OrderFlavor`, a
+    level, or ``standard``, the name of level n_rank-1; any level outside
+    1..n_rank-1, and any other value, raises `OutOfRange`."""
+    if value == "standard":
+        value = n_rank - 1
+    h = value.h if isinstance(value, OrderFlavor) else value
+    if not (isinstance(h, int) and 1 <= h < n_rank):
         raise OutOfRange(f"h must be in 1..{n_rank - 1}, got {h}")
-    return flav if isinstance(flav, OrderFlavor) else level_flavor(h)
+    return value if isinstance(value, OrderFlavor) else OrderFlavor(h)
 
 
 def _case_for(root: tuple[int, int], flavor: OrderFlavor) -> tuple[int, int]:
     """Ground color and sign of one string under a flavor."""
     k, l = root
-    if flavor.kind == "standard":
-        return l - 1, 1
-    h = flavor.h
-    if flavor.kind == "interp" and root in flavor.switched:
-        h = h - 1
+    h = flavor.h - 1 if root in flavor.switched else flavor.h
     if l <= h:
         return l - 1, 1
     if k <= h:
@@ -444,31 +427,22 @@ class PhiVector:
         return RF_ZERO
 
 
-def _flavor_basis(rank: int, flavor: OrderFlavor) -> PBWBasis:
-    if flavor.kind == "standard":
-        return standard_basis(rank)
-    if flavor.kind == "level":
-        return special_basis(rank, flavor.h)
-    raise ValueError("interpolating flavors have no single attached basis")
-
-
 def phi_vector(
-    space: TensorWeightSpace,
-    flavor: Union[str, int, OrderFlavor] = "standard",
-    *,
-    grounds: Optional[Sequence[RationalFunctionExpr]] = None,
+    space: TensorWeightSpace, flavor: Union[str, int, OrderFlavor] = "standard"
 ) -> PhiVector:
     """Coefficient functions of every basis index of a weight space."""
     rank = space.pbw_basis.n_rank
     flav = _flavor(flavor, rank)
-    basis = _flavor_basis(rank, flav)
+    if flav.switched:
+        raise ValueError("interpolating flavors have no single attached basis")
+    basis = special_basis(rank, flav.h)
     terms = []
     for multi in space.basis:
         counts = index_counts(multi, space.pbw_basis)
         exps = tuple(
             basis.exps_from_roots({root: c for root, c in slot}) for slot in counts
         )
-        forest = forest_of_index(counts, flav, n_rank=rank, grounds=grounds)
+        forest = forest_of_index(counts, flav, n_rank=rank)
         terms.append((exps, forest.function()))
     return PhiVector(space, flav, basis, tuple(terms))
 
@@ -515,22 +489,22 @@ class OrderInvarianceReport:
         }
 
 
-def verify_order_invariance(
-    space: TensorWeightSpace,
-    h: int,
-    *,
-    grounds: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> OrderInvarianceReport:
-    """Compare the level-``h`` `phi_vector` with the standard one.
+def verify_order_invariance(space: TensorWeightSpace, h: int) -> OrderInvarianceReport:
+    """Compare the level-``h`` `phi_vector` with the standard one, level N-1.
 
     Each slot of the level-``h`` vector is straightened onto the standard
     monomial basis; coefficient functions must then agree index by index.
     Both the raw verdict (canonical variable copies) and the verdict after
-    averaging over same-color copies are reported.
+    averaging over same-color copies are reported.  Only the levels below
+    the top, 1 <= h <= N-2, are a second arrangement: any other ``h`` raises
+    `OutOfRange`.
     """
+    rank = space.pbw_basis.n_rank
+    if not (isinstance(h, int) and 1 <= h <= rank - 2):
+        raise OutOfRange(f"h must be in 1..{rank - 2}, got {h}")
     start = time.monotonic()
-    standard_side = dict(phi_vector(space, STANDARD, grounds=grounds).terms)
-    level = phi_vector(space, h, grounds=grounds)
+    standard_side = dict(phi_vector(space, "standard").terms)
+    level = phi_vector(space, h)
     level_side: dict[tuple, RationalFunctionExpr] = {}
     for exps, value in level.terms:
         slot_expansions = [_expand_in_standard(level.basis, e) for e in exps]
@@ -607,8 +581,8 @@ def binomial_claim_check(
     for r in range(c + 1):
         sign = -1 if (c - r) % 2 else 1
         coeff = rational(sign * math.comb(c, r))
-        lhs = lhs + coeff * build(a + r, b + r, c - r, level_flavor(h))
-    rhs = build(a, b, c, OrderFlavor("interp", h, frozenset([pair])))
+        lhs = lhs + coeff * build(a + r, b + r, c - r, OrderFlavor(h))
+    rhs = build(a, b, c, OrderFlavor(h, frozenset([pair])))
 
     delta = lhs - rhs
     raw = delta.is_zero()
@@ -833,7 +807,7 @@ def z_shift_factorization(
     all_ok = True
     for multi in space.basis:
         counts = index_counts(multi, space.pbw_basis)
-        forest = forest_of_index(counts, level_flavor(h), n_rank=rank, grounds=grounds)
+        forest = forest_of_index(counts, OrderFlavor(h), n_rank=rank, grounds=grounds)
         expanded = _straddle_split_product(forest, h)
         drops = tuple(
             sum(c for (k, l), c in slot if k <= h < l) for slot in counts
@@ -928,7 +902,7 @@ def lemma_rat2Dprime_check(
     n = len(space.factors)
     grounds = z_symbols(n)
     counts = index_counts(index, space.pbw_basis)
-    forest = forest_of_index(counts, level_flavor(h), n_rank=rank, grounds=grounds)
+    forest = forest_of_index(counts, OrderFlavor(h), n_rank=rank, grounds=grounds)
     lhs = _straddle_split_product(forest, h)
 
     straddle_types = [r for r in positive_roots(rank) if r[0] <= h < r[1]]
@@ -963,7 +937,7 @@ def lemma_rat2Dprime_check(
         coeff = rational(sign * weight)
         forest = forest_of_index(
             slots + [extra],
-            level_flavor(h),
+            OrderFlavor(h),
             n_rank=rank,
             grounds=grounds + (RF_ZERO,),
         )
@@ -1139,7 +1113,7 @@ def switch_cor_witness(
             var_ids[t_name(k, d)] = len(var_ids)
     volume_key = tuple(range(len(var_ids)))
 
-    forest = forest_of_index(counts, STANDARD, n_rank=rank, grounds=grounds)
+    forest = forest_of_index(counts, n_rank=rank, grounds=grounds)
     phi_index = forest.function()
 
     eta: dict[tuple[int, ...], RationalFunctionExpr] = {(): RF_ONE}
@@ -1182,7 +1156,7 @@ def switch_cor_witness(
     dual_image = RF_ZERO
     coeffs = raising_dual_coefficients(counts, h, slot_pairs, rank)
     for new_index, coeff in coeffs:
-        forest = forest_of_index(new_index, STANDARD, n_rank=rank, grounds=grounds)
+        forest = forest_of_index(new_index, n_rank=rank, grounds=grounds)
         dual_image = dual_image + coeff * forest.function()
 
     dual_raw, dual_sign = False, 0

@@ -9,16 +9,17 @@ Positive roots of sl_N are pairs ``(k, l)`` with ``1 <= k < l <= N`` standing
 for ``e_k - e_l`` in epsilon-coordinates.  Orders on positive roots are stored
 as tuples **largest first**.
 
-The standard order puts ``(k, l)`` above ``(k', l')`` iff ``l > l'`` or
-(``l = l'`` and ``k > k'``).  The special order for a level ``h`` splits the
-roots into three blocks, top to bottom:
+The special order for a level ``h`` splits the roots into three blocks,
+top to bottom:
 
 * ``A_h = {(k, l): k <= h < l}`` ordered by ``l`` ascending, then ``k``
   descending;
-* ``B_h = {(k, l): l <= h}`` in the standard order;
+* ``B_h = {(k, l): l <= h}`` by ``l`` descending, then ``k`` descending;
 * ``C_h = {(k, l): h < k}`` ordered by ``k`` ascending, then ``l`` ascending.
 
-``h = N - 1`` reproduces the standard order.
+The standard order is the special order of the top level ``h = N - 1``: it
+puts ``(k, l)`` above ``(k', l')`` iff ``l > l'`` or (``l = l'`` and
+``k > k'``).
 
 A linear order is *normal* when for every pair of positive roots whose sum is
 again a root, the sum lies between the two summands.  Normal orders are
@@ -43,7 +44,6 @@ __all__ = [
     "positive_roots",
     "root_sum",
     "is_normal",
-    "standard_order",
     "special_order",
     "serialize_order",
     "ElemTransform",
@@ -109,11 +109,6 @@ def is_normal(order: Sequence[tuple[int, int]]) -> bool:
             if not (min(i, j) < m < max(i, j)):
                 return False
     return True
-
-
-def standard_order(n_rank: int) -> tuple[tuple[int, int], ...]:
-    """Standard order, largest first: (k,l) before (k',l') iff l>l' or l=l',k>k'."""
-    return tuple(sorted(positive_roots(n_rank), key=lambda kl: (kl[1], kl[0]), reverse=True))
 
 
 def special_order(n_rank: int, h: int) -> tuple[tuple[int, int], ...]:

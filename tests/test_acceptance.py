@@ -24,8 +24,9 @@ def _record(criterion: int, detail: str) -> None:
 
 
 def test_criterion_1_pbw_order_invariance():
-    # Exact symmetrized equality of the weighted basis sums across every
-    # arrangement level: sl3 on 1-2 tensor factors up to weight (2,2), sl4
+    # Exact symmetrized equality of the weighted basis sums of every
+    # arrangement level below the top with those of the top level N-1, the
+    # standard arrangement: sl3 on 1-2 tensor factors up to weight (2,2), sl4
     # on one factor up to weight (1,1,1).  Budget: 5 minutes.
     start = time.monotonic()
     checked = 0
@@ -35,15 +36,14 @@ def test_criterion_1_pbw_order_invariance():
             if m1 + m2 == 0:
                 continue
             space = enumerate_basis(factors, (m1, m2))
-            for h in (1, 2):
-                report = verify_order_invariance(space, h)
-                assert report.symmetrized_equal, (n_factors, (m1, m2), h)
-                checked += 1
+            report = verify_order_invariance(space, 1)
+            assert report.symmetrized_equal, (n_factors, (m1, m2))
+            checked += 1
     for nu in product(range(2), range(2), range(2)):
         if sum(nu) == 0:
             continue
         space = enumerate_basis([verma_symbolic(4, 1)], nu)
-        for h in (1, 2, 3):
+        for h in (1, 2):
             report = verify_order_invariance(space, h)
             assert report.symmetrized_equal, (nu, h)
             checked += 1

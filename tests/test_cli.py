@@ -221,10 +221,10 @@ class TestSymbolicSuites:
         )
 
     def test_pbw_invariance_minimal(self):
-        report = run_suite(SuiteConfig(suite="pbw-invariance", n=2, nu=(1,)))
+        report = run_suite(SuiteConfig(suite="pbw-invariance", n=3, nu=(1, 0)))
         _schema_check(report, "pbw-invariance")
         assert report["verdict"] == "pass"
-        witness = report["witnesses"][0]
+        (witness,) = report["witnesses"]
         assert witness["h"] == 1
         assert witness["raw_equal"] and witness["symmetrized_equal"]
         assert "seconds" not in witness  # timing lives in the timings section
@@ -236,9 +236,9 @@ class TestSymbolicSuites:
 
         phi_vector = hyper.phi_vector
 
-        def doubled(space, flavor="standard", **kwargs):
-            pv = phi_vector(space, flavor, **kwargs)
-            if pv.flavor.kind != "level":
+        def doubled(space, flavor="standard"):
+            pv = phi_vector(space, flavor)
+            if pv.flavor.h == space.pbw_basis.n_rank - 1:  # the standard side
                 return pv
             (exps, value), *rest = pv.terms
             terms = ((exps, value + value), *rest)
@@ -267,7 +267,13 @@ class TestSymbolicSuites:
         by_level = {w["h"]: w for w in report["witnesses"]}
         assert not by_level[1]["raw_equal"]
         assert by_level[1]["symmetrized_equal"]
-        assert by_level[2]["symmetrized_equal"]
+        assert list(by_level) == [1]  # level 2 is the standard arrangement
+
+    def test_pbw_invariance_flagged_at_rank_four(self):
+        report = run_suite(SuiteConfig(suite="pbw-invariance", n=4, nu=(1, 2, 2)))
+        assert report["verdict"] == "flagged"
+        assert [w["h"] for w in report["witnesses"]] == [1, 2]
+        assert all(w["symmetrized_equal"] for w in report["witnesses"])
 
     def test_additive_form_default(self):
         report = run_suite(SuiteConfig(suite="additive-form"))
@@ -636,7 +642,7 @@ class TestReportPlumbing:
         assert report["warnings"] == []
 
     def test_level_seconds_go_to_timings(self):
-        report = run_suite(SuiteConfig(suite="pbw-invariance", n=3, nu=(1, 1)))
+        report = run_suite(SuiteConfig(suite="pbw-invariance", n=4, nu=(1, 1, 1)))
         assert [w["h"] for w in report["witnesses"]] == [1, 2]
         assert all("seconds" not in w for w in report["witnesses"])
         seconds = report["timings"]["per_check_seconds"]
@@ -679,7 +685,7 @@ class TestReportPlumbing:
 
 
 _PINNED_REPORTS = {
-    "pbw-invariance": "63fb56e19e8dccef3f1b58ce14d47459fdde00105ec3ad092145e18205bdbb1c",
+    "pbw-invariance": "75a581354485863ca93db01a1850d02d71ab69e9aa00d266fb361ae6c2f13621",
     "additive-form": "1aa52cb4aa6e2a7b7b9250a31504b4e8b5053438edb11b1bd82a28ff08d35071",
     "fusion": "c2890afbc8e84da2a1d169ad2af11573b2ec31914f47988f21da889eb4fbd14d",
     "compatibility": "9b219f0736d9c7515189cf39975f8645c3f57810493f85f782dbc3ef860eed8c",
@@ -691,14 +697,14 @@ _PINNED_REPORTS = {
     "sigma-orders": "0ec2f2f8990bbc96149e8242e0cf310d7b2632b3ffcbc8ca944a6323310f7453",
     # verdict `flagged`
     "pbw-invariance --n 3 --nu 2,2 --factors verma,verma": (
-        "db10f2ee2aac24cf65d545a74b6956f0e8c29c2e9c12e00d5575541e08b97376"
+        "54d321c5535008849df4bfef26218d1751a3e1b48a977cf7050632d0dcdb3470"
     ),
     # verdict `flagged`; at n = 4 a level step makes several reversals
     "pbw-invariance --n 4 --nu 1,2,2": (
-        "86310583f3fdc9a616f87d95839ed029ba9c848d2b8b5485cb2c3d414ee24844"
+        "886575b2f6f160490aaaeefc71bbe91c1597379e127237d272e8226a27f8a494"
     ),
     "pbw-invariance --n 4 --nu 2,2,2": (
-        "cbdacc75e6b09dc9eb5cd4ec8606641754eb2f81ebfc892b8b4ffcedc788593e"
+        "6c2d2b4cff9c7dab01791148a9e91790101a922027912b5246de881a7929d6b2"
     ),
     "appendix-b --n 3 --nu 1,1 --factors verma,verma,verma": (
         "e746516300bf4dfd66e5f7f3078f39e2111efcf2ece1fc096137c0aab1d10e99"
@@ -777,7 +783,7 @@ class TestDumps:
         data = json.loads(
             dump_object("phi-vector", {"n": 2, "nu": [1], "factors": ["verma"]})
         )
-        assert data["flavor"]["kind"] == "standard"
+        assert data["flavor"] == {"h": 1, "switched": []}
         assert len(data["terms"]) == 1
         value = parse(data["terms"][0]["value"])
         assert (value - parse("1/(t:1:1 - z:1)")).is_zero()
@@ -792,6 +798,18 @@ class TestDumps:
         assert data["n"] == 3
         assert data["index"] == 0
         assert data["trees"] and data["trees"][0]["strings"]
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("phi-vector", {}), ("forest", {"index": 1})],
+        ids=["phi-vector", "forest"],
+    )
+    def test_standard_names_the_top_level(self, kind, extra):
+        # one flavor object: `standard` resolves to level n-1
+        params = {"n": 3, "nu": [1, 1], "factors": ["verma", "verma"], **extra}
+        standard = dump_object(kind, {**params, "h": "standard"})
+        assert standard == dump_object(kind, {**params, "h": 2})
+        assert json.loads(standard)["flavor"] == {"h": 2, "switched": []}
 
     def test_forest_index_out_of_range(self):
         with pytest.raises(CapabilityExceeded):
@@ -856,8 +874,8 @@ _PINNED_DUMPS = {
     "sigma": "f6d81cf3a2288a1d426628afb18daac3301e453426fc1d299cc8b317b090a468",
     "operator": "82cce72467fef85857d6ab7d28c92231c8605ea204726e27490266bc496d8c9c",
     "fusion": "49225d9bb8f2a9bfab6e71fe9b57e46298436146e5c6f7651dfa5924e399a5e3",
-    "phi-vector": "931bfc081847808b0d9da3533ce2b51d450f4772f36b6c81daed696561b89dc0",
-    "forest": "cc7d0ff573e7b253057086b63007cae3e7bf65e28ae5aa9ef3fc20b9269e0b7a",
+    "phi-vector": "448ce6fdaf8fdde8087e606bbfcf8b06d271d5ac7295f199deb9cdf0dcfa34be",
+    "forest": "fbefefc4d96c2a9923de2d861c2a8d8f2d4c89ff244ae2b7e2e70f5f3943f863",
     "order --n 4 --h 2": (
         "1d863920835acbf9175db883fc74644083e9ba7a0315131cc24c4704e2d4070b"
     ),
@@ -871,14 +889,14 @@ _PINNED_DUMPS = {
         "4cb65328847eb3e9962c182dddcc5b2cb379bc7f2048269ff9a0701ae2ae3593"
     ),
     "phi-vector --n 2 --nu 1": (
-        "931bfc081847808b0d9da3533ce2b51d450f4772f36b6c81daed696561b89dc0"
+        "448ce6fdaf8fdde8087e606bbfcf8b06d271d5ac7295f199deb9cdf0dcfa34be"
     ),
     "forest --n 3 --nu 1,1 --h 1 --index 0": (
-        "225fa539763ace29c5fb7d158e5c6a26fa518512221bfdc1cfe500de35a62397"
+        "84ed2b4d97ee6cc3eefda5d529f91c3361620b96b32566788ab8ba188c371375"
     ),
     # two factors at a level: a second variable copy and a signed ground
     "phi-vector --n 3 --nu 1,1 --factors verma,verma --h 1": (
-        "7e8d321556087e1cd40e253e72124237777278db6dbe5e9b4343a5078cd58e73"
+        "3d7fb34f380ba1433bbb47dd5955a291620fdb1c3a1576a2aa0757a2e1e5e8a6"
     ),
     # rank 3: the fusion coefficients and the level-2 K entries
     "fusion --n 3 --depth 4": (
@@ -903,6 +921,13 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert code == 2
         assert "unknown suite" in captured.err
+
+    def test_pbw_invariance_needs_a_level_below_the_top(self, capsys):
+        # at n = 2 the only level is the standard arrangement itself
+        assert main(["verify", "pbw-invariance", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: suite pbw-invariance supports 3 <= n <= 4\n"
 
     def test_verify_capability_exit_two(self, capsys):
         code = main(["verify", "pbw-invariance", "--n", "9"])

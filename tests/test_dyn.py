@@ -42,6 +42,7 @@ from kzdyn.rep import (
     WeightSpaceOperator,
     enumerate_basis,
     lp_module,
+    operator_for_letter,
     p_elements,
     verma_symbolic,
     verma_weight,
@@ -531,19 +532,23 @@ def test_q_dagger_insufficient_depth_raises():
 
 def test_omega_full_on_highest_line():
     sp = enumerate_basis([verma_symbolic(2, 1), verma_symbolic(2, 2)], (0,))
-    full = omega_operator(sp, 1, 2, "full")
+    full = omega_operator(sp, 1, 2) + omega_operator(sp, 2, 1)
     hw1 = sp.factors[0].hw
     hw2 = sp.factors[1].hw
     assert full.entry(0, 0) == hw1.dot(hw2)
 
 
 def test_omega_parts_sum():
-    sp = enumerate_basis([verma_symbolic(2, 1), verma_symbolic(2, 2)], (1,))
-    plus = omega_operator(sp, 1, 2, "plus")
-    minus = omega_operator(sp, 1, 2, "minus")
-    full = omega_operator(sp, 1, 2, "full")
-    assert plus + minus == full
-    assert omega_operator(sp, 1, 2, "zero") == omega_operator(sp, 2, 1, "zero")
+    # the halves raising at factor 1 and at factor 2 share the diagonal, and
+    # their sum, the Casimir operator, commutes with the diagonal action
+    sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 1))
+    plus, minus = omega_operator(sp, 1, 2), omega_operator(sp, 2, 1)
+    assert all(plus.entry(p, p) == minus.entry(p, p) for p in range(sp.dim))
+    for a, b in positive_roots(3):
+        lower = operator_for_letter(sp, ("e", b, a))
+        target = lower.codomain
+        casimir = omega_operator(target, 1, 2) + omega_operator(target, 2, 1)
+        assert casimir.compose(lower) == lower.compose(plus + minus)
 
 
 def test_r_matrix_unitarity():
@@ -792,7 +797,7 @@ def test_det_ingredients_trace_consistency():
     # epsilon equals the trace of the full two-factor Casimir operator.
     sp = enumerate_basis([lp_module(2), lp_module(2)], (1,))
     ing = det_ingredients(sp, (1, 2))
-    op = omega_operator(sp, 1, 2, "full")
+    op = omega_operator(sp, 1, 2) + omega_operator(sp, 2, 1)
     tr = RF_ZERO
     for i in range(sp.dim):
         tr = tr + op.entry(i, i)

@@ -25,7 +25,6 @@ from kzdyn.roots import (
     sign_table_a,
     simple_reflection,
     special_order,
-    standard_order,
 )
 
 
@@ -39,17 +38,12 @@ def test_positive_root_count():
 
 
 def test_standard_order_rank3():
+    # the standard order is the top level's
     assert special_order(3, 2) == ((2, 3), (1, 3), (1, 2))
-    assert special_order(3, 2) == standard_order(3)
 
 
 def test_level1_order_rank3():
     assert special_order(3, 1) == ((1, 2), (1, 3), (2, 3))
-
-
-def test_top_level_is_standard():
-    for n in range(2, 7):
-        assert special_order(n, n - 1) == standard_order(n)
 
 
 def test_all_special_orders_normal():
