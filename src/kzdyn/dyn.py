@@ -207,17 +207,6 @@ def _default_pairings(
     return tuple(pairings)
 
 
-def _factor_weight(space: TensorWeightSpace, position: int, j: int) -> WeightVec:
-    """Weight of tensor factor ``j`` (1-based) of one basis element."""
-    n_rank = space.pbw_basis.n_rank
-    exps = space.basis[position][j - 1]
-    total = space.factors[j - 1].hw
-    for (k, l), e in zip(space.pbw_basis.order, exps):
-        if e:
-            total = total - root_vec(n_rank, k, l).scale(e)
-    return total
-
-
 def _exps_coords(basis: PBWBasis, exps: Sequence[int]) -> tuple[int, ...]:
     """Simple-root coordinates of the weight lowered by a basis monomial."""
     coords = [0] * (basis.n_rank - 1)
@@ -580,8 +569,8 @@ def _half_diagonal(space: TensorWeightSpace, i: int, j: int) -> WeightSpaceOpera
         raise ValueError("factor indices must differ")
     diag: dict[tuple[int, int], RationalFunctionExpr] = {}
     for pos in range(space.dim):
-        mu_i = _factor_weight(space, pos, i)
-        mu_j = _factor_weight(space, pos, j)
+        mu_i = space.factor_weight(pos, i)
+        mu_j = space.factor_weight(pos, j)
         val = mu_i.dot(mu_j) * _HALF
         if not val.is_zero():
             diag[(pos, pos)] = val
@@ -627,7 +616,7 @@ def lambda_diagonal(
     lam_vec = weight_from_pairings(n_rank, pairings)
     entries: dict[tuple[int, int], RationalFunctionExpr] = {}
     for pos in range(space.dim):
-        val = lam_vec.dot(_factor_weight(space, pos, i))
+        val = lam_vec.dot(space.factor_weight(pos, i))
         if not val.is_zero():
             entries[(pos, pos)] = val
     return WeightSpaceOperator(space, space, entries)
@@ -840,7 +829,7 @@ def nabla_K_rows(space: TensorWeightSpace) -> Iterator[tuple[int, int, CheckRepo
         omega_k = omega_vec(n_rank, k)
         for p, index in enumerate(space.basis):
             lhs = formal - rational(_exps_coords(space.pbw_basis, index[j - 1])[k - 1])
-            rhs = omega_k.dot(_factor_weight(space, p, j))
+            rhs = omega_k.dot(space.factor_weight(p, j))
             if lhs != rhs:
                 entry = {"row": p, "col": p, "lhs": str(lhs), "rhs": str(rhs)}
                 return {"part": "exponents", **entry}
@@ -938,7 +927,7 @@ def det_ingredients(space: TensorWeightSpace, alpha: tuple[int, int]) -> DetIngr
     n = len(space.factors)
     lam_vec = weight_from_pairings(n_rank, pairings)
     weights = [
-        [_factor_weight(space, pos, i) for i in range(1, n + 1)]
+        [space.factor_weight(pos, i) for i in range(1, n + 1)]
         for pos in range(space.dim)
     ]
     lam_traces = [sum((lam_vec.dot(w[i]) for w in weights), RF_ZERO) for i in range(n)]
@@ -972,16 +961,41 @@ def det_ingredients(space: TensorWeightSpace, alpha: tuple[int, int]) -> DetIngr
 
 
 def _contract_last_factor(
-    space_prime: TensorWeightSpace, vec: PBWVector, space: TensorWeightSpace
-) -> PBWVector:
-    """Project onto components whose last factor is the highest vector."""
+    space_prime: TensorWeightSpace, space: TensorWeightSpace
+) -> dict[int, int]:
+    """The positions of ``space_prime`` whose last factor is the highest
+    vector, each mapped to the position of ``space`` it contracts to."""
     zero = space_prime.pbw_basis.zero_exps()
-    out: dict[int, RationalFunctionExpr] = {}
-    for pos, c in vec.coeffs.items():
-        mi = space_prime.basis[pos]
-        if mi[-1] == zero:
-            out[space.index_position[mi[:-1]]] = c
-    return PBWVector(space, out)
+    return {
+        pos: space.index_position[mi[:-1]]
+        for pos, mi in enumerate(space_prime.basis)
+        if mi[-1] == zero
+    }
+
+
+def _coupling_to_last(
+    space_prime: TensorWeightSpace, space: TensorWeightSpace, i: int
+) -> WeightSpaceOperator:
+    """The Casimir operator between factor ``i`` and the last factor of
+    ``space_prime``, restricted to the rows that `_contract_last_factor`
+    keeps, as an operator into ``space``.
+
+    On those rows the last factor is its highest vector, which the half
+    that lowers the last factor never reaches.  So they hold the diagonal
+    (mu_i, mu_last) and the root terms that raise at the last factor.
+    """
+    last = len(space_prime.factors)
+    top = _contract_last_factor(space_prime, space)
+    entries: dict[tuple[int, int], RationalFunctionExpr] = {}
+    for row, pos in top.items():
+        mu_i = space_prime.factor_weight(row, i)
+        entries[(pos, row)] = mu_i.dot(space_prime.factor_weight(row, last))
+    for term in _root_terms(space_prime, last, i).values():
+        for (row, col), c in term.entries.items():
+            if row in top:
+                key = (top[row], col)
+                entries[key] = entries.get(key, RF_ZERO) + c
+    return WeightSpaceOperator(space_prime, space, entries)
 
 
 def check_rational_to_trig(
@@ -1017,28 +1031,25 @@ def check_rational_to_trig(
     casimir_i = (hw_i.dot(hw_i) + hw_i.dot(rho) + hw_i.dot(rho)) * _HALF
 
     minus_parts = [omega_operator(space, jj, i) for jj in range(1, n + 1) if jj != i]
-    coupling = omega_operator(space_prime, i, n_plus_1) + omega_operator(
-        space_prime, n_plus_1, i
-    )
+    top = _contract_last_factor(space_prime, space)
+    coupling = _coupling_to_last(space_prime, space, i)
+    diagonal: dict[int, RationalFunctionExpr] = {}
     checked = 0
     if vectors is None:
         vectors = singular_vectors(space_prime)
     for u0 in vectors:
-        v_prime = _contract_last_factor(space_prime, u0, space)
+        v_prime = PBWVector(space, {top[p]: c for p, c in u0.coeffs.items() if p in top})
         lhs: dict[int, RationalFunctionExpr] = {}
         for pos, c in v_prime.coeffs.items():
-            val = shift_vec.dot(_factor_weight(space, pos, i)) - casimir_i
-            lhs[pos] = c * val
-        rhs: dict[int, RationalFunctionExpr] = {}
+            if pos not in diagonal:
+                diagonal[pos] = shift_vec.dot(space.factor_weight(pos, i)) - casimir_i
+            lhs[pos] = c * diagonal[pos]
+        rhs = dict(coupling.apply(u0).coeffs)
         for op in minus_parts:
             for pos, c in op.apply(v_prime).coeffs.items():
                 rhs[pos] = rhs.get(pos, RF_ZERO) + c
-        coupled = coupling.apply(u0)
-        contracted = _contract_last_factor(space_prime, coupled, space)
-        for pos, c in contracted.coeffs.items():
-            rhs[pos] = rhs.get(pos, RF_ZERO) + c
         checked += 1
-        for pos in set(lhs) | set(rhs):
+        for pos in sorted(set(lhs) | set(rhs)):
             a = lhs.get(pos, RF_ZERO)
             b = rhs.get(pos, RF_ZERO)
             if a != b:

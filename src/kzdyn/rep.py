@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from ._record import record
-from .roots import WeightVec, weight_from_pairings
+from .roots import WeightVec, root_vec, weight_from_pairings
 from .symexpr import (
     RF_ONE,
     RF_ZERO,
@@ -151,6 +151,7 @@ class TensorWeightSpace:
         "basis",
         "index_position",
         "straighteners",
+        "_factor_weights",
         "_hash",
     )
 
@@ -170,6 +171,7 @@ class TensorWeightSpace:
         self.straighteners: tuple[Straightener, ...] = tuple(
             straightener(pbw_basis, f.hw) for f in factors
         )
+        self._factor_weights: dict[tuple[int, int], WeightVec] = {}
         self._hash = hash((factors, nu0, pbw_basis))
 
     def __eq__(self, other):
@@ -199,6 +201,19 @@ class TensorWeightSpace:
         for f in self.factors[1:]:
             total = total + f.hw
         return total
+
+    def factor_weight(self, position: int, j: int) -> WeightVec:
+        """Weight of tensor factor ``j`` (1-based) of basis element
+        ``position``, computed on first use and kept with the space."""
+        weight = self._factor_weights.get((position, j))
+        if weight is None:
+            n_rank = self.pbw_basis.n_rank
+            weight = self.factors[j - 1].hw
+            for (k, l), e in zip(self.pbw_basis.order, self.basis[position][j - 1]):
+                if e:
+                    weight = weight - root_vec(n_rank, k, l).scale(e)
+            self._factor_weights[(position, j)] = weight
+        return weight
 
     def shifted(self, level_shifts: Mapping[int, int]) -> "TensorWeightSpace":
         nu0 = list(self.nu0)
@@ -406,20 +421,20 @@ class WeightSpaceOperator:
         )
 
     def invert(self) -> "WeightSpaceOperator":
-        """Exact inverse via Gauss-Jordan on ``[A | I]`` over the expression field."""
+        """Exact inverse via Gauss-Jordan on the sparse rows of ``[A | I]``."""
         assert self.domain == self.codomain
         n = self.domain.dim
-        mat = [
-            row + [RF_ONE if i == j else RF_ZERO for j in range(n)]
-            for i, row in enumerate(self.dense())
-        ]
-        if len(_row_reduce(mat, n)) < n:
+        rows: list[dict[int, RationalFunctionExpr]] = [{n + i: RF_ONE} for i in range(n)]
+        for (i, j), v in self.entries.items():
+            rows[i][j] = v
+        reduced = _row_reduce(rows, n)
+        if len(reduced) < n:
             raise SingularGram("matrix is singular over the expression field")
         entries = {
-            (i, j): x
-            for i, row in enumerate(mat)
-            for j, x in enumerate(row[n:])
-            if not x.is_zero()
+            (i, j - n): row[j]
+            for i, row in reduced.items()
+            for j in sorted(row)
+            if j >= n
         }
         return WeightSpaceOperator(self.domain, self.codomain, entries)
 
@@ -545,42 +560,74 @@ def dual_action_F(
 # Singular vectors
 # ---------------------------------------------------------------------------
 
-def _row_reduce(mat: list[list[RationalFunctionExpr]], ncols: int) -> list[int]:
-    """Gauss-Jordan on the dense rows of ``mat`` in place, over the first
-    ``ncols`` columns; returns the pivot columns, the k-th in row k."""
-    pivots: list[int] = []
-    r = 0
+def _pivot_cost(row: dict[int, RationalFunctionExpr], col: int) -> tuple[bool, int, int]:
+    """Simplest pivot first: a constant denominator, then the fewest terms,
+    then the shortest row (the fewest entries to update, after Markowitz)."""
+    x = row[col]
+    return (not x.den.is_one(), len(x.num.terms) + len(x.den.terms), len(row))
+
+
+def _row_reduce(
+    rows: list[dict[int, RationalFunctionExpr]], ncols: int
+) -> dict[int, dict[int, RationalFunctionExpr]]:
+    """Gauss-Jordan on sparse rows ``{column: nonzero entry}``, pivoting in
+    the first ``ncols`` columns; returns the nonzero rows of the reduced row
+    echelon form keyed by their pivot column, in increasing column order.
+    ``rows`` is not modified.
+
+    Zeros are never stored or visited, and a row that cancels to nothing
+    leaves the elimination.  In each column the pivot is the simplest
+    nonzero entry among the rows not used yet (`_pivot_cost`), so the
+    reciprocal that scales its row is as small as that column allows.
+
+    The choice changes no result.  Over a field the reduced row echelon
+    form of a matrix is unique for a fixed column order: every echelon form
+    spans the same row space and has the same pivot columns (the columns
+    not spanned by the ones before them), and a row of that space is fixed
+    by its values at the pivot columns, here 1 at its own and 0 at the
+    others.  So every pivot choice ends in the same rows, and the canonical
+    entries are equal under ``==``.
+    """
+    pending = [dict(row) for row in rows if row]
+    reduced: dict[int, dict[int, RationalFunctionExpr]] = {}
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero()), None)
-        if pivot is None:
+        hits = [i for i, row in enumerate(pending) if col in row]
+        if not hits:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        scale = mat[r][col].reciprocal()
-        mat[r] = [x * scale for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return pivots
+        p = min(hits, key=lambda i: _pivot_cost(pending[i], col))
+        scale = pending[p][col].reciprocal()
+        pivot = {j: x * scale for j, x in pending[p].items() if j != col}
+        others = [pending[i] for i in hits if i != p]
+        others += [row for row in reduced.values() if col in row]
+        for row in others:
+            f = row.pop(col)
+            for j, y in pivot.items():
+                x = row.get(j, RF_ZERO) - f * y
+                if x.is_zero():
+                    row.pop(j, None)
+                else:
+                    row[j] = x
+        pivot[col] = RF_ONE
+        reduced[col] = pivot
+        del pending[p]
+        pending = [row for row in pending if row]
+    return reduced
 
 
 def nullspace(rows: list[dict[int, RationalFunctionExpr]], dim: int) -> list[dict[int, RationalFunctionExpr]]:
-    """Exact nullspace of a stacked sparse system over the expression field."""
-    # Dense Gaussian elimination: rows are functionals on R^dim.
-    mat = [[row.get(j, RF_ZERO) for j in range(dim)] for row in rows]
-    pivots = _row_reduce(mat, dim)
-    free = [c for c in range(dim) if c not in pivots]
+    """Exact nullspace of a stacked sparse system over the expression field:
+    one vector per free column, 1 there and minus that column of the
+    reduced rows at the pivot columns."""
+    reduced = _row_reduce(rows, dim)
     out = []
-    for fc in free:
+    for fc in range(dim):
+        if fc in reduced:
+            continue
         vec = {fc: RF_ONE}
-        for prow, pcol in enumerate(pivots):
-            v = mat[prow][fc]
-            if not v.is_zero():
-                vec[pcol] = RF_ZERO - v
+        for pcol, row in reduced.items():
+            v = row.get(fc)
+            if v is not None:
+                vec[pcol] = -v
         out.append(vec)
     return out
 

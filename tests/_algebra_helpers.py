@@ -1,5 +1,6 @@
 """Test-only conveniences over the straightening engine and the tensor actions,
-and the cross-gcd reference for rational-function arithmetic.
+the cross-gcd reference for rational-function arithmetic, and the dense
+Gauss-Jordan reference for `rep.nullspace` and `WeightSpaceOperator.invert`.
 
 The package computes with `Straightener.apply_word` and the tensor Leibniz
 action directly; these helpers package the same machinery in
@@ -7,9 +8,16 @@ the shapes the tests state their identities in.  They are not used by the
 package.
 """
 
-from kzdyn.rep import PBWVector, TensorWeightSpace, operator_for_letter
+from kzdyn.rep import (
+    PBWVector,
+    SingularGram,
+    TensorWeightSpace,
+    WeightSpaceOperator,
+    operator_for_letter,
+)
 from kzdyn.roots import weight_from_pairings
 from kzdyn.symexpr import (
+    RF_ONE,
     RF_ZERO,
     RationalFunctionExpr,
     _make_reduced,
@@ -76,3 +84,64 @@ def reference_mul(x: RationalFunctionExpr, y: RationalFunctionExpr) -> RationalF
     _, a, d = poly_gcd_cofactors(a, d)
     _, c, b = poly_gcd_cofactors(c, b)
     return _make_reduced(a * c, b * d)
+
+
+def reference_row_reduce(mat: list[list[RationalFunctionExpr]], ncols: int) -> list[int]:
+    """Gauss-Jordan on the dense rows of ``mat`` in place, over the first
+    ``ncols`` columns; returns the pivot columns, the k-th in row k."""
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        scale = mat[r][col].reciprocal()
+        mat[r] = [x * scale for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][col].is_zero():
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return pivots
+
+
+def reference_nullspace(
+    rows: list[dict[int, RationalFunctionExpr]], dim: int
+) -> list[dict[int, RationalFunctionExpr]]:
+    """`rep.nullspace` through `reference_row_reduce` on dense rows."""
+    mat = [[row.get(j, RF_ZERO) for j in range(dim)] for row in rows]
+    pivots = reference_row_reduce(mat, dim)
+    free = [c for c in range(dim) if c not in pivots]
+    out = []
+    for fc in free:
+        vec = {fc: RF_ONE}
+        for prow, pcol in enumerate(pivots):
+            v = mat[prow][fc]
+            if not v.is_zero():
+                vec[pcol] = RF_ZERO - v
+        out.append(vec)
+    return out
+
+
+def reference_invert(op: WeightSpaceOperator) -> WeightSpaceOperator:
+    """`WeightSpaceOperator.invert` through `reference_row_reduce` on the
+    dense ``[A | I]``."""
+    assert op.domain == op.codomain
+    n = op.domain.dim
+    mat = [
+        row + [RF_ONE if i == j else RF_ZERO for j in range(n)]
+        for i, row in enumerate(op.dense())
+    ]
+    if len(reference_row_reduce(mat, n)) < n:
+        raise SingularGram("matrix is singular over the expression field")
+    entries = {
+        (i, j): x
+        for i, row in enumerate(mat)
+        for j, x in enumerate(row[n:])
+        if not x.is_zero()
+    }
+    return WeightSpaceOperator(op.domain, op.codomain, entries)

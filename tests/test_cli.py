@@ -729,6 +729,13 @@ _PINNED_REPORTS = {
     "compatibility --n 3 --nu 2,0": (
         "8b634a3c95929053a209e7b79db48dc477130246bfc2da6511cf1a99cbca0c6d"
     ),
+    # the sparse elimination and the projected coupling at dims 27 and 56
+    "appendix-b --n 3 --nu 2,1 --factors verma,verma,verma": (
+        "90c987abcb4996c173c3e17f457f4bfa0d21806108ffc59877782a751d6fcbf4"
+    ),
+    "appendix-b --n 3 --nu 1,2 --factors verma,verma,verma,verma": (
+        "61bd89cb46a06cb48dc1f0a1834260d5c5b859ee3e2534205baf5854af3b8939"
+    ),
 }
 
 
@@ -1016,7 +1023,9 @@ class TestMainEntry:
         from kzdyn import symexpr
 
         monkeypatch.setattr(symexpr, "GCDHEU_POINTS", 0)
-        code = main(["verify", "fusion"])
+        # the default run meets no nonlinear gcd; inverting the rank-3 Gram
+        # matrices still scales rows by nonconstant pivots
+        code = main(["verify", "fusion", "--n", "3", "--nu", "1,1"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""

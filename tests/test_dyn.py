@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _closed_forms import b_coeff, falling
+from kzdyn import dyn
 from kzdyn.dyn import (
     B_additive,
     B_alpha,
@@ -39,11 +40,13 @@ from kzdyn.dyn import (
     z_symbols,
 )
 from kzdyn.rep import (
+    PBWVector,
     WeightSpaceOperator,
     enumerate_basis,
     lp_module,
     operator_for_letter,
     p_elements,
+    singular_vectors,
     verma_symbolic,
     verma_weight,
     word_operator,
@@ -827,6 +830,64 @@ def test_rational_to_trig_rank2():
     for i in (1, 2):
         report = check_rational_to_trig(sp, i)
         assert report.passed, report.witness
+
+
+def _apply_then_contract(space_prime, space, i, vec):
+    """The full Casimir coupling of factor i to the last factor applied on
+    the whole extended space, then contracted against the last factor's
+    dual highest vector."""
+    last = len(space_prime.factors)
+    coupling = omega_operator(space_prime, i, last) + omega_operator(space_prime, last, i)
+    zero = space_prime.pbw_basis.zero_exps()
+    return {
+        space.index_position[space_prime.basis[pos][:-1]]: c
+        for pos, c in coupling.apply(vec).coeffs.items()
+        if space_prime.basis[pos][-1] == zero
+    }
+
+
+@pytest.mark.parametrize(
+    "n_rank, n_factors, nu0",
+    [(2, 2, (2,)), (3, 3, (1, 1)), (2, 4, (2,)), (3, 4, (1, 1))],
+    ids=["sl2-2", "sl3-3", "sl2-4", "sl3-4"],
+)
+def test_projected_coupling_is_apply_then_contract(n_rank, n_factors, nu0):
+    sp = enumerate_basis([verma_symbolic(n_rank, j) for j in range(1, n_factors + 1)], nu0)
+    space = enumerate_basis(sp.factors[:-1], sp.nu0, sp.pbw_basis)
+    vectors = singular_vectors(sp)
+    assert vectors
+    for i in range(1, n_factors):
+        projected = dyn._coupling_to_last(sp, space, i)
+        for vec in vectors:
+            assert projected.apply(vec).coeffs == _apply_then_contract(sp, space, i, vec)
+        # on every basis vector too: the two operators agree row by row
+        for pos in range(sp.dim):
+            vec = PBWVector.basis_vector(sp, pos)
+            assert projected.apply(vec).coeffs == _apply_then_contract(sp, space, i, vec)
+
+
+def test_rational_to_trig_fails_with_one_half_of_the_coupling(monkeypatch):
+    # the coupling's root terms raise at factor i instead of the last factor:
+    # the half that the contraction never sees, so only the diagonal is left
+    sp = enumerate_basis(
+        [verma_symbolic(3, 1), verma_symbolic(3, 2), verma_symbolic(3, 3)], (1, 1)
+    )
+    vectors = singular_vectors(sp)
+    original = dyn._root_terms
+
+    def swapped(space, raise_at, lower_at):
+        if space == sp:
+            return original(space, lower_at, raise_at)
+        return original(space, raise_at, lower_at)
+
+    monkeypatch.setattr(dyn, "_root_terms", swapped)
+    for i in (1, 2):
+        report = check_rational_to_trig(sp, i, vectors)
+        assert not report.passed
+        assert {"singular_vector", "pos", "lhs", "rhs"} <= set(report.witness)
+        assert report.witness["lhs"] != report.witness["rhs"]
+    monkeypatch.setattr(dyn, "_root_terms", original)
+    assert all(check_rational_to_trig(sp, i, vectors).passed for i in (1, 2))
 
 
 def test_rational_to_trig_requires_two_factors():

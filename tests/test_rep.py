@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from _algebra_helpers import apply_genword_at
+from _algebra_helpers import apply_genword_at, reference_invert, reference_nullspace
 from _closed_forms import b_coeff, falling
 from kzdyn.hyper import index_counts, raising_dual_coefficients
 from kzdyn.rep import (
@@ -237,6 +237,7 @@ def test_p_elements_delta_property_rank2():
     for nu0 in [(1, 1), (2, 1)]:
         space = enumerate_basis([_sym(1, 3)], nu0)
         gram = shapovalov_gram(space)
+        assert gram.invert() == reference_invert(gram)
         pmap = p_elements(space)
         for col, index in enumerate(space.basis):
             pvec = PBWVector(
@@ -257,6 +258,8 @@ def test_p_elements_singular_gram_error():
     space = enumerate_basis([spec], (1,))
     with pytest.raises(SingularGram):
         p_elements(space)
+    with pytest.raises(SingularGram):
+        reference_invert(shapovalov_gram(space))
 
 
 def test_tau_characterization_of_p_elements():
@@ -414,6 +417,7 @@ def test_singular_vectors_are_polynomial_multiples_of_the_nullspace(factors, nu0
             by_row.setdefault(i, {})[j] = v
         rows.extend(by_row.values())
     reference = nullspace(rows, space.dim)
+    assert reference == reference_nullspace(rows, space.dim)
     sings = singular_vectors(space)
     assert len(sings) == len(reference) > 0
     assert any(not c.is_const() for v in sings for c in v.coeffs.values())
@@ -490,3 +494,107 @@ def test_singular_vector_matches_rank2_double_sum():
         combo = sings[0].scale(c1) + sings[1].scale(c2)
         assert combo == total
 
+
+# ---------------------------------------------------------------------------
+# Sparse elimination against the dense reference
+# ---------------------------------------------------------------------------
+
+_A, _B = symbol("a"), symbol("b")
+
+
+def _random_entry(rng):
+    c = rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return rng.choice(
+        [
+            c,
+            _A + c,
+            _A * _B - c,
+            (_A - c) / (_B + rational(2)),
+            RF_ONE / (_A + _B + rational(1)),
+            (_B * _B + c) / (_A + rational(1)),
+        ]
+    )
+
+
+def _random_rows(rng, nrows, ncols, dependent, density=0.4):
+    """Sparse rows over Q(a, b); with probability ``dependent`` a row is a
+    multiple of an earlier one plus another, so that the rank drops."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < dependent:
+            r, s = rng.sample(rows, 2)
+            f = _random_entry(rng)
+            row = {j: r.get(j, RF_ZERO) * f + s.get(j, RF_ZERO) for j in set(r) | set(s)}
+        else:
+            row = {j: _random_entry(rng) for j in range(ncols) if rng.random() < density}
+        rows.append({j: x for j, x in row.items() if not x.is_zero()})
+    return rows
+
+
+def _sl2_space(dim):
+    """A weight space of the given dimension: two rank-one Verma factors
+    at depth dim - 1, or the empty space below the top for dim 0."""
+    if dim == 0:
+        return enumerate_basis([_sym(1, 2), _sym(2, 2)], (0,)).shifted({1: -1})
+    return enumerate_basis([_sym(1, 2), _sym(2, 2)], (dim - 1,))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_nullspace_matches_dense_reference(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+    rows = _random_rows(rng, nrows, ncols, dependent=0.5)
+    if rows and seed % 4 == 0:
+        rows.insert(rng.randrange(len(rows)), {})
+    before = [dict(row) for row in rows]
+    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+    assert rows == before
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_invert_matches_dense_reference(seed):
+    rng = random.Random(100 + seed)
+    space = _sl2_space(rng.randint(1, 5))
+    # every third matrix is likely singular
+    dependent = 0.5 if seed % 3 == 0 else 0.0
+    rows = _random_rows(rng, space.dim, space.dim, dependent, density=0.7)
+    op = WeightSpaceOperator(
+        space, space, {(i, j): x for i, row in enumerate(rows) for j, x in row.items()}
+    )
+    try:
+        expected = reference_invert(op)
+    except SingularGram:
+        with pytest.raises(SingularGram):
+            op.invert()
+        return
+    inverse = op.invert()
+    assert inverse == expected
+    assert op.compose(inverse) == WeightSpaceOperator.identity(space)
+
+
+def test_elimination_edge_cases():
+    # dim 0, and rows with no entries
+    assert nullspace([], 0) == reference_nullspace([], 0) == []
+    assert nullspace([{}, {}], 2) == reference_nullspace([{}, {}], 2) == [{0: RF_ONE}, {1: RF_ONE}]
+    empty = _sl2_space(0)
+    assert empty.dim == 0
+    zero = WeightSpaceOperator.zero(empty, empty)
+    assert zero.invert() == reference_invert(zero) == zero
+    # the second row is a times the first, so one of the two cancels to
+    # zero on the first pivot; the third is independent of both
+    rows = [
+        {0: _A, 1: _B, 2: RF_ONE},
+        {0: _A * _A, 1: _A * _B, 2: _A},
+        {1: _A + _B, 3: rational(2)},
+    ]
+    assert nullspace(rows, 4) == reference_nullspace(rows, 4)
+    assert len(nullspace(rows, 4)) == 2
+    # every entry of column 0 is nonconstant, so its pivot is too
+    rows = [{0: _A, 1: RF_ONE}, {0: _A + _B, 2: _B}, {0: _A * _B, 1: _B, 2: RF_ONE}]
+    assert all(not row[0].is_const() for row in rows)
+    assert nullspace(rows, 3) == reference_nullspace(rows, 3) == []
+    space = _sl2_space(3)
+    op = WeightSpaceOperator(
+        space, space, {(i, j): x for i, row in enumerate(rows) for j, x in row.items()}
+    )
+    assert op.invert() == reference_invert(op)
