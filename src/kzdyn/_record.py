@@ -2,8 +2,8 @@
 decorator that kzdyn uses.
 
 A record's fields are its class annotations, in order; a class attribute of
-the same name is the field's default, and ``field(default_factory=f)`` makes
-``f()`` the default anew for each instance.  `record` adds
+the same name is the field's default, shared by every instance that takes
+it.  `record` adds
 
 - ``__init__``, taking the fields by position or keyword and then calling
   ``__post_init__`` when the class defines it;
@@ -27,23 +27,11 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-__all__ = ["FrozenInstanceError", "field", "record"]
+__all__ = ["FrozenInstanceError", "record"]
 
 
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
-
-
-class _Factory:
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-def field(*, default_factory) -> _Factory:
-    """A field whose default is ``default_factory()``, made for each instance."""
-    return _Factory(default_factory)
 
 
 def record(cls=None, /, *, eq: bool = True, frozen: bool = False):
@@ -60,11 +48,7 @@ def _make_record(cls, eq: bool, frozen: bool):
     defaults: dict = {}
     for name in names:
         if name in cls.__dict__:
-            default = cls.__dict__[name]
-            if isinstance(default, _Factory):
-                # the factory is called per instance; the class keeps no default
-                delattr(cls, name)
-            defaults[name] = default
+            defaults[name] = cls.__dict__[name]
         elif defaults:
             raise TypeError(f"non-default argument {name!r} follows default argument")
     qualname = cls.__qualname__
@@ -89,8 +73,7 @@ def _make_record(cls, eq: bool, frozen: bool):
             if name in kwargs:
                 values.append(kwargs[name])
             elif name in defaults:
-                default = defaults[name]
-                values.append(default.make() if isinstance(default, _Factory) else default)
+                values.append(defaults[name])
             else:
                 missing.append(name)
         if missing:

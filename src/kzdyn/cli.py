@@ -7,14 +7,15 @@ the fusion element, weighted-function vectors, grounded-string forests).
 
 Every suite is one row of an ordered table, `_SUITE_TABLE`.  A row lists
 the parameters the suite reads, each with its default and caps, and a check
-callable that returns the suite's witnesses, each with its pass bit, any
-parameters it derives, and warnings.  `run_suite` derives the verdict and
-assembles the report.  Every dump kind is one row of `_DUMP_TABLE`, with
-parameters in the same form (caps taken from the suite that builds the same
-object) and a render callable.  `_resolve` serves both tables: it fills in
-defaults, checks ``nu`` and the factor specs, applies the caps and rejects a
-given parameter the row does not read, before any work.  Both subcommands
-take their flags from one declaration, `_FLAGS`.
+generator that yields the suite's witnesses, each with its pass bit, and
+returns any parameters it derives and warnings.  `run_suite` times each
+witness, derives the verdict and assembles the report.  Every dump kind is
+one row of `_DUMP_TABLE`, with parameters in the same form (caps taken from
+the suite that builds the same object) and a render callable.  `_resolve`
+serves both tables: it fills in defaults, checks ``nu`` and the factor
+specs, applies the caps and rejects a given parameter the row does not
+read, before any work.  Both subcommands take their flags from one
+declaration, `_FLAGS`.
 
 Reports are plain JSON with a fixed schema.  Everything except the
 ``timings`` section is byte-reproducible for identical configuration:
@@ -40,14 +41,13 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Generator, Mapping, Optional, Sequence
 
 from . import __version__
 from ._record import record
 from .dyn import (
     B_additive,
     B_w,
-    CheckReport,
     FusionElement,
     K_operator,
     check_K_exchange,
@@ -241,10 +241,12 @@ def _weight_list(n: int, depth: int) -> list[tuple[int, ...]]:
 # Suite checks
 # ---------------------------------------------------------------------------
 #
-# Each check takes the suite's resolved parameters and returns three things:
-# its rows, one ``(witness, passed)`` pair per identity checked; the
-# parameters it derived, which join the report's ``params``; and warnings,
-# which flag a run whose checks all pass.
+# Each check takes the suite's resolved parameters and is a generator.  It
+# yields one ``(witness, passed)`` row per identity, as soon as it is
+# checked, and returns two things: the parameters it derived, which join the
+# report's ``params``, and warnings, which flag a run whose checks all pass.
+# `run_suite` alone reads the clock: a row's seconds run from the row before
+# it, so a witness holds only what is reproducible.
 
 _RAW_COPIES_WARNING = (
     "symmetrized equality holds but the canonical variable copies "
@@ -257,12 +259,12 @@ def _pbw_invariance(params: dict):
     from .hyper import verify_order_invariance
 
     space = _build_space(params)
-    rows = []
+    raw_equal = True
     for h in range(1, params["n"] - 1):
         report = verify_order_invariance(space, h)
-        rows.append((report.to_json(), report.symmetrized_equal))
-    raw_equal = all(witness["raw_equal"] for witness, _ in rows)
-    return rows, {}, [] if raw_equal else [_RAW_COPIES_WARNING]
+        raw_equal = raw_equal and report.raw_equal
+        yield report.to_json(), report.symmetrized_equal
+    return {}, [] if raw_equal else [_RAW_COPIES_WARNING]
 
 
 def _additive_form(params: dict):
@@ -270,13 +272,12 @@ def _additive_form(params: dict):
     space = _build_space(params)
     lam = lambda_pairing_symbols(n)
     arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=1)
-    rows = []
     for r in range(1, n):
         add = B_additive(space, r, lam)
         prod = B_w(space, omega_bracket(n, r)[1], arg)
         equal = add == prod
-        rows.append(({"r": r, "equal": equal, "dim": space.dim}, equal))
-    return rows, {}, []
+        yield {"r": r, "equal": equal, "dim": space.dim}, equal
+    return {}, []
 
 
 def _fusion(params: dict):
@@ -290,7 +291,7 @@ def _fusion(params: dict):
         "structure_ok": structure_ok,
         "residual_zero": residual_ok,
     }
-    rows = [(witness, structure_ok and residual_ok)]
+    yield witness, structure_ok and residual_ok
 
     lam = lambda_pairing_symbols(n)
     basis = standard_basis(n)
@@ -298,8 +299,7 @@ def _fusion(params: dict):
     for mu in _weight_list(n, depth):
         aux = enumerate_basis([aux_factor], mu, basis)
         equal = dict(fus.component(mu)) == p_elements(aux)
-        witness = {"check": "dual-element-match", "mu": list(mu), "equal": equal}
-        rows.append((witness, equal))
+        yield {"check": "dual-element-match", "mu": list(mu), "equal": equal}, equal
 
     space = _build_space(params)
     arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=-1)
@@ -316,43 +316,30 @@ def _fusion(params: dict):
     }
     if not equal:
         witness["first_mismatch"] = _first_mismatch(bw0, contraction)
-    rows.append((witness, equal))
-    return rows, {}, []
+    yield witness, equal
+    return {}, []
 
 
 def _compatibility(params: dict):
     n = params["n"]
     space = _build_space(params)
-    rows = []
-    clock = time.monotonic()
-
-    def add(report: CheckReport, **labels) -> None:
-        # a row's seconds run from the end of the row before it
-        nonlocal clock
-        now = time.monotonic()
-        data = report.to_json()
-        data.update(labels, seconds=round(now - clock, 3))
-        rows.append((data, report.passed))
-        clock = now
-
     for k in range(1, n):
         for l in range(k + 1, n):
-            add(check_K_exchange(space, k, l), check="exchange", k=k, l=l)
+            report = check_K_exchange(space, k, l)
+            yield {**report.to_json(), "check": "exchange", "k": k, "l": l}, report.passed
     for j, k, report in nabla_K_rows(space):
-        add(report, check="derivative-intertwining", j=j, k=k)
-    return rows, {}, []
+        witness = {**report.to_json(), "check": "derivative-intertwining", "j": j, "k": k}
+        yield witness, report.passed
+    return {}, []
 
 
 def _appendix_b(params: dict):
     space = _build_space(params)
     vectors = singular_vectors(space)  # the same for every position
-    rows = []
     for i in range(1, len(params["factors"])):
         report = check_rational_to_trig(space, i, vectors)
-        data = report.to_json()
-        data.update({"position": i})
-        rows.append((data, report.passed))
-    return rows, {}, []
+        yield {**report.to_json(), "position": i}, report.passed
+    return {}, []
 
 
 def _rank2_table(a: int, b: int, lam1, lam2, engine) -> dict:
@@ -385,7 +372,7 @@ def _appendix_c(params: dict):
     basis = standard_basis(3)
     engine = straightener(basis)
     fus = fusion_solve(3, depth)
-    tables, rows = {}, []
+    tables = {}
 
     for a in range(max_ab + 1):
         for b in range(max_ab + 1):
@@ -394,8 +381,7 @@ def _appendix_c(params: dict):
             tables[a, b] = _rank2_table(a, b, l1, l2, engine)
             transpose = {(J, K): c for (K, J), c in tables[a, b].items()}
             equal = dict(fus.component((a, b))) == transpose
-            witness = {"check": "fusion-double-sum", "a": a, "b": b, "equal": equal}
-            rows.append((witness, equal))
+            yield {"check": "fusion-double-sum", "a": a, "b": b, "equal": equal}, equal
 
     lamw = weight_from_pairings(3, (l1, l2))
     for a in range(1, max_ab + 1):
@@ -405,9 +391,9 @@ def _appendix_c(params: dict):
             witness = {
                 "check": "inverse-form-double-sum", "a": a, "b": b, "equal": equal
             }
-            rows.append((witness, equal))
+            yield witness, equal
 
-    return rows, {"depth": depth}, []
+    return {"depth": depth}, []
 
 
 _RANK_ONE_MAX_P = 6
@@ -425,21 +411,20 @@ def _rank_one_solution(p: int, m: int):
 
 
 def _rank_one_rows(check: Callable[[int, int], Optional[tuple[str, str]]]):
-    """One row per 0 <= m <= p <= 6 of a rank-one suite.
+    """The rows of a rank-one suite, one per 0 <= m <= p <= 6.
 
     ``check(p, m)`` returns ``None`` when the identity holds on the weight-m
     space of L(p), and otherwise the texts of its two sides, which the
     witness names; text is rendered only on a mismatch.
     """
-    rows = []
     for p in range(_RANK_ONE_MAX_P + 1):
         for m in range(p + 1):
             sides = check(p, m)
             witness = {"p": p, "m": m, "equal": sides is None}
             if sides is not None:
                 witness["lhs"], witness["rhs"] = sides
-            rows.append((witness, sides is None))
-    return rows, {}, []
+            yield witness, sides is None
+    return {}, []
 
 
 def _main_theorem_sl2(params: dict):
@@ -539,22 +524,22 @@ def _selberg(params: dict):
     from . import numeric
 
     quad_tol = 1e-6
-    witnesses = []
     for m, a, b, c in numeric.SELBERG_GRID:
         data = numeric.selberg_difference_check(
             numeric.SelbergParams(a, b, c, m), params["tol"]
         ).to_json()
         data["check"] = "difference-relation"
-        witnesses.append(data)
+        yield data, data["passed"]
     for m, a, b, c in numeric.QUADRATURE_GRID:
-        witnesses.append(_selberg_quadrature_row(m, a, b, c, quad_tol))
+        data = _selberg_quadrature_row(m, a, b, c, quad_tol)
+        yield data, data["passed"]
     derived = {
         "grid": "default",
         "difference_points": len(numeric.SELBERG_GRID),
         "quadrature_points": len(numeric.QUADRATURE_GRID),
         "quadrature_tol": quad_tol,
     }
-    return [(w, w["passed"]) for w in witnesses], derived, []
+    return derived, []
 
 
 def _sign_table_closed_form(n: int, h: int) -> dict[tuple[int, int], int]:
@@ -570,7 +555,6 @@ def _sign_table_closed_form(n: int, h: int) -> dict[tuple[int, int], int]:
 
 
 def _sigma_orders(params: dict):
-    rows = []
     for n in range(2, params["n"] + 1):
         orders_normal = all(is_normal(special_order(n, h)) for h in range(1, n))
         schedules_ok = True
@@ -598,8 +582,8 @@ def _sigma_orders(params: dict):
             "reversal_schedules_ok": schedules_ok,
             "sign_table_ok": signs_ok,
         }
-        rows.append((witness, orders_normal and schedules_ok and signs_ok))
-    return rows, {}, []
+        yield witness, orders_normal and schedules_ok and signs_ok
+    return {}, []
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +601,7 @@ class _Suite:
     to the code that uses the value.
     """
 
-    check: Callable[[dict], tuple[list[tuple[dict, bool]], dict, list[str]]]
+    check: Callable[[dict], Generator[tuple[dict, bool], None, tuple[dict, list[str]]]]
     params: dict[str, tuple]
 
 
@@ -768,7 +752,8 @@ def run_suite(cfg: SuiteConfig) -> dict:
 
     The verdict is ``fail`` if any check fails, ``flagged`` if every check
     passes but the suite warns (pbw-invariance, when the raw copies of a
-    level disagree), and ``pass`` otherwise.
+    level disagree), and ``pass`` otherwise.  Each witness's seconds, from
+    the witness before it, go to ``timings``, never into the witness.
     """
     suite = _SUITE_TABLE.get(cfg.suite)
     if suite is None:
@@ -778,14 +763,22 @@ def run_suite(cfg: SuiteConfig) -> dict:
     given = {name: getattr(cfg, name) for name in _FLAGS if hasattr(cfg, name)}
     params = _resolve(f"suite {cfg.suite}", suite.params, given)
     with _written_whole(cfg.out) as write:
-        start = time.monotonic()
-        rows, derived, warnings = suite.check(params)
-        timings = {"total_seconds": round(time.monotonic() - start, 3)}
+        rows, seconds = [], []
+        start = clock = time.monotonic()
+        checks = suite.check(params)
+        try:
+            while True:
+                rows.append(next(checks))
+                now = time.monotonic()
+                seconds.append(round(now - clock, 3))
+                clock = now
+        except StopIteration as done:
+            derived, warnings = done.value
+        timings = {
+            "total_seconds": round(time.monotonic() - start, 3),
+            "per_check_seconds": seconds,
+        }
         witnesses = [witness for witness, _ in rows]
-        # a check's seconds go to timings, so that witnesses stay reproducible
-        seconds = [w.pop("seconds") for w in witnesses if "seconds" in w]
-        if seconds:
-            timings["per_check_seconds"] = seconds
         if not all(passed for _, passed in rows):
             verdict, warnings = "fail", []
         else:

@@ -903,10 +903,7 @@ def det_ingredients(space: TensorWeightSpace, alpha: tuple[int, int]) -> DetIngr
     coords = _exps_coords(space.pbw_basis, space.pbw_basis.exps_from_roots({alpha: 1}))
 
     def dim_at(m: int) -> int:
-        nu0 = tuple(c - m * rc for c, rc in zip(space.nu0, coords))
-        if any(c < 0 for c in nu0):
-            return 0
-        return enumerate_basis(space.factors, nu0, space.pbw_basis).dim
+        return space.shifted({h: -m * rc for h, rc in enumerate(coords, 1)}).dim
 
     # `ModuleSpec` allows "lp" factors only at rank one (n_rank == 2), where
     # the pairing of the total weight with the root is sum(p) - 2 nu0

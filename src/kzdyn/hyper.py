@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
@@ -476,7 +475,6 @@ class OrderInvarianceReport:
     raw_equal: bool
     symmetrized_equal: bool
     mismatches: tuple[tuple, ...]
-    seconds: float
 
     def to_json(self) -> dict:
         return {
@@ -485,7 +483,6 @@ class OrderInvarianceReport:
             "raw_equal": self.raw_equal,
             "symmetrized_equal": self.symmetrized_equal,
             "mismatches": [list(map(list, m)) for m in self.mismatches],
-            "seconds": round(self.seconds, 3),
         }
 
 
@@ -502,7 +499,6 @@ def verify_order_invariance(space: TensorWeightSpace, h: int) -> OrderInvariance
     rank = space.pbw_basis.n_rank
     if not (isinstance(h, int) and 1 <= h <= rank - 2):
         raise OutOfRange(f"h must be in 1..{rank - 2}, got {h}")
-    start = time.monotonic()
     standard_side = dict(phi_vector(space, "standard").terms)
     level = phi_vector(space, h)
     level_side: dict[tuple, RationalFunctionExpr] = {}
@@ -524,9 +520,7 @@ def verify_order_invariance(space: TensorWeightSpace, h: int) -> OrderInvariance
             if not _averages_to_zero(delta, space.nu0):
                 mismatches.append(key)
     symmetrized = not mismatches
-    return OrderInvarianceReport(
-        h, space.dim, raw, symmetrized, tuple(mismatches), time.monotonic() - start
-    )
+    return OrderInvarianceReport(h, space.dim, raw, symmetrized, tuple(mismatches))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ depend on the CPU.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
@@ -43,7 +44,7 @@ from scipy.linalg import lapack
 from scipy.special import beta as beta_function
 from scipy.special import eval_jacobi, roots_jacobi
 
-from ._record import field, record
+from ._record import record
 from .symexpr import PoleHit
 
 __all__ = [
@@ -205,7 +206,7 @@ class ChamberIntegral:
     m: int
     pow0: tuple[float, ...]
     pow1: tuple[float, ...]
-    pair: Mapping[tuple[int, int], float] = field(default_factory=dict)
+    pair: Mapping[tuple[int, int], float] = MappingProxyType({})
     bound: float = 1.0
 
     def __post_init__(self):

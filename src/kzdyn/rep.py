@@ -220,7 +220,7 @@ class TensorWeightSpace:
         for h, d in level_shifts.items():
             nu0[h - 1] += d
         if any(m < 0 for m in nu0):
-            nu0 = [max(m, 0) for m in nu0]
+            # no weight lies there; the true depth keeps it apart from every real space
             return TensorWeightSpace(self.factors, tuple(nu0), self.pbw_basis, ())
         return enumerate_basis(self.factors, tuple(nu0), self.pbw_basis)
 

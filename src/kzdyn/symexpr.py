@@ -1108,10 +1108,17 @@ def _power_product(factors) -> Poly:
 # instead of holding a copy each.
 @lru_cache(maxsize=512)
 def _expand(factors: frozenset) -> Poly:
+    # smallest factor first, in an order of the factors alone: in the set's
+    # hash order the work would depend on PYTHONHASHSEED
     out = _POLY_ONE
-    for f, m in factors:
+    for f, m in sorted(factors, key=_size_key):
         out = out * (f if m == 1 else f**m)
     return out
+
+
+def _size_key(factor: tuple[Poly, int]) -> tuple:
+    f, m = factor
+    return len(f.terms), f.vars, sorted(f.terms.items()), m
 
 
 def _is_linear(f: Poly) -> bool:

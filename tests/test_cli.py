@@ -632,21 +632,25 @@ class TestReportPlumbing:
     def test_failed_check_drops_warnings(self, monkeypatch):
         from kzdyn import cli as cli_module
 
-        monkeypatch.setattr(
-            cli_module._SUITE_TABLE["sigma-orders"],
-            "check",
-            lambda p: ([({"h": 1}, True), ({"h": 2}, False)], {}, ["open question"]),
-        )
+        def check(params):
+            yield {"h": 1}, True
+            yield {"h": 2}, False
+            return {}, ["open question"]
+
+        monkeypatch.setattr(cli_module._SUITE_TABLE["sigma-orders"], "check", check)
         report = run_suite(SuiteConfig(suite="sigma-orders"))
         assert report["verdict"] == "fail"
         assert report["warnings"] == []
 
     def test_level_seconds_go_to_timings(self):
-        report = run_suite(SuiteConfig(suite="pbw-invariance", n=4, nu=(1, 1, 1)))
-        assert [w["h"] for w in report["witnesses"]] == [1, 2]
-        assert all("seconds" not in w for w in report["witnesses"])
-        seconds = report["timings"]["per_check_seconds"]
-        assert len(seconds) == 2 and all(s >= 0 for s in seconds)
+        levels = run_suite(SuiteConfig(suite="pbw-invariance", n=4, nu=(1, 1, 1)))
+        assert [w["h"] for w in levels["witnesses"]] == [1, 2]
+        # so do the checks of every suite at its defaults, one entry each
+        for report in [levels, *(run_suite(SuiteConfig(suite=s)) for s in SUITES)]:
+            witnesses, seconds = report["witnesses"], report["timings"]["per_check_seconds"]
+            assert all("seconds" not in w for w in witnesses), report["suite"]
+            assert len(seconds) == len(witnesses), report["suite"]
+            assert all(s >= 0 for s in seconds), report["suite"]
 
     def test_compatibility_row_seconds_go_to_timings(self):
         # one exchange row, then the derivative rows (j, k) with j outer
@@ -963,11 +967,11 @@ class TestMainEntry:
     def test_verify_flagged_exits_zero_with_warning(self, capsys, monkeypatch):
         from kzdyn import cli as cli_module
 
-        monkeypatch.setattr(
-            cli_module._SUITE_TABLE["sigma-orders"],
-            "check",
-            lambda p: ([({"h": 1}, True)], {}, ["open question"]),
-        )
+        def check(params):
+            yield {"h": 1}, True
+            return {}, ["open question"]
+
+        monkeypatch.setattr(cli_module._SUITE_TABLE["sigma-orders"], "check", check)
         code = main(["verify", "sigma-orders"])
         captured = capsys.readouterr()
         assert code == 0
@@ -977,11 +981,11 @@ class TestMainEntry:
     def test_verify_fail_exits_one(self, capsys, monkeypatch):
         from kzdyn import cli as cli_module
 
-        monkeypatch.setattr(
-            cli_module._SUITE_TABLE["sigma-orders"],
-            "check",
-            lambda p: ([({"bad": True}, False)], {}, []),
-        )
+        def check(params):
+            yield {"bad": True}, False
+            return {}, []
+
+        monkeypatch.setattr(cli_module._SUITE_TABLE["sigma-orders"], "check", check)
         code = main(["verify", "sigma-orders"])
         captured = capsys.readouterr()
         assert code == 1

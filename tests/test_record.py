@@ -1,17 +1,16 @@
 """`kzdyn._record.record` against `dataclasses.dataclass`, on twin classes of
 every shape kzdyn's records take: frozen, frozen with ``eq=False``, mutable
-with eq, with defaults, with a ``default_factory``, and with a raising
-``__post_init__``."""
+with eq, with defaults, and with a raising ``__post_init__``."""
 
 import dataclasses
-from typing import Mapping, Optional
+from typing import Optional
 
 import pytest
 
 from kzdyn import _record
 
 
-def _shapes(decorate, field) -> dict[str, type]:
+def _shapes(decorate) -> dict[str, type]:
     # the same class bodies under either decorator; the qualnames agree, so
     # the reprs of the two twins must be the same text
     @decorate(frozen=True)
@@ -36,12 +35,6 @@ def _shapes(decorate, field) -> dict[str, type]:
         switched: frozenset = frozenset()
 
     @decorate(frozen=True)
-    class Factory:
-        m: int
-        pair: Mapping[tuple[int, int], float] = field(default_factory=dict)
-        bound: float = 1.0
-
-    @decorate(frozen=True)
     class Checked:
         m: int
 
@@ -53,12 +46,12 @@ def _shapes(decorate, field) -> dict[str, type]:
     class Single:
         perm: tuple
 
-    shapes = (Frozen, Identity, Mutable, Defaults, Factory, Checked, Single)
+    shapes = (Frozen, Identity, Mutable, Defaults, Checked, Single)
     return {cls.__name__: cls for cls in shapes}
 
 
-OURS = _shapes(_record.record, _record.field)
-THEIRS = _shapes(dataclasses.dataclass, dataclasses.field)
+OURS = _shapes(_record.record)
+THEIRS = _shapes(dataclasses.dataclass)
 
 # arguments for two instances with equal fields, and for one that differs
 ARGS = {
@@ -66,7 +59,6 @@ ARGS = {
     "Identity": ((1, (2, 3)), (1, (2, 4))),
     "Mutable": ((1, (2,)), (2,)),
     "Defaults": (("interp", 2, frozenset({(1, 2)})), ("standard",)),
-    "Factory": ((1, {(1, 2): 0.5}), (1,)),
     "Checked": ((0,), (3,)),
     "Single": (((2, 1, 3),), ((1, 2, 3),)),
 }
@@ -112,11 +104,6 @@ def test_hash_matches_dataclasses(name):
         for cls in (ours, theirs):
             x = cls(*same)
             assert hash(x) == object.__hash__(x)
-    elif name == "Factory":
-        # a dict field: unhashable in both
-        for cls in (ours, theirs):
-            with pytest.raises(TypeError):
-                hash(cls(*same))
     else:
         # the hash of the tuple of fields, so set and dict order agree too
         for args in (same, other):
@@ -143,7 +130,7 @@ def test_arguments_by_position_or_keyword(name):
         assert _outcome(lambda: call(ours)) is _outcome(lambda: call(theirs)) is TypeError, kind
 
 
-@pytest.mark.parametrize("name", ["Frozen", "Identity", "Defaults", "Factory", "Checked", "Single"])
+@pytest.mark.parametrize("name", ["Frozen", "Identity", "Defaults", "Checked", "Single"])
 def test_frozen_fields_cannot_change(name):
     same, _ = ARGS[name]
     field_name = list(_twins(name)[1].__annotations__)[0]
@@ -163,17 +150,6 @@ def test_mutable_fields_change_and_compare_anew():
         x = cls(1)
         x.b = (2,)
         assert x == cls(1, (2,))
-
-
-def test_default_factory_is_called_per_instance():
-    for cls in _twins("Factory"):
-        x, y = cls(2), cls(2)
-        assert x.pair == {} and x.pair is not y.pair
-        # as in dataclasses, the class keeps no default for the field
-        assert not hasattr(cls, "pair") and cls.bound == 1.0
-    # a plain default is the class attribute itself
-    for cls in _twins("Defaults"):
-        assert cls(kind="standard").switched is cls.switched
 
 
 def test_post_init_runs_after_the_fields_are_set():

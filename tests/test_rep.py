@@ -86,6 +86,17 @@ def test_enumerate_lp_truncates_depth():
     assert enumerate_basis([lp_module(2)], (3,)).dim == 0
 
 
+def test_shift_below_zero_keeps_its_depth():
+    space = enumerate_basis([verma_symbolic(3, 1)], (0, 1))
+    below = space.shifted({1: -1})
+    assert (below.nu0, below.dim, space.dim) == ((-1, 1), 0, 1)
+    assert below != space
+    # raising the top vector leaves every weight space; lowering comes back
+    top = enumerate_basis([verma_symbolic(3, 1)], (0, 0))
+    op = word_operator(top, word(("e", 2, 1), ("e", 1, 2)))
+    assert op.codomain == top and op.entries == {}
+
+
 # ---------------------------------------------------------------------------
 # Generator actions
 # ---------------------------------------------------------------------------

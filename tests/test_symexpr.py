@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
@@ -267,6 +268,40 @@ def test_text_does_not_depend_on_which_symbol_came_first():
         for order in (("a", "b"), ("b", "a"))
     ]
     assert texts == ["(a^3 * b - a * b^3 + 1)/(a - b)\n"] * 2
+
+
+def test_work_does_not_depend_on_the_hash_seed():
+    # the term pairs of every `Poly` product, counted in a fresh interpreter
+    # per hash seed over two rank-3 runs; `_expand` multiplies the factors of
+    # a frozenset, whose own order follows the seed
+    code = (
+        "import contextlib, io, sys\n"
+        "from kzdyn import symexpr\n"
+        "from kzdyn.cli import main\n"
+        "mul, pairs = symexpr.Poly.__mul__, 0\n"
+        "def counted(p, q):\n"
+        "    global pairs\n"
+        "    pairs += len(p.terms) * len(q.terms)\n"
+        "    return mul(p, q)\n"
+        "symexpr.Poly.__mul__ = counted\n"
+        "for line in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(['verify', *line.split()])\n"
+        "    print(code, pairs)\n"
+    )
+    runs = ["compatibility --n 3 --nu 2,0", "fusion --n 3 --nu 1,1"]
+    counts = [
+        subprocess.run(
+            [sys.executable, "-c", code, *runs],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout.splitlines()
+        for seed in ("0", "1")
+    ]
+    assert [line.split()[0] for line in counts[0]] == ["0", "0"]
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
