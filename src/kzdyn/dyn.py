@@ -16,8 +16,8 @@ equations attached to the trigonometric KZ system.  Every operator is a
   prefactor's symbolic part, which depends on neither lambda nor the row,
 * the shifted fusion element (``fusion_solve``) solved weight by weight from
   its defining recurrence, and the lowering/raising contraction ``q_dagger``
-  built from it, each coefficient substituted once; it and ``B_additive``
-  sum ``(lo, hi, c)`` rows, standing for ``c A(F_lo) tau(F_hi)``, in one
+  built from its coefficients as solved; it and ``B_additive`` sum
+  ``(lo, hi, c)`` rows, standing for ``c A(F_lo) tau(F_hi)``, in one
   ``_contract``,
 * KZ-operator assembly (``kz_operator``, ``omega_operator``,
   ``r_matrix_operator``) and the exact compatibility checks
@@ -38,10 +38,10 @@ simple coroots (entry ``i`` is the pairing with the ``i``-th simple root);
 ``(l1, ..., l{N-1})``.  Tensor factors are numbered 1-based in this module's
 public API, matching the coordinate symbols ``z:1, z:2, ...``.
 
-The difference operators appear in the literature-style identities at
-three distinct shifts of the same parameter; callers pass the shifted
-pairings (`shifted_pairings`).  `B_additive` at ``lambda`` equals the
-product form at ``lambda + rho + nu/2``.
+The product forms are compared at one shift of the parameter, the pairings
+of ``lambda + rho + nu/2`` (`shifted_pairings`): `B_additive` at
+``lambda`` equals the bracket-word product there, and `q_dagger` with the
+fusion coefficients at ``lambda`` equals the longest-word product there.
 """
 
 from __future__ import annotations
@@ -79,11 +79,9 @@ from .roots import (
 from .symexpr import (
     RF_ONE,
     RF_ZERO,
-    DivisionByZero,
     PoleHit,
     RationalFunctionExpr,
     rational,
-    rf_substitute,
     symbol,
 )
 from .uea import (
@@ -183,20 +181,11 @@ def space_weight_pairings(space: TensorWeightSpace) -> tuple[RationalFunctionExp
 
 
 def shifted_pairings(
-    space: TensorWeightSpace,
-    pairings: Sequence[RationalFunctionExpr],
-    rho_steps: int = 0,
-    nu_halves: int = 0,
+    space: TensorWeightSpace, pairings: Sequence[RationalFunctionExpr]
 ) -> tuple[RationalFunctionExpr, ...]:
-    """Pairings of ``lambda + rho_steps*rho + (nu_halves/2)*nu`` on this space."""
+    """Pairings of ``lambda + rho + nu/2`` on this space."""
     nu_pairs = space_weight_pairings(space)
-    out = []
-    for i, p in enumerate(pairings):
-        shifted = p + rational(rho_steps)
-        if nu_halves:
-            shifted = shifted + nu_pairs[i] * _HALF * rational(nu_halves)
-        out.append(shifted)
-    return tuple(out)
+    return tuple(p + RF_ONE + q * _HALF for p, q in zip(pairings, nu_pairs))
 
 
 def _default_pairings(
@@ -507,40 +496,24 @@ def fusion_solve(n_rank: int, depth: int) -> FusionElement:
     return FusionElement(n_rank, depth, components)
 
 
-def q_dagger(
-    space: TensorWeightSpace,
-    pairings: Optional[Sequence[RationalFunctionExpr]],
-    fusion: Optional[FusionElement] = None,
-) -> WeightSpaceOperator:
+def q_dagger(space: TensorWeightSpace, fusion: FusionElement) -> WeightSpaceOperator:
     """Matrix of the fusion element contracted on a weight space.
 
     Each fusion pair contributes the antipode of its lowering part applied
-    after its raising part, weighted by the coefficient with the parameter
-    shifted down by the weight of the space (the scalar gauge of the shifted
-    fusion element absorbs the weight operator this way).
+    after its raising part, weighted by its coefficient as `fusion_solve`
+    returns it, at ``lambda``.  The sum equals `B_w` of the longest element
+    at `shifted_pairings`, ``lambda + rho + nu/2`` (the ``fusion`` suite's
+    last row).
     """
-    pairings = _default_pairings(space, pairings)
     n_rank = space.pbw_basis.n_rank
-    need = sum(space.nu0)
-    if fusion is None:
-        fusion = fusion_solve(n_rank, need)
-    if fusion.depth < need or fusion.n_rank != n_rank:
+    if fusion.depth < sum(space.nu0) or fusion.n_rank != n_rank:
         raise ValueError("fusion element not solved to sufficient depth")
-    nu_pairs = space_weight_pairings(space)
-    subs = {
-        f"l{i + 1}": pairings[i] - nu_pairs[i] for i in range(n_rank - 1)
-    }
-    rows = []
-    for mu, comp in fusion.components.items():
-        if any(m > n for m, n in zip(mu, space.nu0)):
-            continue
-        for (lo, hi), psi in comp.items():
-            try:
-                rows.append((lo, hi, rf_substitute(psi, subs)))
-            except DivisionByZero as exc:
-                raise ResonantWeight(
-                    f"fusion coefficient has a pole at the shifted parameter: {exc}"
-                ) from exc
+    rows = [
+        (lo, hi, psi)
+        for mu, comp in fusion.components.items()
+        if all(m <= n for m, n in zip(mu, space.nu0))
+        for (lo, hi), psi in comp.items()
+    ]
     return _contract(space, standard_basis(n_rank), rows)
 
 

@@ -55,8 +55,7 @@ Algorithms 15 (1993)): two factors with a common factor g are replaced by g
 and the two cofactors, multiplicities added, until the base is coprime.
 Distinct linear factors, and two factors of one base, need no test; a
 linear factor is tried against a nonlinear one by trial division, and two
-nonlinear ones go through the gcd seam.  Substitution maps the factors one
-by one, so the image of a linear factor stays one factor.
+nonlinear ones go through the gcd seam.
 
 Multivariate gcds and exact divisions go through the two seams
 `poly_gcd_cofactors` / `poly_divexact`.  The gcd seam answers directly only
@@ -116,7 +115,6 @@ __all__ = [
     "parse",
     "poly_divexact",
     "denominator_lcm",
-    "rf_substitute",
     "rf_symmetrize",
     "rf_partial",
 ]
@@ -897,9 +895,6 @@ class RationalFunctionExpr:
             raise ValueError("not a constant expression")
         return self.num.const_value()
 
-    def free_symbols(self) -> set[str]:
-        return set(self.num.vars) | set(self.den.vars)
-
     # -- equality ----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -1267,60 +1262,8 @@ def rational(value: Scalar, den: int = 1) -> RationalFunctionExpr:
 
 
 # ---------------------------------------------------------------------------
-# Substitution / symmetrization / differentiation
+# Symmetrization / differentiation
 # ---------------------------------------------------------------------------
-
-def _poly_substitute(p: Poly, smap: Mapping[str, RationalFunctionExpr]) -> RationalFunctionExpr:
-    """Evaluate a polynomial at expression values (unmapped vars stay)."""
-    if p.is_zero():
-        return RF_ZERO
-    bases: list[RationalFunctionExpr] = []
-    max_pow: list[int] = []
-    for v in p.vars:
-        repl = smap.get(v)
-        bases.append(repl if repl is not None else RationalFunctionExpr(_variable(v), _POLY_ONE))
-        max_pow.append(p.degree_in(v))
-    powers: list[list[RationalFunctionExpr]] = []
-    for base, top in zip(bases, max_pow):
-        row = [RF_ONE]
-        for _ in range(top):
-            row.append(row[-1] * base)
-        powers.append(row)
-    total = RF_ZERO
-    for e, c in p.items():
-        term = RationalFunctionExpr.from_const(c)
-        for i, ei in enumerate(e):
-            if ei:
-                term = term * powers[i][ei]
-        total = total + term
-    return total
-
-
-def rf_substitute(
-    expr: RationalFunctionExpr,
-    subs: Mapping[str, ExprLike],
-) -> RationalFunctionExpr:
-    """Simultaneous substitution of symbols by expressions.
-
-    Raises DivisionByZero if the substituted denominator vanishes identically.
-    """
-    smap: dict[str, RationalFunctionExpr] = {}
-    for name, v in subs.items():
-        coerced = _coerce(v)
-        if coerced is NotImplemented:
-            raise TypeError(f"cannot substitute value of type {type(v).__name__}")
-        smap[name] = coerced
-    if smap.keys().isdisjoint(expr.free_symbols()):
-        return expr
-    # factor by factor, so that the image of a linear factor stays one
-    out = _poly_substitute(expr.num, smap)
-    for f, m in expr.factors:
-        value = _poly_substitute(f, smap)
-        if value.is_zero():
-            raise DivisionByZero("substitution makes the denominator vanish")
-        out = out / value**m
-    return out
-
 
 def rf_symmetrize(
     expr: RationalFunctionExpr,

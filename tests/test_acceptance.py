@@ -65,7 +65,7 @@ def test_criterion_2_additive_form_equals_product():
             [verma_symbolic(2, 1), verma_symbolic(2, 2)], (m,)
         )
         lam = lambda_pairing_symbols(2)
-        arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=1)
+        arg = shifted_pairings(space, lam)
         add = B_additive(space, 1, lam)
         prod = B_w(space, omega_bracket(2, 1)[1], arg)
         assert add == prod, ("sl2", m)
@@ -77,7 +77,7 @@ def test_criterion_2_additive_form_equals_product():
             [verma_symbolic(3, 1), verma_symbolic(3, 2)], (m1, m2)
         )
         lam = lambda_pairing_symbols(3)
-        arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=1)
+        arg = shifted_pairings(space, lam)
         for r in (1, 2):
             add = B_additive(space, r, lam)
             prod = B_w(space, omega_bracket(3, r)[1], arg)

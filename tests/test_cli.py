@@ -306,8 +306,8 @@ class TestSymbolicSuites:
         true_q_dagger = cli_module.q_dagger
         changed = {}
 
-        def broken_q_dagger(space, pairings, fusion):
-            op = true_q_dagger(space, pairings, fusion)
+        def broken_q_dagger(space, fusion):
+            op = true_q_dagger(space, fusion)
             key = max(op.entries)
             entries = dict(op.entries)
             entries[key] = op.entry(*key) + RF_ONE
@@ -642,6 +642,29 @@ class TestReportPlumbing:
         assert report["verdict"] == "fail"
         assert report["warnings"] == []
 
+    def test_first_row_clock_starts_once_the_check_returns(self, monkeypatch):
+        # selberg imports numeric (and scipy) before it returns its rows
+        from types import SimpleNamespace
+
+        from kzdyn import cli as cli_module
+
+        now = [0.0]
+
+        def check(params):
+            now[0] += 5.0
+
+            def rows():
+                now[0] += 1.0
+                yield {"h": 1}, True
+                return {}, []
+
+            return rows()
+
+        monkeypatch.setattr(cli_module._SUITE_TABLE["sigma-orders"], "check", check)
+        monkeypatch.setattr(cli_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        timings = run_suite(SuiteConfig(suite="sigma-orders"))["timings"]
+        assert timings == {"per_check_seconds": [1.0], "total_seconds": 6.0}
+
     def test_level_seconds_go_to_timings(self):
         levels = run_suite(SuiteConfig(suite="pbw-invariance", n=4, nu=(1, 1, 1)))
         assert [w["h"] for w in levels["witnesses"]] == [1, 2]
@@ -715,6 +738,10 @@ _PINNED_REPORTS = {
     ),
     "fusion --n 3 --nu 1,1 --depth 2": (
         "5ff867803419d33a118a19320f23d61d873fe7499e4403b3fc7e7ce575b6c5f7"
+    ),
+    # the contraction on three Verma factors
+    "fusion --n 3 --nu 1,2 --factors verma,verma,verma": (
+        "163d7ef09794e4b1a21600340f60eb482ddde8705490c17d900fd97c76aa61ab"
     ),
     "additive-form --n 3 --nu 1,1": (
         "da7a680fa1b996a5088a9dddceb42b2afd6e8fdea718b21a62f1a9eb54a77443"

@@ -19,7 +19,6 @@ from kzdyn.dyn import (
     K_operator,
     NonFiniteDim,
     PoleHit,
-    ResonantWeight,
     check_K_exchange,
     check_nabla_K,
     check_rational_to_trig,
@@ -36,7 +35,6 @@ from kzdyn.dyn import (
     q_dagger,
     r_matrix_operator,
     shifted_pairings,
-    space_weight_pairings,
     z_symbols,
 )
 from kzdyn.rep import (
@@ -228,7 +226,7 @@ def test_b_w_bracket_block_product():
 def _check_additive_equals_product(space, r):
     lam = lambda_pairing_symbols(space.pbw_basis.n_rank)
     add = B_additive(space, r, lam)
-    arg = shifted_pairings(space, lam, rho_steps=1, nu_halves=1)
+    arg = shifted_pairings(space, lam)
     prod = B_w(space, omega_bracket(space.pbw_basis.n_rank, r)[1], arg)
     assert add == prod
 
@@ -277,7 +275,7 @@ def test_additive_equals_product_numeric_property(p1, p2, m):
     sp = enumerate_basis([lp_module(p1), lp_module(p2)], (m,))
     lam = (rational(Fraction(45, 7)),)
     add = B_additive(sp, 1, lam)
-    arg = shifted_pairings(sp, lam, rho_steps=1, nu_halves=1)
+    arg = shifted_pairings(sp, lam)
     prod = B_w(sp, [1], arg)
     assert add == prod
 
@@ -344,7 +342,7 @@ def test_published_longest_word_double_sum():
     # lam + rho + nu/2 via the b_coeff coefficients.
     l1, l2 = lambda_pairing_symbols(3)
     sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 1))
-    arg = shifted_pairings(sp, (l1, l2), rho_steps=1, nu_halves=1)
+    arg = shifted_pairings(sp, (l1, l2))
     bw0 = B_w(sp, [1, 2, 1], arg)
 
     def w0_sum():
@@ -488,44 +486,30 @@ def test_fusion_component_weights_property(depth, n_rank):
 # ---------------------------------------------------------------------------
 
 
-def test_q_dagger_equals_longest_product_down_shift():
-    # Contraction at lam == longest-word product at lam + rho - nu/2.
+def test_q_dagger_equals_longest_product_at_additive_argument():
+    # Contraction with the coefficients at lam == longest-word product at
+    # lam + rho + nu/2, the additive form's argument; no Verma weight L:j:k
+    # enters a denominator on either side.
     for factors, nu0 in [
         ([verma_symbolic(2, 1), verma_symbolic(2, 2)], (2,)),
         ([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 1)),
     ]:
         sp = enumerate_basis(factors, nu0)
         n_rank = sp.pbw_basis.n_rank
-        lam = lambda_pairing_symbols(n_rank)
-        arg = shifted_pairings(sp, lam, rho_steps=1, nu_halves=-1)
+        arg = shifted_pairings(sp, lambda_pairing_symbols(n_rank))
         bw0 = B_w(sp, longest_element(n_rank), arg)
-        fus = fusion_solve(n_rank, sum(nu0))
-        assert q_dagger(sp, lam, fus) == bw0
-
-
-def test_q_dagger_up_shift_matches_additive_argument():
-    # Contraction at lam + nu == longest-word product at lam + rho + nu/2.
-    sp = enumerate_basis([verma_symbolic(2, 1), verma_symbolic(2, 2)], (2,))
-    lam = lambda_pairing_symbols(2)
-    nu_pairs = space_weight_pairings(sp)
-    up = tuple(p + q for p, q in zip(lam, nu_pairs))
-    arg = shifted_pairings(sp, lam, rho_steps=1, nu_halves=1)
-    bw0 = B_w(sp, longest_element(2), arg)
-    fus = fusion_solve(2, 2)
-    assert q_dagger(sp, up, fus) == bw0
-
-
-def test_q_dagger_resonant_raises():
-    sp = enumerate_basis([lp_module(2), lp_module(2)], (1,))
-    with pytest.raises(ResonantWeight):
-        q_dagger(sp, (rational(2),))
+        contraction = q_dagger(sp, fusion_solve(n_rank, sum(nu0)))
+        assert contraction == bw0
+        for op in (contraction, bw0):
+            den_vars = {v for value in op.entries.values() for v in value.den.vars}
+            assert den_vars and not any(v.startswith("L:") for v in den_vars)
 
 
 def test_q_dagger_insufficient_depth_raises():
     sp = enumerate_basis([verma_symbolic(2, 1)], (2,))
     fus = fusion_solve(2, 1)
     with pytest.raises(ValueError):
-        q_dagger(sp, None, fus)
+        q_dagger(sp, fus)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from kzdyn.symexpr import (
     poly_gcd_cofactors,
     rational,
     rf_partial,
-    rf_substitute,
     rf_symmetrize,
     symbol,
 )
@@ -91,18 +90,8 @@ def test_canonical_denominator_sign():
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Evaluation
 # ---------------------------------------------------------------------------
-
-def test_substitute_shift():
-    f = RF_ONE / L1
-    assert rf_substitute(f, {"l1": L1 + KAP}) == RF_ONE / (L1 + KAP)
-
-
-def test_substitute_evaluation():
-    f = RF_ONE / (L1 * (L1 - 1))
-    assert rf_substitute(f, {"l1": rational(2)}) == rational(Fraction(1, 2))
-
 
 def test_eval_at_an_integer_point():
     assert parse("(l1 + 2) / (l1 - 1)").eval({"l1": 3}) == Fraction(5, 2)
@@ -120,23 +109,6 @@ def test_eval_at_a_fraction_point():
 def test_eval_at_a_pole_raises():
     with pytest.raises(DivisionByZero):
         parse("1 / (l1 - 1)").eval({"l1": 1})
-
-
-def test_substitute_empty_is_identity():
-    f = (T + Z) / (T - Z)
-    assert rf_substitute(f, {}) is f
-
-
-def test_substitute_pole_raises():
-    f = RF_ONE / (T - Z)
-    with pytest.raises(DivisionByZero):
-        rf_substitute(f, {"t": Z})
-
-
-def test_substitute_composed_expression():
-    f = (T + 1) / (T - 1)
-    g = rf_substitute(f, {"t": (Z + 1) / (Z - 1)})
-    assert g == Z  # classic involution composed with itself
 
 
 # ---------------------------------------------------------------------------
@@ -271,25 +243,27 @@ def test_text_does_not_depend_on_which_symbol_came_first():
 
 
 def test_work_does_not_depend_on_the_hash_seed():
-    # the term pairs of every `Poly` product, counted in a fresh interpreter
-    # per hash seed over two rank-3 runs; `_expand` multiplies the factors of
-    # a frozenset, whose own order follows the seed
+    # the term pairs of every `Poly` product, counted run by run in a fresh
+    # interpreter per hash seed over two rank-3 runs; `_expand` multiplies the
+    # factors of a frozenset, whose own order follows the seed
     code = (
         "import contextlib, io, sys\n"
         "from kzdyn import symexpr\n"
         "from kzdyn.cli import main\n"
-        "mul, pairs = symexpr.Poly.__mul__, 0\n"
+        "mul = symexpr.Poly.__mul__\n"
         "def counted(p, q):\n"
         "    global pairs\n"
         "    pairs += len(p.terms) * len(q.terms)\n"
         "    return mul(p, q)\n"
         "symexpr.Poly.__mul__ = counted\n"
         "for line in sys.argv[1:]:\n"
+        "    pairs = 0\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(['verify', *line.split()])\n"
         "    print(code, pairs)\n"
     )
-    runs = ["compatibility --n 3 --nu 2,0", "fusion --n 3 --nu 1,1"]
+    # measured bounds: fusion's after compatibility's in the same process
+    runs = {"compatibility --n 3 --nu 2,0": 7170, "fusion --n 3 --nu 1,1": 4519}
     counts = [
         subprocess.run(
             [sys.executable, "-c", code, *runs],
@@ -302,6 +276,8 @@ def test_work_does_not_depend_on_the_hash_seed():
     ]
     assert [line.split()[0] for line in counts[0]] == ["0", "0"]
     assert counts[0] == counts[1]
+    for line, bound in zip(counts[0], runs.values()):
+        assert int(line.split()[1]) <= bound
 
 
 # ---------------------------------------------------------------------------
