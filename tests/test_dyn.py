@@ -486,7 +486,42 @@ def test_fusion_component_weights_property(depth, n_rank):
 # ---------------------------------------------------------------------------
 
 
-def test_q_dagger_equals_longest_product_at_additive_argument():
+def test_q_dagger_equals_longest_product_down_shift():
+    # With its coefficients read at lam - nu, the contraction equals the
+    # longest-word product at lam + rho - nu/2.  No substitution is left in
+    # the package, so both sides are compared at generic rational points.
+    for factors, nu0 in [
+        ([verma_symbolic(2, 1), verma_symbolic(2, 2)], (2,)),
+        ([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 1)),
+    ]:
+        sp = enumerate_basis(factors, nu0)
+        n_rank = sp.pbw_basis.n_rank
+        lam = lambda_pairing_symbols(n_rank)
+        nu_pairs = dyn.space_weight_pairings(sp)
+        down = tuple(p - q for p, q in zip(lam, nu_pairs))
+        bw0 = B_w(sp, longest_element(n_rank), shifted_pairings(sp, down))
+        contraction = q_dagger(sp, fusion_solve(n_rank, sum(nu0)))
+        assert contraction.entries.keys() == bw0.entries.keys()
+        names = sorted(
+            {
+                v
+                for op in (contraction, bw0)
+                for value in op.entries.values()
+                for v in value.num.vars + value.den.vars
+            }
+            | {v for q in nu_pairs for v in q.num.vars + q.den.vars}
+        )
+        for seed in (1, 2):
+            point = {v: Fraction(3 * k + 7 * seed, 11 + 5 * k + seed) for k, v in enumerate(names)}
+            down_point = dict(point)
+            for sym, q in zip(lam, nu_pairs):
+                (name,) = sym.num.vars
+                down_point[name] = point.get(name, Fraction(0)) - q.eval(point)
+            for key, value in bw0.entries.items():
+                assert contraction.entries[key].eval(down_point) == value.eval(point)
+
+
+def test_q_dagger_up_shift_matches_additive_argument():
     # Contraction with the coefficients at lam == longest-word product at
     # lam + rho + nu/2, the additive form's argument; no Verma weight L:j:k
     # enters a denominator on either side.
