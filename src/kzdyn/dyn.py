@@ -554,13 +554,19 @@ def _root_terms(
     space: TensorWeightSpace, raise_at: int, lower_at: int
 ) -> dict[tuple[int, int], WeightSpaceOperator]:
     """Per positive root (a, b): ``e_ab`` on factor ``raise_at`` after ``e_ba``
-    on factor ``lower_at``, the off-diagonal terms of `omega_operator`."""
+    on factor ``lower_at``, the off-diagonal terms of `omega_operator`.
+
+    The two letters act on different tensor factors, so they commute, and
+    each term is built as ``e_ba`` after ``e_ab``: through the raised space
+    nu - alpha, which is smaller than the lowered nu + alpha and empty when
+    nu - alpha has a negative depth.
+    """
     terms = {}
     for (a, b) in positive_roots(space.pbw_basis.n_rank):
-        lower = operator_for_letter(space, ("e", b, a), only_factor=lower_at - 1)
-        raiser = operator_for_letter(lower.codomain, ("e", a, b), only_factor=raise_at - 1)
-        assert raiser.codomain == space
-        terms[(a, b)] = raiser.compose(lower)
+        raiser = operator_for_letter(space, ("e", a, b), only_factor=raise_at - 1)
+        lower = operator_for_letter(raiser.codomain, ("e", b, a), only_factor=lower_at - 1)
+        assert lower.codomain == space
+        terms[(a, b)] = lower.compose(raiser)
     return terms
 
 

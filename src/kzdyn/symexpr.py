@@ -72,8 +72,8 @@ divides both operands exactly.  Every point at every level is at least
 dividing candidate is the gcd (the CGG bound; the argument is in
 `_heu_gcd`), so every answer is proven.  `HeuristicGcdFailed` is raised
 when no point gives one.  Exact division is sparse long division over Z by
-the primitive divisor (Gauss's lemma) and raises `InexactDivision` when the
-divisor does not divide.
+the primitive divisor (Gauss's lemma), run on the packed keys largest
+first, and raises `InexactDivision` when the divisor does not divide.
 
 A symbol is its name: variables are keyed and ordered by name alone, so the
 canonical form and the text of an expression do not depend on which symbols
@@ -386,20 +386,32 @@ class Poly:
         return total
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        """Replace variables by variables (``{old: new}``); merges collisions."""
+        """Replace variables by variables (``{old: new}``); merges collisions.
+
+        Each key is re-keyed field by field: the degree field stays on top,
+        and each variable's exponent moves from its old field to the field
+        of its new name.  Names that collide add their exponents in one
+        field, which cannot overflow (their sum is at most the total
+        degree), and terms that then share a key add their coefficients.
+        `_make` drops what cancels and restores the sign of the leading
+        term, which may change.
+        """
         if not self.terms or not any(v in mapping for v in self.vars):
             return self
         new_vars = tuple(sorted({mapping.get(v, v) for v in self.vars}))
-        pos = [new_vars.index(mapping.get(v, v)) for v in self.vars]
-        n = len(self.vars)
-
-        def moved(k: int) -> list[int]:
-            ne = [0] * len(new_vars)
-            for i, ei in zip(pos, _unpack(k, n)):
-                ne[i] += ei
-            return ne
-
-        return _from_tuples(new_vars, self.content, ((moved(k), c) for k, c in self.terms.items()))
+        n, size = len(self.vars), len(new_vars)
+        moves = [
+            (FIELD_BITS * (n - 1 - i), FIELD_BITS * (size - 1 - new_vars.index(mapping.get(v, v))))
+            for i, v in enumerate(self.vars)
+        ]
+        top, new_top = FIELD_BITS * n, FIELD_BITS * size
+        out: dict[int, int] = {}
+        for k, c in self.terms.items():
+            key = k >> top << new_top
+            for old, new in moves:
+                key += (k >> old & MAX_DEGREE) << new
+            out[key] = out.get(key, 0) + c
+        return _make(new_vars, self.content, out)
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
@@ -455,8 +467,8 @@ def _shrink(vars: tuple[str, ...], terms: dict[int, int]):
 
 
 # fusion --n 3 --nu 2,2 --depth 2 and compatibility --n 3 --nu 2,1, run in
-# one process, align 831 to 840 distinct pairs of variable sets (hash seeds
-# 0-2: the seed orders sets of factors, and so the order of some products)
+# one process, align 610 distinct pairs of variable sets in 28,015 calls,
+# the same under hash seeds 0, 1 and 2
 @lru_cache(maxsize=4096)
 def _moves(old: tuple[str, ...], new: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
     """``(mask, shift)`` blocks taking a key over ``old`` to one over ``new``.
@@ -570,8 +582,8 @@ def _image_point(name: str) -> int:
 # Entries of the weight memo: the images of one operand in several
 # variables are asked for together.  Cap-scale compatibility (n = 3, nu =
 # 2,1), in a fresh process with the image memo at 128 entries, looks weights
-# up 7,715 times and computes them 4,214 times with 16 entries, 3,997 with
-# 128, and 2,649 with no bound.
+# up 2,978 times and computes them 2,100 times with 16 entries, 2,015 with
+# 128, and 1,492 with no bound.
 @lru_cache(maxsize=16)
 def _weights(p: Poly) -> tuple[tuple[int, ...], list[int]] | None:
     """The keys of p and, per key, ``c prod_v r_v^e_v mod P`` for the term
@@ -603,8 +615,8 @@ _ONES = [1] * (MAX_DEGREE + 1)
 
 # Entries of the image memo; 128 is the size of the memo of all of an
 # operand's images that it replaces.  Cap-scale compatibility, in a fresh
-# process with the weight memo at 16 entries, misses 9,932 of its 20,316
-# lookups with 16 entries, 7,715 with 128, 6,552 with 512 and 5,407 with no
+# process with the weight memo at 16 entries, misses 3,386 of its 7,229
+# lookups with 16 entries, 2,978 with 128, 2,664 with 512 and 2,233 with no
 # bound.
 @lru_cache(maxsize=128)
 def _image(p: Poly, name: str) -> tuple[int, ...] | None:
@@ -813,8 +825,15 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
     """Exact quotient p/q; raises InexactDivision if q does not divide p.
 
     With p = c_p P and q = c_q Q for primitive integer P and Q, q divides p
-    over Q exactly when Q divides P over Z (Gauss's lemma), so the division
-    is integer long division (`_int_quotient`).
+    over Q exactly when Q divides P over Z (Gauss's lemma).  A factor of P
+    has no variable that P lacks, so such a q fails at once.  Otherwise the
+    division is integer long division on the packed keys of P, largest key
+    first: each step divides the leading term of the remainder by that of
+    Q, so the remainder's leading key must be at least Q's in every field
+    where Q's is nonzero (one field for a linear q).  If P = Q S, every
+    quotient key is at least min(P) - min(Q) = min(S), since a product's
+    smallest key is the sum of its factors' smallest keys; a smaller one
+    stops a failing division early.
     """
     if q.is_zero():
         raise DivisionByZero("polynomial division by zero")
@@ -822,11 +841,46 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
         return _POLY_ZERO
     if q.is_const():
         return p.scale(1 / q.const_value())
-    vars = tuple(sorted(set(p.vars) | set(q.vars)))
-    quotient = _int_quotient(_tuples(p, vars), _tuples(q, vars))
-    if quotient is None:
+    vars = p.vars
+    if not set(q.vars).issubset(vars):
         raise InexactDivision("inexact polynomial division")
-    return _from_tuples(vars, p.content / q.content, quotient.items())
+    divisor = _widen(q.terms, q.vars, vars)
+    lead = max(divisor)
+    lc = divisor[lead]
+    rest = [(k, c) for k, c in divisor.items() if k != lead]
+    fields = [
+        (s, e)
+        for s in range(0, FIELD_BITS * len(vars), FIELD_BITS)
+        if (e := lead >> s & MAX_DEGREE)
+    ]
+    low = min(p.terms) - min(divisor)
+    remainder = dict(p.terms)
+    heap = [-k for k in remainder]
+    heapq.heapify(heap)
+    quotient: dict[int, int] = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = remainder.pop(m, 0)
+        if not c:
+            continue
+        t = m - lead
+        qc, r = divmod(c, lc)
+        if r or t < low or any(m >> s & MAX_DEGREE < e for s, e in fields):
+            raise InexactDivision("inexact polynomial division")
+        quotient[t] = qc
+        for k, hc in rest:
+            mm = t + k
+            v = remainder.get(mm)
+            if v is None:
+                remainder[mm] = -qc * hc
+                heapq.heappush(heap, -mm)
+            else:
+                v -= qc * hc
+                if v:
+                    remainder[mm] = v
+                else:
+                    del remainder[mm]
+    return _make(vars, p.content / q.content, quotient, shrink=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,8 +1151,8 @@ def _power_product(factors) -> Poly:
 
 
 # The four rank-3 runs (fusion 3/1,1, compatibility 3/2,0, pbw-invariance
-# 4/1,2,2, appendix-b 3/2,1), in one process, expand 217 distinct products
-# in 5,313 calls, and cap-scale fusion and compatibility 222 in 35,710.  The
+# 4/1,2,2, appendix-b 3/2,1), in one process, expand 157 distinct products
+# in 2,354 calls, and cap-scale fusion and compatibility 99 in 24,435.  The
 # entries of a summed operator that share a base then share one denominator
 # instead of holding a copy each.
 @lru_cache(maxsize=512)
@@ -1120,8 +1174,8 @@ def _is_linear(f: Poly) -> bool:
     return max(f.terms) >> FIELD_BITS * len(f.vars) == 1
 
 
-# the four rank-3 runs of `_expand` meet 44 distinct linear factors, and
-# the two cap-scale runs 27
+# the four rank-3 runs of `_expand` meet 31 distinct linear factors, and
+# the two cap-scale runs 17
 @lru_cache(maxsize=256)
 def _root(f: Poly) -> tuple[str, int] | None:
     """``(name, t)``: with every other variable at its `_image_point`, the
@@ -1193,8 +1247,8 @@ def _cancel_all(p: Poly, factors) -> tuple[Poly, tuple[tuple[Poly, int], ...]]:
     return p, tuple(out)
 
 
-# The four rank-3 runs of `_expand` combine 715 distinct pairs of bases in
-# 4,865 calls; cap-scale fusion and compatibility miss 2,084 of 27,125.
+# The four rank-3 runs of `_expand` combine 401 distinct pairs of bases in
+# 2,286 calls; cap-scale fusion and compatibility miss 965 of 18,515.
 @lru_cache(maxsize=2048)
 def _common_base(fa, fb) -> tuple[tuple[Poly, int, int], ...]:
     """``(f, m, k)``: one coprime base of two bases, with the multiplicity

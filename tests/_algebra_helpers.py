@@ -1,6 +1,8 @@
 """Test-only conveniences over the straightening engine and the tensor actions,
-the cross-gcd reference for rational-function arithmetic, and the dense
-Gauss-Jordan reference for `rep.nullspace` and `WeightSpaceOperator.invert`.
+the cross-gcd reference for rational-function arithmetic, the dense
+Gauss-Jordan reference for `rep.nullspace` and `WeightSpaceOperator.invert`,
+the lowered-space reference for `dyn._root_terms`, and the exponent-tuple
+references for `poly_divexact` and `Poly.rename`.
 
 The package computes with `Straightener.apply_word` and the tensor Leibniz
 action directly; these helpers package the same machinery in
@@ -15,12 +17,19 @@ from kzdyn.rep import (
     WeightSpaceOperator,
     operator_for_letter,
 )
-from kzdyn.roots import weight_from_pairings
+from kzdyn.roots import positive_roots, weight_from_pairings
 from kzdyn.symexpr import (
     RF_ONE,
     RF_ZERO,
+    DivisionByZero,
+    InexactDivision,
+    Poly,
     RationalFunctionExpr,
+    _from_tuples,
+    _int_quotient,
     _make_reduced,
+    _tuples,
+    _unpack,
     poly_divexact,
     poly_gcd_cofactors,
 )
@@ -145,3 +154,52 @@ def reference_invert(op: WeightSpaceOperator) -> WeightSpaceOperator:
         if not x.is_zero()
     }
     return WeightSpaceOperator(op.domain, op.codomain, entries)
+
+
+def reference_root_terms(
+    space: TensorWeightSpace, raise_at: int, lower_at: int
+) -> dict[tuple[int, int], WeightSpaceOperator]:
+    """`dyn._root_terms` composed lower letter first: per positive root
+    (a, b), ``e_ab`` on factor ``raise_at`` applied to ``e_ba`` on factor
+    ``lower_at``, through the lowered space nu + alpha."""
+    terms = {}
+    for a, b in positive_roots(space.pbw_basis.n_rank):
+        lower = operator_for_letter(space, ("e", b, a), only_factor=lower_at - 1)
+        raiser = operator_for_letter(lower.codomain, ("e", a, b), only_factor=raise_at - 1)
+        assert raiser.codomain == space
+        terms[(a, b)] = raiser.compose(lower)
+    return terms
+
+
+def reference_divexact(p: Poly, q: Poly) -> Poly:
+    """`poly_divexact` on exponent tuples: `_int_quotient` of the primitive
+    parts over the union of the variables, repacked."""
+    if q.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    if p.is_zero():
+        return Poly.zero()
+    if q.is_const():
+        return p.scale(1 / q.const_value())
+    vars = tuple(sorted(set(p.vars) | set(q.vars)))
+    quotient = _int_quotient(_tuples(p, vars), _tuples(q, vars))
+    if quotient is None:
+        raise InexactDivision("inexact polynomial division")
+    return _from_tuples(vars, p.content / q.content, quotient.items())
+
+
+def reference_rename(p: Poly, mapping) -> Poly:
+    """`Poly.rename` on exponent tuples: each key unpacked, its exponents
+    added up by new name, and repacked."""
+    if not p.terms or not any(v in mapping for v in p.vars):
+        return p
+    new_vars = tuple(sorted({mapping.get(v, v) for v in p.vars}))
+    pos = [new_vars.index(mapping.get(v, v)) for v in p.vars]
+    n = len(p.vars)
+
+    def moved(k: int) -> list[int]:
+        ne = [0] * len(new_vars)
+        for i, ei in zip(pos, _unpack(k, n)):
+            ne[i] += ei
+        return ne
+
+    return _from_tuples(new_vars, p.content, ((moved(k), c) for k, c in p.terms.items()))

@@ -767,6 +767,14 @@ _PINNED_REPORTS = {
     "appendix-b --n 3 --nu 1,2 --factors verma,verma,verma,verma": (
         "61bd89cb46a06cb48dc1f0a1834260d5c5b859ee3e2534205baf5854af3b8939"
     ),
+    # ∇K rows, which build the Casimir root terms: at cap scale, and on three
+    # Verma factors
+    "compatibility --n 3 --nu 2,1": (
+        "b2f70b986539ab0360b4051bd11ffe5e132e8b6971ee8f01a0d251400194e17c"
+    ),
+    "compatibility --n 3 --nu 1,1 --factors verma,verma,verma": (
+        "21bae157fd465900dde0631d265db3e8cabab967d7503f5004c4dcbd9581bd79"
+    ),
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _algebra_helpers import reference_root_terms
 from _closed_forms import b_coeff, falling
 from kzdyn import dyn
 from kzdyn.dyn import (
@@ -571,6 +572,37 @@ def test_omega_parts_sum():
         target = lower.codomain
         casimir = omega_operator(target, 1, 2) + omega_operator(target, 2, 1)
         assert casimir.compose(lower) == lower.compose(plus + minus)
+
+
+@pytest.mark.parametrize(
+    "factors, nu0",
+    [
+        ((lp_module(1), lp_module(2)), (2,)),
+        ((verma_symbolic(3, 1), verma_symbolic(3, 2)), (1, 1)),
+        ((verma_symbolic(3, 1), verma_symbolic(3, 2)), (2, 1)),
+        (tuple(verma_symbolic(3, j) for j in (1, 2, 3)), (1, 1)),
+        (tuple(verma_symbolic(3, j) for j in (1, 2, 3)), (2, 1)),
+        (tuple(verma_symbolic(3, j) for j in (1, 2, 3, 4)), (1, 2)),
+        ((verma_symbolic(3, 1), verma_symbolic(3, 2)), (2, 0)),
+    ],
+    ids=["sl2-lp1-lp2", "sl3-2-11", "sl3-2-21", "sl3-3-11", "sl3-3-21", "sl3-4-12", "sl3-2-20"],
+)
+def test_root_terms_match_the_lowered_space_reference(factors, nu0):
+    # built through nu - alpha; the reference goes through nu + alpha
+    sp = enumerate_basis(factors, nu0)
+    pairs = [(i, j) for i in range(1, len(factors) + 1) for j in range(1, len(factors) + 1)]
+    for i, j in pairs:
+        if i != j:
+            assert dyn._root_terms(sp, i, j) == reference_root_terms(sp, i, j)
+
+
+def test_root_terms_through_an_empty_raised_space():
+    # at depth (2, 0) no vector can be raised by alpha_2: those terms vanish
+    sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (2, 0))
+    assert operator_for_letter(sp, E(2, 3), only_factor=0).codomain.dim == 0
+    terms = dyn._root_terms(sp, 1, 2)
+    assert terms[(2, 3)].is_zero() and terms[(1, 3)].is_zero()
+    assert not terms[(1, 2)].is_zero()
 
 
 def test_r_matrix_unitarity():

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 import sympy
 
-from _algebra_helpers import reference_add, reference_mul
+from _algebra_helpers import (
+    reference_add,
+    reference_divexact,
+    reference_mul,
+    reference_rename,
+)
 from kzdyn import symexpr
 from kzdyn.symexpr import (
     CERT_PRIME,
@@ -262,8 +267,10 @@ def test_work_does_not_depend_on_the_hash_seed():
         "        code = main(['verify', *line.split()])\n"
         "    print(code, pairs)\n"
     )
-    # measured bounds: fusion's after compatibility's in the same process
-    runs = {"compatibility --n 3 --nu 2,0": 7170, "fusion --n 3 --nu 1,1": 4519}
+    # measured bounds: fusion's after compatibility's in the same process,
+    # where it reuses the products that compatibility left in the `_expand`
+    # memo (4,561 in a fresh process)
+    runs = {"compatibility --n 3 --nu 2,0": 7016, "fusion --n 3 --nu 1,1": 4557}
     counts = [
         subprocess.run(
             [sys.executable, "-c", code, *runs],
@@ -667,6 +674,63 @@ def test_divexact_matches_sympy_div():
             outcomes["exact"] += 1
             assert poly_divexact(dividend, q) == expected
     assert min(outcomes.values()) >= 20
+
+
+def _divexact_agrees(p: Poly, q: Poly) -> bool:
+    """Whether `poly_divexact` and its tuple reference agree on p / q;
+    True when the division is exact."""
+    try:
+        expected = reference_divexact(p, q)
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            poly_divexact(p, q)
+        return False
+    assert poly_divexact(p, q) == expected
+    return True
+
+
+def test_divexact_matches_the_tuple_reference():
+    rng = random.Random(20261021)
+    exact = [
+        _divexact_agrees(p * q if rng.random() < 0.5 else p * q + _random_poly(rng), q)
+        for p, q in (_random_gcd_pair(rng) for _ in range(300))
+        if not q.is_zero()
+    ]
+    assert min(exact.count(True), exact.count(False)) >= 50
+    # a constant divisor
+    assert _divexact_agrees(_p("3*x + 6"), _p("-3/4"))
+    # a divisor variable that the dividend lacks
+    assert not _divexact_agrees(_p("x*y + x"), _p("z:1 + 1"))
+    # a quotient that loses a variable
+    quotient = poly_divexact(_p("(x + 1) * (y - 2)"), _p("y - 2"))
+    assert quotient.vars == ("x",)
+    assert _divexact_agrees(_p("(x + 1) * (y - 2)"), _p("y - 2"))
+    # negative leading coefficients and rational contents
+    assert _divexact_agrees(_p("-(x - y) * (2*x + 3)"), _p("y - x"))
+    assert _divexact_agrees(_p("3/4 * (x + 2*y) * (x - 1/3)"), _p("2/5*x - 2/15"))
+    assert not _divexact_agrees(_p("3/4 * (x + 2*y) * (x - 1/3) + 1/7"), _p("2/5*x - 2/15"))
+
+
+def test_rename_matches_the_tuple_reference():
+    rng = random.Random(20261022)
+    names = (*_GCD_NAMES, "w")
+    for _ in range(300):
+        p = _random_poly(rng, max_terms=4)
+        old = rng.sample(_GCD_NAMES, rng.randint(1, 3))
+        mapping = {v: rng.choice(names) for v in old}
+        assert p.rename(mapping) == reference_rename(p, mapping)
+    # colliding names whose terms cancel
+    for p, mapping, expected in [
+        (_p("x - y"), {"x": "y"}, Poly.zero()),
+        (_p("x*y^2 - x^2*y + 3"), {"y": "x"}, _p("3")),
+        (_p("x*y + 2*x^2 - y^2"), {"x": "w", "y": "w"}, _p("2*w^2")),
+    ]:
+        assert p.rename(mapping) == expected == reference_rename(p, mapping)
+    # a new leading term: the sign moves into the content
+    p = _p("x - 2*y")
+    renamed = p.rename({"y": "a"})
+    assert renamed == _p("x - 2*a") == reference_rename(p, {"y": "a"})
+    assert renamed.content < 0
 
 
 def _primitive(p: Poly) -> dict:
