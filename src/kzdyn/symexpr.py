@@ -61,19 +61,20 @@ Multivariate gcds and exact divisions go through the two seams
 `poly_gcd_cofactors` / `poly_divexact`.  The gcd seam answers directly only
 when the result is forced: for a zero or constant operand, for equal
 operands, and for operands with no common variable (the gcd is 1).  Every
-other pair is proven by one argument: the primitive parts are unpacked to
-integer polynomials keyed by exponent tuples and their gcd is computed by
-the heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput. 7
-(1989)), in `_heu_gcd`: one variable is set to an integer point xi, the gcd
-of the images is computed recursively down to an integer gcd, each level is
-rebuilt from balanced base-xi digits, and a candidate is kept only when it
-divides both operands exactly.  Every point at every level is at least
+other pair is proven by one argument: the primitive parts, keyed over the
+union of their variables, go to the heuristic gcd of Char, Geddes and Gonnet
+(GCDHEU, J. Symbolic Comput. 7 (1989)), in `_heu_gcd`: the variable of the
+top key field is set to an integer point xi, the gcd of the images is
+computed recursively down to an integer gcd, each level is rebuilt from
+balanced base-xi digits, and a candidate is kept only when it divides both
+operands exactly.  Every point at every level is at least
 2 min(|f|, |g|) + 2 for the max norms of that level's operands, where a
 dividing candidate is the gcd (the CGG bound; the argument is in
 `_heu_gcd`), so every answer is proven.  `HeuristicGcdFailed` is raised
-when no point gives one.  Exact division is sparse long division over Z by
-the primitive divisor (Gauss's lemma), run on the packed keys largest
-first, and raises `InexactDivision` when the divisor does not divide.
+when no point gives one.  Every division over Z, exact or trial, is one
+sparse long division by the primitive divisor (Gauss's lemma) on the packed
+keys, largest first (`_divide`); `poly_divexact` raises `InexactDivision`
+when the divisor does not divide.
 
 A symbol is its name: variables are keyed and ordered by name alone, so the
 canonical form and the text of an expression do not depend on which symbols
@@ -236,8 +237,8 @@ class Poly:
                 raise ValueError(f"exponent {e!r} needs {len(vars)} non-negative entries")
         terms = {e: Fraction(c) for e, c in terms.items() if c}
         den = math.lcm(*(c.denominator for c in terms.values()))
-        ints = ((e, c.numerator * (den // c.denominator)) for e, c in terms.items())
-        return _from_tuples(vars, Fraction(1, den), ints)
+        ints = {_pack(e): c.numerator * (den // c.denominator) for e, c in terms.items()}
+        return _make(vars, Fraction(1, den), ints, shrink=True)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """``(exponents, coefficient)`` per term, in descending graded-lex order."""
@@ -445,15 +446,6 @@ def _make(vars: tuple[str, ...], content: Fraction, terms: dict[int, int], shrin
     return Poly(vars, content, terms)
 
 
-def _from_tuples(vars: tuple[str, ...], content: Fraction, pairs) -> Poly:
-    """`_make` from ``(exponent vector, int coefficient)`` pairs; merges repeats."""
-    out: dict[int, int] = {}
-    for e, c in pairs:
-        k = _pack(e)
-        out[k] = out.get(k, 0) + c
-    return _make(vars, content, out, shrink=True)
-
-
 def _shrink(vars: tuple[str, ...], terms: dict[int, int]):
     """Drop the variables whose exponent is zero in every key."""
     used = reduce(operator.or_, terms)
@@ -508,12 +500,6 @@ def _align(p: Poly, q: Poly):
         return p.vars, p.terms, q.terms
     vars = tuple(sorted(set(p.vars).union(q.vars)))
     return vars, _widen(p.terms, p.vars, vars), _widen(q.terms, q.vars, vars)
-
-
-def _tuples(p: Poly, vars: tuple[str, ...]) -> dict[tuple[int, ...], int]:
-    """The primitive part of p keyed by exponent tuples over ``vars`` ⊇ p.vars."""
-    n = len(vars)
-    return {_unpack(k, n): c for k, c in _widen(p.terms, p.vars, vars).items()}
 
 
 _POLY_ZERO = Poly((), _ZERO, {})
@@ -646,107 +632,113 @@ def _image(p: Poly, name: str) -> tuple[int, ...] | None:
 def _ring_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     """`poly_gcd_cofactors` for non-forced operands.
 
-    The pair is cleared of denominators and handed to `_heu_gcd`, whose
-    answer the CGG bound proves to be the gcd; `HeuristicGcdFailed` is
-    raised when it finds none.
+    The primitive parts, widened to the union of the variables, are handed
+    to `_heu_gcd`, whose answer the CGG bound proves to be the gcd;
+    `HeuristicGcdFailed` is raised when it finds none.
     """
     vars = tuple(sorted(set(p.vars) | set(q.vars)))
-    found = _heu_gcd(_tuples(p, vars), _tuples(q, vars))
+    found = _heu_gcd(_widen(p.terms, p.vars, vars), _widen(q.terms, q.vars, vars), len(vars))
     if found is None:
         raise HeuristicGcdFailed(f"no proven gcd after {GCDHEU_POINTS} points")
     h, cf, cg = found
-    if len(h) == 1 and not any(next(iter(h))):
+    if h.keys() == {0}:
         return _POLY_ONE, p, q
     # h = u * g for the normalized gcd g and a unit u = g_poly.content
-    g_poly = _from_tuples(vars, _ONE, h.items())
+    g_poly = _make(vars, _ONE, h, shrink=True)
     u = g_poly.content
-    pg = _from_tuples(vars, p.content * u, cf.items())
-    qg = _from_tuples(vars, q.content * u, cg.items())
+    pg = _make(vars, p.content * u, cf, shrink=True)
+    qg = _make(vars, q.content * u, cg, shrink=True)
     return _normalize_poly(g_poly), pg, qg
 
 
-# Integer polynomials below are dicts from exponent tuples (all of one
-# length) to nonzero ints.
+# Integer polynomials below are dicts from packed keys over n variables to
+# nonzero ints, as `Poly.terms`; the first variable's field is below the degree's.
 
 
-def _evaluate_first(f: dict, xi: int) -> dict:
-    """f with its first variable set to the integer ``xi``."""
+def _evaluate_first(f: dict, xi: int, n: int) -> dict:
+    """f over n variables with its first set to the integer ``xi``, over the
+    other n - 1: each key loses that field and its exponent from the degree."""
+    s = FIELD_BITS * (n - 1)
+    low = (1 << s) - 1
     powers = [1]
-    for _ in range(max(e[0] for e in f)):
+    for _ in range(max(k >> s & MAX_DEGREE for k in f)):
         powers.append(powers[-1] * xi)
     out: dict = {}
-    for e, c in f.items():
-        rest = e[1:]
-        out[rest] = out.get(rest, 0) + c * powers[e[0]]
-    return {e: c for e, c in out.items() if c}
+    for k, c in f.items():
+        top = k >> s  # the degree and the first exponent
+        e = top & MAX_DEGREE
+        rest = ((top >> FIELD_BITS) - e) << s | k & low
+        out[rest] = out.get(rest, 0) + c * powers[e]
+    return {k: c for k, c in out.items() if c}
 
 
-def _interpolate(h: dict, xi: int) -> dict:
-    """Lift h to one more (first) variable x by balanced base-``xi`` digits.
+def _interpolate(h: dict, xi: int, n: int) -> dict | None:
+    """Lift h over n - 1 variables to n, with a new first variable x, by
+    balanced base-``xi`` digits.
 
     Each coefficient c becomes sum_i d_i x^i with c = sum_i d_i xi^i and every
-    digit in (-xi/2, xi/2], so the result H satisfies H(xi) = h.
+    digit in (-xi/2, xi/2], so the result H satisfies H(xi) = h.  None when
+    the total degree of H passes `MAX_DEGREE`: such an H divides no operand.
+    (A first exponent past `MAX_DEGREE` spills into the degree field, which
+    only raises the key, so the largest key still shows it.)
     """
+    s = FIELD_BITS * (n - 1)
+    low = (1 << s) - 1
+    step = ((1 << FIELD_BITS) | 1) << s  # times x: one more degree, one more x
     half = xi // 2
     out = {}
-    for e, c in h.items():
-        i = 0
+    for k, c in h.items():
+        key = (k >> s) << s + FIELD_BITS | k & low
         while c:
             d = c % xi
             if d > half:
                 d -= xi
             if d:
-                out[(i,) + e] = d
+                out[key] = d
             c = (c - d) // xi
-            i += 1
+            key += step
+    if max(out) >> FIELD_BITS * n > MAX_DEGREE:
+        return None
     return out
 
 
-def _int_quotient(f: dict, h: dict) -> dict | None:
-    """f / h when h divides f over Z, else None.
+def _divide(terms: dict, divisor: dict, n: int) -> dict | None:
+    """``terms / divisor`` for integer polynomials over n variables, when the
+    divisor divides over Z; else None.
 
-    Sparse long division from the lexicographically smallest term: if f = h s
-    then min(f) = min(h) min(s) in any monomial order, and every step removes
-    the smallest term of the remainder h (s - partial quotient).  The
-    quotient's degree in each variable is deg f - deg h, which bounds the
-    terms tried and makes a failing division stop.
+    Long division on the packed keys, largest key first: each step divides
+    the leading term of the remainder by that of the divisor, so the
+    remainder's leading key must be at least the divisor's in every field
+    where the divisor's is nonzero (one field for a linear divisor).  If
+    terms = divisor * S, every quotient key is at least min(terms) -
+    min(divisor) = min(S), since a product's smallest key is the sum of its
+    factors' smallest keys; a smaller one stops a failing division early.
     """
-    if len(h) == 1:
-        ((low, lc),) = h.items()
-        out = {}
-        for e, c in f.items():
-            t = tuple(map(operator.sub, e, low))
-            qc, rem = divmod(c, lc)
-            if rem or min(t, default=0) < 0:
-                return None
-            out[t] = qc
-        return out
-    low = min(h)
-    top = list(map(operator.sub, map(max, zip(*f)), map(max, zip(*h))))
-    if min(top, default=0) < 0:
-        return None
-    lc = h[low]
-    rest = [(e, c) for e, c in h.items() if e != low]
-    remainder = dict(f)
-    heap = list(remainder)
+    lead = max(divisor)
+    lc = divisor[lead]
+    rest = [(k, c) for k, c in divisor.items() if k != lead]
+    fields = [(s, e) for s in range(0, FIELD_BITS * n, FIELD_BITS) if (e := lead >> s & MAX_DEGREE)]
+    low = min(terms) - min(divisor)
+    remainder = dict(terms)
+    heap = [-k for k in remainder]
     heapq.heapify(heap)
-    quotient = {}
+    quotient: dict[int, int] = {}
     while heap:
-        m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = remainder.pop(m, 0)
         if not c:
             continue
-        t = tuple(map(operator.sub, m, low))
-        qc, rem = divmod(c, lc)
-        if rem or any(ti < 0 or ti > bi for ti, bi in zip(t, top)):
+        t = m - lead
+        qc, r = divmod(c, lc)
+        if r or t < low or any(m >> s & MAX_DEGREE < e for s, e in fields):
             return None
         quotient[t] = qc
-        for e, hc in rest:
-            mm = tuple(map(operator.add, t, e))
+        for k, hc in rest:
+            mm = t + k
             v = remainder.get(mm)
             if v is None:
                 remainder[mm] = -qc * hc
-                heapq.heappush(heap, mm)
+                heapq.heappush(heap, -mm)
             else:
                 v -= qc * hc
                 if v:
@@ -756,15 +748,18 @@ def _int_quotient(f: dict, h: dict) -> dict | None:
     return quotient
 
 
-def _heu_gcd(f: dict, g: dict):
-    """Heuristic gcd (GCDHEU) of nonzero integer polynomials f and g.
+def _heu_gcd(f: dict, g: dict, n: int):
+    """Heuristic gcd (GCDHEU) of nonzero integer polynomials f and g over n
+    variables.
 
     Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
     based on integer GCD computation", J. Symbolic Comput. 7 (1989).  The
     first variable is set to an integer xi, the gcd gamma of the images is
     computed recursively (an integer gcd once no variable is left), and the
     candidate G with balanced base-xi digits of gamma, made primitive, is
-    kept when it divides f and g exactly.
+    kept when `_divide` divides f and g by it exactly.  Leading
+    coefficients here are lexicographic: key order with the degree field
+    cleared.
 
     Returns ``(h, f/h, g/h)`` with h the gcd over Z, or None after
     `GCDHEU_POINTS` points.  Every point is at least the CGG bound, xi >=
@@ -784,14 +779,15 @@ def _heu_gcd(f: dict, g: dict):
     1 + |f| and |c(xi)| > (xi - 1 - |f|)^deg c >= xi/2.  So c is a constant
     dividing g0: c = +-1.
     """
-    if () in f:
-        a, b = f[()], g[()]
+    if not n:
+        a, b = f[0], g[0]
         h = math.gcd(a, b)
-        return {(): h}, {(): a // h}, {(): b // h}
+        return {0: h}, {0: a // h}, {0: b // h}
     content = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
     if content != 1:
-        f = {e: c // content for e, c in f.items()}
-        g = {e: c // content for e, c in g.items()}
+        f = {k: c // content for k, c in f.items()}
+        g = {k: c // content for k, c in g.items()}
+    lex = ((1 << FIELD_BITS * n) - 1).__and__
     f_norm = max(map(abs, f.values()))
     g_norm = max(map(abs, g.values()))
     bound = 2 * min(f_norm, g_norm) + 2
@@ -799,23 +795,23 @@ def _heu_gcd(f: dict, g: dict):
     xi = max(
         bound,
         min(big, 99 * math.isqrt(big)),
-        2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4,
+        2 * min(f_norm // abs(f[max(f, key=lex)]), g_norm // abs(g[max(g, key=lex)])) + 4,
     )
     for _ in range(GCDHEU_POINTS):
-        ff = _evaluate_first(f, xi)
-        gg = _evaluate_first(g, xi)
-        sub = _heu_gcd(ff, gg) if ff and gg else None
-        if sub is not None:
-            h = _interpolate(sub[0], xi)
+        ff = _evaluate_first(f, xi, n)
+        gg = _evaluate_first(g, xi, n)
+        sub = _heu_gcd(ff, gg, n - 1) if ff and gg else None
+        h = None if sub is None else _interpolate(sub[0], xi, n)
+        if h is not None:
             unit = math.gcd(*h.values())
-            if h[max(h)] < 0:
+            if h[max(h, key=lex)] < 0:
                 unit = -unit
-            h = {e: c // unit for e, c in h.items()}
-            cf = _int_quotient(f, h)
-            cg = _int_quotient(g, h) if cf is not None else None
+            h = {k: c // unit for k, c in h.items()}
+            cf = _divide(f, h, n)
+            cg = _divide(g, h, n) if cf is not None else None
             if cg is not None:
                 if content != 1:
-                    h = {e: c * content for e, c in h.items()}
+                    h = {k: c * content for k, c in h.items()}
                 return h, cf, cg
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
@@ -826,14 +822,9 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
 
     With p = c_p P and q = c_q Q for primitive integer P and Q, q divides p
     over Q exactly when Q divides P over Z (Gauss's lemma).  A factor of P
-    has no variable that P lacks, so such a q fails at once.  Otherwise the
-    division is integer long division on the packed keys of P, largest key
-    first: each step divides the leading term of the remainder by that of
-    Q, so the remainder's leading key must be at least Q's in every field
-    where Q's is nonzero (one field for a linear q).  If P = Q S, every
-    quotient key is at least min(P) - min(Q) = min(S), since a product's
-    smallest key is the sum of its factors' smallest keys; a smaller one
-    stops a failing division early.
+    has no variable that P lacks, so such a q fails at once.  Otherwise Q is
+    widened to P's variables and `_divide` runs the long division on the
+    packed keys.
     """
     if q.is_zero():
         raise DivisionByZero("polynomial division by zero")
@@ -844,42 +835,9 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
     vars = p.vars
     if not set(q.vars).issubset(vars):
         raise InexactDivision("inexact polynomial division")
-    divisor = _widen(q.terms, q.vars, vars)
-    lead = max(divisor)
-    lc = divisor[lead]
-    rest = [(k, c) for k, c in divisor.items() if k != lead]
-    fields = [
-        (s, e)
-        for s in range(0, FIELD_BITS * len(vars), FIELD_BITS)
-        if (e := lead >> s & MAX_DEGREE)
-    ]
-    low = min(p.terms) - min(divisor)
-    remainder = dict(p.terms)
-    heap = [-k for k in remainder]
-    heapq.heapify(heap)
-    quotient: dict[int, int] = {}
-    while heap:
-        m = -heapq.heappop(heap)
-        c = remainder.pop(m, 0)
-        if not c:
-            continue
-        t = m - lead
-        qc, r = divmod(c, lc)
-        if r or t < low or any(m >> s & MAX_DEGREE < e for s, e in fields):
-            raise InexactDivision("inexact polynomial division")
-        quotient[t] = qc
-        for k, hc in rest:
-            mm = t + k
-            v = remainder.get(mm)
-            if v is None:
-                remainder[mm] = -qc * hc
-                heapq.heappush(heap, -mm)
-            else:
-                v -= qc * hc
-                if v:
-                    remainder[mm] = v
-                else:
-                    del remainder[mm]
+    quotient = _divide(p.terms, _widen(q.terms, q.vars, vars), len(vars))
+    if quotient is None:
+        raise InexactDivision("inexact polynomial division")
     return _make(vars, p.content / q.content, quotient, shrink=True)
 
 
@@ -1214,10 +1172,8 @@ def _divide_linear(p: Poly, f: Poly) -> Poly | None:
             value = (value * root[1] + c) % CERT_PRIME
         if value:
             return None
-    try:
-        return poly_divexact(p, f)
-    except InexactDivision:
-        return None
+    quotient = _divide(p.terms, _widen(f.terms, f.vars, p.vars), len(p.vars))
+    return None if quotient is None else _make(p.vars, p.content / f.content, quotient, shrink=True)
 
 
 def _cancel(p: Poly, f: Poly, m: int) -> tuple[Poly, list[tuple[Poly, int]]]:

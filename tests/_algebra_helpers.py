@@ -2,13 +2,19 @@
 the cross-gcd reference for rational-function arithmetic, the dense
 Gauss-Jordan reference for `rep.nullspace` and `WeightSpaceOperator.invert`,
 the lowered-space reference for `dyn._root_terms`, and the exponent-tuple
-references for `poly_divexact` and `Poly.rename`.
+references for `poly_divexact` and `Poly.rename`.  The package divides on
+packed keys only (`symexpr._divide`, largest key first); `_int_quotient`
+below divides over exponent tuples from the smallest term up, so that the
+division reference shares no division code with the package.
 
 The package computes with `Straightener.apply_word` and the tensor Leibniz
 action directly; these helpers package the same machinery in
 the shapes the tests state their identities in.  They are not used by the
 package.
 """
+
+import heapq
+import operator
 
 from kzdyn.rep import (
     PBWVector,
@@ -25,10 +31,7 @@ from kzdyn.symexpr import (
     InexactDivision,
     Poly,
     RationalFunctionExpr,
-    _from_tuples,
-    _int_quotient,
     _make_reduced,
-    _tuples,
     _unpack,
     poly_divexact,
     poly_gcd_cofactors,
@@ -169,6 +172,81 @@ def reference_root_terms(
         assert raiser.codomain == space
         terms[(a, b)] = raiser.compose(lower)
     return terms
+
+
+def _tuples(p: Poly, vars: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """The primitive part of p keyed by exponent tuples over ``vars`` ⊇ p.vars."""
+    at = [vars.index(v) for v in p.vars]
+    out = {}
+    for k, c in p.terms.items():
+        e = [0] * len(vars)
+        for i, x in zip(at, _unpack(k, len(p.vars))):
+            e[i] = x
+        out[tuple(e)] = c
+    return out
+
+
+def _from_tuples(vars: tuple[str, ...], content, pairs) -> Poly:
+    """``content * sum(c x^e)`` from ``(exponents, int c)`` pairs; merges repeats."""
+    terms: dict[tuple[int, ...], int] = {}
+    for e, c in pairs:
+        e = tuple(e)
+        terms[e] = terms.get(e, 0) + c
+    return Poly.build(vars, terms).scale(content)
+
+
+def _int_quotient(f: dict, h: dict) -> dict | None:
+    """f / h when h divides f over Z, else None.
+
+    Sparse long division from the lexicographically smallest term: if f = h s
+    then min(f) = min(h) min(s) in any monomial order, and every step removes
+    the smallest term of the remainder h (s - partial quotient).  The
+    quotient's degree in each variable is deg f - deg h, which bounds the
+    terms tried and makes a failing division stop.
+    """
+    if len(h) == 1:
+        ((low, lc),) = h.items()
+        out = {}
+        for e, c in f.items():
+            t = tuple(map(operator.sub, e, low))
+            qc, rem = divmod(c, lc)
+            if rem or min(t, default=0) < 0:
+                return None
+            out[t] = qc
+        return out
+    low = min(h)
+    top = list(map(operator.sub, map(max, zip(*f)), map(max, zip(*h))))
+    if min(top, default=0) < 0:
+        return None
+    lc = h[low]
+    rest = [(e, c) for e, c in h.items() if e != low]
+    remainder = dict(f)
+    heap = list(remainder)
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        m = heapq.heappop(heap)
+        c = remainder.pop(m, 0)
+        if not c:
+            continue
+        t = tuple(map(operator.sub, m, low))
+        qc, rem = divmod(c, lc)
+        if rem or any(ti < 0 or ti > bi for ti, bi in zip(t, top)):
+            return None
+        quotient[t] = qc
+        for e, hc in rest:
+            mm = tuple(map(operator.add, t, e))
+            v = remainder.get(mm)
+            if v is None:
+                remainder[mm] = -qc * hc
+                heapq.heappush(heap, mm)
+            else:
+                v -= qc * hc
+                if v:
+                    remainder[mm] = v
+                else:
+                    del remainder[mm]
+    return quotient
 
 
 def reference_divexact(p: Poly, q: Poly) -> Poly:

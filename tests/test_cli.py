@@ -775,6 +775,14 @@ _PINNED_REPORTS = {
     "compatibility --n 3 --nu 1,1 --factors verma,verma,verma": (
         "21bae157fd465900dde0631d265db3e8cabab967d7503f5004c4dcbd9581bd79"
     ),
+    # the most gcd proofs of any pinned run: 186 and 219 (the others make at
+    # most 13)
+    "appendix-c --max-ab 3": (
+        "94dcee6a85f506dd77ad8f84f01ba2015c5dab3be814bdbb5c4e679678982e09"
+    ),
+    "additive-form --n 3 --nu 2,2": (
+        "4b49605af5d2de594da93ceea5b005288d4f864daff3ca8259e2f6a2b362016f"
+    ),
 }
 
 

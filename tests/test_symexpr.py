@@ -287,6 +287,48 @@ def test_work_does_not_depend_on_the_hash_seed():
         assert int(line.split()[1]) <= bound
 
 
+def test_gcd_work_does_not_depend_on_the_hash_seed():
+    # `_ring_gcd_cofactors` calls and `_heu_gcd` calls, its recursion
+    # included, counted run by run in a fresh interpreter per hash seed
+    code = (
+        "import contextlib, io, sys\n"
+        "from kzdyn import symexpr\n"
+        "from kzdyn.cli import main\n"
+        "ring, heu_gcd = symexpr._ring_gcd_cofactors, symexpr._heu_gcd\n"
+        "def counted_ring(p, q):\n"
+        "    counts[0] += 1\n"
+        "    return ring(p, q)\n"
+        "def counted_heu_gcd(f, g, n):\n"
+        "    counts[1] += 1\n"
+        "    return heu_gcd(f, g, n)\n"
+        "symexpr._ring_gcd_cofactors = counted_ring\n"
+        "symexpr._heu_gcd = counted_heu_gcd\n"
+        "for line in sys.argv[1:]:\n"
+        "    counts = [0, 0]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(['verify', *line.split()])\n"
+        "    print(code, *counts)\n"
+    )
+    # measured bounds, the same whether each run has a fresh process or
+    # appendix-c follows fusion in one
+    runs = {"fusion --n 3 --nu 1,1": (11, 36), "appendix-c --max-ab 3": (186, 591)}
+    counts = [
+        subprocess.run(
+            [sys.executable, "-c", code, *runs],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout.splitlines()
+        for seed in ("0", "1")
+    ]
+    assert counts[0] == counts[1]
+    for line, (ring_calls, heu_gcd_calls) in zip(counts[0], runs.values()):
+        code, ring, heu_gcd = map(int, line.split())
+        assert code == 0
+        assert 0 < ring <= ring_calls and 0 < heu_gcd <= heu_gcd_calls
+
+
 # ---------------------------------------------------------------------------
 # Property: canonical soundness against evaluation (1000 random pairs)
 # ---------------------------------------------------------------------------
@@ -585,12 +627,12 @@ def _count_integer_gcds(monkeypatch) -> list:
     depth = [0]
     heu_gcd = symexpr._heu_gcd
 
-    def counted(f, g):
+    def counted(f, g, n):
         if not depth[0]:
             calls.append((f, g))
         depth[0] += 1
         try:
-            return heu_gcd(f, g)
+            return heu_gcd(f, g, n)
         finally:
             depth[0] -= 1
 
@@ -651,6 +693,10 @@ def test_divexact_constant_zero_and_inexact():
     with pytest.raises(InexactDivision):
         # every monomial divides in turn; only a coefficient does not
         poly_divexact(_p("3 + x + 2*y + x*y"), _p("2 + x"))
+    with pytest.raises(InexactDivision):
+        # every key divides in turn, and floored coefficients would leave
+        # no remainder; only 4 is not a multiple of 3
+        poly_divexact(_p("4*x^2 + 4*x + 1"), _p("3*x + 1"))
     with pytest.raises(InexactDivision) as info:
         poly_divexact(_p("x*y + 1"), _p("x + y"))
     assert isinstance(info.value, ArithmeticError)
@@ -733,20 +779,16 @@ def test_rename_matches_the_tuple_reference():
     assert renamed.content < 0
 
 
-def _primitive(p: Poly) -> dict:
-    """p / content(p) as a dict from exponent tuples to ints."""
-    return {e: (c / p.content).numerator for e, c in p.items()}
-
-
 def test_bounded_stage_alone_gives_the_gcd(monkeypatch):
     # The first variable has degree 3, so the images have norms past 4,900:
     # the level below must start at its own CGG bound, not at the cheap
     # point the level above would suggest, for the answer to be proven.
+    # The integer polynomials are the primitive parts, `Poly.terms`.
     h = Poly.build(("x", "y"), {(1, 0): 1, (0, 1): 1, (0, 0): 1})
     a = Poly.build(("x", "y"), {(3, 0): 1, (0, 1): 2, (0, 0): 3})
     b = Poly.build(("x", "y"), {(3, 0): 1, (0, 1): -1, (0, 0): 5})
-    f, g, gcd = (_primitive(c) for c in (h * a, h * b, h))
-    assert symexpr._heu_gcd(f, g) == (gcd, _primitive(a), _primitive(b))
+    f, g = (h * a).terms, (h * b).terms
+    assert symexpr._heu_gcd(f, g, 2) == (h.terms, a.terms, b.terms)
     # the same through the seam, on operands with large coefficients
     calls = _count_integer_gcds(monkeypatch)
     rng = random.Random(20261021)
@@ -759,6 +801,35 @@ def test_bounded_stage_alone_gives_the_gcd(monkeypatch):
     for p, q in pairs:
         _check_gcd_cofactors(p, q)
     assert calls
+
+
+def test_interpolation_inverts_evaluation():
+    # the balanced base-xi digits H of h satisfy H(xi) = h, key for key,
+    # with every key of H a valid one over one more variable
+    rng = random.Random(20261023)
+    pack, bits = symexpr._pack, symexpr.FIELD_BITS
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        xi = rng.randint(3, 10**4)
+        missing = rng.randrange(n)  # a lower variable that no term has, if any
+        h = {}
+        for _ in range(rng.randint(1, 5)):
+            exps = [0 if i == missing else rng.randint(0, 3) for i in range(n - 1)]
+            h[pack(exps)] = rng.choice((-1, 1)) * rng.randint(1, xi ** rng.randint(1, 4))
+        lifted = symexpr._interpolate(h, xi, n)
+        assert all(-xi < 2 * d <= xi and d for d in lifted.values())
+        for k in lifted:
+            exps = symexpr._unpack(k, n)
+            assert k >> bits * n == sum(exps) and pack(exps) == k
+        assert symexpr._evaluate_first(lifted, xi, n) == h
+    # a digit string that takes the total degree to MAX_DEGREE is kept, one
+    # digit more is rejected, not overflowed into the degree field
+    base = pack((200,))
+    assert symexpr._evaluate_first(symexpr._interpolate({base: 3**55}, 3, 2), 3, 2) == {
+        base: 3**55
+    }
+    assert symexpr._interpolate({base: 3**56, 0: 1}, 3, 2) is None
+    assert symexpr._interpolate({0: -(3**300)}, 3, 1) is None
 
 
 def test_gcd_gives_up_with_named_error(monkeypatch):
