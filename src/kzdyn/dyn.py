@@ -53,7 +53,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .rep import (
-    PBWVector,
     TensorWeightSpace,
     WeightSpaceOperator,
     enumerate_basis,
@@ -938,15 +937,13 @@ def det_ingredients(space: TensorWeightSpace, alpha: tuple[int, int]) -> DetIngr
 
 def _contract_last_factor(
     space_prime: TensorWeightSpace, space: TensorWeightSpace
-) -> dict[int, int]:
-    """The positions of ``space_prime`` whose last factor is the highest
-    vector, each mapped to the position of ``space`` it contracts to."""
+) -> list[int]:
+    """The 0/1 contraction of the last factor against its dual highest
+    vector, as the one column it reads per row: row ``pos`` of ``space``
+    reads the basis vector ``pos`` tensored with the last factor's highest
+    vector, and every other column of ``space_prime`` contracts to zero."""
     zero = space_prime.pbw_basis.zero_exps()
-    return {
-        pos: space.index_position[mi[:-1]]
-        for pos, mi in enumerate(space_prime.basis)
-        if mi[-1] == zero
-    }
+    return [space_prime.index_position[mi + (zero,)] for mi in space.basis]
 
 
 def _coupling_to_last(
@@ -954,14 +951,14 @@ def _coupling_to_last(
 ) -> WeightSpaceOperator:
     """The Casimir operator between factor ``i`` and the last factor of
     ``space_prime``, restricted to the rows that `_contract_last_factor`
-    keeps, as an operator into ``space``.
+    lists, as an operator into ``space``.
 
     On those rows the last factor is its highest vector, which the half
     that lowers the last factor never reaches.  So they hold the diagonal
     (mu_i, mu_last) and the root terms that raise at the last factor.
     """
     last = len(space_prime.factors)
-    top = _contract_last_factor(space_prime, space)
+    top = {row: pos for pos, row in enumerate(_contract_last_factor(space_prime, space))}
     entries: dict[tuple[int, int], RationalFunctionExpr] = {}
     for row, pos in top.items():
         mu_i = space_prime.factor_weight(row, i)
@@ -977,61 +974,57 @@ def _coupling_to_last(
 def check_rational_to_trig(
     space_prime: TensorWeightSpace,
     i: int,
-    vectors: Optional[Sequence[PBWVector]] = None,
+    vectors: Optional[Sequence[Mapping[int, RationalFunctionExpr]]] = None,
 ) -> CheckReport:
     """Exact check of the weight identity behind the trigonometric reduction.
 
-    For every singular vector of the extended space, the diagonal pairing
-    with the last factor's highest weight (plus the rho and half-weight
-    shifts, minus half the factor Casimir value) must reproduce, after
-    contracting the last factor against its dual highest vector, the
-    lowering half of the pairwise Casimir terms plus the full Casimir
-    coupling to the last factor.  ``vectors`` are the singular vectors of
-    ``space_prime``, when the caller has computed them already.
+    Both sides are operators from ``space_prime`` into the space of its
+    first n factors, built once.  The left side is the contraction of the
+    last factor (`_contract_last_factor`) followed by the pairing with the
+    last highest weight plus the rho and half-weight shifts, minus half the
+    factor Casimir value.  The right side is `_coupling_to_last` plus the
+    lowering halves ``omega_operator(space, j, i)``, j != i, after the same
+    contraction.  Both apply to each singular vector of ``space_prime``
+    (``vectors``, when the caller has them); the witness names the first
+    vector, then the first position, where they differ.
     """
     n_rank = space_prime.pbw_basis.n_rank
-    n_plus_1 = len(space_prime.factors)
-    if n_plus_1 < 2:
+    n = len(space_prime.factors) - 1
+    if n < 1:
         raise ValueError("need at least two factors")
-    n = n_plus_1 - 1
     if not 1 <= i <= n:
         raise ValueError(f"factor index {i} out of range")
     space = enumerate_basis(
         space_prime.factors[:-1], space_prime.nu0, space_prime.pbw_basis
     )
-    last_hw = space_prime.factors[-1].hw
     rho = rho_vec(n_rank)
-    nu = _total_weight(space)
-    shift_vec = last_hw + rho + nu.scale(_HALF)
+    shift_vec = space_prime.factors[-1].hw + rho + _total_weight(space).scale(_HALF)
     hw_i = space.factors[i - 1].hw
     casimir_i = (hw_i.dot(hw_i) + hw_i.dot(rho) + hw_i.dot(rho)) * _HALF
 
-    minus_parts = [omega_operator(space, jj, i) for jj in range(1, n + 1) if jj != i]
-    top = _contract_last_factor(space_prime, space)
-    coupling = _coupling_to_last(space_prime, space, i)
-    diagonal: dict[int, RationalFunctionExpr] = {}
-    checked = 0
+    lift = _contract_last_factor(space_prime, space)
+    diagonal = {
+        (pos, row): shift_vec.dot(space.factor_weight(pos, i)) - casimir_i
+        for pos, row in enumerate(lift)
+    }
+    lhs_op = WeightSpaceOperator(space_prime, space, diagonal)
+    entries = dict(_coupling_to_last(space_prime, space, i).entries)
+    for j in range(1, n + 1):
+        if j != i:
+            for (row, col), c in omega_operator(space, j, i).entries.items():
+                key = (row, lift[col])
+                entries[key] = entries.get(key, RF_ZERO) + c
+    rhs_op = WeightSpaceOperator(space_prime, space, entries)
     if vectors is None:
         vectors = singular_vectors(space_prime)
-    for u0 in vectors:
-        v_prime = PBWVector(space, {top[p]: c for p, c in u0.coeffs.items() if p in top})
-        lhs: dict[int, RationalFunctionExpr] = {}
-        for pos, c in v_prime.coeffs.items():
-            if pos not in diagonal:
-                diagonal[pos] = shift_vec.dot(space.factor_weight(pos, i)) - casimir_i
-            lhs[pos] = c * diagonal[pos]
-        rhs = dict(coupling.apply(u0).coeffs)
-        for op in minus_parts:
-            for pos, c in op.apply(v_prime).coeffs.items():
-                rhs[pos] = rhs.get(pos, RF_ZERO) + c
-        checked += 1
+    for checked, u0 in enumerate(vectors, 1):
+        lhs, rhs = lhs_op.apply(u0), rhs_op.apply(u0)
         for pos in sorted(set(lhs) | set(rhs)):
-            a = lhs.get(pos, RF_ZERO)
-            b = rhs.get(pos, RF_ZERO)
+            a, b = lhs.get(pos, RF_ZERO), rhs.get(pos, RF_ZERO)
             if a != b:
                 return CheckReport(
                     False,
                     checked,
                     {"singular_vector": checked, "pos": pos, "lhs": str(a), "rhs": str(b)},
                 )
-    return CheckReport(True, checked)
+    return CheckReport(True, len(vectors))

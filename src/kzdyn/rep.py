@@ -5,7 +5,8 @@ explicit highest weight, or the (p+1)-dimensional irreducible for rank one.
 A `TensorWeightSpace` enumerates the monomial vectors ``F_I v = F_{I_1} v_1
 ⊗ … ⊗ F_{I_n} v_n`` spanning the subspace of a prescribed lowering depth
 ``nu0`` (one non-negative integer per simple root), with every monomial taken
-in one PBW arrangement (`PBWBasis` from `uea`).
+in one PBW arrangement (`PBWBasis` from `uea`).  A vector is a dict
+``{position: coefficient}`` over that basis, without zeros.
 
 Generator actions are letter matrices (`operator_for_letter`), computed per
 factor with the straightening engine and combined by the tensor Leibniz rule;
@@ -55,7 +56,6 @@ __all__ = [
     "lp_module",
     "TensorWeightSpace",
     "enumerate_basis",
-    "PBWVector",
     "WeightSpaceOperator",
     "operator_for_letter",
     "word_operator",
@@ -280,53 +280,8 @@ def enumerate_basis(
 
 
 # ---------------------------------------------------------------------------
-# Vectors and operators
+# Operators
 # ---------------------------------------------------------------------------
-
-class PBWVector:
-    """A vector in one TensorWeightSpace, coefficients on monomial indices."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: TensorWeightSpace, coeffs: Mapping[int, RationalFunctionExpr]):
-        self.space = space
-        self.coeffs = {i: c for i, c in coeffs.items() if not c.is_zero()}
-
-    @staticmethod
-    def basis_vector(space: TensorWeightSpace, position: int) -> "PBWVector":
-        return PBWVector(space, {position: RF_ONE})
-
-    @staticmethod
-    def zero(space: TensorWeightSpace) -> "PBWVector":
-        return PBWVector(space, {})
-
-    def __add__(self, other: "PBWVector") -> "PBWVector":
-        assert self.space == other.space
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, RF_ZERO) + c
-        return PBWVector(self.space, out)
-
-    def __sub__(self, other: "PBWVector") -> "PBWVector":
-        return self + other.scale(rational(-1))
-
-    def scale(self, c) -> "PBWVector":
-        if isinstance(c, (int, Fraction)):
-            c = rational(c)
-        return PBWVector(self.space, {i: v * c for i, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWVector):
-            return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        items = ", ".join(f"{i}: {c}" for i, c in sorted(self.coeffs.items()))
-        return f"PBWVector({{{items}}} in {self.space!r})"
-
 
 class WeightSpaceOperator:
     """Sparse exact matrix between two weight-space bases."""
@@ -351,14 +306,14 @@ class WeightSpaceOperator:
     def entry(self, i: int, j: int) -> RationalFunctionExpr:
         return self.entries.get((i, j), RF_ZERO)
 
-    def apply(self, vec: PBWVector) -> PBWVector:
-        assert vec.space == self.domain
+    def apply(self, vec: Mapping[int, RationalFunctionExpr]) -> dict:
+        """The image of a vector ``{position: coefficient}``, without zeros."""
         out: dict[int, RationalFunctionExpr] = {}
         for (i, j), m in self.entries.items():
-            c = vec.coeffs.get(j)
+            c = vec.get(j)
             if c is not None:
                 out[i] = out.get(i, RF_ZERO) + m * c
-        return PBWVector(self.codomain, out)
+        return {i: c for i, c in out.items() if not c.is_zero()}
 
     def compose(self, other: "WeightSpaceOperator") -> "WeightSpaceOperator":
         """self ∘ other (apply other first)."""
@@ -632,7 +587,7 @@ def nullspace(rows: list[dict[int, RationalFunctionExpr]], dim: int) -> list[dic
     return out
 
 
-def singular_vectors(space: TensorWeightSpace) -> list[PBWVector]:
+def singular_vectors(space: TensorWeightSpace) -> list[dict[int, RationalFunctionExpr]]:
     """Basis of the joint kernel of the simple raising operators.
 
     Each `nullspace` vector is scaled by the lcm of its entries'
@@ -649,6 +604,6 @@ def singular_vectors(space: TensorWeightSpace) -> list[PBWVector]:
     out = []
     for coeffs in nullspace(rows, space.dim):
         scale = denominator_lcm(coeffs.values())
-        out.append(PBWVector(space, {i: c * scale for i, c in coeffs.items()}))
+        out.append({i: c * scale for i, c in coeffs.items()})
     return out
 

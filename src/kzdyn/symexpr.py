@@ -57,10 +57,9 @@ Distinct linear factors, and two factors of one base, need no test; a
 linear factor is tried against a nonlinear one by trial division, and two
 nonlinear ones go through the gcd seam.
 
-Multivariate gcds and exact divisions go through the two seams
-`poly_gcd_cofactors` / `poly_divexact`.  The gcd seam answers directly only
-when the result is forced: for a zero or constant operand, for equal
-operands, and for operands with no common variable (the gcd is 1).  Every
+Multivariate gcds go through one seam, `poly_gcd_cofactors`.  It answers
+directly only when the result is forced: for a zero or constant operand, for
+equal operands, and for operands with no common variable (the gcd is 1).  Every
 other pair is proven by one argument: the primitive parts, keyed over the
 union of their variables, go to the heuristic gcd of Char, Geddes and Gonnet
 (GCDHEU, J. Symbolic Comput. 7 (1989)), in `_heu_gcd`: the variable of the
@@ -73,8 +72,9 @@ dividing candidate is the gcd (the CGG bound; the argument is in
 `_heu_gcd`), so every answer is proven.  `HeuristicGcdFailed` is raised
 when no point gives one.  Every division over Z, exact or trial, is one
 sparse long division by the primitive divisor (Gauss's lemma) on the packed
-keys, largest first (`_divide`); `poly_divexact` raises `InexactDivision`
-when the divisor does not divide.
+keys, largest first (`_divide`).  `poly_divexact`, which raises
+`InexactDivision` when the divisor does not divide, is the exact division of
+the tests' reference arithmetic: no package code calls it.
 
 A symbol is its name: variables are keyed and ordered by name alone, so the
 canonical form and the text of an expression do not depend on which symbols

@@ -17,7 +17,6 @@ import heapq
 import operator
 
 from kzdyn.rep import (
-    PBWVector,
     SingularGram,
     TensorWeightSpace,
     WeightSpaceOperator,
@@ -49,14 +48,13 @@ def straighten(w: GenWord, pairings, basis: PBWBasis) -> dict:
     return Straightener(basis, hw).apply_word(w)
 
 
-def apply_genword_at(
-    space: TensorWeightSpace, w: GenWord, j: int, vec: PBWVector
-) -> PBWVector:
-    """Apply a word of letters to tensor factor j only."""
-    out = vec.scale(w.coeff)
+def word_operator_at(space: TensorWeightSpace, w: GenWord, j: int) -> WeightSpaceOperator:
+    """Matrix of a word of letters acting on tensor factor j only (rightmost
+    letter first), into the space the word lands in."""
+    total = WeightSpaceOperator.identity(space)
     for letter in reversed(w.letters):
-        out = operator_for_letter(out.space, letter, only_factor=j).apply(out)
-    return out
+        total = operator_for_letter(total.codomain, letter, only_factor=j).compose(total)
+    return total.scale(w.coeff)
 
 
 def reference_add(x: RationalFunctionExpr, y: RationalFunctionExpr) -> RationalFunctionExpr:

@@ -57,6 +57,21 @@ _UNREAD = [
     ("determinant-sl2", "--tol", "1e-9", {"tol": 1e-9}),
 ]
 
+# runs that would pass with nothing checked, and their error lines: each
+# appendix-b space is non-empty, but no vector of it is killed by E, and the
+# appendix-c tables at max-ab 0 hold no entry to compare
+_VACUOUS = [
+    (
+        "appendix-b --n 2 --nu 3 --factors lp:1,lp:1,lp:1",
+        "the weight space at nu 3 of the factors lp:1,lp:1,lp:1 has no singular vector",
+    ),
+    (
+        "appendix-b --n 2 --nu 2 --factors lp:1,lp:1",
+        "the weight space at nu 2 of the factors lp:1,lp:1 has no singular vector",
+    ),
+    ("appendix-c --max-ab 0", "suite appendix-c supports 1 <= max-ab <= 3"),
+]
+
 # the same for a dump kind: (kind, flag, value, param)
 _DUMP_UNREAD = [
     ("order", "--depth", "9", {"depth": 9}),
@@ -127,6 +142,30 @@ class TestConfigValidation:
         assert captured.err == (
             "error: the weight space at nu 3 of the factors lp:1,lp:1 is empty\n"
         )
+
+    @pytest.mark.parametrize("command, error", _VACUOUS, ids=[c for c, _ in _VACUOUS])
+    def test_vacuous_run_exits_two_without_a_report(self, capsys, tmp_path, command, error):
+        out = tmp_path / "report.json"
+        assert main(["verify", *command.split(), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_no_suite_passes_with_nothing_checked_at_its_low_bounds(self, suite):
+        from kzdyn import cli as cli_module
+
+        # every capped integer parameter at its low bound; nu, factors and
+        # tol keep their defaults
+        low = {
+            name: bound
+            for name, (_, bound, _) in cli_module._SUITE_TABLE[suite].params.items()
+            if name not in ("nu", "factors") and isinstance(bound, int)
+        }
+        report = run_suite(SuiteConfig(suite=suite, **low))
+        assert report["witnesses"], low
+        assert all(w.get("checked") != 0 for w in report["witnesses"]), low
 
     def test_tol_caps(self):
         with pytest.raises(CapabilityExceeded):

@@ -39,7 +39,6 @@ from kzdyn.dyn import (
     z_symbols,
 )
 from kzdyn.rep import (
-    PBWVector,
     WeightSpaceOperator,
     enumerate_basis,
     lp_module,
@@ -892,7 +891,7 @@ def _apply_then_contract(space_prime, space, i, vec):
     zero = space_prime.pbw_basis.zero_exps()
     return {
         space.index_position[space_prime.basis[pos][:-1]]: c
-        for pos, c in coupling.apply(vec).coeffs.items()
+        for pos, c in coupling.apply(vec).items()
         if space_prime.basis[pos][-1] == zero
     }
 
@@ -910,11 +909,71 @@ def test_projected_coupling_is_apply_then_contract(n_rank, n_factors, nu0):
     for i in range(1, n_factors):
         projected = dyn._coupling_to_last(sp, space, i)
         for vec in vectors:
-            assert projected.apply(vec).coeffs == _apply_then_contract(sp, space, i, vec)
+            assert projected.apply(vec) == _apply_then_contract(sp, space, i, vec)
         # on every basis vector too: the two operators agree row by row
         for pos in range(sp.dim):
-            vec = PBWVector.basis_vector(sp, pos)
-            assert projected.apply(vec).coeffs == _apply_then_contract(sp, space, i, vec)
+            vec = {pos: RF_ONE}
+            assert projected.apply(vec) == _apply_then_contract(sp, space, i, vec)
+
+
+# the first mismatch of each position under the swapped coupling: the
+# singular vector, the position and both sides
+_SWAPPED_COUPLING_WITNESSES = {
+    1: {
+        "singular_vector": 1,
+        "pos": 2,
+        "lhs": "0",
+        "rhs": "-L:3:1^2 * L:3:2 - L:3:1 * L:3:2^2 - L:3:1 * L:3:2",
+    },
+    2: {
+        "singular_vector": 1,
+        "pos": 0,
+        "lhs": (
+            "1/3 * L:1:1 * L:2:1 * L:3:1^2 * L:3:2"
+            " + 1/3 * L:1:1 * L:2:1 * L:3:1 * L:3:2^2"
+            " + 1/6 * L:1:1 * L:2:2 * L:3:1^2 * L:3:2"
+            " + 1/6 * L:1:1 * L:2:2 * L:3:1 * L:3:2^2"
+            " + 1/6 * L:1:2 * L:2:1 * L:3:1^2 * L:3:2"
+            " + 1/6 * L:1:2 * L:2:1 * L:3:1 * L:3:2^2"
+            " + 1/3 * L:1:2 * L:2:2 * L:3:1^2 * L:3:2"
+            " + 1/3 * L:1:2 * L:2:2 * L:3:1 * L:3:2^2 + 2/3 * L:2:1 * L:3:1^3 * L:3:2"
+            " + L:2:1 * L:3:1^2 * L:3:2^2 + 1/3 * L:2:1 * L:3:1 * L:3:2^3"
+            " + 1/3 * L:2:2 * L:3:1^3 * L:3:2 + L:2:2 * L:3:1^2 * L:3:2^2"
+            " + 2/3 * L:2:2 * L:3:1 * L:3:2^3 + 1/3 * L:1:1 * L:2:1 * L:3:1 * L:3:2"
+            " + 1/6 * L:1:1 * L:2:2 * L:3:1 * L:3:2 - 1/2 * L:1:1 * L:3:1^2 * L:3:2"
+            " - 1/2 * L:1:1 * L:3:1 * L:3:2^2 + 1/6 * L:1:2 * L:2:1 * L:3:1 * L:3:2"
+            " + 1/3 * L:1:2 * L:2:2 * L:3:1 * L:3:2 - 1/2 * L:1:2 * L:3:1^2 * L:3:2"
+            " - 1/2 * L:1:2 * L:3:1 * L:3:2^2 - 1/3 * L:2:1 * L:3:1^2 * L:3:2"
+            " - 2/3 * L:2:1 * L:3:1 * L:3:2^2 - 2/3 * L:2:2 * L:3:1^2 * L:3:2"
+            " - 1/3 * L:2:2 * L:3:1 * L:3:2^2 - L:3:1^3 * L:3:2 - 2 * L:3:1^2 * L:3:2^2"
+            " - L:3:1 * L:3:2^3 - 1/2 * L:1:1 * L:3:1 * L:3:2"
+            " - 1/2 * L:1:2 * L:3:1 * L:3:2 - L:2:1 * L:3:1 * L:3:2"
+            " - L:2:2 * L:3:1 * L:3:2 - 2 * L:3:1^2 * L:3:2 - 2 * L:3:1 * L:3:2^2"
+            " - L:3:1 * L:3:2"
+        ),
+        "rhs": (
+            "1/3 * L:1:1 * L:2:1 * L:3:1^2 * L:3:2"
+            " + 1/3 * L:1:1 * L:2:1 * L:3:1 * L:3:2^2"
+            " + 1/6 * L:1:1 * L:2:2 * L:3:1^2 * L:3:2"
+            " + 1/6 * L:1:1 * L:2:2 * L:3:1 * L:3:2^2"
+            " + 1/6 * L:1:2 * L:2:1 * L:3:1^2 * L:3:2"
+            " + 1/6 * L:1:2 * L:2:1 * L:3:1 * L:3:2^2"
+            " + 1/3 * L:1:2 * L:2:2 * L:3:1^2 * L:3:2"
+            " + 1/3 * L:1:2 * L:2:2 * L:3:1 * L:3:2^2 + 2/3 * L:2:1 * L:3:1^3 * L:3:2"
+            " + L:2:1 * L:3:1^2 * L:3:2^2 + 1/3 * L:2:1 * L:3:1 * L:3:2^3"
+            " + 1/3 * L:2:2 * L:3:1^3 * L:3:2 + L:2:2 * L:3:1^2 * L:3:2^2"
+            " + 2/3 * L:2:2 * L:3:1 * L:3:2^3 + 1/3 * L:1:1 * L:2:1 * L:3:1 * L:3:2"
+            " + 1/6 * L:1:1 * L:2:2 * L:3:1 * L:3:2 - 1/2 * L:1:1 * L:3:1^2 * L:3:2"
+            " - 1/2 * L:1:1 * L:3:1 * L:3:2^2 + 1/6 * L:1:2 * L:2:1 * L:3:1 * L:3:2"
+            " + 1/3 * L:1:2 * L:2:2 * L:3:1 * L:3:2 - 1/2 * L:1:2 * L:3:1^2 * L:3:2"
+            " - 1/2 * L:1:2 * L:3:1 * L:3:2^2 + 2/3 * L:2:1 * L:3:1^2 * L:3:2"
+            " + 1/3 * L:2:1 * L:3:1 * L:3:2^2 + 1/3 * L:2:2 * L:3:1^2 * L:3:2"
+            " + 2/3 * L:2:2 * L:3:1 * L:3:2^2 - L:3:1^3 * L:3:2 - 2 * L:3:1^2 * L:3:2^2"
+            " - L:3:1 * L:3:2^3 - 1/2 * L:1:1 * L:3:1 * L:3:2"
+            " - 1/2 * L:1:2 * L:3:1 * L:3:2 - L:3:1^2 * L:3:2 - L:3:1 * L:3:2^2"
+        ),
+    },
+}
 
 
 def test_rational_to_trig_fails_with_one_half_of_the_coupling(monkeypatch):
@@ -937,6 +996,8 @@ def test_rational_to_trig_fails_with_one_half_of_the_coupling(monkeypatch):
         assert not report.passed
         assert {"singular_vector", "pos", "lhs", "rhs"} <= set(report.witness)
         assert report.witness["lhs"] != report.witness["rhs"]
+        assert report.checked == 1
+        assert report.witness == _SWAPPED_COUPLING_WITNESSES[i]
     monkeypatch.setattr(dyn, "_root_terms", original)
     assert all(check_rational_to_trig(sp, i, vectors).passed for i in (1, 2))
 

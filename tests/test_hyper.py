@@ -29,7 +29,6 @@ from kzdyn.hyper import (
     z_shift_factorization,
 )
 from kzdyn.rep import (
-    PBWVector,
     enumerate_basis,
     operator_for_letter,
     verma_symbolic,
@@ -515,11 +514,11 @@ class TestRaisingDualCoefficients:
             I_counts = index_counts(I_multi, small.pbw_basis)
             coeffs = dict(raising_dual_coefficients(I_counts, h, slot_pairs, n_rank))
             for J_pos, J_multi in enumerate(big.basis):
-                image = raising.apply(PBWVector.basis_vector(big, J_pos))
-                target = image.space
+                image = raising.apply({J_pos: RF_ONE})
+                target = raising.codomain
                 got = RF_ZERO
                 if I_multi in target.index_position:
-                    got = image.coeffs.get(target.index_position[I_multi], RF_ZERO)
+                    got = image.get(target.index_position[I_multi], RF_ZERO)
                 want = coeffs.get(index_counts(J_multi, big.pbw_basis), RF_ZERO)
                 assert (want + got).is_zero()
 
