@@ -630,7 +630,7 @@ _SUITE_TABLE = {
     ),
     "additive-form": _Suite(
         _additive_form,
-        {"n": (2, 2, 3), "nu": (_two_on_sl2, 1, 4), "factors": (_VERMA2, 1, 3)},
+        {"n": (2, 2, 4), "nu": (_two_on_sl2, 1, 4), "factors": (_VERMA2, 1, 3)},
     ),
     "fusion": _Suite(
         _fusion,

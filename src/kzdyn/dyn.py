@@ -553,20 +553,29 @@ def _root_terms(
     space: TensorWeightSpace, raise_at: int, lower_at: int
 ) -> dict[tuple[int, int], WeightSpaceOperator]:
     """Per positive root (a, b): ``e_ab`` on factor ``raise_at`` after ``e_ba``
-    on factor ``lower_at``, the off-diagonal terms of `omega_operator`.
+    on factor ``lower_at``, the off-diagonal terms of `omega_operator`,
+    composed from `_root_letters`."""
+    return {
+        root: lower.compose(raiser)
+        for root, raiser, lower in _root_letters(space, raise_at, lower_at)
+    }
+
+
+def _root_letters(
+    space: TensorWeightSpace, raise_at: int, lower_at: int
+) -> Iterator[tuple[tuple[int, int], WeightSpaceOperator, WeightSpaceOperator]]:
+    """Per positive root (a, b), one at a time: ``((a, b), raiser, lower)``,
+    ``e_ab`` on factor ``raise_at`` and then ``e_ba`` on factor ``lower_at``.
 
     The two letters act on different tensor factors, so they commute, and
-    each term is built as ``e_ba`` after ``e_ab``: through the raised space
-    nu - alpha, which is smaller than the lowered nu + alpha and empty when
-    nu - alpha has a negative depth.
+    they pass through the raised space nu - alpha, which is smaller than the
+    lowered nu + alpha and empty when nu - alpha has a negative depth.
     """
-    terms = {}
     for (a, b) in positive_roots(space.pbw_basis.n_rank):
         raiser = operator_for_letter(space, ("e", a, b), only_factor=raise_at - 1)
         lower = operator_for_letter(raiser.codomain, ("e", b, a), only_factor=lower_at - 1)
         assert lower.codomain == space
-        terms[(a, b)] = lower.compose(raiser)
-    return terms
+        yield (a, b), raiser, lower
 
 
 def r_matrix_operator(
@@ -955,7 +964,8 @@ def _coupling_to_last(
 
     On those rows the last factor is its highest vector, which the half
     that lowers the last factor never reaches.  So they hold the diagonal
-    (mu_i, mu_last) and the root terms that raise at the last factor.
+    (mu_i, mu_last) and the root terms that raise at the last factor.  The
+    lowering acts on factor i, so the raiser is cut to those rows first.
     """
     last = len(space_prime.factors)
     top = {row: pos for pos, row in enumerate(_contract_last_factor(space_prime, space))}
@@ -963,7 +973,11 @@ def _coupling_to_last(
     for row, pos in top.items():
         mu_i = space_prime.factor_weight(row, i)
         entries[(pos, row)] = mu_i.dot(space_prime.factor_weight(row, last))
-    for term in _root_terms(space_prime, last, i).values():
+    zero = space_prime.pbw_basis.zero_exps()
+    for _, raiser, lower in _root_letters(space_prime, last, i):
+        raised = lower.domain
+        kept = {k: c for k, c in raiser.entries.items() if raised.basis[k[0]][-1] == zero}
+        term = lower.compose(WeightSpaceOperator(space_prime, raised, kept))
         for (row, col), c in term.entries.items():
             if row in top:
                 key = (top[row], col)

@@ -3,7 +3,9 @@
 Representation
 --------------
 A polynomial (`Poly`) is ``content * sum(c_k x^k)``: a rational ``content``
-that carries the sign, and ``terms``, a sparse map from packed exponent
+that carries the sign, stored as an ``int`` when it is integral and as a
+`Fraction` only when it is not (`Poly.content` always reads as a
+`Fraction`), and ``terms``, a sparse map from packed exponent
 keys ``k`` to nonzero ``int`` coefficients ``c_k`` whose gcd is 1 and whose
 leading one (at the largest key) is positive.  ``vars`` is the name-sorted
 tuple of the symbol names that actually occur.  A key over n = ``len(vars)``
@@ -15,7 +17,10 @@ term is ``max(terms)``, and a monomial product is one integer addition.
 Every exponent is at most the total degree, so no field overflows as long
 as the total degree stays at most `MAX_DEGREE`; products and constructors
 raise `OverflowError` past it.  Scaling by a constant touches only the
-content, and a product needs no content gcd (Gauss's lemma).  The zero
+content, and a product needs no content gcd (Gauss's lemma).  Integral
+contents stay on ``int`` arithmetic; a content is divided only through
+`Fraction` (`_ratio`), and a `Fraction` result that is integral goes back to
+an ``int``, so equal polynomials store equal contents of one type.  The zero
 polynomial has no terms, content 0 and an empty variable set.
 
 A rational function (`RationalFunctionExpr`) is a pair ``num/den`` of
@@ -42,7 +47,9 @@ and a/b + c/d = t/lcm.  A factor of unequal multiplicities divides exactly
 one of the two terms of t and shares no irreducible factor with the other,
 so it is coprime to t (Henrici; Knuth, TAOCP vol. 2, 4.5.1): t is divided
 only by the factors of equal multiplicity.  In a product each numerator is
-divided by the other operand's factors.  A linear factor f is tried by a
+divided by the other operand's factors, except that a nonzero constant only
+scales the other numerator: the pair stays canonical and keeps its
+denominator and base.  A linear factor f is tried by a
 residue first: every variable but one is set to its `_image_point` and f =
 0 mod P = `CERT_PRIME` is solved for the last.  The primitive part of a
 multiple of f vanishes there (Gauss's lemma), so a nonzero value proves that
@@ -151,7 +158,8 @@ def _check_name(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+Scalar = Union[int, Fraction]
 
 # Bits per field of a packed exponent key: one byte, so that keys convert
 # to and from exponent vectors through bytes.  The total degree, and so
@@ -192,17 +200,23 @@ class Poly:
     every caller.
     """
 
-    __slots__ = ("vars", "content", "terms", "_hash")
+    __slots__ = ("vars", "_content", "terms", "_hash")
 
     vars: tuple[str, ...]
-    content: Fraction
+    _content: Scalar  # an int exactly when the content is integral
     terms: dict[int, int]
 
-    def __init__(self, vars: tuple[str, ...], content: Fraction, terms: dict[int, int]):
+    def __init__(self, vars: tuple[str, ...], content: Scalar, terms: dict[int, int]):
         self.vars = vars
-        self.content = content
+        self._content = content
         self.terms = terms
         self._hash: int | None = None
+
+    @property
+    def content(self) -> Fraction:
+        """The rational content, as a `Fraction` whichever way it is stored."""
+        c = self._content
+        return c if type(c) is Fraction else Fraction(c)
 
     # -- construction -------------------------------------------------------
 
@@ -216,10 +230,10 @@ class Poly:
 
     @staticmethod
     def const(value: Union[int, Fraction]) -> "Poly":
-        c = value if isinstance(value, Fraction) else Fraction(value)
-        if not c:
+        if not value:
             return _POLY_ZERO
-        return Poly((), c, _POLY_ONE.terms)
+        c = value if type(value) in (int, Fraction) else Fraction(value)
+        return Poly((), _integral(c), _POLY_ONE.terms)
 
     @staticmethod
     def from_symbol(name: str) -> "Poly":
@@ -255,7 +269,7 @@ class Poly:
         return not self.vars
 
     def is_one(self) -> bool:
-        return not self.vars and self.content == 1
+        return not self.vars and self._content == 1
 
     def const_value(self) -> Fraction:
         if self.vars:
@@ -278,12 +292,13 @@ class Poly:
             return True
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.vars, self.content, self.terms) == (other.vars, other.content, other.terms)
+        return (self.vars, self._content, self.terms) == (other.vars, other._content, other.terms)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.vars, self.content, frozenset(self.terms.items())))
+            # an integral Fraction hashes as its int
+            h = hash((self.vars, self._content, frozenset(self.terms.items())))
             self._hash = h
         return h
 
@@ -292,7 +307,7 @@ class Poly:
     def __neg__(self) -> "Poly":
         if not self.terms:
             return self
-        return Poly(self.vars, -self.content, self.terms)
+        return Poly(self.vars, -self._content, self.terms)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not self.terms:
@@ -300,19 +315,24 @@ class Poly:
         if not other.terms:
             return self
         vars, a, b = _align(self, other)
-        cp, cq = self.content, other.content
+        cp, cq = self._content, other._content
         # cp = content * ma and cq = content * mb with coprime integers ma, mb
-        num = math.gcd(cp.numerator, cq.numerator)
-        den = math.lcm(cp.denominator, cq.denominator)
-        ma = cp.numerator // num * (den // cp.denominator)
-        mb = cq.numerator // num * (den // cq.denominator)
+        if type(cp) is int and type(cq) is int:
+            content = math.gcd(cp, cq)
+            ma, mb = cp // content, cq // content
+        else:
+            num = math.gcd(cp.numerator, cq.numerator)
+            den = math.lcm(cp.denominator, cq.denominator)
+            ma = cp.numerator // num * (den // cp.denominator)
+            mb = cq.numerator // num * (den // cq.denominator)
+            content = num if den == 1 else Fraction(num, den)
         out = dict(a) if ma == 1 else {k: ma * c for k, c in a.items()}
         for k, c in b.items():
             if k in out:
                 out[k] += mb * c
             else:
                 out[k] = mb * c
-        return _make(vars, Fraction(num, den), out)
+        return _make(vars, content, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -321,9 +341,9 @@ class Poly:
         if not self.terms or not other.terms:
             return _POLY_ZERO
         if not self.vars:
-            return other.scale(self.content)
+            return other.scale(self._content)
         if not other.vars:
-            return self.scale(other.content)
+            return self.scale(other._content)
         vars, a, b = _align(self, other)
         top = FIELD_BITS * len(vars)
         _check_degree((max(a) >> top) + (max(b) >> top))
@@ -339,14 +359,14 @@ class Poly:
         if not all(out.values()):
             out = {k: c for k, c in out.items() if c}
         # primitive with a positive leading coefficient, by Gauss's lemma
-        return Poly(vars, self.content * other.content, out)
+        return Poly(vars, _integral(self._content * other._content), out)
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c: Scalar) -> "Poly":
         if not c or not self.terms:
             return _POLY_ZERO
         if c == 1:
             return self
-        return Poly(self.vars, self.content * c, self.terms)
+        return Poly(self.vars, _integral(self._content * c), self.terms)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -374,7 +394,7 @@ class Poly:
             e = k >> s & MAX_DEGREE
             if e:
                 out[k - step] = c * e
-        return _make(self.vars, self.content, out, shrink=True)
+        return _make(self.vars, self._content, out, shrink=True)
 
     def eval(self, assignment: Mapping[str, Fraction]) -> Fraction:
         total = _ZERO
@@ -412,7 +432,7 @@ class Poly:
             for old, new in moves:
                 key += (k >> old & MAX_DEGREE) << new
             out[key] = out.get(key, 0) + c
-        return _make(new_vars, self.content, out)
+        return _make(new_vars, self._content, out)
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
@@ -420,15 +440,25 @@ class Poly:
 
 def _variable(name: str) -> Poly:
     """The polynomial ``name``, for a name already checked (one in some ``vars``)."""
-    return Poly((name,), _ONE, {1 << FIELD_BITS | 1: 1})
+    return Poly((name,), 1, {1 << FIELD_BITS | 1: 1})
 
 
-def _make(vars: tuple[str, ...], content: Fraction, terms: dict[int, int], shrink=False) -> Poly:
+def _integral(c: Scalar) -> Scalar:
+    """A content as stored: an int when c is integral, else the Fraction c."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _ratio(a: Scalar, b: Scalar) -> Scalar:
+    """The content a / b for nonzero b, through `Fraction` (``int / int`` is a float)."""
+    return a if b == 1 else _integral(Fraction(a, b))
+
+
+def _make(vars: tuple[str, ...], content: Scalar, terms: dict[int, int], shrink=False) -> Poly:
     """The canonical Poly ``content * sum(c x^k)`` for any int ``terms`` over ``vars``.
 
     Drops zero coefficients and, when some were dropped or ``shrink`` is set,
     unused variables; then moves the integer content and the sign of the
-    leading coefficient into ``content``.
+    leading coefficient into ``content``, stored as `_integral` says.
     """
     if not all(terms.values()):
         terms = {k: c for k, c in terms.items() if c}
@@ -443,7 +473,7 @@ def _make(vars: tuple[str, ...], content: Fraction, terms: dict[int, int], shrin
     if g != 1:
         terms = {k: c // g for k, c in terms.items()}
         content = content * g
-    return Poly(vars, content, terms)
+    return Poly(vars, _integral(content), terms)
 
 
 def _shrink(vars: tuple[str, ...], terms: dict[int, int]):
@@ -502,8 +532,8 @@ def _align(p: Poly, q: Poly):
     return vars, _widen(p.terms, p.vars, vars), _widen(q.terms, q.vars, vars)
 
 
-_POLY_ZERO = Poly((), _ZERO, {})
-_POLY_ONE = Poly((), _ONE, {0: 1})
+_POLY_ZERO = Poly((), 0, {})
+_POLY_ONE = Poly((), 1, {0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +551,9 @@ class HeuristicGcdFailed(ArithmeticError):
 
 def _normalize_poly(p: Poly) -> Poly:
     """Primitive integer coefficients, positive leading coefficient."""
-    if p.is_zero() or p.content == 1:
+    if p.is_zero() or p._content == 1:
         return p
-    return Poly(p.vars, _ONE, p.terms) if p.vars else _POLY_ONE
+    return Poly(p.vars, 1, p.terms) if p.vars else _POLY_ONE
 
 
 def poly_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -536,13 +566,13 @@ def poly_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     if p.is_zero() and q.is_zero():
         return _POLY_ZERO, _POLY_ONE, _POLY_ONE
     if p.is_zero():
-        return _normalize_poly(q), _POLY_ZERO, Poly.const(q.content)
+        return _normalize_poly(q), _POLY_ZERO, Poly.const(q._content)
     if q.is_zero():
-        return _normalize_poly(p), Poly.const(p.content), _POLY_ZERO
+        return _normalize_poly(p), Poly.const(p._content), _POLY_ZERO
     if p.is_const() or q.is_const():
         return _POLY_ONE, p, q
     if p == q:
-        c = Poly.const(p.content)
+        c = Poly.const(p._content)
         return _normalize_poly(p), c, c
     if set(p.vars).isdisjoint(q.vars):
         # a common factor could only involve variables occurring in both
@@ -580,7 +610,7 @@ def _weights(p: Poly) -> tuple[tuple[int, ...], list[int]] | None:
     Poly may order its terms otherwise.)
     """
     prime, n = CERT_PRIME, len(p.vars)
-    if not p.content.denominator % prime:
+    if not p._content.denominator % prime:
         return None
     top = max(p.terms) >> FIELD_BITS * n
     powers = [_ONES]  # for the total-degree field of a key
@@ -644,10 +674,10 @@ def _ring_gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     if h.keys() == {0}:
         return _POLY_ONE, p, q
     # h = u * g for the normalized gcd g and a unit u = g_poly.content
-    g_poly = _make(vars, _ONE, h, shrink=True)
-    u = g_poly.content
-    pg = _make(vars, p.content * u, cf, shrink=True)
-    qg = _make(vars, q.content * u, cg, shrink=True)
+    g_poly = _make(vars, 1, h, shrink=True)
+    u = g_poly._content
+    pg = _make(vars, p._content * u, cf, shrink=True)
+    qg = _make(vars, q._content * u, cg, shrink=True)
     return _normalize_poly(g_poly), pg, qg
 
 
@@ -838,14 +868,13 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
     quotient = _divide(p.terms, _widen(q.terms, q.vars, vars), len(vars))
     if quotient is None:
         raise InexactDivision("inexact polynomial division")
-    return _make(vars, p.content / q.content, quotient, shrink=True)
+    return _make(vars, _ratio(p._content, q._content), quotient, shrink=True)
 
 
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
 
-Scalar = Union[int, Fraction]
 ExprLike = Union["RationalFunctionExpr", Poly, int, Fraction]
 
 
@@ -880,12 +909,11 @@ class RationalFunctionExpr:
 
     @staticmethod
     def from_const(value: Scalar) -> "RationalFunctionExpr":
-        c = value if isinstance(value, Fraction) else Fraction(value)
-        if not c:
+        if not value:
             return RF_ZERO
-        if c == 1:
+        if value == 1:
             return RF_ONE
-        return RationalFunctionExpr(Poly.const(c), _POLY_ONE)
+        return RationalFunctionExpr(Poly.const(value), _POLY_ONE)
 
     @staticmethod
     def from_symbol(name: str) -> "RationalFunctionExpr":
@@ -979,8 +1007,14 @@ class RationalFunctionExpr:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return RF_ZERO
-        if not self.factors and not other.factors:
-            return RationalFunctionExpr(self.num * other.num, _POLY_ONE)
+        if not self.factors:
+            if not other.factors:
+                return RationalFunctionExpr(self.num * other.num, _POLY_ONE)
+            if self.num.is_const():
+                # a nonzero constant keeps the other pair canonical, and its base
+                return _scaled(other, self.num._content)
+        elif not other.factors and other.num.is_const():
+            return _scaled(self, other.num._content)
         # each numerator is already coprime to its own denominator
         a, d = _cancel_all(self.num, other.factors)
         c, b = _cancel_all(other.num, self.factors)
@@ -1036,7 +1070,7 @@ class RationalFunctionExpr:
             return self
         num, den = self.num.rename(mapping), self.den.rename(mapping)
         factors = tuple((_normalize_poly(f.rename(mapping)), m) for f, m in self.factors)
-        return RationalFunctionExpr(num.scale(1 / den.content), _normalize_poly(den), factors)
+        return RationalFunctionExpr(_over(num, den._content), _normalize_poly(den), factors)
 
     def __str__(self) -> str:
         if self.den.is_one():
@@ -1065,6 +1099,11 @@ def _coerce(value: ExprLike) -> "RationalFunctionExpr":
     return NotImplemented
 
 
+def _scaled(e: RationalFunctionExpr, c: Scalar) -> RationalFunctionExpr:
+    """c e for a nonzero constant c: the numerator scaled over e's denominator."""
+    return RationalFunctionExpr(e.num.scale(c), e.den, e.factors)
+
+
 def _make_reduced(num: Poly, den: Poly) -> RationalFunctionExpr:
     """Canonicalize a pair already known coprime (content/sign step only).
 
@@ -1075,13 +1114,16 @@ def _make_reduced(num: Poly, den: Poly) -> RationalFunctionExpr:
         raise DivisionByZero("denominator is identically zero")
     if num.is_zero():
         return RF_ZERO
-    c = den.content
-    if c != 1:
-        num = num.scale(1 / c)
+    num = _over(num, den._content)
     den = _normalize_poly(den)
     if den.is_one():
         return RationalFunctionExpr(num, den)
     return RationalFunctionExpr(num, den, _split_whole(den))
+
+
+def _over(p: Poly, c: Scalar) -> Poly:
+    """p / c for a nonzero constant c."""
+    return p if c == 1 else Poly(p.vars, _ratio(p._content, c), p.terms)
 
 
 def _split_whole(den: Poly) -> tuple[tuple[Poly, int], ...]:
@@ -1092,7 +1134,7 @@ def _split_whole(den: Poly) -> tuple[tuple[Poly, int], ...]:
     factors = tuple((_variable(v), e) for v, e in zip(den.vars, exps) if e)
     low = _pack(exps)
     vars, terms = _shrink(den.vars, {k - low: c for k, c in den.terms.items()})
-    rest = Poly(vars, _ONE, terms)
+    rest = Poly(vars, 1, terms)
     return factors if rest.is_const() else factors + ((rest, 1),)
 
 
@@ -1173,7 +1215,9 @@ def _divide_linear(p: Poly, f: Poly) -> Poly | None:
         if value:
             return None
     quotient = _divide(p.terms, _widen(f.terms, f.vars, p.vars), len(p.vars))
-    return None if quotient is None else _make(p.vars, p.content / f.content, quotient, shrink=True)
+    if quotient is None:
+        return None
+    return _make(p.vars, _ratio(p._content, f._content), quotient, shrink=True)
 
 
 def _cancel(p: Poly, f: Poly, m: int) -> tuple[Poly, list[tuple[Poly, int]]]:
@@ -1268,7 +1312,7 @@ def symbol(name: str) -> RationalFunctionExpr:
 
 def rational(value: Scalar, den: int = 1) -> RationalFunctionExpr:
     """A constant expression (``rational(3, 4)`` is 3/4)."""
-    return RationalFunctionExpr.from_const(Fraction(value) / den if den != 1 else Fraction(value))
+    return RationalFunctionExpr.from_const(value if den == 1 else Fraction(value, den))
 
 
 # ---------------------------------------------------------------------------

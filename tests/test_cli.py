@@ -103,7 +103,7 @@ class TestConfigValidation:
         with pytest.raises(CapabilityExceeded):
             run_suite(SuiteConfig(suite="pbw-invariance", n=7))
         with pytest.raises(CapabilityExceeded):
-            run_suite(SuiteConfig(suite="additive-form", n=4))
+            run_suite(SuiteConfig(suite="additive-form", n=5))
 
     def test_nu_length_must_match_rank(self):
         with pytest.raises(CapabilityExceeded):
@@ -821,6 +821,10 @@ _PINNED_REPORTS = {
     ),
     "additive-form --n 3 --nu 2,2": (
         "4b49605af5d2de594da93ceea5b005288d4f864daff3ca8259e2f6a2b362016f"
+    ),
+    # sl4: three one-level operators
+    "additive-form --n 4 --nu 1,1,1": (
+        "21d2a99811de432568a66fdcfa30eb9342576613a9060c78906daf531c732e4c"
     ),
 }
 

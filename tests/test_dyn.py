@@ -983,14 +983,14 @@ def test_rational_to_trig_fails_with_one_half_of_the_coupling(monkeypatch):
         [verma_symbolic(3, 1), verma_symbolic(3, 2), verma_symbolic(3, 3)], (1, 1)
     )
     vectors = singular_vectors(sp)
-    original = dyn._root_terms
+    original = dyn._root_letters
 
     def swapped(space, raise_at, lower_at):
         if space == sp:
             return original(space, lower_at, raise_at)
         return original(space, raise_at, lower_at)
 
-    monkeypatch.setattr(dyn, "_root_terms", swapped)
+    monkeypatch.setattr(dyn, "_root_letters", swapped)
     for i in (1, 2):
         report = check_rational_to_trig(sp, i, vectors)
         assert not report.passed
@@ -998,7 +998,7 @@ def test_rational_to_trig_fails_with_one_half_of_the_coupling(monkeypatch):
         assert report.witness["lhs"] != report.witness["rhs"]
         assert report.checked == 1
         assert report.witness == _SWAPPED_COUPLING_WITNESSES[i]
-    monkeypatch.setattr(dyn, "_root_terms", original)
+    monkeypatch.setattr(dyn, "_root_letters", original)
     assert all(check_rational_to_trig(sp, i, vectors).passed for i in (1, 2))
 
 

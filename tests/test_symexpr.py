@@ -1096,6 +1096,54 @@ def test_factored_arithmetic_matches_cross_gcd_reference():
     assert zero_sums >= 10
 
 
+def _check_stored_content(p: Poly) -> None:
+    """The content is stored as an int exactly when it is integral, and
+    `Poly.content` reads as a Fraction either way."""
+    assert isinstance(p.content, Fraction)
+    assert (type(p._content) is int) == (p.content.denominator == 1)
+
+
+def test_constant_products_match_the_general_product(monkeypatch):
+    # a constant times a factored operand scales the numerator and keeps the
+    # denominator and its base; the cross-gcd reference cancels as for any
+    # product.  Every Poly built on the way, the reference's included, is
+    # checked for its stored content.
+    built: list[Poly] = []
+    init = Poly.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Poly, "__init__", recorded)
+    rng = random.Random(20261104)
+    shortcuts = 0
+    for _ in range(200):
+        value = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.choice([1, 1, 2, 3, 12]))
+        scalar = value.numerator if value.denominator == 1 and rng.random() < 0.5 else value
+        c = rational(value)
+        u = _factored_operand(rng)
+        for got, expected in [
+            (c * u, reference_mul(c, u)),
+            (u * c, reference_mul(u, c)),
+            (scalar * u, reference_mul(c, u)),
+            (u * scalar, reference_mul(u, c)),
+        ]:
+            _check_factor_base(got)
+            assert got == expected
+            assert str(got) == str(expected)
+            if u.factors:
+                assert got.factors == u.factors
+        shortcuts += bool(u.factors)
+        p, q = u.num, u.den
+        for got in [p.scale(scalar), p * Poly.const(scalar), p + q.scale(value), p * q]:
+            assert got == Poly.build(got.vars, dict(got.items()))
+    assert shortcuts >= 100
+    assert len(built) > 1000
+    for p in built:
+        _check_stored_content(p)
+
+
 def _sympy_lcm(p: Poly, q: Poly) -> Poly:
     """Reference: sympy's lcm over QQ, normalized."""
     sp, sq, from_sympy = _to_sympy(p, q)
