@@ -49,6 +49,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import record
@@ -81,6 +82,7 @@ from .symexpr import (
     PoleHit,
     RationalFunctionExpr,
     rational,
+    rf_sums,
     symbol,
 )
 from .uea import (
@@ -217,8 +219,23 @@ def p_series(
 
     The Cartan factors act first (rightmost), so ``H`` is evaluated on the
     weight of the space.  The series terminates because iterated raising
-    eventually annihilates the whole weight space.
+    eventually annihilates the whole weight space.  Memoized per (space,
+    root, series argument): every caller shares the result, so never mutate
+    it.
     """
+    return _p_series(space, alpha, t_val)
+
+
+# Entries of the one-root memo.  `compatibility --n 3` asks for 12 series,
+# 4 of them distinct: the shifted K's repeat every root that the shift does
+# not touch, and `nabla_K_rows` repeats the unshifted B_k.  `cli.run_suite`
+# clears it, so that no run reads another's operators.  (It sits behind
+# `p_series`, so that wrapping or replacing that name keeps the memo.)
+@lru_cache(maxsize=64)
+def _p_series(
+    space: TensorWeightSpace, alpha: tuple[int, int], t_val: RationalFunctionExpr
+) -> WeightSpaceOperator:
+    """`p_series`, memoized."""
     k0, l0 = alpha
     raise_letter = ("e", k0, l0)
     lower_letter = ("e", l0, k0)
@@ -295,13 +312,15 @@ def _contract(
     rows: Iterable[tuple[tuple[int, ...], tuple[int, ...], RationalFunctionExpr]],
 ) -> WeightSpaceOperator:
     """``sum c A(F_lo) tau(F_hi)`` over ``(lo, hi, c)`` rows of ``basis``
-    monomials, every row's word matrix added into one entries dict."""
-    entries: dict[tuple[int, int], RationalFunctionExpr] = {}
-    for lo, hi, c in rows:
-        w = antipode_A(monomial_word(basis, lo)) * chevalley_tau(monomial_word(basis, hi))
-        for key, v in word_operator(space, w.scale(c)).entries.items():
-            entries[key] = entries.get(key, RF_ZERO) + v
-    return WeightSpaceOperator(space, space, entries)
+    monomials, every row's word matrix streamed into one running sum per
+    entry (`rf_sums`)."""
+
+    def terms():
+        for lo, hi, c in rows:
+            w = antipode_A(monomial_word(basis, lo)) * chevalley_tau(monomial_word(basis, hi))
+            yield from word_operator(space, w.scale(c)).entries.items()
+
+    return WeightSpaceOperator(space, space, rf_sums(terms()))
 
 
 def B_additive(

@@ -18,7 +18,8 @@ evaluation point.  On top of that it provides
   compatibility: order invariance of the function-weighted sums
   (``verify_order_invariance`` straightens the level-``h`` `phi_vector`,
   1 <= h <= N-2, slot by slot onto the standard basis and compares it with
-  the standard one),
+  the standard one; ``order_invariance_reports`` does so at every level,
+  with the standard one built once),
   the binomial string-exchange identity, the coordinate-shift factorization
   through ground-at-zero strings, the straddling-removal expansion, and the
   logarithmic-form pullback witness.
@@ -39,7 +40,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .symexpr import (
@@ -47,6 +48,8 @@ from .symexpr import (
     RF_ZERO,
     RationalFunctionExpr,
     rational,
+    rf_product,
+    rf_sums,
     rf_symmetrize,
     symbol,
 )
@@ -85,6 +88,7 @@ __all__ = [
     "phi_vector",
     "OrderInvarianceReport",
     "verify_order_invariance",
+    "order_invariance_reports",
     "BinomialClaimReport",
     "binomial_claim_check",
     "MasterExponents",
@@ -337,10 +341,7 @@ class Forest:
     strings: tuple[StringGraph, ...]
 
     def function(self) -> RationalFunctionExpr:
-        value = RF_ONE
-        for s in self.strings:
-            value = value * s.function()
-        return value
+        return rf_product(s.function() for s in self.strings)
 
     def trees(self) -> dict[int, tuple[StringGraph, ...]]:
         out: dict[int, list[StringGraph]] = {}
@@ -499,17 +500,32 @@ def verify_order_invariance(space: TensorWeightSpace, h: int) -> OrderInvariance
     rank = space.pbw_basis.n_rank
     if not (isinstance(h, int) and 1 <= h <= rank - 2):
         raise OutOfRange(f"h must be in 1..{rank - 2}, got {h}")
+    return _order_invariance(space, h, dict(phi_vector(space, "standard").terms))
+
+
+def order_invariance_reports(space: TensorWeightSpace) -> Iterator[OrderInvarianceReport]:
+    """`verify_order_invariance` at each level h = 1, ..., N-2 in turn, with
+    the standard `phi_vector` built once."""
     standard_side = dict(phi_vector(space, "standard").terms)
+    for h in range(1, space.pbw_basis.n_rank - 1):
+        yield _order_invariance(space, h, standard_side)
+
+
+def _order_invariance(
+    space: TensorWeightSpace, h: int, standard_side: dict
+) -> OrderInvarianceReport:
     level = phi_vector(space, h)
-    level_side: dict[tuple, RationalFunctionExpr] = {}
-    for exps, value in level.terms:
-        slot_expansions = [_expand_in_standard(level.basis, e) for e in exps]
-        for combo in itertools.product(*(e.items() for e in slot_expansions)):
-            coeff = value
-            for _, c in combo:
-                coeff = coeff * c
-            key = tuple(e for e, _ in combo)
-            level_side[key] = level_side.get(key, RF_ZERO) + coeff
+
+    def level_terms():
+        for exps, value in level.terms:
+            slot_expansions = [_expand_in_standard(level.basis, e) for e in exps]
+            for combo in itertools.product(*(e.items() for e in slot_expansions)):
+                coeff = value
+                for _, c in combo:
+                    coeff = coeff * c
+                yield tuple(e for e, _ in combo), coeff
+
+    level_side = rf_sums(level_terms())
 
     raw = True
     mismatches = []

@@ -34,6 +34,7 @@ from .symexpr import (
     RationalFunctionExpr,
     denominator_lcm,
     rational,
+    rf_sums,
     symbol,
 )
 from .uea import (
@@ -308,12 +309,7 @@ class WeightSpaceOperator:
 
     def apply(self, vec: Mapping[int, RationalFunctionExpr]) -> dict:
         """The image of a vector ``{position: coefficient}``, without zeros."""
-        out: dict[int, RationalFunctionExpr] = {}
-        for (i, j), m in self.entries.items():
-            c = vec.get(j)
-            if c is not None:
-                out[i] = out.get(i, RF_ZERO) + m * c
-        return {i: c for i, c in out.items() if not c.is_zero()}
+        return rf_sums((i, m * vec[j]) for (i, j), m in self.entries.items() if j in vec)
 
     def compose(self, other: "WeightSpaceOperator") -> "WeightSpaceOperator":
         """self ∘ other (apply other first)."""
@@ -321,16 +317,16 @@ class WeightSpaceOperator:
         by_col: dict[int, list[tuple[int, RationalFunctionExpr]]] = {}
         for (i, j), m in other.entries.items():
             by_col.setdefault(j, []).append((i, m))
-        out: dict[tuple[int, int], RationalFunctionExpr] = {}
         # organize self by its domain index k: entries (i, k)
         self_by_k: dict[int, list[tuple[int, RationalFunctionExpr]]] = {}
         for (i, k), a in self.entries.items():
             self_by_k.setdefault(k, []).append((i, a))
-        for j, col in by_col.items():
-            for k, m in col:
-                for i, a in self_by_k.get(k, ()):  # i <- k <- j
-                    key = (i, j)
-                    out[key] = out.get(key, RF_ZERO) + a * m
+        out = rf_sums(
+            ((i, j), a * m)
+            for j, col in by_col.items()
+            for k, m in col
+            for i, a in self_by_k.get(k, ())  # i <- k <- j
+        )
         return WeightSpaceOperator(other.domain, self.codomain, out)
 
     def __add__(self, other: "WeightSpaceOperator") -> "WeightSpaceOperator":

@@ -49,20 +49,36 @@ so it is coprime to t (Henrici; Knuth, TAOCP vol. 2, 4.5.1): t is divided
 only by the factors of equal multiplicity.  In a product each numerator is
 divided by the other operand's factors, except that a nonzero constant only
 scales the other numerator: the pair stays canonical and keeps its
-denominator and base.  A linear factor f is tried by a
-residue first: every variable but one is set to its `_image_point` and f =
-0 mod P = `CERT_PRIME` is solved for the last.  The primitive part of a
-multiple of f vanishes there (Gauss's lemma), so a nonzero value proves that
-f does not divide; a zero value is settled by exact division.  A nonlinear
-factor f of multiplicity m is cancelled by ``gcd(numerator, f^m)`` through
-the gcd seam.  A denominator that arrives whole (`make`, `reciprocal`) gets
-one factor per variable of its monomial part and the rest as one factor.
-Two bases are merged by factor refinement (Bach, Driscoll and Shallit, J.
+denominator and base.  A linear factor f is tried by a residue first: every
+variable but one is set to its `_image_point` and f = 0 mod P =
+`CERT_PRIME` is solved for the last.  The primitive part of a multiple of f
+vanishes there (Gauss's lemma), so a nonzero value proves that f does not
+divide; a zero value is settled by exact division.  A nonlinear factor f of
+multiplicity m is cancelled by ``gcd(numerator, f^m)`` through the gcd
+seam.  A denominator that arrives whole (`make`, `reciprocal`) gets one
+factor per variable of its monomial part and the rest as one factor.  Two
+bases are merged by factor refinement (Bach, Driscoll and Shallit, J.
 Algorithms 15 (1993)): two factors with a common factor g are replaced by g
 and the two cofactors, multiplicities added, until the base is coprime.
 Distinct linear factors, and two factors of one base, need no test; a
 linear factor is tried against a nonlinear one by trial division, and two
-nonlinear ones go through the gcd seam.
+nonlinear ones go through the gcd seam.  An image point is the first 8
+bytes of the BLAKE2b digest of the symbol's name, read as an integer, mod
+P - 1, plus 1; blake2b comes from the builtin ``_blake2`` module, which
+``hashlib`` itself uses but only after it has loaded OpenSSL.
+
+Henrici's rule holds for n terms too.  Over the common base of all terms,
+take each factor at its largest multiplicity M.  If only one term reaches
+M, the factor divides every other term of the numerator and is coprime to
+that one, so it is coprime to the sum.  `rf_sums`, and `rf_sum` on it,
+keeps one running sum per key: a numerator over a base that each new term
+refines, with each factor's M and the number of terms that reach it.  A
+piece that refinement splits off an earlier factor counts as reached twice.
+At the end only the factors reached twice are cancelled, so each sum is
+reduced once instead of after every term.  `rf_product` cancels each
+numerator against the other terms' bases and expands the denominator once.
+The two-operand ``+`` and ``*`` stay as they are: they are the reference
+for the n-ary forms and the cheaper path for two operands and small sums.
 
 Multivariate gcds go through one seam, `poly_gcd_cofactors`.  It answers
 directly only when the result is forced: for a zero or constant operand, for
@@ -588,8 +604,13 @@ CERT_PRIME = 2**31 - 1
 @lru_cache(maxsize=None)
 def _image_point(name: str) -> int:
     """The fixed nonzero residue mod `CERT_PRIME` that symbol ``name`` takes,
-    derived from the name by a fixed digest."""
-    from hashlib import blake2b  # here, not at import: only the modular images need it
+    derived from the name by a fixed digest (BLAKE2b, 8 bytes)."""
+    # here, not at import: only the modular images need it.  hashlib takes
+    # blake2b from the builtin _blake2, but loads OpenSSL's _hashlib first
+    try:
+        from _blake2 import blake2b
+    except ImportError:  # a Python built without its own BLAKE2
+        from hashlib import blake2b
 
     digest = blake2b(name.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") % (CERT_PRIME - 1) + 1
@@ -1293,6 +1314,156 @@ def _factor_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     return poly_gcd_cofactors(f, g)
 
 
+# ---------------------------------------------------------------------------
+# N-ary sums and products
+# ---------------------------------------------------------------------------
+
+
+class _RunningSum:
+    """One key's running sum ``num / prod f^M`` over a growing coprime base.
+
+    ``base`` maps each factor f to ``[M, reached]``: its largest
+    multiplicity M over the terms so far and how many of them reach M, or 2
+    for a piece that refinement split off an earlier factor.  A sum of one
+    term is that term.
+    """
+
+    __slots__ = ("first", "num", "base")
+
+    def __init__(self, term: RationalFunctionExpr):
+        self.first: RationalFunctionExpr | None = term
+        self.num = term.num
+        self.base = {f: [m, 1] for f, m in term.factors}
+
+    def add(self, term: RationalFunctionExpr) -> None:
+        self.first = None
+        base, factors = self.base, term.factors
+        if not factors:
+            # a polynomial term reaches no factor
+            raised, lowered = (), [(f, e[0]) for f, e in base.items()]
+        elif all(f in base for f, _ in factors) or not base:
+            raised, lowered = self._add_known(factors)
+        else:
+            raised, lowered = self._add_refined(factors)
+        num, other = self.num, term.num
+        if raised:
+            num = num * _power_product(raised)
+        if lowered:
+            other = other * _power_product(lowered)
+        self.num = num + other
+
+    def _add_known(self, factors):
+        """The running base and the term's base share every factor of the
+        term (or the running base is empty): no refinement is needed."""
+        base = self.base
+        raised = []
+        for f, k in factors:
+            entry = base.get(f)
+            if entry is None:
+                base[f] = [k, 1]
+                raised.append((f, k))
+            elif k > entry[0]:
+                raised.append((f, k - entry[0]))
+                entry[:] = k, 1
+            elif k == entry[0]:
+                entry[1] += 1
+        own = dict(factors)
+        lowered = [(f, e[0] - own.get(f, 0)) for f, e in base.items() if e[0] > own.get(f, 0)]
+        return raised, lowered
+
+    def _add_refined(self, factors):
+        old = self.base
+        base: dict[Poly, list[int]] = {}
+        raised, lowered = [], []
+        for f, m, k in _common_base(tuple((f, e[0]) for f, e in old.items()), factors):
+            top = max(m, k)
+            entry = old.get(f)
+            if entry is not None:  # an earlier factor, not split
+                reached = entry[1] + (m == k) if m >= k else 1
+            else:  # the term's alone, or a piece of an earlier factor
+                reached = 1 if not m else 2
+            base[f] = [top, reached]
+            if top > m:
+                raised.append((f, top - m))
+            if top > k:
+                lowered.append((f, top - k))
+        self.base = base
+        return raised, lowered
+
+    def value(self) -> RationalFunctionExpr:
+        """The canonical sum: only factors that two terms reach are cancelled."""
+        if self.first is not None:
+            return self.first
+        num = self.num
+        if num.is_zero():
+            return RF_ZERO
+        factors: list[tuple[Poly, int]] = []
+        for f, (m, reached) in self.base.items():
+            if reached > 1:
+                num, rest = _cancel(num, f, m)
+                factors += rest
+            else:
+                factors.append((f, m))
+        return _from_factors(num, factors)
+
+
+def rf_sums(items: Iterable[tuple[object, RationalFunctionExpr]]) -> dict:
+    """``{key: sum of its terms}`` over ``(key, term)`` pairs, without zero sums.
+
+    Each key keeps one running sum (`_RunningSum`) and is reduced once, at
+    the end, by the n-term rule of the module docstring.  Keys keep the
+    order of their first nonzero term.
+    """
+    sums: dict[object, _RunningSum] = {}
+    for key, term in items:
+        if term.num.is_zero():
+            continue
+        running = sums.get(key)
+        if running is None:
+            sums[key] = _RunningSum(term)
+        else:
+            running.add(term)
+    out = {}
+    for key, running in sums.items():
+        value = running.value()
+        if not value.num.is_zero():
+            out[key] = value
+    return out
+
+
+def rf_sum(terms: Iterable[RationalFunctionExpr]) -> RationalFunctionExpr:
+    """The sum of ``terms``, reduced once (`rf_sums`)."""
+    return rf_sums((None, t) for t in terms).get(None, RF_ZERO)
+
+
+def rf_product(terms: Iterable[RationalFunctionExpr]) -> RationalFunctionExpr:
+    """The product of ``terms``, with its denominator expanded once.
+
+    Each numerator is cancelled against the bases of the other terms, as
+    they stand after the numerators before it; the bases that remain are
+    merged with their multiplicities added.
+    """
+    nums: list[Poly] = []
+    bases: list[tuple[tuple[Poly, int], ...]] = []
+    for t in terms:
+        if t.num.is_zero():
+            return RF_ZERO
+        nums.append(t.num)
+        bases.append(t.factors)
+    num = _POLY_ONE
+    for i, p in enumerate(nums):
+        if not p.is_const():
+            for j, b in enumerate(bases):
+                if j != i and b:
+                    p, bases[j] = _cancel_all(p, b)
+        num = num * p
+    base: tuple[tuple[Poly, int], ...] = ()
+    for b in bases:
+        if b:
+            base = tuple((f, m + k) for f, m, k in _common_base(base, b)) if base else b
+    return _from_factors(num, base)
+
+
 def denominator_lcm(exprs: Iterable[RationalFunctionExpr]) -> RationalFunctionExpr:
     """The lcm of the denominators of ``exprs``, as a polynomial expression.
 
@@ -1338,15 +1509,17 @@ def rf_symmetrize(
     count = 1
     for g in groups:
         count *= math.factorial(len(g))
-    total = RF_ZERO
-    for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
-        mapping: dict[str, str] = {}
-        for orig, perm in zip(groups, combo):
-            for a, b in zip(orig, perm):
-                if a != b:
-                    mapping[a] = b
-        total = total + (expr.rename(mapping) if mapping else expr)
-    return total * Fraction(1, count)
+
+    def images():
+        for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
+            mapping: dict[str, str] = {}
+            for orig, perm in zip(groups, combo):
+                for a, b in zip(orig, perm):
+                    if a != b:
+                        mapping[a] = b
+            yield expr.rename(mapping) if mapping else expr
+
+    return rf_sum(images()) * Fraction(1, count)
 
 
 def rf_partial(expr: RationalFunctionExpr, name: str) -> RationalFunctionExpr:
