@@ -14,10 +14,10 @@ the matrix of a word of letters composes them (`word_operator`), and every
 word in this module is applied that way.  On top of the actions the module
 builds the contravariant bilinear form (row I is the word ``(A ∘ tau)(F_I)``
 into the top space), the dual elements of its inverse as one table
-``{(lo, hi): c}`` in the form of a fusion component (`p_elements`), joint
-kernels of the simple raising operators, and the one-term dual lowering
-rule on basis functionals (`dual_action_F`).  The raising action on basis
-functionals is `hyper.raising_dual_coefficients`.
+``{(lo, hi): c}`` in the form of a fusion component (`p_elements`), and
+joint kernels of the simple raising operators.  The actions on basis
+functionals, `lemmas.raising_dual_coefficients` and `lemmas.dual_action_F`,
+live with the lemma checks that use them.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "nullspace",
     "shapovalov_gram",
     "p_elements",
-    "dual_action_F",
     "singular_vectors",
 ]
 
@@ -477,34 +476,6 @@ def p_elements(
         (basis[col][0], basis[row][0]): c
         for (row, col), c in shapovalov_gram(space).invert().entries.items()
     }
-
-
-# ---------------------------------------------------------------------------
-# Dual lowering rule
-# ---------------------------------------------------------------------------
-
-def dual_action_F(
-    space: TensorWeightSpace, index: MultiIndex, h: int, root: tuple[int, int]
-) -> dict[MultiIndex, RationalFunctionExpr]:
-    """Closed form for the flavored lowering vector on (F_index v)^*.
-
-    Only the straddling roots k <= h < l admit this one-term form (they are
-    the top block of the level-h arrangement, so the lowering vector absorbs
-    without corrections); the space must carry the level-h arrangement.
-    """
-    basis = space.pbw_basis
-    if not root[0] <= h < root[1]:
-        raise ValueError("the one-term dual lowering rule needs k <= h < l")
-    pos = basis.position[root]
-    out: dict[MultiIndex, RationalFunctionExpr] = {}
-    for j in range(len(space.factors)):
-        c = index[j][pos]
-        if c:
-            exps = list(index[j])
-            exps[pos] -= 1
-            key = index[:j] + (tuple(exps),) + index[j + 1 :]
-            out[key] = out.get(key, RF_ZERO) + rational(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,11 @@ operands exactly.  Every point at every level is at least
 2 min(|f|, |g|) + 2 for the max norms of that level's operands, where a
 dividing candidate is the gcd (the CGG bound; the argument is in
 `_heu_gcd`), so every answer is proven.  `HeuristicGcdFailed` is raised
-when no point gives one.  Every division over Z, exact or trial, is one
-sparse long division by the primitive divisor (Gauss's lemma) on the packed
-keys, largest first (`_divide`).  `poly_divexact`, which raises
-`InexactDivision` when the divisor does not divide, is the exact division of
-the tests' reference arithmetic: no package code calls it.
+when no point gives one.  Every division over Z, the trial division by a
+linear factor and the gcd's test of a candidate, is one sparse long division
+by the primitive divisor (Gauss's lemma) on the packed keys, largest first
+(`_divide`).  The exact division of the tests' reference arithmetic, which
+raises `InexactDivision` when the divisor does not divide, runs it too.
 
 A symbol is its name: variables are keyed and ordered by name alone, so the
 canonical form and the text of an expression do not depend on which symbols
@@ -137,7 +137,6 @@ __all__ = [
     "symbol",
     "rational",
     "parse",
-    "poly_divexact",
     "denominator_lcm",
     "rf_symmetrize",
     "rf_partial",
@@ -868,30 +867,6 @@ def _heu_gcd(f: dict, g: dict, n: int):
     return None
 
 
-def poly_divexact(p: Poly, q: Poly) -> Poly:
-    """Exact quotient p/q; raises InexactDivision if q does not divide p.
-
-    With p = c_p P and q = c_q Q for primitive integer P and Q, q divides p
-    over Q exactly when Q divides P over Z (Gauss's lemma).  A factor of P
-    has no variable that P lacks, so such a q fails at once.  Otherwise Q is
-    widened to P's variables and `_divide` runs the long division on the
-    packed keys.
-    """
-    if q.is_zero():
-        raise DivisionByZero("polynomial division by zero")
-    if p.is_zero():
-        return _POLY_ZERO
-    if q.is_const():
-        return p.scale(1 / q.const_value())
-    vars = p.vars
-    if not set(q.vars).issubset(vars):
-        raise InexactDivision("inexact polynomial division")
-    quotient = _divide(p.terms, _widen(q.terms, q.vars, vars), len(vars))
-    if quotient is None:
-        raise InexactDivision("inexact polynomial division")
-    return _make(vars, _ratio(p._content, q._content), quotient, shrink=True)
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
@@ -997,8 +972,14 @@ class RationalFunctionExpr:
         # a/b + c/d = t/L with L = lcm(b, d): only a factor of equal
         # multiplicity in b and d can divide t (Henrici)
         base = _common_base(self.factors, other.factors)
-        t = self.num * _power_product((f, k - m) for f, m, k in base if k > m)
-        t = t + other.num * _power_product((f, m - k) for f, m, k in base if m > k)
+        a, c = self.num, other.num
+        raised = [(f, k - m) for f, m, k in base if k > m]
+        lowered = [(f, m - k) for f, m, k in base if m > k]
+        if raised:
+            a = a * _power_product(raised)
+        if lowered:
+            c = c * _power_product(lowered)
+        t = a + c
         if t.is_zero():
             return RF_ZERO
         factors = []
@@ -1086,9 +1067,17 @@ class RationalFunctionExpr:
         return self.num.eval(assignment) / d
 
     def rename(self, mapping: Mapping[str, str]) -> "RationalFunctionExpr":
-        """Bijective variable renaming (stays reduced, re-normalizes sign)."""
+        """Bijective variable renaming (stays reduced, re-normalizes sign).
+
+        Raises `ValueError` when the mapping sends two variables of the
+        expression to one name: the merged pair would no longer be reduced,
+        and a denominator such as ``x - y`` would vanish.
+        """
         if self.num.is_zero():
             return self
+        names = set(self.num.vars).union(self.den.vars)
+        if len({mapping.get(v, v) for v in names}) < len(names):
+            raise ValueError("rename must not merge two variables of an expression")
         num, den = self.num.rename(mapping), self.den.rename(mapping)
         factors = tuple((_normalize_poly(f.rename(mapping)), m) for f, m in self.factors)
         return RationalFunctionExpr(_over(num, den._content), _normalize_poly(den), factors)

@@ -1,11 +1,13 @@
 """Test-only conveniences over the straightening engine and the tensor actions,
 the cross-gcd reference for rational-function arithmetic, the dense
 Gauss-Jordan reference for `rep.nullspace` and `WeightSpaceOperator.invert`,
-the lowered-space reference for `dyn._root_terms`, and the exponent-tuple
-references for `poly_divexact` and `Poly.rename`.  The package divides on
-packed keys only (`symexpr._divide`, largest key first); `_int_quotient`
-below divides over exponent tuples from the smallest term up, so that the
-division reference shares no division code with the package.
+the lowered-space reference for `dyn._root_terms`, the exact polynomial
+division `poly_divexact` of the reference arithmetic, and the exponent-tuple
+references for `poly_divexact` and `Poly.rename`.  `poly_divexact` runs the
+package's long division on packed keys (`symexpr._divide`, largest key
+first); `_int_quotient` below divides over exponent tuples from the smallest
+term up, so that the division reference shares no division code with the
+package.
 
 The package computes with `Straightener.apply_word` and the tensor Leibniz
 action directly; these helpers package the same machinery in
@@ -30,9 +32,12 @@ from kzdyn.symexpr import (
     InexactDivision,
     Poly,
     RationalFunctionExpr,
+    _divide,
+    _make,
     _make_reduced,
+    _ratio,
     _unpack,
-    poly_divexact,
+    _widen,
     poly_gcd_cofactors,
 )
 from kzdyn.uea import GenWord, PBWBasis, Straightener
@@ -245,6 +250,30 @@ def _int_quotient(f: dict, h: dict) -> dict | None:
                 else:
                     del remainder[mm]
     return quotient
+
+
+def poly_divexact(p: Poly, q: Poly) -> Poly:
+    """Exact quotient p/q; raises InexactDivision if q does not divide p.
+
+    With p = c_p P and q = c_q Q for primitive integer P and Q, q divides p
+    over Q exactly when Q divides P over Z (Gauss's lemma).  A factor of P
+    has no variable that P lacks, so such a q fails at once.  Otherwise Q is
+    widened to P's variables and the package's `_divide` runs the long
+    division on the packed keys.
+    """
+    if q.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    if p.is_zero():
+        return Poly.zero()
+    if q.is_const():
+        return p.scale(1 / q.const_value())
+    vars = p.vars
+    if not set(q.vars).issubset(vars):
+        raise InexactDivision("inexact polynomial division")
+    quotient = _divide(p.terms, _widen(q.terms, q.vars, vars), len(vars))
+    if quotient is None:
+        raise InexactDivision("inexact polynomial division")
+    return _make(vars, _ratio(p._content, q._content), quotient, shrink=True)
 
 
 def reference_divexact(p: Poly, q: Poly) -> Poly:

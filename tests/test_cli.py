@@ -1252,6 +1252,10 @@ class TestMainEntry:
         assert {"scipy", "scipy.linalg"} <= loaded
         # of the kzdyn layers, numeric reads only symexpr
         assert loaded.isdisjoint({"kzdyn.dyn", "kzdyn.rep", "kzdyn.uea", "kzdyn.roots"})
+        # the lemma checks are the tests' alone: the weighted-function layer
+        # does not import them, so no run compiles them
+        (loaded,) = loaded_after("import json, sys, kzdyn.hyper\nloaded = [list(sys.modules)]")
+        assert "kzdyn.hyper" in loaded and "kzdyn.lemmas" not in loaded
         # every run in one interpreter, selberg last, so that no run before it
         # finds kzdyn.numeric or scipy loaded; kzdyn.hyper is dropped after
         # each run, from sys.modules and from its package, so that each run
@@ -1276,7 +1280,16 @@ class TestMainEntry:
         # kzdyn's records are not dataclasses: nothing loads dataclasses, or
         # the inspect it imports, but numpy and scipy with the selberg suite
         assert after_import.isdisjoint(
-            {"kzdyn.hyper", "kzdyn.numeric", "scipy", "numpy", "sympy", "dataclasses", "inspect"}
+            {
+                "kzdyn.hyper",
+                "kzdyn.lemmas",
+                "kzdyn.numeric",
+                "scipy",
+                "numpy",
+                "sympy",
+                "dataclasses",
+                "inspect",
+            }
         )
         for argv, loaded in zip(runs, after_runs):
             # the rank-one suites are exact: they load no float module
@@ -1285,6 +1298,7 @@ class TestMainEntry:
             # the weighted-function layer only where it is read
             reads_hyper = argv[1] in ("pbw-invariance", "phi-vector", "forest")
             assert ("kzdyn.hyper" in loaded) == reads_hyper, argv
+            assert "kzdyn.lemmas" not in loaded, argv
             # sympy is a test-only dependency: no run loads it
             assert "sympy" not in loaded, argv
             for stdlib in ("dataclasses", "inspect"):

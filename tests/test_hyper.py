@@ -10,22 +10,24 @@ from kzdyn import hyper
 from kzdyn.dyn import lambda_pairing_symbols, space_weight_pairings
 from kzdyn.hyper import (
     OrderFlavor,
-    binomial_claim_check,
-    color_counts,
     color_groups,
-    dual_restriction_check,
     forest_of_index,
     index_counts,
+    phi_vector,
+    t_name,
+    t_symbol,
+    verify_order_invariance,
+)
+from kzdyn.lemmas import (
+    binomial_claim_check,
+    color_counts,
+    dual_restriction_check,
     interp_flavor,
     lemma_rat2Dprime_check,
     log_derivative,
     master_exponents,
-    phi_vector,
     raising_dual_coefficients,
     switch_cor_witness,
-    t_name,
-    t_symbol,
-    verify_order_invariance,
     z_shift_factorization,
 )
 from kzdyn.rep import (

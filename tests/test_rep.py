@@ -10,11 +10,11 @@ import pytest
 
 from _algebra_helpers import reference_invert, reference_nullspace, word_operator_at
 from _closed_forms import b_coeff, falling
-from kzdyn.hyper import index_counts, raising_dual_coefficients
+from kzdyn.hyper import index_counts
+from kzdyn.lemmas import dual_action_F, raising_dual_coefficients
 from kzdyn.rep import (
     SingularGram,
     WeightSpaceOperator,
-    dual_action_F,
     enumerate_basis,
     lp_module,
     nullspace,
