@@ -12,10 +12,9 @@ evaluation point.  On top of that it provides
   top level N-1, named ``standard``),
 * the function-weighted basis sum of a level (`phi_vector`), and
 * the exact verifier of order invariance of these sums
-  (``verify_order_invariance`` straightens the level-``h`` `phi_vector`,
-  1 <= h <= N-2, slot by slot onto the standard basis and compares it with
-  the standard one; ``order_invariance_reports`` does so at every level,
-  with the standard one built once).
+  (`order_invariance_reports` straightens the level-``h`` `phi_vector`,
+  for each h = 1, ..., N-2, slot by slot onto the standard basis and
+  compares it with the standard one, built once).
 
 This is what ``kzdyn verify pbw-invariance`` and the ``phi-vector`` and
 ``forest`` dumps run.  The other identities of the proof chain, checked only
@@ -34,7 +33,6 @@ averaging over permutations of same-color variables.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import record
@@ -43,7 +41,6 @@ from .symexpr import (
     RF_ZERO,
     RationalFunctionExpr,
     rational,
-    rf_product,
     rf_sums,
     rf_symmetrize,
     symbol,
@@ -67,7 +64,6 @@ __all__ = [
     "PhiVector",
     "phi_vector",
     "OrderInvarianceReport",
-    "verify_order_invariance",
     "order_invariance_reports",
     "t_name",
     "t_symbol",
@@ -263,7 +259,10 @@ class Forest:
     strings: tuple[StringGraph, ...]
 
     def function(self) -> RationalFunctionExpr:
-        return rf_product(s.function() for s in self.strings)
+        value = RF_ONE
+        for s in self.strings:
+            value = value * s.function()
+        return value
 
     def trees(self) -> dict[int, tuple[StringGraph, ...]]:
         out: dict[int, list[StringGraph]] = {}
@@ -380,13 +379,9 @@ def _averages_to_zero(delta: RationalFunctionExpr, counts: Sequence[int]) -> boo
     return bool(groups) and rf_symmetrize(delta, groups).is_zero()
 
 
-@lru_cache(maxsize=None)
 def _expand_in_standard(basis: PBWBasis, exps: tuple) -> dict:
-    """Coefficients of one flavored basis monomial on the standard basis.
-
-    The monomial is straightened in the standard order; the dict is shared
-    by every call with the same arguments: never mutate it.
-    """
+    """Coefficients of one flavored basis monomial on the standard basis,
+    straightened in the standard order."""
     engine = straightener(standard_basis(basis.n_rank))
     return engine.apply_word(monomial_word(basis, exps))
 
@@ -409,25 +404,17 @@ class OrderInvarianceReport:
         }
 
 
-def verify_order_invariance(space: TensorWeightSpace, h: int) -> OrderInvarianceReport:
-    """Compare the level-``h`` `phi_vector` with the standard one, level N-1.
+def order_invariance_reports(space: TensorWeightSpace) -> Iterator[OrderInvarianceReport]:
+    """Compare the level-``h`` `phi_vector` with the standard one, level N-1,
+    at each level h = 1, ..., N-2 in turn.
 
     Each slot of the level-``h`` vector is straightened onto the standard
     monomial basis; coefficient functions must then agree index by index.
     Both the raw verdict (canonical variable copies) and the verdict after
-    averaging over same-color copies are reported.  Only the levels below
-    the top, 1 <= h <= N-2, are a second arrangement: any other ``h`` raises
-    `OutOfRange`.
+    averaging over same-color copies are reported.  The standard vector is
+    built once; below sl3 there is no level to compare, and nothing is
+    yielded.
     """
-    rank = space.pbw_basis.n_rank
-    if not (isinstance(h, int) and 1 <= h <= rank - 2):
-        raise OutOfRange(f"h must be in 1..{rank - 2}, got {h}")
-    return _order_invariance(space, h, dict(phi_vector(space, "standard").terms))
-
-
-def order_invariance_reports(space: TensorWeightSpace) -> Iterator[OrderInvarianceReport]:
-    """`verify_order_invariance` at each level h = 1, ..., N-2 in turn, with
-    the standard `phi_vector` built once."""
     standard_side = dict(phi_vector(space, "standard").terms)
     for h in range(1, space.pbw_basis.n_rank - 1):
         yield _order_invariance(space, h, standard_side)

@@ -75,10 +75,9 @@ keeps one running sum per key: a numerator over a base that each new term
 refines, with each factor's M and the number of terms that reach it.  A
 piece that refinement splits off an earlier factor counts as reached twice.
 At the end only the factors reached twice are cancelled, so each sum is
-reduced once instead of after every term.  `rf_product` cancels each
-numerator against the other terms' bases and expands the denominator once.
-The two-operand ``+`` and ``*`` stay as they are: they are the reference
-for the n-ary forms and the cheaper path for two operands and small sums.
+reduced once instead of after every term.  The two-operand ``+`` stays as
+it is: it is the reference for the n-ary sum and the cheaper path for two
+operands and small sums.
 
 Multivariate gcds go through one seam, `poly_gcd_cofactors`.  It answers
 directly only when the result is forced: for a zero or constant operand, for
@@ -1257,8 +1256,9 @@ def _cancel_all(p: Poly, factors) -> tuple[Poly, tuple[tuple[Poly, int], ...]]:
     return p, tuple(out)
 
 
-# The four rank-3 runs of `_expand` combine 401 distinct pairs of bases in
-# 2,286 calls; cap-scale fusion and compatibility miss 965 of 18,515.
+# The four rank-3 runs of perfbench's symbolic-rank3 combine 354 distinct
+# pairs of bases in 1,544 calls; cap-scale fusion and compatibility miss 930
+# of 16,480, and dim-27 compatibility fills the memo (2,470 of 51,850).
 @lru_cache(maxsize=2048)
 def _common_base(fa, fb) -> tuple[tuple[Poly, int, int], ...]:
     """``(f, m, k)``: one coprime base of two bases, with the multiplicity
@@ -1304,7 +1304,7 @@ def _factor_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 # ---------------------------------------------------------------------------
-# N-ary sums and products
+# N-ary sums
 # ---------------------------------------------------------------------------
 
 
@@ -1326,14 +1326,12 @@ class _RunningSum:
 
     def add(self, term: RationalFunctionExpr) -> None:
         self.first = None
-        base, factors = self.base, term.factors
+        factors = term.factors
         if not factors:
             # a polynomial term reaches no factor
-            raised, lowered = (), [(f, e[0]) for f, e in base.items()]
-        elif all(f in base for f, _ in factors) or not base:
-            raised, lowered = self._add_known(factors)
+            raised, lowered = (), [(f, e[0]) for f, e in self.base.items()]
         else:
-            raised, lowered = self._add_refined(factors)
+            raised, lowered = self._refine(factors)
         num, other = self.num, term.num
         if raised:
             num = num * _power_product(raised)
@@ -1341,26 +1339,9 @@ class _RunningSum:
             other = other * _power_product(lowered)
         self.num = num + other
 
-    def _add_known(self, factors):
-        """The running base and the term's base share every factor of the
-        term (or the running base is empty): no refinement is needed."""
-        base = self.base
-        raised = []
-        for f, k in factors:
-            entry = base.get(f)
-            if entry is None:
-                base[f] = [k, 1]
-                raised.append((f, k))
-            elif k > entry[0]:
-                raised.append((f, k - entry[0]))
-                entry[:] = k, 1
-            elif k == entry[0]:
-                entry[1] += 1
-        own = dict(factors)
-        lowered = [(f, e[0] - own.get(f, 0)) for f, e in base.items() if e[0] > own.get(f, 0)]
-        return raised, lowered
-
-    def _add_refined(self, factors):
+    def _refine(self, factors):
+        """Merge the term's base into the running one; return the factor
+        powers that multiply the running numerator and the term's."""
         old = self.base
         base: dict[Poly, list[int]] = {}
         raised, lowered = [], []
@@ -1423,34 +1404,6 @@ def rf_sums(items: Iterable[tuple[object, RationalFunctionExpr]]) -> dict:
 def rf_sum(terms: Iterable[RationalFunctionExpr]) -> RationalFunctionExpr:
     """The sum of ``terms``, reduced once (`rf_sums`)."""
     return rf_sums((None, t) for t in terms).get(None, RF_ZERO)
-
-
-def rf_product(terms: Iterable[RationalFunctionExpr]) -> RationalFunctionExpr:
-    """The product of ``terms``, with its denominator expanded once.
-
-    Each numerator is cancelled against the bases of the other terms, as
-    they stand after the numerators before it; the bases that remain are
-    merged with their multiplicities added.
-    """
-    nums: list[Poly] = []
-    bases: list[tuple[tuple[Poly, int], ...]] = []
-    for t in terms:
-        if t.num.is_zero():
-            return RF_ZERO
-        nums.append(t.num)
-        bases.append(t.factors)
-    num = _POLY_ONE
-    for i, p in enumerate(nums):
-        if not p.is_const():
-            for j, b in enumerate(bases):
-                if j != i and b:
-                    p, bases[j] = _cancel_all(p, b)
-        num = num * p
-    base: tuple[tuple[Poly, int], ...] = ()
-    for b in bases:
-        if b:
-            base = tuple((f, m + k) for f, m, k in _common_base(base, b)) if base else b
-    return _from_factors(num, base)
 
 
 def denominator_lcm(exprs: Iterable[RationalFunctionExpr]) -> RationalFunctionExpr:

@@ -13,10 +13,10 @@ from kzdyn.hyper import (
     color_groups,
     forest_of_index,
     index_counts,
+    order_invariance_reports,
     phi_vector,
     t_name,
     t_symbol,
-    verify_order_invariance,
 )
 from kzdyn.lemmas import (
     binomial_claim_check,
@@ -37,7 +37,6 @@ from kzdyn.rep import (
     verma_weight,
 )
 from kzdyn.roots import (
-    OutOfRange,
     alpha_vec,
     nu_vec,
     omega_vec,
@@ -203,28 +202,32 @@ class TestPhiVector:
 # Order invariance of the weighted sums
 # ---------------------------------------------------------------------------
 
+def _level_report(space, h):
+    """The level-``h`` row of `order_invariance_reports`."""
+    report = list(order_invariance_reports(space))[h - 1]
+    assert report.h == h
+    return report
+
+
 class TestOrderInvariance:
     # only the levels 1..N-2 compare two arrangements: level N-1 is the
-    # standard arrangement itself, and raises `OutOfRange`
+    # standard arrangement itself, and no report is yielded for it
 
     def test_sl2_trivial(self):
         # the one level of sl2 is the top one: nothing to compare
         space = one_factor_space(2, (1,))
-        with pytest.raises(OutOfRange, match="h must be in 1..0, got 1$"):
-            verify_order_invariance(space, 1)
+        assert list(order_invariance_reports(space)) == []
 
     @pytest.mark.parametrize("n_rank", [3, 4])
     def test_top_level_is_out_of_range(self, n_rank):
         space = one_factor_space(n_rank, (1,) * (n_rank - 1))
-        for h in (0, n_rank - 1):
-            message = f"h must be in 1..{n_rank - 2}, got {h}$"
-            with pytest.raises(OutOfRange, match=message):
-                verify_order_invariance(space, h)
+        levels = [report.h for report in order_invariance_reports(space)]
+        assert levels == list(range(1, n_rank - 1))
 
     @pytest.mark.parametrize("h", [1])
     def test_sl3_one_point(self, h):
         space = one_factor_space(3, (1, 1))
-        report = verify_order_invariance(space, h)
+        report = _level_report(space, h)
         assert report.symmetrized_equal
         assert report.raw_equal  # canonical copies line up for this space
 
@@ -233,24 +236,24 @@ class TestOrderInvariance:
         space = enumerate_basis(
             (verma_symbolic(3, 1), verma_symbolic(3, 2)), (1, 1)
         )
-        report = verify_order_invariance(space, h)
+        report = _level_report(space, h)
         assert report.symmetrized_equal
 
     @pytest.mark.parametrize("h", [1])
     def test_sl3_deeper_weight(self, h):
         space = one_factor_space(3, (2, 1))
-        report = verify_order_invariance(space, h)
+        report = _level_report(space, h)
         assert report.symmetrized_equal
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_sl4_one_point(self, h):
         space = one_factor_space(4, (1, 1, 1))
-        report = verify_order_invariance(space, h)
+        report = _level_report(space, h)
         assert report.symmetrized_equal
 
     def test_report_json(self):
         space = one_factor_space(3, (1, 1))
-        report = verify_order_invariance(space, 1)
+        report = _level_report(space, 1)
         data = report.to_json()
         assert data["raw_equal"] is True and data["dim"] == 2
         json.dumps(data)

@@ -45,7 +45,6 @@ from kzdyn.symexpr import (
     poly_gcd_cofactors,
     rational,
     rf_partial,
-    rf_product,
     rf_sum,
     rf_sums,
     rf_symmetrize,
@@ -254,8 +253,9 @@ def test_text_does_not_depend_on_which_symbol_came_first():
 
 def test_work_does_not_depend_on_the_hash_seed():
     # the term pairs of every `Poly` product, counted run by run in a fresh
-    # interpreter per hash seed over three rank-3 runs; `_expand` multiplies the
-    # factors of a frozenset, whose own order follows the seed
+    # interpreter per hash seed over three rank-3 runs and one rank-4 run;
+    # `_expand` multiplies the factors of a frozenset, whose own order
+    # follows the seed
     code = (
         "import contextlib, io, sys\n"
         "from kzdyn import symexpr\n"
@@ -274,11 +274,13 @@ def test_work_does_not_depend_on_the_hash_seed():
     )
     # measured bounds, each run after the ones before it in the same
     # process, where it reuses the products they left in the `_expand` memo:
-    # fusion makes 3,178 in a fresh process and cap-scale compatibility 246,147
+    # fusion makes 3,178 in a fresh process and cap-scale compatibility
+    # 246,147; pbw-invariance makes 5,106 either way
     runs = {
         "compatibility --n 3 --nu 2,0": 4131,
         "fusion --n 3 --nu 1,1": 3174,
         "compatibility --n 3 --nu 2,1": 246065,
+        "pbw-invariance --n 4 --nu 1,2,2": 5106,
     }
     counts = [
         subprocess.run(
@@ -1258,19 +1260,16 @@ def test_images_of_reordered_terms_share_the_weights():
 
 
 # ---------------------------------------------------------------------------
-# N-ary sums and products against the pairwise operators
+# N-ary sums against the pairwise sum
 # ---------------------------------------------------------------------------
 
 def _check_against_pairwise(terms: list) -> None:
-    """`rf_sum` and `rf_product` equal the pairwise fold, text included,
-    and leave a coprime base of the denominator."""
-    for got, expected in [
-        (rf_sum(terms), reduce(operator.add, terms, RF_ZERO)),
-        (rf_product(terms), reduce(operator.mul, terms, RF_ONE)),
-    ]:
-        _check_factor_base(got)
-        assert got == expected
-        assert str(got) == str(expected)
+    """`rf_sum` equals the pairwise fold, text included, and leaves a
+    coprime base of the denominator."""
+    got, expected = rf_sum(terms), reduce(operator.add, terms, RF_ZERO)
+    _check_factor_base(got)
+    assert got == expected
+    assert str(got) == str(expected)
 
 
 def _over(num: str, den: str) -> RationalFunctionExpr:
@@ -1287,6 +1286,14 @@ _NARY_CASES = {
         parse("-y/(x - y)^2"),
         parse("2/(x - y)"),
         parse("(x - y)/(x - y)^2") * -1,
+    ],
+    # the second term raises x - y, which the running base already holds,
+    # from 1 to 3; the third also reaches 3, and the sum
+    # ((x - y)^2 + x - y)/(x - y)^3 cancels x - y once
+    "later term raises a held factor": [
+        parse("1/(x - y)"),
+        parse("x/(x - y)^3"),
+        parse("-y/(x - y)^3"),
     ],
     # only the first term reaches (x - y)^2: nothing cancels
     "one term reaches the top": [parse("1/(x - y)^2"), parse("y/(x - y)"), parse("x + 1")],
@@ -1332,6 +1339,8 @@ def test_nary_sum_cancels_only_what_two_terms_reach():
     assert rf_sum(_NARY_CASES["sum cancels to zero"]) is RF_ZERO
     total = rf_sum(_NARY_CASES["one term reaches the top"])
     assert dict(total.factors) == {_poly("x - y"): 2}
+    total = rf_sum(_NARY_CASES["later term raises a held factor"])
+    assert total == parse("(x - y + 1)/(x - y)^2")
     terms = _NARY_CASES["one term"]
     assert rf_sum(terms) is terms[0]
 
