@@ -62,6 +62,7 @@ from .dyn import (
     shifted_pairings,
     z_symbols,
     _first_mismatch,
+    _fusion_scalar,
     _p_series,
     _weight_compositions,
 )
@@ -78,7 +79,6 @@ from .roots import (
     intermediate_orders,
     is_normal,
     longest_element,
-    nu_vec,
     omega_bracket,
     positive_roots,
     serialize_order,
@@ -196,17 +196,10 @@ def _fusion_residual_ok(fus: FusionElement) -> bool:
     """Plug the solved components back into the defining recurrence."""
     basis = standard_basis(fus.n_rank)
     engine = straightener(basis)
-    pairings = lambda_pairing_symbols(fus.n_rank)
-    half = rational(Fraction(1, 2))
     for mu, comp in fus.components.items():
         if sum(mu) == 0:
             continue
-        mu_vec = nu_vec(fus.n_rank, mu)
-        scalar = RF_ZERO
-        for i, m in enumerate(mu):
-            if m:
-                scalar = scalar + (pairings[i] + RF_ONE) * rational(m)
-        scalar = scalar - mu_vec.dot(mu_vec) * half
+        scalar = _fusion_scalar(fus.n_rank, mu)
         residual = {key: val * scalar for key, val in comp.items()}
         for root in positive_roots(fus.n_rank):
             rc = [0] * (fus.n_rank - 1)

@@ -64,15 +64,12 @@ from .rep import (
     word_operator,
 )
 from .roots import (
-    WeightVec,
     WeylElement,
-    alpha_vec,
     nu_vec,
     omega_bracket,
     omega_vec,
     positive_roots,
     rho_vec,
-    root_vec,
     roots_of_reduced_word,
     weight_from_pairings,
 )
@@ -106,7 +103,6 @@ __all__ = [
     "lambda_pairing_symbols",
     "kappa_symbol",
     "z_symbols",
-    "space_weight_pairings",
     "shifted_pairings",
     "p_series",
     "B_alpha",
@@ -169,24 +165,13 @@ def _root_pairing(
     return total
 
 
-def _total_weight(space: TensorWeightSpace) -> WeightVec:
-    n_rank = space.pbw_basis.n_rank
-    return space.total_highest_weight() - nu_vec(n_rank, space.nu0)
-
-
-def space_weight_pairings(space: TensorWeightSpace) -> tuple[RationalFunctionExpr, ...]:
-    """Pairings of the space's (single) total weight with the simple coroots."""
-    n_rank = space.pbw_basis.n_rank
-    total = _total_weight(space)
-    return tuple(total.dot(alpha_vec(n_rank, i)) for i in range(1, n_rank))
-
-
 def shifted_pairings(
     space: TensorWeightSpace, pairings: Sequence[RationalFunctionExpr]
 ) -> tuple[RationalFunctionExpr, ...]:
     """Pairings of ``lambda + rho + nu/2`` on this space."""
-    nu_pairs = space_weight_pairings(space)
-    return tuple(p + RF_ONE + q * _HALF for p, q in zip(pairings, nu_pairs))
+    return tuple(
+        p + RF_ONE + q * _HALF for p, q in zip(pairings, space.weight_pairings)
+    )
 
 
 def _default_pairings(
@@ -239,8 +224,7 @@ def _p_series(
     k0, l0 = alpha
     raise_letter = ("e", k0, l0)
     lower_letter = ("e", l0, k0)
-    n_rank = space.pbw_basis.n_rank
-    h_val = _total_weight(space).dot(root_vec(n_rank, k0, l0))
+    h_val = _root_pairing(space.weight_pairings, alpha)
 
     total = WeightSpaceOperator.identity(space)
     up = total  # E^k, from the space to the k-times raised space
@@ -274,8 +258,7 @@ def B_alpha(
     weight of the space, so the operator preserves the space.
     """
     pairings = _default_pairings(space, pairings)
-    n_rank = space.pbw_basis.n_rank
-    nu_pair = _total_weight(space).dot(root_vec(n_rank, *alpha))
+    nu_pair = _root_pairing(space.weight_pairings, alpha)
     t_val = _root_pairing(pairings, alpha) + nu_pair * _HALF - RF_ONE
     return p_series(space, alpha, t_val)
 
@@ -458,18 +441,30 @@ def _weight_compositions(n_parts: int, total: int):
             yield (first,) + rest
 
 
+def _fusion_scalar(n_rank: int, mu: Sequence[int]) -> RationalFunctionExpr:
+    """The dividing scalar ``(lambda + rho, mu) - (mu, mu)/2`` of the fusion
+    recurrence at the weight with simple-root coordinates ``mu``, at
+    `lambda_pairing_symbols`."""
+    pairings = lambda_pairing_symbols(n_rank)
+    mu_vec = nu_vec(n_rank, mu)
+    scalar = RF_ZERO
+    for i, m in enumerate(mu):
+        if m:
+            scalar = scalar + (pairings[i] + RF_ONE) * rational(m)
+    return scalar - mu_vec.dot(mu_vec) * _HALF
+
+
 def fusion_solve(n_rank: int, depth: int) -> FusionElement:
     """Solve the defining recurrence of the shifted fusion element.
 
     Components are produced weight by weight: the component at ``mu`` is the
     image of the lower component under ``-sum_alpha e_{-alpha} x e_alpha``
-    divided by the scalar ``(lambda + rho, mu) - (mu, mu)/2``.  Coefficients
-    are rational in the canonical parameter symbols; the scalar cannot vanish
-    there, but the guard protects numeric use.
+    divided by the scalar `_fusion_scalar`.  Coefficients are rational in the
+    canonical parameter symbols; the scalar cannot vanish there, but the
+    guard protects numeric use.
     """
     basis = standard_basis(n_rank)
     engine = straightener(basis)
-    pairings = lambda_pairing_symbols(n_rank)
     zero = basis.zero_exps()
     components: dict = {
         tuple([0] * (n_rank - 1)): {(zero, zero): RF_ONE}
@@ -480,12 +475,7 @@ def fusion_solve(n_rank: int, depth: int) -> FusionElement:
     }
     for height in range(1, depth + 1):
         for mu in _weight_compositions(n_rank - 1, height):
-            mu_vec = nu_vec(n_rank, mu)
-            scalar = RF_ZERO
-            for i, m in enumerate(mu):
-                if m:
-                    scalar = scalar + (pairings[i] + RF_ONE) * rational(m)
-            scalar = scalar - mu_vec.dot(mu_vec) * _HALF
+            scalar = _fusion_scalar(n_rank, mu)
             if scalar.is_zero():
                 raise ResonantWeight(f"vanishing dividing scalar at weight {mu}")
             rhs: dict = {}
@@ -911,9 +901,8 @@ def det_ingredients(space: TensorWeightSpace, alpha: tuple[int, int]) -> DetIngr
     def dim_at(m: int) -> int:
         return space.shifted({h: -m * rc for h, rc in enumerate(coords, 1)}).dim
 
-    # `ModuleSpec` allows "lp" factors only at rank one (n_rank == 2), where
-    # the pairing of the total weight with the root is sum(p) - 2 nu0
-    s_pair = sum(f.p for f in space.factors) - 2 * space.nu0[0]
+    # `ModuleSpec` allows "lp" factors only at rank one, with integer weights
+    s_pair = int(space.weight_pairings[0].const_value())
     lam_alpha = _root_pairing(pairings, alpha)
     mult: dict[int, int] = {}
     ratio: Counter = Counter()
@@ -1031,7 +1020,7 @@ def check_rational_to_trig(
         space_prime.factors[:-1], space_prime.nu0, space_prime.pbw_basis
     )
     rho = rho_vec(n_rank)
-    shift_vec = space_prime.factors[-1].hw + rho + _total_weight(space).scale(_HALF)
+    shift_vec = space_prime.factors[-1].hw + rho + space.weight.scale(_HALF)
     hw_i = space.factors[i - 1].hw
     casimir_i = (hw_i.dot(hw_i) + hw_i.dot(rho) + hw_i.dot(rho)) * _HALF
 

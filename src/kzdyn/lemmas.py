@@ -41,7 +41,6 @@ from ._record import record
 from .symexpr import RF_ONE, RF_ZERO, RationalFunctionExpr, rational, symbol
 from .roots import (
     alpha_vec,
-    nu_vec,
     positive_roots,
     rho_vec,
     sigma_sequence,
@@ -52,7 +51,6 @@ from .dyn import (
     formal_z_exponents,
     kappa_symbol,
     lambda_pairing_symbols,
-    space_weight_pairings,
     z_symbols,
 )
 from .hyper import (
@@ -232,7 +230,7 @@ def master_exponents(
     if pairings is None:
         pairings = lambda_pairing_symbols(rank)
     lam = weight_from_pairings(rank, tuple(pairings))
-    nu = space.total_highest_weight() - nu_vec(rank, space.nu0)
+    nu = space.weight
     half = rational(Fraction(1, 2))
     minus_one = rational(-1)
 
@@ -767,14 +765,13 @@ def switch_cor_witness(
     else:
         pullback_exact, pullback_sign = False, 0
 
-    nu_pairs = space_weight_pairings(space)
     half = rational(Fraction(1, 2))
     slot_pairs = [
         tuple(f.hw.dot(alpha_vec(rank, p)) for p in range(1, rank))
         for f in space.factors
     ]
     aux = tuple(
-        pairings[p - 1] - RF_ONE - nu_pairs[p - 1] * half for p in range(1, rank)
+        p - RF_ONE - q * half for p, q in zip(pairings, space.weight_pairings)
     )
     slot_pairs.append(aux)
 

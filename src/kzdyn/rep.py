@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from ._record import record
-from .roots import WeightVec, root_vec, weight_from_pairings
+from .roots import WeightVec, alpha_vec, nu_vec, root_vec, weight_from_pairings
 from .symexpr import (
     RF_ONE,
     RF_ZERO,
@@ -152,6 +152,8 @@ class TensorWeightSpace:
         "index_position",
         "straighteners",
         "_factor_weights",
+        "_weight",
+        "_weight_pairings",
         "_hash",
     )
 
@@ -172,6 +174,8 @@ class TensorWeightSpace:
             straightener(pbw_basis, f.hw) for f in factors
         )
         self._factor_weights: dict[tuple[int, int], WeightVec] = {}
+        self._weight: Optional[WeightVec] = None
+        self._weight_pairings: Optional[tuple[RationalFunctionExpr, ...]] = None
         self._hash = hash((factors, nu0, pbw_basis))
 
     def __eq__(self, other):
@@ -196,11 +200,24 @@ class TensorWeightSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def total_highest_weight(self) -> WeightVec:
-        total = self.factors[0].hw
-        for f in self.factors[1:]:
-            total = total + f.hw
-        return total
+    @property
+    def weight(self) -> WeightVec:
+        """The weight of the space: the factors' highest weights summed and
+        lowered by ``nu0``, computed on first use and kept with the space."""
+        if self._weight is None:
+            total = sum((f.hw for f in self.factors[1:]), self.factors[0].hw)
+            self._weight = total - nu_vec(self.pbw_basis.n_rank, self.nu0)
+        return self._weight
+
+    @property
+    def weight_pairings(self) -> tuple[RationalFunctionExpr, ...]:
+        """Pairings of `weight` with the simple roots, in order."""
+        if self._weight_pairings is None:
+            n_rank = self.pbw_basis.n_rank
+            self._weight_pairings = tuple(
+                self.weight.dot(alpha_vec(n_rank, i)) for i in range(1, n_rank)
+            )
+        return self._weight_pairings
 
     def factor_weight(self, position: int, j: int) -> WeightVec:
         """Weight of tensor factor ``j`` (1-based) of basis element

@@ -497,7 +497,7 @@ def test_q_dagger_equals_longest_product_down_shift():
         sp = enumerate_basis(factors, nu0)
         n_rank = sp.pbw_basis.n_rank
         lam = lambda_pairing_symbols(n_rank)
-        nu_pairs = dyn.space_weight_pairings(sp)
+        nu_pairs = sp.weight_pairings
         down = tuple(p - q for p, q in zip(lam, nu_pairs))
         bw0 = B_w(sp, longest_element(n_rank), shifted_pairings(sp, down))
         contraction = q_dagger(sp, fusion_solve(n_rank, sum(nu0)))
@@ -636,7 +636,7 @@ def test_trig_kz_zero_orders_sum_to_weight_scalar():
         total = total + op.zero_order
     # Total of the two diagonal weight terms is (lam, nu) * identity.
     lam_vec = weight_from_pairings(2, lam)
-    nu = sp.total_highest_weight() - nu_vec(2, sp.nu0)
+    nu = sp.factors[0].hw + sp.factors[1].hw - nu_vec(2, sp.nu0)
     scalar = lam_vec.dot(nu)
     expected = WeightSpaceOperator.identity(sp).scale(-scalar)
     assert total == expected

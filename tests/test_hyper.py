@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kzdyn import hyper
-from kzdyn.dyn import lambda_pairing_symbols, space_weight_pairings
+from kzdyn.dyn import lambda_pairing_symbols
 from kzdyn.hyper import (
     OrderFlavor,
     color_groups,
@@ -483,7 +483,7 @@ class TestRemovalExpansion:
 def _raising_setup(n_rank, h, nu0):
     space = enumerate_basis((verma_symbolic(n_rank, 1),), nu0)
     lam = weight_from_pairings(n_rank, lambda_pairing_symbols(n_rank))
-    nu = space.total_highest_weight() - nu_vec(n_rank, space.nu0)
+    nu = space.factors[0].hw - nu_vec(n_rank, space.nu0)
     half = rational(Fraction(1, 2))
     aux = verma_weight(n_rank, lam - rho_vec(n_rank) - nu.scale(half))
     enlarged_nu = tuple(
@@ -495,7 +495,7 @@ def _raising_setup(n_rank, h, nu0):
         tuple(f.hw.dot(alpha_vec(n_rank, p)) for p in range(1, n_rank))
         for f in space.factors
     ]
-    nu_pairs = space_weight_pairings(space)
+    nu_pairs = [nu.dot(alpha_vec(n_rank, p)) for p in range(1, n_rank)]
     pair_syms = lambda_pairing_symbols(n_rank)
     slot_pairs.append(
         tuple(

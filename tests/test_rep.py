@@ -26,7 +26,7 @@ from kzdyn.rep import (
     verma_weight,
     word_operator,
 )
-from kzdyn.roots import alpha_vec, weight_from_pairings
+from kzdyn.roots import WeightVec, alpha_vec, nu_vec, weight_from_pairings
 from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
 from kzdyn.uea import (
     GenWord,
@@ -96,6 +96,32 @@ def test_shift_below_zero_keeps_its_depth():
     assert op.codomain == top and op.entries == {}
 
 
+@pytest.mark.parametrize(
+    "factors, nu0",
+    [
+        ([lp_module(3)], (2,)),
+        ([lp_module(2), verma_symbolic(2, 1)], (3,)),
+        ([lp_module(1), lp_module(2), verma_symbolic(2, 3)], (2,)),
+        # empty: the two factors hold at most 1 + 2 lowerings
+        ([lp_module(1), lp_module(2)], (6,)),
+        ([verma_symbolic(3, 1)], (1, 1)),
+        ([verma_symbolic(3, 1), verma_symbolic(3, 2)], (2, 1)),
+        ([verma_symbolic(3, 1), verma_symbolic(3, 2), verma_symbolic(3, 3)], (1, 2)),
+        ([verma_symbolic(4, 1)], (1, 1, 1)),
+        ([verma_symbolic(4, 1), verma_symbolic(4, 2), verma_symbolic(4, 3)], (1, 0, 2)),
+    ],
+)
+def test_space_weight_and_pairings_match_their_definition(factors, nu0):
+    space = enumerate_basis(factors, nu0)
+    n_rank = space.pbw_basis.n_rank
+    top = sum((f.hw for f in factors), WeightVec((RF_ZERO,) * n_rank))
+    weight = top - nu_vec(n_rank, nu0)
+    assert space.weight == weight and space.weight is space.weight
+    assert space.weight_pairings == tuple(
+        weight.dot(alpha_vec(n_rank, p)) for p in range(1, n_rank)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Generator actions
 # ---------------------------------------------------------------------------
@@ -112,7 +138,7 @@ def test_leibniz_raising_on_plain_lowered_tensor():
 
 def test_cartan_acts_by_weight_pairing():
     space = enumerate_basis([_sym(1, 3), _sym(2, 3)], (2, 1))
-    lam = space.total_highest_weight()
+    lam = space.factors[0].hw + space.factors[1].hw
     cartan = operator_for_letter(space, ("c", 1, 2))
     assert cartan.codomain == space
     for pos in range(space.dim):
