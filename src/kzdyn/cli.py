@@ -21,12 +21,13 @@ Reports are plain JSON with a fixed schema.  Everything except the
 ``timings`` section is byte-reproducible for identical configuration:
 expressions are serialized in canonical form and every enumeration order is
 fixed.  Exit status is 0 when the verdict is ``pass`` or ``flagged`` (the
-latter prints a warning), 1 on ``fail``, 2 on configuration errors, and 3 on
-internal errors: an arithmetic failure inside the exact layers (a pole, a
-resonant weight, a division by zero or a heuristic gcd that finds no proven
-gcd), a quadrature that misses the fixed tolerance a suite requests
-(`QuadratureNotConverged`), unparsable expression text, or any other
-exception, which also prints its traceback.
+latter prints a warning), 1 on ``fail``, 2 on configuration errors (among
+them ``selberg`` where scipy cannot be imported), and 3 on internal errors:
+an arithmetic failure inside the exact layers (a pole, a resonant weight, a
+division by zero or a heuristic gcd that finds no proven gcd), a quadrature
+that misses the fixed tolerance a suite requests (`QuadratureNotConverged`),
+unparsable expression text, or any other exception, which also prints its
+traceback.
 """
 
 from __future__ import annotations
@@ -516,8 +517,14 @@ def _selberg_quadrature_row(m: int, a: float, b: float, c: float, tol: float) ->
 
 def _selberg(params: dict):
     # imported before the rows, so that its seconds (scipy's among them) go
-    # to the suite's total and not to its first row
-    from . import numeric
+    # to the suite's total and not to its first row; without scipy or numpy
+    # the suite cannot run, which is a configuration error, not a defect
+    try:
+        from . import numeric
+    except ImportError as exc:
+        if (exc.name or "").partition(".")[0] not in ("scipy", "numpy"):
+            raise
+        raise ValueError(f"the selberg suite needs scipy and numpy: {exc}") from None
 
     def rows():
         quad_tol = 1e-6

@@ -229,14 +229,6 @@ class StringGraph:
         out.append((t_name(*self.variables[self.ground_color - k]), self.ground_name))
         return out
 
-    def edge_product(self) -> RationalFunctionExpr:
-        """Product of ``1/(tail - head)`` over the oriented edges."""
-        value = RF_ONE
-        for tail, head in self.edges():
-            head_value = self.ground if head == self.ground_name else symbol(head)
-            value = value / (symbol(tail) - head_value)
-        return value
-
     def to_json(self) -> dict:
         return {
             "root": list(self.root),
@@ -339,13 +331,6 @@ class PhiVector:
     flavor: OrderFlavor
     basis: PBWBasis
     terms: tuple[tuple[tuple, RationalFunctionExpr], ...]
-
-    def coeff(self, index) -> RationalFunctionExpr:
-        want = index_counts(index, self.basis)
-        for idx, value in self.terms:
-            if index_counts(idx, self.basis) == want:
-                return value
-        return RF_ZERO
 
 
 def phi_vector(

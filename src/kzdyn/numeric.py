@@ -21,16 +21,18 @@ The quadrature kernel runs on Python floats in the order of floating-point
 operations of the numpy-scalar reference kernel that the tests keep, so its
 estimates are bit for bit the same.  Level i of the nesting integrates t_i
 against its Jacobi weight and evaluates the rest of its factors at the
-nodes, as one tuple of ``(k, e)`` pairs, each ``(t_k - t_i) ** e``: the
-non-adjacent pairs for k ascending, then ``bound - t_i`` as k = m + 1, since
-the bound is kept as t_{m+1}.  The innermost level runs for every node of
-every enclosing level, so it is a flat loop chosen once per rule by its
-factor count, 0, 1 or 2, which are all the shapes m <= 3 allows.  It adds
-``w * (A * B)`` where the reference multiplies A and B into ``g = 1.0`` in
-turn and adds ``w * g``: the same IEEE operations in the same order.  The
-kernel is not vectorized: numpy's array power may use SIMD code that
-differs from libm ``pow`` in the last place, which would make the result
-depend on the CPU.
+nodes.  The kernel is one explicit loop nest per dimension: m = 1 sums the
+weights, m = 2 runs two loops and m = 3 three, over node and weight pairs
+zipped once per rule.  The nests write out every factor that m <= 3 allows:
+``(t_3 - t_1) ** pair(1, 3)`` and ``(bound - t_1) ** pow1[0]`` at level 1,
+and ``(bound - t_2) ** pow1[1]`` at level 2.  The reference skips a factor
+whose exponent is zero; the nests evaluate it, which changes no bit, since
+``x ** 0.0`` is exactly 1.0 (``-0.0`` included) and ``1.0 * y == y``.
+Level 1 adds ``w * (P * B)`` where the reference multiplies P and B into
+``g = 1.0`` in turn and adds ``w * g``: the same IEEE operations in the
+same order.  The kernel is not vectorized: numpy's array power may use SIMD
+code that differs from libm ``pow`` in the last place, which would make the
+result depend on the CPU.
 """
 
 from __future__ import annotations
@@ -288,79 +290,57 @@ def _nested_gauss_jacobi(ci: ChamberIntegral, n_nodes: int) -> float:
         return 1.0
     bound = ci.bound
     rules = {}
-    # tables[i]: nodes and weights of level i as Python floats, its evaluated
-    # factors (k, e) and its scale 0.5 ** (alpha + beta + 1)
-    tables = [None] * (m + 1)
+    # levels[i - 1]: the (node, weight) pairs of level i as Python floats
+    # and its scale 0.5 ** (alpha + beta + 1)
+    levels = []
     carry = 0.0
     for i in range(1, m + 1):
         alpha = ci.pair.get((i, i + 1), 0.0) if i < m else ci.pow1[m - 1]
         beta = ci.pow0[i - 1] + carry
         if (alpha, beta) not in rules:
             x, w = _jacobi_rule(n_nodes, alpha, beta)
-            rules[alpha, beta] = (((x + 1.0) / 2.0).tolist(), w.tolist())
-        factors = [(k, ci.pair[i, k]) for k in range(i + 2, m + 1) if ci.pair.get((i, k), 0.0)]
-        if i < m and ci.pow1[i - 1]:
-            factors.append((m + 1, ci.pow1[i - 1]))
-        tables[i] = (*rules[alpha, beta], tuple(factors), 0.5 ** (alpha + beta + 1.0))
+            rules[alpha, beta] = list(zip(((x + 1.0) / 2.0).tolist(), w.tolist()))
+        levels.append((rules[alpha, beta], 0.5 ** (alpha + beta + 1.0)))
         if i < m:
             # summed left to right: ``carry += ...`` would round differently
             carry = carry + ci.pow0[i - 1] + ci.pair.get((i, i + 1), 0.0) + 1.0
     top = ci.pow1[m - 1] + ci.pow0[m - 1] + carry + 1.0
-    # t[k] is the current node of every enclosing level k; t[m + 1] = bound
-    t = [0.0] * (m + 2)
-    t[m + 1] = bound
 
-    # Every level returns the smooth part only: the accumulated power of its
-    # upper limit is absorbed into the next level's quadrature weight.  The
-    # innermost level has one loop per factor count; w * 1.0 and 1.0 * A are
-    # exact, so each loop rounds as the reference's g = 1.0; g *= ... does.
-    nodes, weights, factors, scale = tables[1]
-    if not factors:
-        # no factor depends on the enclosing nodes: sum the weights once
-        total = 0.0
-        for w in weights:
-            total += w
-        smooth = scale * total
-
-        def innermost() -> float:
-            return smooth
-
-    elif len(factors) == 1:
-        ((k, e),) = factors
-
-        def innermost() -> float:
-            upper, b = t[2], t[k]
-            total = 0.0
-            for s, w in zip(nodes, weights):
-                total += w * (b - upper * s) ** e
-            return scale * total
-
-    else:
-        (k1, e1), (k2, e2) = factors
-
-        def innermost() -> float:
-            upper, b1, b2 = t[2], t[k1], t[k2]
-            total = 0.0
-            for s, w in zip(nodes, weights):
-                t_1 = upper * s
-                total += w * ((b1 - t_1) ** e1 * (b2 - t_1) ** e2)
-            return scale * total
-
-    def level(i: int) -> float:
-        nodes, weights, factors, scale = tables[i]
-        upper = t[i + 1]
-        total = 0.0
-        for s, w in zip(nodes, weights):
-            t_i = upper * s
-            g = 1.0
-            for k, e in factors:
-                g *= (t[k] - t_i) ** e
-            t[i] = t_i
-            g *= level(i - 1) if i > 2 else innermost()
-            total += w * g
-        return scale * total
-
-    return float(bound ** top * (level(m) if m > 1 else innermost()))
+    # Every level sums the smooth part only: the accumulated power of its
+    # upper limit is absorbed into the next level's quadrature weight.  An
+    # absent factor has exponent 0 and evaluates to exactly 1.0.
+    (rule1, scale1), *outer = levels
+    if m == 1:
+        total1 = 0.0
+        for _, w1 in rule1:
+            total1 += w1
+        return bound ** top * (scale1 * total1)
+    e1 = ci.pow1[0]
+    if m == 2:
+        ((rule2, scale2),) = outer
+        total2 = 0.0
+        for s2, w2 in rule2:
+            t_2 = bound * s2
+            total1 = 0.0
+            for s1, w1 in rule1:
+                total1 += w1 * (bound - t_2 * s1) ** e1
+            total2 += w2 * (scale1 * total1)
+        return bound ** top * (scale2 * total2)
+    (rule2, scale2), (rule3, scale3) = outer
+    e13, e2 = ci.pair.get((1, 3), 0.0), ci.pow1[1]
+    total3 = 0.0
+    for s3, w3 in rule3:
+        t_3 = bound * s3
+        total2 = 0.0
+        for s2, w2 in rule2:
+            t_2 = t_3 * s2
+            total1 = 0.0
+            for s1, w1 in rule1:
+                t_1 = t_2 * s1
+                total1 += w1 * ((t_3 - t_1) ** e13 * (bound - t_1) ** e1)
+            total2 += w2 * ((bound - t_2) ** e2 * (scale1 * total1))
+        total3 += w3 * (scale2 * total2)
+    return bound ** top * (scale3 * total3)
 
 
 def _divergent_collision(ci: ChamberIntegral) -> Optional[str]:

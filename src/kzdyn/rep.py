@@ -362,21 +362,8 @@ class WeightSpaceOperator:
             self.domain, self.codomain, {k: v * c for k, v in self.entries.items()}
         )
 
-    def transpose(self) -> "WeightSpaceOperator":
-        return WeightSpaceOperator(
-            self.codomain, self.domain, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def dense(self) -> list[list[RationalFunctionExpr]]:
-        rows = self.codomain.dim
-        cols = self.domain.dim
-        m = [[RF_ZERO] * cols for _ in range(rows)]
-        for (i, j), v in self.entries.items():
-            m[i][j] = v
-        return m
 
     def __eq__(self, other):
         if not isinstance(other, WeightSpaceOperator):

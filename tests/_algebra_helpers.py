@@ -1,5 +1,7 @@
 """Test-only conveniences over the straightening engine and the tensor actions,
-the cross-gcd reference for rational-function arithmetic, the dense
+the dense and transposed views of an operator, the edge-product form of a
+grounded string's function and the coefficient lookup of a `PhiVector`, the
+cross-gcd reference for rational-function arithmetic, the dense
 Gauss-Jordan reference for `rep.nullspace` and `WeightSpaceOperator.invert`,
 the lowered-space reference for `dyn._root_terms`, the exact polynomial
 division `poly_divexact` of the reference arithmetic, and the exponent-tuple
@@ -18,6 +20,7 @@ package.
 import heapq
 import operator
 
+from kzdyn.hyper import PhiVector, StringGraph, index_counts
 from kzdyn.rep import (
     SingularGram,
     TensorWeightSpace,
@@ -39,6 +42,7 @@ from kzdyn.symexpr import (
     _unpack,
     _widen,
     poly_gcd_cofactors,
+    symbol,
 )
 from kzdyn.uea import GenWord, PBWBasis, Straightener
 
@@ -60,6 +64,38 @@ def word_operator_at(space: TensorWeightSpace, w: GenWord, j: int) -> WeightSpac
     for letter in reversed(w.letters):
         total = operator_for_letter(total.codomain, letter, only_factor=j).compose(total)
     return total.scale(w.coeff)
+
+
+def dense(op: WeightSpaceOperator) -> list[list[RationalFunctionExpr]]:
+    """The operator's matrix, codomain rows by domain columns, zeros filled in."""
+    m = [[RF_ZERO] * op.domain.dim for _ in range(op.codomain.dim)]
+    for (i, j), v in op.entries.items():
+        m[i][j] = v
+    return m
+
+
+def transpose(op: WeightSpaceOperator) -> WeightSpaceOperator:
+    return WeightSpaceOperator(
+        op.codomain, op.domain, {(j, i): v for (i, j), v in op.entries.items()}
+    )
+
+
+def edge_product(string: StringGraph) -> RationalFunctionExpr:
+    """Product of ``1/(tail - head)`` over the string's oriented edges."""
+    value = RF_ONE
+    for tail, head in string.edges():
+        head_value = string.ground if head == string.ground_name else symbol(head)
+        value = value / (symbol(tail) - head_value)
+    return value
+
+
+def phi_coeff(pv: PhiVector, index) -> RationalFunctionExpr:
+    """The coefficient function of a basis index in ``pv``, zero if absent."""
+    want = index_counts(index, pv.basis)
+    for idx, value in pv.terms:
+        if index_counts(idx, pv.basis) == want:
+            return value
+    return RF_ZERO
 
 
 def reference_add(x: RationalFunctionExpr, y: RationalFunctionExpr) -> RationalFunctionExpr:
@@ -149,7 +185,7 @@ def reference_invert(op: WeightSpaceOperator) -> WeightSpaceOperator:
     n = op.domain.dim
     mat = [
         row + [RF_ONE if i == j else RF_ZERO for j in range(n)]
-        for i, row in enumerate(op.dense())
+        for i, row in enumerate(dense(op))
     ]
     if len(reference_row_reduce(mat, n)) < n:
         raise SingularGram("matrix is singular over the expression field")

@@ -1304,6 +1304,24 @@ class TestMainEntry:
             for stdlib in ("dataclasses", "inspect"):
                 assert (stdlib in loaded) == (argv == ["verify", "selberg"]), (argv, stdlib)
 
+    @pytest.mark.parametrize("missing", ["scipy", "numpy"])
+    def test_selberg_without_scipy_is_a_configuration_error(self, missing):
+        # in a fresh interpreter, where no earlier import of kzdyn.numeric
+        # can have loaded scipy; an import of `missing` now raises
+        code = (
+            "import sys\n"
+            f"sys.modules[{missing!r}] = None\n"
+            "from kzdyn.cli import main\n"
+            "sys.exit(main(['verify', 'selberg']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=False
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: the selberg suite needs scipy"), line
+
     def test_module_is_executable(self):
         proc = subprocess.run(
             [sys.executable, "-m", "kzdyn.cli", "dump", "order", "--n", "3", "--h", "1"],

@@ -315,14 +315,14 @@ def _seeded_general_chambers(seed: int, per_dimension: int) -> list[ChamberInteg
     return chambers
 
 
-# Each explicit row names the shape of its innermost level, the factors it
-# evaluates at its nodes; `test_every_innermost_shape_is_covered` checks that
-# every shape allowed at m = 2 and m = 3 is here.  Every row carries its own
+# Each explicit row names its shape, the factors that the kernel's levels t_1
+# and t_2 evaluate at their nodes; `test_every_innermost_shape_is_covered`
+# checks that every shape allowed at m = 2 and m = 3 is here.  Every row carries its own
 # test id, "<serial>-m<m>", so a row inserted anywhere renames no other test;
 # a new row takes the next unused serial.
 KERNEL_CHAMBERS: tuple[tuple[str, ChamberIntegral], ...] = (
     # non-uniform adjacent and non-adjacent pair exponents, bound != 1;
-    # innermost level: pair and bound
+    # level 1: pair and bound; level 2: bound
     (
         "0-m3",
         ChamberIntegral(
@@ -330,15 +330,15 @@ KERNEL_CHAMBERS: tuple[tuple[str, ChamberIntegral], ...] = (
         ),
     ),
     # zero pow1 entries, a zero pair entry and a lone non-adjacent pair;
-    # innermost level: pair only
+    # level 1: pair only; level 2: none
     (
         "1-m3",
         ChamberIntegral(3, (-0.4, 0.0, 0.2), (0.0, 0.0, 0.9), {(1, 2): 0.0, (1, 3): -0.6}, 0.6),
     ),
-    # innermost level: no evaluated factor
+    # level 1: no evaluated factor
     ("2-m2", ChamberIntegral(2, (0.5, -0.3), (0.0, 1.2), {(1, 2): 0.8}, 2.5)),
     ("3-m1", ChamberIntegral(1, (-0.5,), (0.25,), bound=3.0)),
-    # integer exponents and bound; innermost level: no evaluated factor
+    # integer exponents and bound; level 1: no evaluated factor
     ("4-m2", ChamberIntegral(2, (1, 0), (0, 2), {(1, 2): 1}, 2)),
     *zip(
         ("5-m1", "6-m1", "7-m2", "8-m2", "9-m3", "10-m3"),
@@ -350,32 +350,60 @@ KERNEL_CHAMBERS: tuple[tuple[str, ChamberIntegral], ...] = (
         _seeded_general_chambers(3141, 2),
         strict=True,
     ),
-    # innermost level: bound only
+    # level 1: bound only; level 2: none
     (
         "17-m3",
         ChamberIntegral(3, (0.2, 0.6, -0.1), (0.7, 0.0, 0.3), {(1, 2): 0.4, (2, 3): 0.9}, 1.3),
     ),
-    # innermost level: no evaluated factor, below a level 2 that evaluates
-    # its bound factor
+    # level 1: no evaluated factor; level 2: bound
     (
         "18-m3",
         ChamberIntegral(
             3, (0.1, -0.35, 0.5), (0.0, 0.45, -0.2), {(1, 2): -0.15, (2, 3): 0.3, (1, 3): 0.0}, 0.8
         ),
     ),
-    # innermost level: bound only
+    # level 1: bound only
     ("19-m2", ChamberIntegral(2, (-0.2, 0.4), (0.6, -0.1), {(1, 2): 0.35}, 0.9)),
+    # level 1: pair and bound; level 2: none
+    (
+        "20-m3",
+        ChamberIntegral(
+            3, (0.25, -0.15, 0.4), (0.55, 0.0, 0.35), {(1, 2): 0.3, (2, 3): -0.2, (1, 3): 0.7}, 1.4
+        ),
+    ),
+    # level 1: pair only; level 2: bound
+    (
+        "21-m3",
+        ChamberIntegral(
+            3, (-0.3, 0.45, 0.1), (0.0, 0.6, -0.25), {(1, 2): 0.65, (1, 3): -0.45}, 0.75
+        ),
+    ),
+    # level 1: no evaluated factor; level 2: none
+    (
+        "22-m3",
+        ChamberIntegral(3, (0.35, 0.2, -0.45), (0.0, 0.0, 0.8), {(1, 2): -0.3, (2, 3): 0.55}, 2.2),
+    ),
+    # every evaluated exponent -0.0: the reference drops such a factor, and
+    # the kernel evaluates x ** -0.0, which is 1.0
+    (
+        "23-m3",
+        ChamberIntegral(
+            3, (0.15, -0.25, 0.6), (-0.0, -0.0, 0.45), {(1, 2): 0.2, (2, 3): 0.4, (1, 3): -0.0}, 1.1
+        ),
+    ),
 )
 
 
-def _innermost_shape(ci: ChamberIntegral) -> tuple[int, str]:
-    """The factors that level t_1 of the kernel evaluates at its nodes:
-    (t_3 - t_1) at m = 3 and (bound - t_1) at m >= 2, when nonzero."""
+def _evaluated_shape(ci: ChamberIntegral) -> tuple[int, str, str]:
+    """The nonzero factors that the kernel evaluates at the nodes of level
+    t_1, (t_3 - t_1) at m = 3 and (bound - t_1) at m >= 2, and of level t_2,
+    (bound - t_2) at m = 3."""
     present = (
         ("pair", ci.m == 3 and ci.pair.get((1, 3), 0.0) != 0),
         ("bound", ci.m >= 2 and ci.pow1[0] != 0),
     )
-    return ci.m, " and ".join(name for name, here in present if here) or "none"
+    level_1 = " and ".join(name for name, here in present if here) or "none"
+    return ci.m, level_1, "bound" if ci.m == 3 and ci.pow1[1] != 0 else "none"
 
 
 def _reference_quad_chamber(ci: ChamberIntegral, tol: float) -> tuple[float, int] | None:
@@ -445,10 +473,14 @@ class TestKernelMatchesReference:
             assert got == want, (n_nodes, got, want)
 
     def test_every_innermost_shape_is_covered(self):
-        # the kernel writes out one innermost loop per shape
-        shapes = {_innermost_shape(ci) for _, ci in KERNEL_CHAMBERS}
-        want = {(2, "none"), (2, "bound")} | {
-            (3, shape) for shape in ("none", "pair", "bound", "pair and bound")
+        # the kernel evaluates an absent factor with exponent 0.0, so every
+        # shape runs the same loops; each must still match the reference,
+        # which skips the factors it finds zero
+        shapes = {_evaluated_shape(ci) for _, ci in KERNEL_CHAMBERS}
+        want = {(2, "none", "none"), (2, "bound", "none")} | {
+            (3, level_1, level_2)
+            for level_1 in ("none", "pair", "bound", "pair and bound")
+            for level_2 in ("none", "bound")
         }
         assert want <= shapes, want - shapes
 

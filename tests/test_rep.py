@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from _algebra_helpers import reference_invert, reference_nullspace, word_operator_at
+from _algebra_helpers import (
+    dense,
+    reference_invert,
+    reference_nullspace,
+    transpose,
+    word_operator_at,
+)
 from _closed_forms import b_coeff, falling
 from kzdyn.hyper import index_counts
 from kzdyn.lemmas import dual_action_F, raising_dual_coefficients
@@ -232,16 +238,16 @@ def test_gram_rank2_matrix_and_determinant_factors():
     space = enumerate_basis([_sym(1, 3)], (1, 1))
     gram = shapovalov_gram(space)
     l1, l2 = symbol("L:1:1"), symbol("L:1:2")
-    dense = gram.dense()
-    assert dense[0][1] == dense[1][0]
-    det = dense[0][0] * dense[1][1] - dense[0][1] * dense[1][0]
+    m = dense(gram)
+    assert m[0][1] == m[1][0]
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     assert det == l1 * l2 * (l1 + l2 + rational(1))
 
 
 def test_gram_symmetry_deeper_space():
     space = enumerate_basis([_sym(1, 3)], (2, 1))
     gram = shapovalov_gram(space)
-    assert gram == gram.transpose()
+    assert gram == transpose(gram)
 
 
 def test_gram_requires_single_verma_factor():
