@@ -993,8 +993,11 @@ def _flag(name: str) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: argparse would read `verify ... --h 1` as --help,
+    # since only dump defines --h, and `--to 1e-3` as --tol
     parser = argparse.ArgumentParser(
         prog="kzdyn",
+        allow_abbrev=False,
         description="exact and numeric verification suites for the dynamical "
         "difference operators and their hypergeometric solutions",
     )
@@ -1005,7 +1008,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("dump", "kind", _DUMP_TABLE, "serialize one artifact deterministically",
          "artifact file path"),
     ):
-        cmd = sub.add_parser(command, help=help_text)
+        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         cmd.add_argument(what, help=f"one of: {', '.join(table)}")
         read = {name for row in table.values() for name in row.params}
         for name, (kind, flag_help) in _FLAGS.items():

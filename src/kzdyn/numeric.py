@@ -8,14 +8,17 @@ gamma-product closed form of the ordered beta integral in floats
 first parameter.  The ``selberg`` suite compares the two; ``kzdyn.cli``
 holds the same closed form exactly, for the rank-one suites.  The
 quadrature's nodes and weights are bit for bit those of
-``scipy.special.roots_jacobi``.  For alpha != beta, ``_jacobi_rule`` repeats
-that function's general branch without its per-call wrapping: the
-Golub–Welsch eigenvalues of the Jacobi matrix from LAPACK ``dsbevd``, then
-one Newton step through ``scipy.special.eval_jacobi``.  For alpha == beta
-and for alpha + beta > 1000 it calls ``roots_jacobi`` itself.  scipy,
-``scipy.linalg`` included, is imported with the module, so that callers
-that loop over ``quad_chamber`` pay for the import once, outside their
-loops.
+``scipy.special.roots_jacobi``.  ``_jacobi_rule`` repeats both of that
+function's Golub–Welsch branches without its per-call wrapping, the general
+one for alpha != beta and the Gegenbauer one for alpha == beta: the
+eigenvalues of the Jacobi matrix from numpy's LAPACK (``eigvalsh``, whose
+``dsyevd`` runs the ``dsterf`` that scipy's ``dsbevd`` runs), then one
+Newton step through ``scipy.special.eval_jacobi`` or ``eval_gegenbauer``.
+It calls ``roots_jacobi`` itself only where scipy takes another road:
+alpha == beta == 0 or -0.5, alpha == beta > 169.5, alpha + beta > 1000.
+scipy.special is imported with the module, so that callers that loop over
+``quad_chamber`` pay for the import once, outside their loops;
+``scipy.linalg`` is not imported at all.
 
 The quadrature kernel runs on Python floats in the order of floating-point
 operations of the numpy-scalar reference kernel that the tests keep, so its
@@ -39,12 +42,11 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.special import beta as beta_function
-from scipy.special import eval_jacobi, roots_jacobi
+from scipy.special import eval_gegenbauer, eval_jacobi, gamma, roots_jacobi
 
 from ._record import record
 from .symexpr import PoleHit
@@ -240,24 +242,46 @@ _NODE_LADDERS: dict[int, tuple[int, ...]] = {
 def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """``roots_jacobi(n, alpha, beta)``, bit for bit, with less overhead.
 
-    For alpha != beta and alpha + beta <= 1000 this is scipy's general
-    branch (Golub and Welsch, Math. Comp. 23, 1969) in scipy's order of
-    floating-point operations: the recurrence coefficients as Python floats
-    grouped as scipy groups them (``t + 2`` is scipy's
+    This repeats both of scipy's Golub–Welsch branches (Golub and Welsch,
+    Math. Comp. 23, 1969) in scipy's order of floating-point operations:
+    for alpha != beta its general branch, and for alpha == beta its
+    ``roots_gegenbauer(n, alpha + 0.5)``.  The recurrence coefficients are
+    Python floats grouped as scipy groups them (``t + 2`` is scipy's
     ``2.0 * k + a + b + 2``, never ``2.0 * k + (a + b) + 2``; ``math.sqrt``
-    rounds correctly, as numpy's ``sqrt`` does), the eigenvalues of the
-    symmetric tridiagonal Jacobi matrix, one Newton step, and the
-    log-normalized weights with numpy's array ``log``, ``exp`` and ``sum``.
-    Every other case, scipy's symmetric branch, its overflow branch and its
-    argument errors, is ``roots_jacobi`` itself.
+    rounds correctly, as numpy's ``sqrt`` does), and ``_golub_welsch`` does
+    the rest.  Every other case calls ``roots_jacobi`` itself: alpha == beta
+    == 0 (scipy's Legendre rule), alpha == beta == -0.5 (its Chebyshev
+    rule), alpha == beta > 169.5 (its large-alpha series for the weights'
+    sum), alpha + beta > 1000 (its overflow branch) and invalid arguments.
+
+    This holds at every n >= 2, so at every rung of ``_NODE_LADDERS``.  At
+    n = 1 with alpha != beta, ``dsbevd`` returns the unused entry of its
+    upper band, 0.0, as the one eigenvalue: scipy's one Newton step starts
+    there, this rule's at the root, and the two can differ by rounding.
     """
     a, b = alpha, beta
-    if a == b or a + b > 1000 or not (a > -1 and b > -1):
+    if not (a > -1 and b > -1) or a + b > 1000:
         return roots_jacobi(n, a, b)
+    if a == b:
+        g = a + 0.5
+        if a == 0.0 or g == 0.0 or g > 170:
+            return roots_jacobi(n, a, b)
+        mu0 = math.sqrt(math.pi) * gamma(g + 0.5) / gamma(g + 1)
+        off = []
+        for i in range(1, n):
+            k = float(i)
+            off.append(math.sqrt(k * (k + 2 * g - 1) / (4 * (k + g) * (k + g - 1))))
+
+        def p(degree, x):
+            return eval_gegenbauer(degree, g, x)
+
+        def dp(x, y):
+            # scipy evaluates C_n(x) twice; y is that value
+            return (-n * x * y + (n + 2 * g - 1) * p(n - 1, x)) / (1 - x ** 2)
+
+        return _golub_welsch(mu0, [0.0] * n, off, p, dp, symmetric=True)
     mu0 = 2.0 ** (a + b + 1) * beta_function(a + 1, b + 1)
-    # the upper band of the Jacobi matrix: the off-diagonal, whose first
-    # entry is unused, above the diagonal
-    upper, diag = [0.0], [(b - a) / (2 + a + b)]
+    diag, off = [(b - a) / (2 + a + b)], []
     for i in range(1, n):
         k = float(i)
         t = 2.0 * k + a + b
@@ -265,19 +289,60 @@ def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
         diag.append(0.0 if a + b == 0.0 else (b * b - a * a) / (t * (t + 2)))
         u = 2.0 / t * math.sqrt(ka * (k + b) / (t + 1))
         # scipy multiplies the first entry by 1.0, which is exact
-        upper.append(u if i == 1 else u * math.sqrt(k * (ka + b) / (t - 1)))
-    x, _, info = lapack.dsbevd(np.array([upper, diag]), compute_v=0, lower=0, overwrite_ab=1)
-    if info:
-        raise ArithmeticError(f"the Jacobi matrix eigenvalues did not converge (info {info})")
-    y = eval_jacobi(n, a, b, x)
-    dy = 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
+        off.append(u if i == 1 else u * math.sqrt(k * (ka + b) / (t - 1)))
+
+    def p(degree, x):
+        return eval_jacobi(degree, a, b, x)
+
+    def dp(x, y):
+        return 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
+
+    return _golub_welsch(mu0, diag, off, p, dp, symmetric=False)
+
+
+def _golub_welsch(
+    mu0: float,
+    diag: list[float],
+    off: list[float],
+    p: Callable[[int, np.ndarray], np.ndarray],
+    dp: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    symmetric: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's ``_gen_roots_and_weights``, with numpy's eigenvalue solve.
+
+    ``diag`` and ``off`` are the Jacobi matrix's diagonal and off-diagonal,
+    ``p(k, x)`` evaluates the degree-k orthogonal polynomial, and
+    ``dp(x, y)`` the derivative of the degree-n one at x, where it takes
+    the value y.  The eigenvalues come from ``numpy.linalg.eigvalsh`` on the
+    dense matrix's lower triangle, LAPACK ``dsyevd``: its Householder
+    reduction leaves a tridiagonal matrix as it is, and it then runs the
+    ``dsterf`` that scipy's ``dsbevd`` runs, so the nodes are scipy's bit
+    for bit.  One Newton step follows, then the log-normalized weights with
+    numpy's array ``log``, ``exp`` and ``sum``, symmetrized as scipy
+    symmetrizes them.
+    """
+    n = len(diag)
+    # the lower triangle, which is all that eigvalsh reads with UPLO="L"
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = diag
+    jacobi.flat[n :: n + 1] = off
+    try:
+        x = np.linalg.eigvalsh(jacobi, UPLO="L")
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, which the command line would report as a bad flag
+        raise ArithmeticError(f"the Jacobi matrix eigenvalues did not converge: {exc}") from None
+    y = p(n, x)
+    dy = dp(x, y)
     x -= y / dy
-    fm = eval_jacobi(n - 1, a, b, x)
+    fm = p(n - 1, x)
     log_fm = np.log(np.abs(fm))
     log_dy = np.log(np.abs(dy))
     fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
     dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
     w = 1.0 / (fm * dy)
+    if symmetric:
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
     w *= mu0 / w.sum()
     return x, w
 

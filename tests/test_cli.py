@@ -1050,6 +1050,26 @@ class TestMainEntry:
         assert info.value.code == 2
         assert "unrecognized arguments: --grid default" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "pbw-invariance", "--h", "1"], ["verify", "selberg", "--to", "1e-3"]],
+        ids=["h-is-not-help", "to-is-not-tol"],
+    )
+    def test_abbreviated_flag_exits_two(self, capsys, argv):
+        # argparse would read a unique prefix of a long flag as that flag:
+        # --h as verify's --help, which prints usage and exits 0
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in captured.err
+
+    def test_dump_still_reads_its_own_h_flag(self, capsys):
+        level = ["--n", "3", "--nu", "1,1", "--factors", "verma,verma", "--h", "1"]
+        assert main(["dump", "phi-vector", *level]) == 0
+        assert capsys.readouterr().out
+
     def test_verify_flagged_exits_zero_with_warning(self, capsys, monkeypatch):
         from kzdyn import cli as cli_module
 
@@ -1245,11 +1265,18 @@ class TestMainEntry:
             assert proc.returncode == 0, proc.stderr
             return [set(names) for names in json.loads(proc.stdout.splitlines()[-1])]
 
-        # numeric imports scipy, scipy.linalg included, with itself, not at its
-        # first quadrature, so that callers looping over quad_chamber pay the
-        # import once, outside their loops
+        # numeric imports scipy.special with itself, not at its first
+        # quadrature, so that callers looping over quad_chamber pay the import
+        # once, outside their loops.  Beyond kzdyn's own modules it loads
+        # nothing that numpy, scipy.special and symexpr, the one kzdyn layer
+        # it reads, do not load: scipy.linalg in particular, unless
+        # scipy.special itself imports it, as older scipy does
+        (floor,) = loaded_after(
+            "import json, sys, numpy, scipy.special, kzdyn.symexpr\nloaded = [list(sys.modules)]"
+        )
         (loaded,) = loaded_after("import json, sys, kzdyn.numeric\nloaded = [list(sys.modules)]")
-        assert {"scipy", "scipy.linalg"} <= loaded
+        assert "scipy.special" in loaded
+        assert {name for name in loaded - floor if not name.startswith("kzdyn.")} == set()
         # of the kzdyn layers, numeric reads only symexpr
         assert loaded.isdisjoint({"kzdyn.dyn", "kzdyn.rep", "kzdyn.uea", "kzdyn.roots"})
         # the lemma checks are the tests' alone: the weighted-function layer
@@ -1303,6 +1330,10 @@ class TestMainEntry:
             assert "sympy" not in loaded, argv
             for stdlib in ("dataclasses", "inspect"):
                 assert (stdlib in loaded) == (argv == ["verify", "selberg"]), (argv, stdlib)
+        # the selberg run, the last, adds only kzdyn modules to what numpy,
+        # scipy.special and symexpr load
+        added = after_runs[-1] - after_runs[-2]
+        assert {name for name in added - floor if not name.startswith("kzdyn.")} == set()
 
     @pytest.mark.parametrize("missing", ["scipy", "numpy"])
     def test_selberg_without_scipy_is_a_configuration_error(self, missing):

@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from _reference_quadrature import nested_gauss_jacobi_reference
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 import kzdyn.numeric as numeric
-from kzdyn.cli import _rank_one_solution
+from kzdyn.cli import _rank_one_solution, main
 from kzdyn.dyn import PoleHit
 from kzdyn.gamma import selberg_gamma
 from kzdyn.numeric import (
@@ -421,21 +422,23 @@ def _reference_quad_chamber(ci: ChamberIntegral, tol: float) -> tuple[float, int
 class TestJacobiRule:
     """The quadrature's Gauss–Jacobi rules against scipy's, byte for byte."""
 
-    # the edges of scipy's branches: alpha == beta, which is delegated (0 = 0
-    # is its Legendre case); alpha + beta == 0 with alpha != beta, whose
-    # diagonal scipy sets to zero; a zero exponent; alpha + beta == 1000, the
-    # last sum of the general branch, and above it, which is delegated
+    # the edges of scipy's branches: alpha == beta, its Gegenbauer branch,
+    # which the rule repeats for alpha up to 169.5, and whose Legendre
+    # (0 = 0), Chebyshev (-0.5 = -0.5) and large-alpha (170 = 170) cases are
+    # delegated; alpha + beta == 0 with alpha != beta, whose diagonal scipy
+    # sets to zero; a zero exponent; alpha + beta == 1000, the last sum of
+    # the general branch, and above it, which is delegated
+    NATIVE_SYMMETRIC = tuple((a, a) for a in (1.0, 0.5, -0.25, 2, 3.0, 12.0, 169.0))
+    DELEGATED = ((0.0, 0.0), (-0.5, -0.5), (170.0, 170.0), (600.0, 400.5))
     EDGES = (
-        (0.0, 0.0),
-        (0.5, 0.5),
-        (2, 2),
+        *NATIVE_SYMMETRIC,
+        *DELEGATED,
         (0.5, -0.5),
         (-0.75, 0.75),
         (0.0, 1.5),
         (2.5, 0.0),
         (0, 3),
         (600.0, 400.0),
-        (600.0, 400.5),
     )
 
     def test_matches_roots_jacobi_byte_for_byte(self):
@@ -449,16 +452,35 @@ class TestJacobiRule:
                 assert x.tobytes() == want_x.tobytes(), (n, alpha, beta)
                 assert w.tobytes() == want_w.tobytes(), (n, alpha, beta)
 
-    def test_failed_eigenvalue_solve_is_an_arithmetic_error(self, monkeypatch):
-        # a nonzero LAPACK info makes the command line exit 3
-        class FailingLapack:
-            @staticmethod
-            def dsbevd(ab, **options):
-                return None, None, 1
+    def test_only_the_delegated_edges_call_roots_jacobi(self, monkeypatch):
+        # roots_jacobi's Golub–Welsch branches would load scipy.linalg
+        class Delegated(Exception):
+            pass
 
-        monkeypatch.setattr(numeric, "lapack", FailingLapack)
-        with pytest.raises(ArithmeticError, match="did not converge"):
-            _jacobi_rule(16, 0.5, 1.5)
+        def delegated(n, alpha, beta):
+            raise Delegated
+
+        monkeypatch.setattr(numeric, "roots_jacobi", delegated)
+        native = [edge for edge in self.EDGES if edge not in self.DELEGATED]
+        for n in sorted({n for ladder in _NODE_LADDERS.values() for n in ladder}):
+            for alpha, beta in native:
+                _jacobi_rule(n, alpha, beta)
+            for alpha, beta in self.DELEGATED:
+                with pytest.raises(Delegated):
+                    _jacobi_rule(n, alpha, beta)
+
+    def test_failed_eigenvalue_solve_is_an_arithmetic_error(self, capsys, monkeypatch):
+        # numpy raises LinAlgError, a ValueError, which the command line
+        # would report as a configuration error (exit 2), not exit 3
+        def failing(a, UPLO):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        for alpha, beta in ((0.5, 1.5), (1.0, 1.0)):
+            with pytest.raises(ArithmeticError, match="did not converge"):
+                _jacobi_rule(16, alpha, beta)
+        assert main(["verify", "selberg"]) == 3
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestKernelMatchesReference:
