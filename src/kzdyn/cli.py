@@ -490,15 +490,18 @@ def _determinant_sl2(params: dict):
 # suites above are exact and load neither.  `selberg` looks its functions up
 # on the module at each call, where a tracer or a test may have replaced
 # them.  Its report keeps ``"grid": "default"``, the name of the only
-# parameter grid there is.
+# parameter grid there is.  Each quadrature row asks `quad_chamber` for
+# `_QUADRATURE_REQUEST_TOL`, well inside the 1e-6 its relative error is held to.
+
+_QUADRATURE_REQUEST_TOL = 1e-8
+
 
 def _selberg_quadrature_row(m: int, a: float, b: float, c: float, tol: float) -> dict:
     from . import numeric
 
     params = numeric.SelbergParams(a, b, c, m)
-    got = numeric.quad_chamber(
-        numeric.ChamberIntegral.from_selberg(params), min(tol, 1e-8)
-    )
+    integral = numeric.ChamberIntegral.from_selberg(params)
+    got = numeric.quad_chamber(integral, _QUADRATURE_REQUEST_TOL)
     want = math.exp(numeric.selberg_closed(params))
     rel = abs(got - want) / want
     return {
@@ -1019,6 +1022,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # numpy's OpenBLAS starts its thread pool when selberg imports it; its
+    # solves are at most 96 x 96, where extra threads only spin, so one
+    # thread unless the caller chose otherwise
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -18,7 +18,11 @@ It calls ``roots_jacobi`` itself only where scipy takes another road:
 alpha == beta == 0 or -0.5, alpha == beta > 169.5, alpha + beta > 1000.
 scipy.special is imported with the module, so that callers that loop over
 ``quad_chamber`` pay for the import once, outside their loops;
-``scipy.linalg`` is not imported at all.
+``scipy.linalg`` is not imported at all.  Of kzdyn, the module imports only
+``_record``: ``log_gamma`` and ``selberg_difference_check`` import
+``symexpr.PoleHit`` in the one branch that raises it, at a gamma pole or a
+non-positive contiguous factor, so that a float run does not compile the
+exact algebra for an exception it never raises.
 
 The quadrature kernel runs on Python floats in the order of floating-point
 operations of the numpy-scalar reference kernel that the tests keep, so its
@@ -49,7 +53,6 @@ from scipy.special import beta as beta_function
 from scipy.special import eval_gegenbauer, eval_jacobi, gamma, roots_jacobi
 
 from ._record import record
-from .symexpr import PoleHit
 
 __all__ = [
     "NonIntegrable",
@@ -98,6 +101,8 @@ def log_gamma(x: float) -> float:
     value (pair with the sign from the reflection parity when needed).
     """
     if x <= 0 and x == math.floor(x):
+        from .symexpr import PoleHit  # see the module docstring
+
         raise PoleHit(f"gamma pole at {x}")
     return math.lgamma(x)
 
@@ -186,6 +191,8 @@ def selberg_difference_check(
         num = a + c * (m - k)
         den = a + b + c * (2 * m - k - 1)
         if num <= 0 or den <= 0:
+            from .symexpr import PoleHit  # see the module docstring
+
             raise PoleHit("contiguous factor outside the positive range")
         ratio += math.log(num) - math.log(den)
     rhs = selberg_closed(params) + ratio

@@ -1268,17 +1268,19 @@ class TestMainEntry:
         # numeric imports scipy.special with itself, not at its first
         # quadrature, so that callers looping over quad_chamber pay the import
         # once, outside their loops.  Beyond kzdyn's own modules it loads
-        # nothing that numpy, scipy.special and symexpr, the one kzdyn layer
-        # it reads, do not load: scipy.linalg in particular, unless
-        # scipy.special itself imports it, as older scipy does
+        # nothing that numpy, scipy.special and _record do not load:
+        # scipy.linalg in particular, unless scipy.special itself imports it,
+        # as older scipy does
         (floor,) = loaded_after(
-            "import json, sys, numpy, scipy.special, kzdyn.symexpr\nloaded = [list(sys.modules)]"
+            "import json, sys, numpy, scipy.special, kzdyn._record\nloaded = [list(sys.modules)]"
         )
         (loaded,) = loaded_after("import json, sys, kzdyn.numeric\nloaded = [list(sys.modules)]")
         assert "scipy.special" in loaded
         assert {name for name in loaded - floor if not name.startswith("kzdyn.")} == set()
-        # of the kzdyn layers, numeric reads only symexpr
-        assert loaded.isdisjoint({"kzdyn.dyn", "kzdyn.rep", "kzdyn.uea", "kzdyn.roots"})
+        # of kzdyn, numeric reads only _record: it imports symexpr's PoleHit
+        # where it raises it, so no exact layer loads with it
+        kzdyn_loaded = {name for name in loaded if name.startswith("kzdyn.")}
+        assert kzdyn_loaded == {"kzdyn._record", "kzdyn.numeric"}
         # the lemma checks are the tests' alone: the weighted-function layer
         # does not import them, so no run compiles them
         (loaded,) = loaded_after("import json, sys, kzdyn.hyper\nloaded = [list(sys.modules)]")
@@ -1331,7 +1333,7 @@ class TestMainEntry:
             for stdlib in ("dataclasses", "inspect"):
                 assert (stdlib in loaded) == (argv == ["verify", "selberg"]), (argv, stdlib)
         # the selberg run, the last, adds only kzdyn modules to what numpy,
-        # scipy.special and symexpr load
+        # scipy.special and _record load
         added = after_runs[-1] - after_runs[-2]
         assert {name for name in added - floor if not name.startswith("kzdyn.")} == set()
 
@@ -1352,6 +1354,38 @@ class TestMainEntry:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: the selberg suite needs scipy"), line
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_selberg_runs_one_blas_thread_unless_the_caller_says(self, preset):
+        # in a fresh interpreter, so that main sets the variable before
+        # numpy's OpenBLAS starts its threads; a caller's value is kept
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS starts no second thread on one CPU")
+        import numpy as np
+
+        blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+        if "openblas" not in str(blas.get("name", "")):
+            pytest.skip("numpy is not built on OpenBLAS")
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = (
+            "import contextlib, io, os\n"
+            "from kzdyn.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', 'selberg']) == 0\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
+        value, threads = proc.stdout.split()
+        if preset is None:
+            assert (value, threads) == ("1", "1")
+        else:
+            assert value == preset and int(threads) > 1
 
     def test_module_is_executable(self):
         proc = subprocess.run(
