@@ -22,7 +22,8 @@ Reports are plain JSON with a fixed schema.  Everything except the
 expressions are serialized in canonical form and every enumeration order is
 fixed.  Exit status is 0 when the verdict is ``pass`` or ``flagged`` (the
 latter prints a warning), 1 on ``fail``, 2 on configuration errors (among
-them ``selberg`` where scipy cannot be imported), and 3 on internal errors:
+them ``selberg`` where scipy cannot be imported) and on an unwritable
+``--out`` or stdout, and 3 on internal errors:
 an arithmetic failure inside the exact layers (a pole, a resonant weight, a
 division by zero or a heuristic gcd that finds no proven gcd), a quadrature
 that misses the fixed tolerance a suite requests (`QuadratureNotConverged`),
@@ -33,6 +34,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -103,6 +105,7 @@ __all__ = [
     "dump_object",
     "report_text",
     "main",
+    "console_main",
 ]
 
 SCHEMA_VERSION = 1
@@ -527,7 +530,9 @@ def _selberg(params: dict):
     except ImportError as exc:
         if (exc.name or "").partition(".")[0] not in ("scipy", "numpy"):
             raise
-        raise ValueError(f"the selberg suite needs scipy and numpy: {exc}") from None
+        raise ValueError(
+            f"the selberg suite needs scipy and numpy, the kzdyn[numeric] extra: {exc}"
+        ) from None
 
     def rows():
         quad_tol = 1e-6
@@ -1021,6 +1026,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> bool:
+    """Write and flush ``text`` to stdout, or print one error line and return False.
+
+    A closed pipe is found by this flush, not by the one at exit; stdout then
+    writes to `os.devnull` (the Python docs' recipe), so that the flush at
+    exit cannot raise again.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return True
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return False
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # numpy's OpenBLAS starts its thread pool when selberg imports it; its
     # solves are at most 96 x 96, where extra threads only spin, so one
@@ -1035,7 +1059,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 given[name] = parse(given[name]) if given[name] else None
         if args.command == "verify":
             report = run_suite(SuiteConfig(suite=args.suite, out=args.out, **given))
-            sys.stdout.write(report_text(report))
+            if not _write_stdout(report_text(report)):
+                return 2
             if report["verdict"] == "flagged":
                 for line in report["warnings"]:
                     print(f"warning: {line}", file=sys.stderr)
@@ -1046,8 +1071,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not text.endswith("\n"):
                 text += "\n"
             write(text)
-        sys.stdout.write(text)
-        return 0
+        return 0 if _write_stdout(text) else 2
     except (ArithmeticError, ParseError) as exc:
         # PoleHit, ResonantWeight, DivisionByZero, HeuristicGcdFailed,
         # QuadratureNotConverged: the exact or numeric layers failed on a
@@ -1060,7 +1084,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # --out is the only file I/O
+        # --out is the only file written here; stdout is _write_stdout's
         reason = exc.strerror or exc
         print(f"error: cannot write --out {args.out}: {reason}", file=sys.stderr)
         return 2
@@ -1073,5 +1097,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+def console_main() -> None:
+    """The ``kzdyn`` command: run `main` on ``sys.argv`` and exit with its status.
+
+    The process ends here, so every object still alive is moved to the
+    collector's permanent generation first (`gc.freeze`), which the
+    interpreter's last collections at exit skip; atexit handlers, stream
+    flushes and module finalization still run.  `main`, the function for
+    library callers and tests, leaves the collector alone.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -1354,6 +1354,7 @@ class TestMainEntry:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: the selberg suite needs scipy"), line
+        assert "kzdyn[numeric]" in line, line
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
     @pytest.mark.parametrize("preset", [None, "2"])
@@ -1386,6 +1387,73 @@ class TestMainEntry:
             assert (value, threads) == ("1", "1")
         else:
             assert value == preset and int(threads) > 1
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["verify", "sigma-orders", "--n", "2"], 0),
+            (["verify", "sigma-orders", "--n", "9"], 2),
+            (["verify", "sigma-orders", "--bogus"], 2),
+        ],
+        ids=["pass", "bad-value", "bad-flag"],
+    )
+    def test_process_entry_freezes_the_collector_at_exit(self, argv, status):
+        # the entry of `python -m kzdyn.cli` and of the kzdyn script, in a
+        # fresh interpreter: an atexit hook, which runs after it, reads how
+        # many objects the interpreter's last collections skip
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            f"sys.argv = ['kzdyn', *{argv!r}]\n"
+            "runpy.run_module('kzdyn.cli', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=False
+        )
+        assert proc.returncode == status, proc.stderr
+        label, count = proc.stdout.splitlines()[-1].split()
+        assert label == "frozen" and int(count) > 0
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        import gc
+
+        frozen = gc.get_freeze_count()
+        assert main(["verify", "sigma-orders", "--n", "2"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["verify", "dump"])
+    def test_closed_stdout_pipe_exits_two(self, tmp_path, command, unbuffered):
+        # stdout is a pipe whose reader is gone; the dump also writes --out,
+        # which is complete before stdout is written
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        out = tmp_path / "artifact"
+        if command == "verify":
+            argv = ["verify", "sigma-orders", "--n", "3"]
+        else:
+            argv = ["dump", "order", "--n", "3", "--h", "1", "--out", str(out)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kzdyn.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == ["error: cannot write stdout: Broken pipe"]
+        if command == "dump":
+            assert out.read_text(encoding="utf-8") == "a(1,2),a(1,3),a(2,3)\n"
+        else:
+            assert list(tmp_path.iterdir()) == []
 
     def test_module_is_executable(self):
         proc = subprocess.run(
