@@ -530,9 +530,7 @@ def _selberg(params: dict):
     except ImportError as exc:
         if (exc.name or "").partition(".")[0] not in ("scipy", "numpy"):
             raise
-        raise ValueError(
-            f"the selberg suite needs scipy and numpy, the kzdyn[numeric] extra: {exc}"
-        ) from None
+        raise ValueError(f"the selberg suite needs scipy and numpy: {exc}") from None
 
     def rows():
         quad_tol = 1e-6
@@ -1029,18 +1027,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write_stdout(text: str) -> bool:
     """Write and flush ``text`` to stdout, or print one error line and return False.
 
-    A closed pipe is found by this flush, not by the one at exit; stdout then
-    writes to `os.devnull` (the Python docs' recipe), so that the flush at
-    exit cannot raise again.
+    A closed pipe is found by this flush, not by the one at exit.
     """
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
         return True
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return False
 
@@ -1103,11 +1096,22 @@ def console_main() -> None:
     The process ends here, so every object still alive is moved to the
     collector's permanent generation first (`gc.freeze`), which the
     interpreter's last collections at exit skip; atexit handlers, stream
-    flushes and module finalization still run.  `main`, the function for
-    library callers and tests, leaves the collector alone.
+    flushes and module finalization still run, but finalizers of objects
+    left in reference cycles no longer do (every file kzdyn writes is closed
+    explicitly).  If stdout could not be written, `main` has said so and
+    stdout now writes to `os.devnull` (the Python docs' recipe), so that the
+    flush at exit cannot raise again.  `main`, the function for library
+    callers and tests, changes neither the collector nor stdout.
     """
     try:
-        sys.exit(main())
+        status = main()
+        try:
+            sys.stdout.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        sys.exit(status)
     finally:
         gc.freeze()
 
