@@ -8,19 +8,17 @@ it.  `record` adds
 - ``__init__``, taking the fields by position or keyword and then calling
   ``__post_init__`` when the class defines it;
 - ``__repr__``, printing ``QualName(a=1, b=2)``;
-- with ``eq=True`` (the default), ``__eq__`` on the tuple of fields against
-  an instance of the same class only; the class is then unhashable unless
-  it is frozen;
-- with ``frozen=True``, ``__setattr__`` and ``__delattr__`` that raise
-  `FrozenInstanceError`, and, with ``eq=True``, ``__hash__`` of the tuple of
-  fields.
+- ``__eq__`` on the tuple of fields, against an instance of the same class
+  only, and ``__hash__`` of that tuple;
+- ``__setattr__`` and ``__delattr__`` that raise `FrozenInstanceError`.
 
-Each method is the same closure over the field names for every class, so
-decorating a class generates and compiles no source, and this module
-imports only `operator`.  ``dataclass`` imports ``inspect`` and compiles
-each method from source, about 20 ms of the start-up of a kzdyn process.
-Fields of base classes are not collected, and a class may not define a
-method that `record` writes.
+So every record is what ``dataclass(frozen=True)`` makes, and `record`
+takes no options.  Each method is the same closure over the field names
+for every class, so decorating a class generates and compiles no source,
+and this module imports only `operator`.  ``dataclass`` imports
+``inspect`` and compiles each method from source, about 20 ms of the
+start-up of a kzdyn process.  Fields of base classes are not collected,
+and a class may not define a method that `record` writes.
 """
 
 from __future__ import annotations
@@ -34,14 +32,8 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
 
 
-def record(cls=None, /, *, eq: bool = True, frozen: bool = False):
-    """Make ``cls`` a record; use as ``@record`` or ``@record(frozen=True)``."""
-    if cls is None:
-        return lambda cls: _make_record(cls, eq, frozen)
-    return _make_record(cls, eq, frozen)
-
-
-def _make_record(cls, eq: bool, frozen: bool):
+def record(cls):
+    """Make ``cls`` a frozen record; use as ``@record``."""
     names = tuple(cls.__annotations__)
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
@@ -94,45 +86,33 @@ def _make_record(cls, eq: bool, frozen: bool):
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in names])
         return f"{self.__class__.__qualname__}({fields})"
 
-    methods = {"__init__": __init__, "__repr__": __repr__}
-    if eq:
-        # the tuple of fields, which ``dataclass`` compares and hashes too;
-        # attrgetter of one name returns the bare value
-        if n > 1:
-            key = attrgetter(*names)
-        else:
+    # the tuple of fields, which ``dataclass`` compares and hashes too;
+    # attrgetter of one name returns the bare value
+    if n > 1:
+        key = attrgetter(*names)
+    else:
 
-            def key(self):
-                return tuple([getattr(self, name) for name in names])
+        def key(self):
+            return tuple([getattr(self, name) for name in names])
 
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) == key(other)
-            return NotImplemented
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
 
-        methods["__eq__"] = __eq__
-        if frozen:
+    def __hash__(self):
+        return hash(key(self))
 
-            def __hash__(self):
-                return hash(key(self))
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-            methods["__hash__"] = __hash__
-        else:
-            methods["__hash__"] = None
-    if frozen:
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-        def __setattr__(self, name, value):
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-        def __delattr__(self, name):
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-        methods["__setattr__"] = __setattr__
-        methods["__delattr__"] = __delattr__
-    for name, method in methods.items():
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        name = method.__name__
         if name in cls.__dict__:
             raise TypeError(f"{qualname} defines {name}, which record writes")
-        if method is not None:
-            method.__qualname__ = f"{qualname}.{name}"
+        method.__qualname__ = f"{qualname}.{name}"
         setattr(cls, name, method)
     return cls

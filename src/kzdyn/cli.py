@@ -20,15 +20,16 @@ declaration, `_FLAGS`.
 Reports are plain JSON with a fixed schema.  Everything except the
 ``timings`` section is byte-reproducible for identical configuration:
 expressions are serialized in canonical form and every enumeration order is
-fixed.  Exit status is 0 when the verdict is ``pass`` or ``flagged`` (the
-latter prints a warning), 1 on ``fail``, 2 on configuration errors (among
-them ``selberg`` where scipy cannot be imported) and on an unwritable
-``--out`` or stdout, and 3 on internal errors:
-an arithmetic failure inside the exact layers (a pole, a resonant weight, a
-division by zero or a heuristic gcd that finds no proven gcd), a quadrature
-that misses the fixed tolerance a suite requests (`QuadratureNotConverged`),
-unparsable expression text, or any other exception, which also prints its
-traceback.
+fixed.  `main` alone writes ``--out``: the text it prints.  Exit status is
+0 when the verdict is ``pass`` or ``flagged`` (the latter prints a
+warning), 1 on ``fail``, 2 on configuration errors (`CapabilityExceeded`,
+among them ``selberg`` without scipy, `UnknownSuite`, `UnknownKind` and
+`roots.OutOfRange`) and on an unwritable ``--out`` or stdout, and 3 on
+internal errors: an arithmetic failure inside the exact layers (a pole, a
+resonant weight, a division by zero or a heuristic gcd that finds no proven
+gcd), a quadrature that misses the fixed tolerance a suite requests
+(`QuadratureNotConverged`), unparsable expression text, or any other
+exception, a `ValueError` among them, which also prints its traceback.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .rep import (
     verma_weight,
 )
 from .roots import (
+    OutOfRange,
     intermediate_orders,
     is_normal,
     longest_element,
@@ -142,7 +144,6 @@ class SuiteConfig:
     depth: Optional[int] = None
     tol: Optional[float] = None
     max_ab: Optional[int] = None
-    out: Optional[str] = None
 
 
 def _build_space(params: dict):
@@ -530,7 +531,7 @@ def _selberg(params: dict):
     except ImportError as exc:
         if (exc.name or "").partition(".")[0] not in ("scipy", "numpy"):
             raise
-        raise ValueError(f"the selberg suite needs scipy and numpy: {exc}") from None
+        raise CapabilityExceeded(f"the selberg suite needs scipy and numpy: {exc}") from None
 
     def rows():
         quad_tol = 1e-6
@@ -761,7 +762,7 @@ def _written_whole(path: Optional[str]):
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
-    """Execute one named suite and assemble its JSON-serializable report.
+    """Execute one named suite and return its JSON-serializable report.
 
     The verdict is ``fail`` if any check fails, ``flagged`` if every check
     passes but the suite warns (pbw-invariance, when the raw copies of a
@@ -779,40 +780,37 @@ def run_suite(cfg: SuiteConfig) -> dict:
     params = _resolve(f"suite {cfg.suite}", suite.params, given)
     # one-root operators are shared within a run, not across runs
     _p_series.cache_clear()
-    with _written_whole(cfg.out) as write:
-        rows, seconds = [], []
-        start = time.monotonic()
-        checks = suite.check(params)
-        clock = time.monotonic()
-        try:
-            while True:
-                rows.append(next(checks))
-                now = time.monotonic()
-                seconds.append(round(now - clock, 3))
-                clock = now
-        except StopIteration as done:
-            derived, warnings = done.value
-        timings = {
-            "total_seconds": round(time.monotonic() - start, 3),
-            "per_check_seconds": seconds,
-        }
-        witnesses = [witness for witness, _ in rows]
-        if not all(passed for _, passed in rows):
-            verdict, warnings = "fail", []
-        else:
-            verdict = "flagged" if warnings else "pass"
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "artifact": {"name": "kzdyn", "version": __version__},
-            "suite": cfg.suite,
-            "params": {**params, **derived},
-            "verdict": verdict,
-            "witnesses": witnesses,
-            "warnings": warnings,
-            "timings": timings,
-        }
-        write(report_text(report))
-    return report
+    rows, seconds = [], []
+    start = time.monotonic()
+    checks = suite.check(params)
+    clock = time.monotonic()
+    try:
+        while True:
+            rows.append(next(checks))
+            now = time.monotonic()
+            seconds.append(round(now - clock, 3))
+            clock = now
+    except StopIteration as done:
+        derived, warnings = done.value
+    timings = {
+        "total_seconds": round(time.monotonic() - start, 3),
+        "per_check_seconds": seconds,
+    }
+    witnesses = [witness for witness, _ in rows]
+    if not all(passed for _, passed in rows):
+        verdict, warnings = "fail", []
+    else:
+        verdict = "flagged" if warnings else "pass"
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "artifact": {"name": "kzdyn", "version": __version__},
+        "suite": cfg.suite,
+        "params": {**params, **derived},
+        "verdict": verdict,
+        "witnesses": witnesses,
+        "warnings": warnings,
+        "timings": timings,
+    }
 
 
 def report_text(report: dict) -> str:
@@ -823,10 +821,6 @@ def report_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # Artifact dumps
 # ---------------------------------------------------------------------------
-
-def _dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
-
 
 def _dump_order(params: dict) -> str:
     return serialize_order(special_order(params["n"], params["h"]))
@@ -843,14 +837,14 @@ def _dump_sigma(params: dict) -> str:
         for t in sigma_sequence(n, h)
     ]
     orders = [serialize_order(o) for o in intermediate_orders(n, h)]
-    return _dump_json({**params, "transforms": transforms, "orders": orders})
+    return report_text({**params, "transforms": transforms, "orders": orders})
 
 
 def _dump_operator(params: dict) -> str:
     space, k = _build_space(params), params["k"]
     K = K_operator(space, k)
     entries = {f"{r},{c}": str(v) for (r, c), v in sorted(K.entries.items())}
-    return _dump_json(
+    return report_text(
         {
             **params,
             "dim": space.dim,
@@ -868,7 +862,7 @@ def _dump_fusion(params: dict) -> str:
             [list(lo), list(hi), str(c)] for lo, hi, c in fus.triples(mu)
         ]
         components[",".join(map(str, mu))] = rows
-    return _dump_json({**params, "components": components})
+    return report_text({**params, "components": components})
 
 
 def _dump_phi_vector(params: dict) -> str:
@@ -880,7 +874,7 @@ def _dump_phi_vector(params: dict) -> str:
         for exps, value in pv.terms
     ]
     data = {k: params[k] for k in ("n", "nu", "factors")}
-    return _dump_json({**data, "flavor": pv.flavor.to_json(), "terms": terms})
+    return report_text({**data, "flavor": pv.flavor.to_json(), "terms": terms})
 
 
 def _dump_forest(params: dict) -> str:
@@ -896,7 +890,7 @@ def _dump_forest(params: dict) -> str:
     forest = forest_of_index(counts, params["h"], n_rank=params["n"])
     data = forest.to_json()
     data.update({k: params[k] for k in ("n", "nu", "factors", "index")})
-    return _dump_json(data)
+    return report_text(data)
 
 
 @record
@@ -1050,30 +1044,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name, parse in _TEXT_FLAGS.items():
             if name in given:
                 given[name] = parse(given[name]) if given[name] else None
-        if args.command == "verify":
-            report = run_suite(SuiteConfig(suite=args.suite, out=args.out, **given))
-            if not _write_stdout(report_text(report)):
-                return 2
-            if report["verdict"] == "flagged":
-                for line in report["warnings"]:
-                    print(f"warning: {line}", file=sys.stderr)
-                return 0
-            return 0 if report["verdict"] == "pass" else 1
         with _written_whole(args.out) as write:
-            text = dump_object(args.kind, given)
-            if not text.endswith("\n"):
-                text += "\n"
+            if args.command == "verify":
+                report = run_suite(SuiteConfig(suite=args.suite, **given))
+                text = report_text(report)
+            else:
+                report = None
+                text = dump_object(args.kind, given)
+                if not text.endswith("\n"):  # the order text
+                    text += "\n"
             write(text)
-        return 0 if _write_stdout(text) else 2
+        if not _write_stdout(text):
+            return 2
+        if report is None:
+            return 0
+        # only a flagged report has warnings
+        for line in report["warnings"]:
+            print(f"warning: {line}", file=sys.stderr)
+        return 1 if report["verdict"] == "fail" else 0
     except (ArithmeticError, ParseError) as exc:
         # PoleHit, ResonantWeight, DivisionByZero, HeuristicGcdFailed,
         # QuadratureNotConverged: the exact or numeric layers failed on a
         # configuration they accepted
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # covers UnknownSuite, UnknownKind, CapabilityExceeded, and range
-        # errors raised by the underlying modules for bad parameters
+    except (CapabilityExceeded, UnknownSuite, UnknownKind, OutOfRange) as exc:
+        # the configuration errors; OutOfRange carries the --h and --k range
+        # lines.  Any other ValueError is a defect and exits 3 below
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -11,9 +11,10 @@ equations attached to the trigonometric KZ system.  Every operator is a
 * the additive (single-sum) form ``B_additive``, a sum of word matrices
   weighted by the dual-element table of a symbolic highest-weight module
   (`rep.p_elements`),
-* the multiplicative ``K_operator``, B_w dressed by the integer z powers of
-  its diagonal coordinate prefactor, and ``formal_z_exponents``, the
-  prefactor's symbolic part, which depends on neither lambda nor the row,
+* the multiplicative ``K_operator``, the rows of B_w scaled by the integer
+  z powers of its diagonal coordinate prefactor (`rep`'s ``scale_rows``),
+  and ``formal_z_exponents``, the prefactor's symbolic part, which depends
+  on neither lambda nor the row,
 * the shifted fusion element (``fusion_solve``) solved weight by weight from
   its defining recurrence, and the lowering/raising contraction ``q_dagger``
   built from its coefficients as solved; it and ``B_additive`` sum
@@ -359,18 +360,18 @@ def K_operator(
     on every row and at every parameter, is `formal_z_exponents`.
     """
     pairings = _default_pairings(space, pairings)
-    n_rank = space.pbw_basis.n_rank
+    # built first: omega_bracket rejects a k outside 1..N-1
+    base = B_w(space, omega_bracket(space.pbw_basis.n_rank, k)[1], pairings)
     zs = z_symbols(len(space.factors))
-    base = B_w(space, omega_bracket(n_rank, k)[1], pairings)
-    diag: dict[tuple[int, int], RationalFunctionExpr] = {}
-    for i in range(space.dim):
+    dressing = []
+    for index in space.basis:
         value = RF_ONE
-        for j, exps in enumerate(space.basis[i]):
+        for z, exps in zip(zs, index):
             drop = _exps_coords(space.pbw_basis, exps)[k - 1]
             if drop:
-                value = value * zs[j] ** -drop
-        diag[(i, i)] = value
-    return WeightSpaceOperator(space, space, diag).compose(base)
+                value = value * z ** -drop
+        dressing.append(value)
+    return base.scale_rows(dressing)
 
 
 def formal_z_exponents(
@@ -387,7 +388,7 @@ def formal_z_exponents(
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class FusionElement:
     """Weight-graded element of (lowering) x (raising) divided-power bases.
 
@@ -548,14 +549,8 @@ def _half_diagonal(space: TensorWeightSpace, i: int, j: int) -> WeightSpaceOpera
     diagonal of `omega_operator`, the same at (i, j) and (j, i)."""
     if i == j:
         raise ValueError("factor indices must differ")
-    diag: dict[tuple[int, int], RationalFunctionExpr] = {}
-    for pos in range(space.dim):
-        mu_i = space.factor_weight(pos, i)
-        mu_j = space.factor_weight(pos, j)
-        val = mu_i.dot(mu_j) * _HALF
-        if not val.is_zero():
-            diag[(pos, pos)] = val
-    return WeightSpaceOperator(space, space, diag)
+    pairs = [space.factor_weight(p, i).dot(space.factor_weight(p, j)) for p in range(space.dim)]
+    return WeightSpaceOperator.diagonal(space, [pair * _HALF for pair in pairs])
 
 
 def _root_terms(
@@ -608,17 +603,13 @@ def lambda_diagonal(
 ) -> WeightSpaceOperator:
     """Diagonal operator pairing the parameter with the factor-``i`` weight."""
     pairings = _default_pairings(space, pairings)
-    n_rank = space.pbw_basis.n_rank
-    lam_vec = weight_from_pairings(n_rank, pairings)
-    entries: dict[tuple[int, int], RationalFunctionExpr] = {}
-    for pos in range(space.dim):
-        val = lam_vec.dot(space.factor_weight(pos, i))
-        if not val.is_zero():
-            entries[(pos, pos)] = val
-    return WeightSpaceOperator(space, space, entries)
+    lam_vec = weight_from_pairings(space.pbw_basis.n_rank, pairings)
+    return WeightSpaceOperator.diagonal(
+        space, [lam_vec.dot(space.factor_weight(pos, i)) for pos in range(space.dim)]
+    )
 
 
-@record(frozen=True)
+@record
 class KZOperator:
     """A first-order operator: derivative coefficient plus zeroth-order matrix."""
 
@@ -669,7 +660,7 @@ def kz_operator(
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class CheckReport:
     """Outcome of an exact identity check with an optional witness."""
 
@@ -748,13 +739,8 @@ def check_nabla_K(
     kap = kappa_symbol()
     K = K_operator(space, k, pairings)
 
-    row_exp = [
-        -_exps_coords(space.pbw_basis, index[j - 1])[k - 1] for index in space.basis
-    ]
-    d_entries = {
-        (r, c): v * rational(row_exp[r]) for (r, c), v in K.entries.items()
-    }
-    dK = WeightSpaceOperator(space, space, d_entries)
+    drops = [_exps_coords(space.pbw_basis, index[j - 1])[k - 1] for index in space.basis]
+    dK = K.scale_rows([rational(-drop) for drop in drops])
     formal_j = formal_z_exponents(space, k)[j - 1]
     term_derivative = (dK + K.scale(formal_j)).scale(kap)
     shifted = kz_operator(space, "trigonometric", j, _kappa_shift(pairings, k, kap))
@@ -860,7 +846,7 @@ def nabla_K_rows(space: TensorWeightSpace) -> Iterator[tuple[int, int, CheckRepo
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class DetIngredients:
     """Exact ingredients of the determinant formula on one weight space.
 

@@ -76,7 +76,7 @@ __all__ = [
 # Order flavors
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class OrderFlavor:
     """Which grounding rule each string follows.
 
@@ -185,7 +185,7 @@ def t_symbol(k: int, d: int) -> RationalFunctionExpr:
 # Strings and forests
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class StringGraph:
     """One grounded string: a chain of consecutive-color variables.
 
@@ -242,7 +242,7 @@ class StringGraph:
         }
 
 
-@record(frozen=True)
+@record
 class Forest:
     """All strings of one index, grouped into per-slot trees by their ground."""
 
@@ -319,7 +319,7 @@ def forest_of_index(
 # Function-weighted basis sums
 # ---------------------------------------------------------------------------
 
-@record(frozen=True, eq=False)
+@record
 class PhiVector:
     """Formal sum of basis vectors weighted by their index functions.
 
@@ -371,7 +371,7 @@ def _expand_in_standard(basis: PBWBasis, exps: tuple) -> dict:
     return engine.apply_word(monomial_word(basis, exps))
 
 
-@record(frozen=True)
+@record
 class OrderInvarianceReport:
     h: int
     dim: int

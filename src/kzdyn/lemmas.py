@@ -126,7 +126,7 @@ def _counts_json(counts: tuple) -> list:
 # Binomial string-exchange identity
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class BinomialClaimReport:
     a: int
     b: int
@@ -188,7 +188,7 @@ def binomial_claim_check(
 # Weight-function exponents
 # ---------------------------------------------------------------------------
 
-@record(frozen=True, eq=False)
+@record
 class MasterExponents:
     """Exponent records of the multivalued weight function.
 
@@ -344,7 +344,7 @@ def _straddle_split_product(forest: Forest, h: int) -> RationalFunctionExpr:
     return value
 
 
-@record(frozen=True, eq=False)
+@record
 class ZShiftTerm:
     index: tuple
     z_drops: tuple[int, ...]
@@ -352,7 +352,7 @@ class ZShiftTerm:
     verified: bool
 
 
-@record(frozen=True, eq=False)
+@record
 class ZShiftFactorization:
     h: int
     verified: bool
@@ -465,7 +465,7 @@ def dual_restriction_check(
 # Straddling-removal expansion
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class LemmaExpansionReport:
     h: int
     index: tuple
@@ -669,7 +669,7 @@ def _wedge(a: dict, b: dict) -> dict:
     return out
 
 
-@record(frozen=True, eq=False)
+@record
 class SwitchCorReport:
     h: int
     index: tuple

@@ -118,7 +118,7 @@ def _signed_log_gamma(x: float) -> tuple[int, float]:
 # Ordered-simplex beta integral: closed form and contiguous relation
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class SelbergParams:
     """Parameters of the m-dimensional ordered beta-type integral."""
 
@@ -157,7 +157,7 @@ def selberg_closed(params: SelbergParams) -> float:
     return total
 
 
-@record(frozen=True)
+@record
 class SelbergDifferenceReport:
     params: SelbergParams
     lhs_log: float
@@ -204,7 +204,7 @@ def selberg_difference_check(
 # Chamber quadrature
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class ChamberIntegral:
     """Integral of a factored power product over an ordered simplex.
 

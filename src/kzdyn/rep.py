@@ -11,11 +11,12 @@ in one PBW arrangement (`PBWBasis` from `uea`).  A vector is a dict
 Generator actions are letter matrices (`operator_for_letter`), computed per
 factor with the straightening engine and combined by the tensor Leibniz rule;
 the matrix of a word of letters composes them (`word_operator`), and every
-word in this module is applied that way.  On top of the actions the module
-builds the contravariant bilinear form (row I is the word ``(A ∘ tau)(F_I)``
-into the top space), the dual elements of its inverse as one table
-``{(lo, hi): c}`` in the form of a fusion component (`p_elements`), and
-joint kernels of the simple raising operators.  The actions on basis
+word in this module is applied that way; a diagonal is built by
+`WeightSpaceOperator.diagonal`, or applied to rows by `scale_rows`.  On top
+of the actions the module builds the contravariant bilinear form (row I is
+the word ``(A ∘ tau)(F_I)`` into the top space), the dual elements of its
+inverse as one table ``{(lo, hi): c}`` in the form of a fusion component
+(`p_elements`), and joint kernels of the simple raising operators.  The actions on basis
 functionals, `lemmas.raising_dual_coefficients` and `lemmas.dual_action_F`,
 live with the lemma checks that use them.
 """
@@ -75,7 +76,7 @@ class SingularGram(Exception):
 # Module factors
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class ModuleSpec:
     """One tensor factor: a Verma module or the rank-one irreducible L_p."""
 
@@ -113,31 +114,26 @@ def lp_module(p: int) -> ModuleSpec:
 MultiIndex = tuple  # tuple over factors of per-factor exponent tuples
 
 
-def _root_levels(root: tuple[int, int]) -> range:
-    k, l = root
-    return range(k, l)
-
-
 def _factor_indices(basis: PBWBasis, nu0: tuple[int, ...], cap: Optional[int]):
-    """All exponent tuples over basis.order with level sums <= nu0."""
+    """All exponent tuples over basis.order with level sums <= nu0, each as
+    ``(exps, sums)``: a root (k, l) with exponent e adds e to the sums of
+    levels k..l-1."""
     order = basis.order
     results: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def rec(pos: int, remaining: tuple[int, ...], acc: tuple[int, ...]) -> None:
+    def rec(pos: int, sums: tuple[int, ...], acc: tuple[int, ...]) -> None:
         if pos == len(order):
-            results.append((acc, remaining))
+            results.append((acc, sums))
             return
         k, l = order[pos]
-        max_e = min(remaining[h - 1] for h in _root_levels((k, l)))
+        max_e = min(nu0[h] - sums[h] for h in range(k - 1, l - 1))
         if cap is not None:
             max_e = min(max_e, cap)
         for e in range(max_e + 1):
-            rem = list(remaining)
-            for h in _root_levels((k, l)):
-                rem[h - 1] -= e
-            rec(pos + 1, tuple(rem), acc + (e,))
+            raised = tuple(s + e if k <= h < l else s for h, s in enumerate(sums, 1))
+            rec(pos + 1, raised, acc + (e,))
 
-    rec(0, nu0, ())
+    rec(0, (0,) * len(nu0), ())
     return results
 
 
@@ -256,22 +252,17 @@ def _enumerate_cached(
 
     indices: list[MultiIndex] = []
 
-    def rec(j: int, remaining: tuple[int, ...], acc: tuple) -> None:
+    def rec(j: int, sums: tuple[int, ...], acc: tuple) -> None:
         if j == len(factors):
-            if all(r == 0 for r in remaining):
+            if sums == nu0:
                 indices.append(acc)
             return
-        for exps, rem in _choices(per_factor[j], remaining):
-            rec(j + 1, rem, acc + (exps,))
+        for exps, used in per_factor[j]:
+            total = tuple(s + u for s, u in zip(sums, used))
+            if all(t <= m for t, m in zip(total, nu0)):
+                rec(j + 1, total, acc + (exps,))
 
-    def _choices(options, remaining):
-        for exps, used_rem in options:
-            # options were computed against nu0; recompute feasibility.
-            usage = [a - b for a, b in zip(nu0, used_rem)]
-            if all(u <= r for u, r in zip(usage, remaining)):
-                yield exps, tuple(r - u for r, u in zip(remaining, usage))
-
-    rec(0, nu0, ())
+    rec(0, (0,) * len(nu0), ())
     # Deterministic: lexicographic on the flattened exponent vector, factors
     # in order, roots by matrix-unit index (l, k) ascending within a factor.
     root_rank = sorted(
@@ -311,10 +302,13 @@ class WeightSpaceOperator:
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
 
     @staticmethod
+    def diagonal(space, values: Sequence[RationalFunctionExpr]) -> "WeightSpaceOperator":
+        """The operator on ``space`` with ``values[i]`` at (i, i)."""
+        return WeightSpaceOperator(space, space, {(i, i): v for i, v in enumerate(values)})
+
+    @staticmethod
     def identity(space) -> "WeightSpaceOperator":
-        return WeightSpaceOperator(
-            space, space, {(i, i): RF_ONE for i in range(space.dim)}
-        )
+        return WeightSpaceOperator.diagonal(space, [RF_ONE] * space.dim)
 
     @staticmethod
     def zero(domain, codomain) -> "WeightSpaceOperator":
@@ -362,6 +356,12 @@ class WeightSpaceOperator:
             self.domain, self.codomain, {k: v * c for k, v in self.entries.items()}
         )
 
+    def scale_rows(self, values: Sequence[RationalFunctionExpr]) -> "WeightSpaceOperator":
+        """Row i times ``values[i]``: the composition with a diagonal on the
+        codomain, without its sums."""
+        entries = {(i, j): values[i] * v for (i, j), v in self.entries.items()}
+        return WeightSpaceOperator(self.domain, self.codomain, entries)
+
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -397,20 +397,13 @@ class WeightSpaceOperator:
 # Generator actions
 # ---------------------------------------------------------------------------
 
-def _letter_level_shift(n_rank: int, letter: Letter) -> dict[int, int]:
+def _target_space(space: TensorWeightSpace, letter: Letter) -> TensorWeightSpace:
     kind, a, b = letter
     if kind == "c":
-        return {}
-    if a > b:  # lowering e_{a,b}: adds alpha_b + ... + alpha_{a-1}
-        return {h: 1 for h in range(b, a)}
-    return {h: -1 for h in range(a, b)}
-
-
-def _target_space(space: TensorWeightSpace, letter: Letter) -> TensorWeightSpace:
-    shift = _letter_level_shift(space.pbw_basis.n_rank, letter)
-    if not shift:
         return space
-    return space.shifted(shift)
+    if a > b:  # lowering e_{a,b}: adds alpha_b + ... + alpha_{a-1}
+        return space.shifted({h: 1 for h in range(b, a)})
+    return space.shifted({h: -1 for h in range(a, b)})
 
 
 def operator_for_letter(

@@ -137,7 +137,7 @@ def serialize_order(order: Sequence[tuple[int, int]]) -> str:
 # Elementary transformations and the sigma schedule
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class ElemTransform:
     """An adjacent reversal acting on a largest-first root order.
 
@@ -245,7 +245,7 @@ def sign_table_a(n_rank: int, h: int) -> dict[tuple[int, int], int]:
 # Weights in epsilon-coordinates
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class WeightVec:
     """A weight of gl_N/sl_N as exact epsilon-coordinates (sum zero)."""
 
@@ -342,7 +342,7 @@ def nu_vec(n_rank: int, multiplicities: Sequence[int]) -> WeightVec:
 # Weyl group (symmetric group on coordinates)
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class WeylElement:
     """A permutation of 1..N; ``perm[i-1]`` is the image of i."""
 

@@ -1045,15 +1045,10 @@ class RationalFunctionExpr:
             return RF_ONE
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        # a power of a reduced pair is reduced, over the same base
+        return RationalFunctionExpr(
+            self.num**n, self.den**n, tuple((f, m * n) for f, m in self.factors)
+        )
 
     # -- evaluation / substitution ----------------------------------------------
 
@@ -1426,9 +1421,9 @@ def symbol(name: str) -> RationalFunctionExpr:
     return RationalFunctionExpr.from_symbol(name)
 
 
-def rational(value: Scalar, den: int = 1) -> RationalFunctionExpr:
-    """A constant expression (``rational(3, 4)`` is 3/4)."""
-    return RationalFunctionExpr.from_const(value if den == 1 else Fraction(value, den))
+def rational(value: Scalar) -> RationalFunctionExpr:
+    """A constant expression (``rational(Fraction(3, 4))`` is 3/4)."""
+    return RationalFunctionExpr.from_const(value)
 
 
 # ---------------------------------------------------------------------------

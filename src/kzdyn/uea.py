@@ -123,7 +123,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@record(frozen=True)
+@record
 class GenWord:
     """A scalar multiple of a product of letters (rightmost acts first)."""
 
@@ -137,8 +137,8 @@ class GenWord:
         return GenWord(self.coeff * c, self.letters)
 
 
-def word(*letters: Letter, coeff=None) -> GenWord:
-    return GenWord(RF_ONE if coeff is None else coeff, tuple(letters))
+def word(*letters: Letter) -> GenWord:
+    return GenWord(RF_ONE, tuple(letters))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,18 @@ from kzdyn.roots import serialize_order, special_order
 from kzdyn.symexpr import RF_ONE, DivisionByZero, InexactDivision, ParseError, parse
 
 
+def _swap_row(monkeypatch, command: str, work) -> None:
+    """Put ``work`` in place of the check of `verify sigma-orders` or the
+    render of `dump order`, keeping the row's parameters."""
+    from kzdyn import cli as cli_module
+
+    if command == "verify":
+        table, name, make = cli_module._SUITE_TABLE, "sigma-orders", cli_module._Suite
+    else:
+        table, name, make = cli_module._DUMP_TABLE, "order", cli_module._Dump
+    monkeypatch.setitem(table, name, make(work, table[name].params))
+
+
 # a flag the suite does not read, given explicitly: (suite, flag, value, field)
 _UNREAD = [
     ("compatibility", "--depth", "4", {"depth": 4}),
@@ -649,10 +661,22 @@ class TestGammaNormalForm:
 
 
 class TestReportPlumbing:
-    def test_out_file_matches_stdout_payload(self, tmp_path):
-        out = tmp_path / "report.json"
-        report = run_suite(SuiteConfig(suite="sigma-orders", n=3, out=str(out)))
-        assert out.read_text(encoding="utf-8") == report_text(report)
+    @pytest.mark.parametrize("command", ["verify sigma-orders", "dump fusion"])
+    def test_out_file_is_the_printed_text(self, tmp_path, capsys, monkeypatch, command):
+        # main writes every --out; run_suite and dump_object write nothing
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "artifact.json"
+        assert main([*command.split(), "--n", "3", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == printed
+        if command.startswith("verify"):
+            report = run_suite(SuiteConfig(suite="sigma-orders", n=3))
+            report["timings"] = json.loads(printed)["timings"]
+            assert printed == report_text(report)
+        else:
+            assert printed == dump_object("fusion", {"n": 3})
+        assert list(tmp_path.iterdir()) == [out]
+        assert "out" not in SuiteConfig.__annotations__
 
     def test_determinism_modulo_timings(self):
         a = run_suite(SuiteConfig(suite="sigma-orders", n=4))
@@ -669,14 +693,12 @@ class TestReportPlumbing:
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
     def test_failed_check_drops_warnings(self, monkeypatch):
-        from kzdyn import cli as cli_module
-
         def check(params):
             yield {"h": 1}, True
             yield {"h": 2}, False
             return {}, ["open question"]
 
-        monkeypatch.setattr(cli_module._SUITE_TABLE["sigma-orders"], "check", check)
+        _swap_row(monkeypatch, "verify", check)
         report = run_suite(SuiteConfig(suite="sigma-orders"))
         assert report["verdict"] == "fail"
         assert report["warnings"] == []
@@ -699,7 +721,7 @@ class TestReportPlumbing:
 
             return rows()
 
-        monkeypatch.setattr(cli_module._SUITE_TABLE["sigma-orders"], "check", check)
+        _swap_row(monkeypatch, "verify", check)
         monkeypatch.setattr(cli_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
         timings = run_suite(SuiteConfig(suite="sigma-orders"))["timings"]
         assert timings == {"per_check_seconds": [1.0], "total_seconds": 6.0}
@@ -926,6 +948,13 @@ class TestDumps:
         assert main(["dump", kind, "--n", "3", "--h", h]) == 2
         assert capsys.readouterr().err == f"error: h must be in 1..2, got {h}\n"
 
+    @pytest.mark.parametrize("n, k", [(2, 0), (2, 3), (3, 3)])
+    def test_operator_direction_out_of_range_exits_two(self, capsys, n, k):
+        assert main(["dump", "operator", "--n", str(n), "--k", str(k)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: k must be in 1..{n - 1}, got {k}\n"
+
     def test_unknown_kind(self):
         with pytest.raises(UnknownKind):
             dump_object("bogus", {})
@@ -1071,13 +1100,11 @@ class TestMainEntry:
         assert capsys.readouterr().out
 
     def test_verify_flagged_exits_zero_with_warning(self, capsys, monkeypatch):
-        from kzdyn import cli as cli_module
-
         def check(params):
             yield {"h": 1}, True
             return {}, ["open question"]
 
-        monkeypatch.setattr(cli_module._SUITE_TABLE["sigma-orders"], "check", check)
+        _swap_row(monkeypatch, "verify", check)
         code = main(["verify", "sigma-orders"])
         captured = capsys.readouterr()
         assert code == 0
@@ -1085,13 +1112,11 @@ class TestMainEntry:
         assert json.loads(captured.out)["verdict"] == "flagged"
 
     def test_verify_fail_exits_one(self, capsys, monkeypatch):
-        from kzdyn import cli as cli_module
-
         def check(params):
             yield {"bad": True}, False
             return {}, []
 
-        monkeypatch.setattr(cli_module._SUITE_TABLE["sigma-orders"], "check", check)
+        _swap_row(monkeypatch, "verify", check)
         code = main(["verify", "sigma-orders"])
         captured = capsys.readouterr()
         assert code == 1
@@ -1108,18 +1133,16 @@ class TestMainEntry:
             ParseError("unexpected token"),
             KeyError("missing key"),
             AssertionError("broken invariant"),
+            # a defect, such as const_value() of a symbol, not a bad flag
+            ValueError("not a constant expression"),
         ],
         ids=lambda error: type(error).__name__,
     )
     def test_internal_error_exits_three(self, capsys, monkeypatch, error):
-        from kzdyn import cli as cli_module
-
         def raise_error(p):
             raise error
 
-        monkeypatch.setattr(
-            cli_module._SUITE_TABLE["sigma-orders"], "check", raise_error
-        )
+        _swap_row(monkeypatch, "verify", raise_error)
         code = main(["verify", "sigma-orders"])
         captured = capsys.readouterr()
         assert code == 3
@@ -1153,17 +1176,6 @@ class TestMainEntry:
         assert code == 2
         assert "unknown dump kind" in captured.err
 
-    @staticmethod
-    def _replace_work(monkeypatch, command, work):
-        """Replace the work of `verify sigma-orders` or `dump order`."""
-        from kzdyn import cli as cli_module
-
-        if command == "verify":
-            row, name = cli_module._SUITE_TABLE["sigma-orders"], "check"
-        else:
-            row, name = cli_module._DUMP_TABLE["order"], "render"
-        monkeypatch.setattr(row, name, work)
-
     @pytest.mark.parametrize(
         "argv",
         [["verify", "sigma-orders"], ["dump", "order"]],
@@ -1171,7 +1183,7 @@ class TestMainEntry:
     )
     def test_unwritable_out_exits_two(self, tmp_path, capsys, monkeypatch, argv):
         ran = []
-        self._replace_work(monkeypatch, argv[0], lambda params: ran.append(params))
+        _swap_row(monkeypatch, argv[0], lambda params: ran.append(params))
         for out, reason in [
             (tmp_path / "missing" / "artifact", "No such file or directory"),
             (tmp_path, "Is a directory"),
@@ -1191,7 +1203,7 @@ class TestMainEntry:
         def raise_error(params):
             raise PoleHit("denominator vanishes")
 
-        self._replace_work(monkeypatch, command, raise_error)
+        _swap_row(monkeypatch, command, raise_error)
         out = tmp_path / "artifact"
         out.write_bytes(b"an earlier artifact\n")
         kind = "sigma-orders" if command == "verify" else "order"

@@ -69,6 +69,28 @@ E = lambda k, l: ("e", k, l)  # noqa: E731
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "n_rank, nu, n_factors, k",
+    [(2, (1,), 1, 1), (2, (1,), 2, 1), (3, (2, 1), 2, 2), (3, (1, 1), 3, 1), (3, (1, 1), 3, 2)],
+)
+def test_K_operator_is_its_diagonal_composed_with_B_w(n_rank, nu, n_factors, k):
+    # the reference builds the diagonal of z monomials from the factor
+    # weights and composes it with B_w; K_operator scales the rows of B_w
+    space = enumerate_basis([verma_symbolic(n_rank, j) for j in range(1, n_factors + 1)], nu)
+    omega_k = omega_vec(n_rank, k)
+    dressing = []
+    for pos in range(space.dim):
+        value = RF_ONE
+        for j, z in enumerate(z_symbols(n_factors), 1):
+            lowered = space.factors[j - 1].hw - space.factor_weight(pos, j)
+            for _ in range(int(lowered.dot(omega_k).const_value())):
+                value = value / z
+        dressing.append(value)
+    base = B_w(space, omega_bracket(n_rank, k)[1])
+    reference = WeightSpaceOperator.diagonal(space, dressing).compose(base)
+    assert K_operator(space, k) == reference
+
+
 def test_p_series_single_step_scalar():
     # Rank-1 Verma, one lowering: F E / (t - H) acts by L/(t - (L - 2)) where
     # L is the highest-weight pairing; the k=0 term contributes 1.

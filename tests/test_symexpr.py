@@ -439,6 +439,37 @@ def test_field_axioms(a, b, c):
         assert (a / b) * b == a
 
 
+def _repeated_product(base: RationalFunctionExpr, n: int) -> RationalFunctionExpr:
+    product = RF_ONE
+    for _ in range(n):
+        product = product * base
+    return product
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs())
+def test_power_equals_the_repeated_product(e):
+    # ** raises the reduced pair over its own base; the product of the
+    # reference reduces each step afresh
+    for n in range(-3, 5):
+        if n < 0 and e.is_zero():
+            continue
+        base = e if n >= 0 else e.reciprocal()
+        power, product = e**n, _repeated_product(base, abs(n))
+        assert power == product and str(power) == str(product)
+        assert dict(power.factors) == {f: abs(n) * m for f, m in base.factors if n}
+
+
+def test_power_of_zero_and_of_constants():
+    for n in range(5):
+        assert RF_ZERO**n == _repeated_product(RF_ZERO, n) == (RF_ONE if n == 0 else RF_ZERO)
+        for c in (Fraction(-2, 3), Fraction(5), Fraction(1)):
+            assert rational(c) ** n == rational(c**n) == _repeated_product(rational(c), n)
+            assert rational(c) ** -n == rational(c**-n)
+    with pytest.raises(DivisionByZero):
+        RF_ZERO**-1
+
+
 @settings(max_examples=40, deadline=None)
 @given(exprs())
 def test_symmetrize_idempotent(f):
@@ -1318,7 +1349,7 @@ _NARY_CASES = {
         parse("y/(x^2 + y^2 + 1)"),
         parse("-(x + 1)/(x^2 + y^2 + 1)^2"),
     ],
-    "constants": [rational(3), rational(Fraction(-1, 2)), rational(7, 3)],
+    "constants": [rational(3), rational(Fraction(-1, 2)), rational(Fraction(7, 3))],
     "zero terms": [RF_ZERO, parse("1/(x - 1)"), RF_ZERO, parse("x/(x - 1)")],
     "sum cancels to zero": [parse("1/(x - 1)"), parse("y/(x*y - y)") * -1, parse("x") - parse("x")],
     "one term": [parse("(x + 2)/(x - y)^3")],
