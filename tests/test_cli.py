@@ -661,22 +661,30 @@ class TestGammaNormalForm:
 
 
 class TestReportPlumbing:
-    @pytest.mark.parametrize("command", ["verify sigma-orders", "dump fusion"])
-    def test_out_file_is_the_printed_text(self, tmp_path, capsys, monkeypatch, command):
-        # main writes every --out; run_suite and dump_object write nothing
+    @staticmethod
+    def _out_and_printed(tmp_path, capsys, monkeypatch, command: str) -> str:
+        """Run ``command`` through main with ``--out``; check that the file
+        holds the printed text and that nothing else was written."""
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "artifact.json"
         assert main([*command.split(), "--n", "3", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == printed
-        if command.startswith("verify"):
-            report = run_suite(SuiteConfig(suite="sigma-orders", n=3))
-            report["timings"] = json.loads(printed)["timings"]
-            assert printed == report_text(report)
-        else:
-            assert printed == dump_object("fusion", {"n": 3})
         assert list(tmp_path.iterdir()) == [out]
+        return printed
+
+    def test_out_file_matches_stdout_payload(self, tmp_path, capsys, monkeypatch):
+        # main writes every --out; run_suite writes nothing
+        printed = self._out_and_printed(tmp_path, capsys, monkeypatch, "verify sigma-orders")
+        report = run_suite(SuiteConfig(suite="sigma-orders", n=3))
+        report["timings"] = json.loads(printed)["timings"]
+        assert printed == report_text(report)
         assert "out" not in SuiteConfig.__annotations__
+
+    def test_dump_out_file_matches_stdout_payload(self, tmp_path, capsys, monkeypatch):
+        # dump_object writes nothing either
+        printed = self._out_and_printed(tmp_path, capsys, monkeypatch, "dump fusion")
+        assert printed == dump_object("fusion", {"n": 3})
 
     def test_determinism_modulo_timings(self):
         a = run_suite(SuiteConfig(suite="sigma-orders", n=4))

@@ -1,6 +1,11 @@
 """`kzdyn._record.record` against ``dataclasses.dataclass(frozen=True)``, on
 twin classes of every shape kzdyn's records take: plain, with defaults, with
-a raising ``__post_init__`` and with a single field."""
+a raising ``__post_init__`` and with a single field.
+
+``Identity`` and ``Mutable`` keep the bodies of the records that once
+compared by identity (``eq=False``) or could be assigned to, such as
+``SuiteConfig``; every record is frozen and compares by value now, so these
+shapes must behave as the others do."""
 
 import dataclasses
 from typing import Optional
@@ -17,6 +22,17 @@ def _shapes(decorate) -> dict[str, type]:
     class Frozen:
         a: int
         b: tuple
+
+    @decorate
+    class Identity:
+        h: int
+        terms: tuple
+        verified: bool
+
+    @decorate
+    class Mutable:
+        a: int
+        b: Optional[tuple] = None
 
     @decorate
     class Defaults:
@@ -36,7 +52,7 @@ def _shapes(decorate) -> dict[str, type]:
     class Single:
         perm: tuple
 
-    shapes = (Frozen, Defaults, Checked, Single)
+    shapes = (Frozen, Identity, Mutable, Defaults, Checked, Single)
     return {cls.__name__: cls for cls in shapes}
 
 
@@ -46,6 +62,8 @@ THEIRS = _shapes(dataclasses.dataclass(frozen=True))
 # arguments for two instances with equal fields, and for one that differs
 ARGS = {
     "Frozen": ((1, (2, 3)), (1, (2, 4))),
+    "Identity": ((1, ((2, 1),), True), (1, ((2, 1),), False)),
+    "Mutable": ((1, (2,)), (2,)),
     "Defaults": (("interp", 2, frozenset({(1, 2)})), ("standard",)),
     "Checked": ((0,), (3,)),
     "Single": (((2, 1, 3),), ((1, 2, 3),)),
