@@ -15,7 +15,7 @@ lemmas   exact checks of the other lemmas of the proof chain, with the dual
 gamma    exact gamma products: the Selberg closed form and a normal form that
          proves identities between products; imports only symexpr
 numeric  chamber quadrature (Gauss–Jacobi) and the float Selberg closed forms,
-         the only layer that needs scipy
+         the only layer that needs numpy
 cli      the ``kzdyn`` command-line verification harness
 _record  ``record``, the class decorator of the record classes: a
          ``dataclass`` without generated code

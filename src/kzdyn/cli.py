@@ -23,13 +23,14 @@ expressions are serialized in canonical form and every enumeration order is
 fixed.  `main` alone writes ``--out``: the text it prints.  Exit status is
 0 when the verdict is ``pass`` or ``flagged`` (the latter prints a
 warning), 1 on ``fail``, 2 on configuration errors (`CapabilityExceeded`,
-among them ``selberg`` without scipy, `UnknownSuite`, `UnknownKind` and
+among them ``selberg`` without numpy, `UnknownSuite`, `UnknownKind` and
 `roots.OutOfRange`) and on an unwritable ``--out`` or stdout, and 3 on
 internal errors: an arithmetic failure inside the exact layers (a pole, a
 resonant weight, a division by zero or a heuristic gcd that finds no proven
 gcd), a quadrature that misses the fixed tolerance a suite requests
 (`QuadratureNotConverged`), unparsable expression text, or any other
-exception, a `ValueError` among them, which also prints its traceback.
+exception, a `ValueError` or an `OSError` among them, which also prints
+its traceback.
 """
 
 from __future__ import annotations
@@ -490,7 +491,7 @@ def _determinant_sl2(params: dict):
 # A module that few runs read is imported by the functions that read it,
 # when they run: `pbw-invariance` and the `phi-vector` and `forest` dumps
 # import `hyper`; `selberg`, the one float suite, imports `numeric`, and with
-# it scipy, for its quadrature and its float closed forms.  The two rank-one
+# it numpy, for its quadrature and its float closed forms.  The two rank-one
 # suites above are exact and load neither.  `selberg` looks its functions up
 # on the module at each call, where a tracer or a test may have replaced
 # them.  Its report keeps ``"grid": "default"``, the name of the only
@@ -523,15 +524,15 @@ def _selberg_quadrature_row(m: int, a: float, b: float, c: float, tol: float) ->
 
 
 def _selberg(params: dict):
-    # imported before the rows, so that its seconds (scipy's among them) go
-    # to the suite's total and not to its first row; without scipy or numpy
-    # the suite cannot run, which is a configuration error, not a defect
+    # imported before the rows, so that its seconds (numpy's among them) go
+    # to the suite's total and not to its first row; without numpy the suite
+    # cannot run, which is a configuration error, not a defect
     try:
         from . import numeric
     except ImportError as exc:
-        if (exc.name or "").partition(".")[0] not in ("scipy", "numpy"):
+        if (exc.name or "").partition(".")[0] != "numpy":
             raise
-        raise CapabilityExceeded(f"the selberg suite needs scipy and numpy: {exc}") from None
+        raise CapabilityExceeded(f"the selberg suite needs numpy: {exc}") from None
 
     def rows():
         quad_tol = 1e-6
@@ -730,26 +731,35 @@ def _check_factor_specs(specs: Sequence[str], n: int) -> None:
 # Report assembly
 # ---------------------------------------------------------------------------
 
+class _OutNotWritable(Exception):
+    """The ``--out`` path could not be probed or written; the message is the reason."""
+
+
 @contextmanager
 def _written_whole(path: Optional[str]):
     """Yield a function that collects the text of the file ``path``.
 
     ``path`` is probed on entry, so that a path that cannot be written raises
-    its `OSError` before any work: an existing file (or device, or the target
-    of a symlink) is opened for appending, a missing one is created.  The text
-    is written through ``path`` only on a clean exit, so a run that raises
-    leaves an existing file as it was and removes the file it created.  An
-    empty or ``None`` path writes nothing.
+    `_OutNotWritable` before any work: an existing file (or device, or the
+    target of a symlink) is opened for appending, a missing one is created.
+    The text is written through ``path`` only on a clean exit, so a run that
+    raises leaves an existing file as it was and removes the file it created.
+    Only the probe's and the write's `OSError` become `_OutNotWritable`: one
+    that the work inside raises passes through as it is.  An empty or
+    ``None`` path writes nothing.
     """
     if not path:
         yield lambda text: None
         return
     try:
-        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-        created = True
-    except FileExistsError:
-        open(path, "a").close()  # a directory or a read-only file fails here, untouched
-        created = False
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            created = True
+        except FileExistsError:
+            open(path, "a").close()  # a directory or a read-only file fails here, untouched
+            created = False
+    except OSError as exc:
+        raise _OutNotWritable(exc.strerror or exc) from None
     chunks: list[str] = []
     try:
         yield chunks.append
@@ -757,8 +767,11 @@ def _written_whole(path: Optional[str]):
         if created:
             os.unlink(path)
         raise
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(chunks))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(chunks))
+    except OSError as exc:
+        raise _OutNotWritable(exc.strerror or exc) from None
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
@@ -1073,10 +1086,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # lines.  Any other ValueError is a defect and exits 3 below
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        # --out is the only file written here; stdout is _write_stdout's
-        reason = exc.strerror or exc
-        print(f"error: cannot write --out {args.out}: {reason}", file=sys.stderr)
+    except _OutNotWritable as exc:
+        # stdout is _write_stdout's; an OSError of the work is a defect below
+        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # a defect, not a failed identity: exit 1 would misreport it

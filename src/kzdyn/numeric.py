@@ -1,5 +1,5 @@
 """Chamber quadrature (Gauss–Jacobi) and the float Selberg closed forms, the
-one scipy-backed layer.
+one float layer; it needs numpy and nothing else outside the standard library.
 
 Everything symbolic in this package is exact; this module supplies adaptive
 nested Gauss–Jacobi quadrature over real ordered chambers, and the
@@ -7,22 +7,20 @@ gamma-product closed form of the ordered beta integral in floats
 (``math.lgamma`` with sign tracking), with its contiguous relation in the
 first parameter.  The ``selberg`` suite compares the two; ``kzdyn.cli``
 holds the same closed form exactly, for the rank-one suites.  The
-quadrature's nodes and weights are bit for bit those of
-``scipy.special.roots_jacobi``.  ``_jacobi_rule`` repeats both of that
-function's Golub–Welsch branches without its per-call wrapping, the general
-one for alpha != beta and the Gegenbauer one for alpha == beta: the
-eigenvalues of the Jacobi matrix from numpy's LAPACK (``eigvalsh``, whose
-``dsyevd`` runs the ``dsterf`` that scipy's ``dsbevd`` runs), then one
-Newton step through ``scipy.special.eval_jacobi`` or ``eval_gegenbauer``.
-It calls ``roots_jacobi`` itself only where scipy takes another road:
-alpha == beta == 0 or -0.5, alpha == beta > 169.5, alpha + beta > 1000.
-scipy.special is imported with the module, so that callers that loop over
-``quad_chamber`` pay for the import once, outside their loops;
-``scipy.linalg`` is not imported at all.  Of kzdyn, the module imports only
-``_record``: ``log_gamma`` and ``selberg_difference_check`` import
-``symexpr.PoleHit`` in the one branch that raises it, at a gamma pole or a
-non-positive contiguous factor, so that a float run does not compile the
-exact algebra for an exception it never raises.
+quadrature's nodes and weights come from ``_jacobi_rule``, the Golub–Welsch
+rule on numpy's LAPACK: one ``numpy.linalg.eigh`` of the Jacobi matrix
+(``dsyevd``) gives the nodes and, from the first eigenvector components,
+the weights.  ``dsyevd`` solves the tridiagonal problem with ``dstedc``,
+which for n <= 25 runs the implicit QL/QR iteration and above that divides
+and conquers, merging through BLAS matrix products: the last bits of a rule
+with more than 25 nodes may depend on the BLAS build.  The default grids of
+the ``selberg`` suite stop at n <= 24.  numpy is imported with the module,
+so that callers that loop over ``quad_chamber`` pay for the import once,
+outside their loops.  Of kzdyn, the module imports only ``_record``:
+``log_gamma`` and ``selberg_difference_check`` import ``symexpr.PoleHit``
+in the one branch that raises it, at a gamma pole or a non-positive
+contiguous factor, so that a float run does not compile the exact algebra
+for an exception it never raises.
 
 The quadrature kernel runs on Python floats in the order of floating-point
 operations of the numpy-scalar reference kernel that the tests keep, so its
@@ -46,11 +44,9 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
-from scipy.special import beta as beta_function
-from scipy.special import eval_gegenbauer, eval_jacobi, gamma, roots_jacobi
 
 from ._record import record
 
@@ -246,48 +242,57 @@ _NODE_LADDERS: dict[int, tuple[int, ...]] = {
 }
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(x: float) -> float:
+    """``lgamma(x)`` less Stirling's ``(x - 1/2) log x - x + log(2 pi) / 2``."""
+    if x < 25.0:
+        return math.lgamma(x) - ((x - 0.5) * math.log(x) - x + _HALF_LOG_2PI)
+    # the series' first omitted term, 1 / (1188 x**9), is below 2.3e-16 here
+    x2 = x * x
+    return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x2)) / x2) / x2) / x
+
+
+def _jacobi_mass(a: float, b: float) -> float:
+    """``2**(a + b + 1) * B(a + 1, b + 1)``, the integral of the Jacobi weight.
+
+    With p = a + 1, q = b + 1 and s = p + q, Stirling's main parts of
+    ``lgamma`` combine into ``p log(2p/s) + q log(2q/s)``, whose two terms
+    ``log1p`` takes without cancellation, so the mass keeps its relative
+    accuracy where the three ``lgamma`` values, each near s log s, would
+    lose theirs (about 1e-12 at alpha, beta = 600, 400).
+    """
+    p, q = a + 1.0, b + 1.0
+    s = p + q
+    d = (p - q) / s
+    return math.exp(
+        p * math.log1p(d)
+        + q * math.log1p(-d)
+        + 0.5 * math.log(s / (p * q))
+        + _HALF_LOG_2PI
+        - math.log(2.0)
+        + _stirling_tail(p)
+        + _stirling_tail(q)
+        - _stirling_tail(s)
+    )
+
+
 def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """``roots_jacobi(n, alpha, beta)``, bit for bit, with less overhead.
+    """The n-point Gauss–Jacobi rule for ``(1 - x)**alpha (1 + x)**beta`` on [-1, 1].
 
-    This repeats both of scipy's Golub–Welsch branches (Golub and Welsch,
-    Math. Comp. 23, 1969) in scipy's order of floating-point operations:
-    for alpha != beta its general branch, and for alpha == beta its
-    ``roots_gegenbauer(n, alpha + 0.5)``.  The recurrence coefficients are
-    Python floats grouped as scipy groups them (``t + 2`` is scipy's
-    ``2.0 * k + a + b + 2``, never ``2.0 * k + (a + b) + 2``; ``math.sqrt``
-    rounds correctly, as numpy's ``sqrt`` does), and ``_golub_welsch`` does
-    the rest.  Every other case calls ``roots_jacobi`` itself: alpha == beta
-    == 0 (scipy's Legendre rule), alpha == beta == -0.5 (its Chebyshev
-    rule), alpha == beta > 169.5 (its large-alpha series for the weights'
-    sum), alpha + beta > 1000 (its overflow branch) and invalid arguments.
-
-    This holds at every n >= 2, so at every rung of ``_NODE_LADDERS``.  At
-    n = 1 with alpha != beta, ``dsbevd`` returns the unused entry of its
-    upper band, 0.0, as the one eigenvalue: scipy's one Newton step starts
-    there, this rule's at the root, and the two can differ by rounding.
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the symmetric tridiagonal Jacobi matrix of the three-term recurrence,
+    and the weights are the mass of the weight function times the squared
+    first components of the normalized eigenvectors.  Both come from one
+    ``numpy.linalg.eigh`` on the matrix's lower triangle, LAPACK ``dsyevd``;
+    its Householder reduction leaves a tridiagonal matrix as it is.  The
+    recurrence coefficients are those of ``scipy.special.roots_jacobi``,
+    which the tests keep as a cross-check.
     """
     a, b = alpha, beta
-    if not (a > -1 and b > -1) or a + b > 1000:
-        return roots_jacobi(n, a, b)
-    if a == b:
-        g = a + 0.5
-        if a == 0.0 or g == 0.0 or g > 170:
-            return roots_jacobi(n, a, b)
-        mu0 = math.sqrt(math.pi) * gamma(g + 0.5) / gamma(g + 1)
-        off = []
-        for i in range(1, n):
-            k = float(i)
-            off.append(math.sqrt(k * (k + 2 * g - 1) / (4 * (k + g) * (k + g - 1))))
-
-        def p(degree, x):
-            return eval_gegenbauer(degree, g, x)
-
-        def dp(x, y):
-            # scipy evaluates C_n(x) twice; y is that value
-            return (-n * x * y + (n + 2 * g - 1) * p(n - 1, x)) / (1 - x ** 2)
-
-        return _golub_welsch(mu0, [0.0] * n, off, p, dp, symmetric=True)
-    mu0 = 2.0 ** (a + b + 1) * beta_function(a + 1, b + 1)
+    if not (a > -1 and b > -1):
+        raise ValueError(f"Jacobi exponents must exceed -1, not {a!r} and {b!r}")
     diag, off = [(b - a) / (2 + a + b)], []
     for i in range(1, n):
         k = float(i)
@@ -295,63 +300,17 @@ def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
         ka = k + a
         diag.append(0.0 if a + b == 0.0 else (b * b - a * a) / (t * (t + 2)))
         u = 2.0 / t * math.sqrt(ka * (k + b) / (t + 1))
-        # scipy multiplies the first entry by 1.0, which is exact
         off.append(u if i == 1 else u * math.sqrt(k * (ka + b) / (t - 1)))
-
-    def p(degree, x):
-        return eval_jacobi(degree, a, b, x)
-
-    def dp(x, y):
-        return 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
-
-    return _golub_welsch(mu0, diag, off, p, dp, symmetric=False)
-
-
-def _golub_welsch(
-    mu0: float,
-    diag: list[float],
-    off: list[float],
-    p: Callable[[int, np.ndarray], np.ndarray],
-    dp: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    symmetric: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's ``_gen_roots_and_weights``, with numpy's eigenvalue solve.
-
-    ``diag`` and ``off`` are the Jacobi matrix's diagonal and off-diagonal,
-    ``p(k, x)`` evaluates the degree-k orthogonal polynomial, and
-    ``dp(x, y)`` the derivative of the degree-n one at x, where it takes
-    the value y.  The eigenvalues come from ``numpy.linalg.eigvalsh`` on the
-    dense matrix's lower triangle, LAPACK ``dsyevd``: its Householder
-    reduction leaves a tridiagonal matrix as it is, and it then runs the
-    ``dsterf`` that scipy's ``dsbevd`` runs, so the nodes are scipy's bit
-    for bit.  One Newton step follows, then the log-normalized weights with
-    numpy's array ``log``, ``exp`` and ``sum``, symmetrized as scipy
-    symmetrizes them.
-    """
-    n = len(diag)
-    # the lower triangle, which is all that eigvalsh reads with UPLO="L"
+    # the lower triangle, which is all that eigh reads with UPLO="L"
     jacobi = np.zeros((n, n))
     jacobi.flat[:: n + 1] = diag
     jacobi.flat[n :: n + 1] = off
     try:
-        x = np.linalg.eigvalsh(jacobi, UPLO="L")
+        x, v = np.linalg.eigh(jacobi, UPLO="L")
     except np.linalg.LinAlgError as exc:
         # a ValueError, which the command line would report as a bad flag
         raise ArithmeticError(f"the Jacobi matrix eigenvalues did not converge: {exc}") from None
-    y = p(n, x)
-    dy = dp(x, y)
-    x -= y / dy
-    fm = p(n - 1, x)
-    log_fm = np.log(np.abs(fm))
-    log_dy = np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    if symmetric:
-        w = (w + w[::-1]) / 2
-        x = (x - x[::-1]) / 2
-    w *= mu0 / w.sum()
-    return x, w
+    return x, _jacobi_mass(a, b) * v[0] ** 2
 
 
 def _nested_gauss_jacobi(ci: ChamberIntegral, n_nodes: int) -> float:

@@ -3,12 +3,11 @@
 This is the original numpy-scalar implementation of
 ``kzdyn.numeric._nested_gauss_jacobi``, kept verbatim so that the tests can
 check the float-native kernel against it bit for bit.  It is not used by the
-package.
+package.  Its rules are the package's own, ``kzdyn.numeric._jacobi_rule``,
+so that the comparison is of the kernels alone.
 """
 
-from scipy.special import roots_jacobi
-
-from kzdyn.numeric import ChamberIntegral
+from kzdyn.numeric import ChamberIntegral, _jacobi_rule
 
 
 def nested_gauss_jacobi_reference(ci: ChamberIntegral, n_nodes: int) -> float:
@@ -22,7 +21,7 @@ def nested_gauss_jacobi_reference(ci: ChamberIntegral, n_nodes: int) -> float:
     def rule(alpha: float, beta: float):
         key = (alpha, beta)
         if key not in rules:
-            x, w = roots_jacobi(n_nodes, alpha, beta)
+            x, w = _jacobi_rule(n_nodes, alpha, beta)
             rules[key] = ((x + 1.0) / 2.0, w)
         return rules[key]
 

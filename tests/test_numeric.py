@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from _reference_quadrature import nested_gauss_jacobi_reference
@@ -17,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
-import kzdyn.numeric as numeric
 from kzdyn.cli import _rank_one_solution, main
 from kzdyn.dyn import PoleHit
 from kzdyn.gamma import selberg_gamma
@@ -419,20 +419,34 @@ def _reference_quad_chamber(ci: ChamberIntegral, tol: float) -> tuple[float, int
     return None
 
 
-class TestJacobiRule:
-    """The quadrature's Gauss–Jacobi rules against scipy's, byte for byte."""
+def _mp_jacobi_rule(n: int, alpha: float, beta: float) -> tuple[list[float], list[float]]:
+    """The Golub–Welsch rule in 50-digit arithmetic, mpmath's own: its Jacobi
+    matrix, built from the exact binary values of alpha and beta, its mass
+    from ``mp.gamma``, and its eigenvalues and first eigenvector components
+    from its implicit QL iteration, all independent of the rule under test."""
+    with mp.workdps(50):
+        nodes, weights = mp.gauss_quadrature(n, "jacobi", mp.mpf(alpha), mp.mpf(beta))
+        pairs = sorted(zip(nodes, weights))
+        return [float(x) for x, _ in pairs], [float(w) for _, w in pairs]
 
-    # the edges of scipy's branches: alpha == beta, its Gegenbauer branch,
-    # which the rule repeats for alpha up to 169.5, and whose Legendre
-    # (0 = 0), Chebyshev (-0.5 = -0.5) and large-alpha (170 = 170) cases are
-    # delegated; alpha + beta == 0 with alpha != beta, whose diagonal scipy
-    # sets to zero; a zero exponent; alpha + beta == 1000, the last sum of
-    # the general branch, and above it, which is delegated
-    NATIVE_SYMMETRIC = tuple((a, a) for a in (1.0, 0.5, -0.25, 2, 3.0, 12.0, 169.0))
-    DELEGATED = ((0.0, 0.0), (-0.5, -0.5), (170.0, 170.0), (600.0, 400.5))
+
+class TestJacobiRule:
+    """The quadrature's Gauss–Jacobi rules against a 50-digit reference and
+    against scipy's ``roots_jacobi``."""
+
+    RUNGS = sorted({n for ladder in _NODE_LADDERS.values() for n in ladder})
+    # the pairs where the rule once switched between scipy's branches:
+    # alpha == beta, where scipy's rule is Gegenbauer's, Legendre's at 0,
+    # Chebyshev's at -0.5 and a large-alpha series above 169.5; alpha + beta
+    # == 0 with alpha != beta, where the diagonal is zero; a zero exponent;
+    # alpha + beta == 1000, the last sum before scipy's overflow branch, and
+    # above it
     EDGES = (
-        *NATIVE_SYMMETRIC,
-        *DELEGATED,
+        *((a, a) for a in (1.0, 0.5, -0.25, 2, 3.0, 12.0, 169.0)),
+        (0.0, 0.0),
+        (-0.5, -0.5),
+        (170.0, 170.0),
+        (600.0, 400.5),
         (0.5, -0.5),
         (-0.75, 0.75),
         (0.0, 1.5),
@@ -441,33 +455,56 @@ class TestJacobiRule:
         (600.0, 400.0),
     )
 
-    def test_matches_roots_jacobi_byte_for_byte(self):
+    @classmethod
+    def cases(cls) -> list[tuple[int, float, float]]:
+        # every edge and 19 seeded pairs, the node counts taken in turn from
+        # the ladders' rungs, so that every rung is met
         rng = random.Random(20)
-        for n in sorted({n for ladder in _NODE_LADDERS.values() for n in ladder}):
-            # 6.0 - 7.0 * random() lies in (-1, 6]
-            sample = [(6.0 - 7.0 * rng.random(), 6.0 - 7.0 * rng.random()) for _ in range(20)]
-            for alpha, beta in sample + list(self.EDGES):
-                x, w = _jacobi_rule(n, alpha, beta)
-                want_x, want_w = roots_jacobi(n, alpha, beta)
-                assert x.tobytes() == want_x.tobytes(), (n, alpha, beta)
-                assert w.tobytes() == want_w.tobytes(), (n, alpha, beta)
+        # 6.0 - 7.0 * random() lies in (-1, 6]
+        sample = [(6.0 - 7.0 * rng.random(), 6.0 - 7.0 * rng.random()) for _ in range(19)]
+        pairs = [*cls.EDGES, *sample]
+        return [(cls.RUNGS[i % len(cls.RUNGS)], *pair) for i, pair in enumerate(pairs)]
 
-    def test_only_the_delegated_edges_call_roots_jacobi(self, monkeypatch):
-        # roots_jacobi's Golub–Welsch branches would load scipy.linalg
-        class Delegated(Exception):
-            pass
+    @staticmethod
+    def assert_close(n, alpha, beta, got, want, weight_tol):
+        (x, w), (want_x, want_w) = got, want
+        assert len(x) == len(want_x) == n
+        assert max(abs(a - b) for a, b in zip(x, want_x)) <= 1e-15, (n, alpha, beta)
+        scale = weight_tol * sum(want_w)
+        assert max(abs(a - b) for a, b in zip(w, want_w)) <= scale, (n, alpha, beta)
 
-        def delegated(n, alpha, beta):
-            raise Delegated
+    def test_cases_meet_every_rung_and_edge(self):
+        cases = self.cases()
+        assert {n for n, _, _ in cases} == set(self.RUNGS)
+        assert set(self.EDGES) <= {(a, b) for _, a, b in cases}
 
-        monkeypatch.setattr(numeric, "roots_jacobi", delegated)
-        native = [edge for edge in self.EDGES if edge not in self.DELEGATED]
-        for n in sorted({n for ladder in _NODE_LADDERS.values() for n in ladder}):
-            for alpha, beta in native:
-                _jacobi_rule(n, alpha, beta)
-            for alpha, beta in self.DELEGATED:
-                with pytest.raises(Delegated):
-                    _jacobi_rule(n, alpha, beta)
+    def test_matches_the_mpmath_golub_welsch_rule(self):
+        # at most 8.9e-16 on the nodes and 3.2e-15 * sum(w) on the weights
+        for n, alpha, beta in self.cases():
+            x, w = _jacobi_rule(n, alpha, beta)
+            got = (x.tolist(), w.tolist())
+            self.assert_close(n, alpha, beta, got, _mp_jacobi_rule(n, alpha, beta), 1e-13)
+
+    def test_matches_roots_jacobi(self):
+        # scipy's weights are themselves up to 1.6e-12 * sum(w) from the
+        # 50-digit rule (n = 18, alpha, beta about 3.119, -0.957) and 1.4e-13
+        # at alpha, beta = 600, 400.5; its nodes at most 4.4e-16
+        for n, alpha, beta in self.cases():
+            x, w = _jacobi_rule(n, alpha, beta)
+            want_x, want_w = roots_jacobi(n, alpha, beta)
+            got, want = (x.tolist(), w.tolist()), (want_x.tolist(), want_w.tolist())
+            self.assert_close(n, alpha, beta, got, want, 2e-12)
+
+    def test_exponents_at_or_below_minus_one_are_refused(self):
+        # quad_chamber meets one on this convergent chamber: level 3 leaves
+        # (t_3 - t_1)**5 to the nodes, and its Jacobi weight is t_3**-1.5
+        ci = ChamberIntegral(3, (0.0, 0.0, -3.5), (0.0, 0.0, 0.0), {(1, 3): 5.0})
+        assert _divergent_collision(ci) is None
+        with pytest.raises(ValueError, match="must exceed -1"):
+            quad_chamber(ci, 1e-8)
+        for alpha, beta in ((-1.0, 0.5), (0.5, -1.5), (math.nan, 0.0)):
+            with pytest.raises(ValueError, match="must exceed -1"):
+                _jacobi_rule(16, alpha, beta)
 
     def test_failed_eigenvalue_solve_is_an_arithmetic_error(self, capsys, monkeypatch):
         # numpy raises LinAlgError, a ValueError, which the command line
@@ -475,7 +512,7 @@ class TestJacobiRule:
         def failing(a, UPLO):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
         for alpha, beta in ((0.5, 1.5), (1.0, 1.0)):
             with pytest.raises(ArithmeticError, match="did not converge"):
                 _jacobi_rule(16, alpha, beta)
