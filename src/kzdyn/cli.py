@@ -26,11 +26,10 @@ warning), 1 on ``fail``, 2 on configuration errors (`CapabilityExceeded`,
 among them ``selberg`` without numpy, `UnknownSuite`, `UnknownKind` and
 `roots.OutOfRange`) and on an unwritable ``--out`` or stdout, and 3 on
 internal errors: an arithmetic failure inside the exact layers (a pole, a
-resonant weight, a division by zero or a heuristic gcd that finds no proven
-gcd), a quadrature that misses the fixed tolerance a suite requests
-(`QuadratureNotConverged`), unparsable expression text, or any other
-exception, a `ValueError` or an `OSError` among them, which also prints
-its traceback.
+division by zero or a heuristic gcd that finds no proven gcd), a quadrature
+that misses the fixed tolerance a suite requests (`QuadratureNotConverged`),
+unparsable expression text, or any other exception, a `ValueError` or an
+`OSError` among them, which also prints its traceback.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from ._record import record
 from .dyn import (
     B_additive,
     B_w,
-    FusionElement,
     K_operator,
     check_K_exchange,
     check_rational_to_trig,
@@ -67,7 +65,6 @@ from .dyn import (
     shifted_pairings,
     z_symbols,
     _first_mismatch,
-    _fusion_scalar,
     _p_series,
     _weight_compositions,
 )
@@ -198,37 +195,6 @@ def _rank2_word(a: int, b: int, k: int) -> GenWord:
     )
 
 
-def _fusion_residual_ok(fus: FusionElement) -> bool:
-    """Plug the solved components back into the defining recurrence."""
-    basis = standard_basis(fus.n_rank)
-    engine = straightener(basis)
-    for mu, comp in fus.components.items():
-        if sum(mu) == 0:
-            continue
-        scalar = _fusion_scalar(fus.n_rank, mu)
-        residual = {key: val * scalar for key, val in comp.items()}
-        for root in positive_roots(fus.n_rank):
-            rc = [0] * (fus.n_rank - 1)
-            for i in range(root[0], root[1]):
-                rc[i - 1] += 1
-            prev_mu = tuple(m - c for m, c in zip(mu, rc))
-            if any(m < 0 for m in prev_mu):
-                continue
-            letter = ("e", root[1], root[0])
-            for (lo, hi), psi in fus.components.get(prev_mu, {}).items():
-                left = engine.apply_letter(letter, lo)
-                right = engine.apply_letter(letter, hi)
-                for lo2, c_lo in left.items():
-                    for hi2, c_hi in right.items():
-                        key = (lo2, hi2)
-                        residual[key] = (
-                            residual.get(key, RF_ZERO) - psi * c_lo * c_hi
-                        )
-        if any(not v.is_zero() for v in residual.values()):
-            return False
-    return True
-
-
 def _weight_list(n: int, depth: int) -> list[tuple[int, ...]]:
     """The weights of heights 1..depth, entries at most 2 unless n == 2."""
     return [
@@ -284,7 +250,7 @@ def _fusion(params: dict):
     n, depth, nu, specs = params["n"], params["depth"], params["nu"], params["factors"]
     fus = fusion_solve(n, depth)
     structure_ok = fus.structure_ok()
-    residual_ok = _fusion_residual_ok(fus)
+    residual_ok = fus.residual_zero()
     witness = {
         "check": "defining-recurrence",
         "depth": depth,
@@ -393,7 +359,7 @@ def _appendix_c(params: dict):
             }
             yield witness, equal
 
-    return {"depth": depth}, []
+    return {"depth": depth, "n": 3}, []
 
 
 _RANK_ONE_MAX_P = 6
@@ -658,7 +624,7 @@ _SUITE_TABLE = {
         {"n": (2, 2, 3), "nu": (_ones, 1, 3), "factors": (("verma",) * 3, 2, 4)},
     ),
     # at max-ab 0 the golden tables hold no entry to compare
-    "appendix-c": _Suite(_appendix_c, {"n": (3, 3, 3), "max_ab": (2, 1, 3)}),
+    "appendix-c": _Suite(_appendix_c, {"max_ab": (2, 1, 3)}),
     "selberg": _Suite(_selberg, {"tol": (1e-10, _TOL_MIN, math.inf)}),
     "main-theorem-sl2": _Suite(_main_theorem_sl2, {}),
     "determinant-sl2": _Suite(_determinant_sl2, {}),
@@ -1076,7 +1042,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"warning: {line}", file=sys.stderr)
         return 1 if report["verdict"] == "fail" else 0
     except (ArithmeticError, ParseError) as exc:
-        # PoleHit, ResonantWeight, DivisionByZero, HeuristicGcdFailed,
+        # PoleHit, DivisionByZero, HeuristicGcdFailed,
         # QuadratureNotConverged: the exact or numeric layers failed on a
         # configuration they accepted
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

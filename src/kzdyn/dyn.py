@@ -95,7 +95,6 @@ from .uea import (
 
 __all__ = [
     "PoleHit",
-    "ResonantWeight",
     "NonFiniteDim",
     "FusionElement",
     "CheckReport",
@@ -125,10 +124,6 @@ __all__ = [
 ]
 
 _HALF = rational(Fraction(1, 2))
-
-
-class ResonantWeight(ArithmeticError):
-    """The fusion recurrence hit a vanishing dividing scalar."""
 
 
 class NonFiniteDim(ValueError):
@@ -191,6 +186,12 @@ def _exps_coords(basis: PBWBasis, exps: Sequence[int]) -> tuple[int, ...]:
             for h in range(k, l):
                 coords[h - 1] += e
     return tuple(coords)
+
+
+def _root_coords(n_rank: int, root: tuple[int, int]) -> tuple[int, ...]:
+    """Simple-root coordinates of the positive root ``(k, l)``: ones at k..l-1."""
+    k, l = root
+    return tuple(int(k <= h < l) for h in range(1, n_rank))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +433,18 @@ class FusionElement:
             for lo, hi in comp
         )
 
+    def residual_zero(self) -> bool:
+        """Each component times `_fusion_scalar` equals its `_recurrence_image`,
+        the recurrence `fusion_solve` solves; at weight zero both sides vanish."""
+        engine = straightener(standard_basis(self.n_rank))
+        for mu, comp in self.components.items():
+            scalar = _fusion_scalar(self.n_rank, mu)
+            image = _recurrence_image(engine, self.components, mu)
+            for key in comp.keys() | image.keys():
+                if not (comp.get(key, RF_ZERO) * scalar - image.get(key, RF_ZERO)).is_zero():
+                    return False
+        return True
+
 
 def _weight_compositions(n_parts: int, total: int):
     if n_parts == 1:
@@ -455,14 +468,32 @@ def _fusion_scalar(n_rank: int, mu: Sequence[int]) -> RationalFunctionExpr:
     return scalar - mu_vec.dot(mu_vec) * _HALF
 
 
+def _recurrence_image(engine, components: Mapping, mu: Sequence[int]) -> dict:
+    """The image under ``-sum_alpha e_{-alpha} x e_alpha`` of the components
+    one positive root below ``mu``: the root's lowering letter on both sides
+    of every pair."""
+    n_rank = len(mu) + 1
+    image: dict = {}
+    for root in positive_roots(n_rank):
+        below = tuple(m - c for m, c in zip(mu, _root_coords(n_rank, root)))
+        letter = ("e", root[1], root[0])
+        for (lo, hi), psi in components.get(below, {}).items():
+            left = engine.apply_letter(letter, lo)
+            right = engine.apply_letter(letter, hi)
+            for lo2, c_lo in left.items():
+                for hi2, c_hi in right.items():
+                    key = (lo2, hi2)
+                    image[key] = image.get(key, RF_ZERO) + psi * c_lo * c_hi
+    return image
+
+
 def fusion_solve(n_rank: int, depth: int) -> FusionElement:
     """Solve the defining recurrence of the shifted fusion element.
 
-    Components are produced weight by weight: the component at ``mu`` is the
-    image of the lower component under ``-sum_alpha e_{-alpha} x e_alpha``
-    divided by the scalar `_fusion_scalar`.  Coefficients are rational in the
-    canonical parameter symbols; the scalar cannot vanish there, but the
-    guard protects numeric use.
+    Components are produced weight by weight: the component at ``mu`` is its
+    `_recurrence_image` divided by `_fusion_scalar`.  Coefficients are
+    rational in the canonical parameter symbols, where the scalar never
+    vanishes: at ``mu != 0`` it has a term ``m_i l_i`` for some ``m_i > 0``.
     """
     basis = standard_basis(n_rank)
     engine = straightener(basis)
@@ -470,34 +501,11 @@ def fusion_solve(n_rank: int, depth: int) -> FusionElement:
     components: dict = {
         tuple([0] * (n_rank - 1)): {(zero, zero): RF_ONE}
     }
-    roots = positive_roots(n_rank)
-    coords_of = {
-        root: _exps_coords(basis, basis.exps_from_roots({root: 1})) for root in roots
-    }
     for height in range(1, depth + 1):
         for mu in _weight_compositions(n_rank - 1, height):
             scalar = _fusion_scalar(n_rank, mu)
-            if scalar.is_zero():
-                raise ResonantWeight(f"vanishing dividing scalar at weight {mu}")
-            rhs: dict = {}
-            for root in roots:
-                rc = coords_of[root]
-                prev_mu = tuple(m - c for m, c in zip(mu, rc))
-                if any(m < 0 for m in prev_mu):
-                    continue
-                prev = components.get(prev_mu)
-                if not prev:
-                    continue
-                letter = ("e", root[1], root[0])
-                for (lo, hi), psi in prev.items():
-                    left = engine.apply_letter(letter, lo)
-                    right = engine.apply_letter(letter, hi)
-                    for lo2, c_lo in left.items():
-                        for hi2, c_hi in right.items():
-                            key = (lo2, hi2)
-                            rhs[key] = rhs.get(key, RF_ZERO) + psi * c_lo * c_hi
             comp = {}
-            for key, val in rhs.items():
+            for key, val in _recurrence_image(engine, components, mu).items():
                 quot = val / scalar
                 if not quot.is_zero():
                     comp[key] = quot
@@ -882,7 +890,7 @@ def det_ingredients(space: TensorWeightSpace, alpha: tuple[int, int]) -> DetIngr
     n_rank = space.pbw_basis.n_rank
     pairings = lambda_pairing_symbols(n_rank)
     kap = kappa_symbol()
-    coords = _exps_coords(space.pbw_basis, space.pbw_basis.exps_from_roots({alpha: 1}))
+    coords = _root_coords(n_rank, alpha)
 
     def dim_at(m: int) -> int:
         return space.shifted({h: -m * rc for h, rc in enumerate(coords, 1)}).dim

@@ -416,6 +416,12 @@ def quad_chamber(ci: ChamberIntegral, tol: float) -> float:
     Raises ``NonIntegrable`` when some cluster of variables colliding at the
     origin, at the bound or with itself makes the integral diverge.  The
     result is bit for bit that of the reference kernel kept in the tests.
+
+    Level 3's weight does not absorb the non-adjacent ``(t_3 - t_1)^pair``,
+    so a large positive pair exponent can leave that level's Jacobi exponent
+    at or below -1 in a convergent chamber, which then raises ``ValueError``:
+    ``pow0 = (0, 0, -3.5)`` with ``pair = {(1, 3): 5}`` scales as r^4.5 as
+    t_1..t_3 -> 0, yet is refused.
     """
     if ci.m > 3:
         raise ValueError("chamber quadrature is limited to three variables")

@@ -34,7 +34,6 @@ from kzdyn.cli import (
 from kzdyn.dyn import (
     K_operator,
     PoleHit,
-    ResonantWeight,
     formal_z_exponents,
     fusion_solve,
 )
@@ -63,6 +62,7 @@ _UNREAD = [
     ("selberg", "--n", "3", {"n": 3}),
     ("sigma-orders", "--nu", "1", {"nu": (1,)}),
     ("appendix-c", "--factors", "verma", {"factors": ("verma",)}),
+    ("appendix-c", "--n", "3", {"n": 3}),
     ("additive-form", "--tol", "1e-9", {"tol": 1e-9}),
     ("fusion", "--max-ab", "1", {"max_ab": 1}),
     ("main-theorem-sl2", "--tol", "1e-9", {"tol": 1e-9}),
@@ -386,24 +386,36 @@ class TestSymbolicSuites:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "no-asserts"])
     def test_malformed_fusion_element_fails_structure_check(self, flags):
         # the pair ((2,), (1,)) does not have the weight (1,) of its
-        # component; the verdict must not rest on `assert`, which -O strips
+        # component; the second element has the solved pairs with one
+        # coefficient changed, so only its residual is nonzero.  The verdict
+        # must not rest on `assert`, which -O strips
         code = (
             "from kzdyn import cli\n"
-            "from kzdyn.dyn import FusionElement\n"
+            "from kzdyn.dyn import FusionElement, fusion_solve\n"
             "from kzdyn.symexpr import RF_ONE\n"
             "malformed = FusionElement(\n"
             "    2, 1, {(0,): {((0,), (0,)): RF_ONE}, (1,): {((2,), (1,)): RF_ONE}}\n"
             ")\n"
-            "cli.fusion_solve = lambda n, depth: malformed\n"
-            "report = cli.run_suite(cli.SuiteConfig(suite='fusion', depth=1, nu=(1,)))\n"
-            "witness = report['witnesses'][0]\n"
-            "print(malformed.structure_ok(), witness['structure_ok'], report['verdict'])\n"
+            "solved = fusion_solve(2, 1)\n"
+            "((key, c),) = solved.component((1,)).items()\n"
+            "changed = FusionElement(\n"
+            "    2, 1, {**solved.components, (1,): {key: c + RF_ONE}}\n"
+            ")\n"
+            "for element in (malformed, changed):\n"
+            "    cli.fusion_solve = lambda n, depth: element\n"
+            "    report = cli.run_suite(cli.SuiteConfig(suite='fusion', depth=1, nu=(1,)))\n"
+            "    witness = report['witnesses'][0]\n"
+            "    print(element.structure_ok(), witness['structure_ok'],\n"
+            "          element.residual_zero(), witness['residual_zero'], report['verdict'])\n"
         )
         proc = subprocess.run(
             [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=False
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False", "fail"]
+        assert proc.stdout.splitlines() == [
+            "False False False False fail",
+            "True True False False fail",
+        ]
 
     def test_compatibility_default(self):
         report = run_suite(SuiteConfig(suite="compatibility"))
@@ -1135,7 +1147,6 @@ class TestMainEntry:
         [
             InexactDivision("inexact polynomial division"),
             PoleHit("denominator vanishes"),
-            ResonantWeight("vanishing dividing scalar"),
             DivisionByZero("evaluation hit a pole"),
             QuadratureNotConverged(1e-8, 3e-7),
             ParseError("unexpected token"),

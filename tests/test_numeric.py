@@ -260,6 +260,16 @@ class TestQuadrature:
         with pytest.raises(NonIntegrable):
             quad_chamber(ChamberIntegral(3, (0.0,) * 3, (0.0,) * 3, {(1, 3): -2.5}), 1e-8)
 
+    def test_non_adjacent_pair_exponent_is_not_absorbed(self):
+        # t_1..t_3 -> 0 scales as r^(-3.5 + 5 + 3), so the chamber converges,
+        # but level 3's weight takes t_3^-1.5 without the (t_3 - t_1)^5 and
+        # the rule refuses it; once the kernel absorbs the non-adjacent
+        # exponent, this case expects a value instead
+        ci = ChamberIntegral(3, (0.0, 0.0, -3.5), (0.0, 0.0, 0.0), {(1, 3): 5.0})
+        assert _divergent_collision(ci) is None
+        with pytest.raises(ValueError, match="must exceed -1, not 0.0 and -1.5"):
+            quad_chamber(ci, 1e-8)
+
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_collision_check_reproduces_the_selberg_region(self, m):
         # the ordered beta integral converges exactly when a > 0, b > 0 and
