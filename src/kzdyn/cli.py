@@ -90,7 +90,7 @@ from .roots import (
     special_order,
     weight_from_pairings,
 )
-from .symexpr import RF_ONE, RF_ZERO, ParseError, rational
+from .symexpr import RF_ONE, RF_ZERO, ParseError, rational, rf_sums
 from .uea import GenWord, standard_basis, straightener, word
 
 __all__ = [
@@ -318,17 +318,19 @@ def _rank2_table(a: int, b: int, lam1, lam2, engine) -> dict:
     (a, b) is its transpose.
     """
     basis = engine.basis
-    table = {}
-    for m in range(min(a, b) + 1):
-        K = (b - m, m, a - m)
-        cK = factorial(b - m) * factorial(m) * factorial(a - m) * basis.signed_factor(K)
-        for k in range(min(a, b) + 1):
-            coeff = _rank2_double_sum_coeff(a, b, m, k, lam1, lam2) * rational(
-                (-1) ** k * cK
-            )
-            for J, cJ in engine.apply_word(_rank2_word(a, b, k)).items():
-                table[K, J] = table.get((K, J), RF_ZERO) + coeff * cJ
-    return {key: c for key, c in table.items() if not c.is_zero()}
+
+    def terms():
+        for m in range(min(a, b) + 1):
+            K = (b - m, m, a - m)
+            cK = factorial(b - m) * factorial(m) * factorial(a - m) * basis.signed_factor(K)
+            for k in range(min(a, b) + 1):
+                coeff = _rank2_double_sum_coeff(a, b, m, k, lam1, lam2) * rational(
+                    (-1) ** k * cK
+                )
+                for J, cJ in engine.apply_word(_rank2_word(a, b, k)).items():
+                    yield (K, J), coeff * cJ
+
+    return rf_sums(terms())
 
 
 def _appendix_c(params: dict):

@@ -473,18 +473,19 @@ def _recurrence_image(engine, components: Mapping, mu: Sequence[int]) -> dict:
     one positive root below ``mu``: the root's lowering letter on both sides
     of every pair."""
     n_rank = len(mu) + 1
-    image: dict = {}
-    for root in positive_roots(n_rank):
-        below = tuple(m - c for m, c in zip(mu, _root_coords(n_rank, root)))
-        letter = ("e", root[1], root[0])
-        for (lo, hi), psi in components.get(below, {}).items():
-            left = engine.apply_letter(letter, lo)
-            right = engine.apply_letter(letter, hi)
-            for lo2, c_lo in left.items():
-                for hi2, c_hi in right.items():
-                    key = (lo2, hi2)
-                    image[key] = image.get(key, RF_ZERO) + psi * c_lo * c_hi
-    return image
+
+    def terms():
+        for root in positive_roots(n_rank):
+            below = tuple(m - c for m, c in zip(mu, _root_coords(n_rank, root)))
+            letter = ("e", root[1], root[0])
+            for (lo, hi), psi in components.get(below, {}).items():
+                left = engine.apply_letter(letter, lo)
+                right = engine.apply_letter(letter, hi)
+                for lo2, c_lo in left.items():
+                    for hi2, c_hi in right.items():
+                        yield (lo2, hi2), psi * c_lo * c_hi
+
+    return rf_sums(terms())
 
 
 def fusion_solve(n_rank: int, depth: int) -> FusionElement:
@@ -586,7 +587,8 @@ def _root_letters(
     for (a, b) in positive_roots(space.pbw_basis.n_rank):
         raiser = operator_for_letter(space, ("e", a, b), only_factor=raise_at - 1)
         lower = operator_for_letter(raiser.codomain, ("e", b, a), only_factor=lower_at - 1)
-        assert lower.codomain == space
+        if lower.codomain != space:
+            raise ValueError(f"e_{b}{a} e_{a}{b} maps {space!r} to {lower.codomain!r}")
         yield (a, b), raiser, lower
 
 
@@ -971,20 +973,21 @@ def _coupling_to_last(
     """
     last = len(space_prime.factors)
     top = {row: pos for pos, row in enumerate(_contract_last_factor(space_prime, space))}
-    entries: dict[tuple[int, int], RationalFunctionExpr] = {}
-    for row, pos in top.items():
-        mu_i = space_prime.factor_weight(row, i)
-        entries[(pos, row)] = mu_i.dot(space_prime.factor_weight(row, last))
     zero = space_prime.pbw_basis.zero_exps()
-    for _, raiser, lower in _root_letters(space_prime, last, i):
-        raised = lower.domain
-        kept = {k: c for k, c in raiser.entries.items() if raised.basis[k[0]][-1] == zero}
-        term = lower.compose(WeightSpaceOperator(space_prime, raised, kept))
-        for (row, col), c in term.entries.items():
-            if row in top:
-                key = (top[row], col)
-                entries[key] = entries.get(key, RF_ZERO) + c
-    return WeightSpaceOperator(space_prime, space, entries)
+
+    def terms():
+        for row, pos in top.items():
+            mu_i = space_prime.factor_weight(row, i)
+            yield (pos, row), mu_i.dot(space_prime.factor_weight(row, last))
+        for _, raiser, lower in _root_letters(space_prime, last, i):
+            raised = lower.domain
+            kept = {k: c for k, c in raiser.entries.items() if raised.basis[k[0]][-1] == zero}
+            term = lower.compose(WeightSpaceOperator(space_prime, raised, kept))
+            for (row, col), c in term.entries.items():
+                if row in top:
+                    yield (top[row], col), c
+
+    return WeightSpaceOperator(space_prime, space, rf_sums(terms()))
 
 
 def check_rational_to_trig(
@@ -1024,13 +1027,14 @@ def check_rational_to_trig(
         for pos, row in enumerate(lift)
     }
     lhs_op = WeightSpaceOperator(space_prime, space, diagonal)
-    entries = dict(_coupling_to_last(space_prime, space, i).entries)
-    for j in range(1, n + 1):
-        if j != i:
-            for (row, col), c in omega_operator(space, j, i).entries.items():
-                key = (row, lift[col])
-                entries[key] = entries.get(key, RF_ZERO) + c
-    rhs_op = WeightSpaceOperator(space_prime, space, entries)
+    lowering = (
+        ((row, lift[col]), c)
+        for j in range(1, n + 1)
+        if j != i
+        for (row, col), c in omega_operator(space, j, i).entries.items()
+    )
+    coupling = _coupling_to_last(space_prime, space, i).entries.items()
+    rhs_op = WeightSpaceOperator(space_prime, space, rf_sums(itertools.chain(coupling, lowering)))
     if vectors is None:
         vectors = singular_vectors(space_prime)
     for checked, u0 in enumerate(vectors, 1):

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from ._record import record
-from .symexpr import RF_ONE, RF_ZERO, RationalFunctionExpr, rational, symbol
+from .symexpr import RF_ONE, RF_ZERO, RationalFunctionExpr, rational, rf_sums, symbol
 from .roots import (
     alpha_vec,
     positive_roots,
@@ -56,7 +56,6 @@ from .dyn import (
 from .hyper import (
     Forest,
     OrderFlavor,
-    SlotCounts,
     StringGraph,
     _averages_to_zero,
     forest_of_index,
@@ -563,47 +562,37 @@ def raising_dual_coefficients(
     appears with the slot's remaining weight pairing as coefficient.
     """
     counts = index_counts(index)
-    out: dict[tuple, RationalFunctionExpr] = {}
 
-    def add(new_counts, coeff):
-        if coeff.is_zero():
-            return
-        key = tuple(new_counts)
-        out[key] = out.get(key, RF_ZERO) + coeff
-
-    def adjust(slot: SlotCounts, deltas: Mapping[tuple[int, int], int]) -> SlotCounts:
-        d = dict(slot)
+    def adjust(j: int, deltas: Mapping[tuple[int, int], int]) -> tuple:
+        """``counts`` with the string counts of slot ``j`` moved by ``deltas``."""
+        d = dict(counts[j])
         for root, step in deltas.items():
             d[root] = d.get(root, 0) + step
             if d[root] < 0:
                 raise ValueError("negative string count")
             if d[root] == 0:
                 del d[root]
-        return tuple(sorted(d.items()))
+        return counts[:j] + (tuple(sorted(d.items())),) + counts[j + 1 :]
 
-    for j, slot in enumerate(counts):
-        here = dict(slot)
-        for p in range(h + 2, n_rank + 1):
-            c = here.get((h + 1, p), 0)
-            if c:
-                new = list(counts)
-                new[j] = adjust(slot, {(h, p): 1, (h + 1, p): -1})
-                add(new, rational(c))
-        for p in range(1, h):
-            c = here.get((p, h), 0)
-            if c:
-                new = list(counts)
-                new[j] = adjust(slot, {(p, h + 1): 1, (p, h): -1})
-                add(new, rational(-c))
-        scalar = slot_alpha_pairings[j][h - 1]
-        for p in range(1, h):
-            scalar = scalar + rational(here.get((p, h), 0))
-        for p in range(1, h + 1):
-            scalar = scalar - rational(here.get((p, h + 1), 0))
-        new = list(counts)
-        new[j] = adjust(slot, {(h, h + 1): 1})
-        add(new, scalar)
-    return sorted(out.items())
+    def terms():
+        for j, slot in enumerate(counts):
+            here = dict(slot)
+            for p in range(h + 2, n_rank + 1):
+                c = here.get((h + 1, p), 0)
+                if c:
+                    yield adjust(j, {(h, p): 1, (h + 1, p): -1}), rational(c)
+            for p in range(1, h):
+                c = here.get((p, h), 0)
+                if c:
+                    yield adjust(j, {(p, h + 1): 1, (p, h): -1}), rational(-c)
+            scalar = slot_alpha_pairings[j][h - 1]
+            for p in range(1, h):
+                scalar = scalar + rational(here.get((p, h), 0))
+            for p in range(1, h + 1):
+                scalar = scalar - rational(here.get((p, h + 1), 0))
+            yield adjust(j, {(h, h + 1): 1}), scalar
+
+    return sorted(rf_sums(terms()).items())
 
 # ---------------------------------------------------------------------------
 # Dual lowering rule
@@ -622,15 +611,16 @@ def dual_action_F(
     if not root[0] <= h < root[1]:
         raise ValueError("the one-term dual lowering rule needs k <= h < l")
     pos = basis.position[root]
-    out: dict[MultiIndex, RationalFunctionExpr] = {}
-    for j in range(len(space.factors)):
-        c = index[j][pos]
-        if c:
-            exps = list(index[j])
-            exps[pos] -= 1
-            key = index[:j] + (tuple(exps),) + index[j + 1 :]
-            out[key] = out.get(key, RF_ZERO) + rational(c)
-    return out
+
+    def lowered(j: int) -> MultiIndex:
+        exps = list(index[j])
+        exps[pos] -= 1
+        return index[:j] + (tuple(exps),) + index[j + 1 :]
+
+    # each factor gives its own key, so no key takes a second term
+    return {
+        lowered(j): rational(index[j][pos]) for j in range(len(space.factors)) if index[j][pos]
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,8 @@ class WeightSpaceOperator:
 
     def compose(self, other: "WeightSpaceOperator") -> "WeightSpaceOperator":
         """self ∘ other (apply other first)."""
-        assert other.codomain == self.domain
+        if other.codomain != self.domain:
+            raise ValueError(f"cannot compose: {other.codomain!r} is not {self.domain!r}")
         by_col: dict[int, list[tuple[int, RationalFunctionExpr]]] = {}
         for (i, j), m in other.entries.items():
             by_col.setdefault(j, []).append((i, m))
@@ -340,7 +341,11 @@ class WeightSpaceOperator:
         return WeightSpaceOperator(other.domain, self.codomain, out)
 
     def __add__(self, other: "WeightSpaceOperator") -> "WeightSpaceOperator":
-        assert self.domain == other.domain and self.codomain == other.codomain
+        if self.domain != other.domain or self.codomain != other.codomain:
+            raise ValueError(
+                f"cannot add operators {self.domain!r} -> {self.codomain!r}"
+                f" and {other.domain!r} -> {other.codomain!r}"
+            )
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, RF_ZERO) + v
@@ -376,7 +381,8 @@ class WeightSpaceOperator:
 
     def invert(self) -> "WeightSpaceOperator":
         """Exact inverse via Gauss-Jordan on the sparse rows of ``[A | I]``."""
-        assert self.domain == self.codomain
+        if self.domain != self.codomain:
+            raise ValueError(f"cannot invert {self.domain!r} -> {self.codomain!r}")
         n = self.domain.dim
         rows: list[dict[int, RationalFunctionExpr]] = [{n + i: RF_ONE} for i in range(n)]
         for (i, j), v in self.entries.items():

@@ -75,9 +75,12 @@ keeps one running sum per key: a numerator over a base that each new term
 refines, with each factor's M and the number of terms that reach it.  A
 piece that refinement splits off an earlier factor counts as reached twice.
 At the end only the factors reached twice are cancelled, so each sum is
-reduced once instead of after every term.  The two-operand ``+`` stays as
-it is: it is the reference for the n-ary sum and the cheaper path for two
-operands and small sums.
+reduced once instead of after every term.  The rule for callers: a keyed
+sum of many terms goes through `rf_sums`, not a hand-rolled accumulator
+dict; two operands, the letter matrices (`rep.operator_for_letter`) and
+operator ``+`` keep the two-operand ``+``, where a key meets one or two
+terms and a running sum costs more than it saves.  That ``+`` is also the
+reference for the n-ary sum.
 
 Multivariate gcds go through one seam, `poly_gcd_cofactors`.  It answers
 directly only when the result is forced: for a zero or constant operand, for
@@ -1311,19 +1314,17 @@ class _RunningSum:
 
     ``base`` maps each factor f to ``[M, reached]``: its largest
     multiplicity M over the terms so far and how many of them reach M, or 2
-    for a piece that refinement split off an earlier factor.  A sum of one
-    term is that term.
+    for a piece that refinement split off an earlier factor.  `rf_sums`
+    starts one at a key's second term.
     """
 
-    __slots__ = ("first", "num", "base")
+    __slots__ = ("num", "base")
 
     def __init__(self, term: RationalFunctionExpr):
-        self.first: RationalFunctionExpr | None = term
         self.num = term.num
         self.base = {f: [m, 1] for f, m in term.factors}
 
     def add(self, term: RationalFunctionExpr) -> None:
-        self.first = None
         factors = term.factors
         if not factors:
             # a polynomial term reaches no factor
@@ -1360,8 +1361,6 @@ class _RunningSum:
 
     def value(self) -> RationalFunctionExpr:
         """The canonical sum: only factors that two terms reach are cancelled."""
-        if self.first is not None:
-            return self.first
         num = self.num
         if num.is_zero():
             return RF_ZERO
@@ -1378,22 +1377,26 @@ class _RunningSum:
 def rf_sums(items: Iterable[tuple[object, RationalFunctionExpr]]) -> dict:
     """``{key: sum of its terms}`` over ``(key, term)`` pairs, without zero sums.
 
-    Each key keeps one running sum (`_RunningSum`) and is reduced once, at
-    the end, by the n-term rule of the module docstring.  Keys keep the
-    order of their first nonzero term.
+    A key with one term keeps that term; from its second term on it keeps
+    one running sum (`_RunningSum`), reduced once, at the end, by the n-term
+    rule of the module docstring.  Keys keep the order of their first
+    nonzero term.
     """
-    sums: dict[object, _RunningSum] = {}
+    sums: dict[object, RationalFunctionExpr | _RunningSum] = {}
     for key, term in items:
         if term.num.is_zero():
             continue
         running = sums.get(key)
         if running is None:
-            sums[key] = _RunningSum(term)
+            sums[key] = term
+        elif type(running) is _RunningSum:
+            running.add(term)
         else:
+            running = sums[key] = _RunningSum(running)
             running.add(term)
     out = {}
     for key, running in sums.items():
-        value = running.value()
+        value = running.value() if type(running) is _RunningSum else running
         if not value.num.is_zero():
             out[key] = value
     return out

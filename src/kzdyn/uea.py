@@ -50,7 +50,7 @@ from typing import Mapping, Optional, Sequence
 
 from ._record import record
 from .roots import WeightVec, sign_table_a, special_order
-from .symexpr import RF_ONE, RationalFunctionExpr, rational
+from .symexpr import RF_ONE, RationalFunctionExpr, rational, rf_sums
 
 __all__ = [
     "Letter",
@@ -234,18 +234,6 @@ def monomial_word(basis: PBWBasis, exps: Sequence[int]) -> GenWord:
 # Straightening engine
 # ---------------------------------------------------------------------------
 
-def _state_add(state, exps, coeff) -> None:
-    s = state.get(exps)
-    if s is None:
-        state[exps] = coeff
-    else:
-        s = s + coeff
-        if s.is_zero():
-            del state[exps]
-        else:
-            state[exps] = s
-
-
 class Straightener:
     """Memoized letter-by-letter rewriting against one PBW arrangement.
 
@@ -313,31 +301,33 @@ class Straightener:
         rest = tuple(rest)
         f_top = f_letter(self.basis.order[top])
 
-        state: dict[tuple[int, ...], RationalFunctionExpr] = {}
-        # r = 0 term: f_top^m/m! * (letter * F_rest v)
-        for k_exps, c in self.apply_letter(letter, rest).items():
-            for k2, c2 in self._insert_power(top, m, k_exps).items():
-                _state_add(state, k2, c * c2)
-        # r >= 1 terms with iterated brackets ad^r(letter)/r!
-        current: dict[Letter, Fraction] = {letter: _F1}
-        for r in range(1, m + 1):
-            nxt: dict[Letter, Fraction] = {}
-            for y, cy in current.items():
-                for z, cz in bracket_letters(y, f_top).items():
-                    s = nxt.get(z, _F0) + cy * cz
-                    if s:
-                        nxt[z] = s
-                    elif z in nxt:
-                        del nxt[z]
-            current = nxt
-            if not current:
-                break
-            inv_rfact = Fraction(1, math.factorial(r))
-            for y, cy in current.items():
-                scale = rational(cy * inv_rfact)
-                for k_exps, c in self.apply_letter(y, rest).items():
-                    for k2, c2 in self._insert_power(top, m - r, k_exps).items():
-                        _state_add(state, k2, scale * c * c2)
+        def terms():
+            # r = 0 term: f_top^m/m! * (letter * F_rest v)
+            for k_exps, c in self.apply_letter(letter, rest).items():
+                for k2, c2 in self._insert_power(top, m, k_exps).items():
+                    yield k2, c * c2
+            # r >= 1 terms with iterated brackets ad^r(letter)/r!
+            current: dict[Letter, Fraction] = {letter: _F1}
+            for r in range(1, m + 1):
+                nxt: dict[Letter, Fraction] = {}
+                for y, cy in current.items():
+                    for z, cz in bracket_letters(y, f_top).items():
+                        s = nxt.get(z, _F0) + cy * cz
+                        if s:
+                            nxt[z] = s
+                        elif z in nxt:
+                            del nxt[z]
+                current = nxt
+                if not current:
+                    break
+                inv_rfact = Fraction(1, math.factorial(r))
+                for y, cy in current.items():
+                    scale = rational(cy * inv_rfact)
+                    for k_exps, c in self.apply_letter(y, rest).items():
+                        for k2, c2 in self._insert_power(top, m - r, k_exps).items():
+                            yield k2, scale * c * c2
+
+        state = rf_sums(terms())
         if self._sigma[top] < 0 and m % 2:
             return {k: -c for k, c in state.items()}
         return state
@@ -349,11 +339,7 @@ class Straightener:
         f = f_letter(self.basis.order[pos])
         state = {exps: RF_ONE}
         for _ in range(power):
-            nxt: dict[tuple[int, ...], RationalFunctionExpr] = {}
-            for k_exps, c in state.items():
-                for k2, c2 in self.apply_letter(f, k_exps).items():
-                    _state_add(nxt, k2, c * c2)
-            state = nxt
+            state = self._apply_to_state(f, state)
         inv = rational(Fraction(1, math.factorial(power)))
         return {k: c * inv for k, c in state.items()}
 
@@ -364,12 +350,16 @@ class Straightener:
         coefficients ``{J: c_J}`` of ``F_J * v`` (rightmost letter first)."""
         state = {self.basis.zero_exps(): w.coeff}
         for letter in reversed(w.letters):
-            nxt: dict[tuple[int, ...], RationalFunctionExpr] = {}
-            for exps, c in state.items():
-                for k2, c2 in self.apply_letter(letter, exps).items():
-                    _state_add(nxt, k2, c * c2)
-            state = nxt
+            state = self._apply_to_state(letter, state)
         return state
+
+    def _apply_to_state(self, letter: Letter, state: Mapping) -> dict:
+        """``letter`` applied to the state ``{exps: c}`` of ``sum c F_exps v``."""
+        return rf_sums(
+            (k2, c * c2)
+            for exps, c in state.items()
+            for k2, c2 in self.apply_letter(letter, exps).items()
+        )
 
 
 @lru_cache(maxsize=None)

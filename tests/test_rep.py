@@ -609,6 +609,16 @@ def test_invert_matches_dense_reference(seed):
     assert op.compose(inverse) == WeightSpaceOperator.identity(space)
 
 
+@pytest.mark.parametrize("method", ["compose", "add", "invert"])
+def test_mismatched_operand_spaces_raise_value_error(method):
+    # `if` guards, not `assert`: they hold under python -O too
+    e12 = operator_for_letter(enumerate_basis([_sym(1, 3)], (1, 1)), ("e", 1, 2))
+    e23 = operator_for_letter(enumerate_basis([_sym(1, 3)], (1, 0)), ("e", 2, 3))
+    call = {"compose": lambda: e12.compose(e23), "add": lambda: e12 + e23, "invert": e12.invert}
+    with pytest.raises(ValueError, match="TensorWeightSpace.*TensorWeightSpace"):
+        call[method]()
+
+
 def test_elimination_edge_cases():
     # dim 0, and rows with no entries
     assert nullspace([], 0) == reference_nullspace([], 0) == []
