@@ -60,7 +60,6 @@ from .rep import (
     enumerate_basis,
     operator_for_letter,
     p_elements,
-    singular_vectors,
     verma_weight,
     word_operator,
 )
@@ -88,7 +87,6 @@ from .uea import (
     antipode_A,
     chevalley_tau,
     monomial_word,
-    special_basis,
     standard_basis,
     straightener,
 )
@@ -324,7 +322,7 @@ def B_additive(
     """
     pairings = _default_pairings(space, pairings)
     n_rank = space.pbw_basis.n_rank
-    basis_r = special_basis(n_rank, r)
+    basis_r = PBWBasis(n_rank, r)
     aux_factor = verma_weight(n_rank, weight_from_pairings(n_rank, pairings))
     straddling = [k <= r < l for k, l in basis_r.order]
 
@@ -730,12 +728,7 @@ def check_K_exchange(space: TensorWeightSpace, k: int, l: int) -> CheckReport:
     return CheckReport(witness is None, space.dim ** 2, witness)
 
 
-def check_nabla_K(
-    space: TensorWeightSpace,
-    j: int,
-    k: int,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> CheckReport:
+def check_nabla_K(space: TensorWeightSpace, j: int, k: int) -> CheckReport:
     """Exact zeroth-order residual of the derivative/difference intertwining.
 
     With Z(lambda) the zeroth-order matrix of the j-th trigonometric KZ
@@ -743,9 +736,9 @@ def check_nabla_K(
     Z(lambda + kappa omega_k) K - K Z(lambda)``.  The derivative hits only
     the coordinate prefactor, whose logarithmic derivative is the formal
     highest-weight exponent plus the integer exponent of each matrix row.
-    The residual must vanish identically.
+    The residual must vanish identically at `lambda_pairing_symbols`.
     """
-    pairings = _default_pairings(space, pairings)
+    pairings = lambda_pairing_symbols(space.pbw_basis.n_rank)
     kap = kappa_symbol()
     K = K_operator(space, k, pairings)
 
@@ -796,7 +789,7 @@ def nabla_K_rows(space: TensorWeightSpace) -> Iterator[tuple[int, int, CheckRepo
       - A_k)) B.
 
     The proof needs B free of z and kappa, so B and Lambda_j are built at
-    `lambda_pairing_symbols` only; other pairings go to `check_nabla_K`.
+    `lambda_pairing_symbols`, the pairings `check_nabla_K` reads too.
     A failing report's witness names its ``part`` (with ``i`` for a Casimir)
     and the first unequal entry.  Each B_k, Omega and root term is built once
     per call.
@@ -993,7 +986,7 @@ def _coupling_to_last(
 def check_rational_to_trig(
     space_prime: TensorWeightSpace,
     i: int,
-    vectors: Optional[Sequence[Mapping[int, RationalFunctionExpr]]] = None,
+    vectors: Sequence[Mapping[int, RationalFunctionExpr]],
 ) -> CheckReport:
     """Exact check of the weight identity behind the trigonometric reduction.
 
@@ -1003,8 +996,8 @@ def check_rational_to_trig(
     last highest weight plus the rho and half-weight shifts, minus half the
     factor Casimir value.  The right side is `_coupling_to_last` plus the
     lowering halves ``omega_operator(space, j, i)``, j != i, after the same
-    contraction.  Both apply to each singular vector of ``space_prime``
-    (``vectors``, when the caller has them); the witness names the first
+    contraction.  Both apply to each of ``vectors``, the singular vectors of
+    ``space_prime`` (`rep.singular_vectors`); the witness names the first
     vector, then the first position, where they differ.
     """
     n_rank = space_prime.pbw_basis.n_rank
@@ -1035,8 +1028,6 @@ def check_rational_to_trig(
     )
     coupling = _coupling_to_last(space_prime, space, i).entries.items()
     rhs_op = WeightSpaceOperator(space_prime, space, rf_sums(itertools.chain(coupling, lowering)))
-    if vectors is None:
-        vectors = singular_vectors(space_prime)
     for checked, u0 in enumerate(vectors, 1):
         lhs, rhs = lhs_op.apply(u0), rhs_op.apply(u0)
         for pos in sorted(set(lhs) | set(rhs)):

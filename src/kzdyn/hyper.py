@@ -49,7 +49,6 @@ from .roots import OutOfRange
 from .uea import (
     PBWBasis,
     monomial_word,
-    special_basis,
     standard_basis,
     straightener,
 )
@@ -203,7 +202,6 @@ class StringGraph:
     sign: int
     variables: tuple[tuple[int, int], ...]
     ground: RationalFunctionExpr
-    ground_name: str
 
     def _var(self, color: int) -> RationalFunctionExpr:
         k = self.root[0]
@@ -226,7 +224,7 @@ class StringGraph:
                 out.append((t_name(*a), t_name(*b)))
             else:
                 out.append((t_name(*b), t_name(*a)))
-        out.append((t_name(*self.variables[self.ground_color - k]), self.ground_name))
+        out.append((t_name(*self.variables[self.ground_color - k]), str(self.ground)))
         return out
 
     def to_json(self) -> dict:
@@ -234,7 +232,7 @@ class StringGraph:
             "root": list(self.root),
             "slot": self.slot,
             "copy": self.copy,
-            "ground": self.ground_name,
+            "ground": str(self.ground),
             "ground_color": self.ground_color,
             "sign": self.sign,
             "variables": [t_name(*v) for v in self.variables],
@@ -269,7 +267,7 @@ class Forest:
             "trees": [
                 {
                     "slot": slot,
-                    "ground": group[0].ground_name,
+                    "ground": str(group[0].ground),
                     "strings": [s.to_json() for s in group],
                 }
                 for slot, group in sorted(self.trees().items())
@@ -300,7 +298,6 @@ def forest_of_index(
     strings: list[StringGraph] = []
     for j, slot in enumerate(counts, start=1):
         ground = grounds[j - 1]
-        label = "0" if ground.is_zero() else str(ground)
         for root, count in sorted(slot, key=lambda rc: std_pos[rc[0]]):
             k, l = root
             g, sign = _case_for(root, flav)
@@ -309,9 +306,7 @@ def forest_of_index(
                 for p in range(k, l):
                     variables.append((p, next_copy[p - 1]))
                     next_copy[p - 1] += 1
-                strings.append(
-                    StringGraph(root, j, q, g, sign, tuple(variables), ground, label)
-                )
+                strings.append(StringGraph(root, j, q, g, sign, tuple(variables), ground))
     return Forest(n_rank, flav, tuple(strings))
 
 
@@ -341,7 +336,7 @@ def phi_vector(
     flav = _flavor(flavor, rank)
     if flav.switched:
         raise ValueError("interpolating flavors have no single attached basis")
-    basis = special_basis(rank, flav.h)
+    basis = PBWBasis(rank, flav.h)
     terms = []
     for multi in space.basis:
         counts = index_counts(multi, space.pbw_basis)

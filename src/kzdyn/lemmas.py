@@ -213,7 +213,6 @@ def master_exponents(
     pairings: Optional[Sequence[RationalFunctionExpr]] = None,
     *,
     m_counts: Optional[Sequence[int]] = None,
-    include_z_powers: bool = True,
 ) -> MasterExponents:
     """Exponents of the weight function of a space at a dynamical parameter.
 
@@ -250,12 +249,7 @@ def master_exponents(
             t_t[(k, k + 1)] = minus_one
     base = lam - rho_vec(rank) - nu.scale(half)
     t_pow = tuple(base.dot(alphas[k]) * minus_one for k in range(1, rank))
-    if include_z_powers:
-        z_pow = tuple(
-            hw.dot(lam - nu.scale(half) + hw.scale(half)) for hw in hws
-        )
-    else:
-        z_pow = tuple(RF_ZERO for _ in hws)
+    z_pow = tuple(hw.dot(lam - nu.scale(half) + hw.scale(half)) for hw in hws)
     counts = tuple(m_counts) if m_counts is not None else tuple(space.nu0)
     if len(counts) != rank - 1:
         raise ValueError("need one variable count per color")
@@ -335,7 +329,7 @@ def _straddle_split_product(forest: Forest, h: int) -> RationalFunctionExpr:
         k, l = s.root
         if k <= h < l:
             at_zero = StringGraph(
-                s.root, s.slot, s.copy, s.ground_color, s.sign, s.variables, RF_ZERO, "0"
+                s.root, s.slot, s.copy, s.ground_color, s.sign, s.variables, RF_ZERO
             )
             value = value * (s.function() - at_zero.function())
         else:
@@ -376,11 +370,7 @@ class ZShiftFactorization:
         }
 
 
-def z_shift_factorization(
-    space: TensorWeightSpace,
-    h: int,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> ZShiftFactorization:
+def z_shift_factorization(space: TensorWeightSpace, h: int) -> ZShiftFactorization:
     """Exact factorization of the color-``h`` coordinate division.
 
     For every index, dividing its level-``h`` function by all color-``h``
@@ -393,8 +383,7 @@ def z_shift_factorization(
     coordinate exponents.
     """
     rank = space.pbw_basis.n_rank
-    if pairings is None:
-        pairings = lambda_pairing_symbols(rank)
+    pairings = lambda_pairing_symbols(rank)
     n = len(space.factors)
     grounds = z_symbols(n)
     m_h = space.nu0[h - 1]
@@ -640,23 +629,17 @@ def _sorted_key_sign(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 def _wedge(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], RationalFunctionExpr] = {}
-    for ka, ca in a.items():
-        seen = set(ka)
-        for kb, cb in b.items():
-            if seen & set(kb):
-                continue
-            key, sign = _sorted_key_sign(ka + kb)
-            coeff = ca * cb
-            if sign < 0:
-                coeff = coeff * rational(-1)
-            prev = out.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return out
+    def terms():
+        for ka, ca in a.items():
+            seen = set(ka)
+            for kb, cb in b.items():
+                if seen & set(kb):
+                    continue
+                key, sign = _sorted_key_sign(ka + kb)
+                coeff = ca * cb
+                yield key, coeff if sign > 0 else -coeff
+
+    return rf_sums(terms())
 
 
 @record
@@ -683,12 +666,7 @@ class SwitchCorReport:
         }
 
 
-def switch_cor_witness(
-    space: TensorWeightSpace,
-    index,
-    h: int,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
-) -> SwitchCorReport:
+def switch_cor_witness(space: TensorWeightSpace, index, h: int) -> SwitchCorReport:
     """Certify that the raising action lands in the null class.
 
     Two exact statements are verified over the universe enlarged by one
@@ -702,8 +680,6 @@ def switch_cor_witness(
     """
     rank = space.pbw_basis.n_rank
     n = len(space.factors)
-    if pairings is None:
-        pairings = lambda_pairing_symbols(rank)
     counts = index_counts(index)
     if len(counts) == n:
         counts = counts + ((),)
@@ -716,9 +692,7 @@ def switch_cor_witness(
         m + 1 if k == h else m for k, m in enumerate(base_counts, start=1)
     )
     new_var = t_name(h, base_counts[h - 1] + 1)
-    me = master_exponents(
-        space, pairings, m_counts=enlarged, include_z_powers=False
-    )
+    me = master_exponents(space, m_counts=enlarged)
 
     var_ids = {}
     for k, m in enumerate(enlarged, start=1):
@@ -755,15 +729,10 @@ def switch_cor_witness(
     else:
         pullback_exact, pullback_sign = False, 0
 
-    half = rational(Fraction(1, 2))
-    slot_pairs = [
-        tuple(f.hw.dot(alpha_vec(rank, p)) for p in range(1, rank))
-        for f in space.factors
-    ]
-    aux = tuple(
-        p - RF_ONE - q * half for p, q in zip(pairings, space.weight_pairings)
-    )
-    slot_pairs.append(aux)
+    # the pairings (hw_j, alpha_p) of the slots and (lambda - rho - nu/2,
+    # alpha_p) of the extra slot frozen at zero, as the exponents record them
+    slot_pairs = [tuple(-me.t_z[(p, j)] for p in range(1, rank)) for j in range(1, n + 1)]
+    slot_pairs.append(tuple(-e for e in me.t_pow))
 
     dual_image = RF_ZERO
     coeffs = raising_dual_coefficients(counts, h, slot_pairs, rank)

@@ -189,7 +189,7 @@ class TensorWeightSpace:
     def __repr__(self):
         return (
             f"TensorWeightSpace(n={len(self.factors)}, nu0={self.nu0}, "
-            f"dim={len(self.basis)}, order={self.pbw_basis.tag})"
+            f"dim={len(self.basis)}, h={self.pbw_basis.h})"
         )
 
     @property

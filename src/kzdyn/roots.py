@@ -154,16 +154,22 @@ class ElemTransform:
 def apply_transform(
     order: Sequence[tuple[int, int]], transform: ElemTransform
 ) -> tuple[tuple[int, int], ...]:
+    """``order`` after ``transform``; `ValueError` if the transform does not
+    apply there (an A1A1 pair that sums to a root, an A2 window whose middle
+    is not the sum of its ends or not the label)."""
     out = list(order)
     i = transform.position
     if transform.kind == "A1A1":
-        assert root_sum(out[i], out[i + 1]) is None
-        out[i], out[i + 1] = out[i + 1], out[i]
+        j = i + 1
+        applies = root_sum(out[i], out[j]) is None
     elif transform.kind == "A2":
-        assert root_sum(out[i], out[i + 2]) == out[i + 1] == transform.label
-        out[i], out[i + 2] = out[i + 2], out[i]
+        j = i + 2
+        applies = root_sum(out[i], out[j]) == out[i + 1] == transform.label
     else:  # pragma: no cover - guarded by construction
         raise ValueError(f"unknown transform kind {transform.kind!r}")
+    if not applies:
+        raise ValueError(f"{transform!r} does not apply to the order {serialize_order(order)}")
+    out[i], out[j] = out[j], out[i]
     return tuple(out)
 
 

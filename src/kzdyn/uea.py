@@ -10,10 +10,13 @@ right as an operator product (the rightmost letter acts first).
 
 PBW data
 --------
-A `PBWBasis` fixes a normal order on the positive roots (largest first) and a
-sign per root; the lowering vector attached to the root ``(k, l)`` at sign
-``s`` is ``s * e_{l,k}``.  The basis monomial for a multi-index ``I`` (stored
-as an exponent tuple aligned with the order) is::
+A `PBWBasis` is a level: ``PBWBasis(n_rank, h)`` is the level-``h`` normal
+order on the positive roots (largest first, `roots.special_order`) with the
+sign ``s = (-1)^{a_{k,l}(h)}`` per root (`roots.sign_table_a`), and
+`standard_basis` is the top level ``n_rank - 1``.  The lowering vector
+attached to the root ``(k, l)`` at sign ``s`` is ``s * e_{l,k}``.  The basis
+monomial for a multi-index ``I`` (stored as an exponent tuple aligned with
+the order) is::
 
     F_I = (-1)^{sum I} * prod_pos (sign_pos * e_{l,k})^{I_pos} / I_pos!
         = prod_pos (sigma_pos * e_{l,k})^{I_pos} / I_pos!,  sigma_pos = -sign_pos,
@@ -32,11 +35,11 @@ powers commute through the identity
 ``X f^m/m! = sum_r f^{m-r}/(m-r)! (ad^r X)/r!``, times ``sigma^m`` for F's
 leading factor ``(sigma f)^m/m!``.  Everything is memoized per (letter,
 exponent) pair, so repeated operator assembly is cheap.  There is one memo
-per arrangement and highest weight, shared by every caller: `straightener`
+per level and highest weight, shared by every caller: `straightener`
 returns the same engine for equal arguments.  The dicts its methods return are
 the memo's own entries and must never be mutated; no caller mutates them.
 
-A basis monomial of another normal order, written out by `monomial_word`,
+A basis monomial of another level, written out by `monomial_word`,
 straightens like any word: that is how a monomial is re-expressed in the
 engine's order.
 """
@@ -58,7 +61,6 @@ __all__ = [
     "word",
     "PBWBasis",
     "standard_basis",
-    "special_basis",
     "Straightener",
     "straightener",
     "bracket_letters",
@@ -146,38 +148,30 @@ def word(*letters: Letter) -> GenWord:
 # ---------------------------------------------------------------------------
 
 class PBWBasis:
-    """A normal order on positive roots plus a sign per root (see module doc)."""
+    """The level-``h`` basis of sl_{n_rank}: the order `special_order` with
+    the signs (-1)^{a_{k,l}(h)} of `sign_table_a` (see module doc)."""
 
-    __slots__ = ("n_rank", "order", "signs", "position", "tag", "_hash")
+    __slots__ = ("n_rank", "h", "order", "signs", "position", "_hash")
 
-    def __init__(
-        self,
-        n_rank: int,
-        order: tuple[tuple[int, int], ...],
-        signs: tuple[int, ...],
-        tag: str = "",
-    ):
+    def __init__(self, n_rank: int, h: int):
         self.n_rank = n_rank
-        self.order = order
-        self.signs = signs
-        self.position = {root: i for i, root in enumerate(order)}
-        self.tag = tag or "custom"
-        self._hash = hash((n_rank, order, signs))
+        self.h = h
+        self.order = special_order(n_rank, h)
+        table = sign_table_a(n_rank, h)
+        self.signs = tuple(-1 if table[root] % 2 else 1 for root in self.order)
+        self.position = {root: i for i, root in enumerate(self.order)}
+        self._hash = hash((n_rank, h))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PBWBasis):
             return NotImplemented
-        return (
-            self.n_rank == other.n_rank
-            and self.order == other.order
-            and self.signs == other.signs
-        )
+        return self.n_rank == other.n_rank and self.h == other.h
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"PBWBasis({self.tag}, n_rank={self.n_rank})"
+        return f"PBWBasis(h={self.h}, n_rank={self.n_rank})"
 
     # -- monomial helpers ----------------------------------------------------
 
@@ -204,15 +198,7 @@ class PBWBasis:
 
 
 def standard_basis(n_rank: int) -> PBWBasis:
-    return special_basis(n_rank, n_rank - 1)
-
-
-def special_basis(n_rank: int, h: int) -> PBWBasis:
-    """Basis attached to the level-h order with signs (-1)^{a_{k,l}(h)}."""
-    order = special_order(n_rank, h)
-    table = sign_table_a(n_rank, h)
-    signs = tuple(-1 if table[root] % 2 else 1 for root in order)
-    return PBWBasis(n_rank, order, signs, tag=f"h={h}")
+    return PBWBasis(n_rank, n_rank - 1)
 
 
 def monomial_word(basis: PBWBasis, exps: Sequence[int]) -> GenWord:
@@ -235,7 +221,7 @@ def monomial_word(basis: PBWBasis, exps: Sequence[int]) -> GenWord:
 # ---------------------------------------------------------------------------
 
 class Straightener:
-    """Memoized letter-by-letter rewriting against one PBW arrangement.
+    """Memoized letter-by-letter rewriting against one PBW basis (a level).
 
     ``hw`` is the highest weight as epsilon-coordinates (a `WeightVec`); it
     may be None for computations in which no Cartan letter can reach the
@@ -364,7 +350,7 @@ class Straightener:
 
 @lru_cache(maxsize=None)
 def straightener(basis: PBWBasis, hw: Optional[WeightVec] = None) -> Straightener:
-    """The shared engine of one arrangement and highest weight."""
+    """The shared engine of one level and highest weight."""
     return Straightener(basis, hw)
 
 

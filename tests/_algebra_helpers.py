@@ -84,7 +84,7 @@ def edge_product(string: StringGraph) -> RationalFunctionExpr:
     """Product of ``1/(tail - head)`` over the string's oriented edges."""
     value = RF_ONE
     for tail, head in string.edges():
-        head_value = string.ground if head == string.ground_name else symbol(head)
+        head_value = string.ground if head == str(string.ground) else symbol(head)
         value = value / (symbol(tail) - head_value)
     return value
 

@@ -889,8 +889,9 @@ def test_rational_to_trig_rank1():
         sp = enumerate_basis(
             [verma_symbolic(2, 1), verma_symbolic(2, 2), verma_symbolic(2, 3)], nu0
         )
+        vectors = singular_vectors(sp)
         for i in (1, 2):
-            report = check_rational_to_trig(sp, i)
+            report = check_rational_to_trig(sp, i, vectors)
             assert report.passed, report.witness
             assert report.checked >= 1
 
@@ -899,8 +900,9 @@ def test_rational_to_trig_rank2():
     sp = enumerate_basis(
         [verma_symbolic(3, 1), verma_symbolic(3, 2), verma_symbolic(3, 3)], (1, 1)
     )
+    vectors = singular_vectors(sp)
     for i in (1, 2):
-        report = check_rational_to_trig(sp, i)
+        report = check_rational_to_trig(sp, i, vectors)
         assert report.passed, report.witness
 
 
@@ -1027,7 +1029,7 @@ def test_rational_to_trig_fails_with_one_half_of_the_coupling(monkeypatch):
 def test_rational_to_trig_requires_two_factors():
     sp = enumerate_basis([verma_symbolic(2, 1)], (1,))
     with pytest.raises(ValueError):
-        check_rational_to_trig(sp, 1)
+        check_rational_to_trig(sp, 1, [])
 
 
 def test_check_report_json():

@@ -345,9 +345,7 @@ class TestMasterExponents:
         # two colors: exercises the adjacent-color coupling exponent
         factor = verma_weight(3, weight_from_pairings(3, (rational(3), rational(3))))
         space = enumerate_basis((factor,), (1, 1))
-        me = master_exponents(
-            space, pairings=(rational(4), rational(6)), include_z_powers=False
-        )
+        me = master_exponents(space, pairings=(rational(4), rational(6)))
         z1 = symbol("z:1")
         t1, t2 = t_symbol(1, 1), t_symbol(2, 1)
         product = RF_ONE
@@ -356,6 +354,7 @@ class TestMasterExponents:
         product = _mul_pow(product, t1 - t2, _as_int(me.t_t[(1, 2)]))
         product = _mul_pow(product, t1, _as_int(me.t_pow[0]))
         product = _mul_pow(product, t2, _as_int(me.t_pow[1]))
+        product = _mul_pow(product, z1, _as_int(me.z_pow[0]))
         for name in ("t:1:1", "t:2:1", "z:1"):
             lhs = rf_partial(product, name) / product
             assert (lhs - log_derivative(me, name)).is_zero(), name

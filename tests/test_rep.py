@@ -36,9 +36,9 @@ from kzdyn.roots import WeightVec, alpha_vec, nu_vec, weight_from_pairings
 from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
 from kzdyn.uea import (
     GenWord,
+    PBWBasis,
     bracket_letters,
     f_letter,
-    special_basis,
     standard_basis,
     word,
 )
@@ -382,7 +382,7 @@ def test_dual_action_E_rank1_single_lowering_coefficient():
 
 def test_dual_action_F_one_term_rule_and_oracle():
     for n_rank, nu0, h in [(3, (1, 1), 1), (3, (2, 2), 2), (4, (1, 1, 1), 2)]:
-        basis = special_basis(n_rank, h)
+        basis = PBWBasis(n_rank, h)
         factors = tuple(_sym(j, n_rank) for j in (1, 2))
         space = enumerate_basis(factors, nu0, basis)
         straddling = [r for r in basis.order if r[0] <= h < r[1]]
@@ -409,7 +409,7 @@ def test_dual_action_F_one_term_rule_and_oracle():
 
 
 def test_dual_action_F_trivial_cases():
-    basis = special_basis(3, 1)
+    basis = PBWBasis(3, 1)
     space = enumerate_basis([_sym(1, 3)], (1, 1), basis)
     zero_space = enumerate_basis([_sym(1, 3)], (0, 0), basis)
     assert dual_action_F(zero_space, zero_space.basis[0], 1, (1, 3)) == {}

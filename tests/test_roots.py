@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from kzdyn.roots import (
+    ElemTransform,
     NotReduced,
     OutOfRange,
     WeylElement,
@@ -94,6 +95,15 @@ def test_sigma_end_state_and_normal_intermediates():
                 order = apply_transform(order, transform)
                 assert is_normal(order), (n, h, transform)
             assert order == special_order(n, h - 1)
+
+
+def test_apply_transform_rejects_a_transform_that_does_not_apply():
+    # raised, not asserted, so that `python -O` rejects them too
+    with pytest.raises(ValueError, match=r"kind='A2'.*a\(2,3\),a\(1,3\),a\(1,2\)"):
+        apply_transform(special_order(3, 2), ElemTransform("A2", 0, (9, 9)))
+    # (1, 2) + (2, 3) is the root (1, 3): the pair cannot swap
+    with pytest.raises(ValueError, match="kind='A1A1'"):
+        apply_transform(((1, 2), (2, 3), (1, 3)), ElemTransform("A1A1", 0))
 
 
 def test_sigma_reversal_label_multiset():

@@ -14,13 +14,13 @@ from kzdyn.roots import weight_from_pairings
 from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
 from kzdyn.uea import (
     GenWord,
+    PBWBasis,
     Straightener,
     antipode_A,
     bracket_letters,
     chevalley_tau,
     f_letter,
     monomial_word,
-    special_basis,
     standard_basis,
     straightener,
     word,
@@ -203,7 +203,7 @@ def test_straighten_matches_naive_randomized_rewriter():
     # Every level-h arrangement of ranks 2 to 4 in turn: their signs mix +1
     # and -1, so both values of sigma meet every branch of the engine.
     rng = random.Random(20260815)
-    bases = [special_basis(n, h) for n in (2, 3, 4) for h in range(1, n)]
+    bases = [PBWBasis(n, h) for n in (2, 3, 4) for h in range(1, n)]
     for trial in range(150):
         basis = bases[trial % len(bases)]
         n = basis.n_rank
@@ -225,7 +225,7 @@ def test_basis_monomial_word_straightens_to_itself():
     # lowering letter carries.
     for n in (2, 3, 4):
         for h in range(1, n):
-            basis = special_basis(n, h)
+            basis = PBWBasis(n, h)
             engine = straightener(basis)
             for exps in itertools.product(range(4), repeat=len(basis.order)):
                 if sum(exps) <= 3:
@@ -271,8 +271,8 @@ def test_three_term_reversal_identity_all_small_exponents_both_ways():
     #   sum_r binom(c+r, r) (-1)^c  on  (b-r, c+r, a-r),
     # for r up to min(a, b); check every a, c, b <= 3 in both directions.
     for src, tgt in [
-        (special_basis(3, 2), special_basis(3, 1)),
-        (special_basis(3, 1), special_basis(3, 2)),
+        (PBWBasis(3, 2), PBWBasis(3, 1)),
+        (PBWBasis(3, 1), PBWBasis(3, 2)),
     ]:
         assert tgt.order == tuple(reversed(src.order))
         engine = Straightener(tgt)
@@ -323,7 +323,7 @@ def test_tau_respects_brackets():
 
 
 def test_tau_of_basis_monomial_is_raising_with_matching_multi_index():
-    basis = special_basis(3, 1)
+    basis = PBWBasis(3, 1)
     exps = basis.exps_from_roots({(1, 3): 2, (2, 3): 1})
     image = chevalley_tau(monomial_word(basis, exps))
     assert all(a < b for _, a, b in image.letters)
@@ -385,7 +385,7 @@ def test_antipode_anti_homomorphism_through_straightening():
 
 
 def test_monomial_word_reproduces_signed_divided_convention():
-    basis = special_basis(3, 1)
+    basis = PBWBasis(3, 1)
     exps = basis.exps_from_roots({(1, 3): 2, (2, 3): 1})
     w = monomial_word(basis, exps)
     # (1,3) carries sign -1 at level 1; total degree 3.
