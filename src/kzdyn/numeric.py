@@ -413,6 +413,12 @@ def quad_chamber(ci: ChamberIntegral, tol: float) -> float:
     node count is raised until two successive estimates agree within the
     tolerance.
 
+    That agreement bounds the step, not the error.  On Selberg chambers with
+    m = 3, a, b in [1, 3] and c in [0.25, 1], ``tol = 1e-8`` stops at 18
+    nodes, where successive estimates differ by at most about 5e-9, yet the
+    estimate differs from the closed form by up to 5.4e-7 relative (at
+    a = 3, b = 1.105, c = 0.25).  At m = 1 and 2 it is within 3.1e-8.
+
     Raises ``NonIntegrable`` when some cluster of variables colliding at the
     origin, at the bound or with itself makes the integral diverge.  The
     result is bit for bit that of the reference kernel kept in the tests.

@@ -33,7 +33,6 @@ from .symexpr import (
     RF_ONE,
     RF_ZERO,
     RationalFunctionExpr,
-    denominator_lcm,
     rational,
     rf_sums,
     symbol,
@@ -558,11 +557,8 @@ def nullspace(rows: list[dict[int, RationalFunctionExpr]], dim: int) -> list[dic
 
 
 def singular_vectors(space: TensorWeightSpace) -> list[dict[int, RationalFunctionExpr]]:
-    """Basis of the joint kernel of the simple raising operators.
-
-    Each `nullspace` vector is scaled by the lcm of its entries'
-    denominators, so that every coordinate is a polynomial.
-    """
+    """Basis of the joint kernel of the simple raising operators: the
+    `nullspace` of their stacked rows, 1 at each free column."""
     n_rank = space.pbw_basis.n_rank
     rows: list[dict[int, RationalFunctionExpr]] = []
     for h in range(1, n_rank):
@@ -571,9 +567,5 @@ def singular_vectors(space: TensorWeightSpace) -> list[dict[int, RationalFunctio
         for (i, j), v in op.entries.items():
             by_row.setdefault(i, {})[j] = v
         rows.extend(by_row.values())
-    out = []
-    for coeffs in nullspace(rows, space.dim):
-        scale = denominator_lcm(coeffs.values())
-        out.append({i: c * scale for i, c in coeffs.items()})
-    return out
+    return nullspace(rows, space.dim)
 

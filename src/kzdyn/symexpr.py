@@ -139,7 +139,6 @@ __all__ = [
     "symbol",
     "rational",
     "parse",
-    "denominator_lcm",
     "rf_symmetrize",
     "rf_partial",
 ]
@@ -1405,18 +1404,6 @@ def rf_sums(items: Iterable[tuple[object, RationalFunctionExpr]]) -> dict:
 def rf_sum(terms: Iterable[RationalFunctionExpr]) -> RationalFunctionExpr:
     """The sum of ``terms``, reduced once (`rf_sums`)."""
     return rf_sums((None, t) for t in terms).get(None, RF_ZERO)
-
-
-def denominator_lcm(exprs: Iterable[RationalFunctionExpr]) -> RationalFunctionExpr:
-    """The lcm of the denominators of ``exprs``, as a polynomial expression.
-
-    It is read off the coprime bases: each refined factor at the largest
-    multiplicity it has in any denominator.
-    """
-    base: tuple[tuple[Poly, int], ...] = ()
-    for e in exprs:
-        base = tuple((f, max(m, k)) for f, m, k in _common_base(base, e.factors))
-    return RationalFunctionExpr(_power_product(base), _POLY_ONE)
 
 
 def symbol(name: str) -> RationalFunctionExpr:

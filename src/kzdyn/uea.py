@@ -197,7 +197,9 @@ class PBWBasis:
         return sign
 
 
+@lru_cache(maxsize=None)
 def standard_basis(n_rank: int) -> PBWBasis:
+    """The level-(n_rank - 1) basis, built once per rank."""
     return PBWBasis(n_rank, n_rank - 1)
 
 

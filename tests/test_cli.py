@@ -817,6 +817,12 @@ _PINNED_REPORTS = {
     "appendix-b --n 3 --nu 1,1 --factors verma,verma,verma": (
         "e746516300bf4dfd66e5f7f3078f39e2111efcf2ece1fc096137c0aab1d10e99"
     ),
+    # with `compatibility --n 3 --nu 2,0`, `pbw-invariance --n 4 --nu 1,2,2`
+    # and `appendix-b --n 3 --nu 2,1 --factors verma,verma,verma`: the four
+    # configurations of perfbench's symbolic-rank3 workload
+    "fusion --n 3 --nu 1,1": (
+        "98fb8026218ce283565936e22601573b61f46a668ef1e41cae8d9db569cfda6c"
+    ),
     "fusion --n 3 --nu 1,1 --depth 2": (
         "5ff867803419d33a118a19320f23d61d873fe7499e4403b3fc7e7ce575b6c5f7"
     ),

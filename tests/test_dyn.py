@@ -947,54 +947,25 @@ _SWAPPED_COUPLING_WITNESSES = {
         "singular_vector": 1,
         "pos": 2,
         "lhs": "0",
-        "rhs": "-L:3:1^2 * L:3:2 - L:3:1 * L:3:2^2 - L:3:1 * L:3:2",
+        "rhs": "-L:3:2",
     },
     2: {
         "singular_vector": 1,
         "pos": 0,
         "lhs": (
-            "1/3 * L:1:1 * L:2:1 * L:3:1^2 * L:3:2"
-            " + 1/3 * L:1:1 * L:2:1 * L:3:1 * L:3:2^2"
-            " + 1/6 * L:1:1 * L:2:2 * L:3:1^2 * L:3:2"
-            " + 1/6 * L:1:1 * L:2:2 * L:3:1 * L:3:2^2"
-            " + 1/6 * L:1:2 * L:2:1 * L:3:1^2 * L:3:2"
-            " + 1/6 * L:1:2 * L:2:1 * L:3:1 * L:3:2^2"
-            " + 1/3 * L:1:2 * L:2:2 * L:3:1^2 * L:3:2"
-            " + 1/3 * L:1:2 * L:2:2 * L:3:1 * L:3:2^2 + 2/3 * L:2:1 * L:3:1^3 * L:3:2"
-            " + L:2:1 * L:3:1^2 * L:3:2^2 + 1/3 * L:2:1 * L:3:1 * L:3:2^3"
-            " + 1/3 * L:2:2 * L:3:1^3 * L:3:2 + L:2:2 * L:3:1^2 * L:3:2^2"
-            " + 2/3 * L:2:2 * L:3:1 * L:3:2^3 + 1/3 * L:1:1 * L:2:1 * L:3:1 * L:3:2"
-            " + 1/6 * L:1:1 * L:2:2 * L:3:1 * L:3:2 - 1/2 * L:1:1 * L:3:1^2 * L:3:2"
-            " - 1/2 * L:1:1 * L:3:1 * L:3:2^2 + 1/6 * L:1:2 * L:2:1 * L:3:1 * L:3:2"
-            " + 1/3 * L:1:2 * L:2:2 * L:3:1 * L:3:2 - 1/2 * L:1:2 * L:3:1^2 * L:3:2"
-            " - 1/2 * L:1:2 * L:3:1 * L:3:2^2 - 1/3 * L:2:1 * L:3:1^2 * L:3:2"
-            " - 2/3 * L:2:1 * L:3:1 * L:3:2^2 - 2/3 * L:2:2 * L:3:1^2 * L:3:2"
-            " - 1/3 * L:2:2 * L:3:1 * L:3:2^2 - L:3:1^3 * L:3:2 - 2 * L:3:1^2 * L:3:2^2"
-            " - L:3:1 * L:3:2^3 - 1/2 * L:1:1 * L:3:1 * L:3:2"
-            " - 1/2 * L:1:2 * L:3:1 * L:3:2 - L:2:1 * L:3:1 * L:3:2"
-            " - L:2:2 * L:3:1 * L:3:2 - 2 * L:3:1^2 * L:3:2 - 2 * L:3:1 * L:3:2^2"
-            " - L:3:1 * L:3:2"
+            "1/3 * L:1:1 * L:2:1 * L:3:2 + 1/6 * L:1:1 * L:2:2 * L:3:2"
+            " + 1/6 * L:1:2 * L:2:1 * L:3:2 + 1/3 * L:1:2 * L:2:2 * L:3:2"
+            " + 2/3 * L:2:1 * L:3:1 * L:3:2 + 1/3 * L:2:1 * L:3:2^2"
+            " + 1/3 * L:2:2 * L:3:1 * L:3:2 + 2/3 * L:2:2 * L:3:2^2 - 1/2 * L:1:1 * L:3:2"
+            " - 1/2 * L:1:2 * L:3:2 - L:2:1 * L:3:2 - L:2:2 * L:3:2 - L:3:1 * L:3:2"
+            " - L:3:2^2 - L:3:2"
         ),
         "rhs": (
-            "1/3 * L:1:1 * L:2:1 * L:3:1^2 * L:3:2"
-            " + 1/3 * L:1:1 * L:2:1 * L:3:1 * L:3:2^2"
-            " + 1/6 * L:1:1 * L:2:2 * L:3:1^2 * L:3:2"
-            " + 1/6 * L:1:1 * L:2:2 * L:3:1 * L:3:2^2"
-            " + 1/6 * L:1:2 * L:2:1 * L:3:1^2 * L:3:2"
-            " + 1/6 * L:1:2 * L:2:1 * L:3:1 * L:3:2^2"
-            " + 1/3 * L:1:2 * L:2:2 * L:3:1^2 * L:3:2"
-            " + 1/3 * L:1:2 * L:2:2 * L:3:1 * L:3:2^2 + 2/3 * L:2:1 * L:3:1^3 * L:3:2"
-            " + L:2:1 * L:3:1^2 * L:3:2^2 + 1/3 * L:2:1 * L:3:1 * L:3:2^3"
-            " + 1/3 * L:2:2 * L:3:1^3 * L:3:2 + L:2:2 * L:3:1^2 * L:3:2^2"
-            " + 2/3 * L:2:2 * L:3:1 * L:3:2^3 + 1/3 * L:1:1 * L:2:1 * L:3:1 * L:3:2"
-            " + 1/6 * L:1:1 * L:2:2 * L:3:1 * L:3:2 - 1/2 * L:1:1 * L:3:1^2 * L:3:2"
-            " - 1/2 * L:1:1 * L:3:1 * L:3:2^2 + 1/6 * L:1:2 * L:2:1 * L:3:1 * L:3:2"
-            " + 1/3 * L:1:2 * L:2:2 * L:3:1 * L:3:2 - 1/2 * L:1:2 * L:3:1^2 * L:3:2"
-            " - 1/2 * L:1:2 * L:3:1 * L:3:2^2 + 2/3 * L:2:1 * L:3:1^2 * L:3:2"
-            " + 1/3 * L:2:1 * L:3:1 * L:3:2^2 + 1/3 * L:2:2 * L:3:1^2 * L:3:2"
-            " + 2/3 * L:2:2 * L:3:1 * L:3:2^2 - L:3:1^3 * L:3:2 - 2 * L:3:1^2 * L:3:2^2"
-            " - L:3:1 * L:3:2^3 - 1/2 * L:1:1 * L:3:1 * L:3:2"
-            " - 1/2 * L:1:2 * L:3:1 * L:3:2 - L:3:1^2 * L:3:2 - L:3:1 * L:3:2^2"
+            "1/3 * L:1:1 * L:2:1 * L:3:2 + 1/6 * L:1:1 * L:2:2 * L:3:2"
+            " + 1/6 * L:1:2 * L:2:1 * L:3:2 + 1/3 * L:1:2 * L:2:2 * L:3:2"
+            " + 2/3 * L:2:1 * L:3:1 * L:3:2 + 1/3 * L:2:1 * L:3:2^2"
+            " + 1/3 * L:2:2 * L:3:1 * L:3:2 + 2/3 * L:2:2 * L:3:2^2 - 1/2 * L:1:1 * L:3:2"
+            " - 1/2 * L:1:2 * L:3:2 - L:3:1 * L:3:2 - L:3:2^2"
         ),
     },
 }

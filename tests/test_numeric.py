@@ -284,11 +284,13 @@ class TestQuadrature:
                     ci = ChamberIntegral(m, (a - 1,) * m, (b - 1,) * m, pair)
                     assert (_divergent_collision(ci) is None) == convergent, (a, b, c)
 
+    # the domain of the seeded Selberg sweeps; the margin is smallest at
+    # m = 3, large a, b near 1.1 and c = 0.25 (5.4e-7 of the 1e-6)
     @settings(max_examples=15, deadline=None)
     @given(
         m=st.integers(min_value=1, max_value=3),
-        a=st.floats(min_value=1.2, max_value=3.0),
-        b=st.floats(min_value=1.2, max_value=3.0),
+        a=st.floats(min_value=1.0, max_value=3.0),
+        b=st.floats(min_value=1.0, max_value=3.0),
         c=st.floats(min_value=0.25, max_value=1.0),
     )
     def test_quadrature_matches_closed_form_property(self, m, a, b, c):

@@ -449,16 +449,11 @@ def test_singular_vectors_are_polynomial_multiples_of_the_nullspace(factors, nu0
         for (i, j), v in op.entries.items():
             by_row.setdefault(i, {})[j] = v
         rows.extend(by_row.values())
-    reference = nullspace(rows, space.dim)
-    assert reference == reference_nullspace(rows, space.dim)
+    # the multiple is 1
     sings = singular_vectors(space)
-    assert len(sings) == len(reference) > 0
+    assert sings == nullspace(rows, space.dim) == reference_nullspace(rows, space.dim)
+    assert len(sings) > 0
     assert any(not c.is_const() for v in sings for c in v.values())
-    for vec, ref in zip(sings, reference):
-        assert all(c.den.is_one() for c in vec.values())
-        pos = min(ref)
-        scale = vec[pos] / ref[pos]
-        assert vec == {i: c * scale for i, c in ref.items()}
 
 
 def test_singular_vector_count_matches_rank_deficiency():

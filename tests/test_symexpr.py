@@ -40,7 +40,6 @@ from kzdyn.symexpr import (
     _image,
     _image_point,
     _is_linear,
-    denominator_lcm,
     parse,
     poly_gcd_cofactors,
     rational,
@@ -1199,27 +1198,6 @@ def test_constant_products_match_the_general_product(monkeypatch):
     assert len(built) > 1000
     for p in built:
         _check_stored_content(p)
-
-
-def _sympy_lcm(p: Poly, q: Poly) -> Poly:
-    """Reference: sympy's lcm over QQ, normalized."""
-    sp, sq, from_sympy = _to_sympy(p, q)
-    h = from_sympy(sp.lcm(sq))
-    return h.scale(1 / h.content)
-
-
-def test_denominator_lcm_matches_sympy_lcm():
-    rng = random.Random(20261019)
-    assert denominator_lcm([]) == RF_ONE
-    for _ in range(60):
-        exprs = [_factored_operand(rng) for _ in range(rng.randint(1, 4))]
-        expected = Poly.one()
-        for e in exprs:
-            expected = _sympy_lcm(expected, e.den)
-        got = denominator_lcm(exprs)
-        assert got.den.is_one() and got.num == expected
-        for e in exprs:
-            assert (e * got).den.is_one()
 
 
 def test_whole_composite_denominator_is_split_by_linear_factors():
