@@ -268,7 +268,7 @@ def _fusion(params: dict):
         yield {"check": "dual-element-match", "mu": list(mu), "equal": equal}, equal
 
     space = _build_space(params)
-    bw0 = B_w(space, longest_element(n), shifted_pairings(space, lam))
+    bw0 = B_w(space, longest_element(n).reduced_word(), shifted_pairings(space, lam))
     need = sum(nu)
     contraction = q_dagger(space, fus if depth >= need else fusion_solve(n, need))
     equal = bw0 == contraction
@@ -405,7 +405,7 @@ def _main_theorem_sl2(params: dict):
     z_1^m, the 1x1 entry of K_1 must equal it, and the formal z_1 exponent
     of K_1 must exceed s = (p - 2m)/2 by m.
     """
-    (z1,) = z_symbols(1)
+    (z1,), lam = z_symbols(1), lambda_pairing_symbols(2)
 
     def check(p: int, m: int):
         space = enumerate_basis((lp_module(p),), (m,))
@@ -413,7 +413,7 @@ def _main_theorem_sl2(params: dict):
         ratio, leftover = normal_form(
             selberg_gamma(a - RF_ONE, b, c, m), selberg_gamma(a, b, c, m)
         )
-        entry = K_operator(space, 1).entry(0, 0)
+        entry = K_operator(space, 1, lam).entry(0, 0)
         lhs = (z1 ** m * entry, formal_z_exponents(space, 1)[0] - shift)
         rhs = (ratio, rational(m))
         if leftover or lhs != rhs:
@@ -823,7 +823,7 @@ def _dump_sigma(params: dict) -> str:
 
 def _dump_operator(params: dict) -> str:
     space, k = _build_space(params), params["k"]
-    K = K_operator(space, k)
+    K = K_operator(space, k, lambda_pairing_symbols(params["n"]))
     entries = {f"{r},{c}": str(v) for (r, c), v in sorted(K.entries.items())}
     return report_text(
         {

@@ -51,7 +51,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._record import record
 from .rep import (
@@ -64,7 +64,6 @@ from .rep import (
     word_operator,
 )
 from .roots import (
-    WeylElement,
     nu_vec,
     omega_bracket,
     omega_vec,
@@ -168,14 +167,6 @@ def shifted_pairings(
     )
 
 
-def _default_pairings(
-    space: TensorWeightSpace, pairings: Optional[Sequence[RationalFunctionExpr]]
-) -> tuple[RationalFunctionExpr, ...]:
-    if pairings is None:
-        return lambda_pairing_symbols(space.pbw_basis.n_rank)
-    return tuple(pairings)
-
-
 def _exps_coords(basis: PBWBasis, exps: Sequence[int]) -> tuple[int, ...]:
     """Simple-root coordinates of the weight lowered by a basis monomial."""
     coords = [0] * (basis.n_rank - 1)
@@ -250,14 +241,13 @@ def _p_series(
 def B_alpha(
     space: TensorWeightSpace,
     alpha: tuple[int, int],
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
+    pairings: Sequence[RationalFunctionExpr],
 ) -> WeightSpaceOperator:
     """One-root difference operator on a weight space.
 
     The series argument is ``(lambda + nu/2, alpha) - 1`` where ``nu`` is the
     weight of the space, so the operator preserves the space.
     """
-    pairings = _default_pairings(space, pairings)
     nu_pair = _root_pairing(space.weight_pairings, alpha)
     t_val = _root_pairing(pairings, alpha) + nu_pair * _HALF - RF_ONE
     return p_series(space, alpha, t_val)
@@ -265,8 +255,8 @@ def B_alpha(
 
 def B_w(
     space: TensorWeightSpace,
-    w: Union[WeylElement, Sequence[int]],
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
+    word: Sequence[int],
+    pairings: Sequence[RationalFunctionExpr],
 ) -> WeightSpaceOperator:
     """Ordered product of one-root operators along a reduced word.
 
@@ -275,8 +265,6 @@ def B_w(
     The result is independent of the choice of reduced word (a tested
     property, not an assumption).
     """
-    pairings = _default_pairings(space, pairings)
-    word = list(w.reduced_word()) if isinstance(w, WeylElement) else list(w)
     n_rank = space.pbw_basis.n_rank
     total = WeightSpaceOperator.identity(space)
     for root in roots_of_reduced_word(n_rank, word):
@@ -309,7 +297,7 @@ def _contract(
 def B_additive(
     space: TensorWeightSpace,
     r: int,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
+    pairings: Sequence[RationalFunctionExpr],
 ) -> WeightSpaceOperator:
     """Single-sum form of the level-``r`` difference operator.
 
@@ -320,7 +308,6 @@ def B_additive(
     matrix equals the product-form operator evaluated at
     ``lambda + rho + nu/2``.
     """
-    pairings = _default_pairings(space, pairings)
     n_rank = space.pbw_basis.n_rank
     basis_r = PBWBasis(n_rank, r)
     aux_factor = verma_weight(n_rank, weight_from_pairings(n_rank, pairings))
@@ -348,7 +335,7 @@ def B_additive(
 def K_operator(
     space: TensorWeightSpace,
     k: int,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
+    pairings: Sequence[RationalFunctionExpr],
 ) -> WeightSpaceOperator:
     """Level-``k`` difference-equation operator with coordinate prefactor.
 
@@ -358,7 +345,6 @@ def K_operator(
     the matrix entries directly; the symbolic highest-weight part, the same
     on every row and at every parameter, is `formal_z_exponents`.
     """
-    pairings = _default_pairings(space, pairings)
     # built first: omega_bracket rejects a k outside 1..N-1
     base = B_w(space, omega_bracket(space.pbw_basis.n_rank, k)[1], pairings)
     zs = z_symbols(len(space.factors))
@@ -607,10 +593,9 @@ def r_matrix_operator(
 def lambda_diagonal(
     space: TensorWeightSpace,
     i: int,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
+    pairings: Sequence[RationalFunctionExpr],
 ) -> WeightSpaceOperator:
     """Diagonal operator pairing the parameter with the factor-``i`` weight."""
-    pairings = _default_pairings(space, pairings)
     lam_vec = weight_from_pairings(space.pbw_basis.n_rank, pairings)
     return WeightSpaceOperator.diagonal(
         space, [lam_vec.dot(space.factor_weight(pos, i)) for pos in range(space.dim)]
@@ -631,13 +616,14 @@ def kz_operator(
     space: TensorWeightSpace,
     kind: str,
     i: int,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
+    pairings: Sequence[RationalFunctionExpr],
 ) -> KZOperator:
     """Assemble the ``i``-th KZ operator (1-based factor index).
 
     ``kind="rational"`` gives derivative coefficient ``kappa`` and zeroth
     order ``-sum_j Omega^(ij)/(z_i - z_j)``; ``kind="trigonometric"`` gives
-    ``kappa z_i`` and ``-lambda^(i) - sum_j r(z_i/z_j)^(ij)``.
+    ``kappa z_i`` and ``-lambda^(i) - sum_j r(z_i/z_j)^(ij)``, with
+    ``lambda`` read from ``pairings``; the rational kind does not read them.
     """
     n = len(space.factors)
     if not 1 <= i <= n:

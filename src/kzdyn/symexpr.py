@@ -1582,8 +1582,10 @@ class _Parser:
     def parse_atom(self) -> RationalFunctionExpr:
         kind, val = self.next()
         if kind == "rat":
-            n, d = val.split("/")
-            return RationalFunctionExpr.from_const(Fraction(int(n), int(d)))
+            n, d = map(int, val.split("/"))
+            if not d:
+                raise DivisionByZero(f"zero denominator in {val!r}")
+            return RationalFunctionExpr.from_const(Fraction(n, d))
         if kind == "int":
             return RationalFunctionExpr.from_const(int(val))
         if kind == "sym":

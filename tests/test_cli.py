@@ -36,6 +36,7 @@ from kzdyn.dyn import (
     PoleHit,
     formal_z_exponents,
     fusion_solve,
+    lambda_pairing_symbols,
 )
 from kzdyn.gamma import normal_form
 from kzdyn.numeric import QuadratureNotConverged
@@ -537,8 +538,8 @@ class TestNumericSuites:
 
             monkeypatch.setattr(cli_module, "formal_z_exponents", mutated)
         else:
-            def mutated(space, k):
-                op = K_operator(space, k)
+            def mutated(space, k, pairings):
+                op = K_operator(space, k, pairings)
                 return op.scale(2) if at_p3_m1(space) else op
 
             monkeypatch.setattr(cli_module, "K_operator", mutated)
@@ -904,7 +905,7 @@ class TestDumps:
         space = enumerate_basis(
             [verma_symbolic(2, 1), verma_symbolic(2, 2)], (1,)
         )
-        K = K_operator(space, 1)
+        K = K_operator(space, 1, lambda_pairing_symbols(2))
         assert data["dim"] == space.dim == 2
         for key, text in data["entries"].items():
             r, c = map(int, key.split(","))

@@ -86,9 +86,10 @@ def test_K_operator_is_its_diagonal_composed_with_B_w(n_rank, nu, n_factors, k):
             for _ in range(int(lowered.dot(omega_k).const_value())):
                 value = value / z
         dressing.append(value)
-    base = B_w(space, omega_bracket(n_rank, k)[1])
+    lam = lambda_pairing_symbols(n_rank)
+    base = B_w(space, omega_bracket(n_rank, k)[1], lam)
     reference = WeightSpaceOperator.diagonal(space, dressing).compose(base)
-    assert K_operator(space, k) == reference
+    assert K_operator(space, k, lam) == reference
 
 
 def test_p_series_single_step_scalar():
@@ -112,9 +113,10 @@ def test_p_series_poles_stay_linear_factors():
     # compatibility --n 3 --nu 2,0: every pole (t - H - j) of every one-root
     # series is its own linear factor of the entries' denominator base
     sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (2, 0))
+    lam = lambda_pairing_symbols(3)
     with_poles = 0
     for alpha in positive_roots(3):
-        for value in B_alpha(sp, alpha).entries.values():
+        for value in B_alpha(sp, alpha, lam).entries.values():
             assert all(_is_linear(f) for f, _ in value.factors), str(value)
             with_poles += bool(value.factors)
     assert with_poles
@@ -129,7 +131,7 @@ def test_b_alpha_rank1_closed_form():
     for m in (1, 2, 3):
         sp = enumerate_basis([verma_symbolic(2, 1)], (m,))
         assert sp.dim == 1
-        got = B_alpha(sp, (1, 2)).entry(0, 0)
+        got = B_alpha(sp, (1, 2), (l1,)).entry(0, 0)
         expected = RF_ONE
         for k in range(m):
             expected = expected * (l1 + L * half - rational(k)) / (
@@ -149,7 +151,7 @@ def test_b_alpha_matches_selberg_ratio():
     for p, m in [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)]:
         sp = enumerate_basis([lp_module(p)], (m,))
         assert sp.dim == 1
-        got = B_alpha(sp, (1, 2)).entry(0, 0)
+        got = B_alpha(sp, (1, 2), (l1,)).entry(0, 0)
         a = -(l1 - RF_ONE - rational(Fraction(p - 2 * m, 2))) / kap + RF_ONE
         b = -rational(p) / kap
         expected = RF_ONE
@@ -170,21 +172,23 @@ def test_b_alpha_pole_raises():
 
 def test_b_w_empty_word_is_identity():
     sp = enumerate_basis([verma_symbolic(2, 1)], (1,))
-    assert B_w(sp, []) == WeightSpaceOperator.identity(sp)
+    assert B_w(sp, [], lambda_pairing_symbols(2)) == WeightSpaceOperator.identity(sp)
 
 
 def test_b_w_single_reflection_equals_b_alpha():
     sp = enumerate_basis([verma_symbolic(3, 1)], (1, 1))
-    assert B_w(sp, [1]) == B_alpha(sp, (1, 2))
-    assert B_w(sp, [2]) == B_alpha(sp, (2, 3))
+    lam = lambda_pairing_symbols(3)
+    assert B_w(sp, [1], lam) == B_alpha(sp, (1, 2), lam)
+    assert B_w(sp, [2], lam) == B_alpha(sp, (2, 3), lam)
 
 
 def test_b_w_reduced_word_invariance_rank2():
     sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 1))
-    a = B_w(sp, [1, 2, 1])
-    b = B_w(sp, [2, 1, 2])
+    lam = lambda_pairing_symbols(3)
+    a = B_w(sp, [1, 2, 1], lam)
+    b = B_w(sp, [2, 1, 2], lam)
     assert a == b
-    assert B_w(sp, longest_element(3)) == a
+    assert B_w(sp, longest_element(3).reduced_word(), lam) == a
 
 
 def test_b_w_reduced_word_invariance_rank3():
@@ -195,7 +199,8 @@ def test_b_w_reduced_word_invariance_rank3():
         [2, 1, 2, 3, 2, 1],
         list(longest_element(4).reduced_word()),
     ]
-    ops = [B_w(sp, w) for w in words]
+    lam = lambda_pairing_symbols(4)
+    ops = [B_w(sp, w, lam) for w in words]
     for other in ops[1:]:
         assert other == ops[0]
 
@@ -204,7 +209,7 @@ def test_b_w_longest_equals_normal_order_product():
     # The longest-word product equals the product over any one normal order.
     sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 1))
     lam = lambda_pairing_symbols(3)
-    expected = B_w(sp, longest_element(3), lam)
+    expected = B_w(sp, longest_element(3).reduced_word(), lam)
     for h in (1, 2):
         order = special_order(3, h)
         total = WeightSpaceOperator.identity(sp)
@@ -218,7 +223,7 @@ def test_b_w_bracket_decomposition():
     # (bracket word at r), all at the same argument.
     sp = enumerate_basis([verma_symbolic(3, 1), verma_symbolic(3, 2)], (1, 1))
     lam = lambda_pairing_symbols(3)
-    w0 = B_w(sp, longest_element(3), lam)
+    w0 = B_w(sp, longest_element(3).reduced_word(), lam)
     for r, upper_word in ((1, [2]), (2, [1])):
         _, bracket_word = omega_bracket(3, r)
         prod = B_w(sp, upper_word, lam).compose(B_w(sp, bracket_word, lam))
@@ -282,7 +287,7 @@ def test_additive_form_inverts_one_gram_per_straddling_weight(monkeypatch):
         return p_elements(aux)
 
     monkeypatch.setattr("kzdyn.dyn.p_elements", counting)
-    B_additive(enumerate_basis([verma_symbolic(3, 1)], (2, 2)), 1)
+    B_additive(enumerate_basis([verma_symbolic(3, 1)], (2, 2)), 1, lambda_pairing_symbols(3))
     assert sorted(calls) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
 
 
@@ -521,7 +526,7 @@ def test_q_dagger_equals_longest_product_down_shift():
         lam = lambda_pairing_symbols(n_rank)
         nu_pairs = sp.weight_pairings
         down = tuple(p - q for p, q in zip(lam, nu_pairs))
-        bw0 = B_w(sp, longest_element(n_rank), shifted_pairings(sp, down))
+        bw0 = B_w(sp, longest_element(n_rank).reduced_word(), shifted_pairings(sp, down))
         contraction = q_dagger(sp, fusion_solve(n_rank, sum(nu0)))
         assert contraction.entries.keys() == bw0.entries.keys()
         names = sorted(
@@ -554,7 +559,7 @@ def test_q_dagger_up_shift_matches_additive_argument():
         sp = enumerate_basis(factors, nu0)
         n_rank = sp.pbw_basis.n_rank
         arg = shifted_pairings(sp, lambda_pairing_symbols(n_rank))
-        bw0 = B_w(sp, longest_element(n_rank), arg)
+        bw0 = B_w(sp, longest_element(n_rank).reduced_word(), arg)
         contraction = q_dagger(sp, fusion_solve(n_rank, sum(nu0)))
         assert contraction == bw0
         for op in (contraction, bw0):
@@ -639,9 +644,10 @@ def test_rational_kz_zero_orders_sum_to_zero():
     sp = enumerate_basis(
         [verma_symbolic(2, 1), verma_symbolic(2, 2), verma_symbolic(2, 3)], (1,)
     )
+    lam = lambda_pairing_symbols(2)
     total = WeightSpaceOperator.zero(sp, sp)
     for i in (1, 2, 3):
-        op = kz_operator(sp, "rational", i)
+        op = kz_operator(sp, "rational", i, lam)
         assert op.derivative_coeff == kappa_symbol()
         total = total + op.zero_order
     assert total.is_zero()
@@ -667,7 +673,7 @@ def test_trig_kz_zero_orders_sum_to_weight_scalar():
 def test_kz_unknown_kind_raises():
     sp = enumerate_basis([verma_symbolic(2, 1)], (1,))
     with pytest.raises(ValueError):
-        kz_operator(sp, "elliptic", 1)
+        kz_operator(sp, "elliptic", 1, lambda_pairing_symbols(2))
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +824,7 @@ def test_nabla_k_rows_witness_names_a_casimir_commutator(monkeypatch):
     from kzdyn import dyn
 
     monkeypatch.setattr(
-        dyn, "B_w", lambda space, w, pairings=None: lambda_diagonal(space, 1, pairings)
+        dyn, "B_w", lambda space, word, pairings: lambda_diagonal(space, 1, pairings)
     )
     sp = _compatibility_space(2, (1,))
     witnesses = _failing_witnesses(sp)

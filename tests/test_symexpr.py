@@ -232,6 +232,13 @@ def test_parse_errors():
             parse(bad)
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "3/0+x"])
+def test_parse_zero_denominator_literal_raises_division_by_zero(text):
+    # a zero denominator in a literal raises what "x/0" raises
+    with pytest.raises(DivisionByZero):
+        parse(text)
+
+
 def test_text_does_not_depend_on_which_symbol_came_first():
     # each fresh interpreter makes the symbols in the order of its arguments
     code = (
