@@ -79,6 +79,7 @@ from .rep import (
 )
 from .roots import (
     OutOfRange,
+    WeightVec,
     intermediate_orders,
     is_normal,
     longest_element,
@@ -88,7 +89,6 @@ from .roots import (
     sigma_sequence,
     sign_table_a,
     special_order,
-    weight_from_pairings,
 )
 from .symexpr import RF_ONE, RF_ZERO, ParseError, rational, rf_sums
 from .uea import GenWord, standard_basis, straightener, word
@@ -261,7 +261,7 @@ def _fusion(params: dict):
 
     lam = lambda_pairing_symbols(n)
     basis = standard_basis(n)
-    aux_factor = verma_weight(n, weight_from_pairings(n, lam))
+    aux_factor = verma_weight(n, WeightVec(lam))
     for mu in _weight_list(n, depth):
         aux = enumerate_basis([aux_factor], mu, basis)
         equal = dict(fus.component(mu)) == p_elements(aux)
@@ -351,7 +351,7 @@ def _appendix_c(params: dict):
             equal = dict(fus.component((a, b))) == transpose
             yield {"check": "fusion-double-sum", "a": a, "b": b, "equal": equal}, equal
 
-    lamw = weight_from_pairings(3, (l1, l2))
+    lamw = WeightVec((l1, l2))
     for a in range(1, max_ab + 1):
         for b in range(1, max_ab + 1):
             aux = enumerate_basis([verma_weight(3, lamw)], (a, b), basis)

@@ -64,13 +64,13 @@ from .rep import (
     word_operator,
 )
 from .roots import (
+    WeightVec,
     nu_vec,
     omega_bracket,
     omega_vec,
     positive_roots,
     rho_vec,
     roots_of_reduced_word,
-    weight_from_pairings,
 )
 from .symexpr import (
     RF_ONE,
@@ -163,7 +163,7 @@ def shifted_pairings(
 ) -> tuple[RationalFunctionExpr, ...]:
     """Pairings of ``lambda + rho + nu/2`` on this space."""
     return tuple(
-        p + RF_ONE + q * _HALF for p, q in zip(pairings, space.weight_pairings)
+        p + RF_ONE + q * _HALF for p, q in zip(pairings, space.weight.pairings)
     )
 
 
@@ -215,7 +215,7 @@ def _p_series(
     k0, l0 = alpha
     raise_letter = ("e", k0, l0)
     lower_letter = ("e", l0, k0)
-    h_val = _root_pairing(space.weight_pairings, alpha)
+    h_val = _root_pairing(space.weight.pairings, alpha)
 
     total = WeightSpaceOperator.identity(space)
     up = total  # E^k, from the space to the k-times raised space
@@ -248,7 +248,7 @@ def B_alpha(
     The series argument is ``(lambda + nu/2, alpha) - 1`` where ``nu`` is the
     weight of the space, so the operator preserves the space.
     """
-    nu_pair = _root_pairing(space.weight_pairings, alpha)
+    nu_pair = _root_pairing(space.weight.pairings, alpha)
     t_val = _root_pairing(pairings, alpha) + nu_pair * _HALF - RF_ONE
     return p_series(space, alpha, t_val)
 
@@ -310,7 +310,7 @@ def B_additive(
     """
     n_rank = space.pbw_basis.n_rank
     basis_r = PBWBasis(n_rank, r)
-    aux_factor = verma_weight(n_rank, weight_from_pairings(n_rank, pairings))
+    aux_factor = verma_weight(n_rank, WeightVec(tuple(pairings)))
     straddling = [k <= r < l for k, l in basis_r.order]
 
     def straddles(exps: tuple[int, ...]) -> bool:
@@ -595,11 +595,21 @@ def lambda_diagonal(
     i: int,
     pairings: Sequence[RationalFunctionExpr],
 ) -> WeightSpaceOperator:
-    """Diagonal operator pairing the parameter with the factor-``i`` weight."""
-    lam_vec = weight_from_pairings(space.pbw_basis.n_rank, pairings)
-    return WeightSpaceOperator.diagonal(
-        space, [lam_vec.dot(space.factor_weight(pos, i)) for pos in range(space.dim)]
-    )
+    """Diagonal operator pairing the weight lambda with labels ``pairings``
+    (the parameter, in the KZ operators) with each row's factor-``i`` weight.
+
+    Row p's factor weight is hw_i - sum_h d_h(p) alpha_h, where d_h(p) are
+    its level drops, so the row reads (lambda, hw_i) - sum_h d_h(p) lambda_h:
+    one `WeightVec.dot` per call, and d_h(p) lambda_h is summed as d_h(p)
+    copies of lambda_h, so that no row multiplies.
+    """
+    top = WeightVec(tuple(pairings)).dot(space.factors[i - 1].hw)
+    values = []
+    for index in space.basis:
+        drops = _exps_coords(space.pbw_basis, index[i - 1])
+        lowered = (lam for lam, d in zip(pairings, drops) for _ in range(d))
+        values.append(top - sum(lowered, RF_ZERO))
+    return WeightSpaceOperator.diagonal(space, values)
 
 
 @record
@@ -877,7 +887,7 @@ def det_ingredients(space: TensorWeightSpace, alpha: tuple[int, int]) -> DetIngr
         return space.shifted({h: -m * rc for h, rc in enumerate(coords, 1)}).dim
 
     # `ModuleSpec` allows "lp" factors only at rank one, with integer weights
-    s_pair = int(space.weight_pairings[0].const_value())
+    s_pair = int(space.weight.pairings[0].const_value())
     lam_alpha = _root_pairing(pairings, alpha)
     mult: dict[int, int] = {}
     ratio: Counter = Counter()
@@ -892,7 +902,7 @@ def det_ingredients(space: TensorWeightSpace, alpha: tuple[int, int]) -> DetIngr
         m += 1
 
     n = len(space.factors)
-    lam_vec = weight_from_pairings(n_rank, pairings)
+    lam_vec = WeightVec(tuple(pairings))
     weights = [
         [space.factor_weight(pos, i) for i in range(1, n + 1)]
         for pos in range(space.dim)
@@ -953,11 +963,12 @@ def _coupling_to_last(
     last = len(space_prime.factors)
     top = {row: pos for pos, row in enumerate(_contract_last_factor(space_prime, space))}
     zero = space_prime.pbw_basis.zero_exps()
+    # factor i weighs the same at row and at pos; the last one is at its top
+    diagonal = lambda_diagonal(space, i, space_prime.factors[-1].hw.pairings)
 
     def terms():
         for row, pos in top.items():
-            mu_i = space_prime.factor_weight(row, i)
-            yield (pos, row), mu_i.dot(space_prime.factor_weight(row, last))
+            yield (pos, row), diagonal.entry(pos, pos)
         for _, raiser, lower in _root_letters(space_prime, last, i):
             raised = lower.domain
             kept = {k: c for k, c in raiser.entries.items() if raised.basis[k[0]][-1] == zero}
@@ -979,12 +990,13 @@ def check_rational_to_trig(
     Both sides are operators from ``space_prime`` into the space of its
     first n factors, built once.  The left side is the contraction of the
     last factor (`_contract_last_factor`) followed by the pairing with the
-    last highest weight plus the rho and half-weight shifts, minus half the
-    factor Casimir value.  The right side is `_coupling_to_last` plus the
-    lowering halves ``omega_operator(space, j, i)``, j != i, after the same
-    contraction.  Both apply to each of ``vectors``, the singular vectors of
-    ``space_prime`` (`rep.singular_vectors`); the witness names the first
-    vector, then the first position, where they differ.
+    last highest weight plus the rho and half-weight shifts (`lambda_diagonal`
+    at its labels), minus half the factor Casimir value.  The right side is
+    `_coupling_to_last` plus the lowering halves ``omega_operator(space, j,
+    i)``, j != i, after the same contraction.  Both apply to each of
+    ``vectors``, the singular vectors of ``space_prime``
+    (`rep.singular_vectors`); the witness names the first vector, then the
+    first position, where they differ.
     """
     n_rank = space_prime.pbw_basis.n_rank
     n = len(space_prime.factors) - 1
@@ -1001,9 +1013,9 @@ def check_rational_to_trig(
     casimir_i = (hw_i.dot(hw_i) + hw_i.dot(rho) + hw_i.dot(rho)) * _HALF
 
     lift = _contract_last_factor(space_prime, space)
+    shifted = lambda_diagonal(space, i, shift_vec.pairings)
     diagonal = {
-        (pos, row): shift_vec.dot(space.factor_weight(pos, i)) - casimir_i
-        for pos, row in enumerate(lift)
+        (pos, row): shifted.entry(pos, pos) - casimir_i for pos, row in enumerate(lift)
     }
     lhs_op = WeightSpaceOperator(space_prime, space, diagonal)
     lowering = (

@@ -39,13 +39,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .symexpr import RF_ONE, RF_ZERO, RationalFunctionExpr, rational, rf_sums, symbol
-from .roots import (
-    alpha_vec,
-    positive_roots,
-    rho_vec,
-    sigma_sequence,
-    weight_from_pairings,
-)
+from .roots import WeightVec, positive_roots, rho_vec, sigma_sequence
 from .rep import MultiIndex, TensorWeightSpace
 from .dyn import (
     formal_z_exponents,
@@ -210,7 +204,7 @@ class MasterExponents:
 
 def master_exponents(
     space: TensorWeightSpace,
-    pairings: Optional[Sequence[RationalFunctionExpr]] = None,
+    pairings: Sequence[RationalFunctionExpr],
     *,
     m_counts: Optional[Sequence[int]] = None,
 ) -> MasterExponents:
@@ -224,13 +218,9 @@ def master_exponents(
     rank = space.pbw_basis.n_rank
     n = len(space.factors)
     hws = [f.hw for f in space.factors]
-    alphas = {k: alpha_vec(rank, k) for k in range(1, rank)}
-    if pairings is None:
-        pairings = lambda_pairing_symbols(rank)
-    lam = weight_from_pairings(rank, tuple(pairings))
+    lam = WeightVec(tuple(pairings))
     nu = space.weight
     half = rational(Fraction(1, 2))
-    minus_one = rational(-1)
 
     z_pair = {
         (i, j): hws[i - 1].dot(hws[j - 1])
@@ -238,7 +228,7 @@ def master_exponents(
         for j in range(i + 1, n + 1)
     }
     t_z = {
-        (k, j): hws[j - 1].dot(alphas[k]) * minus_one
+        (k, j): -hws[j - 1].pairings[k - 1]
         for k in range(1, rank)
         for j in range(1, n + 1)
     }
@@ -246,9 +236,9 @@ def master_exponents(
     for k in range(1, rank):
         t_t[(k, k)] = rational(2)
         if k + 1 < rank:
-            t_t[(k, k + 1)] = minus_one
+            t_t[(k, k + 1)] = rational(-1)
     base = lam - rho_vec(rank) - nu.scale(half)
-    t_pow = tuple(base.dot(alphas[k]) * minus_one for k in range(1, rank))
+    t_pow = tuple(-p for p in base.pairings)
     z_pow = tuple(hw.dot(lam - nu.scale(half) + hw.scale(half)) for hw in hws)
     counts = tuple(m_counts) if m_counts is not None else tuple(space.nu0)
     if len(counts) != rank - 1:
@@ -692,7 +682,7 @@ def switch_cor_witness(space: TensorWeightSpace, index, h: int) -> SwitchCorRepo
         m + 1 if k == h else m for k, m in enumerate(base_counts, start=1)
     )
     new_var = t_name(h, base_counts[h - 1] + 1)
-    me = master_exponents(space, m_counts=enlarged)
+    me = master_exponents(space, lambda_pairing_symbols(rank), m_counts=enlarged)
 
     var_ids = {}
     for k, m in enumerate(enlarged, start=1):

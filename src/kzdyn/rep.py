@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from ._record import record
-from .roots import WeightVec, alpha_vec, nu_vec, root_vec, weight_from_pairings
+from .roots import WeightVec, nu_vec, root_vec
 from .symexpr import (
     RF_ONE,
     RF_ZERO,
@@ -89,12 +89,16 @@ class ModuleSpec:
             raise ValueError(f"unknown module kind {self.kind!r}")
         if self.kind == "lp" and (self.n_rank != 2 or self.p is None or self.p < 0):
             raise ValueError("the irreducible factor is rank-one with p >= 0")
+        if len(self.hw.pairings) != self.n_rank - 1:
+            raise ValueError(
+                f"a rank-{self.n_rank} highest weight has {self.n_rank - 1} labels"
+            )
 
 
 def verma_symbolic(n_rank: int, j: int) -> ModuleSpec:
     """Verma factor number j with symbolic simple-root pairings L:j:k."""
-    pairings = [symbol(f"L:{j}:{k}") for k in range(1, n_rank)]
-    return ModuleSpec("verma", n_rank, weight_from_pairings(n_rank, pairings))
+    pairings = tuple(symbol(f"L:{j}:{k}") for k in range(1, n_rank))
+    return ModuleSpec("verma", n_rank, WeightVec(pairings))
 
 
 def verma_weight(n_rank: int, hw: WeightVec) -> ModuleSpec:
@@ -102,8 +106,7 @@ def verma_weight(n_rank: int, hw: WeightVec) -> ModuleSpec:
 
 
 def lp_module(p: int) -> ModuleSpec:
-    hw = weight_from_pairings(2, [rational(p)])
-    return ModuleSpec("lp", 2, hw, p=p)
+    return ModuleSpec("lp", 2, WeightVec((rational(p),)), p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +151,6 @@ class TensorWeightSpace:
         "straighteners",
         "_factor_weights",
         "_weight",
-        "_weight_pairings",
         "_hash",
     )
 
@@ -170,7 +172,6 @@ class TensorWeightSpace:
         )
         self._factor_weights: dict[tuple[int, int], WeightVec] = {}
         self._weight: Optional[WeightVec] = None
-        self._weight_pairings: Optional[tuple[RationalFunctionExpr, ...]] = None
         self._hash = hash((factors, nu0, pbw_basis))
 
     def __eq__(self, other):
@@ -203,16 +204,6 @@ class TensorWeightSpace:
             total = sum((f.hw for f in self.factors[1:]), self.factors[0].hw)
             self._weight = total - nu_vec(self.pbw_basis.n_rank, self.nu0)
         return self._weight
-
-    @property
-    def weight_pairings(self) -> tuple[RationalFunctionExpr, ...]:
-        """Pairings of `weight` with the simple roots, in order."""
-        if self._weight_pairings is None:
-            n_rank = self.pbw_basis.n_rank
-            self._weight_pairings = tuple(
-                self.weight.dot(alpha_vec(n_rank, i)) for i in range(1, n_rank)
-            )
-        return self._weight_pairings
 
     def factor_weight(self, position: int, j: int) -> WeightVec:
         """Weight of tensor factor ``j`` (1-based) of basis element

@@ -1,13 +1,15 @@
-"""Type-A root combinatorics: positive roots, weights in epsilon-coordinates,
-the symmetric group as Weyl group, normal orders on positive roots, and the
-explicit elementary-transformation schedule converting one special order into
-the next.
+"""Type-A root combinatorics: positive roots, weights by their simple-root
+pairings, the symmetric group as Weyl group, normal orders on positive roots,
+and the explicit elementary-transformation schedule converting one special
+order into the next.
 
 Conventions
 -----------
 Positive roots of sl_N are pairs ``(k, l)`` with ``1 <= k < l <= N`` standing
-for ``e_k - e_l`` in epsilon-coordinates.  Orders on positive roots are stored
-as tuples **largest first**.
+for ``e_k - e_l``.  A weight is stored by its labels, its pairings with the
+simple roots, the form in which every weight reaches the code; the invariant
+form pairs two weights through the inverse Cartan matrix.  Orders on
+positive roots are stored as tuples **largest first**.
 
 The special order for a level ``h`` splits the roots into three blocks,
 top to bottom:
@@ -32,10 +34,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from ._record import record
-from .symexpr import RF_ZERO, RationalFunctionExpr, rational
+from .symexpr import RF_ONE, RF_ZERO, RationalFunctionExpr, rational
 
 __all__ = [
     "OutOfRange",
@@ -56,7 +59,6 @@ __all__ = [
     "alpha_vec",
     "rho_vec",
     "omega_vec",
-    "weight_from_pairings",
     "nu_vec",
     "WeylElement",
     "identity_weyl",
@@ -248,53 +250,83 @@ def sign_table_a(n_rank: int, h: int) -> dict[tuple[int, int], int]:
 
 
 # ---------------------------------------------------------------------------
-# Weights in epsilon-coordinates
+# Weights by their simple-root pairings
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _inverse_cartan(n_rank: int) -> tuple[tuple[Fraction, ...], ...]:
+    """sl_N's inverse Cartan matrix, the pairings of the fundamental weights:
+    (omega_h, omega_k) = min(h, k)(N - max(h, k))/N."""
+    ks = range(1, n_rank)
+    return tuple(tuple(Fraction(min(h, k) * (n_rank - max(h, k)), n_rank) for k in ks) for h in ks)
+
 
 @record
 class WeightVec:
-    """A weight of gl_N/sl_N as exact epsilon-coordinates (sum zero)."""
+    """A weight of sl_N by its labels: ``pairings[k-1]`` is the exact, possibly
+    symbolic pairing (mu, alpha_k) with the k-th simple root, k = 1..N-1."""
 
-    eps: tuple[RationalFunctionExpr, ...]
+    pairings: tuple[RationalFunctionExpr, ...]
 
     def __add__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a + b for a, b in zip(self.eps, other.eps)))
+        return WeightVec(tuple(a + b for a, b in zip(self.pairings, other.pairings)))
 
     def __sub__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a - b for a, b in zip(self.eps, other.eps)))
+        return WeightVec(tuple(a - b for a, b in zip(self.pairings, other.pairings)))
 
     def __neg__(self) -> "WeightVec":
-        return WeightVec(tuple(-a for a in self.eps))
+        return WeightVec(tuple(-a for a in self.pairings))
 
     def scale(self, c) -> "WeightVec":
         factor = c if isinstance(c, RationalFunctionExpr) else rational(Fraction(c))
-        return WeightVec(tuple(a * factor for a in self.eps))
+        return WeightVec(tuple(a * factor for a in self.pairings))
 
     def dot(self, other: "WeightVec") -> RationalFunctionExpr:
+        """The invariant form sum_{h,k} (mu, alpha_h) g_hk (mu', alpha_k), with
+        g the inverse Cartan matrix (`_inverse_cartan`).  Constant labels are
+        combined with the g_hk as Fractions, so that only symbolic labels are
+        multiplied."""
+
+        def paired(coeffs: Sequence[Fraction]) -> RationalFunctionExpr:
+            # sum_k coeffs[k-1] (mu', alpha_k)
+            const, total = 0, RF_ZERO
+            for c, b in zip(coeffs, other.pairings):
+                if b.is_const():
+                    const += c * b.const_value()
+                elif c:
+                    total = total + b * rational(c)
+            return total + rational(const)
+
+        fixed = None  # the rows of the constant labels, summed
         total = RF_ZERO
-        for a, b in zip(self.eps, other.eps):
-            total = total + a * b
-        return total
+        for a, row in zip(self.pairings, _inverse_cartan(len(self.pairings) + 1)):
+            if a.is_zero():
+                continue
+            if a.is_const():
+                v = a.const_value()
+                fixed = [f + v * g for f, g in zip(fixed or [0] * len(row), row)]
+            else:
+                total = total + a * paired(row)
+        return total if fixed is None else total + paired(fixed)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.eps)
+        return all(a.is_zero() for a in self.pairings)
 
-    def validate(self) -> None:
-        total = RF_ZERO
-        for a in self.eps:
-            total = total + a
-        if not total.is_zero():
-            raise ValueError("epsilon-coordinates must sum to zero")
+
+def nu_vec(n_rank: int, multiplicities: Sequence[int]) -> WeightVec:
+    """Non-negative combination of simple roots with the given multiplicities:
+    its labels are the Cartan matrix applied to them, 2 m_k - m_{k-1} - m_{k+1}."""
+    if len(multiplicities) != n_rank - 1:
+        raise OutOfRange("need one multiplicity per simple root")
+    m = (0, *multiplicities, 0)
+    return WeightVec(tuple(rational(2 * m[k] - m[k - 1] - m[k + 1]) for k in range(1, n_rank)))
 
 
 def root_vec(n_rank: int, k: int, l: int) -> WeightVec:
-    """The root e_k - e_l as a weight vector."""
+    """The root e_k - e_l = alpha_k + ... + alpha_{l-1} as a weight vector."""
     if not (1 <= k < l <= n_rank):
         raise OutOfRange(f"not a positive root: ({k},{l})")
-    eps = [RF_ZERO] * n_rank
-    eps[k - 1] = rational(1)
-    eps[l - 1] = rational(-1)
-    return WeightVec(tuple(eps))
+    return nu_vec(n_rank, [int(k <= h < l) for h in range(1, n_rank)])
 
 
 def alpha_vec(n_rank: int, k: int) -> WeightVec:
@@ -303,45 +335,15 @@ def alpha_vec(n_rank: int, k: int) -> WeightVec:
 
 
 def rho_vec(n_rank: int) -> WeightVec:
-    """Half-sum of positive roots: coordinates (N+1-2i)/2."""
-    return WeightVec(
-        tuple(rational(Fraction(n_rank + 1 - 2 * i, 2)) for i in range(1, n_rank + 1))
-    )
+    """Half-sum of positive roots: every label 1."""
+    return WeightVec((RF_ONE,) * (n_rank - 1))
 
 
 def omega_vec(n_rank: int, k: int) -> WeightVec:
-    """Fundamental (co)weight: (1 - k/N) on the first k slots, -k/N after."""
+    """Fundamental (co)weight: label 1 at k, 0 elsewhere."""
     if not (1 <= k <= n_rank - 1):
         raise OutOfRange(f"fundamental weight index must be in 1..{n_rank - 1}")
-    high = rational(Fraction(n_rank - k, n_rank))
-    low = rational(Fraction(-k, n_rank))
-    return WeightVec(tuple(high if i <= k else low for i in range(1, n_rank + 1)))
-
-
-def weight_from_pairings(n_rank: int, pairings: Sequence[RationalFunctionExpr]) -> WeightVec:
-    """The weight with prescribed pairings against the simple roots.
-
-    ``pairings[k-1]`` is the (possibly symbolic) value of the pairing with the
-    k-th simple root; the weight is the corresponding combination of
-    fundamental weights.
-    """
-    if len(pairings) != n_rank - 1:
-        raise OutOfRange("need one pairing per simple root")
-    total = WeightVec(tuple([RF_ZERO] * n_rank))
-    for k, c in enumerate(pairings, start=1):
-        total = total + omega_vec(n_rank, k).scale(c)
-    return total
-
-
-def nu_vec(n_rank: int, multiplicities: Sequence[int]) -> WeightVec:
-    """Non-negative combination of simple roots with the given multiplicities."""
-    if len(multiplicities) != n_rank - 1:
-        raise OutOfRange("need one multiplicity per simple root")
-    total = WeightVec(tuple([RF_ZERO] * n_rank))
-    for k, m in enumerate(multiplicities, start=1):
-        if m:
-            total = total + alpha_vec(n_rank, k).scale(m)
-    return total
+    return WeightVec(tuple(RF_ONE if i == k else RF_ZERO for i in range(1, n_rank)))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from typing import Mapping, Optional, Sequence
 
 from ._record import record
 from .roots import WeightVec, sign_table_a, special_order
-from .symexpr import RF_ONE, RationalFunctionExpr, rational, rf_sums
+from .symexpr import RF_ONE, RF_ZERO, RationalFunctionExpr, rational, rf_sums
 
 __all__ = [
     "Letter",
@@ -225,8 +225,8 @@ def monomial_word(basis: PBWBasis, exps: Sequence[int]) -> GenWord:
 class Straightener:
     """Memoized letter-by-letter rewriting against one PBW basis (a level).
 
-    ``hw`` is the highest weight as epsilon-coordinates (a `WeightVec`); it
-    may be None for computations in which no Cartan letter can reach the
+    ``hw`` is the highest weight by its simple-root pairings (a `WeightVec`);
+    it may be None for computations in which no Cartan letter can reach the
     vector (e.g. pure lowering words).
     """
 
@@ -244,7 +244,8 @@ class Straightener:
     def _cartan_scalar(self, a: int, b: int) -> RationalFunctionExpr:
         if self.hw is None:
             raise ValueError("Cartan letter reached the vector but no weight given")
-        return self.hw.eps[a - 1] - self.hw.eps[b - 1]
+        # e_aa - e_bb, a < b, is the coroot of alpha_a + ... + alpha_{b-1}
+        return sum(self.hw.pairings[a - 1 : b - 1], RF_ZERO)
 
     # -- core recursion ----------------------------------------------------------
 

@@ -1,15 +1,15 @@
 """Test-only conveniences over the straightening engine and the tensor actions,
-the dense and transposed views of an operator, the edge-product form of a
-grounded string's function and the coefficient lookup of a `PhiVector`, the
-cross-gcd reference for rational-function arithmetic, the dense
-Gauss-Jordan reference for `rep.nullspace` and `WeightSpaceOperator.invert`,
-the lowered-space reference for `dyn._root_terms`, the exact polynomial
-division `poly_divexact` of the reference arithmetic, and the exponent-tuple
-references for `poly_divexact` and `Poly.rename`.  `poly_divexact` runs the
-package's long division on packed keys (`symexpr._divide`, largest key
-first); `_int_quotient` below divides over exponent tuples from the smallest
-term up, so that the division reference shares no division code with the
-package.
+the epsilon-coordinates of a weight, the dense and transposed views of an
+operator, the edge-product form of a grounded string's function and the
+coefficient lookup of a `PhiVector`, the cross-gcd reference for
+rational-function arithmetic, the dense Gauss-Jordan reference for
+`rep.nullspace` and `WeightSpaceOperator.invert`, the lowered-space reference
+for `dyn._root_terms`, the exact polynomial division `poly_divexact` of the
+reference arithmetic, and the exponent-tuple references for `poly_divexact`
+and `Poly.rename`.  `poly_divexact` runs the package's long division on
+packed keys (`symexpr._divide`, largest key first); `_int_quotient` below
+divides over exponent tuples from the smallest term up, so that the division
+reference shares no division code with the package.
 
 The package computes with `Straightener.apply_word` and the tensor Leibniz
 action directly; these helpers package the same machinery in
@@ -27,7 +27,7 @@ from kzdyn.rep import (
     WeightSpaceOperator,
     operator_for_letter,
 )
-from kzdyn.roots import positive_roots, weight_from_pairings
+from kzdyn.roots import WeightVec, positive_roots
 from kzdyn.symexpr import (
     RF_ONE,
     RF_ZERO,
@@ -53,8 +53,20 @@ def straighten(w: GenWord, pairings, basis: PBWBasis) -> dict:
     ``pairings`` maps each simple index k to the pairing of the highest
     weight of v with the k-th simple coroot.
     """
-    hw = weight_from_pairings(basis.n_rank, [pairings[k] for k in range(1, basis.n_rank)])
+    hw = WeightVec(tuple(pairings[k] for k in range(1, basis.n_rank)))
     return Straightener(basis, hw).apply_word(w)
+
+
+def eps_coordinates(weight: WeightVec) -> tuple[RationalFunctionExpr, ...]:
+    """The weight's epsilon-coordinates, summing to zero:
+    eps_i = sum_{k >= i} mu_k - sum_k k mu_k / N, for labels mu_k = (mu, alpha_k).
+
+    The tests' reference for `WeightVec.dot`, which is sum_i eps_i eps'_i.
+    """
+    labels = weight.pairings
+    n = len(labels) + 1
+    mean = sum((mu * k for k, mu in enumerate(labels, 1)), RF_ZERO) / n
+    return tuple(sum(labels[i - 1 :], RF_ZERO) - mean for i in range(1, n + 1))
 
 
 def word_operator_at(space: TensorWeightSpace, w: GenWord, j: int) -> WeightSpaceOperator:

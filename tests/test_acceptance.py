@@ -15,7 +15,7 @@ from kzdyn.cli import SuiteConfig, run_suite
 from kzdyn.dyn import B_additive, B_w, lambda_pairing_symbols, shifted_pairings
 from kzdyn.hyper import order_invariance_reports
 from kzdyn.rep import enumerate_basis, p_elements, verma_symbolic, verma_weight
-from kzdyn.roots import omega_bracket, weight_from_pairings
+from kzdyn.roots import WeightVec, omega_bracket
 from kzdyn.symexpr import rational, symbol
 
 
@@ -219,7 +219,7 @@ def test_criterion_9_dual_element_golden_values():
     # exactly up to depth 4, and the rank-two inverse-form truncation matches
     # the golden double-sum table exactly up to order (2,2).
     l1 = symbol("l1")
-    spec = verma_weight(2, weight_from_pairings(2, [l1]))
+    spec = verma_weight(2, WeightVec((l1,)))
     for k in range(1, 5):
         space = enumerate_basis([spec], (k,))
         coeff = p_elements(space)[(space.basis[0][0], (k,))]

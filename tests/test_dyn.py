@@ -55,8 +55,8 @@ from kzdyn.roots import (
     omega_bracket,
     omega_vec,
     positive_roots,
+    WeightVec,
     special_order,
-    weight_from_pairings,
 )
 from kzdyn.symexpr import RF_ONE, RF_ZERO, _is_linear, rational, symbol
 from kzdyn.uea import GenWord, Straightener, standard_basis, word
@@ -422,7 +422,7 @@ def test_fusion_equals_dual_element_matrix():
         lam = lambda_pairing_symbols(n_rank)
         basis = standard_basis(n_rank)
         fus = fusion_solve(n_rank, 4)
-        aux_factor = verma_weight(n_rank, weight_from_pairings(n_rank, lam))
+        aux_factor = verma_weight(n_rank, WeightVec(tuple(lam)))
         for mu in weights:
             aux = enumerate_basis([aux_factor], mu, basis)
             assert dict(fus.component(mu)) == p_elements(aux)
@@ -476,7 +476,7 @@ def test_published_inverse_form_closed_form():
     l1, l2 = lambda_pairing_symbols(3)
     basis = standard_basis(3)
     engine = Straightener(basis)
-    lamw = weight_from_pairings(3, (l1, l2))
+    lamw = WeightVec((l1, l2))
     for (a, b) in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         aux = enumerate_basis([verma_weight(3, lamw)], (a, b), basis)
         expected = {}
@@ -524,7 +524,7 @@ def test_q_dagger_equals_longest_product_down_shift():
         sp = enumerate_basis(factors, nu0)
         n_rank = sp.pbw_basis.n_rank
         lam = lambda_pairing_symbols(n_rank)
-        nu_pairs = sp.weight_pairings
+        nu_pairs = sp.weight.pairings
         down = tuple(p - q for p, q in zip(lam, nu_pairs))
         bw0 = B_w(sp, longest_element(n_rank).reduced_word(), shifted_pairings(sp, down))
         contraction = q_dagger(sp, fusion_solve(n_rank, sum(nu0)))
@@ -663,7 +663,7 @@ def test_trig_kz_zero_orders_sum_to_weight_scalar():
         assert op.derivative_coeff == kappa_symbol() * (z1 if i == 1 else z2)
         total = total + op.zero_order
     # Total of the two diagonal weight terms is (lam, nu) * identity.
-    lam_vec = weight_from_pairings(2, lam)
+    lam_vec = WeightVec(tuple(lam))
     nu = sp.factors[0].hw + sp.factors[1].hw - nu_vec(2, sp.nu0)
     scalar = lam_vec.dot(nu)
     expected = WeightSpaceOperator.identity(sp).scale(-scalar)

@@ -43,8 +43,8 @@ from kzdyn.roots import (
     omega_vec,
     positive_roots,
     rho_vec,
+    WeightVec,
     sigma_sequence,
-    weight_from_pairings,
 )
 from kzdyn.symexpr import (
     RF_ONE,
@@ -320,7 +320,7 @@ class TestMasterExponents:
         # freeze all exponents to integers, build the product explicitly and
         # compare against the exact partial derivative
         factors = tuple(
-            verma_weight(2, weight_from_pairings(2, (rational(4),)))
+            verma_weight(2, WeightVec((rational(4),)))
             for _ in range(2)
         )
         space = enumerate_basis(factors, (2,))
@@ -343,7 +343,7 @@ class TestMasterExponents:
 
     def test_log_derivative_matches_explicit_product_sl3(self):
         # two colors: exercises the adjacent-color coupling exponent
-        factor = verma_weight(3, weight_from_pairings(3, (rational(3), rational(3))))
+        factor = verma_weight(3, WeightVec((rational(3), rational(3))))
         space = enumerate_basis((factor,), (1, 1))
         me = master_exponents(space, pairings=(rational(4), rational(6)))
         z1 = symbol("z:1")
@@ -361,20 +361,20 @@ class TestMasterExponents:
 
     def test_same_color_coupling_is_two(self):
         space = one_factor_space(2, (2,))
-        me = master_exponents(space)
+        me = master_exponents(space, lambda_pairing_symbols(2))
         assert (me.t_t[(1, 1)] - rational(2)).is_zero()
 
     def test_enlarged_universe_changes_no_exponent(self):
         space = one_factor_space(2, (1,))
-        me0 = master_exponents(space)
-        me1 = master_exponents(space, m_counts=(3,))
+        me0 = master_exponents(space, lambda_pairing_symbols(2))
+        me1 = master_exponents(space, lambda_pairing_symbols(2), m_counts=(3,))
         assert me1.m_counts == (3,)
         assert (me0.t_pow[0] - me1.t_pow[0]).is_zero()
         assert (me0.t_z[(1, 1)] - me1.t_z[(1, 1)]).is_zero()
 
     def test_rejects_unknown_variable(self):
         space = one_factor_space(2, (1,))
-        me = master_exponents(space)
+        me = master_exponents(space, lambda_pairing_symbols(2))
         with pytest.raises(ValueError):
             log_derivative(me, "t:1:2")
         with pytest.raises(ValueError):
@@ -482,7 +482,7 @@ class TestRemovalExpansion:
 
 def _raising_setup(n_rank, h, nu0):
     space = enumerate_basis((verma_symbolic(n_rank, 1),), nu0)
-    lam = weight_from_pairings(n_rank, lambda_pairing_symbols(n_rank))
+    lam = WeightVec(lambda_pairing_symbols(n_rank))
     nu = space.factors[0].hw - nu_vec(n_rank, space.nu0)
     half = rational(Fraction(1, 2))
     aux = verma_weight(n_rank, lam - rho_vec(n_rank) - nu.scale(half))

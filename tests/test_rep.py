@@ -19,6 +19,7 @@ from _closed_forms import b_coeff, falling
 from kzdyn.hyper import index_counts
 from kzdyn.lemmas import dual_action_F, raising_dual_coefficients
 from kzdyn.rep import (
+    ModuleSpec,
     SingularGram,
     WeightSpaceOperator,
     enumerate_basis,
@@ -32,7 +33,7 @@ from kzdyn.rep import (
     verma_weight,
     word_operator,
 )
-from kzdyn.roots import WeightVec, alpha_vec, nu_vec, weight_from_pairings
+from kzdyn.roots import WeightVec, alpha_vec, nu_vec
 from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
 from kzdyn.uea import (
     GenWord,
@@ -91,6 +92,17 @@ def test_enumerate_lp_truncates_depth():
     assert enumerate_basis([lp_module(2)], (3,)).dim == 0
 
 
+def test_module_spec_needs_one_label_per_simple_root():
+    # a weight with too few or too many labels is refused; zipped against a
+    # rank-3 lowering, a one-label weight would lose its second label
+    for labels in [(symbol("x"),), (symbol("x"), symbol("y"), symbol("z"))]:
+        with pytest.raises(ValueError):
+            verma_weight(3, WeightVec(labels))
+    with pytest.raises(ValueError):
+        ModuleSpec("lp", 2, WeightVec((rational(1), rational(1))), p=1)
+    assert verma_weight(3, WeightVec((symbol("x"), symbol("y")))).hw.pairings[1] == symbol("y")
+
+
 def test_shift_below_zero_keeps_its_depth():
     space = enumerate_basis([verma_symbolic(3, 1)], (0, 1))
     below = space.shifted({1: -1})
@@ -120,10 +132,10 @@ def test_shift_below_zero_keeps_its_depth():
 def test_space_weight_and_pairings_match_their_definition(factors, nu0):
     space = enumerate_basis(factors, nu0)
     n_rank = space.pbw_basis.n_rank
-    top = sum((f.hw for f in factors), WeightVec((RF_ZERO,) * n_rank))
+    top = sum((f.hw for f in factors), WeightVec((RF_ZERO,) * (n_rank - 1)))
     weight = top - nu_vec(n_rank, nu0)
     assert space.weight == weight and space.weight is space.weight
-    assert space.weight_pairings == tuple(
+    assert space.weight.pairings == tuple(
         weight.dot(alpha_vec(n_rank, p)) for p in range(1, n_rank)
     )
 
@@ -149,7 +161,7 @@ def test_cartan_acts_by_weight_pairing():
     assert cartan.codomain == space
     for pos in range(space.dim):
         out = cartan.apply({pos: RF_ONE})
-        expected = (lam.eps[0] - lam.eps[1]) - rational(2 * 2 - 1)
+        expected = lam.pairings[0] - rational(2 * 2 - 1)
         assert out == {pos: expected}
 
 
@@ -224,7 +236,7 @@ def test_lp_sl2_irreducible_dimension_action_table():
 def test_gram_rank1_closed_form():
     l1 = symbol("l1")
     for k in range(1, 5):
-        spec = verma_weight(2, weight_from_pairings(2, [l1]))
+        spec = verma_weight(2, WeightVec((l1,)))
         space = enumerate_basis([spec], (k,))
         gram = shapovalov_gram(space)
         divided = falling(l1, k) / rational(math.factorial(k))
@@ -258,7 +270,7 @@ def test_gram_requires_single_verma_factor():
 
 def test_p_elements_rank1_closed_form_and_delta():
     l1 = symbol("l1")
-    spec = verma_weight(2, weight_from_pairings(2, [l1]))
+    spec = verma_weight(2, WeightVec((l1,)))
     for k in range(1, 5):
         space = enumerate_basis([spec], (k,))
         coeff = p_elements(space)[(space.basis[0][0], (k,))]
@@ -287,7 +299,7 @@ def test_p_elements_delta_property_rank2():
 
 
 def test_p_elements_singular_gram_error():
-    spec = verma_weight(2, weight_from_pairings(2, [rational(0)]))
+    spec = verma_weight(2, WeightVec((rational(0),)))
     space = enumerate_basis([spec], (1,))
     with pytest.raises(SingularGram):
         p_elements(space)

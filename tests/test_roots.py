@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from _algebra_helpers import eps_coordinates
 from kzdyn.roots import (
     ElemTransform,
     NotReduced,
     OutOfRange,
+    WeightVec,
     WeylElement,
     alpha_vec,
     apply_transform,
@@ -27,6 +32,7 @@ from kzdyn.roots import (
     simple_reflection,
     special_order,
 )
+from kzdyn.symexpr import RF_ZERO, rational, symbol
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +216,6 @@ def test_reduced_words_of_omega_bracket_are_valid():
 def test_rho_pairs_to_one_with_simple_roots():
     for n in range(2, 6):
         rho = rho_vec(n)
-        rho.validate()
         for k in range(1, n):
             assert rho.dot(alpha_vec(n, k)).const_value() == 1
 
@@ -235,8 +240,30 @@ def test_root_vec_inner_products():
 
 def test_nu_vec_balance():
     v = nu_vec(3, (2, 1))
-    v.validate()
     assert v.dot(omega_vec(3, 1)).const_value() + v.dot(omega_vec(3, 2)).const_value() == 3
+
+
+def test_dot_is_the_epsilon_dot_product():
+    # the inverse-Cartan form against sum_i eps_i eps'_i, exactly, on
+    # symbolic, Fraction and mixed labels (zero labels among them)
+    rng = random.Random(52)
+
+    def fraction():
+        return rational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+
+    for n in range(2, 6):
+        ks = range(1, n)
+        weights = [
+            WeightVec(tuple(symbol(f"x{k}") for k in ks)),
+            WeightVec(tuple(symbol(f"y{k}") * rational(k) - rational(k) for k in ks)),
+            WeightVec(tuple(fraction() for _ in ks)),
+            WeightVec(tuple(rng.choice([symbol(f"x{k}"), fraction(), RF_ZERO]) for k in ks)),
+            WeightVec(tuple(rng.choice([symbol(f"y{k}") / rational(3), fraction()]) for k in ks)),
+        ]
+        for a in weights:
+            for b in weights:
+                pairs = zip(eps_coordinates(a), eps_coordinates(b))
+                assert a.dot(b) == sum((x * y for x, y in pairs), RF_ZERO), (n, a, b)
 
 
 def test_simple_reflection_on_roots():

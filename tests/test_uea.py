@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _algebra_helpers import straighten
-from kzdyn.roots import weight_from_pairings
+from _algebra_helpers import eps_coordinates, straighten
+from kzdyn.roots import WeightVec
 from kzdyn.symexpr import RF_ONE, RF_ZERO, rational, symbol
 from kzdyn.uea import (
     GenWord,
@@ -140,7 +140,7 @@ def _symbolic_hw(n):
 
 
 def _hw_vec(n):
-    return weight_from_pairings(n, [symbol(f"l{j}") for j in range(1, n)])
+    return WeightVec(tuple(symbol(f"l{j}") for j in range(1, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def test_straighten_matches_naive_randomized_rewriter():
         letters = tuple(rng.choice(letters_pool) for _ in range(length))
         w = GenWord(rational(rng.randrange(1, 4)), letters)
         got = engine_plain_value([w], hw_vec, basis)
-        expected = naive_plain_value([w], hw_vec.eps, basis, rng)
+        expected = naive_plain_value([w], eps_coordinates(hw_vec), basis, rng)
         assert got == expected, (trial, basis, letters)
 
 
